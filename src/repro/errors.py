@@ -195,6 +195,13 @@ class DeadlineExceededError(ServiceError):
         self.deadline_s = deadline_s
 
 
+class TraceError(ReproError, ValueError):
+    """Raised when recorded telemetry cannot be used: a malformed
+    ``repro-obs/1`` event file, or an untraced run handed to a pass that
+    reads its trace.  (A ``ValueError`` too — what these paths raised
+    before they were typed.)"""
+
+
 class DistributionError(ReproError):
     """Raised for invalid distribution-function configurations."""
 

@@ -32,7 +32,6 @@ from repro.machine.engine import (
 )
 from repro.machine.export import (
     chrome_trace_json,
-    correlated_trace_json,
     match_messages,
     merge_events,
     write_chrome_trace,
@@ -80,7 +79,6 @@ __all__ = [
     "CriticalPathReport",
     "PathStep",
     "chrome_trace_json",
-    "correlated_trace_json",
     "merge_events",
     "write_chrome_trace",
     "match_messages",

@@ -860,12 +860,39 @@ class Engine:
         detail: str = "",
         scope: str = "",
     ) -> None:
+        """Account one event (shared verbatim by :class:`ThreadedEngine`,
+        where each rank's thread appends only to its own lanes)."""
         self.metrics.observe(rank, kind, start, end, peer, words, tag, scope, detail)
         self._recent[rank].append((kind, start, end, peer, tag, detail))
         if self._tracing:
             self.trace[rank].append_raw(
                 (rank, kind, start, end, peer, words, tag, detail, scope)
             )
+
+    def _result(self, values: list) -> RunResult:
+        """Package a finished run (shared by :class:`ThreadedEngine`).
+
+        Correlates the run with the compile request that produced it
+        (docs/OBSERVABILITY.md): the installed trace context — none
+        outside ``tracing_context`` — is stamped into ``Metrics.obs``,
+        and its run id onto the lanes, so every event materializes
+        carrying it.
+        """
+        stamp_current(self.metrics)
+        trace = None
+        if self._tracing:
+            trace = self.trace
+            run = self.metrics.obs.get("run_id", "")
+            for lane in trace:
+                lane.run = run
+        return RunResult(
+            values=values,
+            finish_times=[p.clock for p in self.procs],
+            message_count=self.message_count,
+            message_words=self.message_words,
+            trace=trace,
+            metrics=self.metrics,
+        )
 
     # -- forensics -------------------------------------------------------
     @property
@@ -1012,17 +1039,7 @@ class Engine:
                 if deadline is not None:
                     calendar.push_timeout(rank, deadline)
 
-        # Correlate this run with the compile request that produced it
-        # (docs/OBSERVABILITY.md) — a no-op outside any trace context.
-        stamp_current(self.metrics)
-        return RunResult(
-            values=values,
-            finish_times=[p.clock for p in self.procs],
-            message_count=self.message_count,
-            message_words=self.message_words,
-            trace=self.trace if self._tracing else None,
-            metrics=self.metrics,
-        )
+        return self._result(values)
 
 
 def run_spmd(

@@ -14,7 +14,13 @@ consumed by ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_:
   simulated seconds scaled to microseconds (Perfetto's native unit);
 * one flow-arrow pair (``ph": "s"`` / ``"f"``) per delivered message,
   binding the send's end to the matching recv's start, so the pipeline
-  fill/drain of the paper's Fig 5 is visible as arrows between lanes.
+  fill/drain of the paper's Fig 5 is visible as arrows between lanes;
+* one *compiler* thread (``tid`` :data:`COMPILER_TID`) for a lane of
+  wall-clock spans (:class:`repro.util.spans.SpanRecorder`): nesting is
+  time containment, which Perfetto renders as a flame graph.  Compile
+  time and simulated run time thereby share one timeline (both start
+  at t=0; the units differ — wall vs simulated seconds — which
+  ``args.clock`` records).
 
 Messages are matched FIFO per ``(source, dest, tag)`` channel — exactly
 the engine's delivery discipline — by :func:`match_messages`.
@@ -25,7 +31,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.machine.trace import TraceEvent
+from repro.machine.trace import TraceEvent, nesting_depths
 
 #: Simulated seconds -> Chrome trace microseconds.
 TIME_SCALE = 1e6
@@ -44,6 +50,8 @@ _REQUEST_KINDS = ("isend", "irecv")
 
 
 def _tid(e: TraceEvent) -> int:
+    if e.lane != "rank":
+        return COMPILER_TID
     return REQUEST_TID_BASE + e.rank if e.kind in _REQUEST_KINDS else e.rank
 
 
@@ -54,15 +62,34 @@ def match_messages(
 
     Lanes are recorded in per-rank program order, which is also FIFO
     order per ``(source, dest, tag)`` channel, so position-wise zipping
-    of the per-channel send and recv lists reproduces the engine's
-    matching exactly.
+    of the per-channel *delivered* send and recv lists reproduces the
+    engine's matching exactly.  A send the fault layer dropped, or a
+    reliable retry the receiver had already seen, is recorded but never
+    delivered: the lane says so itself, with ``drop`` / ``dup-suppressed``
+    markers at the send's end time on the same ``(peer, tag)``
+    (``duplicate`` adds a copy, which an unreliable receiver drains as a
+    second message).
     """
     sends: dict[tuple[int, int | None, int], list[TraceEvent]] = {}
     recvs: dict[tuple[int, int | None, int], list[TraceEvent]] = {}
     for lane in trace:
+        sent = None  # the send whose trailing fault markers we are reading
         for e in lane:
+            if e.kind == "fault":
+                if (
+                    sent is not None
+                    and e.start == sent.end
+                    and (e.peer, e.tag) == (sent.peer, sent.tag)
+                ):
+                    if e.detail == "duplicate":
+                        copies.append(sent)
+                    elif e.detail in ("drop", "dup-suppressed"):
+                        copies.pop()
+                continue
+            sent = None
             if e.kind in ("send", "isend"):
-                sends.setdefault((e.rank, e.peer, e.tag), []).append(e)
+                sent, copies = e, sends.setdefault((e.rank, e.peer, e.tag), [])
+                copies.append(e)
             elif e.kind == "recv":
                 recvs.setdefault((e.peer, e.rank, e.tag), []).append(e)
     pairs: list[tuple[TraceEvent, TraceEvent]] = []
@@ -72,126 +99,81 @@ def match_messages(
     return pairs
 
 
+def _draw(e: TraceEvent, depth: int = 0) -> dict:
+    """One trace event as a Chrome ``X`` event, or ``i`` for a marker."""
+    if e.lane == "rank":
+        # Zero-duration markers (drops, retries, crashes, irecv posts)
+        # render as thread-scoped instant events — visible ticks on the
+        # rank's lane (or request lane) in Perfetto.
+        instant = e.kind in ("fault", "irecv")
+        cat = e.scope or e.kind
+        args: dict = {"kind": e.kind}
+        if e.peer is not None:
+            args["peer"] = e.peer
+            args["words"] = e.words
+            args["tag"] = e.tag
+        if e.scope:
+            args["scope"] = e.scope
+        if instant:
+            cat = "request" if e.kind == "irecv" else "fault"
+            args["detail"] = e.detail
+    else:
+        # Wall-clock markers (worker crashes, respawns, fallback to
+        # in-process compilation — see repro.service.supervisor) mirror
+        # the simulator's "fault" instants on the rank lanes.
+        instant = e.kind == "instant"
+        cat = "service-fault" if instant else "compile"
+        args = {"clock": e.clock}
+        if not instant:
+            args["depth"] = depth
+    if instant:
+        return {
+            "name": e.label(), "cat": cat, "ph": "i", "s": "t",
+            "ts": e.start * TIME_SCALE, "pid": 0, "tid": _tid(e), "args": args,
+        }
+    return {
+        "name": e.label(), "cat": cat, "ph": "X", "ts": e.start * TIME_SCALE,
+        "dur": e.duration * TIME_SCALE, "pid": 0, "tid": _tid(e), "args": args,
+    }
+
+
 def chrome_trace_events(
-    trace: list[list[TraceEvent]],
-    process_name: str = "spmd",
-    flows: bool = True,
+    trace: list[list[TraceEvent]], process_name: str = "spmd"
 ) -> list[dict]:
-    """The ``traceEvents`` list for one simulator trace."""
+    """The ``traceEvents`` list for one trace: every lane, one emitter.
+
+    *trace* holds the simulated rank lanes by index; a lane of
+    wall-clock events (``SpanRecorder.spans``, recording order) may
+    follow them and lands on the compiler thread.
+    """
     events: list[dict] = [
         {"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
          "args": {"name": process_name}},
     ]
-    for rank, lane in enumerate(trace):
-        events.append(
-            {"name": "thread_name", "ph": "M", "pid": 0, "tid": rank,
-             "args": {"name": f"P{rank}"}}
+    drawn: list[dict] = []
+    for index, lane in enumerate(trace):
+        if lane and lane[0].lane != "rank":
+            threads = [(COMPILER_TID, lane[0].lane)]
+            drawn.extend(map(_draw, lane, nesting_depths(lane)))
+        else:
+            threads = [(index, f"P{index}")]
+            if any(e.kind in _REQUEST_KINDS for e in lane):
+                threads.append((REQUEST_TID_BASE + index, f"P{index} requests"))
+            drawn.extend(map(_draw, lane))
+        events.extend(
+            {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
+             "args": {"name": name}}
+            for tid, name in threads
         )
-        if any(e.kind in _REQUEST_KINDS for e in lane):
-            events.append(
-                {"name": "thread_name", "ph": "M", "pid": 0,
-                 "tid": REQUEST_TID_BASE + rank,
-                 "args": {"name": f"P{rank} requests"}}
-            )
-    for lane in trace:
-        for e in lane:
-            args: dict = {"kind": e.kind}
-            if e.peer is not None:
-                args["peer"] = e.peer
-                args["words"] = e.words
-                args["tag"] = e.tag
-            if e.scope:
-                args["scope"] = e.scope
-            if e.kind in ("fault", "irecv"):
-                # Zero-duration markers (drops, retries, crashes, irecv
-                # posts) render as thread-scoped instant events — visible
-                # ticks on the rank's lane (or request lane) in Perfetto.
-                args["detail"] = e.detail
-                events.append(
-                    {
-                        "name": e.label(),
-                        "cat": "request" if e.kind == "irecv" else "fault",
-                        "ph": "i",
-                        "s": "t",
-                        "ts": e.start * TIME_SCALE,
-                        "pid": 0,
-                        "tid": _tid(e),
-                        "args": args,
-                    }
-                )
-                continue
-            events.append(
-                {
-                    "name": e.label(),
-                    "cat": e.scope or e.kind,
-                    "ph": "X",
-                    "ts": e.start * TIME_SCALE,
-                    "dur": e.duration * TIME_SCALE,
-                    "pid": 0,
-                    "tid": _tid(e),
-                    "args": args,
-                }
-            )
-    if flows:
-        for flow_id, (snd, rcv) in enumerate(match_messages(trace)):
-            common = {"name": "msg", "cat": "msg", "pid": 0, "id": flow_id}
-            events.append(
-                {**common, "ph": "s", "ts": snd.end * TIME_SCALE, "tid": _tid(snd)}
-            )
-            events.append(
-                {**common, "ph": "f", "bp": "e", "ts": rcv.start * TIME_SCALE,
-                 "tid": rcv.rank}
-            )
-    return events
-
-
-def compiler_lane_events(spans, lane_name: str = "compiler") -> list[dict]:
-    """Draw wall-clock compiler spans as one extra Perfetto lane.
-
-    *spans* is a list of :class:`repro.util.spans.Span` (or dicts with
-    ``name``/``start``/``end`` keys, seconds).  The lane shares the trace
-    process (``pid`` 0) under ``tid`` :data:`COMPILER_TID`; nesting is
-    expressed by time containment, which Perfetto renders as a flame
-    graph.  Compile time and simulated run time thereby share one
-    timeline (both start at t=0; the units differ — wall seconds vs
-    simulated seconds — which ``args.clock`` records).
-    """
-    events: list[dict] = [
-        {"name": "thread_name", "ph": "M", "pid": 0, "tid": COMPILER_TID,
-         "args": {"name": lane_name}},
-    ]
-    for s in spans:
-        if not isinstance(s, dict):
-            s = s.as_dict()
-        if s["end"] == s["start"]:
-            # Zero-duration markers (worker crashes, respawns, fallback
-            # to in-process compilation — see repro.service.supervisor)
-            # render as instant ticks on the compiler lane, mirroring
-            # the simulator's "fault" instants on the rank lanes.
-            events.append(
-                {
-                    "name": s["name"],
-                    "cat": "service-fault",
-                    "ph": "i",
-                    "s": "t",
-                    "ts": s["start"] * TIME_SCALE,
-                    "pid": 0,
-                    "tid": COMPILER_TID,
-                    "args": {"clock": "wall"},
-                }
-            )
-            continue
+    events.extend(drawn)
+    for flow_id, (snd, rcv) in enumerate(match_messages(trace)):
+        common = {"name": "msg", "cat": "msg", "pid": 0, "id": flow_id}
         events.append(
-            {
-                "name": s["name"],
-                "cat": "compile",
-                "ph": "X",
-                "ts": s["start"] * TIME_SCALE,
-                "dur": (s["end"] - s["start"]) * TIME_SCALE,
-                "pid": 0,
-                "tid": COMPILER_TID,
-                "args": {"clock": "wall", "depth": s.get("depth", 0)},
-            }
+            {**common, "ph": "s", "ts": snd.end * TIME_SCALE, "tid": _tid(snd)}
+        )
+        events.append(
+            {**common, "ph": "f", "bp": "e", "ts": rcv.start * TIME_SCALE,
+             "tid": rcv.rank}
         )
     return events
 
@@ -230,10 +212,10 @@ def sparse_lane_events(sparse: dict, lane_name: str = "sparse") -> list[dict]:
 def merge_events(*event_lists: list[dict]) -> list[dict]:
     """Concatenate trace-event lists, deduplicating ``M`` metadata.
 
-    Each lane helper emits its own ``process_name``/``thread_name``
-    metadata so it is loadable standalone; when lanes are combined — or
-    an exporter is invoked twice over the same Metrics — the repeats
-    would pile up.  Only the first metadata event per
+    Every ``traceEvents`` list carries its own ``process_name``/
+    ``thread_name`` metadata so it is loadable standalone; when several
+    are combined — or an exporter is invoked twice over the same run —
+    the repeats would pile up.  Only the first metadata event per
     ``(name, pid, tid, args)`` identity survives; all non-metadata
     events pass through in order.
     """
@@ -266,33 +248,31 @@ def _flow_id(run_id: str) -> int:
     return 10_000_000 + acc
 
 
-def correlated_trace_json(
+def chrome_trace_json(
     trace: list[list[TraceEvent]],
-    spans=None,
-    context=None,
     process_name: str = "spmd",
     metadata: dict | None = None,
+    spans=None,
     sparse: dict | None = None,
+    context=None,
 ) -> dict:
-    """One merged timeline: compiler lane + rank lanes + a boundary arrow.
+    """A complete JSON-object-format trace document: one merged timeline.
 
-    The correlated form of :func:`chrome_trace_json`
-    (docs/OBSERVABILITY.md): *spans* draw the compile-service wall-clock
-    lane, *trace* the simulated rank lanes, and *context* (a
+    Pass *spans* (``SpanRecorder.spans``) to add the compiler-phase lane
+    next to the simulated rank lanes, and *sparse* (``Metrics.sparse``)
+    to add the inspector/executor counter lane.  *context* (a
     :class:`~repro.obs.context.TraceContext`) is recorded under
-    ``otherData.trace_context`` and bound visually by a flow-arrow pair
-    named ``compile->run`` from the end of the last compiler span to the
-    first simulated event — the one-id-links-everything story, drawn.
+    ``otherData.trace_context`` and, when there are spans, bound
+    visually by a flow-arrow pair named ``compile->run`` from the end of
+    the last compiler span to the first simulated event — the
+    one-id-links-everything story of docs/OBSERVABILITY.md, drawn.
     """
-    lanes = [chrome_trace_events(trace, process_name=process_name)]
-    if spans:
-        lanes.append(compiler_lane_events(spans))
+    events = chrome_trace_events(
+        [*trace, spans] if spans else trace, process_name=process_name
+    )
     if sparse:
-        lanes.append(sparse_lane_events(sparse))
-    events = merge_events(*lanes)
+        events.extend(sparse_lane_events(sparse))
     if context is not None and spans:
-        span_dicts = [s if isinstance(s, dict) else s.as_dict() for s in spans]
-        compile_end = max(s["end"] for s in span_dicts)
         first = min(
             (e for lane in trace for e in lane),
             key=lambda e: (e.start, e.rank),
@@ -305,8 +285,8 @@ def correlated_trace_json(
             "id": _flow_id(context.run_id),
         }
         events.append(
-            {**common, "ph": "s", "ts": compile_end * TIME_SCALE,
-             "tid": COMPILER_TID}
+            {**common, "ph": "s",
+             "ts": max(s.end for s in spans) * TIME_SCALE, "tid": COMPILER_TID}
         )
         events.append(
             {**common, "ph": "f", "bp": "e",
@@ -322,33 +302,6 @@ def correlated_trace_json(
         other["trace_context"] = context.as_dict()
     if other:
         doc["otherData"] = other
-    return doc
-
-
-def chrome_trace_json(
-    trace: list[list[TraceEvent]],
-    process_name: str = "spmd",
-    metadata: dict | None = None,
-    spans=None,
-    sparse: dict | None = None,
-) -> dict:
-    """A complete JSON-object-format trace document.
-
-    Pass *spans* (from :class:`repro.util.spans.SpanRecorder`) to add the
-    compiler-phase lane next to the simulated rank lanes, and *sparse*
-    (``Metrics.sparse``) to add the inspector/executor counter lane.
-    """
-    lanes = [chrome_trace_events(trace, process_name=process_name)]
-    if spans:
-        lanes.append(compiler_lane_events(spans))
-    if sparse:
-        lanes.append(sparse_lane_events(sparse))
-    doc = {
-        "traceEvents": merge_events(*lanes),
-        "displayTimeUnit": "ms",
-    }
-    if metadata:
-        doc["otherData"] = metadata
     return doc
 
 

@@ -36,14 +36,20 @@ from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.errors import DeadlockError, MachineError, RankCrashedError
-from repro.machine.engine import Channel, Proc, RunResult, _Message, park_channels
+from repro.machine.engine import (
+    Channel,
+    Engine,
+    Proc,
+    RunResult,
+    _Message,
+    park_channels,
+)
 from repro.machine.faults import FaultPlan, FaultState
 from repro.machine.forensics import RECENT_EVENTS, DeadlockReport, build_report
 from repro.machine.metrics import Metrics
 from repro.machine.model import MachineModel
 from repro.machine.topology import Topology
 from repro.machine.trace import TraceLane
-from repro.obs.context import stamp_current
 
 
 class ThreadedEngine:
@@ -172,20 +178,8 @@ class ThreadedEngine:
                 return True
             return False
 
-    def record(
-        self, rank: int, kind: str, start: float, end: float,
-        peer: int | None = None, words: int = 0, tag: int = 0, detail: str = "",
-        scope: str = "",
-    ) -> None:
-        self.metrics.observe(
-            rank, kind, start, end, peer, words, tag, scope, detail
-        )
-        # Each rank appends only to its own lanes: no lock needed.
-        self._recent[rank].append((kind, start, end, peer, tag, detail))
-        if self._tracing:
-            self.trace[rank].append_raw(
-                (rank, kind, start, end, peer, words, tag, detail, scope)
-            )
+    record = Engine.record
+    _result = Engine._result
 
     # -- stall detection ---------------------------------------------------
     def _true_deadlock(self) -> bool:
@@ -345,17 +339,9 @@ class ThreadedEngine:
                 blocked.update(e.blocked)
             raise DeadlockError(blocked, report=self._deadlock_report)
 
-        # Same correlation stamp as the calendar engine: the twins must
-        # produce identical metrics, obs group included.
-        stamp_current(self.metrics)
-        return RunResult(
-            values=values,
-            finish_times=[p.clock for p in self.procs],
-            message_count=self.message_count,
-            message_words=self.message_words,
-            trace=self.trace if self._tracing else None,
-            metrics=self.metrics,
-        )
+        # Same packaging as the calendar engine: the twins must produce
+        # identical metrics, obs group included.
+        return self._result(values)
 
 
 def run_spmd_threaded(

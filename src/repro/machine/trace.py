@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.util.tables import Table
-
 #: Event kinds in glyph-priority order (highest first): when two events
 #: share a gantt cell, the earlier kind in this tuple wins.  ``fault``
 #: events are zero-duration markers emitted by the fault-injection layer
@@ -16,17 +14,25 @@ KINDS = ("fault", "compute", "delay", "send", "isend", "recv", "irecv", "wait")
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
-    """One timed event on one processor.
+    """One timed event on one lane — the repo's only event record.
 
-    ``kind`` is one of ``compute``, ``delay``, ``send``, ``recv`` or
-    ``wait``.  For communication events, ``peer`` is the other endpoint
-    and ``words`` the message size.  ``start``/``end`` are simulated
-    times.  A blocking receive produces up to two events: a ``wait``
-    covering the idle interval from the moment the processor blocked to
-    the moment the message became available (omitted when zero), then a
-    ``recv`` covering only the receiver occupancy (drain).  ``scope`` is
-    the collective label stack (e.g. ``"bcast"``, ``"allreduce/reduce"``)
-    active when the event was recorded, empty for bare point-to-point.
+    ``lane`` is ``"rank"`` for simulated events: ``rank`` is the
+    processor, ``start``/``end`` are simulated times and ``kind`` is one
+    of :data:`KINDS`.  For communication events, ``peer`` is the other
+    endpoint and ``words`` the message size.  A blocking receive
+    produces up to two events: a ``wait`` covering the idle interval
+    from the moment the processor blocked to the moment the message
+    became available (omitted when zero), then a ``recv`` covering only
+    the receiver occupancy (drain).  ``scope`` is the collective label
+    stack (e.g. ``"bcast"``, ``"allreduce/reduce"``) active when the
+    event was recorded, empty for bare point-to-point.
+
+    ``lane`` ``"compiler"`` holds the wall-clock spans of
+    :class:`repro.util.spans.SpanRecorder`: ``rank`` is -1, ``kind`` is
+    ``span`` or ``instant``, ``detail`` the span name and the times are
+    seconds since the recorder epoch.  ``run`` is the correlation id
+    (:class:`~repro.obs.context.TraceContext`) the event was recorded
+    under, empty outside any context.
     """
 
     rank: int
@@ -38,19 +44,36 @@ class TraceEvent:
     tag: int = 0
     detail: str = ""
     scope: str = ""
+    lane: str = "rank"
+    run: str = ""
+
+    @property
+    def clock(self) -> str:
+        """Which clock ``start``/``end`` read: ``"sim"`` or ``"wall"``."""
+        return "sim" if self.lane == "rank" else "wall"
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
     def as_dict(self) -> dict:
-        """JSON-ready form (the shape stored by ``repro.obs.TraceStore``)."""
+        """JSON-ready form (one ``repro-obs/1`` event line)."""
         return {
-            "rank": self.rank, "kind": self.kind,
+            "lane": self.lane, "rank": self.rank, "kind": self.kind,
             "start": self.start, "end": self.end,
             "peer": self.peer, "words": self.words, "tag": self.tag,
-            "detail": self.detail, "scope": self.scope,
+            "detail": self.detail, "scope": self.scope, "run": self.run,
         }
+
+    def overlaps(self, t0: float, t1: float) -> bool:
+        """Half-open window test ``[t0, t1)``.
+
+        Zero-duration events are points (included iff ``t0 <= start <
+        t1``); extended events are included iff they overlap the window.
+        """
+        if self.end == self.start:
+            return t0 <= self.start < t1
+        return self.start < t1 and self.end > t0
 
     def label(self) -> str:
         if self.kind == "compute":
@@ -69,47 +92,45 @@ class TraceEvent:
             return f"wait<-{self.peer}"
         if self.kind == "fault":
             return f"fault:{self.detail or '?'}"
+        if self.lane != "rank":
+            return self.detail
         return self.kind
 
 
 class TraceLane:
     """One rank's event lane with lazily materialized :class:`TraceEvent`\\ s.
 
-    The engine's hot path appends raw tuples (the ``TraceEvent``
-    constructor arguments, in field order) — a tuple append instead of a
-    dataclass allocation per recorded event, which is what makes tracing
-    affordable at N=1024+.  Consumers see a normal read-only sequence of
-    ``TraceEvent`` objects: events are built on first access and cached,
-    so repeated iteration returns the *same* objects (the critical-path
-    walker keys its maps by ``id(event)`` and relies on this).
+    The engine's hot path appends raw tuples (the first nine
+    ``TraceEvent`` constructor arguments, in field order) — a tuple
+    append instead of a dataclass allocation per recorded event, which
+    is what makes tracing affordable at N=1024+.  Consumers see a normal
+    read-only sequence of ``TraceEvent`` objects: events are built on
+    first access, stamped with the lane's ``run`` id (set by the engine
+    when the run finishes) and cached, so repeated iteration returns the
+    *same* objects — the critical-path walker keys its maps by
+    ``id(event)``, and :class:`repro.obs.TraceStore` holds these very
+    objects rather than copies.
     """
 
-    __slots__ = ("_raw", "_cache")
+    __slots__ = ("_raw", "_cache", "run")
 
-    def __init__(self, events: list[TraceEvent] | None = None) -> None:
+    def __init__(self) -> None:
         self._raw: list[tuple] = []
         self._cache: list[TraceEvent] = []
-        if events:
-            for e in events:
-                self.append(e)
+        self.run = ""
 
     def append_raw(self, row: tuple) -> None:
         """Record one event as its constructor-argument tuple (hot path)."""
         self._raw.append(row)
 
-    def append(self, event: TraceEvent) -> None:
-        """Append an already-materialized event (tests, tooling)."""
-        self._materialize().append(event)
-        self._raw.append(
-            (event.rank, event.kind, event.start, event.end, event.peer,
-             event.words, event.tag, event.detail, event.scope)
-        )
-
     def _materialize(self) -> list[TraceEvent]:
         cache = self._cache
         raw = self._raw
         if len(cache) < len(raw):
-            cache.extend(TraceEvent(*row) for row in raw[len(cache):])
+            run = self.run
+            cache.extend(
+                TraceEvent(*row, "rank", run) for row in raw[len(cache):]
+            )
         return cache
 
     def __len__(self) -> int:
@@ -133,6 +154,25 @@ class TraceLane:
 
     def __repr__(self) -> str:
         return f"TraceLane({self._materialize()!r})"
+
+
+def nesting_depths(events: list[TraceEvent]) -> list[int]:
+    """Nesting depth of each event of one wall-clock lane, by containment.
+
+    An event is nested in every ``span`` whose interval contains its
+    own.  *events* are in recording order — a span is recorded as it
+    closes, so a parent follows its children — and that order settles
+    the one tie time cannot: of two events ending together the
+    later-recorded one is the container.
+    """
+    spans = [(j, s) for j, s in enumerate(events) if s.kind == "span"]
+    return [
+        sum(
+            s.start <= e.start and (s.end > e.end or (s.end == e.end and j > i))
+            for j, s in spans
+        )
+        for i, e in enumerate(events)
+    ]
 
 
 def busy_time(events: list[TraceEvent], kinds: tuple[str, ...] = ("compute",)) -> float:
@@ -160,6 +200,10 @@ def trace_table(
     max_events: int | None = None,
 ) -> str:
     """Render a per-processor event table ordered by start time."""
+    # Imported here: repro.util's package import pulls in
+    # repro.util.spans, which imports TraceEvent from this module.
+    from repro.util.tables import Table
+
     table = Table(["t_start", "t_end", "proc", "event"])
     events = sorted(
         (e for lane in trace for e in lane if e.kind in kinds),

@@ -34,7 +34,6 @@ __all__ = [
     "current_context",
     "tracing_context",
     "stamp_current",
-    "ObsEvent",
     "TraceStore",
     "attribute_waits",
     "WaitAttributionReport",
@@ -51,7 +50,6 @@ __all__ = [
 
 #: Lazily resolved exports: name -> defining submodule.
 _LAZY = {
-    "ObsEvent": "repro.obs.store",
     "TraceStore": "repro.obs.store",
     "attribute_waits": "repro.obs.diagnose",
     "WaitAttributionReport": "repro.obs.diagnose",

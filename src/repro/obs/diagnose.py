@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.costmodel.bands import SlackBand, get_band
+from repro.errors import TraceError
 from repro.machine.critpath import critical_path
 from repro.util.tables import Table
 
@@ -608,7 +609,7 @@ def diff_runs(
 ) -> RunDiff:
     """Diff two traced :class:`RunResult`\\ s end to end."""
     if res_a.trace is None or res_b.trace is None:
-        raise ValueError("diff_runs needs traced runs (trace=True)")
+        raise TraceError("diff_runs needs traced runs (trace=True)")
     return RunDiff(
         label_a=label_a, label_b=label_b,
         makespan_a=res_a.makespan, makespan_b=res_b.makespan,

@@ -1,18 +1,19 @@
 """TraceStore — the unified, queryable JSONL event sink (docs/OBSERVABILITY.md).
 
-Every telemetry source in the repo lands in one flat, schema-tagged
-event list:
+Every telemetry source in the repo records the same
+:class:`~repro.machine.trace.TraceEvent`, and the store is a flat list
+of those very objects — ingesting copies nothing:
 
-* simulated rank lanes (:class:`~repro.machine.trace.TraceEvent`) become
-  ``lane="rank"`` events, preserving per-rank recording order (the FIFO
-  discipline :func:`~repro.machine.export.match_messages` and the
-  critical-path walker depend on);
-* compiler wall-clock spans (:class:`~repro.util.spans.Span`) become
+* simulated rank lanes (``RunResult.trace``) arrive as ``lane="rank"``
+  events in per-rank recording order (the FIFO discipline
+  :func:`~repro.machine.export.match_messages` and the critical-path
+  walker depend on);
+* compiler wall-clock spans (``SpanRecorder.spans``) arrive as
   ``lane="compiler"`` events (``kind`` ``span``/``instant``, ``rank``
   -1), so compile time and simulated time live in the same store;
 * every event carries the ``run`` correlation id
-  (:class:`~repro.obs.context.TraceContext`), so one store can hold many
-  runs and still answer per-run questions.
+  (:class:`~repro.obs.context.TraceContext`) it was recorded under, so
+  one store can hold many runs and still answer per-run questions.
 
 The query API filters by lane/rank/kind/peer/tag/scope/collective/
 time-window/run and aggregates wait time, message volume and per-rank
@@ -25,59 +26,12 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass
 
+from repro.errors import TraceError
 from repro.machine.trace import TraceEvent
 
 #: Schema tag written on the JSONL header line.
 SCHEMA = "repro-obs/1"
-
-#: Field order of one serialized event line (stable across versions).
-_FIELDS = (
-    "lane", "rank", "kind", "start", "end", "peer", "words", "tag",
-    "detail", "scope", "run",
-)
-
-
-@dataclass(frozen=True, slots=True)
-class ObsEvent:
-    """One correlated telemetry event (simulated or wall-clock).
-
-    ``lane`` is ``"rank"`` for simulated events (``rank`` >= 0, times in
-    simulated seconds) and ``"compiler"`` for wall-clock spans
-    (``rank`` -1, times in seconds since the recorder epoch, ``detail``
-    holds the span name).  ``run`` is the correlation id, empty when the
-    source was not run under a :class:`~repro.obs.context.TraceContext`.
-    """
-
-    lane: str
-    rank: int
-    kind: str
-    start: float
-    end: float
-    peer: int | None = None
-    words: int = 0
-    tag: int = 0
-    detail: str = ""
-    scope: str = ""
-    run: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _FIELDS}
-
-    def overlaps(self, t0: float, t1: float) -> bool:
-        """Half-open window test ``[t0, t1)``.
-
-        Zero-duration events are points (included iff ``t0 <= start <
-        t1``); extended events are included iff they overlap the window.
-        """
-        if self.end == self.start:
-            return t0 <= self.start < t1
-        return self.start < t1 and self.end > t0
 
 
 def _scope_matches(scope: str, prefix: str) -> bool:
@@ -86,61 +40,39 @@ def _scope_matches(scope: str, prefix: str) -> bool:
 
 
 class TraceStore:
-    """A flat store of :class:`ObsEvent` with filters and aggregations."""
+    """A flat store of :class:`TraceEvent` with filters and aggregations."""
 
     def __init__(self, nprocs: int = 0) -> None:
-        self.events: list[ObsEvent] = []
+        self.events: list[TraceEvent] = []
         self.nprocs = nprocs
 
     # -- ingestion -------------------------------------------------------
-    def add(self, event: ObsEvent) -> None:
+    def add(self, event: TraceEvent) -> None:
         self.events.append(event)
         if event.lane == "rank" and event.rank >= self.nprocs:
             self.nprocs = event.rank + 1
 
-    def add_trace(self, trace, run: str = "") -> None:
+    def add_trace(self, trace) -> None:
         """Ingest simulator lanes (``RunResult.trace``), preserving
         per-rank recording order."""
         for lane in trace:
-            for e in lane:
-                self.add(
-                    ObsEvent(
-                        lane="rank", rank=e.rank, kind=e.kind,
-                        start=e.start, end=e.end, peer=e.peer,
-                        words=e.words, tag=e.tag, detail=e.detail,
-                        scope=e.scope, run=run,
-                    )
-                )
+            self.events.extend(lane)
+        self.nprocs = max(self.nprocs, len(trace))
 
-    def add_spans(self, spans, run: str = "") -> None:
-        """Ingest compiler wall-clock spans (Span objects or dicts)."""
-        for s in spans:
-            if not isinstance(s, dict):
-                s = s.as_dict()
-            kind = "instant" if s["end"] == s["start"] else "span"
-            self.add(
-                ObsEvent(
-                    lane="compiler", rank=-1, kind=kind,
-                    start=float(s["start"]), end=float(s["end"]),
-                    detail=str(s["name"]), run=run,
-                )
-            )
+    def add_spans(self, spans) -> None:
+        """Ingest compiler wall-clock spans (``SpanRecorder.spans``)."""
+        self.events.extend(spans)
 
     @classmethod
-    def from_run(cls, result, run: str = "", spans=None) -> "TraceStore":
+    def from_run(cls, result) -> "TraceStore":
         """Build a store from one traced :class:`RunResult`.
 
-        *run* defaults to the ``run_id`` the engine stamped into
+        The events already carry the ``run_id`` the engine stamped into
         ``result.metrics.obs`` (empty when the run carried no context).
         """
-        metrics = getattr(result, "metrics", None)
-        if not run and metrics is not None:
-            run = str(metrics.obs.get("run_id", ""))
         store = cls()
         if result.trace is not None:
-            store.add_trace(result.trace, run=run)
-        if spans:
-            store.add_spans(spans, run=run)
+            store.add_trace(result.trace)
         return store
 
     # -- queries ---------------------------------------------------------
@@ -156,13 +88,13 @@ class TraceStore:
         detail: str | None = None,
         run: str | None = None,
         between: tuple[float, float] | None = None,
-    ) -> list[ObsEvent]:
+    ) -> list[TraceEvent]:
         """Filter events; all given criteria must hold (AND semantics).
 
         ``kind`` accepts one kind or a tuple; ``scope`` matches the
         scope itself or anything nested under it (``"redist"`` matches
         ``"redist/bcast"``); ``between`` is a half-open time window
-        ``[t0, t1)`` using :meth:`ObsEvent.overlaps`.  Events come back
+        ``[t0, t1)`` using :meth:`TraceEvent.overlaps`.  Events come back
         in insertion order (per-rank program order for rank lanes).
         """
         kinds = (kind,) if isinstance(kind, str) else kind
@@ -190,21 +122,16 @@ class TraceStore:
         return out
 
     def rank_lanes(self, run: str | None = None) -> list[list[TraceEvent]]:
-        """Rebuild per-rank :class:`TraceEvent` lanes (insertion order).
+        """The stored rank events grouped back into per-rank lanes.
 
-        The inverse of :meth:`add_trace` — diagnostics reuse the
-        existing lane-shaped analyses (critical path, message matching)
-        on stored events.
+        The inverse of :meth:`add_trace`, insertion order preserved —
+        diagnostics reuse the lane-shaped analyses (critical path,
+        message matching) on stored events.
         """
         lanes: list[list[TraceEvent]] = [[] for _ in range(self.nprocs)]
-        for e in self.query(lane="rank", run=run):
-            lanes[e.rank].append(
-                TraceEvent(
-                    rank=e.rank, kind=e.kind, start=e.start, end=e.end,
-                    peer=e.peer, words=e.words, tag=e.tag,
-                    detail=e.detail, scope=e.scope,
-                )
-            )
+        for e in self.events:
+            if e.lane == "rank" and (run is None or e.run == run):
+                lanes[e.rank].append(e)
         return lanes
 
     def runs(self) -> list[str]:
@@ -265,28 +192,41 @@ class TraceStore:
 
     @classmethod
     def read_jsonl(cls, path) -> "TraceStore":
-        """Exact inverse of :meth:`write_jsonl`."""
-        lines = pathlib.Path(path).read_text().splitlines()
-        header = json.loads(lines[0]) if lines else {}
-        if header.get("schema") != SCHEMA:
-            raise ValueError(
-                f"not a {SCHEMA} event file: {path} "
-                f"(header {header.get('schema')!r})"
-            )
-        store = cls(nprocs=int(header.get("nprocs", 0)))
-        for line in lines[1:]:
-            if not line.strip():
+        """Exact inverse of :meth:`write_jsonl`.
+
+        The file is outside input: anything but a well-formed
+        ``repro-obs/1`` document raises :class:`~repro.errors.TraceError`
+        naming the path and line.
+        """
+        store = None
+        text = pathlib.Path(path).read_text()
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if store is not None and not line.strip():
                 continue
-            d = json.loads(line)
-            store.events.append(
-                ObsEvent(
-                    lane=d["lane"], rank=int(d["rank"]), kind=d["kind"],
-                    start=float(d["start"]), end=float(d["end"]),
-                    peer=None if d["peer"] is None else int(d["peer"]),
-                    words=int(d["words"]), tag=int(d["tag"]),
-                    detail=d["detail"], scope=d["scope"], run=d["run"],
+            try:
+                d = json.loads(line)
+                if store is None:
+                    if d.get("schema") != SCHEMA:
+                        raise ValueError(f"header schema {d.get('schema')!r}")
+                    store = cls(nprocs=int(d.get("nprocs", 0)))
+                    continue
+                store.add(
+                    TraceEvent(
+                        rank=int(d["rank"]), kind=str(d["kind"]),
+                        start=float(d["start"]), end=float(d["end"]),
+                        peer=None if d["peer"] is None else int(d["peer"]),
+                        words=int(d["words"]), tag=int(d["tag"]),
+                        detail=str(d["detail"]), scope=str(d["scope"]),
+                        lane=str(d["lane"]), run=str(d["run"]),
+                    )
                 )
-            )
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise TraceError(
+                    f"not a {SCHEMA} event file: {path}, line {lineno}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from None
+        if store is None:
+            raise TraceError(f"not a {SCHEMA} event file: {path} is empty")
         return store
 
     def __len__(self) -> int:

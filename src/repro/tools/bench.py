@@ -140,7 +140,7 @@ def profile_compiler() -> tuple[dict, list]:
         "phase_totals": rec.totals(),
         "spans": rec.as_dicts(),
     }
-    trace_spans = rec.sorted_spans()
+    trace_spans = rec.spans
 
     for name, maker, fragment_of in (
         ("sor", sor_program, lambda p: p.loops()[0].body),

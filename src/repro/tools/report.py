@@ -89,7 +89,7 @@ from repro.machine import (
     Grid2D,
     MachineModel,
     Ring,
-    correlated_trace_json,
+    chrome_trace_json,
     critical_path,
     run_spmd,
 )
@@ -352,7 +352,7 @@ def trace_report(kernel: str, outdir: pathlib.Path | None = None) -> int:
         trace_path = outdir / f"{kernel}_chrome_trace.json"
         trace_path.write_text(
             json.dumps(
-                correlated_trace_json(res.trace, context=ctx, process_name=kernel)
+                chrome_trace_json(res.trace, context=ctx, process_name=kernel)
             ) + "\n"
         )
         metrics_path = outdir / f"{kernel}_metrics.json"

@@ -2,7 +2,6 @@
 
 from repro.util.fmt import eng, fixed, ratio
 from repro.util.spans import (
-    Span,
     SpanRecorder,
     current_recorder,
     recording,
@@ -17,7 +16,6 @@ __all__ = [
     "eng",
     "fixed",
     "ratio",
-    "Span",
     "SpanRecorder",
     "current_recorder",
     "recording",

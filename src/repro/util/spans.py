@@ -12,13 +12,19 @@ Usage::
     with recording() as rec:
         tables, result = solve_program_distribution(...)
     rec.totals()        # {"alignment/cag": 0.012, "dp/solve": ...}
-    rec.as_dicts()      # JSON-ready span list, sorted by start time
+    rec.spans           # TraceEvents (lane "compiler"), recording order
+    rec.as_dicts()      # JSON-ready row list, sorted by start time
 
-Spans nest naturally (``depth`` records the nesting level at entry), so
-the recorded list can be rendered as a flame graph — see
-:func:`repro.machine.export.chrome_trace_events`, which draws them as a
-dedicated *compiler* lane next to the simulated-run lanes, putting
-compile time and run time on one Perfetto timeline.
+A span is the repo's one event record,
+:class:`~repro.machine.trace.TraceEvent`, on ``lane="compiler"``:
+``kind`` ``span`` or ``instant``, ``detail`` the name, ``rank`` -1,
+times in seconds since the recorder epoch, ``run`` the trace context it
+was recorded under.  Nesting is not stored — it is the time containment
+Perfetto draws, and :func:`~repro.machine.trace.nesting_depths` derives
+it wherever a depth is rendered — so the list goes straight into a
+:class:`repro.obs.TraceStore` or onto the *compiler* lane of
+:func:`repro.machine.export.chrome_trace_json`, next to the
+simulated-run lanes on one Perfetto timeline.
 """
 
 from __future__ import annotations
@@ -27,104 +33,79 @@ import functools
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class Span:
-    """One completed wall-clock interval, relative to the recorder epoch."""
-
-    name: str
-    start: float
-    end: float
-    depth: int
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "depth": self.depth,
-            "duration": self.duration,
-        }
+from repro.machine.trace import TraceEvent, nesting_depths
+from repro.obs.context import current_context
 
 
 class SpanRecorder:
     """Collects spans; install one with :func:`recording`."""
 
     def __init__(self) -> None:
-        self.spans: list[Span] = []
-        self._depth = 0
+        self.spans: list[TraceEvent] = []
         self._epoch = time.perf_counter()
-
-    @contextmanager
-    def span(self, name: str):
-        depth = self._depth
-        self._depth += 1
-        start = time.perf_counter() - self._epoch
-        try:
-            yield
-        finally:
-            self._depth -= 1
-            end = time.perf_counter() - self._epoch
-            self.spans.append(Span(name, start, end, depth))
-
-    def instant(self, name: str) -> None:
-        """Record a zero-duration marker (crash, respawn, fallback, ...).
-
-        Instants render as thread-scoped instant events on the compiler
-        Perfetto lane (:func:`repro.machine.export.compiler_lane_events`)
-        — the wall-clock twin of the simulator's ``fault`` markers.
-        """
-        t = time.perf_counter() - self._epoch
-        self.spans.append(Span(name, t, t, self._depth))
 
     def now(self) -> float:
         """Current time on this recorder's clock (seconds since epoch)."""
         return time.perf_counter() - self._epoch
 
-    def graft(self, span_dicts, *, at: float, prefix: str = "") -> None:
-        """Splice spans recorded on *another* clock into this recorder.
+    def _record(self, kind: str, name: str, start: float, end: float) -> None:
+        ctx = current_context()
+        self.spans.append(
+            TraceEvent(
+                -1, kind, start, end, detail=name, lane="compiler",
+                run=ctx.run_id if ctx is not None else "",
+            )
+        )
+
+    @contextmanager
+    def span(self, name: str):
+        start = self.now()
+        try:
+            yield
+        finally:
+            self._record("span", name, start, self.now())
+
+    def instant(self, name: str) -> None:
+        """Record a zero-duration marker (crash, respawn, fallback, ...).
+
+        Instants render as thread-scoped instant events on the compiler
+        Perfetto lane — the wall-clock twin of the simulator's ``fault``
+        markers.
+        """
+        t = self.now()
+        self._record("instant", name, t, t)
+
+    def graft(self, rows, *, at: float, prefix: str = "") -> None:
+        """Splice :meth:`as_dicts` rows recorded on *another* clock in.
 
         Used by the worker supervisor (docs/OBSERVABILITY.md): a worker
         process records spans against its own epoch; the hub re-anchors
         them so the earliest grafted span starts at *at* on the hub's
         clock (typically the dispatch time from :meth:`now`), optionally
         prefixing names (``worker0/``) so lanes stay distinguishable.
+        The rows' worker-relative ``depth`` is not carried over: grafted
+        spans nest, by containment, under the hub span that was open at
+        dispatch.
         """
-        span_dicts = list(span_dicts)
-        if not span_dicts:
+        rows = list(rows)
+        if not rows:
             return
-        base = min(float(s["start"]) for s in span_dicts)
-        for s in span_dicts:
-            self.spans.append(
-                Span(
-                    name=prefix + str(s["name"]),
-                    start=float(s["start"]) - base + at,
-                    end=float(s["end"]) - base + at,
-                    depth=int(s.get("depth", 0)),
-                )
+        base = min(float(r["start"]) for r in rows)
+        for r in rows:
+            start = float(r["start"]) - base + at
+            end = float(r["end"]) - base + at
+            self._record(
+                "instant" if end == start else "span",
+                prefix + str(r["name"]), start, end,
             )
 
     # -- views -----------------------------------------------------------
-    def sorted_spans(self) -> list[Span]:
-        """Spans in start order (they are appended in *end* order).
-
-        The name tie-break makes the order — and hence every export —
-        deterministic even when instants share a timestamp; exact
-        duplicates keep insertion order (the sort is stable).
-        """
-        return sorted(self.spans, key=lambda s: (s.start, s.depth, s.name))
-
     def totals(self) -> dict[str, float]:
         """Summed duration per span name, deterministically ordered."""
         out: dict[str, float] = {}
-        for s in self.sorted_spans():
-            out[s.name] = out.get(s.name, 0.0) + s.duration
+        for s in self.spans:
+            out[s.detail] = out.get(s.detail, 0.0) + s.duration
         return dict(sorted(out.items()))
 
     @property
@@ -133,7 +114,20 @@ class SpanRecorder:
         return max((s.end for s in self.spans), default=0.0)
 
     def as_dicts(self) -> list[dict]:
-        return [s.as_dict() for s in self.sorted_spans()]
+        """``{name, start, end, depth, duration}`` rows in start order.
+
+        The shape ``BENCH_<sha>.json`` and the worker reply carry.  The
+        name tie-break makes the order deterministic even when instants
+        share a timestamp; exact duplicates keep recording order (the
+        sort is stable).
+        """
+        rows = [
+            {"name": s.detail, "start": s.start, "end": s.end,
+             "depth": depth, "duration": s.duration}
+            for s, depth in zip(self.spans, nesting_depths(self.spans))
+        ]
+        rows.sort(key=lambda r: (r["start"], r["depth"], r["name"]))
+        return rows
 
 
 _current: ContextVar[SpanRecorder | None] = ContextVar(

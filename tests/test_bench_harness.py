@@ -86,7 +86,55 @@ class TestMetricsRoundTrip:
 
 
 # ------------------------------------------------------------------ spans
+class _ScriptedClock(SpanRecorder):
+    """A recorder whose clock the test advances by hand."""
+
+    t = 0.0
+
+    def now(self) -> float:
+        return self.t
+
+
+#: A span program: ``("instant", ticks)`` or ``("span", children)``.
+_programs = st.recursive(
+    st.tuples(st.just("instant"), st.booleans()),
+    lambda inner: st.tuples(st.just("span"), st.lists(inner, max_size=4)),
+    max_leaves=12,
+)
+
+
 class TestSpans:
+    @settings(max_examples=200, deadline=None)
+    @given(program=st.lists(_programs, max_size=5))
+    def test_depth_derived_from_containment_matches_the_recorded_nesting(
+        self, program
+    ):
+        # The recorder stores no depth; as_dicts derives it from time
+        # containment.  Reference: the entry-time nesting counter the
+        # recorder used to keep.  The clock ticks on every span enter
+        # and exit; an instant may share its timestamp with whatever
+        # came just before it (recording order breaks the tie).
+        rec = _ScriptedClock()
+        expected: dict[str, int] = {}
+
+        def run(ops, depth):
+            for op, arg in ops:
+                name = f"op{len(expected)}"
+                expected[name] = depth
+                if op == "instant":
+                    rec.t += arg
+                    rec.instant(name)
+                    continue
+                rec.t += 1
+                with rec.span(name):
+                    run(arg, depth + 1)
+                    rec.t += 1
+
+        run(program, 0)
+        rows = rec.as_dicts()
+        assert {r["name"]: r["depth"] for r in rows} == expected
+        assert [r["start"] for r in rows] == sorted(r["start"] for r in rows)
+
     def test_nested_spans_record_depth_and_totals(self):
         with recording() as rec:
             with span("dp/tables"):
@@ -94,9 +142,9 @@ class TestSpans:
                     pass
             with span("dp/solve"):
                 pass
-        spans = rec.sorted_spans()
-        assert [s.name for s in spans] == ["dp/tables", "dp/solve", "dp/solve"]
-        assert spans[0].depth == 0 and spans[1].depth == 1
+        rows = rec.as_dicts()
+        assert [r["name"] for r in rows] == ["dp/tables", "dp/solve", "dp/solve"]
+        assert rows[0]["depth"] == 0 and rows[1]["depth"] == 1
         assert set(rec.totals()) == {"dp/tables", "dp/solve"}
         assert rec.wall_seconds >= rec.totals()["dp/tables"]
 
@@ -112,14 +160,14 @@ class TestSpans:
 
         with recording() as rec:
             assert emit() == 7
-        assert [s.name for s in rec.sorted_spans()] == ["codegen/emit"]
+        assert [s.detail for s in rec.spans] == ["codegen/emit"]
         assert emit() == 7  # and still a no-op outside recording
 
     def test_compiler_lane_in_chrome_trace(self):
         with recording() as rec:
             with span("dp/tables"):
                 pass
-        doc = chrome_trace_json([], spans=rec.sorted_spans())
+        doc = chrome_trace_json([], spans=rec.spans)
         events = doc["traceEvents"]
         lane = [e for e in events if e.get("tid") == COMPILER_TID]
         names = {e["name"] for e in lane}
@@ -134,7 +182,7 @@ class TestSpans:
         with recording() as rec:
             assert current_recorder() is rec
         assert current_recorder() is None
-        assert len(outer.sorted_spans()) == 1
+        assert len(outer.spans) == 1
 
 
 # --------------------------------------------------------------- benchlib

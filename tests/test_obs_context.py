@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.lang import jacobi_program
-from repro.machine import MachineModel, Ring, correlated_trace_json, run_spmd
+from repro.machine import MachineModel, Ring, chrome_trace_json, run_spmd
 from repro.machine.export import COMPILER_TID
 from repro.obs import (
     TraceContext,
@@ -109,11 +109,43 @@ class TestWorkerCarry:
             at=100.0,
             prefix="worker0/",
         )
-        names = sorted(s.name for s in rec.spans)
+        names = sorted(s.detail for s in rec.spans)
         assert names == ["worker0/codegen/emit", "worker0/dp/solve"]
         first = min(rec.spans, key=lambda s: s.start)
         assert first.start == 100.0  # re-anchored to dispatch time
         assert max(s.end for s in rec.spans) == 103.5
+
+    def test_grafted_spans_nest_under_the_dispatching_hub_span(self):
+        # worker rows arrive with worker-relative depths (0 = the
+        # worker's outermost span); on the hub they render one level
+        # below the span that was open at dispatch — the containment
+        # Perfetto draws
+        class Scripted(spans.SpanRecorder):
+            t = 0.0
+
+            def now(self):
+                return self.t
+
+        rec = Scripted()
+        with rec.span("service/request"):
+            rec.t = 1.0
+            rec.graft(
+                [
+                    {"name": "codegen/generate", "start": 7.0, "end": 9.0, "depth": 0},
+                    {"name": "codegen/emit", "start": 7.5, "end": 8.0, "depth": 1},
+                    {"name": "service/fallback", "start": 8.5, "end": 8.5, "depth": 1},
+                ],
+                at=rec.now(),
+                prefix="worker0/",
+            )
+            rec.t = 4.0
+        depth = {r["name"]: r["depth"] for r in rec.as_dicts()}
+        assert depth == {
+            "service/request": 0,
+            "worker0/codegen/generate": 1,
+            "worker0/codegen/emit": 2,
+            "worker0/service/fallback": 2,
+        }
 
 
 class TestCompileServiceCorrelation:
@@ -136,8 +168,17 @@ class TestCompileServiceCorrelation:
         result, run, rec = served
         ctx = result.trace_context
         # (b) worker spans came back grafted into the hub recorder
-        names = [s.name for s in rec.spans]
+        names = [s.detail for s in rec.spans]
         assert any(n.startswith("worker0/") for n in names), names
+        # ... nested under the hub's request span, carrying its run id
+        depth = {r["name"]: r["depth"] for r in rec.as_dicts()}
+        assert all(
+            d > depth["service/request"]
+            for n, d in depth.items() if n.startswith("worker0/")
+        )
+        assert {s.run for s in rec.spans if s.detail.startswith("worker0/")} == {
+            ctx.run_id
+        }
         # (c) the simulated execution carries the same id
         assert run.metrics.obs["run_id"] == ctx.run_id
         assert run.metrics.obs["request_digest"] == ctx.request_digest
@@ -148,7 +189,7 @@ class TestCompileServiceCorrelation:
         # json round-trip proves the export is a valid Perfetto document
         doc = json.loads(
             json.dumps(
-                correlated_trace_json(run.trace, spans=rec.spans, context=ctx)
+                chrome_trace_json(run.trace, spans=rec.spans, context=ctx)
             )
         )
         events = doc["traceEvents"]
@@ -170,7 +211,7 @@ class TestCompileServiceCorrelation:
 
     def test_export_without_context_has_no_flow_arrow(self, served):
         _, run, _ = served
-        doc = correlated_trace_json(run.trace)
+        doc = chrome_trace_json(run.trace)
         assert not [
             e for e in doc["traceEvents"]
             if e.get("ph") in ("s", "f") and e.get("cat") == "obs"
@@ -182,8 +223,8 @@ class TestExportDeduplication:
         from repro.machine.export import merge_events
 
         res = run_spmd(_two_rank_exchange, Ring(2), MODEL, trace=True)
-        doc_a = correlated_trace_json(res.trace)
-        doc_b = correlated_trace_json(res.trace)
+        doc_a = chrome_trace_json(res.trace)
+        doc_b = chrome_trace_json(res.trace)
         merged = merge_events(doc_a["traceEvents"], doc_b["traceEvents"])
         meta = [e for e in merged if e.get("ph") == "M"]
         keys = [(e["name"], e["pid"], e["tid"], tuple(sorted(e["args"].items())))
@@ -197,8 +238,8 @@ class TestExportDeduplication:
             pass
         with rec.span("beta"):
             pass
-        one = json.dumps(correlated_trace_json(res.trace, spans=rec.spans),
+        one = json.dumps(chrome_trace_json(res.trace, spans=rec.spans),
                          sort_keys=True)
-        two = json.dumps(correlated_trace_json(res.trace, spans=rec.spans),
+        two = json.dumps(chrome_trace_json(res.trace, spans=rec.spans),
                          sort_keys=True)
         assert one == two  # byte-identical exports

@@ -12,21 +12,23 @@ band.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import takewhile
 
 import numpy as np
 import pytest
 
 from repro.costmodel.bands import get_band
+from repro.errors import ReproError
 from repro.kernels import (
     heat_stencil_blocking,
     heat_stencil_overlap,
     make_spd_system,
     resilient_jacobi,
 )
-from repro.machine import MachineModel, Ring, run_spmd
+from repro.machine import MachineModel, Ring, critical_path, match_messages, run_spmd
 from repro.machine.faults import FaultPlan
+from repro.machine.trace import TraceEvent
 from repro.obs import (
-    ObsEvent,
     TraceStore,
     attribute_waits,
     critical_path_diff,
@@ -180,6 +182,58 @@ class TestCriticalPathDiff:
         assert via_lanes.as_dict() == via_stores.as_dict()
 
 
+class TestDeliveredOnlyPairing:
+    """``match_messages`` on faulty traces: a dropped send, or a retry
+    the receiver already had, is recorded but never received, so it must
+    not take a slot in its channel's FIFO pairing."""
+
+    def test_chaos_drill_pairs_only_delivered_sends(self, chaos_run):
+        lanes = TraceStore.from_run(chaos_run).rank_lanes()
+        pairs = match_messages(lanes)
+        assert len(pairs) == chaos_run.message_count
+        sends = sum(e.kind == "send" for lane in lanes for e in lane)
+        assert sends > len(pairs)  # the drill did lose messages
+        position = {id(e): i for lane in lanes for i, e in enumerate(lane)}
+        for snd, rcv in pairs:
+            assert rcv.start >= snd.end
+            # no cancelling marker right behind a paired send: neither a
+            # drop, nor a dup-suppressed of the original (one that no
+            # duplicate precedes)
+            behind = takewhile(
+                lambda e: e.kind == "fault",
+                lanes[snd.rank][position[id(snd)] + 1:],
+            )
+            markers = [
+                e.detail for e in behind if (e.peer, e.tag) == (snd.peer, snd.tag)
+            ]
+            assert "drop" not in markers, snd
+            if "dup-suppressed" in markers:
+                assert "duplicate" in markers[:markers.index("dup-suppressed")], snd
+        path = critical_path(lanes)
+        assert path.length == pytest.approx(chaos_run.makespan)
+
+    def test_unreliable_duplicate_pairs_both_copies(self):
+        def kernel(p):
+            if p.rank == 0:
+                p.send(1, [1.0, 2.0], tag=1)
+                p.compute(5)
+                p.send(1, [3.0], tag=1)
+                return None
+            got = []
+            for _ in range(4):
+                got.append((yield from p.recv(0, tag=1)))
+            return got
+
+        res = run_spmd(
+            kernel, Ring(2), MachineModel(tf=1, tc=1), trace=True,
+            faults=FaultPlan(seed=1, duplicate_prob=1.0, include_plain=True),
+        )
+        assert res.values[1] == [[1.0, 2.0], [1.0, 2.0], [3.0], [3.0]]
+        pairs = match_messages(res.trace)
+        assert len(pairs) == res.message_count == 4
+        assert [(s.words, r.words) for s, r in pairs] == [(2, 2), (2, 2), (1, 1), (1, 1)]
+
+
 class TestDriftTerms:
     def test_terms_cover_busy_and_wait(self, heat_pair):
         blocking, _, _, model = heat_pair
@@ -239,8 +293,9 @@ class TestDiffRuns:
 
         model = MachineModel(tf=1, tc=1)
         res = run_spmd(kernel, Ring(2), model)  # no trace
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ValueError, match="trace") as info:
             diff_runs(res, res, model)
+        assert isinstance(info.value, ReproError)  # typed, not bare
 
 
 class TestMetricsRoundTrip:
@@ -291,16 +346,16 @@ class TestSyntheticAttribution:
         # two waits on the same channel, one injected drop: only the
         # first wait may blame it, the second falls through
         s = self._store([
-            ObsEvent(lane="rank", rank=0, kind="fault", start=0.0, end=0.0,
-                     peer=1, tag=0, detail="drop"),
-            ObsEvent(lane="rank", rank=1, kind="wait", start=0.0, end=5.0,
-                     peer=0, tag=0),
-            ObsEvent(lane="rank", rank=1, kind="recv", start=5.0, end=6.0,
-                     peer=0, tag=0),
-            ObsEvent(lane="rank", rank=1, kind="wait", start=6.0, end=9.0,
-                     peer=0, tag=0),
-            ObsEvent(lane="rank", rank=1, kind="recv", start=9.0, end=10.0,
-                     peer=0, tag=0),
+            TraceEvent(lane="rank", rank=0, kind="fault", start=0.0, end=0.0,
+                       peer=1, tag=0, detail="drop"),
+            TraceEvent(lane="rank", rank=1, kind="wait", start=0.0, end=5.0,
+                       peer=0, tag=0),
+            TraceEvent(lane="rank", rank=1, kind="recv", start=5.0, end=6.0,
+                       peer=0, tag=0),
+            TraceEvent(lane="rank", rank=1, kind="wait", start=6.0, end=9.0,
+                       peer=0, tag=0),
+            TraceEvent(lane="rank", rank=1, kind="recv", start=9.0, end=10.0,
+                       peer=0, tag=0),
         ])
         report = attribute_waits(s)
         blamed = [a.cause for a in report.attributions]
@@ -308,12 +363,12 @@ class TestSyntheticAttribution:
 
     def test_timeout_wins_over_fault(self):
         s = self._store([
-            ObsEvent(lane="rank", rank=0, kind="fault", start=0.0, end=0.0,
-                     peer=1, tag=0, detail="drop"),
-            ObsEvent(lane="rank", rank=1, kind="wait", start=0.0, end=5.0,
-                     peer=0, tag=0),
-            ObsEvent(lane="rank", rank=1, kind="fault", start=5.0, end=5.0,
-                     peer=0, tag=0, detail="timeout"),
+            TraceEvent(lane="rank", rank=0, kind="fault", start=0.0, end=0.0,
+                       peer=1, tag=0, detail="drop"),
+            TraceEvent(lane="rank", rank=1, kind="wait", start=0.0, end=5.0,
+                       peer=0, tag=0),
+            TraceEvent(lane="rank", rank=1, kind="fault", start=5.0, end=5.0,
+                       peer=0, tag=0, detail="timeout"),
         ])
         (a,) = attribute_waits(s).attributions
         assert a.cause == "timeout"

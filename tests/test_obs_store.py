@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TraceError
 from repro.machine import MachineModel, Ring, run_spmd
-from repro.obs import ObsEvent, TraceStore
+from repro.machine.trace import TraceEvent
+from repro.obs import TraceContext, TraceStore, tracing_context
 from repro.obs.store import SCHEMA, _scope_matches
 
 MODEL = MachineModel(tf=1, tc=10)
@@ -28,8 +30,9 @@ def _ring_kernel(p):
 
 @pytest.fixture(scope="module")
 def store():
-    res = run_spmd(_ring_kernel, Ring(4), MODEL, trace=True)
-    return TraceStore.from_run(res, run="r1"), res
+    with tracing_context(TraceContext(run_id="r1")):
+        res = run_spmd(_ring_kernel, Ring(4), MODEL, trace=True)
+    return TraceStore.from_run(res), res
 
 
 class TestIngest:
@@ -46,11 +49,28 @@ class TestIngest:
             [e.as_dict() for e in lane] for lane in res.trace
         ]
 
+    @pytest.mark.parametrize("ctx", [None, TraceContext(run_id="r7")])
+    def test_store_holds_the_engines_own_events(self, ctx):
+        # no copy in either direction: what the diagnostics and the
+        # critical-path walker read are the objects the lanes cached
+        with tracing_context(ctx):
+            res = run_spmd(_ring_kernel, Ring(4), MODEL, trace=True)
+        run = res.metrics.obs.get("run_id", "")
+        assert run == (ctx.run_id if ctx else "")
+        s = TraceStore.from_run(res)
+        lanes = s.rank_lanes()
+        assert len(s) == sum(len(lane) for lane in res.trace)
+        for r, lane in enumerate(res.trace):
+            assert len(lanes[r]) == len(lane)
+            for i, e in enumerate(lane):
+                assert lanes[r][i] is e
+                assert e.run == run and e.lane == "rank" and e.clock == "sim"
+
     def test_add_spans_lands_on_compiler_lane(self):
         s = TraceStore(nprocs=2)
         s.add_spans(
-            [{"name": "dp/solve", "start": 0.0, "end": 2.0, "depth": 0}],
-            run="r9",
+            [TraceEvent(-1, "span", 0.0, 2.0, detail="dp/solve",
+                        lane="compiler", run="r9")]
         )
         (e,) = s.query(lane="compiler")
         assert e.detail == "dp/solve" and e.run == "r9" and e.rank == -1
@@ -70,14 +90,14 @@ class TestQuery:
 
     def test_between_is_half_open(self):
         s = TraceStore(nprocs=1)
-        s.add(ObsEvent(lane="rank", rank=0, kind="compute", start=0.0, end=10.0))
-        s.add(ObsEvent(lane="rank", rank=0, kind="compute", start=10.0, end=20.0))
+        s.add(TraceEvent(lane="rank", rank=0, kind="compute", start=0.0, end=10.0))
+        s.add(TraceEvent(lane="rank", rank=0, kind="compute", start=10.0, end=20.0))
         assert len(s.query(between=(0.0, 10.0))) == 1
         assert len(s.query(between=(5.0, 15.0))) == 2
 
     def test_zero_duration_events_are_points(self):
         s = TraceStore(nprocs=1)
-        s.add(ObsEvent(lane="rank", rank=0, kind="send", start=5.0, end=5.0))
+        s.add(TraceEvent(lane="rank", rank=0, kind="send", start=5.0, end=5.0))
         assert len(s.query(between=(0.0, 5.0))) == 0
         assert len(s.query(between=(5.0, 6.0))) == 1
 
@@ -128,6 +148,38 @@ class TestJsonl:
         with pytest.raises(ValueError, match="other/9"):
             TraceStore.read_jsonl(bad)
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("", "empty"),                                    # empty file
+            ("not json\n", "line 1"),                         # foreign file
+            ("[1, 2]\n", "line 1"),                           # JSON, not a header
+            ('HEADER\n{"lane": "rank", "rank": 0', "line 2"),  # truncated line
+            ('HEADER\n\n{"lane": "rank", "rank": 0}\n', "line 3"),  # missing keys
+            ('HEADER\nLINE\n{"rank": "x"}\n', "line 3"),      # wrong types
+        ],
+    )
+    def test_malformed_file_raises_one_typed_error(self, store, tmp_path, text, line):
+        s, _ = store
+        good = s.write_jsonl(tmp_path / "good.jsonl").read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text.replace("HEADER", good[0]).replace("LINE", good[1]))
+        with pytest.raises(TraceError, match=line) as info:
+            TraceStore.read_jsonl(bad)
+        assert str(bad) in str(info.value)
+
+    def test_understated_nprocs_header_still_covers_every_rank(self, store, tmp_path):
+        s, _ = store
+        path = s.write_jsonl(tmp_path / "events.jsonl")
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps({"schema": SCHEMA, "nprocs": 1})
+        path.write_text("\n".join(lines) + "\n")
+        again = TraceStore.read_jsonl(path)
+        assert again.nprocs == 4
+        assert [len(lane) for lane in again.rank_lanes()] == [
+            len(lane) for lane in s.rank_lanes()
+        ]
+
 
 # -- hypothesis sweep: query == brute force ------------------------------
 
@@ -135,7 +187,7 @@ _KINDS = ("compute", "send", "recv", "wait", "fault")
 
 _events = st.lists(
     st.builds(
-        ObsEvent,
+        TraceEvent,
         lane=st.sampled_from(("rank", "compiler")),
         rank=st.integers(min_value=-1, max_value=3),
         kind=st.sampled_from(_KINDS),
@@ -148,7 +200,7 @@ _events = st.lists(
         run=st.sampled_from(("", "r1", "r2")),
     ).map(
         # make end >= start so durations are well-formed
-        lambda e: ObsEvent(
+        lambda e: TraceEvent(
             lane=e.lane, rank=e.rank, kind=e.kind, start=e.start,
             end=e.start + e.end, peer=e.peer, words=e.words, tag=e.tag,
             detail=e.detail, scope=e.scope, run=e.run,

@@ -78,7 +78,7 @@ class TestSupervisor:
         assert stats["crashes"] == 1
         assert stats["respawns"] == 1
         assert stats["retries"] == 1
-        names = [s.name for s in rec.spans]
+        names = [s.detail for s in rec.spans]
         assert "service/worker-crash#0" in names
         assert "service/worker-respawn#0" in names
 
@@ -125,7 +125,7 @@ class TestSupervisor:
                 assert pool.stats()["deadline_kills"] == 1
                 # the slot came back: the pool still serves
                 assert pool.call({"kind": "ping"}) == "pong"
-        assert any(s.name == "service/deadline-kill#0" for s in rec.spans)
+        assert any(s.detail == "service/deadline-kill#0" for s in rec.spans)
 
     def test_run_task_fallback_matches_worker(self):
         # the in-process degradation path runs the same _run_task
