@@ -10,10 +10,10 @@ twice and reports:
   band: a miss on an unchanged corpus means the canonical digest is
   unstable);
 * the cold/warm wall-clock ratio — warm compiles skip alignment, the
-  DP and codegen, so the drift oracle holds the floor at 10x
-  (``compile-warm-speedup``);
-* cold/warm throughput in programs per second (wall-clock, recorded as
-  ``extra`` — never gated);
+  DP and codegen, so the drift oracle holds a floor on it (the
+  ``compile-warm-speedup`` band, which the final assert reads too);
+* cold/warm throughput in programs per second and warm milliseconds per
+  request (wall-clock, recorded as ``extra`` — never gated);
 * the summed DP cost of the solved corpus as the record of note for the
   regression gate (deterministic, unlike the timings).
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 
+from repro.costmodel.bands import get_band
 from repro.lang import (
     gauss_program,
     jacobi_program,
@@ -115,6 +116,7 @@ def test_x11_compile_service(emit, record):
         extra={
             "cold_programs_per_s": len(programs) / cold_seconds,
             "warm_programs_per_s": len(programs) / warm_seconds,
+            "warm_ms_per_request": warm_seconds * 1e3 / len(programs),
         },
     )
     # The deterministic record for the +-5% regression gate: the DP cost
@@ -145,5 +147,5 @@ def test_x11_compile_service(emit, record):
     )
 
     assert hit_rate == 1.0
-    assert speedup >= 10.0
+    assert speedup >= get_band("compile-warm-speedup").lower
     assert total_cost > 0

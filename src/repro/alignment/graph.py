@@ -8,6 +8,7 @@ occurrences over all statements (see :mod:`repro.alignment.weights`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.costmodel.primitives import CommCosts
@@ -86,40 +87,27 @@ def _edge_pairs(site_a: RefSite, site_b: RefSite) -> list[tuple[int, int]]:
     return pairs
 
 
-@spanned("alignment/cag")
-def build_cag(
-    fragment: Program | list[Stmt],
-    program: Program,
-    env: dict[str, int],
-    model: MachineModel,
-    nprocs: int,
-) -> CAG:
-    """Build the CAG of *fragment* (whole program or a statement subset).
+@dataclass(frozen=True)
+class CagPart:
+    """One statement's contribution to any CAG it takes part in."""
 
-    *program* supplies array declarations; *env* binds the size parameters
-    used for weighting; *nprocs* is the assumed processor count N (the
-    paper prices weights before the grid shape is known, assuming equal
-    extents per §2.2).
-    """
-    costs = CommCosts(model)
-    stmts = fragment.body if isinstance(fragment, Program) else fragment
-    sites = collect_ref_sites(stmts)
+    arrays: dict[str, int]  # referenced array -> rank, first-reference order
+    written: frozenset[str]
+    terms: list[tuple[tuple[Node, Node], WeightTerm]]  # program order
 
-    nodes: list[Node] = []
+
+def cag_part(
+    stmt: Stmt, program: Program, env: dict[str, int], costs: CommCosts, nprocs: int
+) -> CagPart:
+    """Everything :func:`merge_cag` needs to know about *stmt*."""
+    sites = collect_ref_sites([stmt])
     arrays: dict[str, int] = {}
-    for site in sites:
-        rank = site.ref.rank
-        if site.array not in arrays:
-            arrays[site.array] = rank
-            for d in range(1, rank + 1):
-                nodes.append((site.array, d))
-
-    edges: dict[tuple[Node, Node], CagEdge] = {}
-    # Group sites per statement.
     by_stmt: dict[int, list[RefSite]] = {}
     for site in sites:
+        arrays.setdefault(site.array, site.ref.rank)
         by_stmt.setdefault(id(site.stmt), []).append(site)
 
+    terms: list[tuple[tuple[Node, Node], WeightTerm]] = []
     for raw_sites in by_stmt.values():
         # Deduplicate textually identical references within one statement
         # (the accumulation pattern ``V(i) = V(i) + ...``), preferring the
@@ -138,12 +126,55 @@ def build_cag(
                     u: Node = (sa.array, da)
                     v: Node = (sb.array, db)
                     key = (u, v) if u <= v else (v, u)
-                    edge = edges.get(key)
-                    if edge is None:
-                        edge = CagEdge(u=key[0], v=key[1])
-                        edges[key] = edge
-                    term = edge_weight(sa, sb, program, env, costs, nprocs)
-                    edge.terms.append(term)
-                    edge.weight += term.cost
+                    terms.append((key, edge_weight(sa, sb, program, env, costs, nprocs)))
+    written = frozenset(site.array for site in sites if site.is_write)
+    return CagPart(arrays, written, terms)
 
+
+def merge_cag(parts: Iterable[CagPart]) -> CAG:
+    """The CAG of consecutive statements, from their parts in order.
+
+    Every merged graph owns fresh node tuples, edge keys and terms: a
+    part feeds many segments' graphs, those are pickled into the plan
+    cache, and pickle writes a shared object once — sharing would change
+    the cached bytes (DESIGN.md, "computed once").
+    """
+    nodes: list[Node] = []
+    arrays: dict[str, int] = {}
+    edges: dict[tuple[Node, Node], CagEdge] = {}
+    for part in parts:
+        for array, rank in part.arrays.items():
+            if array not in arrays:
+                arrays[array] = rank
+                nodes.extend((array, d) for d in range(1, rank + 1))
+        for key, term in part.terms:
+            edge = edges.get(key)
+            if edge is None:
+                (ua, ud), (va, vd) = key
+                edge = CagEdge(u=(ua, ud), v=(va, vd))
+                edges[(edge.u, edge.v)] = edge
+            edge.terms.append(
+                WeightTerm(term.count, term.primitive, term.nprocs, term.cost, term.line)
+            )
+            edge.weight += term.cost
     return CAG(nodes=nodes, edges=edges, arrays=arrays)
+
+
+@spanned("alignment/cag")
+def build_cag(
+    fragment: Program | list[Stmt],
+    program: Program,
+    env: dict[str, int],
+    model: MachineModel,
+    nprocs: int,
+) -> CAG:
+    """Build the CAG of *fragment* (whole program or a statement subset).
+
+    *program* supplies array declarations; *env* binds the size parameters
+    used for weighting; *nprocs* is the assumed processor count N (the
+    paper prices weights before the grid shape is known, assuming equal
+    extents per §2.2).
+    """
+    costs = CommCosts(model)
+    stmts = fragment.body if isinstance(fragment, Program) else fragment
+    return merge_cag(cag_part(stmt, program, env, costs, nprocs) for stmt in stmts)

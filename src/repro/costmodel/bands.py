@@ -136,15 +136,20 @@ GAUSS_PIPELINE_MAKESPAN = SlackBand(
 
 #: Compile service (X11): cold-batch wall time over warm-batch wall time
 #: on the same corpus.  A warm compile is canonicalize + two cache
-#: fetches and skips alignment, the DP and codegen entirely, so the
-#: floor is a hard 10x; the ceiling is loose because both sides are
-#: wall-clock (observed ~20-40x locally).
+#: fetches and skips alignment, the DP and codegen entirely.  The floor
+#: guards the *warm* side (a cache that stopped short-circuiting reads
+#: ~1x), so it must not punish a faster cold compile: ISSUE 13 took the
+#: cold batch from 140-220 ms to 40-49 ms at an unchanged 0.9-1.0 ms per
+#: warm request, moving the ratio from 26-40x to 6.7-8.2x — the old 10x
+#: floor failed although nothing got slower.  Warm ms/request is in the
+#: record's ``extra``; the ceiling is loose, both sides are wall-clock.
 COMPILE_WARM_SPEEDUP = SlackBand(
     "compile-warm-speedup",
-    10.0,
+    3.0,
     10000.0,
     "warm compiles skip alignment/DP/codegen; canonicalize + unpickle "
-    "must be >= 10x cheaper than a full compile (X11)",
+    "must stay >= 3x cheaper than a full compile (X11: 6.7-8.2x after "
+    "ISSUE 13 made cold 3x faster, 26-40x before)",
 )
 
 #: Compile service (X11): warm-pass cache hit rate over the expected

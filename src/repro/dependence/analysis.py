@@ -96,12 +96,10 @@ def _distance_entry(site_a: RefSite, site_b: RefSite, loop: DoLoop) -> Entry:
             return "*"  # can only align at fractional distance: unknown
         entries.append(diff.const // ca)
     if not entries:
-        # var not used by either reference: dependence may be carried at any
-        # distance of this loop (same element touched every iteration).
-        same_elsewhere = all(
-            (sa - sb).is_constant and (sa - sb).const == 0 for sa, sb in zip(a_subs, b_subs)
-        )
-        return "*" if same_elsewhere else "*"
+        # var not used by either reference: whatever the other subscripts
+        # say, the same elements are touched in every iteration of this
+        # loop, so the dependence may be carried at any distance of it.
+        return "*"
     first = entries[0]
     if any(e != first for e in entries[1:]):
         return "*"

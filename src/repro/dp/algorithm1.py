@@ -104,6 +104,16 @@ def algorithm1(
             p_cache[key] = P(i, j)
         return p_cache[key]
 
+    # cost(P, P') is a function of the two segments alone, not of the first
+    # segment the chain started with: price each adjacent pair once.
+    c_cache: dict[tuple[Key, Key], float] = {}
+
+    def get_c(prev: Key, nxt: Key) -> float:
+        pair = (prev, nxt)
+        if pair not in c_cache:
+            c_cache[pair] = change_cost(get_p(*prev), get_p(*nxt))
+        return c_cache[pair]
+
     # T[first][(i, j)] = best cost of computing L1..L_{i+j-1} starting with
     # segment `first` and ending with segment (i, j).
     T: dict[Key, dict[Key, float]] = {}
@@ -120,11 +130,7 @@ def algorithm1(
                     prev = (i - k, k)
                     if prev not in T[first]:
                         continue
-                    cand = (
-                        T[first][prev]
-                        + get_m(i, j)
-                        + change_cost(get_p(i - k, k), get_p(i, j))
-                    )
+                    cand = T[first][prev] + get_m(i, j) + get_c(prev, (i, j))
                     if cand < best:
                         best = cand
                         best_prev = prev
@@ -162,8 +168,7 @@ def algorithm1(
     segment_costs = tuple(get_m(i, j) for (i, j) in chain)
     schemes = tuple(get_p(i, j) for (i, j) in chain)
     change_costs = tuple(
-        change_cost(get_p(*chain[idx]), get_p(*chain[idx + 1]))
-        for idx in range(len(chain) - 1)
+        get_c(chain[idx], chain[idx + 1]) for idx in range(len(chain) - 1)
     )
     return DPResult(
         cost=best_total,

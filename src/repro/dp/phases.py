@@ -9,6 +9,10 @@ For every segment ``L_i .. L_{i+j-1}`` of the loop sequence:
 3. price the segment under every candidate grid shape ``N1 x N2 = N``
    with the rule-based loop-cost estimator, keeping the best.
 
+Each step is assembled from facts computed once at the granularity they
+vary at — per loop, per (loop, placements, grid), per outer loop — see
+DESIGN.md §3.1, which also says why none of those memos may be pickled.
+
 ``M[i][j]`` is that best cost, ``P[i][j]`` the (scheme, grid) pair.  The
 redistribution oracle prices layout changes between consecutive segments;
 the loop-carried oracle prices the iteration boundary of the enclosing
@@ -22,9 +26,10 @@ OneToManyMulticast(m, N2) = m tc`` at grid ``(N, 1)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
-from repro.alignment.graph import CAG, build_cag
+from repro.alignment.graph import CAG, CagPart, cag_part, merge_cag
 from repro.alignment.solver import (
     Alignment,
     alignment_to_scheme,
@@ -43,7 +48,6 @@ from repro.distribution.redistribution import (
 from repro.distribution.schemes import ArrayPlacement, Scheme
 from repro.dp.algorithm1 import DPResult, algorithm1
 from repro.errors import AlignmentError, CostModelError
-from repro.lang.analysis import collect_ref_sites
 from repro.lang.ast import DoLoop, Program, Stmt
 from repro.machine.model import MachineModel
 from repro.util.spans import span
@@ -90,7 +94,14 @@ class PhaseTables:
         return (e.scheme, e.grid)
 
     # -- oracles ---------------------------------------------------------
-    def array_sizes(self) -> dict[str, int]:
+    # The oracles' inputs that depend on the program and the outer loop
+    # alone are worked out once per tables object.  They are derived, so
+    # the pickled state (what the plan cache stores) is the fields only.
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def _sizes(self) -> dict[str, int]:
         sizes = {}
         for name, decl in self.program.arrays.items():
             total = 1
@@ -98,6 +109,15 @@ class PhaseTables:
                 total *= extent.evaluate(self.env)
             sizes[name] = total
         return sizes
+
+    @cached_property
+    def _carried(self) -> list[str]:
+        if self.outer is None:
+            return []
+        return sorted(live_loop_carried_arrays(self.outer))
+
+    def array_sizes(self) -> dict[str, int]:
+        return dict(self._sizes)
 
     def change_plan(self, p_prev, p_next) -> RedistPlan:
         """The redistribution plan between two adjacent chosen segments.
@@ -109,10 +129,9 @@ class PhaseTables:
         """
         scheme_prev, _grid_prev = p_prev
         scheme_next, grid_next = p_next
-        costs = CommCosts(self.model)
         shared = tuple(a for a in scheme_prev.arrays() if a in scheme_next.arrays())
         return redistribution_cost(
-            scheme_prev, scheme_next, self.array_sizes(), grid_next, costs,
+            scheme_prev, scheme_next, self._sizes, grid_next, CommCosts(self.model),
             arrays=shared,
         )
 
@@ -121,15 +140,11 @@ class PhaseTables:
 
     def loop_carried_plans(self, p_first, p_last) -> list[RedistPlan]:
         """Per-array plans for the iteration boundary of the outer loop."""
-        if self.outer is None:
-            return []
         scheme_first, grid_first = p_first
         scheme_last, _ = p_last
-        carried = live_loop_carried_arrays(self.outer)
         costs = CommCosts(self.model)
-        sizes = self.array_sizes()
         plans: list[RedistPlan] = []
-        for array in sorted(carried):
+        for array in self._carried:
             if array not in scheme_first.arrays() or array not in scheme_last.arrays():
                 continue
             src = scheme_last.placement(array)
@@ -138,7 +153,7 @@ class PhaseTables:
                 array=dst.array, dim_map=dst.dim_map, kinds=dst.kinds, rest="replicated"
             )
             plans.append(
-                placement_change_plan(src, dst, sizes[array], grid_first, costs)
+                placement_change_plan(src, dst, self._sizes[array], grid_first, costs)
             )
         return plans
 
@@ -174,24 +189,17 @@ class PhaseTables:
 
 
 def _segment_scheme(
-    stmts: list[Stmt],
-    program: Program,
-    env: dict[str, int],
-    model: MachineModel,
-    nprocs: int,
-    name: str,
+    parts: list[CagPart], name: str
 ) -> tuple[Scheme, Alignment, CAG]:
-    cag = build_cag(stmts, program, env, model, nprocs)
+    with span("alignment/cag"):
+        cag = merge_cag(parts)
     try:
         alignment = exact_alignment(cag, q=2)
     except AlignmentError:
         alignment = greedy_alignment(cag, q=2)
-    written = {
-        s.array for s in collect_ref_sites(stmts) if s.is_write
-    }
-    read_only = frozenset(set(cag.arrays) - written)
+    written = frozenset().union(*(part.written for part in parts))
     scheme = alignment_to_scheme(
-        alignment, cag, replicated_reads=read_only, name=name
+        alignment, cag, replicated_reads=frozenset(cag.arrays) - written, name=name
     )
     return scheme, alignment, cag
 
@@ -278,30 +286,47 @@ def _build_entries(
         model=model,
         outer=outer,
     )
+    # Per loop, once: its CAG part.  Per (loop, placements of the arrays
+    # it references, grid), once: its cost — a segment prices as a sum.
+    with span("alignment/cag"):
+        costs = CommCosts(model)
+        parts = [cag_part(loop, program, env, costs, nprocs) for loop in loops]
+    loop_costs: dict[tuple, dict[tuple[int, int], float]] = {}
     s = len(loops)
     for i in range(1, s + 1):
         for j in range(1, s - i + 2):
-            stmts: list[Stmt] = list(loops[i - 1 : i - 1 + j])
+            lo, hi = i - 1, i - 1 + j
             memo_key = None
             if segment_memo is not None:
-                memo_key = _segment_key(stmts, nprocs, env, model)
+                memo_key = _segment_key(loops[lo:hi], nprocs, env, model)
                 hit = segment_memo.get(memo_key)
                 if hit is not None:
                     tables.entries[(i, j)] = hit
                     continue
             with span("alignment/segment"):
-                scheme, alignment, cag = _segment_scheme(
-                    stmts, program, env, model, nprocs, name=f"P[{i},{j}]"
+                scheme, alignment, cag = _segment_scheme(parts[lo:hi], name=f"P[{i},{j}]")
+            per_loop = [
+                (
+                    loops[idx],
+                    loop_costs.setdefault(
+                        (idx, *map(scheme.placement, parts[idx].arrays)), {}
+                    ),
                 )
+                for idx in range(lo, hi)
+                if isinstance(loops[idx], DoLoop)
+            ]
             best_cost = float("inf")
             best_grid = (nprocs, 1)
+            # One grid list per segment: entries own their grid tuple.
             for grid in grid_candidates(nprocs):
                 total = 0.0
-                for loop in stmts:
-                    if isinstance(loop, DoLoop):
-                        total += estimate_loop_cost(
+                for loop, by_grid in per_loop:
+                    cost = by_grid.get(grid)
+                    if cost is None:
+                        cost = by_grid[grid] = estimate_loop_cost(
                             loop, scheme, grid, env, model
                         ).total
+                    total += cost
                 if total < best_cost:
                     best_cost = total
                     best_grid = grid

@@ -157,6 +157,20 @@ class TestProgramDependences:
         arrays = {d.array for d in deps}
         assert {"A", "B", "L"} <= arrays
 
+    @pytest.mark.parametrize("read, inner", [("A(i)", 0), ("A(i - 1)", 1)])
+    def test_loop_absent_from_both_references_carries_at_any_distance(self, read, inner):
+        """``k`` subscripts neither reference: the distance along it is
+        unknown whether the other subscripts agree or are offset."""
+        p = parse_program(
+            "PROGRAM s\nPARAM m, t\nARRAY A(m)\n"
+            f"DO k = 1, t\nDO i = 2, m\nA(i) = {read} + 1\nEND DO\nEND DO\nEND\n"
+        )
+        flow = [d for d in find_dependences(p) if d.kind == "flow"]
+        assert len(flow) == 1
+        along_k, along_i = flow[0].distance.entries
+        assert along_k == "*" and abs(along_i) == inner
+        assert loop_carried_arrays(p.loops()[0]) == frozenset({"A"})
+
     def test_output_dependence_detected(self):
         p = parse_program(
             "PROGRAM s\nPARAM m\nARRAY A(m)\n"
