@@ -8,12 +8,13 @@ loop bodies produced by the overlap scheduling pass
                 ->  wait         ->  compute boundary strips
 
 instead of the blocking ``exchange ; compute whole block`` shape of
-:func:`repro.codegen.stencil.emit_stencil`.  Tags, pad layout, slice
-arithmetic and the allgather finish are identical to the blocking
-emitter, and each statement is compiled by the same expression compiler
-over interior/boundary subranges of the same block range — NumPy
-elementwise ops are elementwise-identical under slicing, so the emitted
-program's results are bit-identical to the blocking listing's.
+:func:`repro.codegen.stencil.emit_stencil`.  Both listings are printed
+by one frame (:func:`repro.codegen.stencil._emit_sweep_program`:
+prologue, pad layout, bounds arithmetic, allgather finish), and each
+statement is compiled by the same expression compiler over
+interior/boundary subranges of the same block range — NumPy elementwise
+ops are elementwise-identical under slicing, so the emitted program's
+results are bit-identical to the blocking listing's.
 """
 
 from __future__ import annotations
@@ -22,24 +23,13 @@ from repro.codegen.emitter import CodeWriter
 from repro.codegen.spmd import GeneratedProgram
 from repro.codegen.stencil import (
     StencilPattern,
-    _affine_to_py,
-    _compile_expr,
-    _count_ops,
+    Sweep,
+    _emit_bounds,
+    _emit_stmts,
+    _emit_sweep_program,
+    _halo_side,
 )
 from repro.pipeline.overlap import OverlapSchedule, overlap_schedule
-
-
-def _emit_stmts(w: CodeWriter, sweep, pattern: StencilPattern, lo: str, hi: str, label: str) -> None:
-    for st in sweep.stmts:
-        expr = _compile_expr(st.rhs, sweep.var, pattern, lo_name=lo, hi_name=hi)
-        flops = _count_ops(st.rhs)
-        hl = pattern.halo[st.lhs_array][0]
-        off = st.lhs_offset
-        w.line(
-            f"pads['{st.lhs_array}'][{hl} + {off} + {lo} : {hl} + {off} + {hi}] = {expr}"
-        )
-        if flops:
-            w.line(f"p.compute({flops} * ({hi} - {lo}), label='{label}')")
 
 
 def emit_stencil_overlap(
@@ -51,113 +41,59 @@ def emit_stencil_overlap(
     one in lets callers inspect/render the same rewrite that was emitted.
     """
     sched = schedule if schedule is not None else overlap_schedule(pattern)
-    w = CodeWriter()
-    w.lines(
+
+    def overlapped_sweep(w: CodeWriter, si: int, sweep: Sweep) -> None:
+        ov = sched.sweeps[si]
+        w.line(
+            f"# sweep {si + 1}: DO {sweep.var} = {sweep.lb}, {sweep.ub}"
+            f"  [{' -> '.join(ov.phases)}]"
+        )
+        halos = [
+            (
+                f"req_{ex.direction[0]}_{ex.array}",
+                ex.array,
+                *_halo_side(pattern, ex.array, ex.direction, si),
+            )
+            for ex in ov.exchanges
+        ]
+        if halos:
+            with w.block("if n > 1:"):
+                # Phase 1: post every receive before anything moves.
+                for req, _name, src, _dest, tag, _out, _into in halos:
+                    w.line(f"{req} = comm.irecv({src}, tag={tag})")
+                # Phase 2: post the matching halo sends.
+                for _req, name, _src, dest, tag, out, _into in halos:
+                    w.line(f"comm.isend({dest}, pads['{name}']{out}, tag={tag})")
+        _emit_bounds(w, sweep, pattern)
+        if not halos:
+            with w.block("if s1 > s0:"):
+                _emit_stmts(w, sweep, pattern, "s0", "s1", "sweep")
+            return
+        # Phase 3: interior — stencil windows stay inside the pad.
+        w.lines(
+            f"i0 = min(max(s0, {ov.margin_left}), s1)",
+            f"i1 = max(min(s1, cnt - {ov.margin_right}), i0)",
+        )
+        with w.block("if i1 > i0:"):
+            _emit_stmts(w, sweep, pattern, "i0", "i1", "interior")
+        # Phase 4: wait for the halos the boundary strips need.
+        with w.block("if n > 1:"):
+            for req, name, _src, _dest, _tag, _out, into in halos:
+                w.line(f"pads['{name}']{into} = yield from {req}.wait()")
+        # Phase 5: boundary strips (the deferred block edges).
+        with w.block("for b0, b1 in ((s0, i0), (i1, s1)):"):
+            with w.block("if b1 > b0:"):
+                _emit_stmts(w, sweep, pattern, "b0", "b1", "boundary")
+
+    header = (
         "# generated: block-distributed stencil sweeps with halo transfers",
         "# hidden behind interior compute (overlap pass: post irecv ->",
         "# isend -> compute interior -> wait -> compute boundary strips).",
     )
-    with w.block("def spmd_main(p, env):"):
-        w.lines(
-            f"m = int(env['{pattern.size_param}'])",
-            "n = p.nprocs",
-            "assert m % n == 0, 'stencil lowering needs N | m'",
-            "cnt = m // n",
-            "lo = p.rank * cnt",
-            "hi = lo + cnt",
-            "left = (p.rank - 1) % n",
-            "right = (p.rank + 1) % n",
-            "comm = NBComm(p)",
-            "pads = {}",
-        )
-        for name in pattern.arrays:
-            hl, hr = pattern.halo[name]
-            w.lines(
-                f"_g = np.asarray(env['{name}'], dtype=np.float64)",
-                f"pads['{name}'] = np.zeros(cnt + {hl} + {hr})",
-                f"pads['{name}'][{hl}:{hl} + cnt] = _g[lo:hi]",
-            )
-        steps = f"int(env['{pattern.time_param}'])" if pattern.time_param else "1"
-        w.line(f"steps = {steps}")
-        with w.block("for _step in range(steps):"):
-            for sweep, ov in zip(pattern.sweeps, sched.sweeps):
-                si = ov.index
-                w.line(
-                    f"# sweep {si + 1}: DO {sweep.var} = {sweep.lb}, {sweep.ub}"
-                    f"  [{' -> '.join(ov.phases)}]"
-                )
-                halos = {ex.array: pattern.halo[ex.array] for ex in ov.exchanges}
-                if ov.exchanges:
-                    with w.block("if n > 1:"):
-                        # Phase 1: post every receive before anything moves.
-                        for ex in ov.exchanges:
-                            if ex.direction == "left":
-                                w.line(
-                                    f"req_l_{ex.array} = comm.irecv(left, tag={90 + si})"
-                                )
-                            else:
-                                w.line(
-                                    f"req_r_{ex.array} = comm.irecv(right, tag={190 + si})"
-                                )
-                        # Phase 2: post the matching halo sends.
-                        for ex in ov.exchanges:
-                            hl, hr = halos[ex.array]
-                            if ex.direction == "left":
-                                w.line(
-                                    f"comm.isend(right, pads['{ex.array}'][cnt:{hl} + cnt], tag={90 + si})"
-                                )
-                            else:
-                                w.line(
-                                    f"comm.isend(left, pads['{ex.array}'][{hl}:{hl} + {hr}], tag={190 + si})"
-                                )
-                # Iteration subrange owned by this block, respecting bounds
-                # (same arithmetic as the blocking emitter).
-                lb_expr = _affine_to_py(sweep.lb, pattern.size_param)
-                ub_expr = _affine_to_py(sweep.ub, pattern.size_param)
-                w.lines(
-                    f"g_lo = max({lb_expr}, lo + 1)",
-                    f"g_hi = min({ub_expr}, hi)",
-                    "s0 = g_lo - 1 - lo",
-                    "s1 = g_hi - lo",
-                )
-                if not ov.exchanges:
-                    with w.block("if s1 > s0:"):
-                        _emit_stmts(w, sweep, pattern, "s0", "s1", "sweep")
-                    continue
-                # Phase 3: interior — stencil windows stay inside the pad.
-                w.lines(
-                    f"i0 = min(max(s0, {ov.margin_left}), s1)",
-                    f"i1 = max(min(s1, cnt - {ov.margin_right}), i0)",
-                )
-                with w.block("if i1 > i0:"):
-                    _emit_stmts(w, sweep, pattern, "i0", "i1", "interior")
-                # Phase 4: wait for the halos the boundary strips need.
-                with w.block("if n > 1:"):
-                    for ex in ov.exchanges:
-                        hl, hr = halos[ex.array]
-                        if ex.direction == "left":
-                            w.line(
-                                f"pads['{ex.array}'][:{hl}] = yield from req_l_{ex.array}.wait()"
-                            )
-                        else:
-                            w.line(
-                                f"pads['{ex.array}'][{hl} + cnt:] = yield from req_r_{ex.array}.wait()"
-                            )
-                # Phase 5: boundary strips (the deferred block edges).
-                with w.block("for b0, b1 in ((s0, i0), (i1, s1)):"):
-                    with w.block("if b1 > b0:"):
-                        _emit_stmts(w, sweep, pattern, "b0", "b1", "boundary")
-        w.line("out = {}")
-        for name in pattern.arrays:
-            hl, _hr = pattern.halo[name]
-            w.lines(
-                f"blocks = yield from allgather(p, pads['{name}'][{hl}:{hl} + cnt], tuple(range(n)))",
-                f"out['{name}'] = np.concatenate([np.atleast_1d(b) for b in blocks])",
-            )
-        w.line("return out")
-    return GeneratedProgram(
-        source=w.source(),
-        entry="spmd_main",
-        strategy="stencil-overlap",
-        pattern=pattern,
+    return _emit_sweep_program(
+        pattern,
+        header,
+        "stencil-overlap",
+        overlapped_sweep,
+        setup=("comm = NBComm(p)",),
     )

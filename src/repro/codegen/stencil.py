@@ -22,6 +22,7 @@ sequential interpretation of the source.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.codegen.emitter import CodeWriter
@@ -96,6 +97,29 @@ def _offset_of(sub: Affine, var: str) -> int | None:
     return rest.const if rest.is_constant else None
 
 
+def _scan_rhs(
+    expr: Expr, program: Program, on_ref: Callable[[ArrayRef], bool]
+) -> bool:
+    """Walk a right-hand side; True iff it is a stencil expression.
+
+    Scalars must be declared; *on_ref* accepts (and records) or rejects
+    each array reference.
+    """
+    if isinstance(expr, Num):
+        return True
+    if isinstance(expr, ScalarRef):
+        return expr.name in program.scalars or expr.name in program.params
+    if isinstance(expr, ArrayRef):
+        return on_ref(expr)
+    if isinstance(expr, UnaryOp):
+        return _scan_rhs(expr.operand, program, on_ref)
+    if isinstance(expr, BinOp):
+        return _scan_rhs(expr.left, program, on_ref) and _scan_rhs(
+            expr.right, program, on_ref
+        )
+    return False
+
+
 def _extract_stmt(stmt: Assign, var: str, program: Program) -> SweepStmt | None:
     lhs = stmt.lhs
     if not isinstance(lhs, ArrayRef) or lhs.rank != 1:
@@ -106,26 +130,13 @@ def _extract_stmt(stmt: Assign, var: str, program: Program) -> SweepStmt | None:
         return None
     offsets: list[tuple[str, int]] = []
 
-    def visit(expr: Expr) -> bool:
-        if isinstance(expr, Num):
-            return True
-        if isinstance(expr, ScalarRef):
-            return expr.name in program.scalars or expr.name in program.params
-        if isinstance(expr, ArrayRef):
-            if expr.rank != 1:
-                return False
-            off = _offset_of(expr.subscripts[0], var)
-            if off is None:
-                return False
-            offsets.append((expr.name, off))
-            return True
-        if isinstance(expr, UnaryOp):
-            return visit(expr.operand)
-        if isinstance(expr, BinOp):
-            return visit(expr.left) and visit(expr.right)
-        return False
+    def on_ref(ref: ArrayRef) -> bool:
+        off = _offset_of(ref.subscripts[0], var) if ref.rank == 1 else None
+        if off is not None:
+            offsets.append((ref.name, off))
+        return off is not None
 
-    if not visit(stmt.rhs):
+    if not _scan_rhs(stmt.rhs, program, on_ref):
         return None
     return SweepStmt(
         lhs_array=lhs.name,
@@ -235,24 +246,31 @@ def _compile_expr(
     """
     halo = pattern.halo
 
-    def go(e: Expr) -> str:
-        if isinstance(e, Num):
-            return repr(float(e.value))
-        if isinstance(e, ScalarRef):
-            return f"env['{e.name}']"
-        if isinstance(e, ArrayRef):
-            off = _offset_of(e.subscripts[0], var)
-            assert off is not None
-            left = halo[e.name][0]
-            lo = left + off
-            return f"pads['{e.name}'][{lo} + {lo_name} : {lo} + {hi_name}]"
-        if isinstance(e, UnaryOp):
-            return f"(-{go(e.operand)})" if e.op == "-" else go(e.operand)
-        if isinstance(e, BinOp):
-            return f"({go(e.left)} {e.op} {go(e.right)})"
-        raise CodegenError(f"cannot compile expression node {e!r}")
+    def ref(e: ArrayRef) -> str:
+        off = _offset_of(e.subscripts[0], var)
+        assert off is not None
+        lo = halo[e.name][0] + off
+        return f"pads['{e.name}'][{lo} + {lo_name} : {lo} + {hi_name}]"
 
-    return go(expr)
+    return _compile_tree(expr, ref)
+
+
+def _compile_tree(expr: Expr, ref: Callable[[ArrayRef], str]) -> str:
+    """Compile an expression tree to NumPy source; *ref* renders array references."""
+    if isinstance(expr, Num):
+        return repr(float(expr.value))
+    if isinstance(expr, ScalarRef):
+        return f"env['{expr.name}']"
+    if isinstance(expr, ArrayRef):
+        return ref(expr)
+    if isinstance(expr, UnaryOp):
+        operand = _compile_tree(expr.operand, ref)
+        return f"(-{operand})" if expr.op == "-" else operand
+    if isinstance(expr, BinOp):
+        left = _compile_tree(expr.left, ref)
+        right = _compile_tree(expr.right, ref)
+        return f"({left} {expr.op} {right})"
+    raise CodegenError(f"cannot compile expression node {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +278,67 @@ def _compile_expr(
 # ---------------------------------------------------------------------------
 
 
-def emit_stencil(pattern: StencilPattern) -> GeneratedProgram:
-    """Emit the SPMD stencil program for a recognized pattern."""
-    w = CodeWriter()
+def _halo_side(pattern: StencilPattern, name: str, direction: str, si: int) -> tuple:
+    """``(source, dest, tag, send slice, recv slice)`` of one halo side in sweep *si*.
+
+    The ``"left"`` halo of *name* arrives from the left neighbor (so the
+    block's rightmost elements go right); ``"right"`` mirrors it.  The
+    slices index ``pads[name]``.
+    """
+    hl, hr = pattern.halo[name]
+    if direction == "left":
+        return "left", "right", 90 + si, f"[cnt:{hl} + cnt]", f"[:{hl}]"
+    return "right", "left", 190 + si, f"[{hl}:{hl} + {hr}]", f"[{hl} + cnt:]"
+
+
+def _emit_stmts(
+    w: CodeWriter,
+    sweep: Sweep,
+    pattern: StencilPattern,
+    lo: str,
+    hi: str,
+    label: str,
+) -> None:
+    """The sweep's statements, vectorized over local elements ``[lo, hi)``."""
+    for st in sweep.stmts:
+        expr = _compile_expr(st.rhs, sweep.var, pattern, lo_name=lo, hi_name=hi)
+        flops = _count_ops(st.rhs)
+        hl = pattern.halo[st.lhs_array][0]
+        off = st.lhs_offset
+        w.line(
+            f"pads['{st.lhs_array}'][{hl} + {off} + {lo} : {hl} + {off} + {hi}] = {expr}"
+        )
+        if flops:
+            w.line(f"p.compute({flops} * ({hi} - {lo}), label='{label}')")
+
+
+def _emit_bounds(w: CodeWriter, sweep: Sweep, pattern: StencilPattern) -> None:
+    """Iteration subrange ``[s0, s1)`` owned by this block, respecting bounds."""
+    lb_expr = _affine_to_py(sweep.lb, pattern.size_param)
+    ub_expr = _affine_to_py(sweep.ub, pattern.size_param)
     w.lines(
-        "# generated: block-distributed stencil sweeps with neighbor halo",
-        "# exchange (paper S1: 'dependent data only influence neighboring",
-        "# data' -> component alignment + Shift communication).",
+        f"g_lo = max({lb_expr}, lo + 1)",
+        f"g_hi = min({ub_expr}, hi)",
+        "s0 = g_lo - 1 - lo",
+        "s1 = g_hi - lo",
     )
+
+
+def _emit_sweep_program(
+    pattern: StencilPattern,
+    header: tuple[str, ...],
+    strategy: str,
+    emit_sweep: Callable[[CodeWriter, int, Sweep], None],
+    setup: tuple[str, ...] = (),
+) -> GeneratedProgram:
+    """The frame every 1-D stencil listing shares.
+
+    Prologue (block bounds, ring neighbors, *setup* lines, padded local
+    arrays), the time loop calling ``emit_sweep(w, index, sweep)`` — the
+    caller's per-sweep communication shape — and the allgather epilogue.
+    """
+    w = CodeWriter()
+    w.lines(*header)
     with w.block("def spmd_main(p, env):"):
         w.lines(
             f"m = int(env['{pattern.size_param}'])",
@@ -278,6 +349,7 @@ def emit_stencil(pattern: StencilPattern) -> GeneratedProgram:
             "hi = lo + cnt",
             "left = (p.rank - 1) % n",
             "right = (p.rank + 1) % n",
+            *setup,
             "pads = {}",
         )
         for name in pattern.arrays:
@@ -291,45 +363,7 @@ def emit_stencil(pattern: StencilPattern) -> GeneratedProgram:
         w.line(f"steps = {steps}")
         with w.block("for _step in range(steps):"):
             for si, sweep in enumerate(pattern.sweeps):
-                w.line(f"# sweep {si + 1}: DO {sweep.var} = {sweep.lb}, {sweep.ub}")
-                # Halo exchange (Shift) for the arrays this sweep reads.
-                # Boundary wrap values are never consumed: the sweep bounds
-                # keep edge iterations away from non-existent neighbors.
-                read = sorted({name for st in sweep.stmts for name, _ in st.offsets})
-                for name in read:
-                    hl, hr = pattern.halo[name]
-                    if hl:
-                        with w.block("if n > 1:"):
-                            w.lines(
-                                f"p.send(right, pads['{name}'][cnt:{hl} + cnt], tag={90 + si})",
-                                f"pads['{name}'][:{hl}] = yield from p.recv(left, tag={90 + si})",
-                            )
-                    if hr:
-                        with w.block("if n > 1:"):
-                            w.lines(
-                                f"p.send(left, pads['{name}'][{hl}:{hl} + {hr}], tag={190 + si})",
-                                f"pads['{name}'][{hl} + cnt:] = yield from p.recv(right, tag={190 + si})",
-                            )
-                # Iteration subrange owned by this block, respecting bounds.
-                lb_expr = _affine_to_py(sweep.lb, pattern.size_param)
-                ub_expr = _affine_to_py(sweep.ub, pattern.size_param)
-                w.lines(
-                    f"g_lo = max({lb_expr}, lo + 1)",
-                    f"g_hi = min({ub_expr}, hi)",
-                    "s0 = g_lo - 1 - lo",
-                    "s1 = g_hi - lo",
-                )
-                with w.block("if s1 > s0:"):
-                    for st in sweep.stmts:
-                        expr = _compile_expr(st.rhs, sweep.var, pattern)
-                        flops = _count_ops(st.rhs)
-                        hl = pattern.halo[st.lhs_array][0]
-                        off = st.lhs_offset
-                        w.line(
-                            f"pads['{st.lhs_array}'][{hl} + {off} + s0 : {hl} + {off} + s1] = {expr}"
-                        )
-                        if flops:
-                            w.line(f"p.compute({flops} * (s1 - s0), label='sweep')")
+                emit_sweep(w, si, sweep)
         w.line("out = {}")
         for name in pattern.arrays:
             hl, _hr = pattern.halo[name]
@@ -339,8 +373,37 @@ def emit_stencil(pattern: StencilPattern) -> GeneratedProgram:
             )
         w.line("return out")
     return GeneratedProgram(
-        source=w.source(), entry="spmd_main", strategy="stencil", pattern=pattern
+        source=w.source(), entry="spmd_main", strategy=strategy, pattern=pattern
     )
+
+
+def emit_stencil(pattern: StencilPattern) -> GeneratedProgram:
+    """Emit the SPMD stencil program for a recognized pattern."""
+
+    def blocking_sweep(w: CodeWriter, si: int, sweep: Sweep) -> None:
+        w.line(f"# sweep {si + 1}: DO {sweep.var} = {sweep.lb}, {sweep.ub}")
+        # Halo exchange (Shift) for the arrays this sweep reads.
+        # Boundary wrap values are never consumed: the sweep bounds
+        # keep edge iterations away from non-existent neighbors.
+        for name in sorted({name for st in sweep.stmts for name, _ in st.offsets}):
+            for direction, width in zip(("left", "right"), pattern.halo[name]):
+                if width:
+                    src, dest, tag, out, into = _halo_side(pattern, name, direction, si)
+                    with w.block("if n > 1:"):
+                        w.lines(
+                            f"p.send({dest}, pads['{name}']{out}, tag={tag})",
+                            f"pads['{name}']{into} = yield from p.recv({src}, tag={tag})",
+                        )
+        _emit_bounds(w, sweep, pattern)
+        with w.block("if s1 > s0:"):
+            _emit_stmts(w, sweep, pattern, "s0", "s1", "sweep")
+
+    header = (
+        "# generated: block-distributed stencil sweeps with neighbor halo",
+        "# exchange (paper S1: 'dependent data only influence neighboring",
+        "# data' -> component alignment + Shift communication).",
+    )
+    return _emit_sweep_program(pattern, header, "stencil", blocking_sweep)
 
 
 def _count_ops(expr: Expr) -> int:

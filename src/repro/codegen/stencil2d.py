@@ -22,20 +22,16 @@ from dataclasses import dataclass
 
 from repro.codegen.emitter import CodeWriter
 from repro.codegen.spmd import GeneratedProgram
-from repro.dependence.analysis import find_dependences
-from repro.errors import CodegenError
-from repro.lang.affine import Affine
-from repro.lang.ast import (
-    ArrayRef,
-    Assign,
-    BinOp,
-    DoLoop,
-    Expr,
-    Num,
-    Program,
-    ScalarRef,
-    UnaryOp,
+from repro.codegen.stencil import (
+    _affine_to_py,
+    _compile_tree,
+    _count_ops,
+    _offset_of,
+    _scan_rhs,
 )
+from repro.dependence.analysis import find_dependences
+from repro.lang.affine import Affine
+from repro.lang.ast import ArrayRef, Assign, DoLoop, Expr, Program
 
 
 @dataclass(frozen=True)
@@ -86,13 +82,6 @@ class Stencil2DPattern:
         return halo
 
 
-def _offset_of(sub: Affine, var: str) -> int | None:
-    if sub.coeff(var) != 1:
-        return None
-    rest = sub - Affine.var(var)
-    return rest.const if rest.is_constant else None
-
-
 def _extract_stmt(stmt: Assign, ivar: str, jvar: str, program: Program) -> Sweep2DStmt | None:
     lhs = stmt.lhs
     if not isinstance(lhs, ArrayRef) or lhs.rank != 2:
@@ -101,27 +90,17 @@ def _extract_stmt(stmt: Assign, ivar: str, jvar: str, program: Program) -> Sweep
         return None
     offsets: list[tuple[str, int, int]] = []
 
-    def visit(expr: Expr) -> bool:
-        if isinstance(expr, Num):
-            return True
-        if isinstance(expr, ScalarRef):
-            return expr.name in program.scalars or expr.name in program.params
-        if isinstance(expr, ArrayRef):
-            if expr.rank != 2:
-                return False
-            ci = _offset_of(expr.subscripts[0], ivar)
-            cj = _offset_of(expr.subscripts[1], jvar)
-            if ci is None or cj is None:
-                return False
-            offsets.append((expr.name, ci, cj))
-            return True
-        if isinstance(expr, UnaryOp):
-            return visit(expr.operand)
-        if isinstance(expr, BinOp):
-            return visit(expr.left) and visit(expr.right)
-        return False
+    def on_ref(ref: ArrayRef) -> bool:
+        if ref.rank != 2:
+            return False
+        ci = _offset_of(ref.subscripts[0], ivar)
+        cj = _offset_of(ref.subscripts[1], jvar)
+        if ci is None or cj is None:
+            return False
+        offsets.append((ref.name, ci, cj))
+        return True
 
-    if not visit(stmt.rhs):
+    if not _scan_rhs(stmt.rhs, program, on_ref):
         return None
     return Sweep2DStmt(lhs_array=lhs.name, rhs=stmt.rhs, offsets=tuple(offsets))
 
@@ -210,48 +189,17 @@ def match_stencil_2d(program: Program) -> Stencil2DPattern | None:
     )
 
 
-def _affine_to_py(aff: Affine, size_param: str) -> str:
-    parts = [str(aff.const)]
-    for var, coeff in sorted(aff.coeffs.items()):
-        if var != size_param:
-            raise CodegenError(f"2-D stencil bounds may only use {size_param!r}")
-        parts.append(f"{coeff} * m")
-    return " + ".join(parts)
-
-
-def _count_ops(expr: Expr) -> int:
-    if isinstance(expr, BinOp):
-        return 1 + _count_ops(expr.left) + _count_ops(expr.right)
-    if isinstance(expr, UnaryOp):
-        return (1 if expr.op == "-" else 0) + _count_ops(expr.operand)
-    return 0
-
-
 def _compile_expr(expr: Expr, sweep: Sweep2D, pattern: Stencil2DPattern) -> str:
     halo = pattern.row_halo
 
-    def go(e: Expr) -> str:
-        if isinstance(e, Num):
-            return repr(float(e.value))
-        if isinstance(e, ScalarRef):
-            return f"env['{e.name}']"
-        if isinstance(e, ArrayRef):
-            ci = _offset_of(e.subscripts[0], sweep.ivar)
-            cj = _offset_of(e.subscripts[1], sweep.jvar)
-            assert ci is not None and cj is not None
-            up = halo[e.name][0]
-            r = up + ci
-            return (
-                f"pads['{e.name}'][{r} + s0 : {r} + s1, "
-                f"j0 + {cj} : j1 + {cj}]"
-            )
-        if isinstance(e, UnaryOp):
-            return f"(-{go(e.operand)})" if e.op == "-" else go(e.operand)
-        if isinstance(e, BinOp):
-            return f"({go(e.left)} {e.op} {go(e.right)})"
-        raise CodegenError(f"cannot compile expression node {e!r}")
+    def ref(e: ArrayRef) -> str:
+        ci = _offset_of(e.subscripts[0], sweep.ivar)
+        cj = _offset_of(e.subscripts[1], sweep.jvar)
+        assert ci is not None and cj is not None
+        r = halo[e.name][0] + ci
+        return f"pads['{e.name}'][{r} + s0 : {r} + s1, j0 + {cj} : j1 + {cj}]"
 
-    return go(expr)
+    return _compile_tree(expr, ref)
 
 
 def emit_stencil_2d(pattern: Stencil2DPattern) -> GeneratedProgram:

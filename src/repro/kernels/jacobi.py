@@ -25,8 +25,9 @@ from collections.abc import Generator
 import numpy as np
 
 from repro.errors import MachineError
-from repro.machine.collectives import allgather, allreduce, bcast, reduce
+from repro.machine.collectives import Transport, allgather, allreduce, bcast, reduce
 from repro.machine.engine import Proc
+from repro.machine.resilient import NO_CHECKPOINTS, CheckpointHooks
 
 
 def _row_block(m: int, nprocs: int, rank: int) -> tuple[int, int]:
@@ -37,6 +38,64 @@ def _row_block(m: int, nprocs: int, rank: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _allgather_vector(
+    p: Proc, block: np.ndarray, group: tuple[int, ...], **options
+) -> Generator:
+    """ManyToManyMulticast of the ranks' vector blocks, joined in group order.
+
+    *options* are :func:`allgather`'s ``tag`` and ``transport``.
+    """
+    blocks = yield from allgather(p, block, group, **options)
+    return np.concatenate([np.atleast_1d(blk) for blk in blocks])
+
+
+def _rowdist_setup(p: Proc, A: np.ndarray, b: np.ndarray, x0: np.ndarray) -> tuple:
+    """Table 3 layout: replicated X, the group, and this rank's local step.
+
+    ``step(x)`` charges the local GEMV and update of one sweep and
+    returns the new local X block and the correction it added.
+    """
+    m = len(b)
+    n = p.nprocs
+    lo, hi = _row_block(m, n, p.rank)
+    A_loc = np.ascontiguousarray(A[lo:hi, :])
+    b_loc = b[lo:hi].copy()
+    diag_loc = np.diag(A)[lo:hi].copy()
+    rows = hi - lo
+
+    def step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v_loc = A_loc @ x
+        p.compute(2 * rows * m, label="gemv")
+        delta = (b_loc - v_loc) / diag_loc
+        x_loc = x[lo:hi] + delta
+        p.compute(3 * rows, label="update")
+        return x_loc, delta
+
+    return np.array(x0, dtype=np.float64), tuple(range(n)), step
+
+
+def _rowdist_sweeps(
+    p: Proc,
+    A: np.ndarray,
+    b: np.ndarray,
+    x0: np.ndarray,
+    iterations: int,
+    tx: Transport | None = None,
+    checkpoints: CheckpointHooks = NO_CHECKPOINTS,
+) -> Generator:
+    """Fixed-count row-block Jacobi over *tx*; X is the checkpointed state."""
+    x, group, step = _rowdist_setup(p, A, b, x0)
+    restore, save = checkpoints
+    start, state = restore(p)
+    if state is not None:
+        x = np.asarray(state)
+    for it in range(start, iterations):
+        x_loc, _ = step(x)
+        x = yield from _allgather_vector(p, x_loc, group, transport=tx)
+        save(p, it + 1, iterations, x)
+    return x
+
+
 def jacobi_rowdist(
     p: Proc,
     A: np.ndarray,
@@ -45,24 +104,7 @@ def jacobi_rowdist(
     iterations: int,
 ) -> Generator:
     """Row-block Jacobi on a linear array of ``nprocs`` (§4 / Table 3)."""
-    m = len(b)
-    n = p.nprocs
-    lo, hi = _row_block(m, n, p.rank)
-    A_loc = np.ascontiguousarray(A[lo:hi, :])
-    b_loc = b[lo:hi].copy()
-    diag_loc = np.diag(A)[lo:hi].copy()
-    x = np.array(x0, dtype=np.float64)
-    group = tuple(range(n))
-    rows = hi - lo
-
-    for _ in range(iterations):
-        v_loc = A_loc @ x
-        p.compute(2 * rows * m, label="gemv")
-        x_loc = x[lo:hi] + (b_loc - v_loc) / diag_loc
-        p.compute(3 * rows, label="update")
-        blocks = yield from allgather(p, x_loc, group)
-        x = np.concatenate([np.atleast_1d(blk) for blk in blocks])
-    return x
+    return _rowdist_sweeps(p, A, b, x0, iterations)
 
 
 def jacobi_rowdist_adaptive(
@@ -83,32 +125,71 @@ def jacobi_rowdist_adaptive(
 
     Returns ``(x, iterations_used)``.
     """
-    m = len(b)
-    n = p.nprocs
-    lo, hi = _row_block(m, n, p.rank)
-    A_loc = np.ascontiguousarray(A[lo:hi, :])
-    b_loc = b[lo:hi].copy()
-    diag_loc = np.diag(A)[lo:hi].copy()
-    x = np.array(x0, dtype=np.float64)
-    group = tuple(range(n))
-    rows = hi - lo
-
+    x, group, step = _rowdist_setup(p, A, b, x0)
     used = 0
     for it in range(max_iterations):
-        v_loc = A_loc @ x  # (1) parallel computation step
-        p.compute(2 * rows * m, label="gemv")
-        delta = (b_loc - v_loc) / diag_loc
-        x_loc = x[lo:hi] + delta
-        p.compute(3 * rows, label="update")
+        x_loc, delta = step(x)  # (1) parallel computation step
         local_sq = float(delta @ delta)
-        p.compute(2 * rows, label="norm")
+        p.compute(2 * len(delta), label="norm")
         total_sq = yield from allreduce(p, local_sq, group)  # (2) reduction
-        blocks = yield from allgather(p, x_loc, group)  # (3) updating step
-        x = np.concatenate([np.atleast_1d(blk) for blk in blocks])
+        x = yield from _allgather_vector(p, x_loc, group)  # (3) updating step
         used = it + 1
         if total_sq**0.5 <= tol:
             break
     return x, used
+
+
+#: Tag of the systolic ring traffic.
+_TAG_RING = 70
+
+
+def _jacobi_ring(
+    p: Proc,
+    A: np.ndarray,
+    b: np.ndarray,
+    x0: np.ndarray,
+    iterations: int,
+    tx: Transport,
+) -> Generator:
+    """Row-block Jacobi with the X blocks circulated on a ring over *tx*.
+
+    Unlike :func:`jacobi_rowdist` (allgather per iteration), X stays
+    distributed: each iteration performs ``N`` systolic steps in post ->
+    compute -> complete order — post the next block's receive, send the
+    block in hand one hop right, accumulate ``A[:, blk] @ x_blk``,
+    complete the receive.  Blocks are visited in ring order ``me, me-1,
+    ..., me-N+1`` whatever the transport, so results are bit-identical.
+    """
+    m = len(b)
+    n = p.nprocs
+    if m % n != 0:
+        raise MachineError(f"ring Jacobi needs N | m, got m={m}, N={n}")
+    lo, hi = _row_block(m, n, p.rank)
+    A_loc = np.ascontiguousarray(A[lo:hi, :])
+    b_loc = b[lo:hi].copy()
+    diag_loc = np.diag(A)[lo:hi].copy()
+    x_loc = np.array(x0[lo:hi], dtype=np.float64)
+    rows = hi - lo
+    right = (p.rank + 1) % n
+    left = (p.rank - 1) % n
+    for _ in range(iterations):
+        v = np.zeros(rows)
+        cur = x_loc
+        cur_owner = p.rank
+        for s in range(n):
+            incoming = None
+            if n > 1 and s < n - 1:
+                incoming = tx.post_recv(p, left, tag=_TAG_RING)
+                yield from tx.send(p, right, cur, tag=_TAG_RING)
+            blo, bhi = _row_block(m, n, cur_owner)
+            v += A_loc[:, blo:bhi] @ cur
+            p.compute(2 * rows * (bhi - blo), label="gemv-block")
+            if incoming is not None:
+                cur = yield from tx.complete(p, incoming)
+                cur_owner = (cur_owner - 1) % n
+        x_loc = x_loc + (b_loc - v) / diag_loc
+        p.compute(3 * rows, label="update")
+    return x_loc
 
 
 def jacobi_coldist(
@@ -135,8 +216,7 @@ def jacobi_coldist(
         v = yield from allreduce(p, partial, group)
         x_loc = x_loc + (b_loc - v[lo:hi]) / diag_loc
         p.compute(3 * cols, label="update")
-    blocks = yield from allgather(p, x_loc, group)
-    return np.concatenate([np.atleast_1d(blk) for blk in blocks])
+    return (yield from _allgather_vector(p, x_loc, group))
 
 
 def jacobi_grid2d(
@@ -187,8 +267,7 @@ def jacobi_grid2d(
         if p.rank == row_root:
             x_blk = x[rlo:rhi] + (b_loc - v) / diag_loc
             p.compute(3 * rows, label="update")
-            blocks = yield from allgather(p, x_blk, col0_group)
-            x = np.concatenate([np.atleast_1d(blk) for blk in blocks])
+            x = yield from _allgather_vector(p, x_blk, col0_group)
             x = yield from bcast(p, x, root=row_root, group=row_group)
         else:
             x = yield from bcast(p, None, root=row_root, group=row_group)

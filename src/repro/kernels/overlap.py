@@ -1,24 +1,24 @@
-"""Kernels restructured for communication/computation overlap (§5).
+"""Kernels run with communication/computation overlap (§5).
 
-Each overlapped kernel here has a *matched blocking twin* that performs
-the identical floating-point operations in the identical order, so the
-pair is bit-identical numerically and differs only in communication
-structure:
+Each overlapped kernel performs the identical floating-point operations
+in the identical order as its blocking counterpart, so the pair is
+bit-identical numerically and differs only in communication structure:
 
 * :func:`heat_stencil_blocking` / :func:`heat_stencil_overlap` — 1-D
   three-point heat sweep, block-distributed with one-element halos.
-  The overlapped twin posts its halo ``irecv``/``isend`` first, updates
+  The overlapped one posts its halo ``irecv``/``isend`` first, updates
   the *interior* (which needs no halo) while the transfers fly, then
-  waits and updates the two boundary elements.
+  waits and updates the two boundary elements.  The compute structure
+  differs (one sweep against interior + boundary), so these stay two
+  functions.
 * :func:`jacobi_ring_blocking` / :func:`jacobi_ring_overlap` — Jacobi
   with the X vector block-distributed and circulated around a ring
-  (systolic GEMV): each of the ``N`` steps sends the in-hand X block to
-  the right while accumulating its contribution locally.  The
-  overlapped twin's per-block GEMV hides the block transfer.  Both
-  twins accumulate the per-block partial products in the same ring
-  order, so their floating-point sums are identical.
-* :func:`sor_pipelined_overlap` — the Fig 6 SOR ring pipeline with the
-  incoming partial sum pre-posted before the local partial-product
+  (systolic GEMV).  One body, :func:`repro.kernels.jacobi._jacobi_ring`,
+  under the plain and the posted transport: the overlapped run's
+  per-block GEMV hides the block transfer.
+* :func:`sor_pipelined_overlap` — the Fig 6 SOR ring pipeline
+  (:func:`repro.kernels.sor._sor_ring`) under the posted transport:
+  each incoming partial sum is posted before the local partial-product
   computation, hiding each hop's wire time behind the ``2 m/N`` flops
   of the local contribution.  Numerically identical to
   :func:`repro.kernels.sor.sor_pipelined`.
@@ -26,9 +26,9 @@ structure:
 Timing contract (the ``report.py --overlap`` reconciliation): a posted
 transfer costs ``alpha`` at each endpoint with the full ``alpha + w tc``
 on the wire — exactly the ``overlap=True`` split of the machine model —
-so running the *blocking* twin on ``replace(model, overlap=True)``
-predicts the overlapped twin's makespan (exactly for the ring Jacobi,
-whose twins have identical event sequences; within a documented band
+so running the *blocking* kernel on ``replace(model, overlap=True)``
+predicts the overlapped one's makespan (exactly for the ring Jacobi,
+whose runs have identical event sequences; within a documented band
 for the stencil, whose interior/boundary split reorders compute).
 """
 
@@ -39,24 +39,24 @@ from collections.abc import Generator
 import numpy as np
 
 from repro.errors import MachineError
-from repro.kernels.jacobi import _row_block
+from repro.kernels.jacobi import _jacobi_ring
+from repro.kernels.sor import _sor_ring
+from repro.machine.collectives import PLAIN_TRANSPORT
 from repro.machine.engine import Proc
-from repro.machine.nonblocking import NBComm
+from repro.machine.nonblocking import NBComm, PostedTransport
 
-#: Tags of the halo exchange (left-going / right-going) and ring traffic.
+#: Tags of the halo exchange (left-going / right-going).
 _TAG_TO_LEFT = 90
 _TAG_TO_RIGHT = 91
-_TAG_RING = 70
-_TAG_SOR = 60
 
 
 def _heat_update(pad: np.ndarray, coeff: float, j0: int, j1: int) -> np.ndarray:
     """New values of local elements ``[j0, j1)`` of a 1-halo pad.
 
-    One vectorized expression shared by both twins and by both the
-    interior and boundary slices of the overlapped twin — NumPy
+    One vectorized expression shared by both kernels and by both the
+    interior and boundary slices of the overlapped one — NumPy
     elementwise ops are elementwise-identical under slicing, which is
-    what makes the twins bit-identical.
+    what makes the pair bit-identical.
     """
     center = pad[1 + j0 : 1 + j1]
     left = pad[j0 : j1]
@@ -92,7 +92,7 @@ def _heat_setup(p: Proc, u0: np.ndarray) -> tuple:
 def heat_stencil_blocking(
     p: Proc, u0: np.ndarray, steps: int, coeff: float = 0.25
 ) -> Generator:
-    """Three-point heat sweep, blocking halo exchange (reference twin)."""
+    """Three-point heat sweep, blocking halo exchange (the reference)."""
     cnt, pad, left, right, j0, j1 = _heat_setup(p, u0)
     for _ in range(steps):
         if left is not None:
@@ -154,86 +154,18 @@ def heat_stencil_overlap(
     return pad[1 : 1 + cnt].copy()
 
 
-def _ring_setup(p: Proc, A: np.ndarray, b: np.ndarray, x0: np.ndarray) -> tuple:
-    m = len(b)
-    n = p.nprocs
-    if m % n != 0:
-        raise MachineError(f"ring Jacobi needs N | m, got m={m}, N={n}")
-    lo, hi = _row_block(m, n, p.rank)
-    A_loc = np.ascontiguousarray(A[lo:hi, :])
-    b_loc = b[lo:hi].copy()
-    diag_loc = np.diag(A)[lo:hi].copy()
-    x_loc = np.array(x0[lo:hi], dtype=np.float64)
-    return m, n, lo, hi, A_loc, b_loc, diag_loc, x_loc
-
-
 def jacobi_ring_blocking(
     p: Proc, A: np.ndarray, b: np.ndarray, x0: np.ndarray, iterations: int
 ) -> Generator:
-    """Row-block Jacobi with the X blocks circulated on a ring (twin).
-
-    Unlike :func:`repro.kernels.jacobi.jacobi_rowdist` (allgather per
-    iteration), X stays distributed: each iteration performs ``N``
-    systolic steps, accumulating ``A[:, blk] @ x_blk`` while the block
-    in hand moves one hop right.  The accumulation visits blocks in ring
-    order ``me, me-1, ..., me-N+1`` — the same order as the overlapped
-    twin, so the two are bit-identical.
-    """
-    m, n, lo, hi, A_loc, b_loc, diag_loc, x_loc = _ring_setup(p, A, b, x0)
-    rows = hi - lo
-    right = (p.rank + 1) % n
-    left = (p.rank - 1) % n
-    for _ in range(iterations):
-        v = np.zeros(rows)
-        cur = x_loc
-        cur_owner = p.rank
-        for s in range(n):
-            if n > 1 and s < n - 1:
-                p.send(right, cur, tag=_TAG_RING)
-            blo, bhi = _row_block(m, n, cur_owner)
-            v += A_loc[:, blo:bhi] @ cur
-            p.compute(2 * rows * (bhi - blo), label="gemv-block")
-            if n > 1 and s < n - 1:
-                cur = yield from p.recv(left, tag=_TAG_RING)
-                cur_owner = (cur_owner - 1) % n
-        x_loc = x_loc + (b_loc - v) / diag_loc
-        p.compute(3 * rows, label="update")
-    return x_loc
+    """Ring Jacobi over the plain transport (the blocking reference)."""
+    return _jacobi_ring(p, A, b, x0, iterations, PLAIN_TRANSPORT)
 
 
 def jacobi_ring_overlap(
     p: Proc, A: np.ndarray, b: np.ndarray, x0: np.ndarray, iterations: int
 ) -> Generator:
-    """Ring Jacobi with each block transfer hidden behind its GEMV.
-
-    Per systolic step: post the next block's ``irecv``, ``isend`` the
-    block in hand, accumulate its GEMV contribution (hiding the wire
-    time), then ``wait``.  Identical accumulation order to
-    :func:`jacobi_ring_blocking` — bit-identical results.
-    """
-    m, n, lo, hi, A_loc, b_loc, diag_loc, x_loc = _ring_setup(p, A, b, x0)
-    rows = hi - lo
-    right = (p.rank + 1) % n
-    left = (p.rank - 1) % n
-    comm = NBComm(p)
-    for _ in range(iterations):
-        v = np.zeros(rows)
-        cur = x_loc
-        cur_owner = p.rank
-        for s in range(n):
-            req = None
-            if n > 1 and s < n - 1:
-                req = comm.irecv(left, tag=_TAG_RING)
-                comm.isend(right, cur, tag=_TAG_RING)
-            blo, bhi = _row_block(m, n, cur_owner)
-            v += A_loc[:, blo:bhi] @ cur
-            p.compute(2 * rows * (bhi - blo), label="gemv-block")
-            if req is not None:
-                cur = yield from req.wait()
-                cur_owner = (cur_owner - 1) % n
-        x_loc = x_loc + (b_loc - v) / diag_loc
-        p.compute(3 * rows, label="update")
-    return x_loc
+    """Ring Jacobi with each block transfer hidden behind its GEMV."""
+    return _jacobi_ring(p, A, b, x0, iterations, PostedTransport(p))
 
 
 def sor_pipelined_overlap(
@@ -247,66 +179,10 @@ def sor_pipelined_overlap(
     """Fig 6 pipelined SOR with pre-posted ring receives.
 
     The four-phase ring schedule of
-    :func:`repro.kernels.sor._pipelined_sweep` is kept verbatim; the
-    only change is that each hop's incoming partial sum is ``irecv``-ed
-    *before* the local partial product is computed, so the hop's wire
-    time hides behind the ``2 m/N`` multiply-adds, and the outgoing sum
-    is posted rather than injected synchronously.  Arithmetic order is
-    unchanged — results are bit-identical to the blocking pipeline.
+    :func:`repro.kernels.sor._sor_ring` under the posted
+    transport: each hop's incoming partial sum is ``irecv``-ed *before*
+    the local partial product is computed, so the hop's wire time hides
+    behind the ``2 m/N`` multiply-adds, and the outgoing sum is posted
+    rather than injected synchronously.  Returns this rank's X block.
     """
-    m = len(b)
-    n = p.nprocs
-    if m % n != 0:
-        raise MachineError(f"pipelined SOR needs N | m, got m={m}, N={n}")
-    block = m // n
-    before = p.rank * block
-    A_loc = np.ascontiguousarray(A[:, before : before + block])
-    b_loc = b[before : before + block].copy()
-    diag_loc = np.diag(A)[before : before + block].copy()
-    x_loc = np.array(x0[before : before + block], dtype=np.float64)
-    right = (p.rank + 1) % n
-    left = (p.rank - 1) % n
-    comm = NBComm(p)
-
-    for _ in range(iterations):
-        if n == 1:
-            for ii in range(block):
-                v = float(A_loc[ii, :] @ x_loc)
-                p.compute(2 * block + 4, label=f"row {ii + 1}")
-                x_loc[ii] += omega * (b_loc[ii] - v) / diag_loc[ii]
-            continue
-        with p.scoped("sor-pipeline"):
-            # Phase 1: rows owned by earlier processors (old X needed).
-            for i in range(before):
-                req = comm.irecv(left, tag=_TAG_SOR)
-                temp = float(A_loc[i, :] @ x_loc)
-                p.compute(2 * block, label=f"row {i + 1} partial")
-                v = yield from req.wait()
-                v += temp
-                comm.isend(right, v, words=1, tag=_TAG_SOR)
-            # Phase 2: start my own rows (columns j >= i, old X).
-            for ii in range(block):
-                cur = before + ii
-                v_start = float(A_loc[cur, ii:] @ x_loc[ii:])
-                p.compute(2 * (block - ii), label=f"row {cur + 1} start")
-                comm.isend(right, v_start, words=1, tag=_TAG_SOR)
-            # Phase 3: my rows return; add updated in-block predecessors.
-            for ii in range(block):
-                cur = before + ii
-                req = comm.irecv(left, tag=_TAG_SOR)
-                temp = float(A_loc[cur, :ii] @ x_loc[:ii])
-                p.compute(2 * ii, label=f"row {cur + 1} finish")
-                v = yield from req.wait()
-                v += temp
-                x_loc[ii] += omega * (b_loc[ii] - v) / diag_loc[ii]
-                p.compute(4, label=f"X({cur + 1})")
-            # Phase 4: rows owned by later processors (new X needed).
-            for i in range(before + block, m):
-                req = comm.irecv(left, tag=_TAG_SOR)
-                temp = float(A_loc[i, :] @ x_loc)
-                p.compute(2 * block, label=f"row {i + 1} partial")
-                v = yield from req.wait()
-                v += temp
-                comm.isend(right, v, words=1, tag=_TAG_SOR)
-
-    return x_loc
+    return _sor_ring(p, A, b, x0, omega, iterations, PostedTransport(p))

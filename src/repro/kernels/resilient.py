@@ -1,9 +1,11 @@
-"""Fault-tolerant variants of the iterative kernels (Jacobi, SOR, CG).
+"""Fault-tolerant entry points of the iterative kernels (Jacobi, SOR, CG).
 
-Each kernel is the corresponding plain kernel run over a
+Policy only: each entry point runs the plain kernel's own body
+(:mod:`repro.kernels.jacobi`, :mod:`repro.kernels.sor`,
+:mod:`repro.kernels.cg`) over a
 :class:`repro.machine.resilient.ReliableTransport` (acked, retransmitted
-point-to-point transfers) with a checkpoint/restore protocol layered on
-the iteration loop:
+point-to-point transfers) and hands it the checkpoint hook pair built
+here, which layers this protocol on the iteration loop:
 
 * at kernel start, every rank asks the shared
   :class:`repro.machine.resilient.CheckpointStore` for the newest step
@@ -32,41 +34,48 @@ from collections.abc import Generator
 
 import numpy as np
 
-from repro.errors import MachineError, ReproError
-from repro.kernels.jacobi import _row_block
-from repro.kernels.sor import _pipelined_sweep
-from repro.machine.collectives import allgather, allreduce
+from repro.errors import MachineError
+from repro.kernels.cg import _dense_cg
+from repro.kernels.jacobi import _rowdist_sweeps
+from repro.kernels.sor import _sor_gathered
 from repro.machine.engine import Proc
-from repro.machine.resilient import CheckpointStore, ReliableTransport, RetryPolicy
+from repro.machine.resilient import (
+    NO_CHECKPOINTS,
+    CheckpointHooks,
+    CheckpointStore,
+    ReliableTransport,
+    RetryPolicy,
+)
 
 
-def _restore_point(
-    p: Proc, store: CheckpointStore | None
-) -> tuple[int | None, object]:
-    """The consistent restart step and this rank's state there, if any."""
+def _checkpoint_hooks(store: CheckpointStore | None, interval: int) -> CheckpointHooks:
+    """The ``(restore, save)`` pair that layers the protocol on a body.
+
+    ``restore(p)`` loads the newest step all ranks have saved;
+    ``save(p, step, total, state)`` checkpoints after iteration *step*
+    when *interval* says so.  Without a *store* nothing is kept (and
+    *interval* is not looked at).
+    """
     if store is None:
-        return None, None
-    step = store.latest_common_step()
-    if step is None:
-        return None, None
-    state = store.load(p.rank, step)
-    p.mark("restore")
-    return step, state
+        return NO_CHECKPOINTS
+    if interval < 1:
+        raise MachineError(f"checkpoint interval must be >= 1, got {interval}")
 
+    def restore(p: Proc) -> tuple[int, object]:
+        step = store.latest_common_step()
+        if step is None:
+            return 0, None
+        state = store.load(p.rank, step)
+        p.mark("restore")
+        return step, state
 
-def _maybe_save(
-    p: Proc,
-    store: CheckpointStore | None,
-    interval: int,
-    step: int,
-    total: int,
-    state: object,
-) -> None:
-    """Checkpoint after iteration *step* when the interval says so."""
-    if store is None or step % interval != 0 or step >= total:
-        return
-    store.save(p.rank, step, state)
-    p.mark("checkpoint")
+    def save(p: Proc, step: int, total: int, state: object) -> None:
+        if step % interval != 0 or step >= total:
+            return
+        store.save(p.rank, step, state)
+        p.mark("checkpoint")
+
+    return restore, save
 
 
 def resilient_jacobi(
@@ -81,34 +90,14 @@ def resilient_jacobi(
 ) -> Generator:
     """Row-block Jacobi over reliable transfers with checkpoint/restart.
 
-    Same schedule and numerics as
-    :func:`repro.kernels.jacobi.jacobi_rowdist`; checkpoints the full X
-    vector every *interval* iterations (X is replicated after the
-    allgather, so it is the complete loop-carried state).
+    :func:`repro.kernels.jacobi.jacobi_rowdist`'s body under the
+    reliable transport; checkpoints the full X vector every *interval*
+    iterations (X is replicated after the allgather, so it is the
+    complete loop-carried state).
     """
     tx = ReliableTransport(policy)
-    m = len(b)
-    n = p.nprocs
-    lo, hi = _row_block(m, n, p.rank)
-    A_loc = np.ascontiguousarray(A[lo:hi, :])
-    b_loc = b[lo:hi].copy()
-    diag_loc = np.diag(A)[lo:hi].copy()
-    x = np.array(x0, dtype=np.float64)
-    group = tuple(range(n))
-    rows = hi - lo
-
-    start, state = _restore_point(p, checkpoints)
-    if start is not None:
-        x = np.asarray(state)
-    for it in range(start or 0, iterations):
-        v_loc = A_loc @ x
-        p.compute(2 * rows * m, label="gemv")
-        x_loc = x[lo:hi] + (b_loc - v_loc) / diag_loc
-        p.compute(3 * rows, label="update")
-        blocks = yield from allgather(p, x_loc, group, transport=tx)
-        x = np.concatenate([np.atleast_1d(blk) for blk in blocks])
-        _maybe_save(p, checkpoints, interval, it + 1, iterations, x)
-    return x
+    hooks = _checkpoint_hooks(checkpoints, interval)
+    return _rowdist_sweeps(p, A, b, x0, iterations, tx, hooks)
 
 
 def resilient_sor(
@@ -130,29 +119,8 @@ def resilient_sor(
     points.
     """
     tx = ReliableTransport(policy)
-    m = len(b)
-    n = p.nprocs
-    if m % n != 0:
-        raise MachineError(f"pipelined SOR needs N | m, got m={m}, N={n}")
-    block = m // n
-    before = p.rank * block
-    A_loc = np.ascontiguousarray(A[:, before : before + block])
-    b_loc = b[before : before + block].copy()
-    diag_loc = np.diag(A)[before : before + block].copy()
-    x_loc = np.array(x0[before : before + block], dtype=np.float64)
-
-    start, state = _restore_point(p, checkpoints)
-    if start is not None:
-        x_loc = np.asarray(state)
-    for it in range(start or 0, iterations):
-        yield from _pipelined_sweep(
-            p, A_loc, b_loc, diag_loc, x_loc, omega, m, block, tx
-        )
-        _maybe_save(p, checkpoints, interval, it + 1, iterations, x_loc)
-
-    group = tuple(range(n))
-    blocks = yield from allgather(p, x_loc, group, transport=tx)
-    return np.concatenate([np.atleast_1d(blk) for blk in blocks])
+    hooks = _checkpoint_hooks(checkpoints, interval)
+    return _sor_gathered(p, A, b, x0, omega, iterations, tx, hooks)
 
 
 def resilient_cg(
@@ -172,56 +140,5 @@ def resilient_cg(
     ``(x, iterations)`` like :func:`repro.kernels.cg.cg_parallel`.
     """
     tx = ReliableTransport(policy)
-    m = len(b)
-    n = p.nprocs
-    max_iterations = max_iterations or 2 * m
-    lo, hi = _row_block(m, n, p.rank)
-    rows = hi - lo
-    A_loc = np.ascontiguousarray(np.asarray(A, dtype=np.float64)[lo:hi, :])
-    group = tuple(range(n))
-
-    x_loc = np.zeros(rows)
-    r_loc = np.asarray(b, dtype=np.float64)[lo:hi].copy()
-    d_loc = r_loc.copy()
-
-    start, state = _restore_point(p, checkpoints)
-    if start is not None:
-        x_loc, r_loc, d_loc, rs, used = state
-    else:
-        local = float(r_loc @ r_loc)
-        p.compute(2 * rows, label="dot")
-        rs = yield from allreduce(p, local, group, tag=140, transport=tx)
-        used = 0
-
-    for it in range(start or 0, max_iterations):
-        if rs**0.5 <= tol:
-            break
-        # Re-replicate the search direction for the matvec (allgather).
-        blocks = yield from allgather(p, d_loc, group, tag=141, transport=tx)
-        d_full = np.concatenate([np.atleast_1d(blk) for blk in blocks])
-        Ad_loc = A_loc @ d_full
-        p.compute(2 * rows * m, label="matvec")
-        local = float(d_loc @ Ad_loc)
-        p.compute(2 * rows, label="dot")
-        denom = yield from allreduce(p, local, group, tag=142, transport=tx)
-        if denom <= 0:
-            raise ReproError("matrix is not positive definite")
-        alpha = rs / denom
-        x_loc += alpha * d_loc
-        r_loc -= alpha * Ad_loc
-        p.compute(4 * rows, label="axpy")
-        local = float(r_loc @ r_loc)
-        p.compute(2 * rows, label="dot")
-        rs_new = yield from allreduce(p, local, group, tag=143, transport=tx)
-        d_loc = r_loc + (rs_new / rs) * d_loc
-        p.compute(2 * rows, label="update d")
-        rs = rs_new
-        used += 1
-        _maybe_save(
-            p, checkpoints, interval, it + 1, max_iterations,
-            (x_loc, r_loc, d_loc, rs, used),
-        )
-
-    blocks = yield from allgather(p, x_loc, group, tag=144, transport=tx)
-    x = np.concatenate([np.atleast_1d(blk) for blk in blocks])
-    return x, used
+    hooks = _checkpoint_hooks(checkpoints, interval)
+    return _dense_cg(p, A, b, tol, max_iterations, tx, hooks)

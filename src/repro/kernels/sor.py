@@ -28,9 +28,10 @@ from collections.abc import Generator
 import numpy as np
 
 from repro.errors import MachineError
-from repro.machine.collectives import PLAIN_TRANSPORT, Transport, allgather, reduce
+from repro.machine.collectives import PLAIN_TRANSPORT, Transport, reduce
 from repro.machine.engine import Proc
-from repro.kernels.jacobi import _row_block
+from repro.machine.resilient import NO_CHECKPOINTS, CheckpointHooks
+from repro.kernels.jacobi import _allgather_vector, _row_block
 
 
 def sor_naive(
@@ -71,76 +72,116 @@ def sor_naive(
                     total = yield from p.recv(0, tag=50)
                 x_loc[i - lo] += omega * (b_loc[i - lo] - total) / diag[i]
                 p.compute(4, label=f"update X({i + 1})")
-    blocks = yield from allgather(p, x_loc, group)
-    return np.concatenate([np.atleast_1d(blk) for blk in blocks])
+    return (yield from _allgather_vector(p, x_loc, group))
 
 
-def _pipelined_sweep(
+def _sor_ring(
     p: Proc,
-    A_loc: np.ndarray,
-    b_loc: np.ndarray,
-    diag_loc: np.ndarray,
-    x_loc: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    x0: np.ndarray,
     omega: float,
-    m: int,
-    block: int,
+    iterations: int,
     tx: Transport,
-    tag: int = 60,
+    checkpoints: CheckpointHooks = NO_CHECKPOINTS,
 ) -> Generator:
-    """One pipelined Gauss-Seidel sweep (Fig 6 body); mutates ``x_loc``.
+    """Table 4 setup plus *iterations* Fig 6 sweeps over *tx*.
 
-    Factored out so the resilient kernel
-    (:func:`repro.kernels.resilient.resilient_sor`) can reuse the exact
-    ring schedule over a reliable transport and checkpoint between
-    sweeps.
+    Each sweep runs in post -> compute -> complete order: a hop's
+    incoming partial sum is posted before the local partial product is
+    computed — free under the plain and reliable transports (the
+    blocking schedule), hidden behind the ``2 m/N`` multiply-adds under
+    a posted one.  Returns this rank's X block, which is also the state
+    checkpointed between sweeps.
     """
+    m = len(b)
     n = p.nprocs
-    me = p.rank
-    before = me * block
-    right = (me + 1) % n
-    left = (me - 1) % n
-    if n == 1:
-        # Degenerate ring: plain sequential sweep.
-        for ii in range(block):
-            v = float(A_loc[ii, :] @ x_loc)
-            p.compute(2 * block + 4, label=f"row {ii + 1}")
-            x_loc[ii] += omega * (b_loc[ii] - v) / diag_loc[ii]
-        return
-    with p.scoped("sor-pipeline"):
-        # Phase 1 (Fig 6 lines 7-15): rows owned by earlier processors.
-        # Their partials arrive from the left; my X block is still old,
-        # which is exactly what rows i < before need from columns j > i.
-        for i in range(before):
-            temp = float(A_loc[i, :] @ x_loc)
-            p.compute(2 * block, label=f"row {i + 1} partial")
-            v = yield from tx.recv(p, left, tag=tag)
-            v += temp
-            yield from tx.send(p, right, v, tag=tag)
-        # Phase 2 (lines 16-23): start my own rows with columns j >= i.
-        for ii in range(block):
-            cur = before + ii
-            v_start = float(A_loc[cur, ii:] @ x_loc[ii:])
-            p.compute(2 * (block - ii), label=f"row {cur + 1} start")
-            yield from tx.send(p, right, v_start, tag=tag)
-        # Phase 3 (lines 24-34): my rows come back around the ring;
-        # add contributions of already-updated in-block predecessors,
-        # then update X.
-        for ii in range(block):
-            cur = before + ii
-            temp = float(A_loc[cur, :ii] @ x_loc[:ii])
-            p.compute(2 * ii, label=f"row {cur + 1} finish")
-            v = yield from tx.recv(p, left, tag=tag)
-            v += temp
-            x_loc[ii] += omega * (b_loc[ii] - v) / diag_loc[ii]
-            p.compute(4, label=f"X({cur + 1})")
-        # Phase 4 (lines 35-43): rows owned by later processors; my X
-        # block is now new, which rows i > before+block need (j < i).
-        for i in range(before + block, m):
-            temp = float(A_loc[i, :] @ x_loc)
-            p.compute(2 * block, label=f"row {i + 1} partial")
-            v = yield from tx.recv(p, left, tag=tag)
-            v += temp
-            yield from tx.send(p, right, v, tag=tag)
+    if m % n != 0:
+        raise MachineError(f"pipelined SOR needs N | m, got m={m}, N={n}")
+    block = m // n
+    before = p.rank * block
+    right = (p.rank + 1) % n
+    left = (p.rank - 1) % n
+    tag = 60
+
+    # Table 4 layout: my column block of A, my elements of B and X.
+    A_loc = np.ascontiguousarray(A[:, before : before + block])
+    b_loc = b[before : before + block].copy()
+    diag_loc = np.diag(A)[before : before + block].copy()
+    x_loc = np.array(x0[before : before + block], dtype=np.float64)
+
+    def sweep() -> Generator:
+        """One pipelined Gauss-Seidel sweep (Fig 6 body); mutates ``x_loc``."""
+        if n == 1:
+            # Degenerate ring: plain sequential sweep.
+            for ii in range(block):
+                v = float(A_loc[ii, :] @ x_loc)
+                p.compute(2 * block + 4, label=f"row {ii + 1}")
+                x_loc[ii] += omega * (b_loc[ii] - v) / diag_loc[ii]
+            return
+        with p.scoped("sor-pipeline"):
+            # Phase 1 (Fig 6 lines 7-15): rows owned by earlier processors.
+            # Their partials arrive from the left; my X block is still old,
+            # which is exactly what rows i < before need from columns j > i.
+            for i in range(before):
+                incoming = tx.post_recv(p, left, tag=tag)
+                temp = float(A_loc[i, :] @ x_loc)
+                p.compute(2 * block, label=f"row {i + 1} partial")
+                v = yield from tx.complete(p, incoming)
+                v += temp
+                yield from tx.send(p, right, v, tag=tag)
+            # Phase 2 (lines 16-23): start my own rows with columns j >= i.
+            for ii in range(block):
+                cur = before + ii
+                v_start = float(A_loc[cur, ii:] @ x_loc[ii:])
+                p.compute(2 * (block - ii), label=f"row {cur + 1} start")
+                yield from tx.send(p, right, v_start, tag=tag)
+            # Phase 3 (lines 24-34): my rows come back around the ring;
+            # add contributions of already-updated in-block predecessors,
+            # then update X.
+            for ii in range(block):
+                cur = before + ii
+                incoming = tx.post_recv(p, left, tag=tag)
+                temp = float(A_loc[cur, :ii] @ x_loc[:ii])
+                p.compute(2 * ii, label=f"row {cur + 1} finish")
+                v = yield from tx.complete(p, incoming)
+                v += temp
+                x_loc[ii] += omega * (b_loc[ii] - v) / diag_loc[ii]
+                p.compute(4, label=f"X({cur + 1})")
+            # Phase 4 (lines 35-43): rows owned by later processors; my X
+            # block is now new, which rows i > before+block need (j < i).
+            for i in range(before + block, m):
+                incoming = tx.post_recv(p, left, tag=tag)
+                temp = float(A_loc[i, :] @ x_loc)
+                p.compute(2 * block, label=f"row {i + 1} partial")
+                v = yield from tx.complete(p, incoming)
+                v += temp
+                yield from tx.send(p, right, v, tag=tag)
+
+    restore, save = checkpoints
+    start, state = restore(p)
+    if state is not None:
+        x_loc = np.asarray(state)
+    for it in range(start, iterations):
+        yield from sweep()
+        save(p, it + 1, iterations, x_loc)
+    return x_loc
+
+
+def _sor_gathered(
+    p: Proc,
+    A: np.ndarray,
+    b: np.ndarray,
+    x0: np.ndarray,
+    omega: float,
+    iterations: int,
+    tx: Transport,
+    checkpoints: CheckpointHooks = NO_CHECKPOINTS,
+) -> Generator:
+    """:func:`_sor_ring`, then the full X assembled on every rank over *tx*."""
+    x_loc = yield from _sor_ring(p, A, b, x0, omega, iterations, tx, checkpoints)
+    group = tuple(range(p.nprocs))
+    return (yield from _allgather_vector(p, x_loc, group, transport=tx))
 
 
 def sor_pipelined(
@@ -157,25 +198,4 @@ def sor_pipelined(
     Requires ``m`` divisible by the processor count (as the paper's
     ``block = m/N`` does).
     """
-    tx = transport or PLAIN_TRANSPORT
-    m = len(b)
-    n = p.nprocs
-    if m % n != 0:
-        raise MachineError(f"pipelined SOR needs N | m, got m={m}, N={n}")
-    block = m // n
-    before = p.rank * block
-
-    # Table 4 layout: my column block of A, my elements of B and X.
-    A_loc = np.ascontiguousarray(A[:, before : before + block])
-    b_loc = b[before : before + block].copy()
-    diag_loc = np.diag(A)[before : before + block].copy()
-    x_loc = np.array(x0[before : before + block], dtype=np.float64)
-
-    for _ in range(iterations):
-        yield from _pipelined_sweep(
-            p, A_loc, b_loc, diag_loc, x_loc, omega, m, block, tx
-        )
-
-    group = tuple(range(n))
-    blocks = yield from allgather(p, x_loc, group, transport=transport)
-    return np.concatenate([np.atleast_1d(blk) for blk in blocks])
+    return _sor_gathered(p, A, b, x0, omega, iterations, transport or PLAIN_TRANSPORT)

@@ -28,18 +28,13 @@ from collections.abc import Generator
 
 import numpy as np
 
-from repro.distribution.sparse import SparsePlacement
 from repro.errors import ReproError
+from repro.kernels.cg import _cg_recurrence
+from repro.kernels.jacobi import _allgather_vector
+from repro.kernels.spmv import _acquire_schedule, _stamp_run
 from repro.machine.collectives import allgather
 from repro.machine.engine import Proc
-from repro.pipeline.inspector import (
-    CommSchedule,
-    build_comm_schedule,
-    gather_ghosts,
-    inspector_exchange,
-    spmv_local,
-    stamp_sparse,
-)
+from repro.pipeline.inspector import CommSchedule, gather_ghosts, spmv_local
 from repro.sparse.csr import CSRMatrix, spmv_reference
 
 
@@ -113,77 +108,43 @@ def sparse_cg_parallel(
 ) -> Generator:
     """Distributed sparse CG; returns ``(x, iterations)`` on every rank.
 
-    The search direction's halo is gathered through the schedule each
+    :func:`repro.kernels.cg._cg_recurrence` on the CSR operator: the
+    search direction's halo is gathered through the schedule each
     iteration (``sparse-gather`` scope); inner products allgather scalar
-    partials and sum them in rank order, matching
+    partials (tags 930-932) and sum them in rank order, matching
     ``sparse_cg_seq(..., blocks=p.nprocs)`` bit for bit.
     """
     n = csr.nrows
     if csr.ncols != n:
         raise ReproError(f"CG needs a square matrix, got {n}x{csr.ncols}")
-    placement = SparsePlacement(csr.pattern, p.nprocs)
-    builds = reuses = inspector_runs = 0
-    if schedule is None:
-        local = yield from inspector_exchange(p, placement)
-        schedule = build_comm_schedule(placement)
-        builds, inspector_runs = 1, 1
-    else:
-        local = schedule.rank_schedule(p.rank)
-        reuses = 1
-    b = np.asarray(b, dtype=np.float64)
-    max_iterations = max_iterations or 2 * n
+    _, schedule, local, counters = yield from _acquire_schedule(p, csr, schedule)
     group = tuple(range(p.nprocs))
     rows = local.rows
     data_loc = csr.data[
         csr.pattern.indptr[local.row_lo] : csr.pattern.indptr[local.row_hi]
     ]
-    nnz_loc = len(data_loc)
 
-    def ordered_dot(u_loc, v_loc, tag):
+    def matvec(d_loc):
+        ghosts = yield from gather_ghosts(
+            p, local, d_loc, aggregate_words=aggregate_words
+        )
+        Ad_loc = spmv_local(local, data_loc, d_loc, ghosts)
+        p.compute(2 * len(data_loc), label="spmv")
+        return Ad_loc
+
+    def ordered_dot(u_loc, v_loc, k):
         local_partial = float(np.dot(u_loc, v_loc))
         p.compute(2 * rows, label="dot")
-        partials = yield from allgather(p, local_partial, group, tag=tag)
+        partials = yield from allgather(p, local_partial, group, tag=930 + k)
         acc = 0.0
         for partial in partials:
             acc += float(partial)
         return acc
 
-    x_loc = np.zeros(rows)
-    r_loc = b[local.row_lo : local.row_hi].copy()
-    d_loc = r_loc.copy()
-    rs = yield from ordered_dot(r_loc, r_loc, 930)
-
-    used = 0
-    for _ in range(max_iterations):
-        if rs**0.5 <= tol:
-            break
-        ghosts = yield from gather_ghosts(
-            p, local, d_loc, aggregate_words=aggregate_words
-        )
-        Ad_loc = spmv_local(local, data_loc, d_loc, ghosts)
-        p.compute(2 * nnz_loc, label="spmv")
-        denom = yield from ordered_dot(d_loc, Ad_loc, 931)
-        if denom <= 0:
-            raise ReproError("matrix is not positive definite")
-        alpha = rs / denom
-        x_loc += alpha * d_loc
-        r_loc -= alpha * Ad_loc
-        p.compute(4 * rows, label="axpy")
-        rs_new = yield from ordered_dot(r_loc, r_loc, 932)
-        d_loc = r_loc + (rs_new / rs) * d_loc
-        p.compute(2 * rows, label="update d")
-        rs = rs_new
-        used += 1
-
-    blocks = yield from allgather(p, x_loc, group, tag=933)
-    if p.rank == 0:
-        stamp_sparse(
-            p._engine.metrics,
-            schedule,
-            iterations=used,
-            schedule_builds=builds,
-            schedule_reuses=reuses,
-            inspector_runs=inspector_runs,
-        )
-    x = np.concatenate([np.atleast_1d(blk) for blk in blocks])
+    b_loc = np.asarray(b, dtype=np.float64)[local.row_lo : local.row_hi]
+    x_loc, used = yield from _cg_recurrence(
+        p, b_loc, matvec, ordered_dot, tol, max_iterations or 2 * n
+    )
+    x = yield from _allgather_vector(p, x_loc, group, tag=933)
+    _stamp_run(p, schedule, used, counters)
     return x, used

@@ -21,7 +21,8 @@ from collections.abc import Generator
 import numpy as np
 
 from repro.distribution.sparse import SparsePlacement
-from repro.machine.collectives import allgather
+from repro.errors import DistributionError
+from repro.kernels.jacobi import _allgather_vector
 from repro.machine.engine import Proc
 from repro.pipeline.inspector import (
     GATHER_TAG,
@@ -38,6 +39,45 @@ from repro.sparse.csr import CSRMatrix, spmv_reference
 def spmv_seq(csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
     """Sequential oracle — alias of :func:`repro.sparse.csr.spmv_reference`."""
     return spmv_reference(csr, x)
+
+
+def _acquire_schedule(
+    p: Proc, csr: CSRMatrix, schedule: CommSchedule | None
+) -> Generator:
+    """Settle the run's schedule: ``(placement, schedule, local, counters)``.
+
+    Without a *schedule* the inspector runs once on-machine and the
+    schedule is built; a supplied one is replayed after checking it was
+    built for this rank count and this very pattern (a foreign one
+    otherwise dies deep in the engine or in NumPy broadcasting).
+    *counters* are the :func:`stamp_sparse` keywords of the run.
+    """
+    placement = SparsePlacement(csr.pattern, p.nprocs)
+    if schedule is None:
+        local = yield from inspector_exchange(p, placement)
+        schedule = build_comm_schedule(placement)
+        counters = {"schedule_builds": 1, "inspector_runs": 1}
+    else:
+        pat = csr.pattern
+        built_for = (schedule.nprocs, schedule.nrows, schedule.ncols, schedule.digest)
+        if built_for != (p.nprocs, pat.nrows, pat.ncols, placement.digest):
+            raise DistributionError(
+                f"schedule {schedule.digest} was built for a "
+                f"{schedule.nrows}x{schedule.ncols} pattern on "
+                f"{schedule.nprocs} ranks; this {pat.nrows}x{pat.ncols} "
+                f"pattern on {p.nprocs} ranks has digest {placement.digest}"
+            )
+        local = schedule.rank_schedule(p.rank)
+        counters = {"schedule_reuses": 1, "inspector_runs": 0}
+    return placement, schedule, local, counters
+
+
+def _stamp_run(
+    p: Proc, schedule: CommSchedule, iterations: int, counters: dict
+) -> None:
+    """Rank 0 folds the finished run into ``Metrics.sparse``."""
+    if p.rank == 0:
+        stamp_sparse(p._engine.metrics, schedule, iterations=iterations, **counters)
 
 
 def spmv_parallel(
@@ -61,15 +101,9 @@ def spmv_parallel(
     against: it re-derives the schedule before every sweep, the way an
     uncompiled irregular loop would.
     """
-    placement = SparsePlacement(csr.pattern, p.nprocs)
-    builds = reuses = inspector_runs = 0
-    if schedule is None:
-        local = yield from inspector_exchange(p, placement)
-        schedule = build_comm_schedule(placement)
-        builds, inspector_runs = 1, 1
-    else:
-        local = schedule.rank_schedule(p.rank)
-        reuses = 1
+    placement, schedule, local, counters = yield from _acquire_schedule(
+        p, csr, schedule
+    )
     x = np.asarray(x, dtype=np.float64)
     x_loc = x[local.col_lo : local.col_hi]
     data_loc = csr.data[
@@ -79,22 +113,13 @@ def spmv_parallel(
     for _ in range(max(1, iterations)):
         if reinspect_every_iteration:
             local = yield from inspector_exchange(p, placement)
-            inspector_runs += 1
+            counters["inspector_runs"] += 1
         ghosts = yield from gather_ghosts(
             p, local, x_loc, aggregate_words=aggregate_words
         )
         y_loc = spmv_local(local, data_loc, x_loc, ghosts)
         p.compute(2 * len(data_loc), label="spmv")
-    blocks = yield from allgather(
-        p, y_loc, tuple(range(p.nprocs)), tag=GATHER_TAG + 10
-    )
-    if p.rank == 0:
-        stamp_sparse(
-            p._engine.metrics,
-            schedule,
-            iterations=max(1, iterations),
-            schedule_builds=builds,
-            schedule_reuses=reuses,
-            inspector_runs=inspector_runs,
-        )
-    return np.concatenate([np.atleast_1d(blk) for blk in blocks])
+    group = tuple(range(p.nprocs))
+    y = yield from _allgather_vector(p, y_loc, group, tag=GATHER_TAG + 10)
+    _stamp_run(p, schedule, max(1, iterations), counters)
+    return y

@@ -41,6 +41,7 @@ from repro.machine.forensics import BlockedRank, DeadlockReport
 from repro.machine.metrics import GroupStats, Metrics, RankMetrics
 from repro.machine.nonblocking import (
     NBComm,
+    PostedTransport,
     RecvRequest,
     Request,
     SendRequest,
@@ -117,6 +118,7 @@ __all__ = [
     "ResilientResult",
     "run_resilient",
     "NBComm",
+    "PostedTransport",
     "Request",
     "SendRequest",
     "RecvRequest",

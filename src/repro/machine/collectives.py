@@ -44,12 +44,19 @@ class Transport:
     (:meth:`Proc.send` / :meth:`Proc.recv`); the resilience layer
     substitutes :class:`repro.machine.resilient.ReliableTransport`, which
     adds sequence numbers, ack waits and retransmission without the
-    collective algorithms changing at all.  Both methods return iterables
-    driven with ``yield from``.  The plain implementations avoid one
-    generator allocation per message: ``send`` completes eagerly and
-    returns an empty iterable, ``recv`` returns the engine's receive
-    generator directly (a reliable send, by contrast, yields while
-    parked for its ack).
+    collective algorithms changing at all.  ``send``, ``recv`` and
+    ``complete`` return iterables driven with ``yield from``.  The plain
+    implementations avoid one generator allocation per message: ``send``
+    completes eagerly and returns an empty iterable, ``recv`` returns
+    the engine's receive generator directly (a reliable send, by
+    contrast, yields while parked for its ack).
+
+    ``post_recv`` / ``complete`` split a receive so a kernel body can be
+    written once in *post -> compute -> complete* order.  Here, and under
+    the reliable transport, the post is free and ``complete`` is the
+    blocking receive — the blocking order exactly;
+    :class:`repro.machine.nonblocking.PostedTransport` makes them
+    ``irecv`` and ``wait``, hiding the wire time behind the compute.
     """
 
     def send(
@@ -60,6 +67,13 @@ class Transport:
 
     def recv(self, p: Proc, source: int, tag: int = 0) -> Generator[Any, None, Any]:
         return p.recv(source, tag=tag)
+
+    def post_recv(self, p: Proc, source: int, tag: int = 0) -> Any:
+        return source, tag  # the handle ``complete`` takes
+
+    def complete(self, p: Proc, handle: Any) -> Generator[Any, None, Any]:
+        source, tag = handle
+        return self.recv(p, source, tag=tag)
 
 
 #: Shared default transport (stateless).

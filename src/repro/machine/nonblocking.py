@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import CommunicationError, PeerCrashedError
+from repro.machine.collectives import Transport
 from repro.machine.engine import (
     Channel,
     Proc,
@@ -381,6 +382,36 @@ class NBComm:
         self, requests: list[Request]
     ) -> Generator[Any, None, tuple[int, Any]]:
         return (yield from waitany(requests))
+
+
+class PostedTransport(Transport):
+    """The overlap policy: a :class:`Transport` over one rank's requests.
+
+    ``send`` posts (``isend``), ``post_recv`` is an ``irecv`` and
+    ``complete`` its ``wait``, so a kernel body written in post ->
+    compute -> complete order hides each transfer behind the compute in
+    between; ``recv`` posts and waits at once, which lets the
+    collectives run over it too.  Bound to one rank like the
+    :class:`NBComm` it wraps: build it inside the program body.
+    """
+
+    def __init__(self, p: Proc) -> None:
+        self.comm = NBComm(p)
+
+    def send(
+        self, p: Proc, dest: int, data: Any, words: int | None = None, tag: int = 0
+    ) -> tuple:
+        self.comm.isend(dest, data, words=words, tag=tag)
+        return ()
+
+    def recv(self, p: Proc, source: int, tag: int = 0) -> Generator[Any, None, Any]:
+        return self.comm.irecv(source, tag=tag).wait()
+
+    def post_recv(self, p: Proc, source: int, tag: int = 0) -> RecvRequest:
+        return self.comm.irecv(source, tag=tag)
+
+    def complete(self, p: Proc, handle: RecvRequest) -> Generator[Any, None, Any]:
+        return handle.wait()
 
 
 def waitall(requests: list[Request]) -> Generator[Any, None, list]:

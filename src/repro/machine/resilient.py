@@ -322,6 +322,22 @@ class CheckpointStore:
             self._states = [{} for _ in range(self.nprocs)]
 
 
+#: The checkpoint policy an iterative kernel body takes: ``(restore,
+#: save)``.  ``restore(p)`` gives the consistent restart step and this
+#: rank's state there, ``(0, None)`` when there is nothing to resume;
+#: ``save(p, step, total, state)`` is offered the state after every
+#: iteration.  :mod:`repro.kernels.resilient` builds the store-backed pair.
+CheckpointHooks = tuple[
+    Callable[[Proc], tuple[int, Any]], Callable[[Proc, int, int, Any], None]
+]
+
+#: The pair of a kernel that keeps no checkpoints (the plain entry points).
+NO_CHECKPOINTS: CheckpointHooks = (
+    lambda p: (0, None),
+    lambda p, step, total, state: None,
+)
+
+
 @dataclass
 class ResilientResult:
     """Outcome of a supervised run: the final result plus restart history."""

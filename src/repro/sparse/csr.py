@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,14 +95,21 @@ class CSRPattern:
         """Column indices of row *i* (a read-only view)."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Content address of the structure (schema-tagged sha256)."""
+        """Content address of the structure (schema-tagged sha256).
+
+        Hashed once per pattern object — every rank of a run checks its
+        schedule against the same pattern — and kept out of pickles.
+        """
         h = hashlib.sha256()
         h.update(f"{SPARSE_SCHEMA}|pattern|{self.nrows}|{self.ncols}|".encode())
         h.update(self.indptr.tobytes())
         h.update(self.indices.tobytes())
         return h.hexdigest()
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "digest"}
 
     def transpose_pattern(self) -> "CSRPattern":
         """The structure of the transpose (CSC view of this pattern)."""

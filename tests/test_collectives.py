@@ -13,7 +13,10 @@ from repro.errors import CommunicationError
 from repro.machine import (
     Hypercube,
     MachineModel,
+    PostedTransport,
+    ReliableTransport,
     Ring,
+    Transport,
     allgather,
     allreduce,
     barrier,
@@ -21,10 +24,12 @@ from repro.machine import (
     gather,
     reduce,
     run_spmd,
+    run_spmd_threaded,
     scatter,
     shift,
 )
 from repro.machine.collectives import affine_transform
+from repro.machine.faults import FaultPlan
 
 
 def run_collective(prog, nprocs, model=None, topo=None):
@@ -370,3 +375,90 @@ class TestPropertyBased:
 
         res = run_collective(prog, nprocs)
         np.testing.assert_allclose(res.values[0], locals_.sum(axis=0))
+
+
+class TestTransportSeam:
+    """``post_recv`` / ``complete``: one kernel body, three transports."""
+
+    RUNNERS = [run_spmd, run_spmd_threaded]
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    @pytest.mark.parametrize("alpha", [0.0, 25.0])
+    def test_posted_transport_under_collectives_equals_plain(self, runner, alpha):
+        group = tuple(range(5))
+
+        def prog(p, posted):
+            tx = PostedTransport(p) if posted else None
+            blocks = yield from allgather(
+                p, np.arange(3.0) + 10 * p.rank, group, transport=tx
+            )
+            word = yield from bcast(
+                p, 42.0 if p.rank == 2 else None, 2, group, transport=tx
+            )
+            return np.concatenate(blocks), word
+
+        model = MachineModel(tf=1, tc=10, alpha=alpha)
+        plain = runner(prog, Ring(5), model, args=(False,))
+        posted = runner(prog, Ring(5), model, args=(True,))
+        for (a, wa), (b, wb) in zip(plain.values, posted.values):
+            np.testing.assert_array_equal(a, b)
+            assert wa == wb == 42.0
+        assert posted.message_words == plain.message_words
+        assert posted.message_count == plain.message_count
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_plain_complete_after_intervening_sends_keeps_channel_fifo(self, runner):
+        tx = Transport()
+
+        def prog(p):
+            if p.rank == 0:
+                for k in range(3):
+                    yield from tx.send(p, 1, (1, k), tag=1)
+                    yield from tx.send(p, 1, (2, k), tag=2)
+                first = yield from tx.recv(p, 1, tag=3)
+                return [first, (yield from tx.recv(p, 1, tag=3))]
+            # Post both channels up front, then send before completing:
+            # a plain handle defers the receive, so nothing is consumed
+            # out of order and each channel still drains first-in first-out.
+            ha, hb = tx.post_recv(p, 0, tag=1), tx.post_recv(p, 0, tag=2)
+            yield from tx.send(p, 0, -1, tag=3)
+            got = [(yield from tx.complete(p, hb))]
+            yield from tx.send(p, 0, -2, tag=3)
+            got.append((yield from tx.complete(p, ha)))
+            for tag in (1, 2, 1, 2):
+                got.append((yield from tx.complete(p, tx.post_recv(p, 0, tag=tag))))
+            return got
+
+        res = runner(prog, Ring(2), MachineModel(tf=1, tc=1))
+        assert res.value(0) == [-1, -2]
+        assert res.value(1) == [(2, 0), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2)]
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_reliable_post_complete_is_its_recv(self, runner):
+        plan = FaultPlan(seed=5, drop_prob=0.3, duplicate_prob=0.3)
+
+        def prog(p, split):
+            tx = ReliableTransport()
+            if p.rank == 0:
+                for k in range(6):
+                    yield from tx.send(p, 1, float(k), tag=4)
+                return None
+            got = []
+            for _ in range(6):
+                if split:
+                    handle = tx.post_recv(p, 0, tag=4)
+                    p.compute(7, label="work")
+                    got.append((yield from tx.complete(p, handle)))
+                else:
+                    p.compute(7, label="work")
+                    got.append((yield from tx.recv(p, 0, tag=4)))
+            return got
+
+        model = MachineModel(tf=1, tc=10)
+        whole = runner(prog, Ring(2), model, args=(False,), faults=plan, trace=True)
+        split = runner(prog, Ring(2), model, args=(True,), faults=plan, trace=True)
+        assert split.value(1) == whole.value(1) == [float(k) for k in range(6)]
+        assert split.makespan == whole.makespan
+        assert split.metrics.faults == whole.metrics.faults
+        for lane_a, lane_b in zip(whole.trace, split.trace):
+            assert [e.as_dict() for e in lane_a] == [e.as_dict() for e in lane_b]

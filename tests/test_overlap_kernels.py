@@ -30,7 +30,13 @@ from repro.kernels import (
     sor_pipelined_overlap,
 )
 from repro.lang import parse_program
-from repro.machine import MachineModel, Ring, run_spmd, run_spmd_threaded
+from repro.machine import (
+    MachineModel,
+    PostedTransport,
+    Ring,
+    run_spmd,
+    run_spmd_threaded,
+)
 from repro.pipeline import overlap_schedule, overlap_table
 
 N = 8
@@ -95,6 +101,22 @@ class TestBitIdentity:
             np.testing.assert_array_equal(
                 rb.value(r)[r * blk:(r + 1) * blk], ro.value(r)
             )
+
+    @pytest.mark.parametrize("alpha", [0.0, 100.0])
+    def test_sor_overlap_is_the_fig6_body_under_the_posted_transport(self, alpha):
+        """One sweep body: ``sor_pipelined``'s public ``transport=`` seam
+        with a posted transport replays the overlap kernel event for
+        event, up to the allgather the blocking entry point appends."""
+        def posted(p, *args):
+            return (yield from sor_pipelined(p, *args, transport=PostedTransport(p)))
+
+        model = MachineModel(tf=1, tc=10, alpha=alpha)
+        args = (*_ring_args()[:3], 1.1, 2)
+        rp = run_spmd(posted, Ring(N), model, args=args, trace=True)
+        ro = run_spmd(sor_pipelined_overlap, Ring(N), model, args=args, trace=True)
+        for lane_p, lane_o in zip(rp.trace, ro.trace):
+            events = [e.as_dict() for e in lane_o]
+            assert [e.as_dict() for e in lane_p][: len(events)] == events
 
     def test_heat_matches_sequential_reference(self):
         u0, steps = _heat_args(m=64, steps=6, seed=1)

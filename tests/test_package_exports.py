@@ -1,10 +1,11 @@
-"""Source-sweep guard against dead package exports (ISSUE 9 satellite).
+"""Source-sweep guards: dead package exports (ISSUE 9) and kernel twins (ISSUE 14).
 
 The PR 7 shim check keeps removed names out; this is the dual — every
 *public* top-level class and function defined in a ``distribution`` or
 ``pipeline`` module must be importable from the package root, and every
 ``__all__`` entry must resolve.  A new module whose names are forgotten
-in ``__init__`` fails here by name.
+in ``__init__`` fails here by name.  The second half keeps the kernel
+and emitter copies ISSUE 14 removed from growing back.
 """
 
 from __future__ import annotations
@@ -74,3 +75,64 @@ def test_sparse_facade_covers_subsystem():
         assert name in sparse.__all__
         assert getattr(sparse, name) is not None
     assert "CommSchedule" in dir(sparse)
+
+
+# -- policies, not twins (ISSUE 14) ----------------------------------------
+#
+# One body per algorithm lives with the algorithm (jacobi.py, sor.py,
+# cg.py); overlap, reliable transport and checkpointing are a transport
+# and a hook pair handed to it.  A policy module that grows a
+# ``.compute(`` call or an ``@`` product has started copying a kernel
+# body again.
+
+RING_SOR_ENTRY_POINTS = (
+    "jacobi_ring_blocking", "jacobi_ring_overlap", "sor_pipelined_overlap",
+)
+
+
+def _numerics(node: ast.AST) -> list[int]:
+    """Lines under *node* that charge flops or multiply matrices."""
+    lines = []
+    for sub in ast.walk(node):
+        charges = (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr == "compute"
+        )
+        product = isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(
+            sub.op, ast.MatMult
+        )
+        if charges or product:
+            lines.append(sub.lineno)
+    return sorted(lines)
+
+
+def test_resilient_module_is_policy_only():
+    tree = ast.parse((SRC / "kernels" / "resilient.py").read_text())
+    assert _numerics(tree) == [], (
+        "kernels/resilient.py holds the checkpoint protocol and thin entry "
+        "points; numerics live with the algorithm"
+    )
+
+
+def test_ring_and_sor_overlap_entry_points_are_thin():
+    tree = ast.parse((SRC / "kernels" / "overlap.py").read_text())
+    found = {
+        node.name: _numerics(node)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in RING_SOR_ENTRY_POINTS
+    }
+    assert found == {name: [] for name in RING_SOR_ENTRY_POINTS}
+
+
+@pytest.mark.parametrize(
+    "helper", ("_offset_of", "_count_ops", "_affine_to_py", "_scan_rhs", "_compile_tree")
+)
+def test_stencil_helper_is_defined_once(helper):
+    homes = [
+        path.name
+        for path in sorted((SRC / "codegen").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == helper
+    ]
+    assert homes == ["stencil.py"]

@@ -5,13 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import FaultError, RetryExhaustedError
+from repro.errors import FaultError, MachineError, RetryExhaustedError
 from repro.kernels import (
     cg_parallel,
     jacobi_rowdist,
     make_spd_system,
     resilient_cg,
     resilient_jacobi,
+    resilient_sor,
+    sor_pipelined,
 )
 from repro.machine import (
     CheckpointStore,
@@ -225,6 +227,38 @@ class TestRunResilient:
         with pytest.raises(RankCrashedError):
             run_resilient(resilient_jacobi, Ring(4), MODEL, args=args,
                           plan=plan, max_restarts=0)
+
+    @pytest.mark.parametrize("runner", [run_spmd, run_spmd_threaded])
+    @pytest.mark.parametrize("interval", [0, -1])
+    @pytest.mark.parametrize(
+        "kernel, args",
+        [(resilient_jacobi, (np.zeros(16), 4)), (resilient_sor, (np.zeros(16), 1.2, 2)),
+         (resilient_cg, ())],
+    )
+    def test_checkpoint_interval_is_validated(self, system, kernel, args, interval, runner):
+        # Unvalidated, 0 is a ZeroDivisionError inside the SPMD body and
+        # -1 checkpoints after every step (step % -1 == 0).
+        A, b, _ = system
+        with pytest.raises(MachineError, match=f"interval must be >= 1, got {interval}"):
+            runner(kernel, Ring(4), MODEL, args=(A, b, *args),
+                   kwargs={"checkpoints": CheckpointStore(4), "interval": interval})
+
+    @pytest.mark.parametrize("runner", [run_spmd, run_spmd_threaded])
+    @pytest.mark.parametrize(
+        "kernel, plain, args",
+        [(resilient_jacobi, jacobi_rowdist, (np.zeros(16), 4)),
+         (resilient_sor, sor_pipelined, (np.zeros(16), 1.2, 2)),
+         (resilient_cg, cg_parallel, ())],
+    )
+    def test_interval_is_not_looked_at_without_a_store(self, system, kernel, plain, args, runner):
+        # Nothing is checkpointed without a store, so any interval runs
+        # and gives the plain kernel's result.
+        A, b, _ = system
+        res = runner(kernel, Ring(4), MODEL, args=(A, b, *args), kwargs={"interval": 0})
+        ref = runner(plain, Ring(4), MODEL, args=(A, b, *args))
+        for got, want in zip(res.values, ref.values):
+            got, want = (got[0], want[0]) if isinstance(got, tuple) else (got, want)
+            np.testing.assert_array_equal(got, want)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(FaultError):

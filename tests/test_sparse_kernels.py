@@ -15,13 +15,15 @@ from repro.costmodel.sparse import (
     spmv_sweep_time,
 )
 from repro.distribution.sparse import SparsePlacement
+from repro.errors import DistributionError
 from repro.kernels.sparse_cg import sparse_cg_parallel, sparse_cg_seq
 from repro.kernels.spmv import spmv_parallel, spmv_seq
 from repro.machine import MachineModel, Ring, run_spmd
 from repro.machine.export import SPARSE_TID, chrome_trace_json, sparse_lane_events
 from repro.machine.metrics import Metrics
 from repro.machine.threaded import run_spmd_threaded
-from repro.pipeline.inspector import build_comm_schedule
+from repro.pipeline.inspector import build_comm_schedule, cached_comm_schedule
+from repro.service.cache import PlanCache
 from repro.sparse.csr import random_spd_csr, spmv_reference
 
 N, P = 128, 8
@@ -113,6 +115,44 @@ class TestSparseCG:
         )
         assert warm.metrics.scope_totals("sparse-inspect").words == 0
         assert (warm.values[0][0] == cold.values[0][0]).all()
+
+    @pytest.mark.parametrize("runner", [run_spmd, run_spmd_threaded])
+    @pytest.mark.parametrize("kernel", [spmv_parallel, sparse_cg_parallel])
+    def test_foreign_schedule_rejected(self, system, kernel, runner):
+        # Unchecked, a schedule for another rank count dies deep in the
+        # engine and one for another pattern of the same shape in NumPy
+        # broadcasting; both are refused by content address.
+        csr, x, _ = system
+        other = random_spd_csr(N, density=0.06, seed=43)
+        here = SparsePlacement(csr.pattern, P).digest
+        for placement in (
+            SparsePlacement(csr.pattern, 2 * P), SparsePlacement(other.pattern, P),
+        ):
+            foreign = build_comm_schedule(placement)
+            with pytest.raises(DistributionError) as err:
+                runner(kernel, Ring(P), MachineModel(), args=(csr, x),
+                       kwargs={"schedule": foreign})
+            assert foreign.digest in str(err.value) and here in str(err.value)
+
+    def test_warm_cached_schedule_passes_the_check(self, system):
+        csr, x, _ = system
+        cache = PlanCache(capacity=2)
+        cached_comm_schedule(SparsePlacement(csr.pattern, P), cache)
+        sched, hit = cached_comm_schedule(SparsePlacement(csr.pattern, P), cache)
+        assert hit
+        res = run_spmd(spmv_parallel, Ring(P), MachineModel(), args=(csr, x),
+                       kwargs={"schedule": sched})
+        assert (res.values[0] == spmv_reference(csr, x)).all()
+        assert res.metrics.sparse["schedule_reuses"] == 1
+
+    def test_pattern_digest_is_hashed_once_and_stays_out_of_pickles(self, system):
+        import pickle
+
+        pattern = random_spd_csr(32, density=0.1, seed=3).pattern
+        before = pickle.dumps(pattern)
+        assert pattern.digest is pattern.digest  # memoized, not re-hashed
+        assert pickle.dumps(pattern) == before
+        assert pickle.loads(before).digest == pattern.digest
 
     def test_non_square_rejected(self):
         from repro.errors import ReproError
