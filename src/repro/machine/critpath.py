@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.machine.export import match_messages
-from repro.machine.trace import TraceEvent
+from repro.machine.trace import TraceEvent, trace_index
 from repro.util.tables import Table
 
 _EPS = 1e-9
@@ -91,29 +90,31 @@ class CriticalPathReport:
 
 
 def _lane_busy(lane: list[TraceEvent]) -> float:
-    return sum(e.duration for e in lane if e.kind != "wait")
+    return sum(e.end - e.start for e in lane if e.kind != "wait")
 
 
 def critical_path(trace: list[list[TraceEvent]]) -> CriticalPathReport:
-    """Walk message edges backwards to the chain that sets the makespan."""
-    makespan = max((e.end for lane in trace for e in lane), default=0.0)
+    """Walk message edges backwards to the chain that sets the makespan.
+
+    The walk moves by position — ``(rank, i)`` on the lanes — through
+    the trace's index (:func:`repro.machine.trace.trace_index`): it
+    starts at the index's last-finishing event, steps to ``i - 1`` on
+    the same lane, and crosses lanes through the index's recv -> send
+    map, so it costs the length of the path, not of the trace.
+    """
+    index = trace_index(trace)
+    makespan = index.makespan
     slack = [makespan - _lane_busy(lane) for lane in trace]
     if makespan <= 0:
         return CriticalPathReport(steps=[], makespan=makespan, slack=slack)
 
-    send_of = {id(rcv): snd for snd, rcv in match_messages(trace)}
-    index_of = {id(e): (rank, i) for rank, lane in enumerate(trace) for i, e in enumerate(lane)}
-
-    cur: TraceEvent | None = max(
-        (e for lane in trace for e in lane), key=lambda e: (e.end, -e.rank)
-    )
+    at = index.last
     steps: list[PathStep] = []
-    visited: set[int] = set()
-    while cur is not None:
-        if id(cur) in visited:  # degenerate zero-duration cycles: stop
-            break
-        visited.add(id(cur))
-        rank, i = index_of[id(cur)]
+    visited: set[tuple[int, int]] = set()
+    while at is not None and at not in visited:  # zero-duration cycles: stop
+        visited.add(at)
+        rank, i = at
+        cur = trace[rank][i]
         prev = trace[rank][i - 1] if i > 0 else None
         if (
             cur.kind == "recv"
@@ -125,15 +126,16 @@ def critical_path(trace: list[list[TraceEvent]]) -> CriticalPathReport:
         ):
             # Message-bound receive: the constraint chain runs through the
             # sender; the idle wait itself is not on the path.
-            snd = send_of.get(id(cur))
-            if snd is not None:
+            sent = index.send_of(rank, i)
+            if sent is not None:
+                snd = trace[sent[0]][sent[1]]
                 steps.append(PathStep(cur, wire=max(0.0, cur.start - snd.end)))
-                cur = snd
+                at = sent
                 continue
         steps.append(PathStep(cur))
         if prev is not None and prev.end >= cur.start - _EPS:
-            cur = prev
+            at = (rank, i - 1)
         else:
-            cur = None  # reached the start of this rank's timeline
+            at = None  # reached the start of this rank's timeline
     steps.reverse()
     return CriticalPathReport(steps=steps, makespan=makespan, slack=slack)

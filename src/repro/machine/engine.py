@@ -58,7 +58,7 @@ from repro.machine.forensics import RECENT_EVENTS, build_report
 from repro.machine.metrics import Metrics
 from repro.machine.model import MachineModel
 from repro.machine.topology import Topology
-from repro.machine.trace import TraceLane
+from repro.machine.trace import Trace, TraceLane
 from repro.obs.context import stamp_current
 
 Channel = tuple[int, int, int]  # (source, dest, tag)
@@ -256,9 +256,11 @@ class RunResult:
         synthesized for reliable transfers are accounted in
         ``metrics.faults`` instead).
     trace:
-        Per-rank event lanes (only when tracing was enabled).  Lanes are
-        :class:`repro.machine.trace.TraceLane` sequences that materialize
-        :class:`~repro.machine.trace.TraceEvent` objects lazily.
+        Per-rank event lanes (only when tracing was enabled): a
+        :class:`repro.machine.trace.Trace`, a list of
+        :class:`~repro.machine.trace.TraceLane` sequences that
+        materialize :class:`~repro.machine.trace.TraceEvent` objects
+        lazily, owning the run's :class:`~repro.machine.trace.TraceIndex`.
     metrics:
         Aggregated per-rank / per-tag / per-collective counters
         (:class:`repro.machine.metrics.Metrics`), always populated.
@@ -268,7 +270,7 @@ class RunResult:
     finish_times: list[float]
     message_count: int
     message_words: int
-    trace: list[TraceLane] | None = None
+    trace: Trace | None = None
     metrics: Metrics | None = None
 
     @property
@@ -718,7 +720,7 @@ class Engine:
         self.message_count = 0
         self.message_words = 0
         self._tracing = trace
-        self.trace: list[TraceLane] = [TraceLane() for _ in range(topology.size)]
+        self.trace = Trace(TraceLane() for _ in range(topology.size))
         self.metrics = Metrics(topology.size)
         self.fault_plan = faults
         self.faults: FaultState | None = None
@@ -749,7 +751,7 @@ class Engine:
         self._calendar = EventCalendar()
         self.message_count = 0
         self.message_words = 0
-        self.trace = [TraceLane() for _ in self.procs]
+        self.trace = Trace(TraceLane() for _ in self.procs)
         self.metrics = Metrics(self.topology.size)
         self.faults = (
             FaultState(self.fault_plan) if self.fault_plan is not None else None

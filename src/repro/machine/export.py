@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import json
 import pathlib
+from operator import attrgetter
 
-from repro.machine.trace import TraceEvent, nesting_depths
+from repro.machine.trace import TraceEvent, nesting_depths, trace_index
 
 #: Simulated seconds -> Chrome trace microseconds.
 TIME_SCALE = 1e6
@@ -46,7 +47,8 @@ COMPILER_TID = 2000
 SPARSE_TID = 3000
 
 #: Event kinds drawn on the request lane instead of the rank's main lane.
-_REQUEST_KINDS = ("isend", "irecv")
+_REQUEST_KINDS = frozenset(("isend", "irecv"))
+_KIND = attrgetter("kind")
 
 
 def _tid(e: TraceEvent) -> int:
@@ -69,71 +71,55 @@ def match_messages(
     markers at the send's end time on the same ``(peer, tag)``
     (``duplicate`` adds a copy, which an unreliable receiver drains as a
     second message).
+
+    The pairing is part of the trace's index
+    (:func:`repro.machine.trace.trace_index`): computed once for an
+    engine-returned trace, however many consumers ask.
     """
-    sends: dict[tuple[int, int | None, int], list[TraceEvent]] = {}
-    recvs: dict[tuple[int, int | None, int], list[TraceEvent]] = {}
-    for lane in trace:
-        sent = None  # the send whose trailing fault markers we are reading
-        for e in lane:
-            if e.kind == "fault":
-                if (
-                    sent is not None
-                    and e.start == sent.end
-                    and (e.peer, e.tag) == (sent.peer, sent.tag)
-                ):
-                    if e.detail == "duplicate":
-                        copies.append(sent)
-                    elif e.detail in ("drop", "dup-suppressed"):
-                        copies.pop()
-                continue
-            sent = None
-            if e.kind in ("send", "isend"):
-                sent, copies = e, sends.setdefault((e.rank, e.peer, e.tag), [])
-                copies.append(e)
-            elif e.kind == "recv":
-                recvs.setdefault((e.peer, e.rank, e.tag), []).append(e)
-    pairs: list[tuple[TraceEvent, TraceEvent]] = []
-    for channel, recv_list in recvs.items():
-        pairs.extend(zip(sends.get(channel, []), recv_list))
-    pairs.sort(key=lambda sr: (sr[0].start, sr[0].rank))
-    return pairs
+    return list(trace_index(trace).pairs)
 
 
 def _draw(e: TraceEvent, depth: int = 0) -> dict:
     """One trace event as a Chrome ``X`` event, or ``i`` for a marker."""
+    kind = e.kind
+    start = e.start
     if e.lane == "rank":
+        scope = e.scope
+        peer = e.peer
+        if peer is None:
+            args: dict = {"kind": kind}
+        else:
+            args = {"kind": kind, "peer": peer, "words": e.words, "tag": e.tag}
+        if scope:
+            args["scope"] = scope
         # Zero-duration markers (drops, retries, crashes, irecv posts)
         # render as thread-scoped instant events — visible ticks on the
         # rank's lane (or request lane) in Perfetto.
-        instant = e.kind in ("fault", "irecv")
-        cat = e.scope or e.kind
-        args: dict = {"kind": e.kind}
-        if e.peer is not None:
-            args["peer"] = e.peer
-            args["words"] = e.words
-            args["tag"] = e.tag
-        if e.scope:
-            args["scope"] = e.scope
+        instant = kind == "fault" or kind == "irecv"
         if instant:
-            cat = "request" if e.kind == "irecv" else "fault"
+            cat = "request" if kind == "irecv" else "fault"
             args["detail"] = e.detail
+        else:
+            cat = scope or kind
+        tid = REQUEST_TID_BASE + e.rank if kind in _REQUEST_KINDS else e.rank
     else:
         # Wall-clock markers (worker crashes, respawns, fallback to
         # in-process compilation — see repro.service.supervisor) mirror
         # the simulator's "fault" instants on the rank lanes.
-        instant = e.kind == "instant"
+        instant = kind == "instant"
         cat = "service-fault" if instant else "compile"
         args = {"clock": e.clock}
         if not instant:
             args["depth"] = depth
+        tid = COMPILER_TID
     if instant:
         return {
             "name": e.label(), "cat": cat, "ph": "i", "s": "t",
-            "ts": e.start * TIME_SCALE, "pid": 0, "tid": _tid(e), "args": args,
+            "ts": start * TIME_SCALE, "pid": 0, "tid": tid, "args": args,
         }
     return {
-        "name": e.label(), "cat": cat, "ph": "X", "ts": e.start * TIME_SCALE,
-        "dur": e.duration * TIME_SCALE, "pid": 0, "tid": _tid(e), "args": args,
+        "name": e.label(), "cat": cat, "ph": "X", "ts": start * TIME_SCALE,
+        "dur": (e.end - start) * TIME_SCALE, "pid": 0, "tid": tid, "args": args,
     }
 
 
@@ -146,6 +132,12 @@ def chrome_trace_events(
     wall-clock events (``SpanRecorder.spans``, recording order) may
     follow them and lands on the compiler thread.
     """
+    return _lane_events(trace, trace_index(trace).pairs, process_name)
+
+
+def _lane_events(trace, pairs, process_name: str) -> list[dict]:
+    """Metadata, one drawn event per trace event, one arrow pair per
+    ``(send, recv)`` in *pairs*."""
     events: list[dict] = [
         {"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
          "args": {"name": process_name}},
@@ -157,7 +149,7 @@ def chrome_trace_events(
             drawn.extend(map(_draw, lane, nesting_depths(lane)))
         else:
             threads = [(index, f"P{index}")]
-            if any(e.kind in _REQUEST_KINDS for e in lane):
+            if not _REQUEST_KINDS.isdisjoint(map(_KIND, lane)):
                 threads.append((REQUEST_TID_BASE + index, f"P{index} requests"))
             drawn.extend(map(_draw, lane))
         events.extend(
@@ -166,14 +158,14 @@ def chrome_trace_events(
             for tid, name in threads
         )
     events.extend(drawn)
-    for flow_id, (snd, rcv) in enumerate(match_messages(trace)):
-        common = {"name": "msg", "cat": "msg", "pid": 0, "id": flow_id}
+    for flow_id, (snd, rcv) in enumerate(pairs):
         events.append(
-            {**common, "ph": "s", "ts": snd.end * TIME_SCALE, "tid": _tid(snd)}
+            {"name": "msg", "cat": "msg", "pid": 0, "id": flow_id, "ph": "s",
+             "ts": snd.end * TIME_SCALE, "tid": _tid(snd)}
         )
         events.append(
-            {**common, "ph": "f", "bp": "e", "ts": rcv.start * TIME_SCALE,
-             "tid": rcv.rank}
+            {"name": "msg", "cat": "msg", "pid": 0, "id": flow_id, "ph": "f",
+             "bp": "e", "ts": rcv.start * TIME_SCALE, "tid": rcv.rank}
         )
     return events
 
@@ -267,8 +259,12 @@ def chrome_trace_json(
     the last compiler span to the first simulated event — the
     one-id-links-everything story of docs/OBSERVABILITY.md, drawn.
     """
-    events = chrome_trace_events(
-        [*trace, spans] if spans else trace, process_name=process_name
+    # The arrows come from the rank lanes' own index, so a run's
+    # export shares its matching pass with the other consumers even
+    # when a compiler lane rides along.
+    events = _lane_events(
+        [*trace, spans] if spans else trace, trace_index(trace).pairs,
+        process_name,
     )
     if sparse:
         events.extend(sparse_lane_events(sparse))

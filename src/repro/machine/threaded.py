@@ -49,7 +49,7 @@ from repro.machine.forensics import RECENT_EVENTS, DeadlockReport, build_report
 from repro.machine.metrics import Metrics
 from repro.machine.model import MachineModel
 from repro.machine.topology import Topology
-from repro.machine.trace import TraceLane
+from repro.machine.trace import Trace, TraceLane
 
 
 class ThreadedEngine:
@@ -76,7 +76,7 @@ class ThreadedEngine:
         self.message_count = 0
         self.message_words = 0
         self._tracing = trace
-        self.trace: list[TraceLane] = [TraceLane() for _ in range(topology.size)]
+        self.trace = Trace(TraceLane() for _ in range(topology.size))
         self.metrics = Metrics(topology.size, threadsafe=True)
         self.fault_plan = faults
         self.faults: FaultState | None = None
@@ -105,7 +105,7 @@ class ThreadedEngine:
         self._deadlocked = False
         self.message_count = 0
         self.message_words = 0
-        self.trace = [TraceLane() for _ in self.procs]
+        self.trace = Trace(TraceLane() for _ in self.procs)
         self.metrics = Metrics(self.topology.size, threadsafe=True)
         self.faults = (
             FaultState(self.fault_plan) if self.fault_plan is not None else None

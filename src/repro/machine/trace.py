@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from array import array
+from operator import attrgetter
+from typing import Any, NamedTuple
+
+from repro.errors import TraceError
 
 #: Event kinds in glyph-priority order (highest first): when two events
 #: share a gantt cell, the earlier kind in this tuple wins.  ``fault``
@@ -12,8 +15,7 @@ from typing import Any
 KINDS = ("fault", "compute", "delay", "send", "isend", "recv", "irecv", "wait")
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One timed event on one lane — the repo's only event record.
 
     ``lane`` is ``"rank"`` for simulated events: ``rank`` is the
@@ -33,6 +35,14 @@ class TraceEvent:
     seconds since the recorder epoch.  ``run`` is the correlation id
     (:class:`~repro.obs.context.TraceContext`) the event was recorded
     under, empty outside any context.
+
+    The record is a named tuple — immutable, hashable, compared by
+    value — because a traced run builds tens of thousands of them:
+    :class:`TraceLane` makes one from the row the engine appended
+    (``TraceEvent._make``, a quarter of a microsecond) where a frozen
+    dataclass ``__init__`` paid one ``object.__setattr__`` per field.
+    Read it through the field names; that it also unpacks and indexes
+    like a tuple is not part of the contract.
     """
 
     rank: int
@@ -101,15 +111,15 @@ class TraceLane:
     """One rank's event lane with lazily materialized :class:`TraceEvent`\\ s.
 
     The engine's hot path appends raw tuples (the first nine
-    ``TraceEvent`` constructor arguments, in field order) — a tuple
-    append instead of a dataclass allocation per recorded event, which
-    is what makes tracing affordable at N=1024+.  Consumers see a normal
-    read-only sequence of ``TraceEvent`` objects: events are built on
-    first access, stamped with the lane's ``run`` id (set by the engine
-    when the run finishes) and cached, so repeated iteration returns the
-    *same* objects — the critical-path walker keys its maps by
-    ``id(event)``, and :class:`repro.obs.TraceStore` holds these very
-    objects rather than copies.
+    ``TraceEvent`` fields, in field order) — a tuple append instead of a
+    record allocation per recorded event, which is what makes tracing
+    affordable at N=1024+.  Consumers see a normal read-only sequence of
+    ``TraceEvent`` objects: events are built on first access — the row
+    plus ``("rank", run)``, the lane's ``run`` id being set by the engine
+    when the run finishes — and cached, so repeated iteration returns
+    the *same* objects and :class:`repro.obs.TraceStore` holds these
+    very objects rather than copies.  Lanes only ever grow, in simulated
+    time order (see :class:`TraceIndex`).
     """
 
     __slots__ = ("_raw", "_cache", "run")
@@ -120,24 +130,26 @@ class TraceLane:
         self.run = ""
 
     def append_raw(self, row: tuple) -> None:
-        """Record one event as its constructor-argument tuple (hot path)."""
+        """Record one event as its leading-fields tuple (hot path)."""
         self._raw.append(row)
 
     def _materialize(self) -> list[TraceEvent]:
-        cache = self._cache
         raw = self._raw
-        if len(cache) < len(raw):
-            run = self.run
-            cache.extend(
-                TraceEvent(*row, "rank", run) for row in raw[len(cache):]
-            )
-        return cache
+        if raw:
+            make = TraceEvent._make
+            tail = ("rank", self.run)
+            built = [make(row + tail) for row in raw]
+            self._cache.extend(built)
+            # The event holds everything its row did: the rows go, so a
+            # lane never keeps two copies of what it recorded.
+            del raw[:len(built)]
+        return self._cache
 
     def __len__(self) -> int:
-        return len(self._raw)
+        return len(self._cache) + len(self._raw)
 
     def __bool__(self) -> bool:
-        return bool(self._raw)
+        return bool(self._cache or self._raw)
 
     def __iter__(self):
         return iter(self._materialize())
@@ -156,23 +168,218 @@ class TraceLane:
         return f"TraceLane({self._materialize()!r})"
 
 
+class TraceIndex:
+    """What every consumer of a trace needs, from one pass over its lanes.
+
+    ``ends[r]``
+        Lane *r*'s end times, by position.  A rank's lane is recorded in
+        simulated-time order — every event starts at or after the end of
+        the one before it, zero-duration markers included (the engine
+        records a send before dispatching it for exactly that reason) —
+        so start and end times never decrease along a lane, and the
+        events overlapping a time window are one contiguous run, found
+        by bisecting this array.  The pass checks
+        the end times and raises :class:`~repro.errors.TraceError` for a
+        rank lane that is out of order (lanes of several runs glued
+        together, typically).
+    ``pairs``
+        The delivered messages as ``(send, recv)`` event pairs in
+        ``(send.start, send.rank)`` order — what
+        :func:`repro.machine.export.match_messages` returns and the
+        Chrome exporter numbers its flow arrows by.
+    :meth:`send_of`
+        Position ``(rank, i)`` of a matched ``recv`` -> position of its
+        send, so the critical-path walk crosses lanes without a map
+        over every event.
+    ``makespan`` / ``last``
+        The latest end time, and the position of the event that reaches
+        it (lowest rank, first on its lane; ``None`` for an empty trace).
+
+    An index describes the lanes as they were when it was built;
+    ``events`` is their total length then (see :func:`trace_index`).
+    It holds positions and the pairs, never a second copy of the events.
+    """
+
+    __slots__ = ("events", "ends", "pairs", "makespan", "last", "_senders", "_stride")
+
+    def __init__(self, trace) -> None:
+        lanes = [list(lane) for lane in trace]
+        self.events = sum(map(len, lanes))
+        self.ends: list[list[float]] = []
+        self.makespan = 0.0
+        self.last: tuple[int, int] | None = None
+        best = None
+        for r, lane in enumerate(lanes):
+            ends = [e.end for e in lane]
+            self.ends.append(ends)
+            if not ends:
+                continue
+            if lane[0].lane == "rank" and ends != sorted(ends):
+                raise TraceError(
+                    f"lane {r} is not in simulated-time order (end times "
+                    f"decrease along it); analyse one run at a time"
+                )
+            top = max(ends)
+            i = ends.index(top)
+            key = (top, -lane[i].rank)
+            if best is None or key > best:
+                best, self.last = key, (r, i)
+        if best is not None:
+            self.makespan = best[0]
+        self._stride = max(map(len, lanes), default=0) + 1
+        self.pairs, self._senders = _fifo_pairs(lanes, self._stride)
+
+    def send_of(self, rank: int, i: int) -> tuple[int, int] | None:
+        """Position of the send matched to the ``recv`` at ``(rank, i)``."""
+        at = self._senders[rank * self._stride + i]
+        return None if at < 0 else divmod(at, self._stride)
+
+
+_START = attrgetter("start")
+_RANK = attrgetter("rank")
+
+
+def _fifo_pairs(lanes: list[list[TraceEvent]], stride: int):
+    """Pair each delivered ``recv`` with its ``send``; see ``match_messages``.
+
+    Positions are flat: ``rank * stride + i``.  Returns the ``(send,
+    recv)`` event pairs in ``(send.start, send.rank)`` order, and an
+    array holding at each matched recv's position its send's position
+    (-1 elsewhere).
+    """
+    sends: dict[tuple, list[int]] = {}
+    recvs: dict[tuple, list[int]] = {}
+    for r, lane in enumerate(lanes):
+        base = r * stride
+        sent = None  # the send whose trailing fault markers we are reading
+        for at, e in enumerate(lane, base):
+            kind = e.kind
+            if kind == "recv":
+                sent = None
+                channel = (e.peer, e.rank, e.tag)
+                arrived = recvs.get(channel)
+                if arrived is None:
+                    recvs[channel] = [at]
+                else:
+                    arrived.append(at)
+            elif kind == "send" or kind == "isend":
+                sent, sent_at = e, at
+                channel = (e.rank, e.peer, e.tag)
+                copies = sends.get(channel)
+                if copies is None:
+                    copies = sends[channel] = [at]
+                else:
+                    copies.append(at)
+            elif kind != "fault":
+                sent = None
+            elif (
+                sent is not None
+                and e.start == sent.end
+                and e.peer == sent.peer
+                and e.tag == sent.tag
+            ):
+                if e.detail == "duplicate":
+                    copies.append(sent_at)
+                elif e.detail in ("drop", "dup-suppressed"):
+                    copies.pop()
+    send_at: list[int] = []
+    recv_at: list[int] = []
+    for channel, arrived in recvs.items():
+        copies = sends.get(channel)
+        if copies:
+            n = min(len(copies), len(arrived))
+            send_at += copies[:n]
+            recv_at += arrived[:n]
+    senders = array("q", [-1]) * (stride * len(lanes))
+    for at, sent_at in zip(recv_at, send_at):
+        senders[at] = sent_at
+    snds = [lanes[at // stride][at % stride] for at in send_at]
+    rcvs = [lanes[at // stride][at % stride] for at in recv_at]
+    # Stable sort by (send.start, send.rank), keys built without a call
+    # per pair.
+    keys = list(zip(map(_START, snds), map(_RANK, snds)))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [(snds[k], rcvs[k]) for k in order], senders
+
+
+class Trace(list):
+    """The per-rank lanes of one traced run — ``RunResult.trace``.
+
+    A plain list of :class:`TraceLane` to every reader; it also owns the
+    run's :class:`TraceIndex`, so the exporter, the critical-path walker
+    and the store-based diagnostics of one run share one matching pass
+    (:func:`trace_index`).
+    """
+
+    __slots__ = ("_index",)
+
+    def __init__(self, lanes=()) -> None:
+        super().__init__(lanes)
+        self._index: TraceIndex | None = None
+
+
+def trace_index(trace) -> TraceIndex:
+    """The :class:`TraceIndex` of *trace*.
+
+    An engine-returned :class:`Trace` keeps its index: lanes are
+    append-only and final once the run has been packaged, so an index is
+    current exactly when it covers as many events as the lanes hold now,
+    and a consumer reads the index the previous consumer built.  Any
+    other list of lanes is indexed afresh on every call.
+    """
+    if not isinstance(trace, Trace):
+        return TraceIndex(trace)
+    index = trace._index
+    if index is None or index.events != sum(map(len, trace)):
+        index = trace._index = TraceIndex(trace)
+    return index
+
+
 def nesting_depths(events: list[TraceEvent]) -> list[int]:
     """Nesting depth of each event of one wall-clock lane, by containment.
 
     An event is nested in every ``span`` whose interval contains its
-    own.  *events* are in recording order — a span is recorded as it
-    closes, so a parent follows its children — and that order settles
-    the one tie time cannot: of two events ending together the
-    later-recorded one is the container.
+    own: ``span.start <= start`` and ``span.end >= end``.  *events* are
+    in recording order — a span is recorded as it closes, so a parent
+    follows its children — and that order settles the one tie time
+    cannot: of two events ending together the later-recorded one is the
+    container.  Containers are therefore the spans ranked above the
+    event by ``(end, position)`` among those starting no later, counted
+    in one sweep over the events in start order with a Fenwick tree over
+    the ranks — O(n log n) for any set of intervals, grafted worker
+    spans (recorded in start order, not as they close) included.
     """
-    spans = [(j, s) for j, s in enumerate(events) if s.kind == "span"]
-    return [
-        sum(
-            s.start <= e.start and (s.end > e.end or (s.end == e.end and j > i))
-            for j, s in spans
-        )
-        for i, e in enumerate(events)
-    ]
+    n = len(events)
+    by_end = sorted(range(n), key=lambda i: (events[i].end, i))
+    rank_of = [0] * n
+    for rank, i in enumerate(by_end):
+        rank_of[i] = rank
+    tree = [0] * (n + 1)  # spans seen so far, by rank
+    seen = 0
+    depths = [0] * n
+    by_start = sorted(range(n), key=lambda i: events[i].start)
+    lo = 0
+    while lo < n:
+        start = events[by_start[lo]].start
+        hi = lo
+        while hi < n and events[by_start[hi]].start == start:
+            i = by_start[hi]
+            hi += 1
+            if events[i].kind == "span":
+                seen += 1
+                k = rank_of[i] + 1
+                while k <= n:
+                    tree[k] += 1
+                    k += k & -k
+        for i in by_start[lo:hi]:
+            k = rank_of[i] + 1  # spans ranked at or below the event itself
+            below = 0
+            while k:
+                below += tree[k]
+                k -= k & -k
+            depths[i] = seen - below
+        lo = hi
+    return depths
 
 
 def busy_time(events: list[TraceEvent], kinds: tuple[str, ...] = ("compute",)) -> float:

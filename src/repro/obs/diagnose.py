@@ -23,12 +23,14 @@ deterministic and test-assertable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.costmodel.bands import SlackBand, get_band
 from repro.errors import TraceError
 from repro.machine.critpath import critical_path
+from repro.machine.trace import trace_index
 from repro.util.tables import Table
 
 _EPS = 1e-9
@@ -126,6 +128,32 @@ class WaitAttributionReport:
         }
 
 
+def _runs_in(store, lanes) -> list[str]:
+    """Ids of the runs *lanes* mix, in :meth:`TraceStore.runs` order."""
+    runs = {e.run for lane in lanes for e in lane}
+    if len(runs) <= 1:
+        return list(runs)
+    return [r for r in store.runs() if r in runs]
+
+
+def _lanes_per_run(store, run: str | None) -> list[list[list]]:
+    """The rank lanes to analyse, one set of lanes per run.
+
+    The analyses read lanes in simulated-time order, and every run
+    starts its own clock at zero: several runs glued into the same
+    lanes would be out of order and would have one run's waits judged
+    against another's senders.  So with no *run* asked for, each run the
+    store holds is analysed on its own.
+    """
+    if run is not None:
+        return [store.rank_lanes(run=run)]
+    lanes = store.rank_lanes()
+    runs = _runs_in(store, lanes)
+    if len(runs) <= 1:
+        return [lanes]
+    return [store.rank_lanes(run=r) for r in runs]
+
+
 def attribute_waits(store, run: str | None = None) -> WaitAttributionReport:
     """Name the cause of every blocked-wait interval in *store*.
 
@@ -138,8 +166,19 @@ def attribute_waits(store, run: str | None = None) -> WaitAttributionReport:
     ``sender-blocked`` when it was stuck communicating or waiting on its
     own peers.  Faults are consumed per channel so one injected fault
     never explains two different idle intervals.
+
+    A store holding several runs is attributed run by run (waits in
+    :meth:`TraceStore.runs` order) unless *run* picks one.
     """
-    lanes = store.rank_lanes(run=run)
+    attributions: list[WaitAttribution] = []
+    for lanes in _lanes_per_run(store, run):
+        attributions.extend(_attribute_run(lanes))
+    return WaitAttributionReport(attributions=attributions)
+
+
+def _attribute_run(lanes) -> list[WaitAttribution]:
+    ends = trace_index(lanes).ends
+    lanes = [list(lane) for lane in lanes]
     channel_faults: dict[tuple[int, int, int], list] = {}
     crash_at: dict[int, float] = {}
     for lane in lanes:
@@ -161,11 +200,11 @@ def attribute_waits(store, run: str | None = None) -> WaitAttributionReport:
     attributions: list[WaitAttribution] = []
     for lane in lanes:
         for i, w in enumerate(lane):
-            if w.kind != "wait" or w.duration <= 0:
+            if w.kind != "wait" or w.end - w.start <= 0:
                 continue
             nxt = lane[i + 1] if i + 1 < len(lane) else None
             cause, culprit = _classify_wait(
-                w, nxt, lanes, channel_faults, consumed, crash_at
+                w, nxt, lanes, ends, channel_faults, consumed, crash_at
             )
             attributions.append(
                 WaitAttribution(
@@ -173,10 +212,10 @@ def attribute_waits(store, run: str | None = None) -> WaitAttributionReport:
                     start=w.start, end=w.end, cause=cause, culprit=culprit,
                 )
             )
-    return WaitAttributionReport(attributions=attributions)
+    return attributions
 
 
-def _classify_wait(w, nxt, lanes, channel_faults, consumed, crash_at):
+def _classify_wait(w, nxt, lanes, ends, channel_faults, consumed, crash_at):
     culprit = f"P{w.peer}" if w.peer is not None else ""
     # 1. Deadline kill: the engine records the timeout marker right
     #    after the wait it ended, on the waiter's own lane.
@@ -210,18 +249,22 @@ def _classify_wait(w, nxt, lanes, channel_faults, consumed, crash_at):
         for detail in _DATA_FAULTS:
             if detail in hit:
                 return f"fault:{detail}", culprit
-    # 4. The sender itself: what was it doing while we idled?
-    busy = blocked = False
-    for e in lanes[w.peer]:
-        if e.end <= w.start + _EPS or e.start >= w.end - _EPS:
-            continue
-        if e.kind in ("compute", "delay"):
-            busy = True
+    # 4. The sender itself: what was it doing while we idled?  Its lane
+    #    is in time order, so the events overlapping the idle interval
+    #    are one run of it, from the first that ends after the wait began
+    #    (found in the index's end times) to the first that starts after
+    #    it was over.
+    blocked = False
+    sender = lanes[w.peer]
+    until = w.end - _EPS
+    for j in range(bisect_right(ends[w.peer], w.start + _EPS), len(sender)):
+        e = sender[j]
+        if e.start >= until:
             break
+        if e.kind in ("compute", "delay"):
+            return "straggler", culprit
         if e.kind in ("send", "isend", "recv", "wait"):
             blocked = True
-    if busy:
-        return "straggler", culprit
     if blocked:
         return "sender-blocked", culprit
     return "unattributed", ""
@@ -294,23 +337,34 @@ def load_imbalance(store, run: str | None = None) -> ImbalanceReport:
     The first entry aggregates all compute/delay time; one entry follows
     per collective scope that recorded compute (sorted by scope name).
     ``delay`` counts as compute — a fault-slowed rank shows up as the
-    offender, which is exactly the point.
+    offender, which is exactly the point.  A store holding several runs
+    reports that block once per run that computed anything, in
+    :meth:`TraceStore.runs` order, unless *run* picks one.
     """
     nprocs = store.nprocs
-    overall = {r: 0.0 for r in range(nprocs)}
-    by_scope: dict[str, dict[int, float]] = {}
+    by_run: dict[str, dict[str, dict[int, float]]] = {}
+    by_scope = None
     for e in store.query(lane="rank", kind=("compute", "delay"), run=run):
-        overall[e.rank] += e.duration
+        if by_scope is None or e.run != run_id:
+            run_id = e.run
+            by_scope = by_run.setdefault(run_id, {"": {r: 0.0 for r in range(nprocs)}})
+            overall = by_scope[""]
+        seconds = e.end - e.start
+        overall[e.rank] += seconds
         if e.scope:
             per = by_scope.setdefault(e.scope, {r: 0.0 for r in range(nprocs)})
-            per[e.rank] += e.duration
+            per[e.rank] += seconds
 
     def entry(scope: str, per: dict[int, float]) -> ImbalanceEntry:
         offender = max(per, key=lambda r: (per[r], -r), default=0)
         return ImbalanceEntry(scope=scope, per_rank=per, offender=offender)
 
-    entries = [entry("", overall)]
-    entries.extend(entry(s, by_scope[s]) for s in sorted(by_scope))
+    if not by_run:
+        by_run[""] = {"": {r: 0.0 for r in range(nprocs)}}
+    runs = by_run if len(by_run) == 1 else [r for r in store.runs() if r in by_run]
+    entries = [
+        entry(scope, by_run[r][scope]) for r in runs for scope in sorted(by_run[r])
+    ]
     return ImbalanceReport(entries=entries)
 
 
@@ -404,16 +458,31 @@ class PathDiff:
         }
 
 
+def _one_run_lanes(trace):
+    """*trace* as lanes: itself, or a single-run store's rank lanes."""
+    if not hasattr(trace, "rank_lanes"):
+        return trace
+    lanes = trace.rank_lanes()
+    runs = _runs_in(trace, lanes)
+    if len(runs) > 1:
+        raise TraceError(
+            f"critical_path_diff needs one run per store, this one holds "
+            f"{len(runs)}: {', '.join(map(repr, runs))}; pass "
+            f"store.rank_lanes(run=...)"
+        )
+    return lanes
+
+
 def critical_path_diff(
     trace_a, trace_b, label_a: str = "a", label_b: str = "b"
 ) -> PathDiff:
-    """Diff the critical paths of two traced runs (lane lists or stores)."""
-    if hasattr(trace_a, "rank_lanes"):
-        trace_a = trace_a.rank_lanes()
-    if hasattr(trace_b, "rank_lanes"):
-        trace_b = trace_b.rank_lanes()
-    pa = critical_path(trace_a)
-    pb = critical_path(trace_b)
+    """Diff the critical paths of two traced runs (lane lists or stores).
+
+    A store must hold one run: a critical path belongs to a run, and
+    lanes of several runs glued together have none.
+    """
+    pa = critical_path(_one_run_lanes(trace_a))
+    pb = critical_path(_one_run_lanes(trace_b))
     return PathDiff(
         label_a=label_a, label_b=label_b,
         makespan_a=pa.makespan, makespan_b=pb.makespan,

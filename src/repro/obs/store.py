@@ -45,12 +45,17 @@ class TraceStore:
     def __init__(self, nprocs: int = 0) -> None:
         self.events: list[TraceEvent] = []
         self.nprocs = nprocs
+        # The ingested trace while it is the only source of rank events
+        # (None: none yet; False: several sources), see rank_lanes.
+        self._sole = None
 
     # -- ingestion -------------------------------------------------------
     def add(self, event: TraceEvent) -> None:
         self.events.append(event)
-        if event.lane == "rank" and event.rank >= self.nprocs:
-            self.nprocs = event.rank + 1
+        if event.lane == "rank":
+            self._sole = False
+            if event.rank >= self.nprocs:
+                self.nprocs = event.rank + 1
 
     def add_trace(self, trace) -> None:
         """Ingest simulator lanes (``RunResult.trace``), preserving
@@ -58,6 +63,7 @@ class TraceStore:
         for lane in trace:
             self.events.extend(lane)
         self.nprocs = max(self.nprocs, len(trace))
+        self._sole = trace if self._sole is None else False
 
     def add_spans(self, spans) -> None:
         """Ingest compiler wall-clock spans (``SpanRecorder.spans``)."""
@@ -97,37 +103,43 @@ class TraceStore:
         ``[t0, t1)`` using :meth:`TraceEvent.overlaps`.  Events come back
         in insertion order (per-rank program order for rank lanes).
         """
-        kinds = (kind,) if isinstance(kind, str) else kind
-        out = []
-        for e in self.events:
-            if lane is not None and e.lane != lane:
-                continue
-            if rank is not None and e.rank != rank:
-                continue
-            if kinds is not None and e.kind not in kinds:
-                continue
-            if peer is not None and e.peer != peer:
-                continue
-            if tag is not None and e.tag != tag:
-                continue
-            if scope is not None and not _scope_matches(e.scope, scope):
-                continue
-            if detail is not None and e.detail != detail:
-                continue
-            if run is not None and e.run != run:
-                continue
-            if between is not None and not e.overlaps(*between):
-                continue
-            out.append(e)
-        return out
+        # One pass per criterion actually given, most selective first.
+        out = self.events
+        if kind is not None:
+            kinds = (kind,) if isinstance(kind, str) else kind
+            out = [e for e in out if e.kind in kinds]
+        if rank is not None:
+            out = [e for e in out if e.rank == rank]
+        if peer is not None:
+            out = [e for e in out if e.peer == peer]
+        if tag is not None:
+            out = [e for e in out if e.tag == tag]
+        if detail is not None:
+            out = [e for e in out if e.detail == detail]
+        if scope is not None:
+            out = [e for e in out if _scope_matches(e.scope, scope)]
+        if run is not None:
+            out = [e for e in out if e.run == run]
+        if lane is not None:
+            out = [e for e in out if e.lane == lane]
+        if between is not None:
+            out = [e for e in out if e.overlaps(*between)]
+        return out if out is not self.events else list(out)
 
     def rank_lanes(self, run: str | None = None) -> list[list[TraceEvent]]:
         """The stored rank events grouped back into per-rank lanes.
 
         The inverse of :meth:`add_trace`, insertion order preserved —
         diagnostics reuse the lane-shaped analyses (critical path,
-        message matching) on stored events.
+        message matching) on stored events.  A store whose rank events
+        all came from one ``add_trace`` hands that trace itself back
+        (read-only, like the lanes), so the analyses of a run read the
+        index its ``RunResult.trace`` already owns.  Lanes of several
+        runs glued together (``run=None`` on a multi-run store) are not
+        in time order; the analyses take one run at a time.
         """
+        if run is None and self._sole and len(self._sole) == self.nprocs:
+            return self._sole
         lanes: list[list[TraceEvent]] = [[] for _ in range(self.nprocs)]
         for e in self.events:
             if e.lane == "rank" and (run is None or e.run == run):

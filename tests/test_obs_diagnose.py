@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.costmodel.bands import get_band
-from repro.errors import ReproError
+from repro.errors import ReproError, TraceError
 from repro.kernels import (
     heat_stencil_blocking,
     heat_stencil_overlap,
@@ -27,8 +27,9 @@ from repro.kernels import (
 )
 from repro.machine import MachineModel, Ring, critical_path, match_messages, run_spmd
 from repro.machine.faults import FaultPlan
-from repro.machine.trace import TraceEvent
+from repro.machine.trace import TraceEvent, nesting_depths
 from repro.obs import (
+    TraceContext,
     TraceStore,
     attribute_waits,
     critical_path_diff,
@@ -372,3 +373,141 @@ class TestSyntheticAttribution:
         ])
         (a,) = attribute_waits(s).attributions
         assert a.cause == "timeout"
+
+
+# -- one store, several runs (ISSUE 15) --------------------------------------
+
+
+def _run_a(p):
+    """Rank 0 computes, then feeds rank 1."""
+    if p.rank == 0:
+        p.compute(1000)
+        p.send(1, [1.0])
+    elif p.rank == 1:
+        yield from p.recv(0)
+
+
+def _run_b(p):
+    """Rank 0 is itself stuck on rank 2 before it can feed rank 1."""
+    if p.rank == 2:
+        p.delay(1000)
+        p.send(0, [1.0])
+    elif p.rank == 0:
+        yield from p.recv(2)
+        p.send(1, [1.0])
+    else:
+        yield from p.recv(0)
+
+
+class TestSeveralRunsInOneStore:
+    """Every run starts its clock at zero, so lanes of two runs glued
+    together judged B's waits against A's senders."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        out = []
+        for run_id, prog in (("run-a", _run_a), ("run-b", _run_b)):
+            with tracing_context(TraceContext(run_id=run_id)):
+                out.append(run_spmd(prog, Ring(3), MachineModel(tf=1, tc=1), trace=True))
+        return out
+
+    @staticmethod
+    def _both(runs):
+        store = TraceStore()
+        for res in runs:
+            store.add_trace(res.trace)
+        assert store.runs() == ["run-a", "run-b"]
+        return store
+
+    @staticmethod
+    def _cause(report, rank, peer):
+        (a,) = [a for a in report.attributions if (a.rank, a.peer) == (rank, peer)
+                and a.start == 0.0 and a.end >= 1000.0]
+        return a.cause
+
+    def test_a_wait_is_judged_against_its_own_runs_sender(self, runs):
+        alone = attribute_waits(TraceStore.from_run(runs[1]))
+        assert self._cause(alone, 1, 0) == "sender-blocked"
+        assert self._cause(alone, 0, 2) == "straggler"
+        mixed = attribute_waits(self._both(runs))  # used to say "straggler"
+        b_waits = [a for a in mixed.attributions if a in alone.attributions]
+        assert b_waits == alone.attributions
+
+    def test_each_run_is_reported_in_runs_order(self, runs):
+        store = self._both(runs)
+        apart = [attribute_waits(TraceStore.from_run(r)).attributions for r in runs]
+        assert attribute_waits(store).attributions == apart[0] + apart[1]
+        assert attribute_waits(store, run="run-b").attributions == apart[1]
+        entries = [load_imbalance(TraceStore.from_run(r)).entries for r in runs]
+        assert load_imbalance(store).entries == entries[0] + entries[1]
+        assert load_imbalance(store, run="run-a").entries == entries[0]
+        # rank 0 paces run A, rank 2 run B: one offender each, not a blend
+        assert [e.offender for e in load_imbalance(store).entries] == [0, 2]
+
+    def test_critical_path_diff_refuses_a_store_of_several_runs(self, runs):
+        with pytest.raises(TraceError, match="'run-a', 'run-b'"):
+            critical_path_diff(self._both(runs), TraceStore.from_run(runs[0]))
+        diff = critical_path_diff(
+            self._both(runs).rank_lanes(run="run-a"), TraceStore.from_run(runs[1])
+        )
+        assert (diff.makespan_a, diff.makespan_b) == (runs[0].makespan, runs[1].makespan)
+
+
+# -- scaling guard (ISSUE 15) ------------------------------------------------
+
+
+def _ping_pong_lanes(rounds: int):
+    """Two ranks trading messages: rank 1 blocks on every one."""
+    lanes = [[], []]
+    t = 0.0
+    for _ in range(rounds):
+        lanes[0].append(TraceEvent(0, "compute", t, t + 4.0))
+        lanes[0].append(TraceEvent(0, "send", t + 4.0, t + 5.0, peer=1, words=1))
+        lanes[1].append(TraceEvent(1, "wait", t, t + 5.0, peer=0))
+        lanes[1].append(TraceEvent(1, "recv", t + 5.0, t + 6.0, peer=0, words=1))
+        lanes[1].append(TraceEvent(1, "send", t + 6.0, t + 7.0, peer=0, words=1))
+        lanes[0].append(TraceEvent(0, "wait", t + 5.0, t + 7.0, peer=1))
+        lanes[0].append(TraceEvent(0, "recv", t + 7.0, t + 8.0, peer=1, words=1))
+        t += 8.0
+    return lanes
+
+
+def _nested_spans(n: int):
+    """Recording (close) order: runs of siblings under ever wider parents."""
+    spans, t = [], 0.0
+    for k in range(n):
+        spans.append(TraceEvent(-1, "span", t, t + 1.0, detail="leaf", lane="compiler"))
+        t += 1.0
+        if k % 8 == 7:
+            spans.append(TraceEvent(-1, "span", t - 8.0, t, detail="parent", lane="compiler"))
+    spans.append(TraceEvent(-1, "span", 0.0, t, detail="root", lane="compiler"))
+    return spans
+
+
+def _store_of(lanes):
+    store = TraceStore()
+    store.add_trace(lanes)
+    return store
+
+
+@pytest.mark.parametrize("build, analyse", [
+    pytest.param(lambda n: _store_of(_ping_pong_lanes(n)), attribute_waits,
+                 id="attribute_waits"),
+    pytest.param(_ping_pong_lanes, critical_path, id="critical_path"),
+    pytest.param(lambda n: _nested_spans(7 * n), nesting_depths, id="nesting_depths"),
+])
+def test_trace_analyses_scale_linearly(build, analyse):
+    """4x the events may cost at most 8x the time (a quadratic pass reads 16x)."""
+    import time
+
+    def cost(n):
+        data = build(n)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            analyse(data)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    small, large = cost(600), cost(2400)
+    assert large <= 8 * small, f"{small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"

@@ -1,4 +1,5 @@
-"""Source-sweep guards: dead package exports (ISSUE 9) and kernel twins (ISSUE 14).
+"""Source-sweep guards: dead package exports (ISSUE 9), kernel twins (ISSUE 14)
+and the one FIFO pairing pass (ISSUE 15).
 
 The PR 7 shim check keeps removed names out; this is the dual — every
 *public* top-level class and function defined in a ``distribution`` or
@@ -136,3 +137,27 @@ def test_stencil_helper_is_defined_once(helper):
         if isinstance(node, ast.FunctionDef) and node.name == helper
     ]
     assert homes == ["stencil.py"]
+
+
+# -- one trace index (ISSUE 15) ---------------------------------------------
+# The FIFO (send, recv) pairing is computed by the trace's index and read
+# from there by the exporter, the critical-path walker and the
+# diagnostics; a second call site would be a consumer matching for itself.
+
+
+def test_fifo_pairing_loop_has_one_caller_in_src():
+    callers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Name, ast.Attribute))
+        and getattr(node.func, "id", getattr(node.func, "attr", "")) == "_fifo_pairs"
+    ]
+    assert len(callers) == 1 and callers[0].startswith("machine/trace.py:"), callers
+
+
+def test_match_messages_only_reads_the_index():
+    tree = ast.parse((SRC / "machine" / "export.py").read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "match_messages"]
+    assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(fn))
