@@ -30,7 +30,7 @@ Migration from the pre-service API
 ==================================  =========================================
 old name                            new name
 ==================================  =========================================
-``repro.api.compile``               :func:`compile_program` (alias warns)
+``repro.api.compile``               :func:`compile_program` (alias removed)
 ``repro.compile``                   :func:`repro.compile_program`
 ``repro.compile_and_run``           :func:`repro.api.compile_and_run`
 ``repro.solve_program_distribution``:meth:`Plan.solve` /
@@ -46,8 +46,6 @@ docs/API.md walks through each row.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.lang.ast import Program
 from repro.machine.engine import RunResult
@@ -90,7 +88,6 @@ __all__ = [
     "lower",
     "register_guest",
     "available_guests",
-    "compile",
 ]
 
 
@@ -105,18 +102,6 @@ def compile_program(
     from repro.service.plan import compile_plan
 
     return compile_plan(lower(source, guest), strategy=strategy)
-
-
-def compile(source: Program | str, strategy: str | None = None) -> Plan:
-    """Deprecated alias of :func:`compile_program` (it shadowed the
-    :func:`python:compile` builtin); will be removed next release."""
-    warnings.warn(
-        "repro.api.compile is deprecated (it shadows the compile builtin); "
-        "use repro.api.compile_program",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return compile_program(source, strategy=strategy)
 
 
 class Session:

@@ -4,7 +4,26 @@
 pickled compile artifact.  Values are stored *as pickle bytes* in both
 tiers — every ``get`` deserializes a fresh object, so cached plans are
 bit-identical to (and isolated from) what was ``put``, and the warm
-path pays exactly one ``pickle.loads``.
+path decodes only what its caller reads.
+
+**Entry layout.**  An entry is the :data:`_LAYOUT` tag, then an *eager
+head*, then — for values that opt in — a *deferred rest*, both written
+by one ``pickle.Pickler`` (two ``dump()`` calls share one memo, so an
+object referenced from both sections is one object again after
+decoding).  ``lookup`` decodes the head; the rest is decoded by the
+same ``Unpickler`` the first time the value asks for it.  A class opts
+in with a ``_cache_split()`` method returning ``(head, rest)`` and a
+``_cache_join(head, rest)`` classmethod taking the head and a zero-arg
+callable that yields the rest;
+:class:`~repro.service.plan.SolveOutcome` is the one that does (head
+``(result, validation)``, rest the :class:`~repro.dp.phases.PhaseTables`
+— 98 % of a solve entry, which a served hit never reads).  Every other
+value is all head.  Isolation and bit-identity are unchanged: each
+``get`` owns its decoder, and a looked-up value pickles to the bytes
+the cold value does, before and after the rest is touched.  The first
+touch from the *disk* tier decodes both sections before promotion, so a
+damaged or old-layout entry is caught at ``lookup``, never at attribute
+access.
 
 * **memory tier** — an ``OrderedDict`` LRU bounded by ``capacity``;
 * **disk tier** — one ``<digest>.pkl`` file per entry under
@@ -18,13 +37,14 @@ crashes mid-write (ISSUE 8):
   file, fsynced, then ``os.replace``d into place, so a crash mid-write
   can never leave a torn entry under the content address;
 * **checksum trailers** — each file ends in a 32-byte sha256 of the
-  pickle payload, verified on every disk read; a mismatched, truncated
-  or unpicklable entry is **quarantined** (moved to
-  ``disk_dir/quarantine/``) and served as a miss, never as garbage;
+  entry, verified on every disk read; a mismatched, truncated,
+  unpicklable or old-layout (untagged) entry is **quarantined** (moved
+  to ``disk_dir/quarantine/``) and served as a miss, never as garbage;
 * **advisory file locking** — disk reads take a shared ``flock`` and
   writes an exclusive one on ``disk_dir/.lock``, so any number of
   services and supervised worker processes share one cache directory
-  without corruption (no-op where ``fcntl`` is unavailable);
+  without corruption (no-op where ``fcntl`` is unavailable); promoting
+  a disk hit into memory is not a write and takes no exclusive lock;
 * **graceful degradation** — after ``disk_fault_limit`` *consecutive*
   ``OSError`` faults the disk tier is disabled and the cache continues
   memory-only (counted in ``CacheStats.disk_faults`` /
@@ -43,11 +63,13 @@ them from disk.
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 import os
 import pathlib
 import pickle
 import tempfile
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -105,6 +127,78 @@ class CacheStats:
             "disk_faults": self.disk_faults,
             "hit_rate": self.hit_rate,
         }
+
+
+#: Leading tag of every entry, naming the layout in the module
+#: docstring.  An entry without it (the pre-PR-16 bare pickle) is not
+#: decodable and quarantines like any other corrupt entry; the digests
+#: — and with them :data:`~repro.service.normalize.IR_SCHEMA` — stay put.
+_LAYOUT = b"repro-entry/2\n"
+
+
+class _Rest:
+    """The deferred section of a two-part entry: decoded on first call,
+    by the unpickler that decoded the head (its memo resolves what the
+    sections share)."""
+
+    __slots__ = ("blob", "head_end", "_unpickler", "_value", "_lock")
+
+    def __init__(self, blob: bytes, head_end: int, unpickler: pickle.Unpickler) -> None:
+        #: The entry this section is the tail of; ``blob[:head_end]`` is
+        #: tag + head.  Both are dropped once the rest is decoded.
+        self.blob: bytes | None = blob
+        self.head_end = head_end
+        self._unpickler: pickle.Unpickler | None = unpickler
+        self._lock = threading.Lock()
+
+    def __call__(self) -> object:
+        with self._lock:
+            if self._unpickler is not None:
+                self._value = self._unpickler.load()
+                self._unpickler = self.blob = None
+            return self._value
+
+
+def _encode(value: object) -> bytes:
+    """The one serialiser: tag, eager head, and the deferred rest of a
+    value that has one (see the module docstring)."""
+    buf = io.BytesIO()
+    buf.write(_LAYOUT)
+    pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+    split = getattr(value, "_cache_split", None)
+    if split is None:
+        pickler.dump((None, value))
+        return buf.getvalue()
+    head, rest = split()
+    pickler.dump((type(value), head))
+    if isinstance(rest, _Rest):
+        # A looked-up value whose rest nobody has read.  If its head
+        # still pickles to the bytes it was decoded from, the entry is
+        # unchanged (and the rest's memo references still resolve):
+        # hand the blob back without decoding anything.
+        blob = rest.blob
+        if blob is not None and buf.getvalue() == blob[: rest.head_end]:
+            return blob
+        rest = rest()
+    pickler.dump(rest)
+    return buf.getvalue()
+
+
+def _decode(blob: bytes, *, eager: bool = False) -> object:
+    """The one deserialiser; *eager* also decodes a deferred rest now
+    (the disk tier's first touch, which must surface damage here)."""
+    if not blob.startswith(_LAYOUT):
+        raise pickle.UnpicklingError("cache entry lacks the layout tag")
+    buf = io.BytesIO(blob)
+    buf.seek(len(_LAYOUT))
+    unpickler = pickle.Unpickler(buf)
+    cls, head = unpickler.load()
+    if cls is None:
+        return head
+    rest = _Rest(blob, buf.tell(), unpickler)
+    if eager:
+        rest()
+    return cls._cache_join(head, rest)
 
 
 def _seal(blob: bytes) -> bytes:
@@ -266,21 +360,21 @@ class PlanCache:
         if blob is not None:
             self._mem.move_to_end(key)
             self.stats.hits += 1
-            return pickle.loads(blob)
+            return _decode(blob)
         blob = self._disk_read(key)
         if blob is not None:
             try:
-                value = pickle.loads(blob)
+                value = _decode(blob, eager=True)
             except Exception:
                 # The checksum held but the payload predates the current
-                # pickle layout (or was poisoned before sealing) — same
+                # entry layout (or was poisoned before sealing) — same
                 # treatment: quarantine and recompile.
                 path = self._disk_path(key)
                 if path is not None:
                     self._quarantine(path)
                 self.stats.misses += 1
                 return _MISS
-            self._insert(key, blob)
+            self._promote(key, blob)
             self.stats.hits += 1
             self.stats.disk_hits += 1
             return value
@@ -299,20 +393,26 @@ class PlanCache:
 
     def put(self, key: str, value: object) -> None:
         self.stats.puts += 1
-        self._insert(key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        blob = _encode(value)
+        if self._promote(key, blob):
+            self._disk_write(key, blob)
 
-    def _insert(self, key: str, blob: bytes) -> None:
+    def _promote(self, key: str, blob: bytes) -> bool:
+        """Make *key* the most recent memory entry, spilling what that
+        evicts to disk; True when the key is new to the memory tier.
+        Writes nothing for *key* itself — a disk hit promoted through
+        here was just read from the file a write would target."""
         mem = self._mem
         if key in mem:
             mem.move_to_end(key)
             mem[key] = blob
-            return
+            return False
         mem[key] = blob
         while len(mem) > self.capacity:
             old_key, old_blob = mem.popitem(last=False)
             self.stats.evictions += 1
             self._disk_write(old_key, old_blob)
-        self._disk_write(key, blob)
+        return True
 
     # -- maintenance ----------------------------------------------------
     def __len__(self) -> int:

@@ -12,6 +12,17 @@ granularities:
 * the **solve key** (plan key + machine parameters + ``N`` + env)
   addresses the alignment/DP tables and Algorithm 1's chosen chain.
 
+Both keys are functions of the program's
+:class:`~repro.service.normalize.CanonicalForm` alone, and for ``str``
+sources the service keeps a **source-text memo** in front of the front
+ends: ``sha256(IR_SCHEMA, guest, text)`` → the form, an LRU bounded by
+``cache_capacity``.  A byte-identical resubmission that is also a plan
+hit therefore never parses; if its plan was evicted it is lowered and
+compiled as any miss.  Alpha-twins and whitespace variants miss the
+memo, take the full path and still hit the plan cache; non-``str``
+sources and ``cache="off"`` bypass it; a source that fails to lower is
+never memoised.
+
 Because keys are computed from the *canonicalized* IR, a cached plan
 compiled from one program serves every alpha-twin of it.  The cached
 artifact still speaks the first writer's names, so each hit carries a
@@ -26,7 +37,9 @@ across *different* programs whose segments coincide (see
 
 The job-queue runner (``submit``/``start``/``close``) services requests
 from worker threads; every request — queued or direct — is wrapped in a
-``service/request`` span on the compiler Perfetto lane.
+``service/request`` span on the compiler Perfetto lane, with
+``service/frontend`` (lower + canonicalize; absent when the memo served
+the form) and ``service/lookup`` (one per cache probe) inside it.
 
 With ``workers > 0`` the expensive phases (codegen, the Algorithm 1
 solve) additionally run on a **supervised process pool**
@@ -44,10 +57,12 @@ See docs/API.md §"Operating the service".
 from __future__ import annotations
 
 import contextvars
+import hashlib
 import logging
 import queue
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from repro.errors import (
@@ -61,7 +76,7 @@ from repro.machine.model import MachineModel
 from repro.obs.context import current_context, mint_context, tracing_context
 from repro.service.cache import _MISS, CacheStats, PlanCache, make_cache
 from repro.service.guests import lower
-from repro.service.normalize import canonicalize, program_digest, solve_digest
+from repro.service.normalize import IR_SCHEMA, CanonicalForm, canonicalize
 from repro.service.plan import Plan, SolveOutcome, compile_plan
 from repro.util import spans
 from repro.util.spans import span
@@ -127,7 +142,9 @@ class CompileResult:
     #: supervisor's fault counters (``pool_dispatched``,
     #: ``pool_crashes``, ``pool_respawns``, ``pool_retries``,
     #: ``pool_deadline_kills``) and ``fallbacks`` (requests that
-    #: degraded to in-process compilation).  Stamped into
+    #: degraded to in-process compilation) — and ``frontend_skips``,
+    #: the requests this service answered without running a front end
+    #: (source-text memo hit *and* plan hit).  Stamped into
     #: ``RunResult.metrics.service`` by :meth:`run`.
     service_stats: dict = field(default_factory=dict)
     #: The :class:`~repro.obs.context.TraceContext` the service minted
@@ -366,6 +383,9 @@ class CompileService:
         self._supervisor = None
         self._fallbacks = 0
         self._pending = 0
+        #: source-text memo: sha256(IR_SCHEMA, guest, text) -> CanonicalForm
+        self._forms: OrderedDict[str, CanonicalForm] = OrderedDict()
+        self._frontend_skips = 0
 
     # -- the process-pool tier -------------------------------------------
     def _pool(self):
@@ -449,7 +469,7 @@ class CompileService:
     def _cache_lookup(self, cache: PlanCache | None, key: str) -> object:
         if cache is None:
             return _MISS
-        with self._lock:
+        with span("service/lookup"), self._lock:
             return cache.lookup(key)
 
     def _cache_put(self, cache: PlanCache | None, key: str, value: object) -> None:
@@ -457,6 +477,41 @@ class CompileService:
             return
         with self._lock:
             cache.put(key, value)
+
+    # -- the source-text memo --------------------------------------------
+    def _text_key(self, req: CompileRequest) -> str | None:
+        """The memo key of *req*, or None when it bypasses the memo
+        (non-``str`` source, or ``cache="off"``: a service told to keep
+        nothing keeps no forms either)."""
+        if self.cache is None or not isinstance(req.source, str):
+            return None
+        h = hashlib.sha256(IR_SCHEMA.encode())
+        h.update(b"\x00" + req.guest.encode() + b"\x00")
+        h.update(req.source.encode())
+        return h.hexdigest()
+
+    def _recall_form(self, text_key: str | None) -> CanonicalForm | None:
+        if text_key is None:
+            return None
+        with self._lock:
+            form = self._forms.get(text_key)
+            if form is not None:
+                self._forms.move_to_end(text_key)
+            return form
+
+    def _remember_form(self, text_key: str | None, form: CanonicalForm) -> None:
+        if text_key is None:
+            return
+        with self._lock:
+            self._forms[text_key] = form
+            while len(self._forms) > self.cache_capacity:
+                self._forms.popitem(last=False)
+
+    @staticmethod
+    def _front_end(req: CompileRequest) -> tuple[Program, CanonicalForm]:
+        with span("service/frontend"):
+            program = lower(req.source, req.guest)
+            return program, canonicalize(program)
 
     # -- the request path ------------------------------------------------
     @staticmethod
@@ -545,9 +600,15 @@ class CompileService:
         deadline_s = req.deadline_s if req.deadline_s is not None else self.deadline_s
         deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
         with span("service/request"):
-            program = lower(req.source, req.guest)
-            form = canonicalize(program)
-            plan_key = program_digest(program, req.strategy, form=form)
+            program: Program | None = None
+            text_key = self._text_key(req)
+            form = self._recall_form(text_key)
+            if form is None:
+                # A source that fails to lower raises here, before
+                # anything is remembered.
+                program, form = self._front_end(req)
+                self._remember_form(text_key, form)
+            plan_key = form.program_digest(req.strategy)
 
             # Mint (or adopt the caller's) trace context keyed by the
             # request digest: everything below — cache traffic, pool
@@ -562,6 +623,12 @@ class CompileService:
             with tracing_context(ctx):
                 entry = self._cache_lookup(cache, plan_key)
                 if entry is _MISS:
+                    if program is None:
+                        # The memo knew the text but the cache lost the
+                        # plan: start over as any miss does, so what is
+                        # compiled and stored shares its strings with
+                        # this parse, not with a remembered one.
+                        program, form = self._front_end(req)
                     generated = self._compile_generated(
                         program, req.strategy, self._remaining(deadline_at, req)
                     )
@@ -588,9 +655,9 @@ class CompileService:
                 solve_key: str | None = None
                 solve_cached = False
                 if req.wants_solve:
-                    solve_key = solve_digest(
-                        program, req.nprocs, req.env, self.machine,
-                        req.strategy, execute=req.execute, form=form,
+                    solve_key = form.solve_digest(
+                        req.nprocs, req.env, self.machine,
+                        req.strategy, execute=req.execute,
                     )
                     hit = self._cache_lookup(cache, solve_key)
                     if hit is _MISS:
@@ -618,6 +685,10 @@ class CompileService:
             )
         if self.workers:
             service_stats["fallbacks"] = self._fallbacks
+        with self._lock:
+            if program is None:
+                self._frontend_skips += 1
+            service_stats["frontend_skips"] = self._frontend_skips
         return CompileResult(
             request=req,
             digest=plan_key,

@@ -59,7 +59,13 @@ _GUESTS: dict[str, Callable[[object], Program]] = {}
 
 
 def register_guest(name: str):
-    """Decorator registering a lowering ``fn(source) -> Program``."""
+    """Decorator registering a lowering ``fn(source) -> Program``.
+
+    If the guest accepts ``str`` sources, its result must depend on the
+    text alone: the compile service remembers the canonical form of a
+    text it has lowered (:mod:`repro.service.compiler`, source-text
+    memo) and will not call the guest again for the same bytes.
+    """
 
     def decorate(fn: Callable[[object], Program]):
         if name in _GUESTS:

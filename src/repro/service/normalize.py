@@ -91,6 +91,36 @@ class CanonicalForm:
             h.update(part.encode())
         return h.hexdigest()
 
+    def program_digest(self, strategy: str | None = None) -> str:
+        """Content address of the codegen problem: canonical IR + strategy."""
+        return self.digest(_strategy_part(strategy))
+
+    def solve_digest(
+        self,
+        nprocs: int,
+        env: dict[str, int],
+        model: MachineModel,
+        strategy: str | None = None,
+        *,
+        execute: bool = False,
+    ) -> str:
+        """Content address of the full compile: IR, strategy, machine, P, env.
+
+        Environment keys are translated to canonical names, so alpha-twins
+        solved under equivalent environments share the DP entry.  *execute*
+        is folded in because an executed solve carries the extra validation
+        payload.
+        """
+        items = sorted((self.rename.get(k, k), v) for k, v in env.items())
+        env_part = " ".join(f"({k} {v!r})" for k, v in items)
+        return self.digest(
+            _strategy_part(strategy),
+            _machine_part(model),
+            f"(nprocs {nprocs})",
+            f"(env {env_part})",
+            f"(execute {int(execute)})",
+        )
+
 
 class _Namer:
     """First-use positional renaming, one counter per role."""
@@ -288,12 +318,11 @@ def program_digest(
     *,
     form: CanonicalForm | None = None,
 ) -> str:
-    """Content address of the codegen problem: canonical IR + strategy.
+    """:meth:`CanonicalForm.program_digest` of *program*.
 
     Pass *form* to reuse an already-computed :func:`canonicalize` result.
     """
-    form = form or canonicalize(program)
-    return form.digest(_strategy_part(strategy))
+    return (form or canonicalize(program)).program_digest(strategy)
 
 
 def solve_digest(
@@ -306,20 +335,7 @@ def solve_digest(
     execute: bool = False,
     form: CanonicalForm | None = None,
 ) -> str:
-    """Content address of the full compile: IR, strategy, machine, P, env.
-
-    Environment keys are translated to canonical names, so alpha-twins
-    solved under equivalent environments share the DP entry.  *execute*
-    is folded in because an executed solve carries the extra validation
-    payload.
-    """
-    form = form or canonicalize(program)
-    items = sorted((form.rename.get(k, k), v) for k, v in env.items())
-    env_part = " ".join(f"({k} {v!r})" for k, v in items)
-    return form.digest(
-        _strategy_part(strategy),
-        _machine_part(model),
-        f"(nprocs {nprocs})",
-        f"(env {env_part})",
-        f"(execute {int(execute)})",
+    """:meth:`CanonicalForm.solve_digest` of *program* (or of *form*)."""
+    return (form or canonicalize(program)).solve_digest(
+        nprocs, env, model, strategy, execute=execute
     )

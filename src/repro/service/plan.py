@@ -130,11 +130,44 @@ class SolveOutcome:
 
     Iterates like the legacy tuple — ``tables, result = plan.solve(...)``
     and the three-element ``execute=True`` unpacking both still work.
+
+    A served cache hit reads ``result`` only, and ``tables`` is 98 % of
+    the pickled outcome, so the plan cache stores the two apart
+    (:mod:`repro.service.cache`, "Entry layout"): an outcome that came
+    out of the cache decodes its ``tables`` the first time they are
+    read.  Nothing else about it differs — it compares, unpacks and
+    pickles (byte for byte) like the outcome that went in.
     """
 
     tables: object  # repro.dp.phases.PhaseTables
     result: object  # repro.dp.algorithm1.DPResult
     validation: object | None = None  # repro.dp.validate.RedistValidation
+
+    # -- the plan cache's deferred section --------------------------------
+    def _cache_split(self):
+        state = self.__dict__
+        return (state["result"], state["validation"]), state.get("tables", state.get("_rest"))
+
+    @classmethod
+    def _cache_join(cls, head, rest):
+        self = object.__new__(cls)
+        result, validation = head
+        self.__dict__.update(result=result, validation=validation, _rest=rest)
+        return self
+
+    def __getattr__(self, name):
+        # Only reached when normal lookup fails, i.e. for the ``tables``
+        # of a cache hit that nobody has read yet.
+        state = self.__dict__
+        if name == "tables" and "_rest" in state:
+            tables = state["tables"] = state["_rest"]()
+            return tables
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self):
+        # Field order, whatever order __dict__ was filled in: the pickle
+        # is an exact golden (tests/goldens/solve_pickles.json).
+        return {"tables": self.tables, "result": self.result, "validation": self.validation}
 
     @property
     def cost(self) -> float:

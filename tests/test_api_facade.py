@@ -31,12 +31,11 @@ class TestCompileProgram:
         plan = api.compile_program(program_to_text(jacobi_program()))
         assert plan.strategy == "data-parallel"
 
-    def test_compile_alias_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="compile_program"):
-            plan = api.compile(jacobi_program())
-        assert plan.generated.source == api.compile_program(
-            jacobi_program()
-        ).generated.source
+    def test_compile_alias_is_gone(self):
+        # The deprecated alias (it shadowed the builtin) had its one
+        # release; only Session.compile carries the name now.
+        assert not hasattr(api, "compile")
+        assert "compile" not in api.__all__
 
     def test_top_level_reexports(self):
         assert repro.compile_program is api.compile_program

@@ -6,6 +6,11 @@
   check, are quarantined to ``disk_dir/quarantine/`` and served as
   misses (counted in ``CacheStats.corrupt``) — then recompiled
   identically;
+* an entry whose *deferred* section is damaged, or that predates the
+  tagged entry layout, is caught the same way at ``lookup`` — never
+  later, at attribute access (ISSUE 16);
+* a disk *read* takes the shared lock only: promoting a hit into memory
+  is not a write;
 * repeated disk ``OSError`` faults degrade the cache to memory-only
   (``disk_disabled``) instead of failing requests;
 * N processes hammering one cache directory with mixed
@@ -21,6 +26,7 @@ import pickle
 
 import pytest
 
+from repro.api import compile_program
 from repro.lang import jacobi_program
 from repro.machine.model import MachineModel
 from repro.service import CompileService, PlanCache
@@ -105,6 +111,45 @@ class TestCorruptEntries:
         assert cache.stats.corrupt == 1
         assert not path.exists()
 
+    def test_garbage_rest_behind_valid_checksum(self, tmp_path):
+        outcome = compile_program(jacobi_program()).solve(
+            4, {"m": 32, "maxiter": 2}, model=MODEL
+        )
+        blob = cache_mod._encode(outcome)
+        bad = blob[:-64] + bytes(64)  # the tables are the tail of the entry
+        # Decoded lazily, as a memory hit is, the damage would only show
+        # when the tables are read ...
+        lazy = cache_mod._decode(bad)
+        assert lazy.cost == outcome.cost
+        with pytest.raises(Exception):
+            lazy.tables
+        # ... so the disk tier's first touch decodes both sections.
+        cache = PlanCache(capacity=4, disk_dir=tmp_path)
+        path = entry_path(cache, "key")
+        cache_mod._write_atomic(path, cache_mod._seal(bad))
+        assert cache.get("key") is None
+        assert (cache.stats.corrupt, cache.stats.misses) == (1, 1)
+        assert not path.exists() and "key" not in cache
+        # the intact entry is served, with its tables already decoded
+        cache_mod._write_atomic(path, cache_mod._seal(blob))
+        hit = cache.get("key")
+        assert vars(hit)["_rest"].blob is None  # nothing left to decode
+        assert hit.cost == outcome.cost
+        assert hit.tables.entries.keys() == outcome.tables.entries.keys()
+        assert cache.stats.disk_hits == 1
+
+    def test_old_layout_entry_is_quarantined_miss(self, tmp_path):
+        # What PR 7..15 wrote: a bare pickle, no layout tag.
+        cache = PlanCache(capacity=4, disk_dir=tmp_path)
+        path = entry_path(cache, "key")
+        old = pickle.dumps({"payload": 123}, protocol=pickle.HIGHEST_PROTOCOL)
+        cache_mod._write_atomic(path, cache_mod._seal(old))
+        assert cache.get("key") is None
+        assert (cache.stats.corrupt, cache.stats.misses) == (1, 1)
+        assert not path.exists()
+        cache.put("key", {"payload": 123})  # recompiled and rewritten
+        assert PlanCache(capacity=4, disk_dir=tmp_path).get("key") == {"payload": 123}
+
     def test_corrupt_plan_recompiles_identically(self, tmp_path):
         """ISSUE 8 drill: corrupt a disk entry, recompile, bit-identity."""
         env = {"m": 32, "maxiter": 2}
@@ -131,6 +176,51 @@ class TestCorruptEntries:
         assert list(cache.quarantine_dir.iterdir())
         cache.prune()
         assert not list(cache.quarantine_dir.iterdir())
+
+
+class TestReadLocking:
+    @pytest.fixture
+    def flocks(self, monkeypatch):
+        """Every ``flock`` operation the cache module issues."""
+        if cache_mod.fcntl is None:
+            pytest.skip("no fcntl on this platform")
+        ops = []
+        real = cache_mod.fcntl.flock
+
+        def counting(handle, op):
+            ops.append(op)
+            return real(handle, op)
+
+        monkeypatch.setattr(cache_mod.fcntl, "flock", counting)
+        return ops
+
+    def test_a_pass_of_disk_hits_takes_no_exclusive_lock(self, tmp_path, flocks):
+        keys = [f"k{n}" for n in range(6)]
+        writer = PlanCache(capacity=8, disk_dir=tmp_path)
+        for key in keys:
+            writer.put(key, {"value": key})
+        assert flocks.count(cache_mod.fcntl.LOCK_EX) == len(keys)
+
+        del flocks[:]
+        reader = PlanCache(capacity=8, disk_dir=tmp_path)
+        assert [reader.get(key) for key in keys] == [{"value": key} for key in keys]
+        assert reader.stats.disk_hits == len(keys) and len(reader) == len(keys)
+        assert flocks.count(cache_mod.fcntl.LOCK_EX) == 0
+        assert flocks.count(cache_mod.fcntl.LOCK_SH) == len(keys)
+        # promoted: the second pass is memory hits and touches no lock
+        del flocks[:]
+        assert all(reader.get(key) is not None for key in keys)
+        assert reader.stats.disk_hits == len(keys) and flocks == []
+
+    def test_an_eviction_caused_by_promotion_still_spills(self, tmp_path):
+        PlanCache(capacity=4, disk_dir=tmp_path).put("b", "B")
+        cache = PlanCache(capacity=1, disk_dir=tmp_path)
+        cache.put("a", "A")
+        entry_path(cache, "a").unlink()  # "a" now lives in memory only
+        assert cache.get("b") == "B"  # disk hit; promotion evicts "a"
+        assert cache.stats.evictions == 1
+        assert entry_path(cache, "a").exists()
+        assert cache.get("a") == "A"
 
 
 class TestDiskFaultDegradation:

@@ -9,17 +9,22 @@ The headline guarantees under test:
 * alpha-twins share entries, with env/input keys translated through the
   composed rename map;
 * batch compiles share DP sub-results; the job queue delivers results
-  (and exceptions) through CompileJob handles.
+  (and exceptions) through CompileJob handles;
+* a cached solve outcome decodes its DP tables on first read and is
+  otherwise indistinguishable from the cold one (ISSUE 16).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.api import Session, compile_program
+from repro.api import Session, SolveOutcome, compile_program
+from repro.dp.phases import solve_program_distribution
 from repro.errors import ReproError
 from repro.lang import (
     gauss_program,
@@ -31,6 +36,11 @@ from repro.lang import (
 )
 from repro.machine.model import MachineModel
 from repro.service import CompileService, PlanCache, make_cache
+from repro.util import spans
+from tests.test_phase_tables_incremental import GOLDEN_PATH
+from tests.test_phase_tables_incremental import MODEL as GOLDEN_MODEL
+from tests.test_phase_tables_incremental import NPROCS as GOLDEN_NPROCS
+from tests.test_phase_tables_incremental import PROGRAMS as GOLDEN_PROGRAMS
 
 MODEL = MachineModel(tf=1, tc=10)
 ENV = {"m": 32, "maxiter": 2}
@@ -63,6 +73,16 @@ class TestPlanCache:
         got = cache.get("k")
         got["xs"].append(3)
         assert cache.get("k") == {"xs": [1, 2]}  # put-time snapshot
+        # The deferred section of a solve outcome is as isolated as the
+        # eager one: each hit decodes its own tables.
+        cold = compile_program(jacobi_program()).solve(4, ENV, model=MODEL)
+        cache.put("s", cold)
+        hit = cache.get("s")
+        hit.tables.entries.clear()
+        hit.tables.env["m"] = -1
+        later = cache.get("s")
+        assert later.tables.entries.keys() == cold.tables.entries.keys()
+        assert later.tables.env == cold.tables.env
 
     def test_disk_spill_and_promotion(self, tmp_path):
         cache = PlanCache(capacity=1, disk_dir=tmp_path)
@@ -125,6 +145,150 @@ class TestColdWarmParity:
         b = svc.compile(jacobi_program())
         assert not a.cached and not b.cached
         assert svc.stats.lookups == 0
+        # ... and a service told to keep nothing keeps no source-text
+        # memo either: byte-identical text is parsed every time, alone
+        # and in a batch (whose ephemeral cache still coalesces plans).
+        text = program_to_text(jacobi_program())
+        with spans.recording() as rec:
+            c = svc.compile(text)
+            d = svc.compile(text)
+            batch = svc.compile_batch([text, text])
+        assert not c.cached and not d.cached
+        assert [r.cached for r in batch] == [False, True]
+        assert not svc._forms
+        assert d.service_stats["frontend_skips"] == 0
+        assert batch[-1].service_stats["frontend_skips"] == 0
+        assert sum(s.detail == "service/frontend" for s in rec.spans) == 4
+
+
+def golden_solve(label):
+    """``(cold outcome, its canonical pickle)`` of one program
+    pinned by ``tests/goldens/solve_pickles.json``."""
+    source, env = GOLDEN_PROGRAMS[label]
+    tables, result = solve_program_distribution(
+        parse_program(source), GOLDEN_NPROCS, env, GOLDEN_MODEL
+    )
+    cold = SolveOutcome(tables=tables, result=result)
+    return cold, pickle.dumps(cold, pickle.HIGHEST_PROTOCOL)
+
+
+def undecoded(outcome) -> bool:
+    return "tables" not in vars(outcome)
+
+
+class TestDeferredTables:
+    """A cached ``SolveOutcome`` keeps its ``tables`` as bytes until they
+    are read; every observable of it equals the cold outcome's."""
+
+    @pytest.mark.parametrize("label", sorted(GOLDEN_PROGRAMS))
+    def test_hit_pickles_to_the_golden_bytes_before_and_after_touch(self, label):
+        cold, cold_bytes = golden_solve(label)
+        golden = json.loads(GOLDEN_PATH.read_text())[label]
+        assert hashlib.sha256(cold_bytes).hexdigest() == golden["sha256"]
+        # What the single-pickle layout served for these bytes.  (Not
+        # cold_bytes themselves: a solve that did not come through the
+        # service pickles a few bytes longer than any round trip of it,
+        # because the unpickler returns CPython's cached one-character
+        # str for every "m" where the direct call passes its own.)
+        plain = pickle.dumps(pickle.loads(cold_bytes), pickle.HIGHEST_PROTOCOL)
+        cache = PlanCache()
+        cache.put("s", cold)
+        untouched, touched = cache.get("s"), cache.get("s")
+        assert undecoded(untouched) and undecoded(touched)
+        assert touched.tables.entries.keys() == cold.tables.entries.keys()
+        assert not undecoded(touched)
+        for hit in (untouched, touched):
+            assert pickle.dumps(hit, pickle.HIGHEST_PROTOCOL) == plain
+
+    @pytest.mark.parametrize("maker,env", CORPUS, ids=lambda v: getattr(v, "__name__", ""))
+    def test_served_hit_pickles_to_the_cold_outcomes_bytes(self, maker, env):
+        svc = CompileService(machine=MODEL)
+        text = program_to_text(maker())
+        cold = svc.compile(text, nprocs=4, env=env)
+        cold_bytes = pickle.dumps(cold.outcome, pickle.HIGHEST_PROTOCOL)
+        untouched = svc.compile(text, nprocs=4, env=env).outcome
+        touched = svc.compile(text, nprocs=4, env=env).outcome
+        assert touched.tables.s == cold.outcome.tables.s
+        assert undecoded(untouched) and not undecoded(touched)
+        assert pickle.dumps(untouched, pickle.HIGHEST_PROTOCOL) == cold_bytes
+        assert pickle.dumps(touched, pickle.HIGHEST_PROTOCOL) == cold_bytes
+
+    @pytest.mark.parametrize("label", sorted(GOLDEN_PROGRAMS))
+    def test_objects_shared_between_head_and_rest_stay_shared(self, label):
+        cold, _ = golden_solve(label)
+        cache = PlanCache()
+        cache.put("s", cold)
+        hit = cache.get("s")
+
+        def shares(outcome):
+            return {
+                (i, seg)
+                for i, (scheme, _grid) in enumerate(outcome.result.schemes)
+                for seg, entry in outcome.tables.entries.items()
+                if scheme is entry.scheme
+            }
+
+        assert shares(cold)  # Algorithm 1 returns the tables' own schemes
+        assert shares(hit) == shares(cold)
+
+    def test_result_is_served_without_decoding_tables(self):
+        svc = CompileService(machine=MODEL)
+        cold = svc.compile(jacobi_program(), nprocs=4, env=ENV)
+        warm = svc.compile(jacobi_program(), nprocs=4, env=ENV)
+        assert warm.solve_cached
+        assert warm.outcome.cost == cold.outcome.cost
+        assert warm.outcome.loop_carried == cold.outcome.loop_carried
+        assert warm.outcome.result == cold.outcome.result
+        assert undecoded(warm.outcome)
+
+    def test_unpacking_equality_and_explain_still_work(self):
+        svc = CompileService(machine=MODEL)
+        cold = svc.compile(jacobi_program(), nprocs=4, env=ENV, execute=True)
+        warm = svc.compile(jacobi_program(), nprocs=4, env=ENV, execute=True)
+        tables, result, validation = warm.outcome
+        assert result == cold.outcome.result
+        assert tables.entries.keys() == cold.outcome.tables.entries.keys()
+        assert validation is not None
+        assert warm.solve(execute=True) is warm.outcome
+        explanation = warm.explain()
+        assert explanation.total_cost == cold.outcome.cost
+        assert str(explanation) == str(cold.explain())
+        with pytest.raises(AttributeError, match="no_such_field"):
+            warm.outcome.no_such_field
+
+    def test_reput_of_a_hit_roundtrips_without_decoding(self):
+        cold, _ = golden_solve("chain-s5")
+        cache = PlanCache()
+        cache.put("s", cold)
+        hit = cache.get("s")
+        cache.put("again", hit)
+        assert undecoded(hit)
+        assert cache._mem["again"] is cache._mem["s"]
+        assert pickle.dumps(cache.get("again")) == pickle.dumps(cache.get("s"))
+
+    def test_reput_after_changing_the_head_stores_the_change(self):
+        cold, _ = golden_solve("jacobi")
+        cache = PlanCache()
+        cache.put("s", cold)
+        hit = cache.get("s")
+        object.__setattr__(hit.result, "cost", -1.0)
+        cache.put("edited", hit)
+        edited = cache.get("edited")
+        assert edited.cost == -1.0
+        assert edited.tables.entries.keys() == cold.tables.entries.keys()
+        assert cache.get("s").cost == cold.cost
+
+    def test_other_tenants_are_all_head(self):
+        from repro.distribution.sparse import SparsePlacement
+        from repro.pipeline.inspector import cached_comm_schedule
+        from repro.sparse.csr import random_pattern
+
+        cache = PlanCache()
+        placement = SparsePlacement(random_pattern(16, 16, 0.3, seed=6), 4)
+        built, _ = cached_comm_schedule(placement, cache)
+        served, hit = cached_comm_schedule(placement, cache)
+        assert hit and built.content_equal(served)
+        assert pickle.dumps(served) == pickle.dumps(built)
 
 
 class TestAlphaTwinServing:
@@ -278,3 +442,23 @@ class TestSessionApi:
         snap = res.metrics.as_dict()
         assert Metrics.from_dict(snap).as_dict() == snap
         assert "Compile-service cache" in res.metrics.summary()
+
+    def test_the_service_observes_its_own_hit_path(self):
+        text = program_to_text(jacobi_program())
+        session = Session(machine=MODEL)
+        with spans.recording() as cold_rec:
+            cold = session.compile(text, nprocs=4, env=ENV)
+        with spans.recording() as warm_rec:
+            warm = session.compile(text, nprocs=4, env=ENV)
+        names = [s.detail for s in cold_rec.spans]
+        assert names.count("service/frontend") == 1
+        assert names.count("service/lookup") == 2  # plan key, solve key
+        assert cold.service_stats["frontend_skips"] == 0
+        names = [s.detail for s in warm_rec.spans]
+        assert "service/frontend" not in names
+        assert names.count("service/lookup") == 2 and "service/request" in names
+        assert warm.cached and warm.solve_cached
+        assert warm.service_stats["frontend_skips"] == 1
+        assert warm.run(seed=0).metrics.service["frontend_skips"] == 1
+        # memo traffic is not cache traffic
+        assert (session.stats.hits, session.stats.misses) == (2, 2)

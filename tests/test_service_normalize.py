@@ -3,26 +3,44 @@
 The contract under test: programs the compiler cannot tell apart hash
 identically (alpha-renaming, whitespace, declaration order, commutative
 operand order), while programs it could treat differently (different
-structure, strategy, machine parameters, N, env) hash apart.
+structure, strategy, machine parameters, N, env) hash apart — first on
+hand-picked pairs, then as hypothesis-driven metamorphic pairs (ROADMAP
+5a), then for the source-text memo that sits in front of the digests.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
+import pickle
 import re
+from dataclasses import fields, replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ParseError, ReproError
 from repro.lang import (
     gauss_program,
     jacobi_program,
     matmul_program,
     parse_program,
+    program_to_text,
     sor_program,
 )
-from repro.lang.programs import JACOBI_SOURCE, SOR_SOURCE
+from repro.lang.ast import ArrayDecl, Assign, BinOp, Call, DoLoop, UnaryOp
+from repro.lang.programs import GAUSS_SOURCE, JACOBI_SOURCE, MATMUL_SOURCE, SOR_SOURCE
 from repro.machine.model import MachineModel
-from repro.service import canonicalize, program_digest, solve_digest
+from repro.service import (
+    CompileRequest,
+    CompileService,
+    canonicalize,
+    program_digest,
+    program_to_json,
+    solve_digest,
+)
+from tests.test_phase_tables_incremental import SUBSCRIPTS, chain_source
 
 MODEL = MachineModel(tf=1, tc=10)
 
@@ -187,3 +205,407 @@ class TestCanonicalFormShape:
     def test_digest_is_hex_sha256(self):
         digest = program_digest(jacobi_program())
         assert re.fullmatch(r"[0-9a-f]{64}", digest)
+
+
+# ---------------------------------------------------------------------------
+# Digest soundness (ROADMAP 5a): metamorphic pairs
+# ---------------------------------------------------------------------------
+#
+# A digest collision serves the wrong plan silently, and since ISSUE 16
+# the service trusts a digest it derived from remembered *text*.  So:
+# every rewrite the compiler cannot see must keep both digests, every
+# mutation it could act on must change them — over random chains (the
+# generator of tests/test_phase_tables_incremental.py) and the paper's
+# four programs.
+
+NPROCS = 8
+
+PAPER = [
+    (JACOBI_SOURCE, {"m": 64, "maxiter": 1}),
+    (SOR_SOURCE, {"m": 64, "maxiter": 1}),
+    (GAUSS_SOURCE, {"m": 48}),
+    (MATMUL_SOURCE, {"n": 16}),
+]
+
+chains = st.lists(
+    st.tuples(st.sampled_from(SUBSCRIPTS), st.booleans(), st.booleans()),
+    min_size=1, max_size=5,
+).map(lambda loops: (chain_source(loops), {"m": 64, "t": 1}))
+
+#: ``(DSL text, env)`` of a program under test
+subjects = st.one_of(st.sampled_from(PAPER), chains)
+
+soundness = settings(max_examples=30, deadline=None)
+
+
+def digests(program, env, *, strategy=None, nprocs=NPROCS, model=MODEL, execute=False):
+    return (
+        program_digest(program, strategy),
+        solve_digest(program, nprocs, env, model, strategy, execute=execute),
+    )
+
+
+def loops_of(program):
+    return [s for s in program.walk() if isinstance(s, DoLoop)]
+
+
+def identifiers(program) -> list[str]:
+    names = [*program.params, *program.scalars, *program.arrays]
+    names += [loop.var for loop in loops_of(program)]
+    return list(dict.fromkeys(names))
+
+
+# -- IR rewriting -----------------------------------------------------------
+
+
+def rebuild(expr, visit):
+    """Copy of *expr*; ``visit(node)`` may return a replacement (which is
+    not descended into) or None."""
+    out = visit(expr)
+    if out is not None:
+        return out
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, rebuild(expr.left, visit), rebuild(expr.right, visit))
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, rebuild(expr.operand, visit))
+    if isinstance(expr, Call):
+        return Call(expr.name, tuple(rebuild(a, visit) for a in expr.args))
+    return expr
+
+
+def map_stmts(program, on_assign=lambda s: s, on_loop=lambda s: s):
+    def stmt(s):
+        if isinstance(s, Assign):
+            return on_assign(s)
+        s = on_loop(s)
+        return replace(s, body=[stmt(c) for c in s.body])
+
+    return replace(program, body=[stmt(s) for s in program.body])
+
+
+def map_rhs(program, visit):
+    return map_stmts(
+        program, on_assign=lambda s: Assign(s.lhs, rebuild(s.rhs, visit), s.line)
+    )
+
+
+def is_site(expr) -> bool:
+    """A binary node whose operand order is observable."""
+    return isinstance(expr, BinOp) and expr.left != expr.right
+
+
+def count_sites(program) -> int:
+    seen = []
+    map_rhs(program, lambda e: seen.append(e) if is_site(e) else None)
+    return len(seen)
+
+
+def at_site(program, n: int, fn):
+    """Rewrite the *n*-th (pre-order) :func:`is_site` node with *fn*."""
+    counter = itertools.count()
+
+    def visit(expr):
+        if is_site(expr) and next(counter) == n:
+            return fn(expr)
+        return None
+
+    return map_rhs(program, visit)
+
+
+def commuted(program, rng):
+    """Swap the operands of a random subset of the ``+`` and ``*`` nodes."""
+
+    def swap(expr):
+        if not isinstance(expr, BinOp):
+            return rebuild(expr, lambda e: swap(e) if e is not expr else None)
+        left, right = swap(expr.left), swap(expr.right)
+        if expr.op in "+*" and rng.random() < 0.5:
+            left, right = right, left
+        return BinOp(expr.op, left, right)
+
+    return map_rhs(program, swap)
+
+
+def redeclared(program, rng):
+    """Same declarations, shuffled."""
+    params, scalars = list(program.params), list(program.scalars)
+    arrays = list(program.arrays.items())
+    for seq in (params, scalars, arrays):
+        rng.shuffle(seq)
+    return replace(
+        program, params=tuple(params), scalars=tuple(scalars), arrays=dict(arrays)
+    )
+
+
+def respaced(source: str, rng) -> str:
+    """Same tokens, different whitespace and comments."""
+    pad = lambda: rng.choice(["", " ", "  ", "\t"])  # noqa: E731
+    lines = []
+    for line in source.splitlines():
+        if rng.random() < 0.3:
+            lines.append(rng.choice(["", "   ", "! a remark", "{* a block\n   remark *}"]))
+        if "{*" not in line:  # a comment of the original: leave its delimiters whole
+            line = re.sub(r"[,=+*/()-]", lambda m: pad() + m.group(0) + pad(), line)
+        tail = rng.choice(["", "  ", " ! trailing remark", " {* inline *}"])
+        lines.append(pad() + line + tail)
+    return "\n".join(lines) + "\n"
+
+
+class TestRewritesTheCompilerCannotSeeKeepTheDigests:
+    @soundness
+    @given(subject=subjects, data=st.data())
+    def test_rename(self, subject, data):
+        source, env = subject
+        program = parse_program(source)
+        names = identifiers(program)
+        fresh = data.draw(st.permutations([f"Z{i}q" for i in range(len(names))]))
+        mapping = dict(zip(names, fresh))
+        twin = parse_program(rename_source(source, mapping))
+        twin_env = {mapping[k]: v for k, v in env.items()}
+        assert digests(twin, twin_env) == digests(program, env)
+
+    @soundness
+    @given(subject=subjects, rng=st.randoms(use_true_random=False))
+    def test_declaration_reorder(self, subject, rng):
+        source, env = subject
+        program = parse_program(source)
+        twin = redeclared(program, rng)
+        assert digests(twin, env) == digests(program, env)
+        # and through the parser: the shuffled declaration lines as text
+        assert digests(parse_program(program_to_text(twin)), env) == digests(program, env)
+
+    @soundness
+    @given(subject=subjects, rng=st.randoms(use_true_random=False))
+    def test_commuted_sums_and_products(self, subject, rng):
+        source, env = subject
+        program = parse_program(source)
+        assert digests(commuted(program, rng), env) == digests(program, env)
+
+    @soundness
+    @given(subject=subjects, rng=st.randoms(use_true_random=False))
+    def test_whitespace_and_comments(self, subject, rng):
+        source, env = subject
+        twin = parse_program(respaced(source, rng))
+        assert digests(twin, env) == digests(parse_program(source), env)
+
+
+def differ(a: tuple[str, str], b: tuple[str, str]) -> bool:
+    """Both the program digest and the solve digest changed."""
+    return a[0] != b[0] and a[1] != b[1]
+
+
+class TestMutationsTheCompilerCouldActOnChangeTheDigests:
+    @soundness
+    @given(subject=subjects, rng=st.randoms(use_true_random=False))
+    def test_swapped_operands_of_minus_or_divide(self, subject, rng):
+        source, env = subject
+        program = parse_program(source)
+        site = rng.randrange(count_sites(program))
+        op = rng.choice("-/")
+        # make the chosen node non-commutative (it may already be) ...
+        base = at_site(program, site, lambda e: BinOp(op, e.left, e.right))
+        # ... then swap its operands
+        mutant = at_site(program, site, lambda e: BinOp(op, e.right, e.left))
+        assert differ(digests(base, env), digests(mutant, env))
+
+    @soundness
+    @given(subject=subjects, rng=st.randoms(use_true_random=False))
+    def test_loop_bound_or_step(self, subject, rng):
+        source, env = subject
+        program = parse_program(source)
+        target = rng.randrange(len(loops_of(program)))
+        change = rng.choice(["lb", "ub", "step"])
+        counter = itertools.count()
+
+        def mutate(loop):
+            if next(counter) != target:
+                return loop
+            if change == "step":
+                return replace(loop, step=loop.step + (1 if loop.step > 0 else -1))
+            return replace(loop, **{change: getattr(loop, change) + 1})
+
+        mutant = map_stmts(program, on_loop=mutate)
+        assert differ(digests(program, env), digests(mutant, env))
+
+    @soundness
+    @given(subject=subjects, rng=st.randoms(use_true_random=False))
+    def test_array_extent(self, subject, rng):
+        source, env = subject
+        program = parse_program(source)
+        name = rng.choice(sorted(program.arrays))
+        decl = program.arrays[name]
+        dim = rng.randrange(decl.rank)
+        extents = tuple(e + 1 if d == dim else e for d, e in enumerate(decl.extents))
+        mutant = replace(program, arrays={**program.arrays, name: ArrayDecl(name, extents)})
+        assert differ(digests(program, env), digests(mutant, env))
+
+    @soundness
+    @given(subject=subjects, rng=st.randoms(use_true_random=False))
+    def test_distribute_directive(self, subject, rng):
+        source, env = subject
+        program = parse_program(source)
+        name = rng.choice(sorted(program.arrays))
+        specs = [rng.choice(["BLOCK", "CYCLIC", "*"]) for _ in range(program.arrays[name].rank)]
+        base = replace(program, directives={name: tuple(specs)})
+        dim = rng.randrange(len(specs))
+        specs[dim] = rng.choice([s for s in ("BLOCK", "CYCLIC", "*") if s != specs[dim]])
+        flipped = replace(program, directives={name: tuple(specs)})
+        assert differ(digests(base, env), digests(flipped, env))
+        assert differ(digests(base, env), digests(program, env))  # directive vs none
+
+    @soundness
+    @given(subject=subjects, rng=st.randoms(use_true_random=False))
+    def test_align_directive(self, subject, rng):
+        source, env = subject
+        program = parse_program(source)
+        src, tgt = rng.sample(sorted(program.arrays), 2)
+        src_dim = rng.randrange(program.arrays[src].rank) + 1
+        tgt_dim = rng.randrange(program.arrays[tgt].rank) + 1
+        base = replace(program, alignments=(((src, src_dim), (tgt, tgt_dim)),))
+        assert differ(digests(base, env), digests(program, env))  # constraint vs none
+        if program.arrays[tgt].rank > 1:
+            other = tgt_dim % program.arrays[tgt].rank + 1
+            moved = replace(program, alignments=(((src, src_dim), (tgt, other)),))
+            assert differ(digests(base, env), digests(moved, env))
+
+    @soundness
+    @given(subject=subjects, rng=st.randoms(use_true_random=False))
+    def test_solve_context(self, subject, rng):
+        source, env = subject
+        program = parse_program(source)
+        base = digests(program, env)
+        assert differ(base, digests(program, env, strategy="ring-pipeline"))
+        # the program digest covers codegen only: everything below moves
+        # the solve digest and leaves it alone
+        key = rng.choice(sorted(env))
+        field = rng.choice([f.name for f in fields(MachineModel)])
+        value = getattr(MODEL, field)
+        contexts = [
+            dict(nprocs=NPROCS * 2),
+            dict(execute=True),
+            dict(model=replace(MODEL, **{field: (not value) if field == "overlap" else value + 1})),
+        ]
+        for context in contexts:
+            got = digests(program, env, **context)
+            assert got[0] == base[0] and got[1] != base[1], context
+        got = digests(program, {**env, key: env[key] + 1})
+        assert got[0] == base[0] and got[1] != base[1]
+
+
+# ---------------------------------------------------------------------------
+# The source-text memo in front of the front ends (ISSUE 16)
+# ---------------------------------------------------------------------------
+
+ENV = {"m": 64, "maxiter": 1}
+
+
+class TestSourceTextMemo:
+    def test_byte_identical_text_skips_the_front_end(self):
+        svc = CompileService(machine=MODEL)
+        cold = svc.compile(JACOBI_SOURCE, nprocs=NPROCS, env=ENV)
+        warm = svc.compile(JACOBI_SOURCE, nprocs=NPROCS, env=ENV)
+        assert warm.cached and warm.solve_cached
+        assert (warm.digest, warm.solve_key) == (cold.digest, cold.solve_key)
+        assert warm.rename == cold.rename
+        assert warm.service_stats["frontend_skips"] == 1
+        # a whitespace variant and an alpha-twin miss the memo, take the
+        # full path, and still hit the plan cache
+        spaced = svc.compile(JACOBI_SOURCE.replace(" = ", "  =  "), nprocs=NPROCS, env=ENV)
+        mapping = dict(zip(JACOBI_NAMES, FRESH))
+        twin = svc.compile(
+            rename_source(JACOBI_SOURCE, mapping), nprocs=NPROCS,
+            env={mapping[k]: v for k, v in ENV.items()},
+        )
+        for res in (spaced, twin):
+            assert res.cached and res.solve_cached and res.digest == cold.digest
+        assert twin.service_stats["frontend_skips"] == 1
+        assert svc.stats.misses == 2  # the cold request's two keys, nothing since
+
+    def test_same_text_under_two_guests_never_aliases(self):
+        doc = json.dumps(program_to_json(parse_program(JACOBI_SOURCE)))
+        svc = CompileService(machine=MODEL)
+        served = svc.compile(doc, guest="json-ir")
+        assert svc.compile(doc, guest="json-ir").service_stats["frontend_skips"] == 1
+        # the memo knows this text — under another guest it is another text
+        with pytest.raises(ReproError):
+            svc.compile(doc, guest="dsl")
+        # (json-ir still leaks the decoder's own ValueError: ROADMAP 5(b))
+        with pytest.raises((ReproError, ValueError)):
+            svc.compile(JACOBI_SOURCE, guest="json-ir")
+        # and the failures left nothing behind for the right guest to trip on
+        assert svc.compile(JACOBI_SOURCE).digest == served.digest
+        keys = {
+            svc._text_key(CompileRequest(source=doc, guest=guest))
+            for guest in ("dsl", "json-ir", "python-ast")
+        }
+        assert len(keys) == 3
+
+    def test_a_text_that_fails_to_parse_is_never_memoised(self):
+        broken = JACOBI_SOURCE.replace("DO j = 1, m", "DO j = 1 m")
+        svc = CompileService(machine=MODEL)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                svc.compile(broken)
+            errors.append(info.value)
+        first, second = errors
+        assert first is not second
+        assert (str(first), first.line, first.column) == (str(second), second.line, second.column)
+        assert (first.line, first.column) == (7, 14)
+        assert not svc._forms
+        assert svc.compile(JACOBI_SOURCE).service_stats["frontend_skips"] == 0
+
+    def test_evicted_plan_under_a_live_memo_entry_recompiles_bit_identically(self):
+        svc = CompileService(machine=MODEL)
+        cold = svc.compile(JACOBI_SOURCE, nprocs=NPROCS, env=ENV)
+        svc.cache.clear()  # both entries gone; the memo still knows the text
+        again = svc.compile(JACOBI_SOURCE, nprocs=NPROCS, env=ENV)
+        assert not again.cached and not again.solve_cached
+        assert again.service_stats["frontend_skips"] == 0  # it had to lower after all
+        assert (again.digest, again.solve_key) == (cold.digest, cold.solve_key)
+        assert pickle.dumps(again.plan.generated) == pickle.dumps(cold.plan.generated)
+        assert pickle.dumps(again.plan.program) == pickle.dumps(cold.plan.program)
+        assert pickle.dumps(again.outcome) == pickle.dumps(cold.outcome)
+        assert again.rename == cold.rename
+        # only the solve evicted: the plan hit needs no program, the
+        # solve runs on the stored one
+        svc.cache._mem.pop(cold.solve_key)
+        partial = svc.compile(JACOBI_SOURCE, nprocs=NPROCS, env=ENV)
+        assert partial.cached and not partial.solve_cached
+        assert pickle.dumps(partial.outcome) == pickle.dumps(cold.outcome)
+
+    def test_memo_is_an_lru_bounded_by_cache_capacity(self):
+        svc = CompileService(machine=MODEL, cache_capacity=2)
+        texts = [JACOBI_SOURCE, SOR_SOURCE, MATMUL_SOURCE]
+        for text in texts:
+            svc.compile(text)
+        assert len(svc._forms) == 2
+        assert svc.compile(MATMUL_SOURCE).service_stats["frontend_skips"] == 1
+        # the oldest text was forgotten (and its plan evicted with it)
+        assert svc.compile(JACOBI_SOURCE).service_stats["frontend_skips"] == 1
+
+    def test_non_str_sources_bypass_the_memo(self):
+        from repro.api import loop_nest
+
+        @loop_nest(params="m, maxiter", arrays="A(m, m), V(m), B(m), X(m)")
+        def jacobi(m, maxiter, A, V, B, X):
+            for k in range(1, maxiter + 1):
+                for i in range(1, m + 1):
+                    V[i] = 0.0
+                    for j in range(1, m + 1):
+                        V[i] = V[i] + A[i, j] * X[j]
+                for i in range(1, m + 1):
+                    X[i] = X[i] + (B[i] - V[i]) / A[i, i]
+
+        svc = CompileService(machine=MODEL)
+        sources = [
+            (parse_program(JACOBI_SOURCE), "dsl"),
+            (program_to_json(parse_program(JACOBI_SOURCE)), "json-ir"),
+            (jacobi, "python-ast"),
+        ]
+        for source, guest in sources:
+            svc.compile(source, guest=guest)
+            again = svc.compile(source, guest=guest)
+            assert again.cached and again.service_stats["frontend_skips"] == 0
+        assert not svc._forms
+        assert svc.compile(JACOBI_SOURCE).service_stats["frontend_skips"] == 0
