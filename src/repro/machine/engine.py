@@ -22,14 +22,14 @@ scheduling order — the simulation is deterministic.  Fault injection
 functions of ``(seed, channel, attempt)``, so a seeded crash-free plan
 moves clocks but never payloads.
 
-The scheduler is an indexed event calendar (:class:`EventCalendar`):
-one heap holding ready events (FIFO by a monotonic sequence number) and
-timed-receive deadlines (ordered by ``(deadline, rank)``), plus reverse
-indexes from parked ranks to their channels and from source ranks to
-the nonblocking waiters listening on them.  Every scheduler step is
-O(log N) or better — no full scans — while reproducing the historic
-deque scheduler's event order bit-exactly (see ``docs/ENGINE.md`` for
-the tie-break contract and the parity goldens that pin it).
+The scheduler is an indexed event calendar (:class:`EventCalendar`): a
+FIFO of ready ranks and a heap of timed-receive deadlines (ordered by
+``(deadline, rank)``), plus reverse indexes from parked ranks to their
+channels and from source ranks to the nonblocking waiters listening on
+them.  Picking the next runnable rank is O(1), firing a deadline
+O(log N) — no full scans — while reproducing the historic deque
+scheduler's event order bit-exactly (see ``docs/ENGINE.md`` for the
+tie-break contract and the parity goldens that pin it).
 
 The engine detects deadlock (every live processor blocked on an empty
 channel) and raises :class:`repro.errors.DeadlockError` carrying a
@@ -39,8 +39,7 @@ channel) and raises :class:`repro.errors.DeadlockError` carrying a
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Generator, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Any
@@ -64,21 +63,10 @@ from repro.obs.context import stamp_current
 Channel = tuple[int, int, int]  # (source, dest, tag)
 
 
-def park_channels(parked: Any) -> tuple[Channel, ...]:
-    """Normalize a scheduler park request to a tuple of channels.
-
-    A blocked receive yields one ``(source, dest, tag)`` channel; a
-    ``waitany`` (:mod:`repro.machine.nonblocking`) yields a tuple of
-    them, meaning "wake me when a message arrives on *any*".  Both engine
-    backends share this normalization.
-    """
-    if parked and isinstance(parked[0], tuple):
-        return tuple(parked)
-    return (parked,)
-
 #: Tag offset for engine-synthesized acknowledgements of reliable sends.
-#: Program tags must stay below this; the reliable layer listens on
-#: ``ACK_TAG_BASE + tag`` for the ack of a data message sent on ``tag``.
+#: Program sends must stay below this (``Proc.send`` rejects the rest);
+#: the reliable layer listens on ``ACK_TAG_BASE + tag`` for the ack of a
+#: data message sent on ``tag``.
 ACK_TAG_BASE = 1 << 20
 
 
@@ -102,41 +90,30 @@ class _TimedOut:
 TIMED_OUT = _TimedOut()
 
 
-#: Heap time of a ready event.  Every timed-receive deadline is clamped
-#: to the (nonnegative) local clock, so READY sorts strictly before any
-#: deadline: ready work always drains before a timeout may fire.
-READY = -1.0
-
-
 class EventCalendar:
-    """Indexed event calendar: one heap of ``(time, a, b)`` entries.
+    """Indexed event calendar: a ready FIFO and a deadline heap.
 
-    Two entry shapes share the heap:
-
-    * ready events ``(READY, seq, rank)`` — *seq* is a monotonically
-      increasing counter, so among ready events the heap pops in exact
-      FIFO push order (the historic deque scheduler's order);
-    * timeout events ``(deadline, rank, gen)`` — among due timeouts the
-      heap pops the smallest ``(deadline, rank)``, the historic
+    * ``ready`` is a deque of runnable ranks, popped in exact push order
+      (the historic deque scheduler's order);
+    * timeout events ``(deadline, rank, gen)`` sit on a heap — among due
+      timeouts it pops the smallest ``(deadline, rank)``, the historic
       ``min(self._timed, ...)`` tie-break, reproduced bit-exactly.
 
-    Timeout entries are invalidated lazily: cancelling (or re-arming) a
-    rank's deadline bumps its generation counter and the stale heap entry
-    is discarded when it surfaces.  ``timed`` is the live rank → deadline
-    view (consumed by the deadlock forensics report).
+    Ready work always drains before a timeout may fire.  Timeout entries
+    are invalidated lazily: cancelling (or re-arming) a rank's deadline
+    bumps its generation counter and the stale heap entry is discarded
+    when it surfaces.  ``timed`` is the live rank → deadline view
+    (consumed by the deadlock forensics report).
     """
 
-    __slots__ = ("_heap", "_seq", "timed", "_gen")
+    __slots__ = ("ready", "push_ready", "_heap", "timed", "_gen")
 
     def __init__(self) -> None:
+        self.ready: deque[int] = deque()
+        self.push_ready = self.ready.append
         self._heap: list[tuple[float, int, int]] = []
-        self._seq = 0
         self.timed: dict[int, float] = {}
         self._gen: dict[int, int] = {}
-
-    def push_ready(self, rank: int) -> None:
-        self._seq += 1
-        heappush(self._heap, (READY, self._seq, rank))
 
     def push_timeout(self, rank: int, deadline: float) -> None:
         self.timed[rank] = deadline
@@ -150,67 +127,76 @@ class EventCalendar:
 
     def pop_ready(self) -> int | None:
         """Next runnable rank in FIFO order, or ``None`` when drained."""
-        heap = self._heap
-        if heap and heap[0][0] == READY:
-            return heappop(heap)[2]
-        return None
+        return self.ready.popleft() if self.ready else None
 
     def pop_due_timeout(self) -> int | None:
         """Disarm and return the earliest live timed waiter, if any."""
+        if self.ready:
+            return None
         heap = self._heap
         gen = self._gen
         while heap:
-            time, rank, g = heap[0]
-            if time == READY:
-                return None
-            heappop(heap)
+            _, rank, g = heappop(heap)
             if gen.get(rank) == g:
                 del self.timed[rank]
                 return rank
         return None
 
 
-def _payload_words(data: Any, path: str = "payload") -> int:
-    """Number of machine words a payload occupies on the wire.
+class _Unsizable(CommunicationError):
+    """Raised at a payload leaf that cannot be sized.  Containers add
+    their subscript as it passes, so the message names the full path
+    (``payload['a'][2]``) and nothing builds paths on the success path."""
 
-    *path* names the location inside a nested container so that a
-    failure message can point at the offending key or index.
-    """
+    def __init__(self, type_name: str) -> None:
+        super().__init__(type_name)
+        self.subscripts: list[Any] = []  # innermost first
+
+    def __str__(self) -> str:
+        path = "".join(f"[{key!r}]" for key in reversed(self.subscripts))
+        return (
+            f"cannot infer word count for payload{path} of type "
+            f"{self.args[0]}; pass words="
+        )
+
+
+def _sum_words(items: Any) -> int:
+    """Total words of ``(subscript, item)`` pairs."""
+    total = 0
+    for key, item in items:
+        try:
+            total += _payload_words(item)
+        except _Unsizable as err:
+            err.subscripts.append(key)
+            raise
+    return total
+
+
+def _payload_words(data: Any) -> int:
+    """Number of machine words a payload occupies on the wire."""
     if isinstance(data, np.ndarray):
-        if data.dtype == object:
+        dtype = data.dtype
+        if dtype.kind == "O":
             # An object array (e.g. a ragged list of gather index
             # vectors) stores references; count the referents.
-            return sum(
-                _payload_words(item, f"{path}[{i}]")
-                for i, item in enumerate(data.flat)
-            )
-        if data.dtype.names:
+            return _sum_words(enumerate(data.flat))
+        if dtype.names:
             # Structured gather payloads: .size counts records, not
             # fields — charge each named field's column separately.
-            return sum(
-                _payload_words(data[name], f"{path}[{name!r}]")
-                for name in data.dtype.names
-            )
-        return int(data.size)
-    if isinstance(data, (bool, np.bool_)):
-        return 1
-    if isinstance(data, (int, float, complex, np.integer, np.floating)):
+            return _sum_words((name, data[name]) for name in dtype.names)
+        return data.size
+    if isinstance(data, (bool, int, float, complex, np.bool_, np.integer, np.floating)):
         return 1
     if isinstance(data, np.void):
         # One record of a structured array (e.g. msg[0]): per-field.
-        return sum(
-            _payload_words(data[name], f"{path}[{name!r}]")
-            for name in data.dtype.names or ()
-        )
+        return _sum_words((name, data[name]) for name in data.dtype.names or ())
     if isinstance(data, dict):
-        return sum(_payload_words(v, f"{path}[{k!r}]") for k, v in data.items())
+        return _sum_words(data.items())
     if isinstance(data, (tuple, list)):
-        return sum(_payload_words(item, f"{path}[{i}]") for i, item in enumerate(data))
+        return _sum_words(enumerate(data))
     if data is None:
         return 0
-    raise CommunicationError(
-        f"cannot infer word count for {path} of type {type(data).__name__}; pass words="
-    )
+    raise _Unsizable(type(data).__name__)
 
 
 def _payload_copy(data: Any) -> Any:
@@ -281,6 +267,27 @@ class RunResult:
         return self.values[rank]
 
 
+class _Scope:
+    """Context manager of :meth:`Proc.scoped`: pushes a label on entry and
+    restores the previous scope on exit, exceptions and ``GeneratorExit``
+    of a rank closed mid-collective included."""
+
+    __slots__ = ("_proc", "_label", "_prev")
+
+    def __init__(self, proc: "Proc", label: str) -> None:
+        self._proc = proc
+        self._label = label
+
+    def __enter__(self) -> "Proc":
+        proc = self._proc
+        self._prev = prev = proc.scope
+        proc.scope = f"{prev}/{self._label}" if prev else self._label
+        return proc
+
+    def __exit__(self, *exc: object) -> None:
+        self._proc.scope = self._prev
+
+
 class Proc:
     """Handle through which an SPMD program interacts with the machine."""
 
@@ -310,19 +317,13 @@ class Proc:
     def __repr__(self) -> str:
         return f"Proc(rank={self.rank}, clock={self.clock:.3f})"
 
-    @contextmanager
-    def scoped(self, label: str) -> Iterator["Proc"]:
-        """Label every event recorded inside the block with *label*.
+    def scoped(self, label: str) -> "_Scope":
+        """Label every event recorded inside the ``with`` block with *label*.
 
         Nested scopes join with ``/`` (``allreduce/reduce``), so metrics
         can attribute time and volume to the primitive that caused it.
         """
-        prev = self.scope
-        self.scope = f"{prev}/{label}" if prev else label
-        try:
-            yield self
-        finally:
-            self.scope = prev
+        return _Scope(self, label)
 
     # -- fault hooks ------------------------------------------------------
     def _scaled(self, seconds: float) -> float:
@@ -393,7 +394,9 @@ class Proc:
     def _check_channel(self, peer: int, tag: int, sending: bool) -> None:
         """Validate a point-to-point endpoint; identical in both backends."""
         verb = "send to" if sending else "receive from"
-        if isinstance(peer, bool) or not isinstance(peer, (int, np.integer)):
+        if type(peer) is not int and (
+            isinstance(peer, bool) or not isinstance(peer, (int, np.integer))
+        ):
             raise CommunicationError(
                 f"P{self.rank} cannot {verb} rank {peer!r}: rank must be an integer"
             )
@@ -405,9 +408,21 @@ class Proc:
             )
         if peer == self.rank:
             raise CommunicationError(f"P{self.rank} attempted to {verb} itself")
+        if type(tag) is not int and (
+            isinstance(tag, bool) or not isinstance(tag, (int, np.integer))
+        ):
+            raise CommunicationError(
+                f"P{self.rank} cannot {verb} P{int(peer)} with tag {tag!r}: "
+                "tag must be an integer"
+            )
         if tag < 0:
             raise CommunicationError(
                 f"P{self.rank} cannot {verb} P{int(peer)} with negative tag {tag}"
+            )
+        if sending and tag >= ACK_TAG_BASE:
+            raise CommunicationError(
+                f"P{self.rank} cannot {verb} P{int(peer)} with tag {tag}: tags from "
+                f"{ACK_TAG_BASE} up are reserved for acknowledgements"
             )
 
     def send(
@@ -713,8 +728,8 @@ class Engine:
         self.procs = [Proc(self, r) for r in range(topology.size)]
         self._queues: dict[Channel, deque[_Message]] = {}
         self._waiting: dict[Channel, int] = {}  # channel -> parked rank
-        self._parked_channels: dict[int, tuple[Channel, ...]] = {}
-        self._nb_parked: set[int] = set()  # ranks parked by a nonblocking wait
+        self._parked_on: dict[int, Channel] = {}  # rank in a blocking receive
+        self._nb_channels: dict[int, tuple[Channel, ...]] = {}  # rank in an nb wait
         self._nb_by_source: dict[int, set[int]] = {}  # source -> nb listeners
         self._calendar = EventCalendar()
         self.message_count = 0
@@ -722,6 +737,7 @@ class Engine:
         self._tracing = trace
         self.trace = Trace(TraceLane() for _ in range(topology.size))
         self.metrics = Metrics(topology.size)
+        self._observe = self.metrics.observe
         self.fault_plan = faults
         self.faults: FaultState | None = None
         self._timeout_fired: set[int] = set()
@@ -745,14 +761,15 @@ class Engine:
             proc.scope = ""
         self._queues = {}
         self._waiting = {}
-        self._parked_channels = {}
-        self._nb_parked = set()
+        self._parked_on = {}
+        self._nb_channels = {}
         self._nb_by_source = {}
         self._calendar = EventCalendar()
         self.message_count = 0
         self.message_words = 0
         self.trace = Trace(TraceLane() for _ in self.procs)
         self.metrics = Metrics(self.topology.size)
+        self._observe = self.metrics.observe
         self.faults = (
             FaultState(self.fault_plan) if self.fault_plan is not None else None
         )
@@ -765,22 +782,45 @@ class Engine:
     def _unpark(self, rank: int) -> None:
         """Drop every park registration of *rank* (O(channels of rank)).
 
-        A waitany park registers several channels for one rank: waking it
-        must clear every registration, or a later send on a sibling
-        channel would "wake" a rank that is long gone.
+        A blocking receive registered one channel.  A waitany park
+        registers several: waking it must clear every registration, or a
+        later send on a sibling channel would "wake" a rank that is long
+        gone.
         """
-        chans = self._parked_channels.pop(rank, ())
-        waiting = self._waiting
-        for ch in chans:
-            waiting.pop(ch, None)
-        if rank in self._nb_parked:
-            self._nb_parked.discard(rank)
+        channel = self._parked_on.pop(rank, None)
+        if channel is not None:
+            del self._waiting[channel]
+        else:
+            waiting = self._waiting
             by_source = self._nb_by_source
-            for ch in chans:
-                listeners = by_source.get(ch[0])
-                if listeners is not None:
-                    listeners.discard(rank)
-        self._calendar.cancel_timeout(rank)
+            for ch in self._nb_channels.pop(rank, ()):
+                del waiting[ch]
+                by_source[ch[0]].discard(rank)
+        calendar = self._calendar
+        if rank in calendar.timed:
+            calendar.cancel_timeout(rank)
+
+    def _park_nb(self, rank: int, channels: tuple[Channel, ...]) -> bool:
+        """Register a nonblocking wait on *any* of *channels*; False when
+        a message is already queued on one of them (nothing registered)."""
+        queues = self._queues
+        for ch in channels:
+            if queues.get(ch):
+                return False
+        waiting = self._waiting
+        by_source = self._nb_by_source
+        for ch in channels:
+            if ch in waiting:
+                raise CommunicationError(
+                    f"two processors waiting on the same channel {ch}"
+                )
+            waiting[ch] = rank
+            listeners = by_source.get(ch[0])
+            if listeners is None:
+                listeners = by_source[ch[0]] = set()
+            listeners.add(rank)
+        self._nb_channels[rank] = channels
+        return True
 
     def deliver(self, msg: _Message) -> None:
         channel: Channel = (msg.source, msg.dest, msg.tag)
@@ -864,7 +904,7 @@ class Engine:
     ) -> None:
         """Account one event (shared verbatim by :class:`ThreadedEngine`,
         where each rank's thread appends only to its own lanes)."""
-        self.metrics.observe(rank, kind, start, end, peer, words, tag, scope, detail)
+        self._observe(rank, kind, start, end, peer, words, tag, scope, detail)
         self._recent[rank].append((kind, start, end, peer, tag, detail))
         if self._tracing:
             self.trace[rank].append_raw(
@@ -923,7 +963,7 @@ class Engine:
         send can beat the deadline — firing the earliest timeout is then
         the unique next event in simulated time, which keeps the timeout
         semantics identical across backends and scheduling orders.  The
-        waiter comes straight off the calendar heap (O(log N)), in the
+        waiter comes straight off the deadline heap (O(log N)), in the
         same ``(deadline, rank)`` order the historic scan produced.
         """
         rank = self._calendar.pop_due_timeout()
@@ -947,7 +987,7 @@ class Engine:
         to its listeners; wakeups happen in ascending rank order, the same
         deterministic order the historic sorted scan produced.
         """
-        if self.faults is None or not self._nb_parked:
+        if self.faults is None or not self._nb_channels:
             return False
         candidates: set[int] = set()
         for crash in self.faults.fired_crashes:
@@ -985,17 +1025,18 @@ class Engine:
                 gens.append(result)
 
         calendar = self._calendar
+        ready = calendar.ready
         live = 0
         for rank, gen in enumerate(gens):
             if gen is not None:
-                calendar.push_ready(rank)
+                ready.append(rank)
                 live += 1
 
         queues = self._queues
         waiting = self._waiting
+        parked_on = self._parked_on
         while live:
-            rank = calendar.pop_ready()
-            if rank is None:
+            if not ready:
                 # Global stall: the only ways forward are a nonblocking
                 # waiter whose peer crashed (it must fail, not hang) or an
                 # expired timed receive; with neither pending this is a
@@ -1003,43 +1044,32 @@ class Engine:
                 if not self._wake_crashed_nb() and not self._fire_earliest_timeout():
                     raise self._deadlock()
                 continue
-            gen = gens[rank]
-            assert gen is not None
+            rank = ready.popleft()
             try:
-                channel, deadline = next(gen)
+                channel, deadline = next(gens[rank])
             except StopIteration as stop:
                 values[rank] = stop.value
                 gens[rank] = None
                 live -= 1
                 continue
-            nb_park = bool(channel) and isinstance(channel[0], tuple)
-            channels = park_channels(channel)
-            raced = False
-            for ch in channels:
-                if queues.get(ch):
-                    raced = True
-                    break
+            if type(channel[0]) is tuple:
+                # A waitany park (:mod:`repro.machine.nonblocking`) lists
+                # several channels: wake on a message on *any* of them.
+                raced = not self._park_nb(rank, channel)
+            else:
+                raced = queues.get(channel)
+                if not raced:
+                    if channel in waiting:
+                        raise CommunicationError(
+                            f"two processors waiting on the same channel {channel}"
+                        )
+                    waiting[channel] = rank
+                    parked_on[rank] = channel
             if raced:
                 # Message raced in while the generator was yielding: retry.
-                calendar.push_ready(rank)
-            else:
-                for ch in channels:
-                    if ch in waiting:
-                        raise CommunicationError(
-                            f"two processors waiting on the same channel {ch}"
-                        )
-                    waiting[ch] = rank
-                self._parked_channels[rank] = channels
-                if nb_park:
-                    self._nb_parked.add(rank)
-                    by_source = self._nb_by_source
-                    for ch in channels:
-                        listeners = by_source.get(ch[0])
-                        if listeners is None:
-                            listeners = by_source[ch[0]] = set()
-                        listeners.add(rank)
-                if deadline is not None:
-                    calendar.push_timeout(rank, deadline)
+                ready.append(rank)
+            elif deadline is not None:
+                calendar.push_timeout(rank, deadline)
 
         return self._result(values)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.util.tables import Table
 
 
-@dataclass
+@dataclass(slots=True)
 class RankMetrics:
     """Aggregated accounting for one logical processor."""
 
@@ -60,7 +60,7 @@ class RankMetrics:
         return self.hidden_seconds / self.inflight_seconds
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupStats:
     """One histogram bucket (per kind, per tag or per collective)."""
 
@@ -68,12 +68,6 @@ class GroupStats:
     seconds: float = 0.0
     messages: int = 0
     words: int = 0
-
-    def add(self, seconds: float, messages: int = 0, words: int = 0) -> None:
-        self.events += 1
-        self.seconds += seconds
-        self.messages += messages
-        self.words += words
 
 
 @dataclass
@@ -143,101 +137,71 @@ class Metrics:
         detail: str = "",
     ) -> None:
         duration = end - start
+        # One pass, one body: the threaded backend holds the lock across
+        # it (per-rank fields are thread-confined and would not need it).
+        # The float sums accumulate in the same order as always (rank
+        # field, by_kind, by_tag, by_collective), so serialized metrics
+        # stay bit-identical; only a send carries messages and words
+        # into the histograms, every other kind would add zeros.
         lock = self._lock
-        if kind == "fault":
-            key = detail or "fault"
-            if lock is not None:
-                with lock:
-                    self.faults[key] = self.faults.get(key, 0) + 1
-                    self.by_kind.setdefault(kind, GroupStats()).add(duration)
-            else:
-                self.faults[key] = self.faults.get(key, 0) + 1
-                self.by_kind.setdefault(kind, GroupStats()).add(duration)
-            return
-        # Per-rank fields are thread-confined; histogram keys are ordered
-        # by hot-path frequency.  The float sums accumulate in the same
-        # order as always (rank fields, by_kind, by_tag, by_collective),
-        # so serialized metrics stay bit-identical.
-        r = self.ranks[rank]
-        if kind == "send" or kind == "isend":
-            r.comm_seconds += duration
-            r.messages_sent += 1
-            r.words_sent += words
-            messages = 1
-            nwords = words
-            comm = True
-        elif kind == "recv":
-            r.comm_seconds += duration
-            r.messages_received += 1
-            r.words_received += words
-            messages = 0
-            nwords = 0
-            comm = True
-        elif kind == "wait":
-            r.wait_seconds += duration
-            messages = 0
-            nwords = 0
-            comm = False
-        elif kind == "compute":
-            r.compute_seconds += duration
-            messages = 0
-            nwords = 0
-            comm = False
-        else:
-            if kind == "delay":
-                r.delay_seconds += duration
-            messages = 0
-            nwords = 0
-            comm = False
         if lock is not None:
-            with lock:
-                self._fold(kind, tag, scope, duration, messages, nwords, comm)
-            return
-        by_kind = self.by_kind
-        stats = by_kind.get(kind)
-        if stats is None:
-            stats = by_kind[kind] = GroupStats()
-        stats.events += 1
-        stats.seconds += duration
-        stats.messages += messages
-        stats.words += nwords
-        if comm:
-            by_tag = self.by_tag
-            stats = by_tag.get(tag)
+            lock.acquire()
+        try:
+            sent = comm = False
+            if kind == "send" or kind == "isend":
+                r = self.ranks[rank]
+                r.comm_seconds += duration
+                r.messages_sent += 1
+                r.words_sent += words
+                sent = comm = True
+            elif kind == "recv":
+                r = self.ranks[rank]
+                r.comm_seconds += duration
+                r.messages_received += 1
+                r.words_received += words
+                comm = True
+            elif kind == "wait":
+                self.ranks[rank].wait_seconds += duration
+            elif kind == "compute":
+                self.ranks[rank].compute_seconds += duration
+            elif kind == "delay":
+                self.ranks[rank].delay_seconds += duration
+            elif kind == "fault":
+                key = detail or "fault"
+                self.faults[key] = self.faults.get(key, 0) + 1
+                scope = ""  # fault markers count by kind only
+            group = self.by_kind
+            stats = group.get(kind)
             if stats is None:
-                stats = by_tag[tag] = GroupStats()
+                stats = group[kind] = GroupStats()
             stats.events += 1
             stats.seconds += duration
-            stats.messages += messages
-            stats.words += nwords
-        if scope:
-            by_collective = self.by_collective
-            stats = by_collective.get(scope)
-            if stats is None:
-                stats = by_collective[scope] = GroupStats()
-            stats.events += 1
-            stats.seconds += duration
-            stats.messages += messages
-            stats.words += nwords
-
-    def _fold(
-        self,
-        kind: str,
-        tag: int,
-        scope: str,
-        duration: float,
-        messages: int,
-        nwords: int,
-        comm: bool,
-    ) -> None:
-        """Locked histogram fold (threaded backend; must hold ``_lock``)."""
-        self.by_kind.setdefault(kind, GroupStats()).add(duration, messages, nwords)
-        if comm:
-            self.by_tag.setdefault(tag, GroupStats()).add(duration, messages, nwords)
-        if scope:
-            self.by_collective.setdefault(scope, GroupStats()).add(
-                duration, messages, nwords
-            )
+            if sent:
+                stats.messages += 1
+                stats.words += words
+            if comm:
+                group = self.by_tag
+                stats = group.get(tag)
+                if stats is None:
+                    stats = group[tag] = GroupStats()
+                stats.events += 1
+                stats.seconds += duration
+                if sent:
+                    stats.messages += 1
+                    stats.words += words
+            if scope:
+                group = self.by_collective
+                stats = group.get(scope)
+                if stats is None:
+                    stats = group[scope] = GroupStats()
+                stats.events += 1
+                stats.seconds += duration
+                if sent:
+                    stats.messages += 1
+                    stats.words += words
+        finally:
+            if lock is not None:
+                lock.release()
 
     def observe_overlap(self, rank: int, inflight: float, hidden: float) -> None:
         """Fold one completed nonblocking receive into the overlap stats.

@@ -36,14 +36,7 @@ from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.errors import DeadlockError, MachineError, RankCrashedError
-from repro.machine.engine import (
-    Channel,
-    Engine,
-    Proc,
-    RunResult,
-    _Message,
-    park_channels,
-)
+from repro.machine.engine import Channel, Engine, Proc, RunResult, _Message
 from repro.machine.faults import FaultPlan, FaultState
 from repro.machine.forensics import RECENT_EVENTS, DeadlockReport, build_report
 from repro.machine.metrics import Metrics
@@ -78,6 +71,7 @@ class ThreadedEngine:
         self._tracing = trace
         self.trace = Trace(TraceLane() for _ in range(topology.size))
         self.metrics = Metrics(topology.size, threadsafe=True)
+        self._observe = self.metrics.observe  # what the shared record() calls
         self.fault_plan = faults
         self.faults: FaultState | None = None
         self._timed: dict[int, float] = {}  # waiting rank -> recv deadline
@@ -107,6 +101,7 @@ class ThreadedEngine:
         self.message_words = 0
         self.trace = Trace(TraceLane() for _ in self.procs)
         self.metrics = Metrics(self.topology.size, threadsafe=True)
+        self._observe = self.metrics.observe
         self.faults = (
             FaultState(self.fault_plan) if self.fault_plan is not None else None
         )
@@ -264,8 +259,8 @@ class ThreadedEngine:
                     # a *tuple* of channels (waitany) and additionally
                     # wakes when a waited-on peer crashed, so its request
                     # can fail with the crash context instead of wedging.
-                    chans = park_channels(channel)
-                    nb_park = bool(channel) and isinstance(channel[0], tuple)
+                    nb_park = isinstance(channel[0], tuple)
+                    chans = channel if nb_park else (channel,)
                     blocked_desc = " | ".join(
                         f"recv(source={ch[0]}, tag={ch[2]})" for ch in chans
                     )

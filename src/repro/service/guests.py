@@ -487,7 +487,16 @@ def program_to_json(program: Program) -> dict:
 def program_from_json(doc: dict | str) -> Program:
     """Build a :class:`Program` from a ``repro-json-ir/1`` document."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as err:
+            raise ParseError(
+                f"json-ir text is not JSON: {err.msg}", err.lineno, err.colno
+            ) from None
+    if not isinstance(doc, dict):
+        raise ParseError(
+            f"json-ir document must be a JSON object, got {type(doc).__name__}"
+        )
     if doc.get("schema") != JSON_SCHEMA:
         raise ReproError(
             f"json-ir document has schema {doc.get('schema')!r}, expected {JSON_SCHEMA!r}"

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import CommunicationError, DeadlockError
-from repro.machine import Linear, MachineModel, Ring, run_spmd
-from repro.machine.engine import _payload_words
+from repro.machine import Linear, MachineModel, Ring, allreduce, run_spmd
+from repro.machine.engine import Engine, _payload_words
 
 
 class TestPayloadWords:
@@ -85,6 +87,44 @@ class TestPayloadWords:
             _payload_words({"msg": rec})
         assert "payload['msg']['blob'][1]" in str(err.value)
 
+    REC = np.zeros(3, dtype=[("idx", np.int64), ("val", np.float64, (2,))])
+    RAGGED = np.empty(2, dtype=object)
+    RAGGED[0], RAGGED[1] = (np.zeros(3), 1), {"k": [None, 2.0]}
+
+    @pytest.mark.parametrize(
+        "payload,words",
+        [
+            (np.float64(2.0) * np.ones(()), 1),  # 0-d array
+            (np.zeros((2, 0, 3)), 0),
+            (np.ones(5, dtype=np.float32), 5),
+            (np.ones(4, dtype=bool), 4),
+            (np.ones(3, dtype=complex), 3),
+            (np.array([b"ab", b"c"]), 2),  # neither numeric, object nor structured
+            (np.zeros(6)[::2], 3),  # a view sizes like the array it shows
+            (REC, 3 + 6),  # a sub-array field counts every element
+            (REC[1], 1 + 2),
+            (RAGGED, 3 + 1 + 0 + 1),
+            (2 + 3j, 1),
+            (np.int32(4), 1),
+            ([], 0),
+            ([None, None], 0),
+            ({"a": [1.0, (np.zeros(2), {"b": REC[0]})], 7: np.zeros(())}, 1 + 2 + 3 + 1),
+        ],
+    )
+    def test_word_count_table(self, payload, words):
+        assert _payload_words(payload) == words
+
+    def test_unsizable_leaf_reports_its_full_path(self):
+        with pytest.raises(CommunicationError) as err:
+            _payload_words({"a": [1.0, np.zeros(2), "text"]})
+        assert str(err.value) == (
+            "cannot infer word count for payload['a'][2] of type str; pass words="
+        )
+        # ... and keeps it across a process boundary (pool workers pickle errors)
+        assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
+        with pytest.raises(CommunicationError, match=r"for payload of type set;"):
+            _payload_words({1, 2})
+
     def test_dict_payload_round_trips(self, unit_model):
         def prog(p):
             if p.rank == 0:
@@ -96,6 +136,51 @@ class TestPayloadWords:
         got = run_spmd(prog, Ring(2), unit_model).value(1)
         assert got["ok"] is True
         np.testing.assert_array_equal(got["x"], np.arange(3.0))
+
+
+class TestScoped:
+    def test_nests_and_restores(self, unit_model):
+        p = Engine(Ring(2), unit_model).procs[0]
+        with p.scoped("allreduce") as entered:
+            assert entered is p and p.scope == "allreduce"
+            with p.scoped("reduce"):
+                assert p.scope == "allreduce/reduce"
+            assert p.scope == "allreduce"
+        assert p.scope == ""
+
+    def test_label_applies_on_entry_not_on_call(self, unit_model):
+        p = Engine(Ring(2), unit_model).procs[0]
+        scope = p.scoped("bcast")
+        assert p.scope == ""
+        with scope:
+            assert p.scope == "bcast"
+
+    def test_exception_inside_the_block_restores(self, unit_model):
+        p = Engine(Ring(2), unit_model).procs[0]
+        with p.scoped("outer"):
+            with pytest.raises(ZeroDivisionError):
+                with p.scoped("inner"):
+                    1 / 0
+            assert p.scope == "outer"
+        assert p.scope == ""
+
+    def test_closing_a_rank_parked_mid_collective_restores(self, unit_model):
+        """``gen.close()`` raises ``GeneratorExit`` at the parked receive,
+        two scopes deep; both must unwind."""
+        p = Engine(Ring(2), unit_model).procs[0]
+        gen = allreduce(p, 1.0, (0, 1))
+        next(gen)  # rank 0 parks in the reduce phase waiting for rank 1
+        assert p.scope == "allreduce/reduce"
+        gen.close()
+        assert p.scope == ""
+
+    def test_collective_events_carry_the_nested_label(self, unit_model):
+        def prog(p):
+            return (yield from allreduce(p, float(p.rank), tuple(range(p.nprocs))))
+
+        res = run_spmd(prog, Ring(4), unit_model)
+        assert res.values == [6.0] * 4
+        assert set(res.metrics.by_collective) == {"allreduce/reduce", "allreduce/bcast"}
 
 
 class TestPointToPoint:

@@ -9,9 +9,12 @@ These tests pin the *ordering contract* those scans implicitly defined:
   ascending rank (the old ``min((deadline, rank))`` order);
 * crash wakeups of nonblocking waiters happen in ascending rank order
   (the old ``sorted(self._nb_parked)`` order), independent of the order
-  the ranks parked in.
+  the ranks parked in;
+* the ready FIFO + deadline heap calendar answers any interleaving of
+  its five operations exactly as the one-heap calendar it replaced
+  (kept here as the reference model).
 
-Both orders are part of the engine's determinism contract: the stress
+These orders are part of the engine's determinism contract: the stress
 parity suite (``test_engine_parity_stress``) checks timestamps stay
 bit-identical, these tests check the *mechanism* directly so a future
 calendar change fails with a readable message rather than a digest
@@ -20,11 +23,15 @@ mismatch.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PeerCrashedError, RankCrashedError
 from repro.machine import MachineModel, Ring, run_spmd
-from repro.machine.engine import TIMED_OUT
+from repro.machine.engine import TIMED_OUT, EventCalendar
 from repro.machine.faults import CrashFault, FaultPlan
 from repro.machine.nonblocking import NBComm
 
@@ -160,3 +167,70 @@ class TestCrashWakeupOrder:
     )
     def test_crash_wakeups_ascending_rank(self, park_order):
         assert self._run(park_order) == [1, 2, 3, 4, 5]
+
+
+class OneHeapCalendar:
+    """The calendar as it was before the ready FIFO: one heap holding
+    ``(READY, seq, rank)`` and ``(deadline, rank, gen)`` entries, READY
+    sorting before every (nonnegative) deadline."""
+
+    READY = -1.0
+
+    def __init__(self):
+        self._heap, self._seq, self.timed, self._gen = [], 0, {}, {}
+
+    def push_ready(self, rank):
+        self._seq += 1
+        heappush(self._heap, (self.READY, self._seq, rank))
+
+    def push_timeout(self, rank, deadline):
+        self.timed[rank] = deadline
+        gen = self._gen[rank] = self._gen.get(rank, 0) + 1
+        heappush(self._heap, (deadline, rank, gen))
+
+    def cancel_timeout(self, rank):
+        if self.timed.pop(rank, None) is not None:
+            self._gen[rank] += 1
+
+    def pop_ready(self):
+        if self._heap and self._heap[0][0] == self.READY:
+            return heappop(self._heap)[2]
+        return None
+
+    def pop_due_timeout(self):
+        while self._heap:
+            time, rank, g = self._heap[0]
+            if time == self.READY:
+                return None
+            heappop(self._heap)
+            if self._gen.get(rank) == g:
+                del self.timed[rank]
+                return rank
+        return None
+
+
+RANKS = st.integers(0, 5)
+CALENDAR_OPS = st.one_of(
+    st.tuples(st.just("push_ready"), RANKS),
+    # few distinct deadlines, so (deadline, rank) ties and re-arms are common
+    st.tuples(st.just("push_timeout"), RANKS, st.sampled_from([0.0, 5.0, 5.5, 20.0])),
+    st.tuples(st.just("cancel_timeout"), RANKS),
+    st.tuples(st.just("pop_ready")),
+    st.tuples(st.just("pop_due_timeout")),
+)
+
+
+class TestCalendarAgainstOneHeapModel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CALENDAR_OPS, max_size=60))
+    def test_same_pops_and_same_timed_view(self, ops):
+        new, old = EventCalendar(), OneHeapCalendar()
+        for step, (op, *args) in enumerate(ops):
+            got, want = getattr(new, op)(*args), getattr(old, op)(*args)
+            assert got == want, (step, op, args)
+            assert new.timed == old.timed, (step, op, args)
+        # drained, both hand back the same tail: ready ranks, then deadlines
+        for op in ("pop_ready", "pop_due_timeout"):
+            while (got := getattr(new, op)()) is not None:
+                assert got == getattr(old, op)()
+            assert getattr(old, op)() is None

@@ -1,9 +1,10 @@
 """Endpoint validation parity: both backends reject bad channels alike.
 
 The two backends share :meth:`Proc._check_channel`, so an out-of-range
-destination, a self-send, a boolean rank, or a negative tag must raise
-the *same* :class:`~repro.errors.CommunicationError` text on the
-generator engine and on real threads.
+destination, a self-send, a boolean rank, a negative or non-integer tag,
+or a send on a tag reserved for acknowledgements must raise the *same*
+:class:`~repro.errors.CommunicationError` text on the generator engine
+and on real threads.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.errors import CommunicationError
-from repro.machine import Ring, run_spmd
+from repro.machine import ACK_TAG_BASE, Ring, run_spmd
+from repro.machine.engine import TIMED_OUT
 from repro.machine.threaded import run_spmd_threaded
 
 RUNNERS = [
@@ -61,6 +63,20 @@ BAD_CASES = [
     ),
     pytest.param(_recv_prog(False), "rank must be an integer", id="recv-bool"),
     pytest.param(_recv_prog(1, tag=-1), "negative tag -1", id="recv-negative-tag"),
+    pytest.param(_send_prog(1, tag=None), "tag None: tag must be an integer", id="send-none-tag"),
+    pytest.param(_send_prog(1, tag="x"), "tag 'x': tag must be an integer", id="send-str-tag"),
+    pytest.param(_send_prog(1, tag=1.5), "tag 1.5: tag must be an integer", id="send-float-tag"),
+    pytest.param(_send_prog(1, tag=True), "tag True: tag must be an integer", id="send-bool-tag"),
+    pytest.param(_recv_prog(1, tag=None), "tag None: tag must be an integer", id="recv-none-tag"),
+    pytest.param(_recv_prog(1, tag="x"), "tag 'x': tag must be an integer", id="recv-str-tag"),
+    pytest.param(_recv_prog(1, tag=1.5), "tag 1.5: tag must be an integer", id="recv-float-tag"),
+    pytest.param(_recv_prog(1, tag=False), "tag False: tag must be an integer", id="recv-bool-tag"),
+    pytest.param(
+        _send_prog(1, tag=ACK_TAG_BASE), "reserved for acknowledgements", id="send-ack-tag"
+    ),
+    pytest.param(
+        _send_prog(1, tag=ACK_TAG_BASE + 7), f"with tag {ACK_TAG_BASE + 7}", id="send-above-ack-tag"
+    ),
 ]
 
 
@@ -85,6 +101,37 @@ class TestEndpointValidation:
             return None
 
         assert runner(prog, Ring(N)).value(1) == 7.0
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_receive_on_an_ack_tag_stays_legal(self, runner):
+        """The reliable layer waits for acks with a plain timed receive."""
+
+        def prog(p):
+            if p.rank == 0:
+                return (yield from p.recv_deadline(1, ACK_TAG_BASE + 3, deadline=5.0))
+            return None
+
+        assert runner(prog, Ring(N)).value(0) is TIMED_OUT
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_validated_endpoints_are_cached(self, runner):
+        """A second send or receive on a channel skips ``_check_channel``."""
+        seen = {}
+
+        def prog(p):
+            if p.rank == 0:
+                p.send(1, 1.0, tag=4)
+                p.send(1, 2.0, tag=4)
+                seen["send"] = set(p._ok_send)
+                return None
+            if p.rank == 1:
+                yield from p.recv(0, tag=4)
+                yield from p.recv(0, tag=4)
+                seen["recv"] = set(p._ok_recv)
+            return None
+
+        runner(prog, Ring(N))
+        assert seen == {"send": {(1, 4)}, "recv": {(0, 4)}}
 
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_recv_deadline_validates_endpoint(self, runner):

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.api import Session
 from repro.errors import ParseError, ReproError
 from repro.lang import (
     gauss_program,
@@ -230,3 +231,24 @@ class TestJsonIrGuest:
     def test_rejects_other_types(self):
         with pytest.raises(ReproError, match="json-ir guest"):
             lower(42, guest="json-ir")
+
+    def test_text_that_is_not_json_raises_a_located_parse_error(self):
+        with pytest.raises(ParseError, match="not JSON") as err:
+            lower("program p\nend", "json-ir")
+        assert (err.value.line, err.value.column) == (1, 1)
+        text = json.dumps(program_to_json(sor_program()), indent=1)
+        lines = text.splitlines()
+        lines[3] = lines[3].replace(":", " ", 1)
+        with pytest.raises(ParseError, match="not JSON") as err:
+            program_from_json("\n".join(lines))
+        assert err.value.line == 4 and err.value.column > 1
+        with pytest.raises(ParseError, match="JSON object, got list"):
+            program_from_json("[1, 2]")
+
+    def test_session_memoises_nothing_for_text_that_is_not_json(self):
+        session = Session(cache="memory")
+        for _ in range(2):
+            with pytest.raises(ParseError, match="not JSON"):
+                session.compile("program p\nend", guest="json-ir")
+        assert not session.service._forms
+        assert session.stats.lookups == 0

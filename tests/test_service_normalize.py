@@ -529,8 +529,7 @@ class TestSourceTextMemo:
         # the memo knows this text — under another guest it is another text
         with pytest.raises(ReproError):
             svc.compile(doc, guest="dsl")
-        # (json-ir still leaks the decoder's own ValueError: ROADMAP 5(b))
-        with pytest.raises((ReproError, ValueError)):
+        with pytest.raises(ParseError, match=r"not JSON.*\(line 1, column 1\)"):
             svc.compile(JACOBI_SOURCE, guest="json-ir")
         # and the failures left nothing behind for the right guest to trip on
         assert svc.compile(JACOBI_SOURCE).digest == served.digest
