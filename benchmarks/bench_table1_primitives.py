@@ -1,29 +1,27 @@
 """T1 — Table 1: communication-primitive costs on the hypercube.
 
-Regenerates the paper's cost table twice: analytically (the
-:class:`~repro.costmodel.primitives.CommCosts` formulas) and *measured*
-on the simulator's hypercube, then checks the asymptotic shapes —
+Regenerates the paper's cost table twice from the rows of
+:data:`repro.costmodel.primitives.TABLE1` — analytically (each row's
+``cost``) and *measured* (each row's collective run on the simulator's
+hypercube) — then checks the asymptotic shapes —
 Transfer/Shift linear in m; OneToManyMulticast/Reduction/AffineTransform
 O(m log P); Scatter/Gather/ManyToManyMulticast O(m P).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.costmodel import CommCosts
-from repro.machine import Hypercube, run_spmd
-from repro.machine.collectives import (
-    affine_transform,
-    allgather,
-    bcast,
-    gather,
-    reduce,
-    scatter,
-    shift,
+from repro.costmodel.primitives import (
+    GATHER,
+    MANY_TO_MANY,
+    ONE_TO_MANY,
+    REDUCTION,
+    SHIFT,
+    TABLE1,
+    TRANSFER,
 )
+from repro.machine import Hypercube, collectives, run_spmd
 from repro.util.tables import Table
 
 
@@ -33,61 +31,37 @@ def measured_costs(m: int, dim: int, model):
     group = tuple(range(topo.size))
     payload = np.zeros(m)
 
-    def t_transfer(p):
+    def point_to_point(p):
         if p.rank == 0:
             p.send(topo.size - 1, payload)
         elif p.rank == topo.size - 1:
             yield from p.recv(0)
 
-    def t_shift(p):
-        yield from shift(p, payload, group)
-
-    def t_bcast(p):
-        yield from bcast(p, payload if p.rank == 0 else None, root=0, group=group)
-
-    def t_reduce(p):
-        yield from reduce(p, payload.copy(), root=0, group=group)
-
-    def t_affine(p):
-        yield from affine_transform(p, payload, group, lambda i: (i + 1) % len(group))
-
-    def t_scatter(p):
-        items = [payload] * len(group) if p.rank == 0 else None
-        yield from scatter(p, items, root=0, group=group)
-
-    def t_gather(p):
-        yield from gather(p, payload, root=0, group=group)
-
-    def t_allgather(p):
-        yield from allgather(p, payload, group)
-
-    out = {}
-    for name, prog in [
-        ("Transfer", t_transfer),
-        ("Shift", t_shift),
-        ("OneToManyMulticast", t_bcast),
-        ("Reduction", t_reduce),
-        ("AffineTransform", t_affine),
-        ("Scatter", t_scatter),
-        ("Gather", t_gather),
-        ("ManyToManyMulticast", t_allgather),
-    ]:
-        out[name] = run_spmd(prog, topo, model).makespan
-    return out
+    # How to call the collective a Table 1 row names, by function name.
+    calls = {
+        "Proc.send": point_to_point,
+        "shift": lambda p: collectives.shift(p, payload, group),
+        "bcast": lambda p: collectives.bcast(
+            p, payload if p.rank == 0 else None, root=0, group=group
+        ),
+        "reduce": lambda p: collectives.reduce(p, payload.copy(), root=0, group=group),
+        "affine_transform": lambda p: collectives.affine_transform(
+            p, payload, group, lambda i: (i + 1) % len(group)
+        ),
+        "scatter": lambda p: collectives.scatter(
+            p, [payload] * len(group) if p.rank == 0 else None, root=0, group=group
+        ),
+        "gather": lambda p: collectives.gather(p, payload, root=0, group=group),
+        "allgather": lambda p: collectives.allgather(p, payload, group),
+    }
+    return {
+        row.name: run_spmd(calls[row.collective], topo, model).makespan
+        for row in TABLE1
+    }
 
 
 def analytic_costs(m: int, nprocs: int, model):
-    c = CommCosts(model)
-    return {
-        "Transfer": c.transfer(m),
-        "Shift": c.shift(m),
-        "OneToManyMulticast": c.one_to_many(m, nprocs),
-        "Reduction": c.reduction(m, nprocs),
-        "AffineTransform": c.affine_transform(m, nprocs),
-        "Scatter": c.scatter(m, nprocs),
-        "Gather": c.gather(m, nprocs),
-        "ManyToManyMulticast": c.many_to_many(m, nprocs),
-    }
+    return {row.name: row.cost(model, m, nprocs) for row in TABLE1}
 
 
 def test_table1_primitive_costs(benchmark, emit, unit_model, record):
@@ -119,34 +93,26 @@ def test_table1_primitive_costs(benchmark, emit, unit_model, record):
         ["Primitive", "paper cost", "analytic", "simulated"],
         title=f"Table 1 — primitive costs (m={m} words, P={P} hypercube, tc=1)",
     )
-    shapes = {
-        "Transfer": "O(m)",
-        "Shift": "O(m)",
-        "OneToManyMulticast": "O(m log P)",
-        "Reduction": "O(m log P)",
-        "AffineTransform": "O(m log P)",
-        "Scatter": "O(m P)",
-        "Gather": "O(m P)",
-        "ManyToManyMulticast": "O(m P)",
-    }
-    for name in shapes:
-        table.add_row([name, shapes[name], f"{analytic[name]:g}", f"{measured[name]:g}"])
+    for row in TABLE1:
+        table.add_row(
+            [row.name, row.shape, f"{analytic[row.name]:g}", f"{measured[row.name]:g}"]
+        )
     emit("table1_primitives", table.render())
 
     # --- shape assertions -------------------------------------------------
     # Linear primitives scale with m.
     measured_2m = measured_costs(2 * m, dim, unit_model)
-    for name in ("Transfer", "Shift"):
-        assert 1.8 <= measured_2m[name] / measured[name] <= 2.2
+    for row in (TRANSFER, SHIFT):
+        assert 1.8 <= measured_2m[row.name] / measured[row.name] <= 2.2
     # Logarithmic collectives scale with log P.
     small = measured_costs(m, 2, unit_model)
-    for name in ("OneToManyMulticast", "Reduction"):
-        grow = measured[name] / small[name]
+    for row in (ONE_TO_MANY, REDUCTION):
+        grow = measured[row.name] / small[row.name]
         assert 1.5 <= grow <= 2.5  # log 16 / log 4 = 2
     # Linear-in-P collectives grow ~4x from P=4 to P=16.
-    for name in ("Gather", "ManyToManyMulticast"):
-        grow = measured[name] / small[name]
+    for row in (GATHER, MANY_TO_MANY):
+        grow = measured[row.name] / small[row.name]
         assert 3.0 <= grow <= 6.0
     # Within a machine size: log collectives cheaper than linear ones.
-    assert measured["OneToManyMulticast"] < measured["ManyToManyMulticast"]
-    assert measured["Reduction"] < measured["Gather"]
+    assert measured[ONE_TO_MANY.name] < measured[MANY_TO_MANY.name]
+    assert measured[REDUCTION.name] < measured[GATHER.name]

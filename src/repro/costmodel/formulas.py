@@ -46,7 +46,6 @@ Derivations (using the Table 1 primitive costs and writing ``log`` for
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.costmodel.primitives import CommCosts
@@ -198,9 +197,3 @@ def gauss_pipelined_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
         ),
     )
 
-
-def log2_ceil(n: int) -> int:
-    """Convenience re-export used by benchmark tables."""
-    if n < 1:
-        raise CostModelError(f"log2 of {n}")
-    return max(0, math.ceil(math.log2(n)))

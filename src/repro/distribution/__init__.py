@@ -8,7 +8,9 @@
 * :mod:`~repro.distribution.schemes` — whole-program distribution schemes
   (the ``P_{i,j}`` objects of Algorithm 1);
 * :mod:`~repro.distribution.redistribution` — cost and plan of changing
-  layouts between loop nests (the ``cost(P, P')`` of Algorithm 1);
+  layouts between loop nests (the ``cost(P, P')`` of Algorithm 1), and
+  the one rule table (:func:`change_rule`, :data:`RULES`) both the
+  planner and the runtime read;
 * :mod:`~repro.distribution.sections` — which global elements each rank
   owns under a placement (the executable side of §2.1);
 * :mod:`~repro.distribution.runtime` — lowering of
@@ -31,8 +33,11 @@ from repro.distribution.layout import (
     render_layout,
 )
 from repro.distribution.redistribution import (
+    RULES,
+    ChangeRule,
     RedistPlan,
     RedistTerm,
+    change_rule,
     placement_change_plan,
     placement_change_terms,
     redistribution_cost,
@@ -80,6 +85,9 @@ __all__ = [
     "scheme_from_directives",
     "RedistPlan",
     "RedistTerm",
+    "RULES",
+    "ChangeRule",
+    "change_rule",
     "placement_change_plan",
     "placement_change_terms",
     "redistribution_cost",

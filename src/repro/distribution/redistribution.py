@@ -10,62 +10,71 @@ Algorithm 1 (§4) needs two communication-cost oracles:
   reads them (:func:`loop_carried_cost` in :mod:`repro.dp.phases` builds
   on the same per-array primitive here).
 
-Rules (derived from the paper's §4 worked example, where
+Every per-dimension change is classified once, by :func:`change_rule`,
+into a row of :data:`RULES`; a row carries what the planner charges
+(*price*) and which :mod:`repro.distribution.runtime` op executes it
+(*lower*).  The rules derive from the paper's §4 worked example, where
 ``CTime1 = 0`` and
-``CTime2 = ManyToManyMulticast(m/N1, N1) + OneToManyMulticast(m, N2)``):
+``CTime2 = ManyToManyMulticast(m/N1, N1) + OneToManyMulticast(m, N2)``:
 
-=================================  =======================================
-transition (per array dimension)   cost
-=================================  =======================================
-same mapping, same kind            0
-not distributed -> distributed     0 when copies exist along the target
-                                   grid dimension; Scatter(D/Nh, Nh) when
-                                   the source pinned its copy (rest fixed)
-                                   at coordinate 0 of an unused dimension
-grid g -> not distributed          ManyToManyMulticast(D/Ng, Ng) when the
-                                   destination keeps/replicates copies;
-                                   Gather(D/Ng, Ng) when the destination
-                                   pins them (rest fixed) at coordinate 0
-grid g -> grid h, aligned          Transfer(D/Ng) x (Ng - 1) pairwise
-  (Ng == Nh, same kind, fixed)     section moves (pure rank relabeling)
-grid g -> grid h, rest fixed       Ng * OneToManyMulticast(D/Ng, Nh)
-grid g -> grid h, rest replicated  ManyToManyMulticast(D/Ng, Ng)
-                                   + OneToManyMulticast(D, Nh)
-same mapping, kind change          AffineTransform(D/Ng, Ng)
-fixed rest -> replicated rest      OneToManyMulticast over each unused
-                                   grid dimension, one root per holder
-=================================  =======================================
+==================  ==================================================
+rule                transition of one array dimension, and its price
+==================  ==================================================
+same                same mapping, same kind: 0
+free                not distributed -> distributed while copies exist
+                    along the target grid dimension (or either extent
+                    is 1): 0
+scatter             not distributed -> grid h from a copy pinned
+                    (rest fixed) at coordinate 0 of h: Scatter(D/Nh, Nh)
+regrid              same grid dimension, kind change:
+                    AffineTransform(D/Ng, Ng)
+gather              grid g -> not distributed, destination pinned
+                    (rest fixed) at coordinate 0: Gather(D/Ng, Ng)
+allgather           grid g -> not distributed, destination keeps or
+                    replicates copies: ManyToManyMulticast(D/Ng, Ng)
+departition         grid g -> grid h, rest replicated:
+                    ManyToManyMulticast(D/Ng, Ng)
+departition-spread  the same from a pinned source:
+                    ManyToManyMulticast(D/Ng, Ng), then each copy pays
+                    OneToManyMulticast(D, Nh) along h
+relabel             grid g -> grid h, Ng == Nh, same kind, both rests
+                    fixed, nothing else moves: Transfer(D/Ng) x (Ng - 1)
+                    pairwise section moves (pure rank relabeling)
+remap               grid g -> grid h otherwise, rest fixed:
+                    Ng x OneToManyMulticast(D/Ng, Nh)
+collapse            grid g -> grid h with Nh == 1, rest fixed: priced
+                    ManyToManyMulticast(D/Ng, Ng), executed as remap
+                    (not literal)
+unsplit             pinned source on a grid dimension of extent 1 ->
+                    another grid dimension: priced 0, the runtime has
+                    to move the data (not literal)
+replicate           rest fixed -> replicated (per array, after the
+                    dimensions): OneToManyMulticast over each unused
+                    grid dimension, one root per holder
+==================  ==================================================
 
 ``D`` is the total element count of the array.  These match the paper's
 terms exactly on its examples and degrade gracefully (all costs are zero
 when the relevant grid extent is 1).
 
 Every plan is an executable object: :mod:`repro.distribution.runtime`
-lowers each :class:`RedistTerm` kind to real message traffic on the SPMD
+lowers the same classification to real message traffic on the SPMD
 engine, and ``repro.tools.report --redist`` reconciles the measured word
 counts against :attr:`RedistTerm.volume` (see ``docs/REDISTRIBUTION.md``
-for the per-kind slack bands).
+for the slack band).  The two rules marked *not literal* execute a
+different primitive than they price; their lowerings are flagged
+``exact=False`` and stay outside the band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Iterator
 
-from repro.costmodel.primitives import CommCosts
+from repro.costmodel import primitives as table1
+from repro.costmodel.primitives import CommCosts, Primitive
 from repro.distribution.schemes import ArrayPlacement, Scheme
 from repro.errors import DistributionError
-
-#: The complete set of primitives a planner may emit.
-TERM_KINDS = (
-    "Transfer",
-    "Scatter",
-    "Gather",
-    "AffineTransform",
-    "OneToManyMulticast",
-    "ManyToManyMulticast",
-)
 
 
 @dataclass(frozen=True)
@@ -89,19 +98,7 @@ class RedistTerm:
     @property
     def volume(self) -> float:
         """Analytic words put on the wire by this term (all instances)."""
-        n, m = self.nprocs, self.words
-        base = self.primitive.split("x")[-1]  # tolerate legacy "4xOneToMany..."
-        if base == "Transfer":
-            per = m
-        elif base in ("Scatter", "Gather", "OneToManyMulticast"):
-            per = (n - 1) * m
-        elif base == "ManyToManyMulticast":
-            per = n * (n - 1) * m
-        elif base == "AffineTransform":
-            per = n * m
-        else:  # pragma: no cover - planner only emits TERM_KINDS
-            raise DistributionError(f"unknown primitive {self.primitive!r}")
-        return self.count * per
+        return self.count * table1.PRIMITIVES[self.primitive].volume(self.words, self.nprocs)
 
     def describe(self) -> str:
         head = f"{self.primitive}({self.words:g}, {self.nprocs})"
@@ -112,11 +109,7 @@ class RedistTerm:
 
 @dataclass(frozen=True)
 class RedistPlan:
-    """A full redistribution plan: the unified return shape of this module.
-
-    Iterating a plan yields ``(total, list(terms))`` so call sites written
-    against the historical tuple API keep working unchanged.
-    """
+    """A full redistribution plan: the unified return shape of this module."""
 
     src: Scheme | ArrayPlacement
     dst: Scheme | ArrayPlacement
@@ -133,10 +126,6 @@ class RedistPlan:
         terms: list[RedistTerm] | tuple[RedistTerm, ...],
     ) -> "RedistPlan":
         return cls(src, dst, tuple(grid), tuple(terms), sum(t.cost for t in terms))
-
-    def __iter__(self) -> Iterator:
-        yield self.total
-        yield list(self.terms)
 
     @property
     def analytic_words(self) -> float:
@@ -169,33 +158,139 @@ def _n_of(grid: tuple[int, int], g: int) -> int:
     raise DistributionError(f"grid dimension must be 1 or 2, got {g}")
 
 
-def _is_aligned_remap(
-    src: ArrayPlacement, dst: ArrayPlacement, grid: tuple[int, int]
-) -> bool:
-    """True when src -> dst is a pure rank relabeling along one dimension.
+# What a priced term scales with: positions in the tuple
+# ``(1, Ng, Nh, Ng - 1, parallel copy groups)`` of the dimension at hand.
+_ONE, _NG, _NH, _NG_LESS_1, _COPIES = range(5)
 
-    Exactly one array dimension moves from grid dim ``g`` to grid dim
-    ``h`` with equal extents and the same kind, both placements pin their
-    rest — then source section ``k`` lives at coordinate ``k`` of ``g``
-    and is wanted at coordinate ``k`` of ``h``: a parallel pairwise
-    Transfer, not a multicast.
+
+@dataclass(frozen=True)
+class ChangeRule:
+    """One row of the layout-change table.
+
+    ``price`` lists the terms the planner charges, each as ``(primitive,
+    split, over, serial, count)``: a message of ``D / split`` words over
+    ``over`` processors, its time taken ``serial`` times, standing for
+    ``count`` parallel instances (the last four are ``_ONE`` .. ``_COPIES``
+    positions).  ``lower`` names the runtime op class that executes the
+    rule.  ``literal`` is False where the two columns disagree.
     """
-    if src.rest != "fixed" or dst.rest != "fixed":
-        return False
-    changed = [
-        d
-        for d in range(src.rank)
-        if src.dim_map[d] != dst.dim_map[d] or src.kinds[d] != dst.kinds[d]
-    ]
-    if len(changed) != 1:
-        return False
-    d = changed[0]
+
+    name: str
+    price: tuple[tuple[Primitive, int, int, int, int], ...] = ()
+    lower: str | None = None
+    literal: bool = True
+
+
+_ALLGATHER = (table1.MANY_TO_MANY, _NG, _NG, _ONE, _COPIES)
+
+SAME = ChangeRule("same")
+FREE = ChangeRule("free")
+SCATTER = ChangeRule("scatter", ((table1.SCATTER, _NH, _NH, _ONE, _ONE),), "ScatterOp")
+REGRID = ChangeRule(
+    "regrid", ((table1.AFFINE_TRANSFORM, _NG, _NG, _ONE, _COPIES),), "RegridOp"
+)
+GATHER = ChangeRule("gather", ((table1.GATHER, _NG, _NG, _ONE, _ONE),), "GatherOp")
+ALLGATHER = ChangeRule("allgather", (_ALLGATHER,), "AllgatherOp")
+DEPARTITION = ChangeRule("departition", (_ALLGATHER,), "AllgatherOp")
+# After the departition, copies exist at every coordinate of g; each
+# multicasts along h in parallel (same time, Ng times the traffic).  A
+# replicated source already has copies along h, so the spread is free there.
+DEPARTITION_SPREAD = ChangeRule(
+    "departition-spread",
+    (_ALLGATHER, (table1.ONE_TO_MANY, _ONE, _NH, _ONE, _NG)),
+    "AllgatherOp",
+)
+# Section k moves from coordinate k of g to coordinate k of h; section 0 is
+# already in place, the other Ng - 1 move in parallel between disjoint pairs.
+RELABEL = ChangeRule(
+    "relabel", ((table1.TRANSFER, _NG, _NG, _ONE, _NG_LESS_1),), "TransferOp"
+)
+REMAP = ChangeRule("remap", ((table1.ONE_TO_MANY, _NG, _NH, _NG, _NG),), "BcastOp")
+COLLAPSE = ChangeRule(
+    "collapse", ((table1.MANY_TO_MANY, _NG, _NG, _ONE, _ONE),), "BcastOp", literal=False
+)
+UNSPLIT = ChangeRule("unsplit", literal=False)
+# Per array, not per dimension: here Ng stands for the holders sharing D,
+# Nh for the unused grid dimension being filled, the count for the copies
+# that each multicast along it in parallel.
+REPLICATE = ChangeRule(
+    "replicate", ((table1.ONE_TO_MANY, _NG, _NH, _ONE, _COPIES),), "BcastOp"
+)
+
+RULES = (
+    SAME, FREE, SCATTER, REGRID, GATHER, ALLGATHER, DEPARTITION, DEPARTITION_SPREAD,
+    RELABEL, REMAP, COLLAPSE, UNSPLIT, REPLICATE,
+)
+
+#: The complete set of primitives a planner may emit.
+TERM_KINDS = tuple(
+    dict.fromkeys(term[0].name for rule in RULES for term in rule.price)
+)
+
+
+def change_rule(
+    src: ArrayPlacement, dst: ArrayPlacement, d: int, grid: tuple[int, int]
+) -> ChangeRule:
+    """Classify the change of array dimension *d* from *src* to *dst*.
+
+    The one place that decides what kind of move a layout change is; the
+    planner prices the answer, the runtime lowers it.  ``REPLICATE`` is
+    the per-array completion both apply after the dimensions.
+    """
     gs, gd = src.dim_map[d], dst.dim_map[d]
-    if gs is None or gd is None or gs == gd:
-        return False
-    if src.kinds[d] != dst.kinds[d]:
-        return False
-    return _n_of(grid, gs) == _n_of(grid, gd)
+    same_kind = src.kinds[d] is dst.kinds[d]
+    if gs is None:
+        if gd is None:
+            return SAME if same_kind else FREE
+        if _n_of(grid, gd) > 1 and src.rest == "fixed" and gd not in src.grid_dims():
+            # The source pinned its copies at coordinate 0 of the
+            # (previously unused) target dimension.
+            return SCATTER
+        return FREE  # copies already exist along gd (replication)
+    ns = _n_of(grid, gs)
+    if gd == gs:
+        if same_kind:
+            return SAME
+        return REGRID if ns > 1 else FREE
+    if ns <= 1:
+        # A grid dimension of extent 1 means the array was never really
+        # split along it.  The planner moves nothing; that is only right
+        # while copies exist wherever the destination wants them.
+        return UNSPLIT if gd is not None and src.rest == "fixed" else FREE
+    if gd is None:
+        if dst.rest == "fixed" and gs not in dst.grid_dims():
+            return GATHER  # toward the rank pinned at coordinate 0 of gs
+        return ALLGATHER
+    nd = _n_of(grid, gd)
+    if dst.rest == "replicated":
+        return DEPARTITION_SPREAD if nd > 1 and src.rest == "fixed" else DEPARTITION
+    if (
+        ns == nd
+        and same_kind
+        and src.rest == "fixed"
+        and all(
+            src.dim_map[e] == dst.dim_map[e] and src.kinds[e] is dst.kinds[e]
+            for e in range(src.rank)
+            if e != d
+        )
+    ):
+        return RELABEL
+    return REMAP if nd > 1 else COLLAPSE
+
+
+def _charge(
+    rule: ChangeRule,
+    scale: tuple[int, int, int, int, int],
+    array: str,
+    D: float,
+    costs: CommCosts,
+    terms: list[RedistTerm],
+) -> None:
+    """Append *rule*'s price column, scaled for one dimension, to *terms*."""
+    for primitive, split, over, serial, count in rule.price:
+        words, n = D / scale[split], scale[over]
+        cost = scale[serial] * primitive.cost(costs.model, words, n)
+        terms.append(RedistTerm(array, primitive.name, words, n, cost, scale[count]))
 
 
 def placement_change_terms(
@@ -212,8 +307,6 @@ def placement_change_terms(
         raise DistributionError(f"{src.array}: placement ranks differ")
     terms: list[RedistTerm] = []
     D = float(total_elements)
-    name = src.array
-    aligned = _is_aligned_remap(src, dst, grid)
     # A replicated source keeps one full copy of the data per coordinate
     # of every unused grid dimension.  When the destination is also
     # replicated, each copy group performs the per-dimension collective
@@ -229,105 +322,27 @@ def placement_change_terms(
         )
 
     for d in range(src.rank):
-        gs, gd = src.dim_map[d], dst.dim_map[d]
-        if gs is None:
-            if gd is None:
-                continue
-            nd = _n_of(grid, gd)
-            if (
-                nd > 1
-                and src.rest == "fixed"
-                and gd not in src.grid_dims()
-            ):
-                # The source pinned its copies at coordinate 0 of the
-                # (previously unused) target dimension: splitting along it
-                # is a Scatter from each pinned holder (parallel groups
-                # share the aggregate D/Nh-word message convention, like
-                # the Gather and ManyToManyMulticast rules).
-                cost = costs.scatter(D / nd, nd)
-                terms.append(RedistTerm(name, "Scatter", D / nd, nd, cost))
-            # Otherwise copies already exist along gd (replication): free.
-            continue
-        ns = _n_of(grid, gs)
-        if ns <= 1:
-            # A grid dimension of extent 1 means the array was never really
-            # split along it; nothing to move.
-            continue
-        if gd == gs:
-            if src.kinds[d] is not dst.kinds[d]:
-                cost = costs.affine_transform(D / ns, ns)
-                terms.append(
-                    RedistTerm(name, "AffineTransform", D / ns, ns, cost, count=ncopies)
-                )
-            continue
-        if gd is None:
-            if dst.rest == "fixed" and gs not in dst.grid_dims():
-                # The destination pins its copies at coordinate 0 of gs:
-                # collapsing the split is a Gather toward the pinned rank.
-                cost = costs.gather(D / ns, ns)
-                terms.append(RedistTerm(name, "Gather", D / ns, ns, cost))
-            else:
-                cost = costs.many_to_many(D / ns, ns)
-                terms.append(
-                    RedistTerm(
-                        name, "ManyToManyMulticast", D / ns, ns, cost, count=ncopies
-                    )
-                )
-            continue
-        nd = _n_of(grid, gd)
-        if dst.rest == "replicated":
-            c1 = costs.many_to_many(D / ns, ns)
-            terms.append(
-                RedistTerm(name, "ManyToManyMulticast", D / ns, ns, c1, count=ncopies)
-            )
-            if nd > 1 and src.rest == "fixed":
-                # After the departition, copies exist at every coordinate
-                # of gs; each multicasts along gd in parallel (same time,
-                # ns times the traffic).  A replicated source already has
-                # copies along gd, so the spread is free there.
-                c2 = costs.one_to_many(D, nd)
-                terms.append(
-                    RedistTerm(name, "OneToManyMulticast", D, nd, c2, count=ns)
-                )
-        elif aligned:
-            # Section k moves from coordinate k of gs to coordinate k of
-            # gd; section 0 is already in place, the other ns - 1 move in
-            # parallel between disjoint rank pairs.
-            cost = costs.transfer(D / ns)
-            terms.append(
-                RedistTerm(name, "Transfer", D / ns, ns, cost, count=ns - 1)
-            )
-        else:
-            if nd > 1:
-                cost = ns * costs.one_to_many(D / ns, nd)
-                terms.append(
-                    RedistTerm(name, "OneToManyMulticast", D / ns, nd, cost, count=ns)
-                )
-            else:
-                cost = costs.many_to_many(D / ns, ns)
-                terms.append(RedistTerm(name, "ManyToManyMulticast", D / ns, ns, cost))
+        rule = change_rule(src, dst, d, grid)
+        if rule.price:
+            gs, gd = src.dim_map[d], dst.dim_map[d]
+            ns = _n_of(grid, gs) if gs else 1
+            nd = _n_of(grid, gd) if gd else 1
+            _charge(rule, (1, ns, nd, ns - 1, ncopies), src.array, D, costs, terms)
 
-    # Replication along unused grid dimensions (rest fixed -> replicated).
     if src.rest == "fixed" and dst.rest == "replicated":
         dst_used = dst.grid_dims()
         # Dimensions along which copies already spread: ones the
         # destination uses, plus ones a departition multicast just covered.
         spread = set(dst_used) | set(src.grid_dims())
-        holders = prod(_n_of(grid, g) for g in dst_used) if dst_used else 1
+        holders = prod(_n_of(grid, g) for g in dst_used)
         for g in (1, 2):
             if g in spread:
                 continue
             n = _n_of(grid, g)
             if n > 1:
                 # One multicast per existing copy, all in parallel.
-                count = prod(
-                    _n_of(grid, gg) for gg in spread if gg != g
-                ) if spread else 1
-                words = D / max(holders, 1)
-                cost = costs.one_to_many(words, n)
-                terms.append(
-                    RedistTerm(name, "OneToManyMulticast", words, n, cost, count=count)
-                )
+                count = prod(_n_of(grid, gg) for gg in spread)
+                _charge(REPLICATE, (1, holders, n, 0, count), src.array, D, costs, terms)
             spread.add(g)
     return terms
 

@@ -6,9 +6,11 @@ module *executes* the same change on the SPMD engine so the analytic model
 can be validated end-to-end (ISSUE 2, after Rink et al. 2021's framing of
 redistribution as lowering layout deltas to collective sequences).
 
-The lowering is **literal**: each analytic term kind maps to the engine
-collective the paper prices it with, even where a cleverer exchange would
-move fewer words — the point is to measure the traffic the model claims.
+The lowering is **literal**: it walks the *lower* column of the same
+:data:`~repro.distribution.redistribution.RULES` row the planner priced,
+and each op runs the engine collective of the Table 1 primitive the paper
+prices it with, even where a cleverer exchange would move fewer words —
+the point is to measure the traffic the model claims.
 
 =====================  ================================================
 analytic term          executable lowering
@@ -25,25 +27,30 @@ OneToManyMulticast     :class:`BcastOp` (binomial tree)
 ManyToManyMulticast    :class:`AllgatherOp` (ring)
 =====================  ================================================
 
-Every lowering is checked at plan time by a coverage simulation: per-rank
-boolean masks over the flat element space replay the ops and prove each
-rank ends holding a superset of its destination section.  Compound moves
+Every op declares its data movement once, as :meth:`stages` of
+``(holder, receivers, indices)`` moves; who takes part and the plan-time
+coverage proof both follow from that.  The proof replays the stages over
+per-rank boolean masks of the flat element space and shows each rank
+ends holding a superset of its destination section.  Compound moves
 the literal rules cannot express (several array dimensions remapped at
-once) fall back to a generic pairwise :class:`ExchangeOp` whose plans are
-flagged ``exact=False`` — correct, but outside the word-count slack bands
-documented in ``docs/REDISTRIBUTION.md``.
+once) fall back to a generic pairwise :class:`ExchangeOp`.  Those plans,
+and the ones whose rule is marked not literal (an extent-1 grid
+dimension: the runtime runs a different primitive than the planner
+priced), are flagged ``exact=False`` — correct, but outside the
+word-count slack band documented in ``docs/REDISTRIBUTION.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
-from typing import Any, Generator
+from typing import Any, Generator, Iterator, get_args
 
 import numpy as np
 
-from repro.distribution.redistribution import _is_aligned_remap
+from repro.costmodel import primitives as table1
+from repro.distribution.redistribution import SAME, change_rule
 from repro.distribution.schemes import ArrayPlacement
 from repro.distribution.sections import (
     groups_along,
@@ -66,19 +73,39 @@ from repro.machine.engine import Proc
 TAG_STRIDE = 2
 DEFAULT_TAG_BASE = 7000
 
+#: One data movement: *holder* sends *indices* to every rank of *receivers*.
+_Move = tuple[int, tuple[int, ...], np.ndarray]
+
+
+class _Staged:
+    """What every op derives from the ``stages()`` it declares.
+
+    A stage is a list of moves whose holders all hold their indices when
+    the stage starts; a later stage may forward what an earlier delivered.
+    """
+
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        return frozenset(
+            r for stage in self.stages() for h, to, _ in stage for r in (h, *to)
+        )
+
+    def ranks(self) -> frozenset[int]:
+        return self._members
+
 
 @dataclass(frozen=True)
-class TransferOp:
+class TransferOp(_Staged):
     """Point-to-point section move (the paper's Transfer primitive)."""
 
     source: int
     dest: int
     indices: np.ndarray
 
-    kind = "Transfer"
+    kind = table1.TRANSFER.name
 
-    def ranks(self) -> frozenset[int]:
-        return frozenset((self.source, self.dest))
+    def stages(self) -> list[list[_Move]]:
+        return [[(self.source, (self.dest,), self.indices)]]
 
     def execute(
         self, p: Proc, buf, have, tag: int, transport: Transport | None = None
@@ -92,19 +119,33 @@ class TransferOp:
                 have[self.indices] = True
         return None
 
+    @staticmethod
+    def plan(cov: "_Coverage", gs: int, gd: int) -> Iterator["TransferOp"]:
+        """Pure rank relabeling: each needy rank takes its section whole
+        from a rank that holds it, in parallel between disjoint pairs."""
+        for r, need in enumerate(cov.dst_secs):
+            if need.size == 0 or cov.holds(r, need):
+                continue
+            donor = next(
+                (s for s in range(len(cov.dst_secs)) if cov.holds(s, need)), None
+            )
+            if donor is None:
+                return  # r stays uncovered: the lowering falls back
+            yield TransferOp(donor, r, need)
+
 
 @dataclass(frozen=True)
-class BcastOp:
+class BcastOp(_Staged):
     """OneToManyMulticast of one index set from *root* over *group*."""
 
     root: int
     group: tuple[int, ...]
     indices: np.ndarray
 
-    kind = "OneToManyMulticast"
+    kind = table1.ONE_TO_MANY.name
 
-    def ranks(self) -> frozenset[int]:
-        return frozenset(self.group)
+    def stages(self) -> list[list[_Move]]:
+        return [[(self.root, self.group, self.indices)]]
 
     def execute(
         self, p: Proc, buf, have, tag: int, transport: Transport | None = None
@@ -117,18 +158,40 @@ class BcastOp:
         have[self.indices] = True
         return None
 
+    @staticmethod
+    def plan(cov: "_Coverage", gs: int, gd: int) -> Iterator["BcastOp"]:
+        """Literal Ng x OneToManyMulticast: every holder multicasts its
+        whole section over the destination holders — the Table 1
+        primitive the analytic rule charges.  Holders whose data no
+        destination still lacks are redundant copies (replicated
+        sources); they stay silent."""
+        dst_holders = [r for r, sec in enumerate(cov.dst_secs) if sec.size]
+        for h in cov.holders():
+            held = cov.held(h)
+            if not any(
+                r != h
+                and not cov.holds(
+                    r, np.intersect1d(cov.dst_secs[r], held, assume_unique=True)
+                )
+                for r in dst_holders
+            ):
+                continue
+            group = tuple(sorted({h, *dst_holders}))
+            if len(group) > 1:
+                yield BcastOp(root=h, group=group, indices=held)
+
 
 @dataclass(frozen=True)
-class AllgatherOp:
+class AllgatherOp(_Staged):
     """ManyToManyMulticast: every member ends with every contribution."""
 
     group: tuple[int, ...]
     indices: tuple[np.ndarray, ...]  # per-member contribution, group order
 
-    kind = "ManyToManyMulticast"
+    kind = table1.MANY_TO_MANY.name
 
-    def ranks(self) -> frozenset[int]:
-        return frozenset(self.group)
+    def stages(self) -> list[list[_Move]]:
+        return [[(r, self.group, idx) for r, idx in zip(self.group, self.indices)]]
 
     def execute(
         self, p: Proc, buf, have, tag: int, transport: Transport | None = None
@@ -142,19 +205,26 @@ class AllgatherOp:
             have[idx] = True
         return None
 
+    @staticmethod
+    def plan(cov: "_Coverage", gs: int, gd: int) -> Iterator["AllgatherOp"]:
+        """Departition along gs (REPLICATE's completion spreads the
+        copies along the remaining dimensions afterwards)."""
+        for group in cov.active_groups(gs):
+            yield AllgatherOp(group=group, indices=tuple(cov.held(r) for r in group))
+
 
 @dataclass(frozen=True)
-class GatherOp:
+class GatherOp(_Staged):
     """Gather each member's contribution to *root* (serialized at root)."""
 
     root: int
     group: tuple[int, ...]
     indices: tuple[np.ndarray, ...]  # per-member contribution, group order
 
-    kind = "Gather"
+    kind = table1.GATHER.name
 
-    def ranks(self) -> frozenset[int]:
-        return frozenset(self.group)
+    def stages(self) -> list[list[_Move]]:
+        return [[(r, (self.root,), idx) for r, idx in zip(self.group, self.indices)]]
 
     def execute(
         self, p: Proc, buf, have, tag: int, transport: Transport | None = None
@@ -170,19 +240,28 @@ class GatherOp:
                 have[idx] = True
         return None
 
+    @staticmethod
+    def plan(cov: "_Coverage", gs: int, gd: int) -> Iterator["GatherOp"]:
+        """Collapse the split toward the pinned coordinate-0 rank."""
+        for group in cov.active_groups(gs):
+            root = group[0]  # coordinate 0 along gs
+            grp = tuple(r for r in group if r == root or cov.masks[r].any())
+            if len(grp) > 1:
+                yield GatherOp(root, grp, tuple(cov.held(r) for r in grp))
+
 
 @dataclass(frozen=True)
-class ScatterOp:
+class ScatterOp(_Staged):
     """Scatter per-member index sets from *root* (which must hold them)."""
 
     root: int
     group: tuple[int, ...]
     indices: tuple[np.ndarray, ...]  # per-member delivery, group order
 
-    kind = "Scatter"
+    kind = table1.SCATTER.name
 
-    def ranks(self) -> frozenset[int]:
-        return frozenset(self.group)
+    def stages(self) -> list[list[_Move]]:
+        return [[(self.root, (r,), idx) for r, idx in zip(self.group, self.indices)]]
 
     def execute(
         self, p: Proc, buf, have, tag: int, transport: Transport | None = None
@@ -196,9 +275,24 @@ class ScatterOp:
         have[self.indices[me]] = True
         return None
 
+    @staticmethod
+    def plan(cov: "_Coverage", gs: int, gd: int) -> Iterator["ScatterOp"]:
+        """Copies pinned at coordinate 0 of gd: scatter along it."""
+        for group in groups_along(cov.grid, gd):
+            root = group[0]
+            if not cov.masks[root].any():
+                continue
+            held = cov.held(root)
+            targets = tuple(
+                np.intersect1d(cov.dst_secs[r], held, assume_unique=True)
+                for r in group
+            )
+            if any(t.size for t in targets):
+                yield ScatterOp(root=root, group=group, indices=targets)
+
 
 @dataclass(frozen=True)
-class RegridOp:
+class RegridOp(_Staged):
     """AffineTransform lowering: gather to a root, scatter the new split.
 
     A block<->cyclic change within one holder group is not a rank
@@ -213,39 +307,47 @@ class RegridOp:
     gather_indices: tuple[np.ndarray, ...]
     scatter_indices: tuple[np.ndarray, ...]
 
-    kind = "AffineTransform"
+    kind = table1.AFFINE_TRANSFORM.name
 
-    def ranks(self) -> frozenset[int]:
-        return frozenset(self.group)
+    @cached_property
+    def _halves(self) -> tuple[GatherOp, ScatterOp]:
+        return (
+            GatherOp(self.root, self.group, self.gather_indices),
+            ScatterOp(self.root, self.group, self.scatter_indices),
+        )
+
+    def stages(self) -> list[list[_Move]]:
+        return [stage for half in self._halves for stage in half.stages()]
 
     def execute(
         self, p: Proc, buf, have, tag: int, transport: Transport | None = None
     ) -> Generator:
         with p.scoped("affine"):
-            out = yield from gather(
-                p, buf[self.gather_indices[self.group.index(p.rank)]],
-                self.root, self.group, tag=tag, transport=transport,
-            )
-            if p.rank == self.root:
-                for idx, values in zip(self.gather_indices, out):
-                    buf[idx] = values
-                    have[idx] = True
-            items = (
-                [buf[idx] for idx in self.scatter_indices]
-                if p.rank == self.root
-                else None
-            )
-            mine = yield from scatter(
-                p, items, self.root, self.group, tag=tag + 1, transport=transport
-            )
-            me = self.group.index(p.rank)
-            buf[self.scatter_indices[me]] = mine
-            have[self.scatter_indices[me]] = True
+            for k, half in enumerate(self._halves):
+                yield from half.execute(p, buf, have, tag + k, transport)
         return None
+
+    @staticmethod
+    def plan(cov: "_Coverage", gs: int, gd: int) -> Iterator["RegridOp"]:
+        """Kind change: regrid each group along gs that holds data and
+        still needs some (replicated rests leave parallel copy groups;
+        pinned destinations leave whole groups with nothing to do, and
+        holder-less groups are fed by REPLICATE's completion)."""
+        for group in cov.active_groups(gs):
+            grp = tuple(
+                r for r in group if cov.masks[r].any() or cov.dst_secs[r].size
+            )
+            if len(grp) > 1:
+                yield RegridOp(
+                    root=grp[0],
+                    group=grp,
+                    gather_indices=tuple(cov.held(r) for r in grp),
+                    scatter_indices=tuple(cov.dst_secs[r] for r in grp),
+                )
 
 
 @dataclass(frozen=True)
-class ExchangeOp:
+class ExchangeOp(_Staged):
     """Generic pairwise fallback: every move ``(source, dest, indices)``.
 
     Used when no literal lowering covers the delta; flagged by
@@ -256,12 +358,8 @@ class ExchangeOp:
 
     kind = "Exchange"
 
-    def ranks(self) -> frozenset[int]:
-        out: set[int] = set()
-        for s, d, _ in self.moves:
-            out.add(s)
-            out.add(d)
-        return frozenset(out)
+    def stages(self) -> list[list[_Move]]:
+        return [[(s, (d,), idx) for s, d, idx in self.moves]]
 
     def execute(
         self, p: Proc, buf, have, tag: int, transport: Transport | None = None
@@ -282,6 +380,7 @@ class ExchangeOp:
 RedistOp = (
     TransferOp | BcastOp | AllgatherOp | GatherOp | ScatterOp | RegridOp | ExchangeOp
 )
+_OPS = {cls.__name__: cls for cls in get_args(RedistOp)}
 
 
 @dataclass(frozen=True)
@@ -303,7 +402,7 @@ class RedistLowering:
         n1, n2 = self.grid
         head = (
             f"{self.src.array}: {len(self.ops)} op(s) on grid {n1}x{n2}"
-            f" ({'literal' if self.exact else 'generic exchange fallback'})"
+            f" ({'literal' if self.exact else 'not literal'})"
         )
         lines = [head]
         for op in self.ops:
@@ -314,9 +413,16 @@ class RedistLowering:
 class _Coverage:
     """Plan-time replay of ops over per-rank boolean element masks."""
 
-    def __init__(self, sections: tuple[np.ndarray, ...], total: int) -> None:
-        self.masks = [np.zeros(total, dtype=bool) for _ in sections]
-        for mask, idx in zip(self.masks, sections):
+    def __init__(
+        self,
+        src_secs: tuple[np.ndarray, ...],
+        dst_secs: tuple[np.ndarray, ...],
+        grid: tuple[int, int],
+        total: int,
+    ) -> None:
+        self.dst_secs, self.grid = dst_secs, grid
+        self.masks = np.zeros((len(src_secs), total), dtype=bool)
+        for mask, idx in zip(self.masks, src_secs):
             mask[idx] = True
 
     def held(self, rank: int) -> np.ndarray:
@@ -328,245 +434,82 @@ class _Coverage:
     def holders(self) -> list[int]:
         return [r for r, m in enumerate(self.masks) if m.any()]
 
+    def needy(self, group) -> bool:
+        """Some member of *group* is still missing destination data."""
+        return any(
+            self.dst_secs[r].size and not self.holds(r, self.dst_secs[r])
+            for r in group
+        )
+
+    def active_groups(self, g: int) -> Iterator[tuple[int, ...]]:
+        """Groups along grid dimension *g* that hold data and need some."""
+        for group in groups_along(self.grid, g):
+            if self.needy(group) and any(self.masks[r].any() for r in group):
+                yield group
+
+    def covered(self) -> bool:
+        """Every rank holds its whole destination section."""
+        return not self.needy(range(len(self.dst_secs)))
+
     def apply(self, op: RedistOp) -> bool:
         """Replay *op*; False when a sender lacks the data it would send."""
-        if isinstance(op, TransferOp):
-            if not self.holds(op.source, op.indices):
+        for stage in op.stages():
+            if not all(self.holds(h, idx) for h, _, idx in stage):
                 return False
-            self.masks[op.dest][op.indices] = True
-            return True
-        if isinstance(op, BcastOp):
-            if not self.holds(op.root, op.indices):
-                return False
-            for r in op.group:
-                self.masks[r][op.indices] = True
-            return True
-        if isinstance(op, AllgatherOp):
-            union = np.zeros_like(self.masks[0])
-            for r, idx in zip(op.group, op.indices):
-                if not self.holds(r, idx):
-                    return False
-                union[idx] = True
-            for r in op.group:
-                self.masks[r] |= union
-            return True
-        if isinstance(op, GatherOp):
-            for r, idx in zip(op.group, op.indices):
-                if not self.holds(r, idx):
-                    return False
-                self.masks[op.root][idx] = True
-            return True
-        if isinstance(op, ScatterOp):
-            for r, idx in zip(op.group, op.indices):
-                if not self.holds(op.root, idx):
-                    return False
-                self.masks[r][idx] = True
-            return True
-        if isinstance(op, RegridOp):
-            for r, idx in zip(op.group, op.gather_indices):
-                if not self.holds(r, idx):
-                    return False
-                self.masks[op.root][idx] = True
-            for r, idx in zip(op.group, op.scatter_indices):
-                if not self.holds(op.root, idx):
-                    return False
-                self.masks[r][idx] = True
-            return True
-        if isinstance(op, ExchangeOp):
-            for s, d, idx in op.moves:
-                if not self.holds(s, idx):
-                    return False
-                self.masks[d][idx] = True
-            return True
-        raise DistributionError(f"unknown op {op!r}")  # pragma: no cover
+            gains: dict[tuple[int, ...], np.ndarray] = {}  # per receiver set
+            for _, receivers, idx in stage:
+                gains.setdefault(receivers, np.zeros_like(self.masks[0]))[idx] = True
+            for receivers, gained in gains.items():
+                self.masks[list(receivers)] |= gained
+        return True
+
+
+def _completion(cov: _Coverage) -> Iterator[BcastOp]:
+    """REPLICATE's lowering: make copies exist along every grid dimension
+    the destination leaves unused, dimensions in the planner's order."""
+    for g in (1, 2):
+        if cov.grid[g - 1] <= 1:
+            continue
+        for group in groups_along(cov.grid, g):
+            if not cov.needy(group):
+                continue
+            need = np.unique(np.concatenate([cov.dst_secs[r] for r in group]))
+            root = next((r for r in group if cov.holds(r, need)), None)
+            if root is not None:  # else another dimension's pass may enable it
+                yield BcastOp(root=root, group=group, indices=need)
 
 
 def _literal_ops(
-    src: ArrayPlacement,
-    dst: ArrayPlacement,
-    extents: tuple[int, ...],
-    grid: tuple[int, int],
-    dst_secs: tuple[np.ndarray, ...],
-    cov: _Coverage,
-) -> list[RedistOp] | None:
-    """Mirror of the analytic case analysis; None when it cannot express
-    the delta (compound multi-dimension remaps)."""
-    nranks = grid[0] * grid[1]
-    ops: list[RedistOp] = []
+    src: ArrayPlacement, dst: ArrayPlacement, cov: _Coverage
+) -> tuple[list[RedistOp], bool] | None:
+    """Walk the lower column of the rules the planner prices.
 
-    def emit(op: RedistOp) -> bool:
-        if not cov.apply(op):
-            return False
-        ops.append(op)
-        return True
-
-    def needy(group) -> bool:
-        """Some member of *group* is still missing destination data."""
-        return any(
-            dst_secs[r].size and not cov.holds(r, dst_secs[r]) for r in group
-        )
-
+    Returns the ops and whether the one rule applied is literal; None
+    when the rules cannot express the delta (compound multi-dimension
+    remaps) or a planned op would send data its sender lacks.
+    """
     changed = [
-        d
+        (d, rule)
         for d in range(src.rank)
-        if src.dim_map[d] != dst.dim_map[d] or src.kinds[d] != dst.kinds[d]
+        if (rule := change_rule(src, dst, d, cov.grid)) is not SAME
     ]
     if len(changed) > 1:
         return None
-    if changed:
-        d = changed[0]
-        gs, gd = src.dim_map[d], dst.dim_map[d]
-        ns = grid[gs - 1] if gs is not None else 1
-        nd = grid[gd - 1] if gd is not None else 1
-        if gs is not None and gd == gs:
-            # Kind change: regrid each group along gs that holds data and
-            # still needs some (replicated rests leave parallel copy
-            # groups; pinned destinations leave whole groups with nothing
-            # to do, and holder-less groups are fed by the completion
-            # pass below).
-            for group in groups_along(grid, gs):
-                if not needy(group):
-                    continue
-                if not any(cov.masks[r].any() for r in group):
-                    continue
-                members = [r for r in group if cov.masks[r].any() or dst_secs[r].size]
-                if len(members) <= 1:
-                    continue
-                grp = tuple(members)
-                if not emit(
-                    RegridOp(
-                        root=grp[0],
-                        group=grp,
-                        gather_indices=tuple(cov.held(r) for r in grp),
-                        scatter_indices=tuple(dst_secs[r] for r in grp),
-                    )
-                ):
-                    return None
-        elif gs is not None and gd is None and ns > 1:
-            if dst.rest == "fixed" and gs not in dst.grid_dims():
-                # Collapse the split toward the pinned coordinate-0 rank.
-                for group in groups_along(grid, gs):
-                    if not needy(group):
-                        continue
-                    root = group[0]  # coordinate 0 along gs
-                    members = [
-                        r for r in group if r == root or cov.masks[r].any()
-                    ]
-                    if len(members) <= 1:
-                        continue
-                    grp = tuple(members)
-                    if not emit(
-                        GatherOp(
-                            root=root,
-                            group=grp,
-                            indices=tuple(cov.held(r) for r in grp),
-                        )
-                    ):
-                        return None
-            else:
-                for group in groups_along(grid, gs):
-                    if not needy(group):
-                        continue
-                    if not any(cov.masks[r].any() for r in group):
-                        continue
-                    if not emit(
-                        AllgatherOp(
-                            group=group,
-                            indices=tuple(cov.held(r) for r in group),
-                        )
-                    ):
-                        return None
-        elif gs is not None and gd is not None and ns > 1:
-            if dst.rest == "replicated":
-                # Departition along gs; the completion pass below spreads
-                # the copies along the remaining dimensions.
-                for group in groups_along(grid, gs):
-                    if not needy(group):
-                        continue
-                    if not any(cov.masks[r].any() for r in group):
-                        continue
-                    if not emit(
-                        AllgatherOp(
-                            group=group,
-                            indices=tuple(cov.held(r) for r in group),
-                        )
-                    ):
-                        return None
-            elif _is_aligned_remap(src, dst, grid):
-                # Pure rank relabeling: pairwise parallel transfers.
-                for r in range(nranks):
-                    need = dst_secs[r]
-                    if need.size == 0 or cov.holds(r, need):
-                        continue
-                    donor = next(
-                        (s for s in range(nranks) if cov.holds(s, need)), None
-                    )
-                    if donor is None:
-                        return None
-                    if not emit(TransferOp(donor, r, need)):
-                        return None
-            else:
-                # Literal Ng x OneToManyMulticast: every holder multicasts
-                # its whole section over the destination holders — the
-                # Table 1 primitive the analytic rule charges.  Holders
-                # whose data no destination still lacks are redundant
-                # copies (replicated sources); they stay silent.
-                dst_holders = [r for r in range(nranks) if dst_secs[r].size]
-                for h in cov.holders():
-                    held = cov.held(h)
-                    if not any(
-                        r != h
-                        and not cov.holds(
-                            r,
-                            np.intersect1d(dst_secs[r], held, assume_unique=True),
-                        )
-                        for r in dst_holders
-                    ):
-                        continue
-                    group = tuple(sorted({h, *dst_holders}))
-                    if len(group) <= 1:
-                        continue
-                    if not emit(BcastOp(root=h, group=group, indices=held)):
-                        return None
-        elif gs is None and gd is not None and nd > 1:
-            if src.rest == "fixed" and gd not in src.grid_dims():
-                # Copies pinned at coordinate 0 of gd: scatter along it.
-                for group in groups_along(grid, gd):
-                    root = group[0]
-                    if not cov.masks[root].any():
-                        continue
-                    held = cov.held(root)
-                    targets = tuple(
-                        np.intersect1d(dst_secs[r], held, assume_unique=True)
-                        for r in group
-                    )
-                    if not any(t.size for t in targets):
-                        continue
-                    if not emit(ScatterOp(root=root, group=group, indices=targets)):
-                        return None
-            # Otherwise copies already exist along gd: free.
-
+    planned = [
+        _OPS[rule.lower].plan(cov, src.dim_map[d], dst.dim_map[d])
+        for d, rule in changed
+        if rule.lower
+    ]
     if dst.rest == "replicated":
-        # Completion: make copies exist along every grid dimension the
-        # destination leaves unused (mirrors the analytic rest rule and
-        # the OneToManyMulticast(D, Nh) of the remap-with-replication
-        # rule, in the same dimension order).
-        for g in (1, 2):
-            if grid[g - 1] <= 1:
-                continue
-            for group in groups_along(grid, g):
-                missing = [
-                    r for r in group if dst_secs[r].size and not cov.holds(r, dst_secs[r])
-                ]
-                if not missing:
-                    continue
-                need = np.unique(np.concatenate([dst_secs[r] for r in group]))
-                root = next((r for r in group if cov.holds(r, need)), None)
-                if root is None:
-                    continue  # another dimension's pass may enable this
-                if not emit(BcastOp(root=root, group=group, indices=need)):
-                    return None
-    return ops
+        # Not only from a fixed rest: it is a no-op wherever copies exist.
+        planned.append(_completion(cov))
+    ops: list[RedistOp] = []
+    for plan in planned:
+        for op in plan:  # lazily: each op is planned on the coverage so far
+            if not cov.apply(op):
+                return None
+            ops.append(op)
+    return ops, all(rule.literal for _, rule in changed)
 
 
 def _exchange_ops(
@@ -612,19 +555,18 @@ def _lower_cached(
     src_secs = section_table(src, extents, grid)
     dst_secs = section_table(dst, extents, grid)
 
-    cov = _Coverage(src_secs, total)
-    ops = _literal_ops(src, dst, extents, grid, dst_secs, cov)
-    if ops is not None and all(
-        cov.holds(r, dst_secs[r]) for r in range(len(dst_secs))
-    ):
-        return RedistLowering(src, dst, extents, grid, tuple(ops), exact=True)
+    cov = _Coverage(src_secs, dst_secs, grid, total)
+    lowered = _literal_ops(src, dst, cov)
+    if lowered is not None and cov.covered():
+        ops, literal = lowered
+        return RedistLowering(src, dst, extents, grid, tuple(ops), exact=literal)
 
-    cov = _Coverage(src_secs, total)
+    cov = _Coverage(src_secs, dst_secs, grid, total)
     ops = _exchange_ops(src_secs, dst_secs, total, src.array)
     for op in ops:
         if not cov.apply(op):  # pragma: no cover - exchange is total by construction
             raise DistributionError(f"{src.array}: fallback exchange is incoherent")
-    if not all(cov.holds(r, dst_secs[r]) for r in range(len(dst_secs))):
+    if not cov.covered():
         raise DistributionError(
             f"{src.array}: no lowering reaches the destination placement"
         )

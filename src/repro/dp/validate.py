@@ -13,8 +13,9 @@ deterministic :class:`~repro.machine.engine.Engine` and the
   registry must sit inside the documented slack band around the analytic
   :attr:`~repro.distribution.redistribution.RedistPlan.analytic_words`
   (``docs/REDISTRIBUTION.md``): for exact literal lowerings,
-  ``lower * analytic <= measured <= upper * analytic``; generic-exchange
-  fallbacks are correctness-checked only.
+  ``lower * analytic <= measured <= upper * analytic`` and the lowering
+  runs only primitives the plan names; generic-exchange fallbacks and
+  non-literal rules are correctness-checked only.
 
 Simulated *time* is deliberately compared loosely (ratio recorded, never
 gated): the machine model charges ``tc`` per word at both endpoints, so
@@ -30,6 +31,7 @@ import numpy as np
 
 from repro.codegen.redist import RedistMove, emit_redistribution_program
 from repro.codegen.spmd import load_generated
+from repro.costmodel.bands import REDIST_WORDS
 from repro.distribution.redistribution import RedistPlan
 from repro.distribution.runtime import lower_placement_delta
 from repro.distribution.schemes import ArrayPlacement, Scheme
@@ -40,15 +42,6 @@ from repro.errors import DistributionError
 from repro.machine.engine import run_spmd
 from repro.machine.threaded import run_spmd_threaded
 from repro.machine.topology import Grid2D
-
-from repro.costmodel.bands import REDIST_WORDS
-
-#: Documented word-count slack band for exact literal lowerings; the
-#: canonical definition lives in the central registry
-#: (:data:`repro.costmodel.bands.REDIST_WORDS`) — these aliases keep the
-#: historical names importable.
-WORD_SLACK_LOWER = REDIST_WORDS.lower
-WORD_SLACK_UPPER = REDIST_WORDS.upper
 
 _BACKENDS = {
     "engine": run_spmd,
@@ -62,7 +55,8 @@ class ArrayCheck:
 
     array: str
     exact: bool
-    kinds: tuple[str, ...]
+    kinds: tuple[str, ...]  # primitives the lowering runs
+    planned: tuple[str, ...]  # primitives the plan names
     analytic_words: float
     measured_words: dict[str, int]  # backend -> words
     sections_ok: dict[str, bool]  # backend -> exactness of final sections
@@ -80,8 +74,9 @@ class ArrayCheck:
                 return False
         return True
 
-    def ok(self, lower: float = WORD_SLACK_LOWER, upper: float = WORD_SLACK_UPPER) -> bool:
-        return all(self.sections_ok.values()) and self.words_ok(lower, upper)
+    def ok(self, lower: float = REDIST_WORDS.lower, upper: float = REDIST_WORDS.upper) -> bool:
+        literal = not self.exact or set(self.kinds) <= set(self.planned)
+        return literal and all(self.sections_ok.values()) and self.words_ok(lower, upper)
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ class TransitionReport:
     def exact(self) -> bool:
         return all(c.exact for c in self.checks)
 
-    def ok(self, lower: float = WORD_SLACK_LOWER, upper: float = WORD_SLACK_UPPER) -> bool:
+    def ok(self, lower: float = REDIST_WORDS.lower, upper: float = REDIST_WORDS.upper) -> bool:
         return all(c.ok(lower, upper) for c in self.checks)
 
 
@@ -115,8 +110,8 @@ class RedistValidation:
 
     transitions: tuple[TransitionReport, ...]
     backends: tuple[str, ...]
-    lower: float = WORD_SLACK_LOWER
-    upper: float = WORD_SLACK_UPPER
+    lower: float = REDIST_WORDS.lower
+    upper: float = REDIST_WORDS.upper
 
     @property
     def ok(self) -> bool:
@@ -221,15 +216,14 @@ def execute_plan(
     checks = []
     for mv in moves:
         lowering = lower_placement_delta(mv.src, mv.dst, mv.extents, grid)
-        analytic = sum(
-            t.volume for t in plan.terms if t.array == mv.array
-        )
+        terms = [t for t in plan.terms if t.array == mv.array]
         checks.append(
             ArrayCheck(
                 array=mv.array,
                 exact=lowering.exact,
                 kinds=tuple(sorted(lowering.kinds)),
-                analytic_words=analytic,
+                planned=tuple(sorted({t.primitive for t in terms})),
+                analytic_words=sum(t.volume for t in terms),
                 measured_words=per_array_words[mv.array],
                 sections_ok=sections_ok[mv.array],
             )
@@ -243,8 +237,8 @@ def validate_transitions(
     tables: PhaseTables,
     result: DPResult,
     backends: tuple[str, ...] = ("engine", "threaded"),
-    lower: float = WORD_SLACK_LOWER,
-    upper: float = WORD_SLACK_UPPER,
+    lower: float = REDIST_WORDS.lower,
+    upper: float = REDIST_WORDS.upper,
 ) -> RedistValidation:
     """Execute every transition of the DP's chosen chain (the ``execute=True``
     mode of :func:`repro.dp.phases.solve_program_distribution`)."""

@@ -59,44 +59,63 @@ def _owner_of(k: int, m: int, n: int, distribution: str) -> int:
     return k // size
 
 
-def gauss_broadcast(
-    p: Proc, A: np.ndarray, b: np.ndarray, distribution: str = "cyclic"
-) -> Generator:
-    """Naive Gauss elimination: OneToManyMulticast per pivot (§6)."""
-    m, n, mine, A_loc, b_loc = _row_setup(p, A, b, distribution)
-    group = tuple(range(n))
+def _multicast(p: Proc, tag: int):
+    """Propagation by OneToManyMulticast from the owner over the whole ring."""
+    group = tuple(range(p.nprocs))
+    return lambda owner, value: bcast(p, value, root=owner, group=group, tag=tag)
 
-    # ---- triangularization ------------------------------------------------
-    for k in range(m):
-        owner = _owner_of(k, m, n, distribution)
-        if p.rank == owner:
-            li = int(np.searchsorted(mine, k))  # local index of global row k
-            packet = (A_loc[li, k:].copy(), float(b_loc[li]))
-            packet = yield from bcast(p, packet, root=owner, group=group)
-        else:
-            packet = yield from bcast(p, None, root=owner, group=group)
-        pivot_row, pivot_b = packet
-        pivot = pivot_row[0]
-        below = mine > k
-        if below.any():
-            rows = np.nonzero(below)[0]
-            ell = A_loc[rows, k] / pivot
-            b_loc[rows] -= ell * pivot_b
-            A_loc[np.ix_(rows, range(k, m))] -= np.outer(ell, pivot_row)
-            p.compute(len(rows) * (2 * (m - k) + 3), label=f"elim k={k + 1}")
 
-    # ---- back substitution --------------------------------------------------
+def _ring_shift(p: Proc, step: int, tag: int):
+    """Propagation by neighbor Shift: the value leaves its owner toward
+    ``rank + step``, every processor forwards it *before* using it (so the
+    successor starts while we update), and it dies at the owner's other
+    neighbor, having visited every processor exactly once."""
+    n = p.nprocs
+    ahead, behind = (p.rank + step) % n, (p.rank - step) % n
+
+    def spread(owner: int, value):
+        if n > 1:
+            if p.rank != owner:
+                value = yield from p.recv(behind, tag=tag)
+            if ahead != owner:
+                p.send(ahead, value, tag=tag)
+        return value
+
+    return spread
+
+
+def _eliminate(p: Proc, A_loc, b_loc, mine, k: int, owner: int, spread) -> Generator:
+    """One pivot step: row ``k`` and ``B(k)`` reach everyone through
+    *spread*, then the local rows below ``k`` are updated."""
+    m = A_loc.shape[1]
+    packet = None
+    if p.rank == owner:
+        li = int(np.searchsorted(mine, k))  # local index of global row k
+        packet = (A_loc[li, k:].copy(), float(b_loc[li]))
+    pivot_row, pivot_b = yield from spread(owner, packet)
+    below = mine > k
+    if below.any():
+        rows = np.nonzero(below)[0]
+        ell = A_loc[rows, k] / pivot_row[0]
+        b_loc[rows] -= ell * pivot_b
+        A_loc[np.ix_(rows, range(k, m))] -= np.outer(ell, pivot_row)
+        p.compute(len(rows) * (2 * (m - k) + 3), label=f"elim k={k + 1}")
+
+
+def _back_substitute(p: Proc, A_loc, b_loc, mine, distribution: str, spread) -> Generator:
+    """Solve the triangular system bottom-up; every ``X(j)`` reaches
+    everyone through *spread* and updates the partial sums ``V`` above it."""
+    m, n = A_loc.shape[1], p.nprocs
     x = np.zeros(m)
     v_loc = np.zeros(len(mine))
     for j in range(m - 1, -1, -1):
         owner = _owner_of(j, m, n, distribution)
+        xj = None
         if p.rank == owner:
             lj = int(np.searchsorted(mine, j))
-            xj = (b_loc[lj] - v_loc[lj]) / A_loc[lj, j]
+            xj = float((b_loc[lj] - v_loc[lj]) / A_loc[lj, j])
             p.compute(2, label=f"X({j + 1})")
-            xj = yield from bcast(p, xj, root=owner, group=group)
-        else:
-            xj = yield from bcast(p, None, root=owner, group=group)
+        xj = yield from spread(owner, xj)
         x[j] = xj
         above = mine < j
         if above.any():
@@ -104,6 +123,19 @@ def gauss_broadcast(
             v_loc[rows] += A_loc[rows, j] * xj
             p.compute(2 * len(rows), label=f"V update j={j + 1}")
     return x
+
+
+def gauss_broadcast(
+    p: Proc, A: np.ndarray, b: np.ndarray, distribution: str = "cyclic"
+) -> Generator:
+    """Naive Gauss elimination: OneToManyMulticast per pivot (§6)."""
+    m, n, mine, A_loc, b_loc = _row_setup(p, A, b, distribution)
+    spread = _multicast(p, tag=101)
+    for k in range(m):
+        yield from _eliminate(
+            p, A_loc, b_loc, mine, k, _owner_of(k, m, n, distribution), spread
+        )
+    return (yield from _back_substitute(p, A_loc, b_loc, mine, distribution, spread))
 
 
 def gauss_pivoted(
@@ -123,22 +155,24 @@ def gauss_pivoted(
     m, n, mine, A_loc, b_loc = _row_setup(p, A, b, distribution)
     group = tuple(range(n))
 
-    def local_index(row: int) -> int:
-        return int(np.searchsorted(mine, row))
-
     def best_pair(x, y):
         return x if (x[0], -x[1]) >= (y[0], -y[1]) else y
 
-    mine_list = mine.copy()  # global row held at each local slot
+    def swap_with(slot: int, other_row: int):
+        """Trade the row in local *slot* with *other_row*'s remote owner."""
+        other = _owner_of(other_row, m, n, distribution)
+        p.send(other, (A_loc[slot, :].copy(), float(b_loc[slot])), tag=74)
+        A_loc[slot, :], b_loc[slot] = yield from p.recv(other, tag=74)
 
+    spread = _multicast(p, tag=75)
     for k in range(m):
         # 1. global pivot search over rows >= k (tie: smallest index).
-        cand_rows = np.nonzero(mine_list >= k)[0]
+        cand_rows = np.nonzero(mine >= k)[0]
         if len(cand_rows):
             vals = np.abs(A_loc[cand_rows, k])
             p.compute(len(cand_rows), label=f"pivot scan k={k + 1}")
             best_local = int(cand_rows[np.argmax(vals)])
-            local_best = (float(vals.max()), int(mine_list[best_local]))
+            local_best = (float(vals.max()), int(mine[best_local]))
         else:
             local_best = (-1.0, m)
         best_val, pivot_row = yield from allreduce(
@@ -147,67 +181,29 @@ def gauss_pivoted(
         if best_val == 0.0:
             raise ZeroDivisionError(f"matrix is singular at step {k + 1}")
 
-        # 2. swap logical rows k and pivot_row (by slot relabeling +
-        #    explicit exchange when they live on different processors).
-        slot_k = np.nonzero(mine_list == k)[0]
-        slot_p = np.nonzero(mine_list == pivot_row)[0]
+        # 2. swap rows k and pivot_row (locally, or by an explicit
+        #    exchange when they live on different processors).
+        slot_k = np.nonzero(mine == k)[0]
+        slot_p = np.nonzero(mine == pivot_row)[0]
         if pivot_row != k:
             if len(slot_k) and len(slot_p):
                 i1, i2 = int(slot_k[0]), int(slot_p[0])
                 A_loc[[i1, i2], :] = A_loc[[i2, i1], :]
                 b_loc[[i1, i2]] = b_loc[[i2, i1]]
             elif len(slot_k):
-                i1 = int(slot_k[0])
-                other = _owner_of(pivot_row, m, n, distribution)
-                p.send(other, (A_loc[i1, :].copy(), float(b_loc[i1])), tag=74)
-                row, bv = yield from p.recv(other, tag=74)
-                A_loc[i1, :] = row
-                b_loc[i1] = bv
+                yield from swap_with(int(slot_k[0]), pivot_row)
             elif len(slot_p):
-                i2 = int(slot_p[0])
-                other = _owner_of(k, m, n, distribution)
-                p.send(other, (A_loc[i2, :].copy(), float(b_loc[i2])), tag=74)
-                row, bv = yield from p.recv(other, tag=74)
-                A_loc[i2, :] = row
-                b_loc[i2] = bv
+                yield from swap_with(int(slot_p[0]), k)
 
         # 3. multicast the pivot row and eliminate below.
-        owner = _owner_of(k, m, n, distribution)
-        if p.rank == owner:
-            li = local_index(k)
-            packet = (A_loc[li, k:].copy(), float(b_loc[li]))
-            packet = yield from bcast(p, packet, root=owner, group=group, tag=75)
-        else:
-            packet = yield from bcast(p, None, root=owner, group=group, tag=75)
-        pivot_row_vals, pivot_b = packet
-        pivot = pivot_row_vals[0]
-        below = mine_list > k
-        if below.any():
-            rows = np.nonzero(below)[0]
-            ell = A_loc[rows, k] / pivot
-            b_loc[rows] -= ell * pivot_b
-            A_loc[np.ix_(rows, range(k, m))] -= np.outer(ell, pivot_row_vals)
-            p.compute(len(rows) * (2 * (m - k) + 3), label=f"elim k={k + 1}")
-
-    # ---- back substitution (multicast, as in gauss_broadcast) ------------
-    x = np.zeros(m)
-    v_loc = np.zeros(len(mine_list))
-    for j in range(m - 1, -1, -1):
-        owner = _owner_of(j, m, n, distribution)
-        if p.rank == owner:
-            lj = local_index(j)
-            xj = (b_loc[lj] - v_loc[lj]) / A_loc[lj, j]
-            p.compute(2, label=f"X({j + 1})")
-            xj = yield from bcast(p, xj, root=owner, group=group, tag=76)
-        else:
-            xj = yield from bcast(p, None, root=owner, group=group, tag=76)
-        x[j] = xj
-        above = mine_list < j
-        if above.any():
-            rows = np.nonzero(above)[0]
-            v_loc[rows] += A_loc[rows, j] * xj
-            p.compute(2 * len(rows), label=f"V update j={j + 1}")
-    return x
+        yield from _eliminate(
+            p, A_loc, b_loc, mine, k, _owner_of(k, m, n, distribution), spread
+        )
+    return (
+        yield from _back_substitute(
+            p, A_loc, b_loc, mine, distribution, _multicast(p, tag=76)
+        )
+    )
 
 
 def gauss_pipelined(
@@ -223,56 +219,13 @@ def gauss_pipelined(
     the same way.
     """
     m, n, mine, A_loc, b_loc = _row_setup(p, A, b, distribution)
-    right = (p.rank + 1) % n
-    left = (p.rank - 1) % n
-
-    # ---- triangularization ------------------------------------------------
+    rightward = _ring_shift(p, +1, tag=70)
     for k in range(m):
-        owner = _owner_of(k, m, n, distribution)
-        if n == 1:
-            li = int(np.searchsorted(mine, k))
-            pivot_row = A_loc[li, k:].copy()
-            pivot_b = float(b_loc[li])
-        elif p.rank == owner:
-            li = int(np.searchsorted(mine, k))
-            pivot_row = A_loc[li, k:].copy()
-            pivot_b = float(b_loc[li])
-            p.send(right, (pivot_row, pivot_b), tag=70)
-        else:
-            pivot_row, pivot_b = yield from p.recv(left, tag=70)
-            if right != owner:
-                p.send(right, (pivot_row, pivot_b), tag=70)
-        pivot = pivot_row[0]
-        below = mine > k
-        if below.any():
-            rows = np.nonzero(below)[0]
-            ell = A_loc[rows, k] / pivot
-            b_loc[rows] -= ell * pivot_b
-            A_loc[np.ix_(rows, range(k, m))] -= np.outer(ell, pivot_row)
-            p.compute(len(rows) * (2 * (m - k) + 3), label=f"elim k={k + 1}")
-
-    # ---- back substitution: X values pipeline leftward ----------------------
-    x = np.zeros(m)
-    v_loc = np.zeros(len(mine))
-    for j in range(m - 1, -1, -1):
-        owner = _owner_of(j, m, n, distribution)
-        if n == 1:
-            lj = int(np.searchsorted(mine, j))
-            xj = float((b_loc[lj] - v_loc[lj]) / A_loc[lj, j])
-            p.compute(2, label=f"X({j + 1})")
-        elif p.rank == owner:
-            lj = int(np.searchsorted(mine, j))
-            xj = float((b_loc[lj] - v_loc[lj]) / A_loc[lj, j])
-            p.compute(2, label=f"X({j + 1})")
-            p.send(left, xj, tag=71)
-        else:
-            xj = yield from p.recv(right, tag=71)
-            if left != owner:
-                p.send(left, xj, tag=71)
-        x[j] = xj
-        above = mine < j
-        if above.any():
-            rows = np.nonzero(above)[0]
-            v_loc[rows] += A_loc[rows, j] * xj
-            p.compute(2 * len(rows), label=f"V update j={j + 1}")
-    return x
+        yield from _eliminate(
+            p, A_loc, b_loc, mine, k, _owner_of(k, m, n, distribution), rightward
+        )
+    return (
+        yield from _back_substitute(
+            p, A_loc, b_loc, mine, distribution, _ring_shift(p, -1, tag=71)
+        )
+    )

@@ -7,7 +7,10 @@ ranks, typically a whole machine or one grid dimension
 "processors lying on the specified grid dimension(s)".
 
 Algorithms are the classic hypercube ones, so simulated costs match
-Table 1 of the paper:
+Table 1 of the paper (the rows live in
+:data:`repro.costmodel.primitives.TABLE1`, whose ``collective`` column
+names the function here; ``tests/test_doc_tables.py`` keeps this table in
+step with them):
 
 ===========================  =========================  =================
 paper primitive              function                   cost shape
@@ -16,11 +19,14 @@ Transfer(m)                  ``Proc.send`` / ``recv``   O(m)
 Shift(m)                     :func:`shift`              O(m)
 OneToManyMulticast(m, seq)   :func:`bcast`              O(m log P)
 Reduction(m, seq)            :func:`reduce`             O(m log P)
-AffineTransform(m, seq)      :func:`affine_transform`   O(m) per pair
+AffineTransform(m, seq)      :func:`affine_transform`   O(m log P)
 Scatter(m, seq)              :func:`scatter`            O(m P)
 Gather(m, seq)               :func:`gather`             O(m P)
 ManyToManyMulticast(m, seq)  :func:`allgather`          O(m P)
 ===========================  =========================  =================
+
+(AffineTransform's shape is the paper's worst-case permutation routing;
+the simulated exchange is one O(m) message per pair.)
 
 All collectives must be invoked with ``yield from`` and called by *every*
 member of the group, in the same order (standard SPMD contract).
@@ -118,12 +124,7 @@ def _root_index(group: Sequence[int], root: int) -> int:
 
 def _combine(a: Any, b: Any, op: Callable[[Any, Any], Any] | None, p: Proc) -> Any:
     """Merge two partial values, charging one flop per element."""
-    if op is not None:
-        result = op(a, b)
-    elif isinstance(a, np.ndarray):
-        result = a + b
-    else:
-        result = a + b
+    result = a + b if op is None else op(a, b)
     words = int(a.size) if isinstance(a, np.ndarray) else 1
     p.compute(words, label="reduce-op")
     return result

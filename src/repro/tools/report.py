@@ -71,7 +71,7 @@ from repro.costmodel import (
     jacobi_dp_time,
     jacobi_section3_time,
 )
-from repro.costmodel.bands import OVERLAP_MAKESPAN, get_band
+from repro.costmodel.bands import OVERLAP_MAKESPAN, REDIST_WORDS, get_band
 from repro.distribution import Dist1D, Dist2D
 from repro.distribution.layout import ownership_table
 from repro.dp import solve_program_distribution
@@ -363,8 +363,6 @@ def trace_report(kernel: str, outdir: pathlib.Path | None = None) -> int:
 
 def redist_report(outdir: pathlib.Path | None = None) -> int:
     """Validate Algorithm 1's cost model by executing its chosen chain."""
-    from repro.dp.validate import WORD_SLACK_LOWER, WORD_SLACK_UPPER
-
     m, n = 256, 16
     tables, result, validation = solve_program_distribution(
         jacobi_program(), n, {"m": m, "maxiter": 1}, MODEL, execute=True
@@ -378,7 +376,7 @@ def redist_report(outdir: pathlib.Path | None = None) -> int:
         ["transition", "grid", "lowering", "analytic", *validation.backends,
          "ratio", "sections", "band"],
         title=f"measured vs analytic words "
-              f"(band: {WORD_SLACK_LOWER:g}x..{WORD_SLACK_UPPER:g}x for "
+              f"(band: {REDIST_WORDS.lower:g}x..{REDIST_WORDS.upper:g}x for "
               f"literal lowerings)",
     )
     for t in validation.transitions:
@@ -411,7 +409,7 @@ def redist_report(outdir: pathlib.Path | None = None) -> int:
             "nprocs": n,
             "dp_cost": result.cost,
             "loop_carried": result.loop_carried,
-            "band": [WORD_SLACK_LOWER, WORD_SLACK_UPPER],
+            "band": [REDIST_WORDS.lower, REDIST_WORDS.upper],
             "ok": validation.ok,
             "transitions": [
                 {

@@ -19,6 +19,10 @@ must reproduce what the copies did, byte for byte:
 * ``codegen`` — sha256 of the generated source for the ``stencil``,
   ``stencil-overlap`` and 2-D stencil strategies.
 
+The three §6 Gauss kernels (cyclic and block rows) joined at the commit
+before ISSUE 18 left them one elimination and one back-substitution body
+with the propagation (multicast or ring Shift) passed in.
+
 Regenerate (only when a change is *supposed* to move an event)::
 
     PYTHONPATH=src python -m tests.test_kernel_policy_goldens
@@ -39,6 +43,9 @@ from repro.codegen import generate_spmd
 from repro.distribution.sparse import SparsePlacement
 from repro.kernels import (
     cg_parallel,
+    gauss_broadcast,
+    gauss_pipelined,
+    gauss_pivoted,
     heat_stencil_blocking,
     heat_stencil_overlap,
     jacobi_ring_blocking,
@@ -110,7 +117,12 @@ def _cases() -> dict[str, tuple]:
     rng = np.random.default_rng(7)
     xs, bs = rng.standard_normal(64), rng.standard_normal(64)
     schedule = build_comm_schedule(SparsePlacement(csr.pattern, P))
-    return {
+    gauss = {
+        f"{kernel.__name__}/{dist}": (kernel, (A, b, dist), {})
+        for kernel in (gauss_broadcast, gauss_pivoted, gauss_pipelined)
+        for dist in ("cyclic", "block")
+    }
+    return gauss | {
         "jacobi_rowdist": (jacobi_rowdist, (A, b, x0, 4), {}),
         "jacobi_rowdist_adaptive": (jacobi_rowdist_adaptive, (A, b, x0, 1e-3, 12), {}),
         "resilient_jacobi": (resilient_jacobi, (A, b, x0, 4), {}),

@@ -1,5 +1,5 @@
-"""Source-sweep guards: dead package exports (ISSUE 9), kernel twins (ISSUE 14)
-and the one FIFO pairing pass (ISSUE 15).
+"""Source-sweep guards: dead package exports (ISSUE 9), kernel twins (ISSUE 14),
+the one FIFO pairing pass (ISSUE 15) and the one Table 1 / rule table (ISSUE 18).
 
 The PR 7 shim check keeps removed names out; this is the dual — every
 *public* top-level class and function defined in a ``distribution`` or
@@ -161,3 +161,75 @@ def test_match_messages_only_reads_the_index():
     tree = ast.parse((SRC / "machine" / "export.py").read_text())
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "match_messages"]
     assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(fn))
+
+
+# -- one Table 1, one rule table (ISSUE 18) -----------------------------------
+# A primitive's name is written once, in its costmodel/primitives.py row;
+# everything that keys, tags or compares by it reads the row.  (Formula
+# prose such as ``f"{n} x Shift({m})"`` in a cost-term description is text
+# for readers, like a docstring, and is not an identifier use.)  And the
+# runtime lowers the planner's classification — it never compares two
+# placements' ``dim_map`` / ``kinds`` to classify for itself.
+
+TABLE1_SCOPE = (
+    *sorted((SRC / "costmodel").glob("*.py")),
+    *sorted((SRC / "distribution").glob("*.py")),
+    *sorted((SRC / "dp").glob("*.py")),
+    SRC / "codegen" / "redist.py",
+)
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def test_primitive_names_are_literals_only_in_their_rows():
+    from repro.costmodel.primitives import PRIMITIVES
+
+    uses = []
+    for path in TABLE1_SCOPE:
+        tree = ast.parse(path.read_text())
+        skip = _docstrings(tree)
+        uses += [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and id(node) not in skip
+            and node.value in PRIMITIVES
+        ]
+    assert len(uses) == len(PRIMITIVES), uses
+    assert all(use.startswith("costmodel/primitives.py:") for use in uses), uses
+
+
+def test_runtime_does_not_classify_placement_changes():
+    tree = ast.parse((SRC / "distribution" / "runtime.py").read_text())
+    compared = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and sum(
+            isinstance(sub, ast.Attribute) and sub.attr in ("dim_map", "kinds")
+            for side in (node.left, *node.comparators)
+            for sub in ast.walk(side)
+        ) >= 2
+    ]
+    assert compared == []
+    callers = sorted(
+        f"{path.relative_to(SRC)}:{fn.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "change_rule"
+    )
+    assert callers == [
+        "distribution/redistribution.py:placement_change_terms",
+        "distribution/runtime.py:_literal_ops",
+    ]

@@ -9,6 +9,8 @@ extents, ``analytic <= measured <= 2 * analytic``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from math import prod
 
 import numpy as np
@@ -17,16 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costmodel import CommCosts
+from repro.costmodel.bands import REDIST_WORDS
 from repro.distribution import (
+    RULES,
     ArrayPlacement,
     Kind,
     assemble,
+    change_rule,
     lower_placement_delta,
     pack_section,
     placement_change_plan,
     redistribute,
     section_table,
 )
+from repro.distribution.redistribution import TERM_KINDS
 from repro.dp import solve_program_distribution, validate_transitions
 from repro.errors import DistributionError
 from repro.lang import jacobi_program
@@ -192,13 +198,35 @@ PLACEMENT_1D = st.tuples(
 def move_case(draw):
     grid = draw(st.sampled_from([(1, 4), (4, 1), (2, 2), (2, 4)]))
     extent = draw(_divisible_extent(grid))
-    placements = []
-    for _ in range(2):
-        g, kind, rest = draw(PLACEMENT_1D)
-        if g is not None and grid[g - 1] == 1:
-            g = None
-        placements.append(pl((g,), kinds=(kind,), rest=rest))
+    placements = [
+        pl((g,), kinds=(kind,), rest=rest)
+        for g, kind, rest in (draw(PLACEMENT_1D), draw(PLACEMENT_1D))
+    ]
     return grid, extent, placements[0], placements[1]
+
+
+def check_move(src, dst, extents, grid):
+    """Run one move: exact destination sections always; a lowering flagged
+    ``exact`` runs only primitives its plan names and lands in the band."""
+    plan = placement_change_plan(src, dst, prod(extents), grid, CommCosts(MODEL))
+    planned = {t.primitive for t in plan.terms}
+    assert planned <= set(TERM_KINDS)
+    lowering = lower_placement_delta(src, dst, extents, grid)
+    data, res = run_move(src, dst, extents, grid)
+    check_sections(data, res, dst, extents, grid)
+    if lowering.exact:
+        assert lowering.kinds <= planned
+        analytic, measured = plan.analytic_words, measured_words(res)
+        if src.rest == "replicated" and dst.rest == "fixed":
+            # The runtime exploits the spare copies and may move less
+            # than the aggregate analytic rule charges (upper bound
+            # only — see docs/REDISTRIBUTION.md).
+            assert measured <= REDIST_WORDS.upper * analytic
+        elif analytic == 0:
+            assert measured == 0
+        else:
+            assert REDIST_WORDS.lower * analytic <= measured <= REDIST_WORDS.upper * analytic
+    return plan, lowering
 
 
 class TestPropertyRandomMoves:
@@ -206,21 +234,48 @@ class TestPropertyRandomMoves:
     @given(case=move_case())
     def test_executed_move_reaches_exact_dst_sections(self, case):
         grid, extent, src, dst = case
-        lowering = lower_placement_delta(src, dst, (extent,), grid)
-        data, res = run_move(src, dst, (extent,), grid)
-        check_sections(data, res, dst, (extent,), grid)
-        if lowering.exact:
-            analytic = analytic_words(src, dst, (extent,), grid)
-            measured = measured_words(res)
-            if src.rest == "replicated" and dst.rest == "fixed":
-                # The runtime exploits the spare copies and may move less
-                # than the aggregate analytic rule charges (upper bound
-                # only — see docs/REDISTRIBUTION.md).
-                assert measured <= 2 * analytic
-            elif analytic == 0:
-                assert measured == 0
-            else:
-                assert analytic <= measured <= 2 * analytic
+        check_move(src, dst, (extent,), grid)
+
+
+SWEEP_GRIDS = [(1, 4), (4, 1), (2, 2), (2, 4), (4, 4)]
+SWEEP_PLACEMENTS = [
+    pl((g,), kinds=(kind,), rest=rest)
+    for g in (None, 1, 2)
+    for kind in (Kind.BLOCK, Kind.CYCLIC)
+    for rest in ("fixed", "replicated")
+]
+
+
+@functools.cache
+def sweep(grid):
+    """Every ordered pair of the 12 one-dimensional placements on *grid*,
+    exactly as written — extent-1 grid dimensions are *not* rewritten to
+    ``None`` first.  Returns ``{rule name: cases hit}``; ``replicate`` (the
+    per-array completion) is hit when the plan charges beyond the
+    dimension's own rule."""
+    hits = {rule.name: 0 for rule in RULES}
+    for src, dst in itertools.permutations(SWEEP_PLACEMENTS, 2):
+        plan, lowering = check_move(src, dst, (16,), grid)
+        rule = change_rule(src, dst, 0, grid)
+        hits[rule.name] += 1
+        hits["replicate"] += len(plan.terms) > len(rule.price)
+        assert rule.literal or not lowering.exact
+    return hits
+
+
+class TestExhaustiveSingleDimensionSweep:
+    @pytest.mark.parametrize("grid", SWEEP_GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
+    def test_every_pair_on_grid(self, grid):
+        hits = sweep(grid)  # the assertions are check_move's, per pair
+        assert sum(hits.values()) - hits["replicate"] == 12 * 11
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+    def test_every_rule_row_is_hit(self, rule):
+        assert sum(sweep(grid)[rule.name] for grid in SWEEP_GRIDS) > 0
+
+    def test_non_literal_rules_need_an_extent_one_grid_dimension(self):
+        for grid in ((2, 2), (2, 4), (4, 4)):
+            assert not any(sweep(grid)[r.name] for r in RULES if not r.literal)
 
 
 class TestDpExecuteMode:
