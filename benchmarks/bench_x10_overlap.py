@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.costmodel.bands import OVERLAP_MAKESPAN
 from repro.kernels import (
     heat_stencil_blocking,
     heat_stencil_overlap,
@@ -36,7 +37,6 @@ from repro.kernels import (
     sor_pipelined_overlap,
 )
 from repro.machine import MachineModel, NBComm, Ring, run_spmd, waitall
-from repro.tools.report import OVERLAP_SLACK_LOWER, OVERLAP_SLACK_UPPER
 from repro.util.tables import Table
 
 ALPHAS = [0.0, 10.0, 100.0, 1000.0]
@@ -170,8 +170,7 @@ def test_x10_overlap(benchmark, emit, record):
         if name in ("stencil", "jacobi") and alpha in (10.0, 100.0):
             # Latency hiding wins whenever compute can cover the wire.
             assert to < tb, (name, alpha)
-            assert OVERLAP_SLACK_LOWER <= to / tp <= OVERLAP_SLACK_UPPER, (
-                name, alpha)
+            assert OVERLAP_MAKESPAN.check(to / tp), (name, alpha)
     # Aggregation coalesces 16 messages into 2 bundles and wins on alpha.
     (_, msgs_plain, t_plain, _), (_, msgs_agg, t_agg, _) = agg
     assert msgs_plain == 16 and msgs_agg == 2

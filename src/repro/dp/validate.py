@@ -39,14 +39,8 @@ from repro.distribution.sections import pack_section
 from repro.dp.algorithm1 import DPResult
 from repro.dp.phases import PhaseTables
 from repro.errors import DistributionError
-from repro.machine.engine import run_spmd
-from repro.machine.threaded import run_spmd_threaded
+from repro.machine.threaded import BACKENDS
 from repro.machine.topology import Grid2D
-
-_BACKENDS = {
-    "engine": run_spmd,
-    "threaded": run_spmd_threaded,
-}
 
 
 @dataclass(frozen=True)
@@ -177,9 +171,9 @@ def execute_plan(
 ) -> TransitionReport:
     """Run one redistribution plan on the listed backends and reconcile it."""
     for b in backends:
-        if b not in _BACKENDS:
+        if b not in BACKENDS:
             raise DistributionError(
-                f"unknown backend {b!r}; expected one of {sorted(_BACKENDS)}"
+                f"unknown backend {b!r}; expected one of {sorted(BACKENDS)}"
             )
     moves = _plan_moves(plan, extents)
     grid = tuple(plan.grid)
@@ -199,7 +193,7 @@ def execute_plan(
     sections_ok: dict[str, dict[str, bool]] = {mv.array: {} for mv in moves}
     makespan: dict[str, float] = {}
     for backend in backends:
-        res = _BACKENDS[backend](fn, Grid2D(*grid), model, args=(data,))
+        res = BACKENDS[backend](Grid2D(*grid), model).run(fn, args=(data,))
         makespan[backend] = max(res.finish_times)
         for mv in moves:
             stats = res.metrics.scope_totals(mv.scope())

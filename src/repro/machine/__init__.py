@@ -56,7 +56,7 @@ from repro.machine.resilient import (
     RetryPolicy,
     run_resilient,
 )
-from repro.machine.threaded import ThreadedEngine, run_spmd_threaded
+from repro.machine.threaded import BACKENDS, ThreadedEngine, run_spmd_threaded
 from repro.machine.model import MachineModel
 from repro.machine.topology import (
     Grid2D,
@@ -85,6 +85,7 @@ __all__ = [
     "match_messages",
     "ThreadedEngine",
     "run_spmd_threaded",
+    "BACKENDS",
     "MachineModel",
     "Topology",
     "Ring",

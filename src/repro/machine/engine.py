@@ -714,7 +714,14 @@ class Proc:
 
 
 class Engine:
-    """Owns processor state, message queues and the event calendar."""
+    """The machine core — processor state, the message store and the park /
+    wake / stall rules — plus the deterministic event-calendar driver
+    (:meth:`run`).  :class:`repro.machine.threaded.ThreadedEngine` drives
+    the same core with one OS thread per rank."""
+
+    #: Whether the run's metrics registry locks its shared histograms:
+    #: the one thing the two drivers construct differently.
+    _threadsafe = False
 
     def __init__(
         self,
@@ -726,27 +733,12 @@ class Engine:
         self.topology = topology
         self.model = model or MachineModel()
         self.procs = [Proc(self, r) for r in range(topology.size)]
-        self._queues: dict[Channel, deque[_Message]] = {}
-        self._waiting: dict[Channel, int] = {}  # channel -> parked rank
-        self._parked_on: dict[int, Channel] = {}  # rank in a blocking receive
-        self._nb_channels: dict[int, tuple[Channel, ...]] = {}  # rank in an nb wait
-        self._nb_by_source: dict[int, set[int]] = {}  # source -> nb listeners
-        self._calendar = EventCalendar()
-        self.message_count = 0
-        self.message_words = 0
         self._tracing = trace
-        self.trace = Trace(TraceLane() for _ in range(topology.size))
-        self.metrics = Metrics(topology.size)
-        self._observe = self.metrics.observe
         self.fault_plan = faults
-        self.faults: FaultState | None = None
-        self._timeout_fired: set[int] = set()
-        self._send_attempts: dict[Channel, int] = {}
-        self._reliable_last: dict[Channel, int] = {}
+        # Route lengths belong to the topology, not to a run.  (Threads
+        # read it unlocked: a racing double-compute stores the same value.)
         self._hops: dict[tuple[int, int], int] = {}
-        self._recent: list[deque] = [
-            deque(maxlen=RECENT_EVENTS) for _ in range(topology.size)
-        ]
+        self._reset_run_state()
 
     def _reset_run_state(self) -> None:
         """Start every :meth:`run` from a clean slate.
@@ -759,23 +751,26 @@ class Engine:
         for proc in self.procs:
             proc.clock = 0.0
             proc.scope = ""
-        self._queues = {}
-        self._waiting = {}
-        self._parked_on = {}
-        self._nb_channels = {}
-        self._nb_by_source = {}
+        self._queues: dict[Channel, deque[_Message]] = {}
+        self._waiting: dict[Channel, int] = {}  # channel -> parked rank
+        self._parked_on: dict[int, Channel] = {}  # rank in a blocking receive
+        self._nb_channels: dict[int, tuple[Channel, ...]] = {}  # rank in an nb wait
+        self._nb_by_source: dict[int, set[int]] = {}  # source -> nb listeners
         self._calendar = EventCalendar()
         self.message_count = 0
         self.message_words = 0
-        self.trace = Trace(TraceLane() for _ in self.procs)
-        self.metrics = Metrics(self.topology.size)
-        self._observe = self.metrics.observe
+        self.trace = Trace([TraceLane() for _ in self.procs])
+        self.metrics = Metrics(self.topology.size, threadsafe=self._threadsafe)
+        self._observe = self.metrics.observe  # what record() calls
         self.faults = (
             FaultState(self.fault_plan) if self.fault_plan is not None else None
         )
-        self._timeout_fired = set()
-        self._send_attempts = {}
-        self._reliable_last = {}
+        self._timeout_fired: set[int] = set()
+        # Attempt counters and reliable-dedup state are keyed by channel;
+        # each channel has exactly one sending rank, so under the threaded
+        # driver each key is only ever touched by that rank's thread.
+        self._send_attempts: dict[Channel, int] = {}
+        self._reliable_last: dict[Channel, int] = {}
         self._recent = [deque(maxlen=RECENT_EVENTS) for _ in self.procs]
 
     # -- messaging ------------------------------------------------------
@@ -860,10 +855,6 @@ class Engine:
             return "msg", queue.popleft()
         return "late", None
 
-    def has_message(self, channel: Channel) -> bool:
-        queue = self._queues.get(channel)
-        return bool(queue)
-
     def peek_available(self, channel: Channel) -> float | None:
         """Availability time of the FIFO head, or ``None`` when empty."""
         queue = self._queues.get(channel)
@@ -902,8 +893,8 @@ class Engine:
         detail: str = "",
         scope: str = "",
     ) -> None:
-        """Account one event (shared verbatim by :class:`ThreadedEngine`,
-        where each rank's thread appends only to its own lanes)."""
+        """Account one event (unlocked under the threaded driver: each
+        rank's thread appends only to its own lanes)."""
         self._observe(rank, kind, start, end, peer, words, tag, scope, detail)
         self._recent[rank].append((kind, start, end, peer, tag, detail))
         if self._tracing:
@@ -912,7 +903,7 @@ class Engine:
             )
 
     def _result(self, values: list) -> RunResult:
-        """Package a finished run (shared by :class:`ThreadedEngine`).
+        """Package a finished run.
 
         Correlates the run with the compile request that produced it
         (docs/OBSERVABILITY.md): the installed trace context — none
@@ -936,17 +927,39 @@ class Engine:
             metrics=self.metrics,
         )
 
-    # -- forensics -------------------------------------------------------
-    @property
-    def _timed(self) -> dict[int, float]:
-        """Live rank → deadline view of the calendar (forensics, tests)."""
-        return self._calendar.timed
+    # -- park / wake / stall rules -----------------------------------------
+    def _park(self, rank: int, channel: Any, deadline: float | None) -> bool:
+        """Register the park *rank*'s generator yielded; False when a
+        message raced in while it was yielding (nothing registered — the
+        receive retries).  A registered park arms *deadline* on the
+        calendar.  :meth:`run` inlines the single-channel case: a call per
+        park is measurable on its hot path.
+        """
+        if type(channel[0]) is tuple:
+            # A waitany park (:mod:`repro.machine.nonblocking`) lists
+            # several channels: wake on a message on *any* of them.
+            if not self._park_nb(rank, channel):
+                return False
+        elif self._queues.get(channel):
+            return False
+        else:
+            if channel in self._waiting:
+                raise CommunicationError(
+                    f"two processors waiting on the same channel {channel}"
+                )
+            self._waiting[channel] = rank
+            self._parked_on[rank] = channel
+        if deadline is not None:
+            self._calendar.push_timeout(rank, deadline)
+        return True
 
     def _deadlock(self) -> DeadlockError:
-        blocked = {
-            rank: f"recv(source={ch[0]}, tag={ch[2]})"
-            for ch, rank in self._waiting.items()
-        }
+        """The error of a true deadlock: every parked rank, described by
+        every channel it waits on (a waitany park lists several)."""
+        blocked: dict[int, str] = {}
+        for ch, rank in self._waiting.items():
+            desc = f"recv(source={ch[0]}, tag={ch[2]})"
+            blocked[rank] = f"{blocked[rank]} | {desc}" if rank in blocked else desc
         report = build_report(
             nprocs=len(self.procs),
             waiting=self._waiting,

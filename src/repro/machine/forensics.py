@@ -28,7 +28,8 @@ RecentEvent = tuple[str, float, float, int | None, int, str]
 
 @dataclass(frozen=True)
 class BlockedRank:
-    """One processor stuck on an empty channel."""
+    """One processor stuck on an empty channel (a rank parked on several
+    — a ``waitany`` — has one entry per waited channel)."""
 
     rank: int
     source: int  # rank it waits for
@@ -51,7 +52,7 @@ class DeadlockReport:
 
     # -- graph queries ---------------------------------------------------
     def blocked_ranks(self) -> tuple[int, ...]:
-        return tuple(sorted(b.rank for b in self.blocked))
+        return tuple(sorted({b.rank for b in self.blocked}))
 
     def wait_for(self) -> dict[int, int]:
         """Edges ``waiter -> rank it needs a message from``."""
@@ -84,13 +85,18 @@ class DeadlockReport:
 
     # -- rendering -------------------------------------------------------
     def describe(self, recent: int = 3) -> str:
+        parks: dict[int, list[BlockedRank]] = {}
+        for b in self.blocked:
+            parks.setdefault(b.rank, []).append(b)
         table = Table(
             ["rank", "blocked on", "since", f"last {recent} events"],
-            title=f"Deadlock forensics — {len(self.blocked)}/{self.nprocs} ranks blocked",
+            title=f"Deadlock forensics — {len(parks)}/{self.nprocs} ranks blocked",
         )
-        for b in sorted(self.blocked, key=lambda b: b.rank):
+        for rank in sorted(parks):
+            b = parks[rank][0]
             tail = "; ".join(_fmt_event(e) for e in b.recent[-recent:]) or "(no events)"
-            table.add_row([f"P{b.rank}", b.waiting_on(), f"{b.since:g}", tail])
+            waits = " | ".join(park.waiting_on() for park in parks[rank])
+            table.add_row([f"P{rank}", waits, f"{b.since:g}", tail])
         lines = [table.render()]
         cycles = self.cycles()
         if cycles:

@@ -22,7 +22,8 @@ time attributable to that key.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields
 
 from repro.util.tables import Table
 
@@ -68,6 +69,49 @@ class GroupStats:
     seconds: float = 0.0
     messages: int = 0
     words: int = 0
+
+
+def _field_values(record: RankMetrics | GroupStats) -> dict:
+    """The dataclass fields of *record* by name, in declaration order —
+    the order (and the only list) of the keys a snapshot carries."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+def _set_fields(
+    record: RankMetrics | GroupStats, data: dict
+) -> RankMetrics | GroupStats:
+    """Inverse of :func:`_field_values`: each value coerced to the type of
+    the field's default (``int`` counters, ``float`` seconds)."""
+    for f in fields(record):
+        setattr(record, f.name, type(getattr(record, f.name))(data[f.name]))
+    return record
+
+
+def _sorted_groups(groups: dict) -> dict:
+    return {k: _field_values(v) for k, v in sorted(groups.items())}
+
+
+def _table(title: str, headers: list[str], rows: Iterable) -> str:
+    """Render *rows* under *headers*: the one row loop of every table below."""
+    table = Table(headers, title=title)
+    for row in rows:
+        table.add_row(row)
+    return table.render()
+
+
+def _group_table(title: str, key_header: str, groups: dict) -> str:
+    return _table(
+        title,
+        [key_header, "events", "seconds", "messages", "words"],
+        (
+            [key, s.events, f"{s.seconds:g}", s.messages, s.words]
+            for key, s in sorted(groups.items())
+        ),
+    )
+
+
+def _counter_table(title: str, key_header: str, counters: dict) -> str:
+    return _table(title, [key_header, "count"], sorted(counters.items()))
 
 
 @dataclass
@@ -260,12 +304,10 @@ class Metrics:
 
     # -- reporting -------------------------------------------------------
     def rank_table(self) -> str:
-        table = Table(
+        return _table(
+            "Per-rank accounting (simulated seconds)",
             ["rank", "compute", "comm", "wait", "msgs out", "msgs in", "words out"],
-            title="Per-rank accounting (simulated seconds)",
-        )
-        for r in self.ranks:
-            table.add_row(
+            (
                 [
                     f"P{r.rank}",
                     f"{r.compute_seconds:g}",
@@ -275,80 +317,42 @@ class Metrics:
                     r.messages_received,
                     r.words_sent,
                 ]
-            )
-        return table.render()
+                for r in self.ranks
+            ),
+        )
 
     def collective_table(self) -> str:
-        table = Table(
-            ["collective", "events", "seconds", "messages", "words"],
-            title="Per-collective accounting",
-        )
-        for key in sorted(self.by_collective):
-            s = self.by_collective[key]
-            table.add_row([key, s.events, f"{s.seconds:g}", s.messages, s.words])
-        return table.render()
+        return _group_table("Per-collective accounting", "collective", self.by_collective)
 
     def tag_table(self) -> str:
-        table = Table(
-            ["tag", "events", "seconds", "messages", "words"],
-            title="Per-tag accounting",
-        )
-        for key in sorted(self.by_tag):
-            s = self.by_tag[key]
-            table.add_row([key, s.events, f"{s.seconds:g}", s.messages, s.words])
-        return table.render()
+        return _group_table("Per-tag accounting", "tag", self.by_tag)
 
     def overlap_table(self) -> str:
-        table = Table(
+        return _table(
+            "Nonblocking overlap (simulated seconds)",
             ["rank", "inflight", "hidden", "overlap ratio"],
-            title="Nonblocking overlap (simulated seconds)",
-        )
-        for r in self.ranks:
-            table.add_row(
+            (
                 [
                     f"P{r.rank}",
                     f"{r.inflight_seconds:g}",
                     f"{r.hidden_seconds:g}",
                     f"{r.overlap_ratio:.3f}",
                 ]
-            )
-        return table.render()
+                for r in self.ranks
+            ),
+        )
 
     def fault_table(self) -> str:
-        table = Table(
-            ["fault", "count"],
-            title="Fault / resilience events",
-        )
-        for key in sorted(self.faults):
-            table.add_row([key, self.faults[key]])
-        return table.render()
+        return _counter_table("Fault / resilience events", "fault", self.faults)
 
     def service_table(self) -> str:
-        table = Table(
-            ["counter", "count"],
-            title="Compile-service cache",
-        )
-        for key in sorted(self.service):
-            table.add_row([key, self.service[key]])
-        return table.render()
+        return _counter_table("Compile-service cache", "counter", self.service)
 
     def sparse_table(self) -> str:
-        table = Table(
-            ["counter", "count"],
-            title="Sparse inspector/executor",
-        )
-        for key in sorted(self.sparse):
-            table.add_row([key, self.sparse[key]])
-        return table.render()
+        return _counter_table("Sparse inspector/executor", "counter", self.sparse)
 
     def obs_table(self) -> str:
-        table = Table(
-            ["key", "value"],
-            title="Trace correlation",
-        )
-        for key in sorted(self.obs):
-            table.add_row([key, self.obs[key]])
-        return table.render()
+        return _table("Trace correlation", ["key", "value"], sorted(self.obs.items()))
 
     def summary(self) -> str:
         parts = [self.rank_table()]
@@ -378,61 +382,26 @@ class Metrics:
         insertion order.
         """
 
-        def stats(s: GroupStats) -> dict:
-            return {
-                "events": s.events,
-                "seconds": s.seconds,
-                "messages": s.messages,
-                "words": s.words,
-            }
-
-        return {
+        out = {
             "nprocs": self.nprocs,
             "message_count": self.message_count,
             "message_words": self.message_words,
             "ranks": [
-                {
-                    "rank": r.rank,
-                    "compute_seconds": r.compute_seconds,
-                    "delay_seconds": r.delay_seconds,
-                    "comm_seconds": r.comm_seconds,
-                    "wait_seconds": r.wait_seconds,
-                    "messages_sent": r.messages_sent,
-                    "messages_received": r.messages_received,
-                    "words_sent": r.words_sent,
-                    "words_received": r.words_received,
-                    "inflight_seconds": r.inflight_seconds,
-                    "hidden_seconds": r.hidden_seconds,
-                    "overlap_ratio": r.overlap_ratio,
-                }
+                {**_field_values(r), "overlap_ratio": r.overlap_ratio}
                 for r in self.ranks
             ],
-            "by_kind": {k: stats(self.by_kind[k]) for k in sorted(self.by_kind)},
-            "by_tag": {str(k): stats(self.by_tag[k]) for k in sorted(self.by_tag)},
-            "by_collective": {
-                k: stats(self.by_collective[k]) for k in sorted(self.by_collective)
-            },
+            "by_kind": _sorted_groups(self.by_kind),
+            "by_tag": {str(k): v for k, v in _sorted_groups(self.by_tag).items()},
+            "by_collective": _sorted_groups(self.by_collective),
             "faults": {k: self.faults[k] for k in sorted(self.faults)},
-            # Only present when a compile service stamped it, keeping
-            # pre-service snapshots byte-identical.
-            **(
-                {"service": {k: self.service[k] for k in sorted(self.service)}}
-                if self.service
-                else {}
-            ),
-            # Likewise only present when a sparse kernel stamped it.
-            **(
-                {"sparse": {k: self.sparse[k] for k in sorted(self.sparse)}}
-                if self.sparse
-                else {}
-            ),
-            # Likewise only present when a trace context stamped it.
-            **(
-                {"obs": {k: self.obs[k] for k in sorted(self.obs)}}
-                if self.obs
-                else {}
-            ),
         }
+        # Only present when a compile service / a sparse kernel / a trace
+        # context stamped them, keeping earlier snapshots byte-identical.
+        for name in ("service", "sparse", "obs"):
+            stamped = getattr(self, name)
+            if stamped:
+                out[name] = {k: stamped[k] for k in sorted(stamped)}
+        return out
 
     @classmethod
     def from_dict(cls, data: dict, threadsafe: bool = False) -> "Metrics":
@@ -443,32 +412,15 @@ class Metrics:
         and ``overlap_ratio`` entries are recomputed, not trusted).
         """
 
-        def stats(d: dict) -> GroupStats:
-            return GroupStats(
-                events=int(d["events"]),
-                seconds=float(d["seconds"]),
-                messages=int(d["messages"]),
-                words=int(d["words"]),
-            )
+        def stats(group: dict) -> dict:
+            return {k: _set_fields(GroupStats(), v) for k, v in group.items()}
 
         m = cls(nprocs=int(data["nprocs"]), threadsafe=threadsafe)
         for entry in data.get("ranks", []):
-            r = m.ranks[int(entry["rank"])]
-            r.compute_seconds = float(entry["compute_seconds"])
-            r.delay_seconds = float(entry["delay_seconds"])
-            r.comm_seconds = float(entry["comm_seconds"])
-            r.wait_seconds = float(entry["wait_seconds"])
-            r.messages_sent = int(entry["messages_sent"])
-            r.messages_received = int(entry["messages_received"])
-            r.words_sent = int(entry["words_sent"])
-            r.words_received = int(entry["words_received"])
-            r.inflight_seconds = float(entry["inflight_seconds"])
-            r.hidden_seconds = float(entry["hidden_seconds"])
-        m.by_kind = {k: stats(v) for k, v in data.get("by_kind", {}).items()}
-        m.by_tag = {int(k): stats(v) for k, v in data.get("by_tag", {}).items()}
-        m.by_collective = {
-            k: stats(v) for k, v in data.get("by_collective", {}).items()
-        }
+            _set_fields(m.ranks[int(entry["rank"])], entry)
+        m.by_kind = stats(data.get("by_kind", {}))
+        m.by_tag = {int(k): v for k, v in stats(data.get("by_tag", {})).items()}
+        m.by_collective = stats(data.get("by_collective", {}))
         m.faults = {k: int(v) for k, v in data.get("faults", {}).items()}
         m.service = {k: int(v) for k, v in data.get("service", {}).items()}
         m.sparse = {k: int(v) for k, v in data.get("sparse", {}).items()}

@@ -55,14 +55,13 @@ from repro.machine.collectives import Transport
 from repro.machine.engine import (
     ACK_TAG_BASE,
     TIMED_OUT,
-    Engine,
     Proc,
     RunResult,
     _payload_words,
 )
 from repro.machine.faults import CrashFault, FaultPlan
 from repro.machine.model import MachineModel
-from repro.machine.threaded import ThreadedEngine
+from repro.machine.threaded import BACKENDS, ThreadedEngine
 from repro.machine.topology import Topology
 
 
@@ -124,15 +123,29 @@ class ReliableTransport(Transport):
         key = (p.rank, dest, tag)
         seq = self._next_seq.get(key, 0)
         self._next_seq[key] = seq + 1
+        p.send(dest, data, words=words, tag=tag, seq=seq)
+        return self._await_ack(
+            p, dest, data, words, tag, seq, posted=False, anchor=p.clock
+        )
+
+    def _await_ack(
+        self, p: Proc, dest: int, data: Any, words: int | None, tag: int,
+        seq: int, posted: bool, anchor: float,
+    ) -> Generator[Any, None, None]:
+        """The stop-and-wait loop: the first copy left at *anchor*; wait for
+        its ack, retransmitting (``posted`` like the first copy) with
+        exponential backoff each time the deadline passes."""
+        policy = self.policy
         nwords = _payload_words(data) if words is None else int(words)
-        base_timeout = self.policy.timeout_for(p.model, nwords)
+        base_timeout = policy.timeout_for(p.model, nwords)
         ack_tag = ACK_TAG_BASE + tag
-        attempts = self.policy.max_retries + 1
+        attempts = policy.max_retries + 1
         for attempt in range(attempts):
             if attempt > 0:
                 p.mark("retry", peer=dest, tag=tag)
-            p.send(dest, data, words=words, tag=tag, seq=seq)
-            deadline = p.clock + base_timeout * (self.policy.backoff**attempt)
+                p.send(dest, data, words=words, tag=tag, seq=seq, posted=posted)
+                anchor = p.clock
+            deadline = anchor + base_timeout * (policy.backoff**attempt)
             while True:
                 ack = yield from p.recv_deadline(dest, tag=ack_tag, deadline=deadline)
                 if ack is TIMED_OUT:
@@ -198,7 +211,6 @@ class ReliableSendRequest:
         self._p = p
         self._data = data
         self._words = words
-        self._nwords = _payload_words(data) if words is None else int(words)
         self.dest = dest
         self.tag = tag
         self.seq = seq
@@ -209,33 +221,12 @@ class ReliableSendRequest:
 
     def wait(self) -> Generator[Any, None, None]:
         """Wait for the ack, retransmitting on timeout like ``send``."""
-        if self.done:
-            return
-        p = self._p
-        policy = self._transport.policy
-        base_timeout = policy.timeout_for(p.model, self._nwords)
-        ack_tag = ACK_TAG_BASE + self.tag
-        attempts = policy.max_retries + 1
-        anchor = self._posted_clock
-        for attempt in range(attempts):
-            if attempt > 0:
-                p.mark("retry", peer=self.dest, tag=self.tag)
-                p.send(
-                    self.dest, self._data, words=self._words, tag=self.tag,
-                    seq=self.seq, posted=True,
-                )
-                anchor = p.clock
-            deadline = anchor + base_timeout * (policy.backoff**attempt)
-            while True:
-                ack = yield from p.recv_deadline(
-                    self.dest, tag=ack_tag, deadline=deadline
-                )
-                if ack is TIMED_OUT:
-                    break
-                if isinstance(ack, int) and ack >= self.seq:
-                    self.done = True
-                    return
-        raise RetryExhaustedError(p.rank, self.dest, self.tag, attempts)
+        if not self.done:
+            yield from self._transport._await_ack(
+                self._p, self.dest, self._data, self._words, self.tag,
+                self.seq, posted=True, anchor=self._posted_clock,
+            )
+            self.done = True
 
     def test(self) -> bool:
         """True (and completed) iff the ack has already arrived.
@@ -402,23 +393,22 @@ def run_resilient(
     attempt plus a ``restart`` counter, so ``metrics.faults`` accounts
     for the whole supervised run, not just the successful attempt.
     """
-    if backend not in ("engine", "threaded"):
-        raise FaultError(f"unknown backend {backend!r}: use 'engine' or 'threaded'")
+    engine_cls = BACKENDS.get(backend)
+    if engine_cls is None:
+        raise FaultError(f"unknown backend {backend!r}: use one of {sorted(BACKENDS)}")
+    # Only the threaded driver has a watchdog interval to pass on.
+    options = (
+        {"deadlock_timeout": deadlock_timeout} if engine_cls is ThreadedEngine else {}
+    )
     current = plan if plan is not None else FaultPlan()
     restarts = 0
     fired_total: list[CrashFault] = []
     carried_faults: dict[str, int] = {}
 
     while True:
-        if backend == "engine":
-            engine: Engine | ThreadedEngine = Engine(
-                topology, model=model, trace=trace, faults=current
-            )
-        else:
-            engine = ThreadedEngine(
-                topology, model=model, trace=trace,
-                deadlock_timeout=deadlock_timeout, faults=current,
-            )
+        engine = engine_cls(
+            topology, model=model, trace=trace, faults=current, **options
+        )
         try:
             result = engine.run(
                 program, args=args, kwargs=kwargs, per_rank_args=per_rank_args

@@ -21,12 +21,10 @@ from dataclasses import dataclass
 from repro.codegen.spmd import GeneratedProgram, generate_spmd, load_generated
 from repro.errors import ReproError
 from repro.lang.ast import Program
-from repro.machine.engine import RunResult, run_spmd
+from repro.machine.engine import RunResult
 from repro.machine.model import MachineModel
-from repro.machine.threaded import run_spmd_threaded
+from repro.machine.threaded import BACKENDS
 from repro.machine.topology import Grid2D, Ring
-
-_RUNNERS = {"engine": run_spmd, "threaded": run_spmd_threaded}
 
 
 def _default_inputs(gen: GeneratedProgram, env: dict[str, int], seed: int) -> dict:
@@ -218,9 +216,9 @@ class Plan:
         the real-thread ``"threaded"`` runtime; both produce the same
         values and traffic.
         """
-        if backend not in _RUNNERS:
+        if backend not in BACKENDS:
             raise ReproError(
-                f"unknown backend {backend!r}; expected one of {sorted(_RUNNERS)}"
+                f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
             )
         model = model or MachineModel()
         fn = load_generated(self.generated)
@@ -231,7 +229,7 @@ class Plan:
             topology = Grid2D(q, q)
         else:
             topology = Ring(nprocs)
-        return _RUNNERS[backend](fn, topology, model, args=(inputs,), trace=trace)
+        return BACKENDS[backend](topology, model, trace=trace).run(fn, args=(inputs,))
 
     # -- analysis --------------------------------------------------------
     def solve(

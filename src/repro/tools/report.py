@@ -86,6 +86,7 @@ from repro.kernels import (
 )
 from repro.lang import gauss_program, jacobi_program, sor_program
 from repro.machine import (
+    BACKENDS,
     Grid2D,
     MachineModel,
     Ring,
@@ -443,17 +444,11 @@ def redist_report(outdir: pathlib.Path | None = None) -> int:
     return status
 
 
-def chaos_report(outdir: pathlib.Path | None = None) -> int:
-    """Chaos smoke: seeded faults + crash/restart on both backends."""
-    from repro.kernels import resilient_jacobi
-    from repro.machine import CheckpointStore, run_spmd_threaded, run_resilient
+def _chaos_plan():
+    """The seeded crash-free plan of ``--chaos`` and the ``jacobi`` drill."""
     from repro.machine.faults import FaultPlan
 
-    m, n, iters = 24, 8, 6
-    A, b, _ = make_spd_system(m, seed=7)
-    x0 = np.zeros(m)
-    topo = Ring(n)
-    plan = FaultPlan(
+    return FaultPlan(
         seed=42,
         delay_prob=0.15,
         delay_max=60.0,
@@ -461,16 +456,26 @@ def chaos_report(outdir: pathlib.Path | None = None) -> int:
         duplicate_prob=0.08,
         slowdown=((3, 1.5),),
     )
+
+
+def chaos_report(outdir: pathlib.Path | None = None) -> int:
+    """Chaos smoke: seeded faults + crash/restart on both backends."""
+    from repro.kernels import resilient_jacobi
+    from repro.machine import CheckpointStore, run_resilient
+
+    m, n, iters = 24, 8, 6
+    A, b, _ = make_spd_system(m, seed=7)
+    x0 = np.zeros(m)
+    topo = Ring(n)
+    plan = _chaos_plan()
     print(f"\n{'=' * 72}\nchaos smoke — resilient Jacobi, m={m}, N={n}, "
           f"{iters} iterations\n{'=' * 72}")
     print(f"plan: {plan}\n")
 
     base = run_spmd(resilient_jacobi, topo, args=(A, b, x0, iters))
     runs = {
-        "engine": run_spmd(resilient_jacobi, topo, args=(A, b, x0, iters),
-                           faults=plan),
-        "threaded": run_spmd_threaded(resilient_jacobi, topo,
-                                      args=(A, b, x0, iters), faults=plan),
+        name: engine(topo, faults=plan).run(resilient_jacobi, args=(A, b, x0, iters))
+        for name, engine in BACKENDS.items()
     }
     status = 0
     table = Table(
@@ -540,13 +545,14 @@ def chaos_report(outdir: pathlib.Path | None = None) -> int:
     return status
 
 
-# Empirical slack band of measured-overlapped vs predicted (blocking twin
-# on ``replace(model, overlap=True)``) makespans.  The canonical
-# definition lives in the central drift-oracle registry
-# (:data:`repro.costmodel.bands.OVERLAP_MAKESPAN`); these aliases keep
-# the historical names importable (see docs/OVERLAP.md for the physics).
-OVERLAP_SLACK_LOWER = OVERLAP_MAKESPAN.lower
-OVERLAP_SLACK_UPPER = OVERLAP_MAKESPAN.upper
+#: The X10 heat pair shared by ``--overlap`` and ``--diff``: machine size,
+#: stencil length, sweeps, and the seed of the initial field.
+HEAT_N, HEAT_M, HEAT_STEPS, HEAT_SEED = 8, 256, 5, 3
+HEAT_MODEL = MachineModel(tf=1.0, tc=10.0, alpha=100.0)
+
+
+def _heat_field() -> np.ndarray:
+    return np.random.default_rng(HEAT_SEED).normal(size=HEAT_M)
 
 
 def overlap_report(outdir: pathlib.Path | None = None) -> int:
@@ -570,13 +576,9 @@ def overlap_report(outdir: pathlib.Path | None = None) -> int:
         jacobi_ring_overlap,
         sor_pipelined_overlap,
     )
-    from repro.machine import run_spmd_threaded
-
-    n = 8
-    m_heat, steps = 256, 5
+    n, m_heat, steps = HEAT_N, HEAT_M, HEAT_STEPS
     m_ring, iters = 64, 4
-    rng = np.random.default_rng(3)
-    u0 = rng.normal(size=m_heat)
+    u0 = _heat_field()
     A, b, _ = make_spd_system(m_ring, seed=3)
     x0 = np.zeros(m_ring)
     blk = m_ring // n
@@ -603,7 +605,8 @@ def overlap_report(outdir: pathlib.Path | None = None) -> int:
     }
 
     print(f"\n{'=' * 72}\noverlap reconciliation — N={n}, "
-          f"band {OVERLAP_SLACK_LOWER:g}x..{OVERLAP_SLACK_UPPER:g}x\n{'=' * 72}")
+          f"band {OVERLAP_MAKESPAN.lower:g}x..{OVERLAP_MAKESPAN.upper:g}x\n"
+          f"{'=' * 72}")
     table = Table(
         ["kernel", "alpha", "T_block", "T_overlap", "T_pred", "ratio",
          "bit", "backends", "faster", "band"],
@@ -611,7 +614,7 @@ def overlap_report(outdir: pathlib.Path | None = None) -> int:
     )
     payload: dict = {
         "nprocs": n,
-        "band": [OVERLAP_SLACK_LOWER, OVERLAP_SLACK_UPPER],
+        "band": [OVERLAP_MAKESPAN.lower, OVERLAP_MAKESPAN.upper],
         "runs": [],
     }
     status = 0
@@ -624,7 +627,7 @@ def overlap_report(outdir: pathlib.Path | None = None) -> int:
             model = MachineModel(tf=1.0, tc=10.0, alpha=alpha)
             rb = run_spmd(blocking, Ring(n), model, args=args)
             ro = run_spmd(overlapped, Ring(n), model, args=args)
-            rt = run_spmd_threaded(overlapped, Ring(n), model, args=args)
+            rt = BACKENDS["threaded"](Ring(n), model).run(overlapped, args=args)
             rp = run_spmd(blocking, Ring(n), replace(model, overlap=True), args=args)
             bit = all(
                 np.array_equal(
@@ -639,7 +642,7 @@ def overlap_report(outdir: pathlib.Path | None = None) -> int:
             )
             ratio = ro.makespan / rp.makespan
             faster = ro.makespan < rb.makespan
-            band_ok = OVERLAP_SLACK_LOWER <= ratio <= OVERLAP_SLACK_UPPER
+            band_ok = OVERLAP_MAKESPAN.check(ratio)
             ok = bit and backends and band_ok and (faster or not must_win)
             if not ok:
                 status = 1
@@ -669,7 +672,7 @@ def overlap_report(outdir: pathlib.Path | None = None) -> int:
     print(table.render())
 
     # Per-rank latency hiding of the overlapped stencil (alpha=100).
-    model = MachineModel(tf=1.0, tc=10.0, alpha=100.0)
+    model = HEAT_MODEL
     ro = run_spmd(heat_stencil_overlap, Ring(n), model, args=(u0, steps))
     print()
     print(ro.metrics.overlap_table())
@@ -711,7 +714,6 @@ def overlap_report(outdir: pathlib.Path | None = None) -> int:
 def deadlock_report() -> int:
     """Force a ring-recv deadlock and print the forensics on both backends."""
     from repro.errors import DeadlockError
-    from repro.machine import run_spmd_threaded
 
     n = 4
 
@@ -722,10 +724,9 @@ def deadlock_report() -> int:
     print(f"\n{'=' * 72}\ndeadlock forensics — {n}-rank receive ring, "
           f"no sender\n{'=' * 72}")
     status = 0
-    for name, runner in (("engine", run_spmd),
-                         ("threaded", run_spmd_threaded)):
+    for name, engine in BACKENDS.items():
         try:
-            runner(ring_wait, Ring(n))
+            engine(Ring(n)).run(ring_wait)
         except DeadlockError as err:
             report = err.report
             print(f"\n--- {name} backend ---")
@@ -748,38 +749,26 @@ def deadlock_report() -> int:
 def _chaos_jacobi(faults: bool):
     """The chaos-drill Jacobi config (same numbers as ``--chaos``)."""
     from repro.kernels import resilient_jacobi
-    from repro.machine.faults import FaultPlan
 
     m, n, iters = 24, 8, 6
     A, b, _ = make_spd_system(m, seed=7)
-    plan = None
-    if faults:
-        plan = FaultPlan(
-            seed=42,
-            delay_prob=0.15,
-            delay_max=60.0,
-            drop_prob=0.08,
-            duplicate_prob=0.08,
-            slowdown=((3, 1.5),),
-        )
     model = MachineModel()
     res = run_spmd(
-        resilient_jacobi, Ring(n), model,
-        args=(A, b, np.zeros(m), iters), faults=plan, trace=True,
+        resilient_jacobi, Ring(n), model, args=(A, b, np.zeros(m), iters),
+        faults=_chaos_plan() if faults else None, trace=True,
     )
     return res, model
 
 
-def _heat_run(overlapped: bool):
-    """The X10 heat pair (n=8, m=256, steps=5, alpha=100), traced."""
+def _heat_run(overlapped: bool, model: MachineModel = HEAT_MODEL):
+    """One twin of the X10 heat pair, traced, on *model*."""
     from repro.kernels import heat_stencil_blocking, heat_stencil_overlap
 
-    n, m_heat, steps = 8, 256, 5
-    rng = np.random.default_rng(3)
-    u0 = rng.normal(size=m_heat)
-    model = MachineModel(tf=1.0, tc=10.0, alpha=100.0)
     fn = heat_stencil_overlap if overlapped else heat_stencil_blocking
-    return run_spmd(fn, Ring(n), model, args=(u0, steps), trace=True), model
+    res = run_spmd(
+        fn, Ring(HEAT_N), model, args=(_heat_field(), HEAT_STEPS), trace=True
+    )
+    return res, model
 
 
 #: ``--diagnose`` targets: the chaos Jacobi drill plus clean reference
@@ -869,14 +858,8 @@ def diff_report(a: str, b: str, outdir: pathlib.Path | None = None) -> int:
         overlap_res, overlap_model = (
             (res_b, model_b) if b == "heat-overlap" else (res_a, model_a)
         )
-        from repro.kernels import heat_stencil_blocking
-
-        pred_model = replace(overlap_model, overlap=True)
-        rng = np.random.default_rng(3)
-        u0 = rng.normal(size=256)
-        pred_res = run_spmd(
-            heat_stencil_blocking, Ring(8), pred_model,
-            args=(u0, 5), trace=True,
+        pred_res, pred_model = _heat_run(
+            overlapped=False, model=replace(overlap_model, overlap=True)
         )
         drift = explain_drift(
             "overlap-makespan",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DeadlockError
-from repro.machine import Ring, run_spmd
+from repro.machine import NBComm, Ring, run_spmd
 from repro.machine.forensics import RECENT_EVENTS, build_report
 from repro.machine.threaded import run_spmd_threaded
 
@@ -88,6 +88,34 @@ class TestReportContents:
         assert payload["nprocs"] == 3
         assert len(payload["blocked"]) == 3
         assert payload["cycles"] == [[0, 2, 1]]
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_waitany_park_names_every_waited_channel(self, runner):
+        """Three ranks each ``waitany`` on both peers and nobody sends: a
+        multi-channel park is described by all its channels, ``|``-joined,
+        identically on both drivers (the event engine used to keep one)."""
+
+        def waitany_ring(p):
+            comm = NBComm(p)
+            requests = [
+                comm.irecv(src, tag=src) for src in range(p.nprocs) if src != p.rank
+            ]
+            yield from comm.waitany(requests)
+
+        kwargs = {} if runner is run_spmd else {"deadlock_timeout": 0.2}
+        with pytest.raises(DeadlockError) as err:
+            runner(waitany_ring, Ring(3), **kwargs)
+        assert err.value.blocked == {
+            0: "recv(source=1, tag=1) | recv(source=2, tag=2)",
+            1: "recv(source=0, tag=0) | recv(source=2, tag=2)",
+            2: "recv(source=0, tag=0) | recv(source=1, tag=1)",
+        }
+        report = err.value.report
+        assert report.blocked_ranks() == (0, 1, 2)
+        assert len(report.blocked) == 6  # one entry per waited channel
+        text = report.describe()
+        assert "3/3 ranks blocked" in text
+        assert "recv(source=1, tag=1) | recv(source=2, tag=2)" in text
 
     def test_error_message_still_lists_blocked_ranks(self):
         with pytest.raises(DeadlockError) as err:

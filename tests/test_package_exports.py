@@ -1,5 +1,6 @@
 """Source-sweep guards: dead package exports (ISSUE 9), kernel twins (ISSUE 14),
-the one FIFO pairing pass (ISSUE 15) and the one Table 1 / rule table (ISSUE 18).
+the one FIFO pairing pass (ISSUE 15), the one Table 1 / rule table (ISSUE 18)
+and the one machine core under two drivers (ISSUE 19).
 
 The PR 7 shim check keeps removed names out; this is the dual — every
 *public* top-level class and function defined in a ``distribution`` or
@@ -233,3 +234,46 @@ def test_runtime_does_not_classify_placement_changes():
         "distribution/redistribution.py:placement_change_terms",
         "distribution/runtime.py:_literal_ops",
     ]
+
+
+# -- one machine core, two drivers (ISSUE 19) ---------------------------------
+# The message store, the park / wake / stall rules and the per-run state
+# are written once, in machine/engine.py; machine/threaded.py is a lock
+# and a worker loop around them.  A second ``def`` of any of these names,
+# a queue access or a ``min()`` over deadlines in the threaded driver is
+# the lock-based mirror growing back.
+
+CORE_RULES = (
+    "_fire_earliest_timeout", "_wake_crashed_nb", "_deadlock", "_unpark",
+    "_park", "_park_nb", "try_pop", "try_pop_before", "peek_available",
+    "next_attempt", "consume_timeout", "_reset_run_state",
+)
+
+
+def test_machine_core_rules_are_defined_once():
+    homes: dict[str, list[str]] = {name: [] for name in CORE_RULES}
+    for path in sorted((SRC / "machine").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in homes:
+                homes[node.name].append(path.name)
+    assert homes == {name: ["engine.py"] for name in CORE_RULES}
+
+
+def test_threaded_driver_keeps_no_store_and_scans_no_deadlines():
+    tree = ast.parse((SRC / "machine" / "threaded.py").read_text())
+    names = {
+        getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)
+    }
+    assert "_queues" not in names
+    assert "min" not in names
+
+
+def test_backend_names_map_to_engines_in_one_module():
+    homes = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value == "threaded" for k in node.keys)
+    ]
+    assert homes == ["machine/threaded.py"]

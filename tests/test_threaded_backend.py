@@ -14,8 +14,8 @@ from repro.kernels import (
     sor_pipelined,
 )
 from repro.kernels.cannon import assemble_blocks
-from repro.machine import Grid2D, MachineModel, Ring, run_spmd
-from repro.machine.threaded import run_spmd_threaded
+from repro.machine import Grid2D, MachineModel, Ring, run_resilient, run_spmd
+from repro.machine.threaded import ThreadedEngine, run_spmd_threaded
 
 MODEL = MachineModel(tf=1, tc=10)
 
@@ -125,9 +125,17 @@ class TestThreadedSemantics:
         with pytest.raises(DeadlockError):
             run_spmd_threaded(prog, Ring(2), MODEL, deadlock_timeout=0.2)
 
-    def test_thread_cap(self):
-        def prog(p):
-            return None
+    # The cap sits where the threads are made, so every way in hits it.
+    CAP = "capped at 256 threads, got 300"
 
-        with pytest.raises(MachineError):
-            run_spmd_threaded(prog, Ring(500), MODEL)
+    def test_thread_cap(self):
+        with pytest.raises(MachineError, match=self.CAP):
+            run_spmd_threaded(lambda p: None, Ring(300), MODEL)
+
+    def test_thread_cap_direct_construction(self):
+        with pytest.raises(MachineError, match=self.CAP):
+            ThreadedEngine(Ring(300), MODEL)
+
+    def test_thread_cap_run_resilient(self):
+        with pytest.raises(MachineError, match=self.CAP):
+            run_resilient(lambda p: None, Ring(300), MODEL, backend="threaded")
