@@ -119,6 +119,9 @@ class Session:
         Memory-tier LRU bound.
     cache_dir:
         Directory for the disk tier (required for ``cache="disk"``).
+        It holds the plans and the source-text memo's canonical forms,
+        so a new session over a populated directory starts warm: a text
+        any earlier process compiled is answered without a front end.
     workers:
         ``> 0`` runs codegen and Algorithm 1 solves on a supervised
         pool of that many subprocesses (crashes are detected, workers

@@ -28,7 +28,10 @@ access.
 * **memory tier** — an ``OrderedDict`` LRU bounded by ``capacity``;
 * **disk tier** — one ``<digest>.pkl`` file per entry under
   ``disk_dir`` (enabled by passing a directory); memory evictions spill
-  to disk, disk hits are promoted back into memory.
+  to disk, disk hits are promoted back into memory.  Beside them the
+  tier keeps **memo entries** (``form-<key>.pkl``, :meth:`PlanCache.recall`
+  / :meth:`PlanCache.remember`): same file format, locks, quarantine and
+  fault accounting, but disk-only and outside the hit/miss counters.
 
 The disk tier is hardened for concurrent multi-process sharing and for
 crashes mid-write (ISSUE 8):
@@ -134,6 +137,10 @@ class CacheStats:
 #: decodable and quarantines like any other corrupt entry; the digests
 #: — and with them :data:`~repro.service.normalize.IR_SCHEMA` — stay put.
 _LAYOUT = b"repro-entry/2\n"
+
+#: File-name prefix of a memo entry (:meth:`PlanCache.recall`): the
+#: compile service's persisted canonical forms are ``form-<key>.pkl``.
+_MEMO_PREFIX = "form-"
 
 
 class _Rest:
@@ -326,9 +333,14 @@ class PlanCache:
             return None
         try:
             with self._disk_lock(exclusive=False):
-                if not path.exists():
+                # One open, no exists() probe first: quarantine renames
+                # outside the lock, so an entry may vanish under a reader
+                # — that is a miss, not a fault of the tier.
+                try:
+                    with open(path, "rb") as handle:
+                        data = handle.read()
+                except FileNotFoundError:
                     return None
-                data = path.read_bytes()
         except OSError as exc:
             self._disk_fault("read", exc)
             return None
@@ -338,6 +350,25 @@ class PlanCache:
             self._quarantine(path)
             return None
         return blob
+
+    def _disk_load(self, key: str) -> tuple[object, bytes] | None:
+        """The disk half of a probe, counting nothing but damage: read,
+        unseal, decode both sections.  An entry whose checksum holds but
+        whose payload predates the current layout (or was poisoned before
+        sealing) is quarantined like a corrupt one."""
+        blob = self._disk_read(key)
+        if blob is None:
+            return None
+        try:
+            return _decode(blob, eager=True), blob
+        except Exception:
+            self._discard(key)
+            return None
+
+    def _discard(self, key: str) -> None:
+        path = self._disk_path(key)
+        if path is not None:
+            self._quarantine(path)
 
     def _disk_write(self, key: str, blob: bytes) -> None:
         """Atomic, checksummed, write-once disk insert."""
@@ -361,19 +392,9 @@ class PlanCache:
             self._mem.move_to_end(key)
             self.stats.hits += 1
             return _decode(blob)
-        blob = self._disk_read(key)
-        if blob is not None:
-            try:
-                value = _decode(blob, eager=True)
-            except Exception:
-                # The checksum held but the payload predates the current
-                # entry layout (or was poisoned before sealing) — same
-                # treatment: quarantine and recompile.
-                path = self._disk_path(key)
-                if path is not None:
-                    self._quarantine(path)
-                self.stats.misses += 1
-                return _MISS
+        loaded = self._disk_load(key)
+        if loaded is not None:
+            value, blob = loaded
             self._promote(key, blob)
             self.stats.hits += 1
             self.stats.disk_hits += 1
@@ -414,6 +435,37 @@ class PlanCache:
             self._disk_write(old_key, old_blob)
         return True
 
+    # -- memo entries ---------------------------------------------------
+    def recall(self, key: str) -> object | None:
+        """What :meth:`remember` stored under *key*, or ``None``.
+
+        Memo entries are derived facts a caller keeps *beside* the plans
+        (the compile service's source-text memo is the one tenant): they
+        live in the disk tier only — never in the memory LRU — and their
+        traffic moves no ``hits`` / ``misses`` / ``disk_hits`` / ``puts``.
+        Everything else is the disk tier's: same sealed file format, same
+        locks, same quarantine and fault accounting.  Each entry carries
+        the key it was stored under, so a file that decodes but answers
+        for another key (copied, or not a memo entry at all) is
+        quarantined too.  Without a usable disk tier this is ``None``.
+        """
+        name = _MEMO_PREFIX + key
+        loaded = self._disk_load(name)
+        if loaded is None:
+            return None
+        entry = loaded[0]
+        if type(entry) is tuple and len(entry) == 2 and entry[0] == key:
+            return entry[1]
+        self._discard(name)
+        return None
+
+    def remember(self, key: str, value: object) -> None:
+        """Write-once store of a memo entry (see :meth:`recall`); a
+        no-op without a usable disk tier.  *value* must not be ``None``."""
+        name = _MEMO_PREFIX + key
+        if self._disk_path(name) is not None:
+            self._disk_write(name, _encode((key, value)))
+
     # -- maintenance ----------------------------------------------------
     def __len__(self) -> int:
         return len(self._mem)
@@ -424,7 +476,8 @@ class PlanCache:
         self.stats = CacheStats()
 
     def prune(self) -> int:
-        """Delete every on-disk entry (quarantined ones included);
+        """Delete every on-disk entry (memo and quarantined ones
+        included) and the temp files of writers that died mid-write;
         returns the number of live entries removed."""
         if self.disk_dir is None:
             return 0
@@ -434,6 +487,10 @@ class PlanCache:
                 for path in self.disk_dir.glob("*.pkl"):
                     path.unlink(missing_ok=True)
                     removed += 1
+                # Writers hold this lock from mkstemp to os.replace, so a
+                # temp file seen from inside it has no live owner.
+                for path in self.disk_dir.glob(".*.tmp"):
+                    path.unlink(missing_ok=True)
                 qdir = self.quarantine_dir
                 if qdir.is_dir():
                     for path in qdir.iterdir():

@@ -16,12 +16,15 @@ Both keys are functions of the program's
 :class:`~repro.service.normalize.CanonicalForm` alone, and for ``str``
 sources the service keeps a **source-text memo** in front of the front
 ends: ``sha256(IR_SCHEMA, guest, text)`` → the form, an LRU bounded by
-``cache_capacity``.  A byte-identical resubmission that is also a plan
-hit therefore never parses; if its plan was evicted it is lowered and
-compiled as any miss.  Alpha-twins and whitespace variants miss the
-memo, take the full path and still hit the plan cache; non-``str``
-sources and ``cache="off"`` bypass it; a source that fails to lower is
-never memoised.
+``cache_capacity`` and, when the cache has a disk tier, written through
+to it (:meth:`PlanCache.remember` / :meth:`PlanCache.recall` — the
+cache's own files, locks and quarantine), so the memo is as warm as the
+cache directory, not as the process.  A byte-identical resubmission
+that is also a plan hit therefore never parses; if its plan was evicted
+it is lowered and compiled as any miss.  Alpha-twins and whitespace
+variants miss the memo, take the full path and still hit the plan
+cache; non-``str`` sources and ``cache="off"`` bypass it; a source that
+fails to lower is never memoised, in either tier.
 
 Because keys are computed from the *canonicalized* IR, a cached plan
 compiled from one program serves every alpha-twin of it.  The cached
@@ -144,8 +147,10 @@ class CompileResult:
     #: ``pool_deadline_kills``) and ``fallbacks`` (requests that
     #: degraded to in-process compilation) — and ``frontend_skips``,
     #: the requests this service answered without running a front end
-    #: (source-text memo hit *and* plan hit).  Stamped into
-    #: ``RunResult.metrics.service`` by :meth:`run`.
+    #: (source-text memo hit *and* plan hit), and ``memo_disk_hits``,
+    #: the forms it recalled from the cache directory rather than from
+    #: its own memory.  Stamped into ``RunResult.metrics.service`` by
+    #: :meth:`run`.
     service_stats: dict = field(default_factory=dict)
     #: The :class:`~repro.obs.context.TraceContext` the service minted
     #: (or adopted) for this request.  :meth:`run` reinstalls it around
@@ -383,9 +388,11 @@ class CompileService:
         self._supervisor = None
         self._fallbacks = 0
         self._pending = 0
-        #: source-text memo: sha256(IR_SCHEMA, guest, text) -> CanonicalForm
+        #: source-text memo, memory tier: sha256(IR_SCHEMA, guest, text)
+        #: -> CanonicalForm (the disk tier is the cache's)
         self._forms: OrderedDict[str, CanonicalForm] = OrderedDict()
         self._frontend_skips = 0
+        self._memo_disk_hits = 0
 
     # -- the process-pool tier -------------------------------------------
     def _pool(self):
@@ -497,15 +504,27 @@ class CompileService:
             form = self._forms.get(text_key)
             if form is not None:
                 self._forms.move_to_end(text_key)
+                return form
+            # Not in this process's memo: a previous one may have left
+            # the form in the cache directory.
+            form = self.cache.recall(text_key)
+            if form is not None:
+                self._memo_disk_hits += 1
+                self._keep_form(text_key, form)
             return form
 
     def _remember_form(self, text_key: str | None, form: CanonicalForm) -> None:
         if text_key is None:
             return
         with self._lock:
-            self._forms[text_key] = form
-            while len(self._forms) > self.cache_capacity:
-                self._forms.popitem(last=False)
+            self._keep_form(text_key, form)
+            self.cache.remember(text_key, form)
+
+    def _keep_form(self, text_key: str, form: CanonicalForm) -> None:
+        """Memory tier of the memo (caller holds the service lock)."""
+        self._forms[text_key] = form
+        while len(self._forms) > self.cache_capacity:
+            self._forms.popitem(last=False)
 
     @staticmethod
     def _front_end(req: CompileRequest) -> tuple[Program, CanonicalForm]:
@@ -689,6 +708,7 @@ class CompileService:
             if program is None:
                 self._frontend_skips += 1
             service_stats["frontend_skips"] = self._frontend_skips
+            service_stats["memo_disk_hits"] = self._memo_disk_hits
         return CompileResult(
             request=req,
             digest=plan_key,

@@ -15,22 +15,29 @@
   (``disk_disabled``) instead of failing requests;
 * N processes hammering one cache directory with mixed
   put/lookup/prune traffic never observe a torn value (the
-  multiprocessing stress drill).
+  multiprocessing stress drill);
+* the compile service's persisted canonical forms (``form-<key>.pkl``,
+  ISSUE 20) are entries of this tier like any other: every guarantee
+  above holds for them, and damage costs a re-parse, never an answer.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pathlib
 import pickle
+import shutil
 
 import pytest
 
 from repro.api import compile_program
 from repro.lang import jacobi_program
+from repro.lang.programs import JACOBI_SOURCE, SOR_SOURCE
 from repro.machine.model import MachineModel
-from repro.service import CompileService, PlanCache
+from repro.service import CompileRequest, CompileService, PlanCache
 from repro.service import cache as cache_mod
+from repro.util import spans
 
 MODEL = MachineModel(tf=1, tc=10)
 
@@ -67,6 +74,15 @@ class TestAtomicWrites:
             cache.put("c", "evicts")  # spill path hits the crash...
         monkeypatch.undo()
         assert cache.get("a") == "old"  # ...but the old entry survived
+
+    def test_prune_removes_a_killed_writers_temp_file(self, tmp_path):
+        cache = PlanCache(capacity=4, disk_dir=tmp_path)
+        cache.put("key", "value")
+        # SIGKILL between mkstemp and os.replace: the temp file stays
+        dropping = tmp_path / ".key.w1x2y3z4.tmp"
+        dropping.write_bytes(b"half an entr")
+        assert cache.prune() == 1  # live entries only
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".lock"]
 
     def test_checksum_trailer_roundtrip(self):
         blob = pickle.dumps({"x": 1})
@@ -212,6 +228,54 @@ class TestReadLocking:
         assert all(reader.get(key) is not None for key in keys)
         assert reader.stats.disk_hits == len(keys) and flocks == []
 
+    def test_a_warm_service_pass_takes_no_exclusive_lock(self, tmp_path, flocks):
+        env = {"m": 32, "maxiter": 2}
+        texts = [JACOBI_SOURCE, SOR_SOURCE]
+        writer = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
+        for text in texts:
+            writer.compile(text, nprocs=4, env=env)
+        # per text: its form, its plan, its solve
+        assert flocks.count(cache_mod.fcntl.LOCK_EX) == 3 * len(texts)
+
+        del flocks[:]
+        reader = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
+        for text in texts:
+            res = reader.compile(text, nprocs=4, env=env)
+        assert res.service_stats["memo_disk_hits"] == len(texts)
+        assert flocks.count(cache_mod.fcntl.LOCK_EX) == 0
+        assert flocks.count(cache_mod.fcntl.LOCK_SH) == 3 * len(texts)
+
+    def test_an_entry_quarantined_under_a_reader_is_a_miss_not_a_fault(
+        self, tmp_path, monkeypatch
+    ):
+        PlanCache(capacity=4, disk_dir=tmp_path).put("key", "value")
+        reader = PlanCache(capacity=4, disk_dir=tmp_path, disk_fault_limit=1)
+        racer = PlanCache(capacity=4, disk_dir=tmp_path)  # another process
+        path = entry_path(reader, "key")
+
+        # quarantine takes no lock, so it can land between any two steps
+        # of a read: after an exists() probe, or just before the open
+        def lose_the_race(found):
+            if found:
+                racer._quarantine(path)
+            return found
+
+        real_exists, real_open = pathlib.Path.exists, open
+        monkeypatch.setattr(
+            pathlib.Path, "exists",
+            lambda self: lose_the_race(real_exists(self)) if self == path else real_exists(self),
+        )
+
+        def racing_open(file, *args, **kwargs):
+            if file == path:
+                lose_the_race(real_exists(path))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cache_mod, "open", racing_open, raising=False)
+        assert reader.get("key") is None
+        assert (reader.stats.misses, reader.stats.disk_faults, reader.stats.corrupt) == (1, 0, 0)
+        assert not reader.disk_disabled and racer.stats.corrupt == 1
+
     def test_an_eviction_caused_by_promotion_still_spills(self, tmp_path):
         PlanCache(capacity=4, disk_dir=tmp_path).put("b", "B")
         cache = PlanCache(capacity=1, disk_dir=tmp_path)
@@ -260,6 +324,142 @@ class TestDiskFaultDegradation:
         assert not cache.disk_disabled
         assert cache.stats.disk_faults == 1
         assert PlanCache(capacity=1, disk_dir=tmp_path).get("b") == 2
+
+
+class TestFormFiles:
+    """The source-text memo's disk tier (ISSUE 20) under the drills above."""
+
+    ENV = {"m": 32, "maxiter": 2}
+
+    def service(self, cache_dir, **kwargs):
+        return CompileService(machine=MODEL, cache="disk", cache_dir=cache_dir, **kwargs)
+
+    def form_path(self, svc, text):
+        key = svc._text_key(CompileRequest(source=text))
+        return entry_path(svc.cache, cache_mod._MEMO_PREFIX + key)
+
+    def serve(self, svc, text=JACOBI_SOURCE):
+        with spans.recording() as rec:
+            res = svc.compile(text, nprocs=4, env=self.ENV)
+        parsed = [s.detail for s in rec.spans].count("service/frontend")
+        answer = (res.digest, res.solve_key, res.rename, res.cached and res.solve_cached,
+                  pickle.dumps(res.plan.generated), pickle.dumps(res.outcome))
+        return res, parsed, answer
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data, other, plan: data[: len(data) // 2],
+            lambda data, other, plan: data[:40] + bytes([data[40] ^ 0xFF]) + data[41:],
+            lambda data, other, plan: cache_mod._seal(b"not a pickle"),
+            lambda data, other, plan: cache_mod._seal(
+                pickle.dumps(cache_mod._decode(data[: -cache_mod._TRAILER]))
+            ),
+            lambda data, other, plan: other,
+            lambda data, other, plan: plan,
+        ],
+        ids=["truncated", "bitflip", "sealed-garbage", "old-layout", "another-texts-form",
+             "a-plan-entry"],
+    )
+    def test_a_damaged_form_costs_a_parse_never_an_answer(self, tmp_path, damage):
+        writer = self.service(tmp_path)
+        cold, _, _ = self.serve(writer)
+        self.serve(writer, SOR_SOURCE)
+        _, _, warm = self.serve(writer)
+        path = self.form_path(writer, JACOBI_SOURCE)
+        good = path.read_bytes()
+        path.write_bytes(damage(
+            good,
+            self.form_path(writer, SOR_SOURCE).read_bytes(),
+            entry_path(writer.cache, cold.digest).read_bytes(),
+        ))
+
+        svc = self.service(tmp_path)
+        res, parsed, answer = self.serve(svc)
+        assert answer == warm and parsed == 1
+        assert res.service_stats["frontend_skips"] == 0 == res.service_stats["memo_disk_hits"]
+        assert (svc.stats.corrupt, svc.stats.misses, svc.stats.disk_hits) == (1, 0, 2)
+        assert len(list(svc.cache.quarantine_dir.iterdir())) == 1
+        # re-derived and rewritten: the next process skips its front end again
+        assert path.read_bytes() == good
+        res, parsed, answer = self.serve(self.service(tmp_path))
+        assert answer == warm and parsed == 0
+        assert res.service_stats["memo_disk_hits"] == 1
+
+    def test_an_interrupted_form_write_leaves_no_form(self, tmp_path, monkeypatch):
+        real = cache_mod._write_atomic
+
+        class Crash(BaseException):
+            pass
+
+        def crash_on_forms(path, data):
+            if path.name.startswith(cache_mod._MEMO_PREFIX):
+                raise Crash
+            real(path, data)
+
+        monkeypatch.setattr(cache_mod, "_write_atomic", crash_on_forms)
+        with pytest.raises(Crash):
+            self.service(tmp_path).compile(JACOBI_SOURCE)
+        monkeypatch.undo()
+        assert not list(tmp_path.glob("*.pkl")) and not list(tmp_path.glob(".*.tmp"))
+        _, parsed, _ = self.serve(self.service(tmp_path))
+        assert parsed == 1
+
+    def test_faults_on_form_files_degrade_to_parsing(self, tmp_path, monkeypatch):
+        _, _, cold = self.serve(self.service(tmp_path))
+        _, _, warm = self.serve(self.service(tmp_path))
+        real_open, real_write = open, cache_mod._write_atomic
+
+        def is_form(path):
+            return pathlib.Path(path).name.startswith(cache_mod._MEMO_PREFIX)
+
+        def faulty_open(file, *args, **kwargs):
+            if is_form(file):
+                raise PermissionError(13, "Permission denied")
+            return real_open(file, *args, **kwargs)
+
+        def faulty_write(path, data):
+            if is_form(path):
+                raise OSError(28, "No space left on device")
+            real_write(path, data)
+
+        # reads: the form is there but unreadable — parse, answer, carry on
+        monkeypatch.setattr(cache_mod, "open", faulty_open, raising=False)
+        svc = self.service(tmp_path)
+        res, parsed, answer = self.serve(svc)
+        assert answer == warm and parsed == 1
+        assert (svc.stats.disk_faults, svc.stats.corrupt, svc.stats.misses) == (1, 0, 0)
+        assert not svc.cache.disk_disabled
+        monkeypatch.undo()
+
+        # writes: a never-seen text cannot be persisted — it is still served
+        shutil.rmtree(tmp_path)
+        monkeypatch.setattr(cache_mod, "_write_atomic", faulty_write)
+        svc = self.service(tmp_path)
+        res, parsed, answer = self.serve(svc)
+        assert answer == cold and parsed == 1
+        assert svc.stats.disk_faults == 1 and not list(tmp_path.glob("form-*"))
+        _, parsed, _ = self.serve(svc)  # the memory tier of the memo still works
+        assert parsed == 0
+
+    def test_a_disabled_disk_tier_parses_and_serves(self, tmp_path, monkeypatch):
+        _, _, cold = self.serve(self.service(tmp_path))
+
+        def unreadable(file, *args, **kwargs):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(cache_mod, "open", unreadable, raising=False)
+        cache = PlanCache(capacity=256, disk_dir=tmp_path, disk_fault_limit=1)
+        svc = CompileService(machine=MODEL, cache=cache)
+        res, parsed, answer = self.serve(svc)  # the form read is the first fault
+        assert cache.disk_disabled and cache.stats.disk_faults == 1
+        assert parsed == 1 and answer == cold
+        assert res.service_stats["memo_disk_hits"] == 0
+        monkeypatch.undo()
+        # disabled stays disabled: a new text is served and not persisted
+        before = sorted(tmp_path.iterdir())
+        _, parsed, _ = self.serve(svc, SOR_SOURCE)
+        assert parsed == 1 and sorted(tmp_path.iterdir()) == before
 
 
 def _hammer(disk_dir, proc: int, rounds: int, failures):

@@ -277,3 +277,23 @@ def test_backend_names_map_to_engines_in_one_module():
         and any(isinstance(k, ast.Constant) and k.value == "threaded" for k in node.keys)
     ]
     assert homes == ["machine/threaded.py"]
+
+
+# -- one disk writer (ISSUE 20) -----------------------------------------------
+# Everything the cache directory holds — plans, solves, schedules, the
+# source-text memo's forms — is written, sealed, checked and locked by
+# service/cache.py.  A call to one of these anywhere else is a tenant
+# growing a private writer, file format or lock.
+
+DISK_PRIMITIVES = ("_write_atomic", "_seal", "_unseal", "flock")
+
+
+def test_disk_tier_primitives_are_called_from_the_cache_module_only():
+    callers = {
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", "")) in DISK_PRIMITIVES
+    }
+    assert callers == {"service/cache.py"}

@@ -5,15 +5,18 @@ identically (alpha-renaming, whitespace, declaration order, commutative
 operand order), while programs it could treat differently (different
 structure, strategy, machine parameters, N, env) hash apart — first on
 hand-picked pairs, then as hypothesis-driven metamorphic pairs (ROADMAP
-5a), then for the source-text memo that sits in front of the digests.
+5a), then for the source-text memo that sits in front of the digests —
+in one process, and across processes through the cache directory.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
 import pickle
 import re
+import tempfile
 from dataclasses import fields, replace
 
 import pytest
@@ -40,6 +43,7 @@ from repro.service import (
     program_to_json,
     solve_digest,
 )
+from repro.util import spans
 from tests.test_phase_tables_incremental import SUBSCRIPTS, chain_source
 
 MODEL = MachineModel(tf=1, tc=10)
@@ -498,6 +502,64 @@ class TestMutationsTheCompilerCouldActOnChangeTheDigests:
 
 ENV = {"m": 64, "maxiter": 1}
 
+TWIN_MAP = dict(zip(JACOBI_NAMES, FRESH))
+
+#: One program as three texts: ``(source, guest, env)``.
+JACOBI_TEXTS = [
+    (JACOBI_SOURCE, "dsl", ENV),
+    (json.dumps(program_to_json(parse_program(JACOBI_SOURCE))), "json-ir", ENV),
+    (rename_source(JACOBI_SOURCE, TWIN_MAP), "dsl", {TWIN_MAP[k]: v for k, v in ENV.items()}),
+]
+
+
+def answer(res) -> tuple:
+    """What a served request must reproduce across tiers and processes."""
+    return (
+        res.digest, res.solve_key, res.rename,
+        pickle.dumps(res.plan.generated), pickle.dumps(res.outcome),
+    )
+
+
+def serve_jacobi_texts(cache_dir, out=None):
+    """A fresh disk-tier service over *cache_dir* serving
+    :data:`JACOBI_TEXTS` — in this process, or (given a queue) as the
+    body of a child one."""
+    svc = CompileService(machine=MODEL, cache="disk", cache_dir=cache_dir)
+    with spans.recording() as rec:
+        served = [
+            svc.compile(text, guest=guest, nprocs=NPROCS, env=env)
+            for text, guest, env in JACOBI_TEXTS
+        ]
+    report = {
+        "answers": [answer(res) for res in served],
+        "hits": [res.cached and res.solve_cached for res in served],
+        "service_stats": served[-1].service_stats,
+        "stats": svc.stats.as_dict(),
+        "spans": [s.detail for s in rec.spans],
+    }
+    if out is not None:
+        out.put(report)
+    return report
+
+
+def form_files(cache_dir) -> list:
+    return sorted(cache_dir.glob("form-*.pkl"))
+
+
+def check_warm_report(report, cold):
+    """*report* answered everything *cold* did without a front end."""
+    n = len(JACOBI_TEXTS)
+    assert report["answers"] == cold["answers"]
+    assert all(report["hits"])
+    assert report["service_stats"]["frontend_skips"] == n
+    assert report["service_stats"]["memo_disk_hits"] == n
+    assert "service/frontend" not in report["spans"]
+    assert report["spans"].count("service/lookup") == 2 * n
+    # memo traffic is not cache traffic: one program, two entries
+    stats = report["stats"]
+    assert (stats["misses"], stats["disk_hits"], stats["hits"]) == (0, 2, 2 * n)
+    assert (stats["puts"], stats["corrupt"], stats["disk_faults"]) == (0, 0, 0)
+
 
 class TestSourceTextMemo:
     def test_byte_identical_text_skips_the_front_end(self):
@@ -608,3 +670,118 @@ class TestSourceTextMemo:
             assert again.cached and again.service_stats["frontend_skips"] == 0
         assert not svc._forms
         assert svc.compile(JACOBI_SOURCE).service_stats["frontend_skips"] == 0
+
+    # -- the memo's disk tier: warm is a property of the directory (ISSUE 20)
+
+    def test_a_fresh_service_over_a_warm_directory_never_parses(self, tmp_path):
+        cold = serve_jacobi_texts(tmp_path)
+        assert cold["service_stats"]["memo_disk_hits"] == 0
+        assert cold["spans"].count("service/frontend") == len(JACOBI_TEXTS)
+        assert len(form_files(tmp_path)) == len(JACOBI_TEXTS)
+        assert not list(tmp_path.glob(".*.tmp"))
+        check_warm_report(serve_jacobi_texts(tmp_path), cold)
+
+    def test_so_does_a_fresh_interpreter(self, tmp_path):
+        cold = serve_jacobi_texts(tmp_path)
+        ctx = multiprocessing.get_context("spawn")
+        out = ctx.Queue()
+        child = ctx.Process(target=serve_jacobi_texts, args=(tmp_path, out))
+        child.start()
+        report = out.get(timeout=120)
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        check_warm_report(report, cold)
+
+    def test_a_disk_recall_is_remembered_in_memory(self, tmp_path):
+        CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path).compile(JACOBI_SOURCE)
+        svc = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
+        svc.compile(JACOBI_SOURCE)
+        for path in form_files(tmp_path):
+            path.unlink()
+        again = svc.compile(JACOBI_SOURCE)
+        assert again.service_stats["frontend_skips"] == 2
+        assert again.service_stats["memo_disk_hits"] == 1
+
+    def test_a_recalled_form_whose_plan_is_gone_starts_over(self, tmp_path):
+        first = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
+        cold = first.compile(JACOBI_SOURCE, nprocs=NPROCS, env=ENV)
+        for key in (cold.digest, cold.solve_key):
+            (tmp_path / f"{key}.pkl").unlink()
+        svc = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
+        with spans.recording() as rec:
+            again = svc.compile(JACOBI_SOURCE, nprocs=NPROCS, env=ENV)
+        assert not again.cached and not again.solve_cached
+        assert again.service_stats["memo_disk_hits"] == 1
+        assert again.service_stats["frontend_skips"] == 0
+        assert [s.detail for s in rec.spans].count("service/frontend") == 1
+        assert answer(again) == answer(cold)
+        assert pickle.dumps(again.plan.program) == pickle.dumps(cold.plan.program)
+
+    def test_a_text_that_fails_to_lower_leaves_nothing_on_disk(self, tmp_path):
+        broken = JACOBI_SOURCE.replace("DO j = 1, m", "DO j = 1 m")
+        errors = []
+        for _ in range(2):  # a fresh service each time: only the directory could remember
+            svc = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
+            with pytest.raises(ParseError) as info:
+                svc.compile(broken)
+            errors.append(info.value)
+            assert not list(tmp_path.glob("*.pkl")) and not svc._forms
+        first, second = errors
+        assert (str(first), first.line, first.column) == (str(second), second.line, second.column)
+        assert (first.line, first.column) == (7, 14)
+
+    def test_a_schema_bump_orphans_every_form(self, tmp_path, monkeypatch):
+        cold = serve_jacobi_texts(tmp_path)
+        files = sorted(tmp_path.glob("*.pkl"))
+        for module in ("repro.service.compiler", "repro.service.normalize"):
+            monkeypatch.setattr(f"{module}.IR_SCHEMA", "repro-ir/next")
+        bumped = serve_jacobi_texts(tmp_path)
+        assert bumped["service_stats"]["memo_disk_hits"] == 0
+        assert bumped["service_stats"]["frontend_skips"] == 0
+        assert bumped["hits"] == [False, True, True]
+        assert not {a[0] for a in bumped["answers"]} & {a[0] for a in cold["answers"]}
+        # orphaned, never corrupted: the old files sit untouched beside the new
+        assert bumped["stats"]["corrupt"] == 0
+        assert set(files) < set(tmp_path.glob("*.pkl"))
+        assert len(form_files(tmp_path)) == 2 * len(JACOBI_TEXTS)
+        svc = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
+        assert svc.cache.prune() == 2 * len(files)
+        assert not list(tmp_path.glob("*.pkl"))
+
+    @pytest.mark.parametrize("mode", ["memory", "off"])
+    def test_without_a_disk_tier_nothing_is_written(self, tmp_path, monkeypatch, mode):
+        monkeypatch.chdir(tmp_path)
+        svc = CompileService(machine=MODEL, cache=mode, cache_dir=tmp_path)
+        for _ in range(2):
+            res = svc.compile(JACOBI_SOURCE, nprocs=NPROCS, env=ENV)
+        assert res.service_stats["memo_disk_hits"] == 0
+        assert res.service_stats["frontend_skips"] == (mode == "memory")
+        assert not list(tmp_path.iterdir())
+
+    @soundness
+    @given(subject=chains, rng=st.randoms(use_true_random=False))
+    def test_a_form_read_back_is_the_form_the_front_end_derives(self, subject, rng):
+        source, _env = subject
+        program = parse_program(source)
+        target = rng.randrange(len(loops_of(program)))
+        counter = itertools.count()
+        mutant = program_to_text(map_stmts(
+            program,
+            on_loop=lambda loop: replace(loop, ub=loop.ub + 1) if next(counter) == target else loop,
+        ))
+        with tempfile.TemporaryDirectory() as cache_dir:
+            writer = CompileService(machine=MODEL, cache="disk", cache_dir=cache_dir)
+            req = CompileRequest(source=source)
+            _, form = writer._front_end(req)
+            writer._remember_form(writer._text_key(req), form)
+
+            reader = CompileService(machine=MODEL, cache="disk", cache_dir=cache_dir)
+            recalled = reader._recall_form(reader._text_key(req))
+            assert recalled is not form and recalled == form  # text and rename
+            assert recalled.program_digest() == program_digest(program)
+            # a mutation the compiler could act on is another text: it
+            # recalls nothing, and what its own front end derives differs
+            mutated = CompileRequest(source=mutant)
+            assert reader._recall_form(reader._text_key(mutated)) is None
+            assert reader._front_end(mutated)[1] != form
+            assert reader.stats.lookups == 0 == reader.stats.puts
