@@ -95,35 +95,33 @@ class EventCalendar:
 
     * ``ready`` is a deque of runnable ranks, popped in exact push order
       (the historic deque scheduler's order);
-    * timeout events ``(deadline, rank, gen)`` sit on a heap — among due
+    * timeout events ``(deadline, rank)`` sit on a heap — among due
       timeouts it pops the smallest ``(deadline, rank)``, the historic
       ``min(self._timed, ...)`` tie-break, reproduced bit-exactly.
 
-    Ready work always drains before a timeout may fire.  Timeout entries
-    are invalidated lazily: cancelling (or re-arming) a rank's deadline
-    bumps its generation counter and the stale heap entry is discarded
-    when it surfaces.  ``timed`` is the live rank → deadline view
-    (consumed by the deadlock forensics report).
+    Ready work always drains before a timeout may fire.  ``timed`` is the
+    live rank → deadline view (consumed by the deadlock forensics report)
+    and the only liveness record: a heap entry is live iff ``timed`` still
+    maps its rank to its deadline.  Cancelling or re-arming just rewrites
+    ``timed``; the stale heap entry is discarded when it surfaces.  (A
+    re-arm with an *equal* deadline leaves two entries with one key, so
+    whichever surfaces first fires at the same place in the order.)
     """
 
-    __slots__ = ("ready", "push_ready", "_heap", "timed", "_gen")
+    __slots__ = ("ready", "push_ready", "_heap", "timed")
 
     def __init__(self) -> None:
         self.ready: deque[int] = deque()
         self.push_ready = self.ready.append
-        self._heap: list[tuple[float, int, int]] = []
+        self._heap: list[tuple[float, int]] = []
         self.timed: dict[int, float] = {}
-        self._gen: dict[int, int] = {}
 
     def push_timeout(self, rank: int, deadline: float) -> None:
         self.timed[rank] = deadline
-        gen = self._gen.get(rank, 0) + 1
-        self._gen[rank] = gen
-        heappush(self._heap, (deadline, rank, gen))
+        heappush(self._heap, (deadline, rank))
 
     def cancel_timeout(self, rank: int) -> None:
-        if self.timed.pop(rank, None) is not None:
-            self._gen[rank] += 1  # the heap entry is now stale
+        self.timed.pop(rank, None)  # the heap entry is now stale
 
     def pop_ready(self) -> int | None:
         """Next runnable rank in FIFO order, or ``None`` when drained."""
@@ -134,11 +132,11 @@ class EventCalendar:
         if self.ready:
             return None
         heap = self._heap
-        gen = self._gen
+        timed = self.timed
         while heap:
-            _, rank, g = heappop(heap)
-            if gen.get(rank) == g:
-                del self.timed[rank]
+            deadline, rank = heappop(heap)
+            if timed.get(rank) == deadline:
+                del timed[rank]
                 return rank
         return None
 
@@ -363,7 +361,7 @@ class Proc:
             raise MachineError(f"negative flops: {flops}")
         engine = self._engine
         start = self.clock
-        seconds = engine.model.flops(flops)
+        seconds = flops * engine.model.tf
         faults = engine.faults
         if faults is not None:
             seconds *= faults.slowdown(self.rank)
@@ -391,6 +389,14 @@ class Proc:
             self._maybe_crash()
 
     # -- point-to-point ---------------------------------------------------
+    def _endpoint(self, peer: int, tag: int, sending: bool) -> None:
+        """Validate a channel endpoint unless this rank already has (the
+        hot callers test the cache themselves and call this on a miss)."""
+        ok = self._ok_send if sending else self._ok_recv
+        if (peer, tag) not in ok:
+            self._check_channel(peer, tag, sending)
+            ok.add((peer, tag))
+
     def _check_channel(self, peer: int, tag: int, sending: bool) -> None:
         """Validate a point-to-point endpoint; identical in both backends."""
         verb = "send to" if sending else "receive from"
@@ -450,8 +456,7 @@ class Proc:
         """
         engine = self._engine
         if (dest, tag) not in self._ok_send:
-            self._check_channel(dest, tag, sending=True)
-            self._ok_send.add((dest, tag))
+            self._endpoint(dest, tag, True)
         nwords = _payload_words(data) if words is None else int(words)
         if nwords < 0:
             raise CommunicationError(f"negative message size {nwords}")
@@ -598,24 +603,6 @@ class Proc:
         )
         self._dispatch(ack)
 
-    def _timeout(
-        self, block_start: float, source: int, tag: int, deadline: float
-    ) -> Any:
-        """Account a timed receive that expired: idle until the deadline."""
-        engine = self._engine
-        if deadline > block_start:
-            engine.record(
-                self.rank, "wait", block_start, deadline, peer=source, words=0,
-                tag=tag, scope=self.scope,
-            )
-        self.clock = max(self.clock, deadline)
-        engine.record(
-            self.rank, "fault", self.clock, self.clock, peer=source, tag=tag,
-            detail="timeout", scope=self.scope,
-        )
-        self._maybe_crash()
-        return TIMED_OUT
-
     def _recv_impl(
         self, source: int, tag: int, deadline: float | None
     ) -> Generator[Any, None, Any]:
@@ -629,19 +616,26 @@ class Proc:
                 yield (channel, None)  # parked by the engine until a send arrives
                 msg = engine.try_pop(channel)
         else:
-            msg = None
+            msg = engine.try_pop_by(channel, deadline)
             while msg is None:
-                if engine.consume_timeout(self.rank):
-                    return self._timeout(block_start, source, tag, deadline)
-                status, popped = engine.try_pop_before(channel, deadline)
-                if status == "msg":
-                    msg = popped
-                    break
-                if status == "late":
-                    # A message exists but arrives after the deadline:
-                    # the timeout fires first in simulated time.
-                    return self._timeout(block_start, source, tag, deadline)
                 yield (channel, deadline)
+                msg = engine.try_pop_by(channel, deadline)
+            if msg is TIMED_OUT:
+                # Expired: idle until the deadline (``recv_deadline``
+                # clamped it to the clock or later), then the marker.
+                if deadline > block_start:
+                    engine.record(
+                        self.rank, "wait", block_start, deadline, source, 0, tag,
+                        "", self.scope,
+                    )
+                    self.clock = deadline
+                engine.record(
+                    self.rank, "fault", self.clock, self.clock, source, 0, tag,
+                    "timeout", self.scope,
+                )
+                if engine.faults is not None:
+                    self._maybe_crash()
+                return TIMED_OUT
         arrival = msg.available
         if arrival > block_start:
             engine.record(
@@ -676,8 +670,7 @@ class Proc:
         surface at the call site.)
         """
         if (source, tag) not in self._ok_recv:
-            self._check_channel(source, tag, sending=False)
-            self._ok_recv.add((source, tag))
+            self._endpoint(source, tag, False)
         return self._recv_impl(source, tag, None)
 
     def recv_deadline(
@@ -691,8 +684,15 @@ class Proc:
         the reliable-transfer layer builds ack-wait/retry on.
         """
         if (source, tag) not in self._ok_recv:
-            self._check_channel(source, tag, sending=False)
-            self._ok_recv.add((source, tag))
+            self._endpoint(source, tag, False)
+        if type(deadline) is not float and (
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float, np.integer, np.floating))
+        ) or deadline != deadline:
+            raise CommunicationError(
+                f"P{self.rank} cannot receive from P{source} by deadline "
+                f"{deadline!r}: deadline must be a real number"
+            )
         if deadline < self.clock:
             deadline = self.clock
         return self._recv_impl(source, tag, deadline)
@@ -708,8 +708,7 @@ class Proc:
         receive would have to drain it first anyway.)
         """
         if (source, tag) not in self._ok_recv:
-            self._check_channel(source, tag, sending=False)
-            self._ok_recv.add((source, tag))
+            self._endpoint(source, tag, False)
         return self._engine.has_arrived((source, self.rank, tag), self.clock)
 
 
@@ -765,7 +764,7 @@ class Engine:
         self.faults = (
             FaultState(self.fault_plan) if self.fault_plan is not None else None
         )
-        self._timeout_fired: set[int] = set()
+        self._timeout_fired = [False] * len(self.procs)  # rank -> expired at a stall
         # Attempt counters and reliable-dedup state are keyed by channel;
         # each channel has exactly one sending rank, so under the threaded
         # driver each key is only ever touched by that rank's thread.
@@ -838,22 +837,27 @@ class Engine:
             return None
         return queue.popleft()
 
-    def try_pop_before(
+    def try_pop_by(
         self, channel: Channel, deadline: float
-    ) -> tuple[str, _Message | None]:
-        """Pop the FIFO head only if it arrives by *deadline*.
+    ) -> _Message | _TimedOut | None:
+        """The one question of a timed receive: the FIFO head if it arrives
+        by *deadline*, :data:`TIMED_OUT` when the receive has expired, or
+        ``None`` to park.
 
-        Returns ``("msg", message)``, ``("empty", None)`` when nothing is
-        queued, or ``("late", None)`` when the head exists but becomes
+        Expired means the stall step fired this rank's timeout (the flag
+        is consumed here, exactly once), or the head exists but becomes
         available only after the deadline — in simulated time the timeout
-        fires first, so the receiver must not consume it yet.
+        fires first, so the message stays queued for the next receive.
         """
+        if self._timeout_fired[channel[1]]:
+            self._timeout_fired[channel[1]] = False
+            return TIMED_OUT
         queue = self._queues.get(channel)
         if not queue:
-            return "empty", None
+            return None
         if queue[0].available <= deadline:
-            return "msg", queue.popleft()
-        return "late", None
+            return queue.popleft()
+        return TIMED_OUT
 
     def peek_available(self, channel: Channel) -> float | None:
         """Availability time of the FIFO head, or ``None`` when empty."""
@@ -873,13 +877,6 @@ class Engine:
         attempt = self._send_attempts.get(channel, 0)
         self._send_attempts[channel] = attempt + 1
         return attempt
-
-    def consume_timeout(self, rank: int) -> bool:
-        """Check-and-clear the 'your timed receive expired' flag."""
-        if rank in self._timeout_fired:
-            self._timeout_fired.discard(rank)
-            return True
-        return False
 
     def record(
         self,
@@ -969,26 +966,38 @@ class Engine:
         )
         return DeadlockError(blocked, report=report)
 
-    def _fire_earliest_timeout(self) -> bool:
-        """Wake the timed waiter with the smallest deadline, if any.
+    def _stall_step(self) -> bool:
+        """The machine has globally stalled: wake the nonblocking waiters
+        of a crashed peer (they must fail, not hang), else the timed waiter
+        with the smallest deadline; False when neither exists — a true
+        deadlock.
 
-        Only called when the machine has globally stalled, so no future
-        send can beat the deadline — firing the earliest timeout is then
-        the unique next event in simulated time, which keeps the timeout
-        semantics identical across backends and scheduling orders.  The
-        waiter comes straight off the deadline heap (O(log N)), in the
+        No future send can beat a deadline once every live rank is parked,
+        so firing the earliest timeout is the unique next event in
+        simulated time, which keeps the timeout semantics identical across
+        backends and scheduling orders.  *One* timeout fires per stall:
+        the woken rank may send to a waiter whose equal deadline is still
+        armed, and that message — not a timeout — is what it must see.
+        The waiter comes straight off the deadline heap (O(log N)), in the
         same ``(deadline, rank)`` order the historic scan produced.
         """
+        if self.faults is not None and self._nb_channels and self._wake_crashed_nb():
+            return True
         rank = self._calendar.pop_due_timeout()
         if rank is None:
             return False
-        self._unpark(rank)
-        self._timeout_fired.add(rank)
+        channel = self._parked_on.pop(rank, None)
+        if channel is not None:
+            del self._waiting[channel]
+        else:
+            self._unpark(rank)  # a hand-yielded waitany park with a deadline
+        self._timeout_fired[rank] = True
         self._calendar.push_ready(rank)
         return True
 
     def _wake_crashed_nb(self) -> bool:
-        """Wake nonblocking waiters parked on a crashed peer's channel.
+        """Wake nonblocking waiters parked on a crashed peer's channel
+        (the stall step calls this only under a fault plan).
 
         Only nonblocking parks are woken: their wait loop re-checks the
         fault state before re-parking and raises
@@ -1000,8 +1009,6 @@ class Engine:
         to its listeners; wakeups happen in ascending rank order, the same
         deterministic order the historic sorted scan produced.
         """
-        if self.faults is None or not self._nb_channels:
-            return False
         candidates: set[int] = set()
         for crash in self.faults.fired_crashes:
             listeners = self._nb_by_source.get(crash.rank)
@@ -1048,13 +1055,10 @@ class Engine:
         queues = self._queues
         waiting = self._waiting
         parked_on = self._parked_on
+        timed, heap = calendar.timed, calendar._heap
         while live:
             if not ready:
-                # Global stall: the only ways forward are a nonblocking
-                # waiter whose peer crashed (it must fail, not hang) or an
-                # expired timed receive; with neither pending this is a
-                # true deadlock.
-                if not self._wake_crashed_nb() and not self._fire_earliest_timeout():
+                if not self._stall_step():
                     raise self._deadlock()
                 continue
             rank = ready.popleft()
@@ -1082,7 +1086,8 @@ class Engine:
                 # Message raced in while the generator was yielding: retry.
                 ready.append(rank)
             elif deadline is not None:
-                calendar.push_timeout(rank, deadline)
+                timed[rank] = deadline  # calendar.push_timeout, inlined
+                heappush(heap, (deadline, rank))
 
         return self._result(values)
 

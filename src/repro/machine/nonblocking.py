@@ -38,7 +38,11 @@ deadlocks on data parked in a local buffer), or explicitly via
 :meth:`NBComm.flush`.  The receiving side must also use ``NBComm``:
 its requests transparently unbundle, queuing the remaining parts in a
 local inbox (FIFO order is preserved — the inbox is always drained
-before the wire queue).
+before the wire queue).  With nothing buffered — the default, and every
+kernel in the repo — none of this is on the message's path: an empty
+outbox is not flushed, an empty inbox not searched, endpoints are
+validated once per ``(peer, tag)`` (:meth:`Proc._endpoint`) and the
+crash / slowdown hooks are skipped without a fault plan.
 
 Crashed peers
 -------------
@@ -148,10 +152,8 @@ class RecvRequest(Request):
         self.posted_at = p.clock
 
     # -- completion helpers ---------------------------------------------
-    def _raise_if_peer_crashed(self) -> None:
-        faults = self._comm.proc._engine.faults
-        if faults is None:
-            return
+    def _raise_if_peer_crashed(self, faults: Any) -> None:
+        """Fail if the fault state (not ``None``) has crashed the source."""
         crash = faults.fired_crash(self.source)
         if crash is not None:
             raise PeerCrashedError(self._comm.proc.rank, crash)
@@ -168,15 +170,18 @@ class RecvRequest(Request):
         """
         p = self._comm.proc
         engine = p._engine
-        arrival = max(block_start, available)
-        if arrival > block_start:
+        faults = engine.faults
+        arrival = block_start
+        if available > block_start:
+            arrival = available
             engine.record(
                 p.rank, "wait", block_start, arrival, self.source,
                 words, self.tag, "", p.scope,
             )
         p.clock = arrival
         if drain:
-            p.clock += p._scaled(engine.model.post_occupancy(words))
+            occupancy = engine.model.post_occupancy(words)
+            p.clock += occupancy if faults is None else p._scaled(occupancy)
         engine.record(
             p.rank, "recv", arrival, p.clock, self.source, words,
             self.tag, "nb", p.scope,
@@ -190,7 +195,8 @@ class RecvRequest(Request):
         engine.metrics.observe_overlap(p.rank, inflight, hidden)
         self.done = True
         self.value = data
-        p._maybe_crash()
+        if faults is not None:
+            p._maybe_crash()
         return data
 
     def _complete_message(self, msg: Any, block_start: float) -> Any:
@@ -213,13 +219,16 @@ class RecvRequest(Request):
         if self.done:
             return self.value
         comm = self._comm
-        comm.flush()  # flush-on-wait: our buffered sends must not starve peers
+        if comm._outbox:
+            comm.flush()  # flush-on-wait: our buffered sends must not starve peers
         p = comm.proc
         engine = p._engine
+        faults = engine.faults
         block_start = p.clock
         while True:
-            self._raise_if_peer_crashed()
-            part = comm._pop_inbox(self.channel)
+            if faults is not None:
+                self._raise_if_peer_crashed(faults)
+            part = comm._pop_inbox(self.channel) if comm._inbox else None
             if part is not None:
                 data, words, available = part
                 return self._complete(
@@ -243,11 +252,13 @@ class RecvRequest(Request):
         if self.done:
             return True
         comm = self._comm
-        comm.flush()
-        self._raise_if_peer_crashed()
+        if comm._outbox:
+            comm.flush()
         p = comm.proc
         engine = p._engine
-        part = comm._pop_inbox(self.channel)
+        if engine.faults is not None:
+            self._raise_if_peer_crashed(engine.faults)
+        part = comm._pop_inbox(self.channel) if comm._inbox else None
         if part is not None:
             data, words, available = part
             self._complete(data, words, available, p.clock, drain=False)
@@ -318,7 +329,7 @@ class NBComm:
         on the same channel so FIFO order holds.
         """
         p = self.proc
-        p._check_channel(dest, tag, sending=True)
+        p._endpoint(dest, tag, True)
         nwords = _payload_words(data) if words is None else int(words)
         if nwords < 0:
             raise CommunicationError(f"negative message size {nwords}")
@@ -333,7 +344,8 @@ class NBComm:
             if total >= self.aggregate_words:
                 self._flush_channel(dest, tag)
             return req
-        self._flush_channel(dest, tag)
+        if self._outbox:
+            self._flush_channel(dest, tag)
         p.send(dest, data, words=nwords, tag=tag, posted=True)
         req._mark_done()
         return req
@@ -367,7 +379,7 @@ class NBComm:
     def irecv(self, source: int, tag: int = 0) -> RecvRequest:
         """Post a receive; returns a :class:`RecvRequest` (no time cost)."""
         p = self.proc
-        p._check_channel(source, tag, sending=False)
+        p._endpoint(source, tag, False)
         req = RecvRequest(self, source, tag)
         p._engine.record(
             p.rank, "irecv", p.clock, p.clock, source, 0, tag, "", p.scope,
@@ -453,7 +465,8 @@ def waitany(requests: list[Request]) -> Generator[Any, None, tuple[int, Any]]:
     if not active:
         raise CommunicationError("waitany(): every request is already complete")
     for comm in {req._comm for _, req in active}:
-        comm.flush()
+        if comm._outbox:
+            comm.flush()
     for index, req in active:  # buffered sends completed by the flush
         if req.done:
             return index, req.value
@@ -462,11 +475,13 @@ def waitany(requests: list[Request]) -> Generator[Any, None, tuple[int, Any]]:
         candidates: list[tuple[float, int]] = []
         for index, req in active:
             assert isinstance(req, RecvRequest)  # sends completed above
-            req._raise_if_peer_crashed()
             comm = req._comm
-            available = comm._peek_inbox_available(req.channel)
+            engine = comm.proc._engine
+            if engine.faults is not None:
+                req._raise_if_peer_crashed(engine.faults)
+            available = comm._peek_inbox_available(req.channel) if comm._inbox else None
             if available is None:
-                available = comm.proc._engine.peek_available(req.channel)
+                available = engine.peek_available(req.channel)
             if available is not None:
                 candidates.append((available, index))
             pending.append(req.channel)

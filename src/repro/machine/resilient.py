@@ -83,11 +83,11 @@ class RetryPolicy:
     backoff: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:  # NaN fails too
             raise FaultError(f"retry timeout must be positive, got {self.timeout}")
         if self.max_retries < 0:
             raise FaultError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff < 1.0:
+        if not self.backoff >= 1.0:
             raise FaultError(f"backoff must be >= 1, got {self.backoff}")
 
     def timeout_for(self, model: MachineModel, words: int) -> float:

@@ -80,9 +80,8 @@ class ThreadedEngine(Engine):
     # The message store and the timeout flag are shared between threads.
     # (``next_attempt`` and the dedup map are not: see ``_reset_run_state``.)
     try_pop = _locked(Engine.try_pop)
-    try_pop_before = _locked(Engine.try_pop_before)
+    try_pop_by = _locked(Engine.try_pop_by)
     peek_available = _locked(Engine.peek_available)
-    consume_timeout = _locked(Engine.consume_timeout)
 
     def deliver(self, msg: _Message) -> None:
         with self._cv:
@@ -114,7 +113,7 @@ class ThreadedEngine(Engine):
                     return False
                 if len(self._parked_on) + len(self._nb_channels) == live:
                     # Global stall, the same step as ``Engine.run``'s.
-                    if not (self._wake_crashed_nb() or self._fire_earliest_timeout()):
+                    if not self._stall_step():
                         deadlock = self._deadlock()
                     cv.notify_all()
                 else:

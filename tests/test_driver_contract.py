@@ -55,6 +55,96 @@ def test_mixed_timed_receives_expire_in_deadline_then_rank_order(driver):
     assert res.metrics.faults == {"timeout": len(unfed)}
 
 
+def test_timed_receive_takes_a_message_at_its_deadline_and_leaves_a_later_one(driver):
+    """The one question a timed receive asks the core (``try_pop_by``): a
+    head available *at* the deadline is received; one a tick later means
+    the timeout comes first in simulated time — the receive expires at
+    its deadline and the message stays queued for the next receive."""
+
+    def prog(p):
+        if p.rank == 0:
+            p.send(1, "on time", words=10, tag=1)  # available at 10.0
+            p.send(2, "late", words=1, tag=1)  # available at 11.0
+            return None
+        first = yield from p.recv_deadline(0, tag=1, deadline=10.0)
+        expired_at = p.clock
+        if first is TIMED_OUT:
+            first = ("expired", (yield from p.recv(0, tag=1)))
+        return first, expired_at, p.clock
+
+    res = driver(Ring(3), MODEL).run(prog)
+    assert res.values[1] == ("on time", 20.0, 20.0)  # 10.0 + its 10-word drain
+    assert res.values[2] == (("expired", "late"), 10.0, 12.0)
+    assert res.metrics.faults == {"timeout": 1}
+
+
+def test_a_fired_timeout_is_consumed_exactly_once(driver):
+    """The stall step flags the rank it fires; the resumed receive consumes
+    the flag.  A second timed receive on the same channel must park again
+    and take the message — a flag left behind would expire it unasked."""
+
+    def prog(p):
+        if p.rank == 0:
+            yield from p.recv(1, tag=6)
+            p.send(1, "second try", words=1, tag=5)
+            return None
+        first = yield from p.recv_deadline(0, tag=5, deadline=10.0)
+        p.send(0, "go", words=1, tag=6)
+        second = yield from p.recv_deadline(0, tag=5, deadline=1000.0)
+        return first, second
+
+    res = driver(Ring(2), MODEL).run(prog)
+    assert res.values[1] == (TIMED_OUT, "second try")
+    assert res.metrics.faults == {"timeout": 1}
+
+
+def test_a_rank_woken_by_a_timeout_can_still_feed_an_equal_deadline(driver):
+    """Why timeouts fire one per stall, never in batches: ranks 1 and 2
+    share a deadline; rank 1 fires first (``(deadline, rank)`` order),
+    resumes at clock 10.0 and sends rank 2 a zero-cost message that is
+    available at 10.0 — by rank 2's deadline.  Rank 2 must receive it;
+    had the stall fired every due timeout at once, it would have been
+    flagged expired before the message existed."""
+
+    def prog(p):
+        if p.rank == 0:
+            return None
+        if p.rank == 1:
+            got = yield from p.recv_deadline(0, tag=3, deadline=10.0)
+            p.send(2, "baton", words=0, tag=4)
+            return got
+        return (yield from p.recv_deadline(1, tag=4, deadline=10.0))
+
+    res = driver(Ring(3), MachineModel(tf=1.0, tc=1.0, alpha=0.0)).run(prog)
+    assert res.values == [None, TIMED_OUT, "baton"]
+    assert res.finish_times == [0.0, 10.0, 10.0]
+    assert res.metrics.faults == {"timeout": 1}
+
+
+def test_timeout_storm_fires_in_deadline_then_rank_order(driver):
+    """64 ranks, three rounds of receives nobody feeds, deadlines that tie
+    across ranks and interleave across rounds: every expiry is its own
+    stall, and the global firing order is sorted by ``(deadline, rank)``."""
+    n, rounds = 64, 3
+    fired: list[tuple[float, int]] = []
+
+    def prog(p):
+        for _ in range(rounds):
+            deadline = p.clock + 5.0 + (p.rank * 7) % 4
+            got = yield from p.recv_deadline((p.rank + 1) % n, tag=9, deadline=deadline)
+            assert got is TIMED_OUT
+            fired.append((p.clock, p.rank))
+            p.compute(p.rank % 3)
+        return p.clock
+
+    res = driver(Ring(n), MODEL).run(prog)
+    assert len(fired) == n * rounds and fired == sorted(fired)
+    assert res.values == [
+        rounds * (5.0 + (r * 7) % 4 + r % 3) for r in range(n)
+    ]
+    assert res.metrics.faults == {"timeout": n * rounds}
+
+
 def test_waitany_parked_on_a_crashed_peer_fails_with_the_crash(driver):
     """The peer can only crash after everyone else has parked — its timed
     receive expires at a stall, past its crash time — so the waiters are

@@ -214,6 +214,11 @@ CALENDAR_OPS = st.one_of(
     st.tuples(st.just("push_ready"), RANKS),
     # few distinct deadlines, so (deadline, rank) ties and re-arms are common
     st.tuples(st.just("push_timeout"), RANKS, st.sampled_from([0.0, 5.0, 5.5, 20.0])),
+    # re-arm while armed: one rank, pushed again and again with an equal, an
+    # earlier or a later deadline and no cancel between — liveness is "timed
+    # still maps the rank to this deadline", so the heap holds duplicate and
+    # stale keys for it that must fire once, in the same place in the order
+    st.tuples(st.just("push_timeout"), st.just(0), st.sampled_from([5.0, 5.0, 0.0, 20.0])),
     st.tuples(st.just("cancel_timeout"), RANKS),
     st.tuples(st.just("pop_ready")),
     st.tuples(st.just("pop_due_timeout")),

@@ -9,8 +9,9 @@ event* against goldens captured from the seed (pre-calendar) engine in
 A single timestamp moving by one ULP, a tie resolving in a different
 rank order, or an event appearing/disappearing fails here with the case
 name.  Event engine cases — the six kernels plus a seeded-fault reliable
-run and a posted-transport run — also pin ``Metrics.as_dict()`` by
-digest: a float sum accumulated in another order fails here even when
+run, a posted-transport run, a timeout storm (the timed receive: deadline
+heap and stall step, threaded too) and the sparse executor's ghost gather
+(the posted receive) — also pin ``Metrics.as_dict()`` by digest: a float sum accumulated in another order fails here even when
 every timestamp is right, and the untraced run must fold the same sums.
 See ``tests/parity_goldens.py`` for the capture procedure and
 ``docs/ENGINE.md`` for the contract.
@@ -24,6 +25,7 @@ import pytest
 
 from tests.parity_goldens import (
     GOLDEN_PATH,
+    RECEIVE_CASES,
     SMALL_CASES,
     SMALL_N,
     golden_keys,
@@ -50,12 +52,19 @@ def test_engine_parity(name, backend, n):
     assert got["finish_times_digest"] == want["finish_times_digest"], key
     assert got["trace_digest"] == want["trace_digest"], key
     assert got.get("metrics_digest") == want.get("metrics_digest"), key
+    assert got.get("words") == want.get("words"), key
+    assert ("words" in want) == (name in RECEIVE_CASES), key
     assert ("metrics_digest" in want) == (backend == "engine"), key
 
 
-@pytest.mark.parametrize("name", ["jacobi", "cannon", "reliable", "posted"])
+@pytest.mark.parametrize(
+    "name", ["jacobi", "cannon", "reliable", "posted", "storm", "sparse-gather"]
+)
 def test_untraced_run_folds_the_same_metrics(name):
-    n = SMALL_N if name in SMALL_CASES else 64
+    if name in RECEIVE_CASES:
+        n = RECEIVE_CASES[name].n
+    else:
+        n = SMALL_N if name in SMALL_CASES else 64
     got = run_case(name, "engine", n, trace=False)
     want = GOLDENS[f"{name}-N{n}-engine"]
     assert got == {field: want[field] for field in got}

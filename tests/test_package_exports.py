@@ -244,9 +244,9 @@ def test_runtime_does_not_classify_placement_changes():
 # the lock-based mirror growing back.
 
 CORE_RULES = (
-    "_fire_earliest_timeout", "_wake_crashed_nb", "_deadlock", "_unpark",
-    "_park", "_park_nb", "try_pop", "try_pop_before", "peek_available",
-    "next_attempt", "consume_timeout", "_reset_run_state",
+    "_stall_step", "_wake_crashed_nb", "_deadlock", "_unpark",
+    "_park", "_park_nb", "try_pop", "try_pop_by", "peek_available",
+    "next_attempt", "_reset_run_state",
 )
 
 
@@ -259,11 +259,41 @@ def test_machine_core_rules_are_defined_once():
     assert homes == {name: ["engine.py"] for name in CORE_RULES}
 
 
-def test_threaded_driver_keeps_no_store_and_scans_no_deadlines():
-    tree = ast.parse((SRC / "machine" / "threaded.py").read_text())
-    names = {
-        getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)
+def _machine_names(filename: str = "*.py") -> set[str]:
+    """Every identifier and attribute name in ``machine/<filename>``."""
+    return {
+        getattr(node, "attr", getattr(node, "id", None))
+        for path in (SRC / "machine").glob(filename)
+        for node in ast.walk(ast.parse(path.read_text()))
     }
+
+
+def test_threaded_driver_locks_at_most_three_core_rules():
+    """A timed resume asks one question (``try_pop_by``) under one lock
+    acquisition; a fourth locked row is the two-question protocol back."""
+    tree = ast.parse((SRC / "machine" / "threaded.py").read_text())
+    locked = [
+        node.args[0].attr for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_locked"
+    ]
+    assert sorted(locked) == ["peek_available", "try_pop", "try_pop_by"]
+    assert set(locked) <= set(CORE_RULES)
+
+
+def test_posted_path_validates_endpoints_through_the_procs_cache():
+    """``isend`` / ``irecv`` go through ``Proc._endpoint`` (validate once
+    per ``(peer, tag)``), never straight to the uncached check."""
+    assert "_check_channel" not in _machine_names("nonblocking.py")
+    assert "_endpoint" in _machine_names("nonblocking.py")
+
+
+def test_deadline_heap_carries_no_generation_counter():
+    """A heap entry is live iff ``timed`` maps its rank to its deadline."""
+    assert "_gen" not in _machine_names()
+
+
+def test_threaded_driver_keeps_no_store_and_scans_no_deadlines():
+    names = _machine_names("threaded.py")
     assert "_queues" not in names
     assert "min" not in names
 

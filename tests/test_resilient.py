@@ -44,6 +44,8 @@ class TestRetryPolicy:
             {"timeout": -1.0},
             {"max_retries": -1},
             {"backoff": 0.5},
+            {"timeout": float("nan")},  # fails every comparison, "<= 0" included
+            {"backoff": float("nan")},
         ],
     )
     def test_bad_policy_rejected(self, kwargs):

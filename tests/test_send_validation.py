@@ -140,3 +140,38 @@ class TestEndpointValidation:
                 yield from p.recv_deadline(0, deadline=10.0)
 
         assert "itself" in _error_of(runner, prog)
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    @pytest.mark.parametrize(
+        "deadline", ["5", None, float("nan"), True, 2 + 0j], ids=repr
+    )
+    def test_bad_deadline_is_a_communication_error(self, runner, deadline):
+        """Not a raw ``TypeError`` from the clock comparison — and a NaN,
+        which compares false with everything, must not reach the deadline
+        heap, where it would break every other waiter's order."""
+
+        def prog(p):
+            if p.rank == 2:
+                yield from p.recv_deadline(1, tag=3, deadline=deadline)
+
+        message = _error_of(runner, prog)
+        assert message == (
+            f"P2 cannot receive from P1 by deadline {deadline!r}: "
+            "deadline must be a real number"
+        )
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_real_deadlines_of_any_numeric_type_stay_legal(self, runner):
+        """Ints, numpy scalars and ``inf`` (wait until the machine stalls)."""
+
+        def prog(p):
+            if p.rank != 0:
+                return None
+            clocks = []
+            for deadline in (3, np.float64(4.5), np.int64(6), float("inf")):
+                got = yield from p.recv_deadline(1, tag=3, deadline=deadline)
+                assert got is TIMED_OUT
+                clocks.append(p.clock)
+            return clocks
+
+        assert runner(prog, Ring(N)).value(0) == [3, 4.5, 6, float("inf")]
