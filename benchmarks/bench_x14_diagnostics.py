@@ -21,17 +21,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from repro.costmodel.bands import get_band
-from repro.kernels import (
-    heat_stencil_blocking,
-    heat_stencil_overlap,
-    make_spd_system,
-    resilient_jacobi,
-)
-from repro.machine import MachineModel, Ring, run_spmd
-from repro.machine.faults import FaultPlan
 from repro.obs import (
     TraceStore,
     attribute_waits,
@@ -40,25 +30,16 @@ from repro.obs import (
     explain_drift,
     load_imbalance,
 )
+from repro.tools.runs import RUNS
 from repro.util.tables import Table
 
-M, N, ITERS = 24, 8, 6
-CHAOS_PLAN = FaultPlan(
-    seed=42,
-    delay_prob=0.15,
-    delay_max=60.0,
-    drop_prob=0.08,
-    duplicate_prob=0.08,
-    slowdown=((3, 1.5),),
-)
+#: The chaos drill and the X10 heat pair, as ``report`` runs them.
+CHAOS = RUNS["jacobi-chaos"]
+M, N = CHAOS.m, CHAOS.topology.size
 
 
 def test_x14_wait_attribution_coverage(emit, record):
-    A, b, _ = make_spd_system(M, seed=7)
-    res = run_spmd(
-        resilient_jacobi, Ring(N), MachineModel(),
-        args=(A, b, np.zeros(M), ITERS), faults=CHAOS_PLAN, trace=True,
-    )
+    res = CHAOS()
     store = TraceStore.from_run(res)
     waits = attribute_waits(store)
     imbalance = load_imbalance(store)
@@ -100,19 +81,10 @@ def test_x14_wait_attribution_coverage(emit, record):
 
 
 def test_x14_run_diff_drift(emit, record):
-    rng = np.random.default_rng(3)
-    u0 = rng.normal(size=256)
-    model = MachineModel(tf=1.0, tc=10.0, alpha=100.0)
-    blocking = run_spmd(
-        heat_stencil_blocking, Ring(8), model, args=(u0, 5), trace=True
-    )
-    overlapped = run_spmd(
-        heat_stencil_overlap, Ring(8), model, args=(u0, 5), trace=True
-    )
-    predicted = run_spmd(
-        heat_stencil_blocking, Ring(8), replace(model, overlap=True),
-        args=(u0, 5), trace=True,
-    )
+    model = RUNS["heat-blocking"].model
+    blocking = RUNS["heat-blocking"]()
+    overlapped = RUNS["heat-overlap"]()
+    predicted = RUNS["heat-blocking"](model=replace(model, overlap=True))
     drift = explain_drift(
         "overlap-makespan",
         measured=overlapped.makespan,

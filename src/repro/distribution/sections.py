@@ -31,6 +31,7 @@ import numpy as np
 from repro.distribution.function import Dist1D, Kind
 from repro.distribution.schemes import ArrayPlacement
 from repro.errors import DistributionError
+from repro.machine.topology import Grid2D
 
 
 def grid_coords(rank: int, grid: tuple[int, int]) -> tuple[int, int]:
@@ -52,15 +53,16 @@ def grid_rank(p1: int, p2: int, grid: tuple[int, int]) -> int:
 def groups_along(grid: tuple[int, int], g: int) -> list[tuple[int, ...]]:
     """All rank groups that vary only along grid dimension *g*, in order.
 
-    Mirrors :meth:`repro.machine.topology.Grid2D.dim_group`: for ``g == 1``
-    a group is one grid column (``p2`` fixed), for ``g == 2`` one grid row.
+    The topology's own definition (:meth:`~repro.machine.topology.Grid2D.
+    dim_group`): for ``g == 1`` a group is one grid column (``col_ranks``,
+    ``p2`` fixed), for ``g == 2`` one grid row (``row_ranks``).
     """
-    n1, n2 = grid
+    if g not in (1, 2):
+        raise DistributionError(f"grid dimension must be 1 or 2, got {g}")
+    topology = Grid2D(*grid)
     if g == 1:
-        return [tuple(grid_rank(p1, p2, grid) for p1 in range(n1)) for p2 in range(n2)]
-    if g == 2:
-        return [tuple(grid_rank(p1, p2, grid) for p2 in range(n2)) for p1 in range(n1)]
-    raise DistributionError(f"grid dimension must be 1 or 2, got {g}")
+        return [topology.col_ranks(p2) for p2 in range(topology.n2)]
+    return [topology.row_ranks(p1) for p1 in range(topology.n1)]
 
 
 def dim_distribution(

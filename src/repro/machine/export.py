@@ -101,7 +101,6 @@ def _draw(e: TraceEvent, depth: int = 0) -> dict:
             args["detail"] = e.detail
         else:
             cat = scope or kind
-        tid = REQUEST_TID_BASE + e.rank if kind in _REQUEST_KINDS else e.rank
     else:
         # Wall-clock markers (worker crashes, respawns, fallback to
         # in-process compilation — see repro.service.supervisor) mirror
@@ -111,7 +110,7 @@ def _draw(e: TraceEvent, depth: int = 0) -> dict:
         args = {"clock": e.clock}
         if not instant:
             args["depth"] = depth
-        tid = COMPILER_TID
+    tid = _tid(e)
     if instant:
         return {
             "name": e.label(), "cat": cat, "ph": "i", "s": "t",

@@ -194,13 +194,19 @@ class TraceIndex:
     ``makespan`` / ``last``
         The latest end time, and the position of the event that reaches
         it (lowest rank, first on its lane; ``None`` for an empty trace).
+    ``faults`` / ``waits`` / ``runs``
+        What the wait attribution reads, noted by the same pass: the
+        ``fault`` markers (events, lane by lane), the positions ``(rank,
+        i)`` of the ``wait`` events, and the run ids on the lanes in
+        first-seen order.
 
     An index describes the lanes as they were when it was built;
     ``events`` is their total length then (see :func:`trace_index`).
     It holds positions and the pairs, never a second copy of the events.
     """
 
-    __slots__ = ("events", "ends", "pairs", "makespan", "last", "_senders", "_stride")
+    __slots__ = ("events", "ends", "pairs", "makespan", "last", "faults", "waits", "runs",
+                 "_senders", "_stride")
 
     def __init__(self, trace) -> None:
         lanes = [list(lane) for lane in trace]
@@ -227,7 +233,9 @@ class TraceIndex:
         if best is not None:
             self.makespan = best[0]
         self._stride = max(map(len, lanes), default=0) + 1
-        self.pairs, self._senders = _fifo_pairs(lanes, self._stride)
+        self.pairs, self._senders, self.faults, self.waits, self.runs = _fifo_pairs(
+            lanes, self._stride
+        )
 
     def send_of(self, rank: int, i: int) -> tuple[int, int] | None:
         """Position of the send matched to the ``recv`` at ``(rank, i)``."""
@@ -240,19 +248,29 @@ _RANK = attrgetter("rank")
 
 
 def _fifo_pairs(lanes: list[list[TraceEvent]], stride: int):
-    """Pair each delivered ``recv`` with its ``send``; see ``match_messages``.
+    """The index's one pass over every event.
 
-    Positions are flat: ``rank * stride + i``.  Returns the ``(send,
-    recv)`` event pairs in ``(send.start, send.rank)`` order, and an
-    array holding at each matched recv's position its send's position
-    (-1 elsewhere).
+    Pairs each delivered ``recv`` with its ``send`` (see
+    ``match_messages``) and notes the fault markers, the waits and the
+    run ids on the way.  Positions are flat: ``rank * stride + i``.
+    Returns the ``(send, recv)`` event pairs in ``(send.start,
+    send.rank)`` order, an array holding at each matched recv's position
+    its send's position (-1 elsewhere), the ``fault`` events, the
+    ``(rank, i)`` of each ``wait``, and the run ids in first-seen order.
     """
     sends: dict[tuple, list[int]] = {}
     recvs: dict[tuple, list[int]] = {}
+    faults: list[TraceEvent] = []
+    waits: list[tuple[int, int]] = []
+    runs: dict[str, None] = {}
+    run = None
     for r, lane in enumerate(lanes):
         base = r * stride
         sent = None  # the send whose trailing fault markers we are reading
         for at, e in enumerate(lane, base):
+            if e.run != run:
+                run = e.run
+                runs[run] = None
             kind = e.kind
             if kind == "recv":
                 sent = None
@@ -272,16 +290,20 @@ def _fifo_pairs(lanes: list[list[TraceEvent]], stride: int):
                     copies.append(at)
             elif kind != "fault":
                 sent = None
-            elif (
-                sent is not None
-                and e.start == sent.end
-                and e.peer == sent.peer
-                and e.tag == sent.tag
-            ):
-                if e.detail == "duplicate":
-                    copies.append(sent_at)
-                elif e.detail in ("drop", "dup-suppressed"):
-                    copies.pop()
+                if kind == "wait":
+                    waits.append((r, at - base))
+            else:
+                faults.append(e)
+                if (
+                    sent is not None
+                    and e.start == sent.end
+                    and e.peer == sent.peer
+                    and e.tag == sent.tag
+                ):
+                    if e.detail == "duplicate":
+                        copies.append(sent_at)
+                    elif e.detail in ("drop", "dup-suppressed"):
+                        copies.pop()
     send_at: list[int] = []
     recv_at: list[int] = []
     for channel, arrived in recvs.items():
@@ -299,7 +321,7 @@ def _fifo_pairs(lanes: list[list[TraceEvent]], stride: int):
     # per pair.
     keys = list(zip(map(_START, snds), map(_RANK, snds)))
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [(snds[k], rcvs[k]) for k in order], senders
+    return [(snds[k], rcvs[k]) for k in order], senders, faults, waits, list(runs)
 
 
 class Trace(list):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from repro.costmodel.bands import SlackBand, get_band
 from repro.errors import TraceError
 from repro.machine.critpath import critical_path
-from repro.machine.trace import trace_index
+from repro.machine.trace import Trace, trace_index
 from repro.util.tables import Table
 
 _EPS = 1e-9
@@ -129,7 +129,14 @@ class WaitAttributionReport:
 
 
 def _runs_in(store, lanes) -> list[str]:
-    """Ids of the runs *lanes* mix, in :meth:`TraceStore.runs` order."""
+    """Ids of the runs *lanes* mix, in :meth:`TraceStore.runs` order.
+
+    A run's own :class:`~repro.machine.trace.Trace` has them in its
+    index; lanes a store glued together from several sources are not in
+    time order (the index would refuse them) and are walked here.
+    """
+    if isinstance(lanes, Trace):
+        return trace_index(lanes).runs
     runs = {e.run for lane in lanes for e in lane}
     if len(runs) <= 1:
         return list(runs)
@@ -177,41 +184,37 @@ def attribute_waits(store, run: str | None = None) -> WaitAttributionReport:
 
 
 def _attribute_run(lanes) -> list[WaitAttribution]:
-    ends = trace_index(lanes).ends
+    # The index's pass already noted the fault markers and the waits.
+    index = trace_index(lanes)
+    ends = index.ends
     lanes = [list(lane) for lane in lanes]
     channel_faults: dict[tuple[int, int, int], list] = {}
     crash_at: dict[int, float] = {}
-    for lane in lanes:
-        for e in lane:
-            if e.kind != "fault":
-                continue
-            if e.detail in _DATA_FAULTS and e.peer is not None:
-                channel_faults.setdefault(
-                    (e.rank, e.peer, e.tag), []
-                ).append(e)
-            elif e.detail == "crash":
-                crash_at[e.rank] = min(
-                    crash_at.get(e.rank, float("inf")), e.start
-                )
+    for e in index.faults:
+        if e.detail in _DATA_FAULTS and e.peer is not None:
+            channel_faults.setdefault((e.rank, e.peer, e.tag), []).append(e)
+        elif e.detail == "crash":
+            crash_at[e.rank] = min(crash_at.get(e.rank, float("inf")), e.start)
     for faults in channel_faults.values():
         faults.sort(key=lambda e: e.start)
     consumed: dict[tuple[int, int, int], int] = {}
 
     attributions: list[WaitAttribution] = []
-    for lane in lanes:
-        for i, w in enumerate(lane):
-            if w.kind != "wait" or w.end - w.start <= 0:
-                continue
-            nxt = lane[i + 1] if i + 1 < len(lane) else None
-            cause, culprit = _classify_wait(
-                w, nxt, lanes, ends, channel_faults, consumed, crash_at
+    for r, i in index.waits:
+        lane = lanes[r]
+        w = lane[i]
+        if w.end - w.start <= 0:
+            continue
+        nxt = lane[i + 1] if i + 1 < len(lane) else None
+        cause, culprit = _classify_wait(
+            w, nxt, lanes, ends, channel_faults, consumed, crash_at
+        )
+        attributions.append(
+            WaitAttribution(
+                rank=w.rank, peer=w.peer, tag=w.tag,
+                start=w.start, end=w.end, cause=cause, culprit=culprit,
             )
-            attributions.append(
-                WaitAttribution(
-                    rank=w.rank, peer=w.peer, tag=w.tag,
-                    start=w.start, end=w.end, cause=cause, culprit=culprit,
-                )
-            )
+        )
     return attributions
 
 

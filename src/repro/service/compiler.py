@@ -80,7 +80,7 @@ from repro.obs.context import current_context, mint_context, tracing_context
 from repro.service.cache import _MISS, CacheStats, PlanCache, make_cache
 from repro.service.guests import lower
 from repro.service.normalize import IR_SCHEMA, CanonicalForm, canonicalize
-from repro.service.plan import Plan, SolveOutcome, compile_plan
+from repro.service.plan import Plan, SolveOutcome, check_env, compile_plan
 from repro.util import spans
 from repro.util.spans import span
 
@@ -112,6 +112,10 @@ class CompileRequest:
     execute: bool = False
     label: str | None = None
     deadline_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.env is not None:  # typed, and plain ints before any digest
+            object.__setattr__(self, "env", check_env(self.env))
 
     @property
     def wants_solve(self) -> bool:

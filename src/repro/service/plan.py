@@ -17,6 +17,8 @@ is just ``(nprocs, env)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
+from numbers import Integral
 
 from repro.codegen.spmd import GeneratedProgram, generate_spmd, load_generated
 from repro.errors import ReproError
@@ -25,6 +27,30 @@ from repro.machine.engine import RunResult
 from repro.machine.model import MachineModel
 from repro.machine.threaded import BACKENDS
 from repro.machine.topology import Grid2D, Ring
+
+
+def _is_int(value) -> bool:
+    """A real integer: ``int`` or an integral numpy scalar, never ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_env(env) -> dict[str, int]:
+    """*env* as plain ``int`` values — the one check at the public boundary.
+
+    Integral numpy scalars are coerced (``np.int64(8)`` and ``8`` must share a
+    ``solve_digest``); anything else, ``bool`` included, is a
+    :class:`ReproError` naming the key.
+    """
+    if not isinstance(env, dict):
+        raise ReproError(f"env must be a dict of integer parameters, got {env!r}")
+    checked = {}
+    for key, value in env.items():
+        if not _is_int(value):
+            raise ReproError(
+                f"env[{key!r}] must be an integer, got {value!r} ({type(value).__name__})"
+            )
+        checked[key] = int(value)
+    return checked
 
 
 def _default_inputs(gen: GeneratedProgram, env: dict[str, int], seed: int) -> dict:
@@ -220,12 +246,20 @@ class Plan:
             raise ReproError(
                 f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
             )
+        if not _is_int(nprocs) or nprocs < 1:
+            raise ReproError(f"nprocs must be a positive integer, got {nprocs!r}")
+        env = check_env(env)
         model = model or MachineModel()
         fn = load_generated(self.generated)
         if inputs is None:
             inputs = _default_inputs(self.generated, env, seed)
         if self.generated.strategy == "cannon":
-            q = int(round(nprocs**0.5))
+            q = isqrt(nprocs)
+            if q * q != nprocs:
+                raise ReproError(
+                    f"strategy 'cannon' runs on a square q x q grid: nprocs must be "
+                    f"a perfect square, got {nprocs}"
+                )
             topology = Grid2D(q, q)
         else:
             topology = Ring(nprocs)
@@ -248,7 +282,7 @@ class Plan:
         from repro.dp.phases import solve_program_distribution
 
         out = solve_program_distribution(
-            self.program, nprocs, env, model or MachineModel(),
+            self.program, nprocs, check_env(env), model or MachineModel(),
             execute=execute, backends=backends, segment_memo=segment_memo,
         )
         if execute:

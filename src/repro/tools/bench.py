@@ -49,7 +49,10 @@ import subprocess
 import sys
 import tempfile
 
+from repro.machine.export import write_chrome_trace
 from repro.tools import benchlib
+from repro.tools.report import write_artifact
+from repro.tools.runs import RUNS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 BENCH_DIR = REPO_ROOT / "benchmarks"
@@ -162,25 +165,10 @@ def profile_compiler() -> tuple[dict, list]:
 
 
 def write_compiler_trace(path: pathlib.Path, spans) -> pathlib.Path:
-    """A Perfetto-loadable trace: a tiny reference run + compiler lane."""
-    import numpy as np
-
-    from repro.kernels import make_spd_system, sor_pipelined
-    from repro.machine import MachineModel, Ring, run_spmd
-    from repro.machine.export import write_chrome_trace
-
-    m, n = 16, 4
-    A, b, _ = make_spd_system(m, seed=2)
-    res = run_spmd(
-        sor_pipelined,
-        Ring(n),
-        MachineModel(tf=1, tc=1),
-        args=(A, b, np.zeros(m), 1.0, 1),
-        trace=True,
-    )
+    """A Perfetto-loadable trace: the Fig 5 reference run + compiler lane."""
     return write_chrome_trace(
         path,
-        res.trace,
+        RUNS["sor"]().trace,
         process_name="bench",
         metadata={"source": "repro.tools.bench"},
         spans=spans,
@@ -328,12 +316,10 @@ def main(argv: list[str] | None = None) -> int:
             json.loads(args.baseline.read_text()) if args.baseline.exists() else None
         )
         blessed = benchlib.baseline_from_results(results, previous)
-        args.baseline.write_text(json.dumps(blessed, indent=2) + "\n")
+        write_artifact(args.baseline, blessed)
         print(f"baseline re-blessed: {args.baseline} ({len(blessed['entries'])} entries)")
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    doc_path = args.out / f"BENCH_{doc['git_sha']}.json"
-    doc_path.write_text(json.dumps(doc, indent=2) + "\n")
+    doc_path = write_artifact(args.out / f"BENCH_{doc['git_sha']}.json", doc)
     print(f"wrote {doc_path}")
     if not args.no_profile:
         trace_path = args.out / f"BENCH_{doc['git_sha']}.trace.json"

@@ -31,6 +31,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from repro.costmodel.bands import get_band
+from repro.tools.report import write_artifact
 
 #: Version tag stamped into every records file, artifact and BENCH doc.
 SCHEMA = "repro-bench/1"
@@ -147,14 +148,11 @@ class BenchResult:
 
 # -- records files (conftest -> runner handoff) -------------------------
 def write_records(path: str | pathlib.Path, results: list[BenchResult]) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema": SCHEMA,
         "records": [r.as_dict() for r in sorted(results, key=lambda r: r.key)],
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-    return path
+    return write_artifact(path, doc)
 
 
 def read_records(path: str | pathlib.Path) -> list[BenchResult]:
@@ -171,12 +169,8 @@ def write_json_artifact(
     directory: str | pathlib.Path, name: str, payload: dict
 ) -> pathlib.Path:
     """Write one structured ``artifacts/<name>.json`` next to the .txt."""
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{name}.json"
     doc = {"schema": SCHEMA, "artifact": name, **payload}
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
+    return write_artifact(pathlib.Path(directory) / f"{name}.json", doc)
 
 
 # -- the model-drift oracle --------------------------------------------

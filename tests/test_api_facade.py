@@ -83,6 +83,61 @@ class TestPlanRun:
         assert res.makespan > 0
 
 
+class TestPublicBoundaryIsTyped:
+    """A bad ``nprocs`` or ``env`` is a :class:`ReproError` where the
+    facade first sees it — not a builtin error from inside the solve,
+    and not a silently different machine (ISSUE 23)."""
+
+    def test_cannon_refuses_a_processor_count_that_is_no_square(self):
+        from repro.errors import ReproError
+
+        plan = api.compile_program(matmul_program())
+        with pytest.raises(ReproError, match=r"'cannon'.*perfect square, got 8"):
+            plan.run(8, {"n": 12})  # used to run on 9 ranks
+        assert len(plan.run(9, {"n": 12}).values) == 9
+
+    @pytest.mark.parametrize("nprocs", [2.5, "4", True, 0, -4])
+    def test_run_refuses_a_non_integer_nprocs(self, nprocs):
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match="nprocs must be a positive integer"):
+            api.compile_program(jacobi_program()).run(nprocs, ENV)
+        with pytest.raises(ReproError, match="nprocs must be a positive integer"):
+            api.compile_and_run(jacobi_program(), nprocs, ENV)
+        with pytest.raises(ReproError, match="nprocs must be a positive integer"):
+            api.Session().compile(jacobi_program()).run(nprocs, ENV)
+
+    @pytest.mark.parametrize("bad", ["8", 8.0, True, None], ids=repr)
+    def test_env_values_must_be_integers_and_the_error_names_the_key(self, bad):
+        from repro.errors import ReproError
+
+        env = {"m": bad, "maxiter": 1}
+        plan = api.compile_program(jacobi_program())
+        for call in (
+            lambda: api.Session().compile(jacobi_program(), nprocs=4, env=env),
+            lambda: api.CompileRequest(jacobi_program(), nprocs=4, env=env),
+            lambda: plan.solve(4, env),
+            lambda: plan.explain(4, env),
+            lambda: plan.run(4, env),
+            lambda: api.Session().compile(jacobi_program()).run(4, env),
+        ):
+            with pytest.raises(ReproError, match=r"env\['m'\] must be an integer"):
+                call()
+        with pytest.raises(ReproError, match="env must be a dict"):
+            plan.solve(4, [("m", 8)])
+
+    def test_numpy_integers_share_the_plain_ints_cache_entry(self):
+        session = api.Session()
+        plain = session.compile(jacobi_program(), nprocs=4, env={"m": 8, "maxiter": 1})
+        numpy = session.compile(
+            jacobi_program(), nprocs=4, env={"m": np.int64(8), "maxiter": np.int32(1)}
+        )
+        assert numpy.solve_key == plain.solve_key and numpy.solve_cached
+        assert numpy.request.env == {"m": 8, "maxiter": 1}
+        assert all(type(v) is int for v in numpy.request.env.values())
+        assert numpy.run().makespan == plain.run().makespan
+
+
 class TestPlanExplainAndSolve:
     def test_explain_without_solve(self):
         explanation = api.compile_program(jacobi_program()).explain()

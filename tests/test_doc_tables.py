@@ -5,6 +5,12 @@ rules in ``repro.distribution.RULES``; the tables in the module docstrings
 and in ``docs/REDISTRIBUTION.md`` are prose copies for readers.  Each is
 checked line by line against the rows, so a row that changes (or a new
 one) fails here until the prose follows.
+
+The ``report`` CLI's tables (ISSUE 23) go one step further: the usage
+block of ``repro.tools.report``'s docstring and the mode / named-run
+tables of ``docs/OBSERVABILITY.md`` are *generated* from
+``report.MODES`` and ``runs.RUNS`` and must appear verbatim;
+``PYTHONPATH=src python -m tests.test_doc_tables`` prints them.
 """
 
 from __future__ import annotations
@@ -20,8 +26,11 @@ from repro.costmodel import primitives
 from repro.costmodel.primitives import TABLE1
 from repro.distribution import RULES, redistribution, runtime
 from repro.machine import Hypercube, MachineModel, collectives, run_spmd
+from repro.tools import report
+from repro.tools.runs import RUNS
 
 DOC = pathlib.Path(__file__).parent.parent / "docs" / "REDISTRIBUTION.md"
+OBS_DOC = DOC.with_name("OBSERVABILITY.md")
 
 
 def _line_with(text: str, start: str) -> str:
@@ -115,3 +124,74 @@ def test_rule_tables_follow_the_rows(rule):
     ops = set(re.findall(r"`(\w+Op)`", executable))
     assert ops == ({rule.lower} if rule.lower else set())
     assert literal == ("yes" if rule.literal else "no")
+
+
+# -- the report CLI: generated from MODES and RUNS (ISSUE 23) -----------------
+def _invocation(mode, targets: bool) -> str:
+    words = ["python -m repro.tools.report"]
+    if mode.flag is None:
+        return f"{words[0]} [outdir]"
+    words.append(mode.flag)
+    if targets and len(mode.metavar) == 1:
+        words.append("{" + ",".join(mode.targets) + "}")
+    else:
+        words.extend(mode.metavar)
+    return " ".join(words + ["[--out DIR]"] * mode.outdir)
+
+
+def report_usage() -> str:
+    """The usage block: one indented invocation line per mode."""
+    return "".join(f"    {_invocation(mode, targets=True)}\n" for mode in report.MODES)
+
+
+def report_mode_table() -> str:
+    lines = ["| invocation | targets | what it does |", "|---|---|---|"]
+    for mode in report.MODES:
+        invocation = _invocation(mode, targets=False).removeprefix("python -m repro.tools.")
+        targets = ", ".join(f"`{t}`" for t in mode.targets or ()) or "—"
+        lines.append(f"| `{invocation}` | {targets} | {mode.help} |")
+    return "\n".join(lines) + "\n"
+
+
+def report_run_table() -> str:
+    used: dict[str, list[str]] = {name: [] for name in RUNS}
+    for mode in report.MODES:
+        for target, run in (mode.targets or {}).items():
+            used[run.name].append(f"`{mode.flag} {target}`")
+    for kernel, (blocking, overlapped, _) in report.OVERLAP_PAIRS.items():
+        for name in (blocking, overlapped):
+            used[name].append(f"`--overlap` ({kernel})")
+    lines = ["| run | kernel | machine | size | faults | CLI target of |",
+             "|---|---|---|---|---|---|"]
+    for run in RUNS.values():
+        model = run.model
+        lines.append(
+            f"| `{run.name}` | `{run.fn.__name__}` | `{run.topology}`, tf={model.tf:g} "
+            f"tc={model.tc:g} alpha={model.alpha:g} | {run.m} | "
+            f"{'seeded plan' if run.faults else '—'} | {', '.join(used[run.name]) or '—'} |"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_report_docstring_usage_block_is_the_mode_table():
+    assert report_usage() in report.__doc__
+    # ...and it is the whole block: no invocation line the table does not have
+    listed = [ln for ln in report.__doc__.splitlines() if ln.startswith("    python -m")]
+    assert len(listed) == len(report.MODES)
+
+
+@pytest.mark.parametrize("table", [report_mode_table, report_run_table], ids=lambda f: f.__name__)
+def test_observability_doc_carries_the_generated_report_tables(table):
+    assert table() in OBS_DOC.read_text(), (
+        "regenerate with: PYTHONPATH=src python -m tests.test_doc_tables"
+    )
+
+
+def test_every_mode_target_is_a_registered_run():
+    for mode in report.MODES:
+        for target, run in (mode.targets or {}).items():
+            assert RUNS[run.name] is run, (mode.flag, target)
+
+
+if __name__ == "__main__":
+    print(report_usage(), report_mode_table(), report_run_table(), sep="\n")

@@ -14,17 +14,10 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import takewhile
 
-import numpy as np
 import pytest
 
 from repro.costmodel.bands import get_band
 from repro.errors import ReproError, TraceError
-from repro.kernels import (
-    heat_stencil_blocking,
-    heat_stencil_overlap,
-    make_spd_system,
-    resilient_jacobi,
-)
 from repro.machine import MachineModel, Ring, critical_path, match_messages, run_spmd
 from repro.machine.faults import FaultPlan
 from repro.machine.trace import TraceEvent, nesting_depths
@@ -40,43 +33,20 @@ from repro.obs import (
     mint_context,
     tracing_context,
 )
-
-CHAOS_PLAN = FaultPlan(
-    seed=42,
-    delay_prob=0.15,
-    delay_max=60.0,
-    drop_prob=0.08,
-    duplicate_prob=0.08,
-    slowdown=((3, 1.5),),
-)
-
+from repro.tools.runs import RUNS
 
 @pytest.fixture(scope="module")
 def chaos_run():
-    A, b, _ = make_spd_system(24, seed=7)
-    res = run_spmd(
-        resilient_jacobi, Ring(8), MachineModel(),
-        args=(A, b, np.zeros(24), 6), faults=CHAOS_PLAN, trace=True,
-    )
-    return res
+    """The chaos Jacobi drill, as ``report --diagnose jacobi`` runs it."""
+    return RUNS["jacobi-chaos"]()
 
 
 @pytest.fixture(scope="module")
 def heat_pair():
-    rng = np.random.default_rng(3)
-    u0 = rng.normal(size=256)
-    model = MachineModel(tf=1.0, tc=10.0, alpha=100.0)
-    blocking = run_spmd(
-        heat_stencil_blocking, Ring(8), model, args=(u0, 5), trace=True
-    )
-    overlapped = run_spmd(
-        heat_stencil_overlap, Ring(8), model, args=(u0, 5), trace=True
-    )
-    predicted = run_spmd(
-        heat_stencil_blocking, Ring(8), replace(model, overlap=True),
-        args=(u0, 5), trace=True,
-    )
-    return blocking, overlapped, predicted, model
+    """The X10 heat pair of ``report --diff`` plus its overlap=True prediction."""
+    model = RUNS["heat-blocking"].model
+    predicted = RUNS["heat-blocking"](model=replace(model, overlap=True))
+    return RUNS["heat-blocking"](), RUNS["heat-overlap"](), predicted, model
 
 
 class TestWaitAttribution:
@@ -100,11 +70,7 @@ class TestWaitAttribution:
         )
 
     def test_clean_run_has_no_fault_blame(self):
-        A, b, _ = make_spd_system(24, seed=7)
-        res = run_spmd(
-            resilient_jacobi, Ring(8), MachineModel(),
-            args=(A, b, np.zeros(24), 6), trace=True,
-        )
+        res = RUNS["jacobi-clean"]()
         report = attribute_waits(TraceStore.from_run(res))
         assert not any(c.startswith("fault:") for c in report.by_cause())
         assert report.coverage >= 0.9

@@ -1,6 +1,7 @@
 """Source-sweep guards: dead package exports (ISSUE 9), kernel twins (ISSUE 14),
-the one FIFO pairing pass (ISSUE 15), the one Table 1 / rule table (ISSUE 18)
-and the one machine core under two drivers (ISSUE 19).
+the one FIFO pairing pass (ISSUE 15), the one Table 1 / rule table (ISSUE 18),
+the one machine core under two drivers (ISSUE 19) and the one run registry /
+mode table / emitter of the tools (ISSUE 23).
 
 The PR 7 shim check keeps removed names out; this is the dual — every
 *public* top-level class and function defined in a ``distribution`` or
@@ -327,3 +328,62 @@ def test_disk_tier_primitives_are_called_from_the_cache_module_only():
         and getattr(node.func, "id", getattr(node.func, "attr", "")) in DISK_PRIMITIVES
     }
     assert callers == {"service/cache.py"}
+
+
+# -- one run registry, one mode table, one emitter (ISSUE 23) -----------------
+# Under tools/ a file is written by report.write_artifact and nowhere else,
+# and a reference run's inputs and fault plan are built in tools/runs.py and
+# nowhere else.  A second site is a mode (or the bench runner) restating
+# what the registry or the emitter already says.
+
+
+def _tools_calls(names: tuple[str, ...]) -> set[str]:
+    """``file:top-level definition`` of every call under tools/ to one of *names*."""
+    return {
+        f"{path.name}:{getattr(top, 'name', '<module>')}"
+        for path in sorted((SRC / "tools").glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", "")) in names
+    }
+
+
+def test_tools_write_files_through_the_emitter_only():
+    assert _tools_calls(("dumps", "mkdir", "write_text", "write_bytes", "open")) == {
+        "report.py:write_artifact"
+    }
+    source = (SRC / "tools" / "report.py").read_text()
+    assert source.count("json.dumps") == 1
+
+
+def test_reference_runs_are_built_in_the_registry_only():
+    sites = _tools_calls(("FaultPlan", "make_spd_system", "random_spd_csr", "default_rng"))
+    assert sites and all(site.startswith("runs.py:") for site in sites), sites
+
+
+def test_each_named_run_is_written_once():
+    root = SRC.parent.parent
+    files = [
+        *SRC.rglob("*.py"), *(root / "benchmarks").glob("*.py"), *(root / "tests").glob("*.py")
+    ]
+    needle = "delay_prob=" + "0.15"  # the chaos plan (split: this file is swept too)
+    chaos = [str(f.relative_to(root)) for f in files if needle in f.read_text()]
+    assert chaos == ["src/repro/tools/runs.py"]
+    fig5 = [
+        str(f.relative_to(root)) for f in SRC.rglob("*.py")
+        if "sor_pipelined, Ring(4)" in f.read_text()
+    ]
+    assert fig5 == ["src/repro/tools/runs.py"]
+
+
+def test_report_main_dispatches_through_the_mode_table():
+    tree = ast.parse((SRC / "tools" / "report.py").read_text())
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    branches = [n for n in ast.walk(main) if isinstance(n, ast.If)]
+    assert len(branches) == 1  # the unknown-target exit; no per-mode ``if ns.…``
+    assert not any(
+        isinstance(n, ast.Attribute) and getattr(n.value, "id", "") == "ns"
+        and n.attr not in ("out", "outdir")
+        for n in ast.walk(main)
+    )

@@ -2,7 +2,46 @@
 
 from __future__ import annotations
 
-from repro.tools.report import SECTIONS, main
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import pathlib
+import tempfile
+
+import pytest
+
+from repro.obs import context
+from repro.tools.report import MODES, SECTIONS, main
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "goldens" / "report_modes.json"
+
+
+def _invocations() -> list[list[str]]:
+    """Every mode x every combination of its registered targets."""
+    return [
+        [*([mode.flag] if mode.flag else []), *targets]
+        for mode in MODES
+        for targets in itertools.product(mode.targets or (), repeat=len(mode.metavar))
+    ]
+
+
+def _capture(argv: list[str]) -> dict:
+    """One invocation with ``--out out`` in the current directory: exit
+    code and the sha256 of stdout and of every file it wrote."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main([*argv, "--out", "out"])
+    return {
+        "exit": rc,
+        "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+        "artifacts": {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(pathlib.Path("out").glob("*"))
+        },
+    }
 
 
 class TestSections:
@@ -123,3 +162,55 @@ class TestDiagnoseCli:
         rc = main(["--diff", "heat-blocking", "nope"])
         assert rc == 2
         assert "unknown --diff target 'nope'" in capsys.readouterr().err
+
+
+class TestModeGoldens:
+    """stdout, exit code and every artifact of every mode x target, byte
+    for byte (``goldens/report_modes.json``, recorded from the tree
+    before ``report.py`` was rebuilt around ``MODES`` / ``RUNS`` /
+    ``Emitter``).  Run ids count from 1 in each invocation and ``--out``
+    is the relative ``out``, so stdout does not depend on the test order
+    or the temp directory.  Re-record (only for an intended change of
+    output): ``PYTHONPATH=src python -m tests.test_report_tool``."""
+
+    GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+    def test_golden_covers_exactly_the_mode_table(self):
+        assert sorted(" ".join(argv) for argv in _invocations()) == sorted(self.GOLDEN)
+
+    @pytest.mark.parametrize("argv", _invocations(), ids=lambda argv: " ".join(argv) or "sections")
+    def test_golden_bytes(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(context, "_seq", itertools.count(1))
+        assert _capture(argv) == self.GOLDEN[" ".join(argv)]
+
+    def test_golden_help_lists_every_row(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        text = "".join(capsys.readouterr().out.split())  # argparse re-wraps
+        for mode in MODES[1:]:
+            assert mode.flag in text and "".join(mode.help.split()) in text
+            for target in mode.targets or ():
+                assert target in text
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m.metavar], ids=lambda m: m.flag)
+    def test_golden_unknown_target_exits_2_with_the_listing(self, mode, capsys):
+        known = list(mode.targets)
+        rc = main([mode.flag, *known[:len(mode.metavar) - 1], "warp-drive"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: unknown {mode.flag} target 'warp-drive'; known: {', '.join(sorted(known))}\n"
+        )
+
+
+if __name__ == "__main__":
+    golden = {}
+    for argv in _invocations():
+        os.chdir(tempfile.mkdtemp(prefix="report-golden-"))
+        context._seq = itertools.count(1)
+        golden[" ".join(argv)] = _capture(argv)
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(golden)} invocations in {GOLDEN_PATH}")

@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,7 +42,6 @@ from repro.lang.programs import (
     SOR_SOURCE,
 )
 from repro.machine import chrome_trace_json, critical_path, match_messages
-from repro.machine.threaded import run_spmd_threaded
 from repro.obs import TraceStore, attribute_waits, load_imbalance
 from repro.tools import report
 
@@ -82,19 +80,9 @@ def _journey(label: str, backend: str):
     return result.run(model=MODEL, inputs=inputs, trace=True, backend=backend)
 
 
-def _report_run(build, backend: str):
-    """A ``tools.report`` run builder on either backend."""
-    if backend == "engine":
-        return build()
-    with mock.patch.object(report, "run_spmd", run_spmd_threaded):
-        return build()
-
-
 CASES = {
-    **{f"trace/{k}": (lambda b, k=k: _report_run(report.TRACED[k], b))
-       for k in report.TRACED},
-    "diagnose/jacobi": lambda b: _report_run(
-        lambda: report._chaos_jacobi(faults=True)[0], b),
+    **{f"trace/{k}": report.TRACED[k].run for k in report.TRACED},
+    "diagnose/jacobi": report.DIAGNOSED["jacobi"].run,
     **{f"journey/{k}": (lambda b, k=k: _journey(k, b)) for k in JOURNEYS},
 }
 

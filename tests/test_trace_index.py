@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.dp import solve_program_distribution
 from repro.errors import TraceError
-from repro.kernels import make_spd_system, resilient_jacobi, sor_pipelined
+from repro.kernels import make_spd_system, sor_pipelined
 from repro.lang import jacobi_program
 from repro.machine import (
     Engine,
@@ -30,7 +30,6 @@ from repro.machine import (
     match_messages,
     run_spmd,
 )
-from repro.machine.faults import FaultPlan
 from repro.machine.threaded import run_spmd_threaded
 from repro.machine.trace import (
     Trace,
@@ -41,11 +40,10 @@ from repro.machine.trace import (
     trace_index,
 )
 from repro.obs import TraceStore, attribute_waits, load_imbalance
+from repro.tools.runs import RUNS
 from repro.util.spans import recording
 
 MODEL = MachineModel(tf=1, tc=1)
-CHAOS = FaultPlan(seed=42, delay_prob=0.15, delay_max=60.0, drop_prob=0.08,
-                  duplicate_prob=0.08, slowdown=((3, 1.5),))
 
 
 def _sor(runner=run_spmd):
@@ -55,9 +53,10 @@ def _sor(runner=run_spmd):
 
 
 def _chaos(runner=run_spmd):
-    A, b, _ = make_spd_system(24, seed=7)
-    return runner(resilient_jacobi, Ring(8), MachineModel(),
-                  args=(A, b, np.zeros(24), 6), faults=CHAOS, trace=True)
+    """The chaos Jacobi drill of ``report --diagnose jacobi``, under *runner*."""
+    run = RUNS["jacobi-chaos"]
+    return runner(run.fn, run.topology, run.model, args=run.args(),
+                  faults=run.faults, trace=True)
 
 
 def _path(trace):
