@@ -10,7 +10,7 @@ figures* in addition to the executable Python form.
 
 from __future__ import annotations
 
-from repro.codegen.patterns import GaussPattern, IterativeSolvePattern, MatmulPattern
+from repro.codegen.patterns import GaussPattern, IterativeSolvePattern
 from repro.codegen.spmd import GeneratedProgram
 from repro.errors import CodegenError
 
@@ -142,13 +142,9 @@ def _jacobi_listing(pat: IterativeSolvePattern) -> str:
 
 def fortran_listing(gen: GeneratedProgram) -> str:
     """Paper-style Fortran listing for a generated program."""
-    pat = gen.pattern
-    if isinstance(pat, IterativeSolvePattern):
-        if gen.strategy == "ring-pipeline":
-            return _sor_listing(pat)
-        return _jacobi_listing(pat)
-    if isinstance(pat, GaussPattern):
-        return _gauss_listing(pat)
-    if isinstance(pat, MatmulPattern):
-        raise CodegenError("no paper listing exists for the Cannon strategy")
-    raise CodegenError(f"unknown pattern {type(pat).__name__}")
+    from repro.codegen.families import family_of  # its rows hold this module's listings
+
+    listing = family_of(gen).listings.get(gen.strategy)
+    if listing is None:
+        raise CodegenError(f"no paper listing exists for the {gen.strategy!r} strategy")
+    return listing(gen.pattern)

@@ -1,144 +1,39 @@
-"""Structural pattern recognizers over the IR.
+"""Recognizers: the paper's listings are the templates.
 
-The code generator does not key on program names: it inspects loop
-structure, bounds and subscripts to recognize the paper's two program
-classes, extracting the actual array/parameter names:
+The code generator does not key on program names.  A program belongs to
+one of the paper's families when its *body* (:func:`body_of`: every loop
+index scoped to its loop, then serialized by
+:func:`repro.lang.canonical.serialize_body`, which erases spelling and
+the order of commuted ``+`` / ``*`` operands) equals the body of that
+family's listing in :mod:`repro.lang.programs`.  Equality covers every
+loop bound, step, subscript and operator, so the generator can trust the
+match; the two rename maps then say which of the program's names plays
+each role of the listing.
 
-* :func:`match_iterative_solve` — an iterative loop whose body performs a
-  (possibly relaxed) matvec-and-update sweep: covers both Jacobi (two
-  separate inner loops) and SOR (one fused loop, Gauss-Seidel order);
-* :func:`match_gauss` — triangularization followed by a backward
-  triangular solve.
+:data:`TEMPLATES` is the whole of it: per family, each accepted listing
+and the pattern *that listing itself* is.  A matched program gets the
+same pattern with its own names substituted.  Renaming is one-to-one, so
+a program in which one name plays two roles matches only a listing that
+says so: the two such programs the emitters are right for (``m`` sweeps,
+``B x B``) are listings of their own (:func:`_also`).
 
-A recognizer returns ``None`` when the program does not have the required
-shape; everything it *does* return has been verified subscript by
-subscript, so the generator can trust it.
+* :func:`match_iterative_solve` — §3 Jacobi (two inner loops) or §5 SOR
+  (one fused loop, Gauss-Seidel order; the relaxation factor may be a
+  ``SCALAR``, a ``PARAM`` or absent);
+* :func:`match_matmul` — the §2.1 triple loop;
+* :func:`match_gauss` — §6 triangularization + backward solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import ClassVar
 
-from repro.lang.affine import Affine
-from repro.lang.ast import (
-    ArrayRef,
-    Assign,
-    BinOp,
-    DoLoop,
-    Expr,
-    Num,
-    Program,
-    ScalarRef,
-    Stmt,
-)
-
-# ---------------------------------------------------------------------------
-# small matching helpers
-# ---------------------------------------------------------------------------
-
-
-def _is_var(aff: Affine, var: str) -> bool:
-    return aff == Affine.var(var)
-
-
-def _is_var_plus(aff: Affine, var: str, const: int) -> bool:
-    return aff == Affine.var(var) + const
-
-
-def _is_ref(expr: Expr, name: str, *subs_vars: str) -> bool:
-    """``expr`` is ``name(v1, v2, ...)`` with exactly these variables."""
-    if not isinstance(expr, ArrayRef) or expr.name != name:
-        return False
-    if len(expr.subscripts) != len(subs_vars):
-        return False
-    return all(_is_var(s, v) for s, v in zip(expr.subscripts, subs_vars))
-
-
-def _ref_1d(expr: Expr, var: str) -> str | None:
-    """Name of a 1-D array reference subscripted exactly by *var*."""
-    if isinstance(expr, ArrayRef) and expr.rank == 1 and _is_var(expr.subscripts[0], var):
-        return expr.name
-    return None
-
-
-def _is_zero_assign(stmt: Stmt, var: str) -> str | None:
-    """``V(var) = 0.0`` — returns the array name."""
-    if not isinstance(stmt, Assign) or not isinstance(stmt.lhs, ArrayRef):
-        return None
-    if not isinstance(stmt.rhs, Num) or stmt.rhs.value != 0.0:
-        return None
-    return _ref_1d(stmt.lhs, var)
-
-
-def _match_accumulate(stmt: Stmt, i: str, j: str) -> tuple[str, str, str] | None:
-    """``V(i) = V(i) + A(i, j) * X(j)`` — returns (V, A, X)."""
-    if not isinstance(stmt, Assign) or not isinstance(stmt.lhs, ArrayRef):
-        return None
-    v = _ref_1d(stmt.lhs, i)
-    rhs = stmt.rhs
-    if v is None or not (isinstance(rhs, BinOp) and rhs.op == "+"):
-        return None
-    if _ref_1d(rhs.left, i) != v:
-        return None
-    prod = rhs.right
-    if not (isinstance(prod, BinOp) and prod.op == "*"):
-        return None
-    if not (isinstance(prod.left, ArrayRef) and _is_ref(prod.left, prod.left.name, i, j)):
-        return None
-    x = _ref_1d(prod.right, j)
-    if x is None:
-        return None
-    return (v, prod.left.name, x)
-
-
-def _match_update(
-    stmt: Stmt, i: str
-) -> tuple[str, str, str, str, str | None] | None:
-    """Jacobi/SOR update statement.
-
-    ``X(i) = X(i) + (B(i) - V(i)) / A(i, i)``            (Jacobi) or
-    ``X(i) = X(i) + omega * (B(i) - V(i)) / A(i, i)``    (SOR)
-
-    Returns (X, B, V, A, omega_name_or_None).
-    """
-    if not isinstance(stmt, Assign) or not isinstance(stmt.lhs, ArrayRef):
-        return None
-    x = _ref_1d(stmt.lhs, i)
-    rhs = stmt.rhs
-    if x is None or not (isinstance(rhs, BinOp) and rhs.op == "+"):
-        return None
-    if _ref_1d(rhs.left, i) != x:
-        return None
-    frac = rhs.right
-    if not (isinstance(frac, BinOp) and frac.op == "/"):
-        return None
-    denom = frac.right
-    if not (isinstance(denom, ArrayRef) and _is_ref(denom, denom.name, i, i)):
-        return None
-    a = denom.name
-    num = frac.left
-    omega: str | None = None
-    if isinstance(num, BinOp) and num.op == "*" and isinstance(num.left, ScalarRef):
-        omega = num.left.name
-        num = num.right
-    if not (isinstance(num, BinOp) and num.op == "-"):
-        return None
-    b = _ref_1d(num.left, i)
-    v = _ref_1d(num.right, i)
-    if b is None or v is None:
-        return None
-    return (x, b, v, a, omega)
-
-
-def _loop_over(stmt: Stmt, lb: Affine, ub: Affine, step: int = 1) -> DoLoop | None:
-    if isinstance(stmt, DoLoop) and stmt.lb == lb and stmt.ub == ub and stmt.step == step:
-        return stmt
-    return None
-
-
-# ---------------------------------------------------------------------------
-# iterative solve (Jacobi / SOR)
-# ---------------------------------------------------------------------------
+from repro.lang.ast import Program
+from repro.lang.canonical import scope_loops, serialize_body
+from repro.lang.parser import parse_program
+from repro.lang.programs import GAUSS_SOURCE, JACOBI_SOURCE, MATMUL_SOURCE, SOR_SOURCE
 
 
 @dataclass(frozen=True)
@@ -155,166 +50,22 @@ class IterativeSolvePattern:
     omega: str | None  # relaxation scalar (SOR only)
 
 
-def match_iterative_solve(program: Program) -> IterativeSolvePattern | None:
-    """Recognize the §3 (Jacobi) or §5 (SOR) program shape."""
-    loops = program.loops()
-    if len(loops) != 1 or len(program.body) != 1:
-        return None
-    outer = loops[0]
-    if outer.lb != Affine.constant(1) or outer.step != 1:
-        return None
-    iter_param = _single_param(outer.ub)
-    if iter_param is None:
-        return None
-
-    one = Affine.constant(1)
-
-    # --- SOR shape: one fused i-loop --------------------------------------
-    if len(outer.body) == 1 and isinstance(outer.body[0], DoLoop):
-        iloop = outer.body[0]
-        m_param = _single_param(iloop.ub)
-        if m_param is not None and iloop.lb == one and len(iloop.body) == 3:
-            i = iloop.var
-            v_name = _is_zero_assign(iloop.body[0], i)
-            jloop = iloop.body[1]
-            if v_name is not None and isinstance(jloop, DoLoop) and jloop.lb == one:
-                j = jloop.var
-                if _single_param(jloop.ub) == m_param and len(jloop.body) == 1:
-                    acc = _match_accumulate(jloop.body[0], i, j)
-                    upd = _match_update(iloop.body[2], i)
-                    if acc and upd and acc[0] == v_name == upd[2] and acc[1] == upd[3]:
-                        return IterativeSolvePattern(
-                            kind="sor",
-                            m=m_param,
-                            iterations=iter_param,
-                            A=acc[1],
-                            V=v_name,
-                            B=upd[1],
-                            X=upd[0],
-                            omega=upd[4],
-                        )
-
-    # --- Jacobi shape: two separate i-loops --------------------------------
-    inner = [s for s in outer.body if isinstance(s, DoLoop)]
-    if len(inner) == 2 and len(outer.body) == 2:
-        l1, l2 = inner
-        m_param = _single_param(l1.ub)
-        if (
-            m_param is not None
-            and l1.lb == one
-            and l2.lb == one
-            and _single_param(l2.ub) == m_param
-            and len(l1.body) == 2
-            and len(l2.body) == 1
-        ):
-            i1 = l1.var
-            v_name = _is_zero_assign(l1.body[0], i1)
-            jloop = l1.body[1]
-            if v_name is not None and isinstance(jloop, DoLoop) and jloop.lb == one:
-                j = jloop.var
-                if _single_param(jloop.ub) == m_param and len(jloop.body) == 1:
-                    acc = _match_accumulate(jloop.body[0], i1, j)
-                    upd = _match_update(l2.body[0], l2.var)
-                    if acc and upd and acc[0] == v_name == upd[2] and acc[1] == upd[3]:
-                        return IterativeSolvePattern(
-                            kind="jacobi",
-                            m=m_param,
-                            iterations=iter_param,
-                            A=acc[1],
-                            V=v_name,
-                            B=upd[1],
-                            X=upd[0],
-                            omega=upd[4],
-                        )
-    return None
-
-
-def _single_param(aff: Affine) -> str | None:
-    """The variable of an affine form that is exactly one bare parameter."""
-    if aff.const != 0 or len(aff.coeffs) != 1:
-        return None
-    (var, coeff), = aff.coeffs.items()
-    return var if coeff == 1 else None
-
-
-# ---------------------------------------------------------------------------
-# matrix multiplication (paper §2's three-nested-loop example)
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class MatmulPattern:
     """A recognized ``A = B x C`` triple loop."""
 
+    kind: ClassVar[str] = "matmul"
     n: str  # size parameter
     out: str  # result array (A)
     left: str  # B
     right: str  # C
 
 
-def match_matmul(program: Program) -> MatmulPattern | None:
-    """Recognize ``DO i / DO j { A(i,j)=0; DO k { A += B(i,k)*C(k,j) } }``."""
-    loops = program.loops()
-    if len(loops) != 1 or len(program.body) != 1:
-        return None
-    iloop = loops[0]
-    one = Affine.constant(1)
-    n_param = _single_param(iloop.ub)
-    if n_param is None or iloop.lb != one or len(iloop.body) != 1:
-        return None
-    jloop = iloop.body[0]
-    if not (
-        isinstance(jloop, DoLoop)
-        and jloop.lb == one
-        and _single_param(jloop.ub) == n_param
-        and len(jloop.body) == 2
-    ):
-        return None
-    i, j = iloop.var, jloop.var
-    init, kloop = jloop.body
-    if not (isinstance(init, Assign) and isinstance(init.lhs, ArrayRef)):
-        return None
-    if not (isinstance(init.rhs, Num) and init.rhs.value == 0.0):
-        return None
-    out = init.lhs.name
-    if not _is_ref(init.lhs, out, i, j):
-        return None
-    if not (
-        isinstance(kloop, DoLoop)
-        and kloop.lb == one
-        and _single_param(kloop.ub) == n_param
-        and len(kloop.body) == 1
-    ):
-        return None
-    k = kloop.var
-    acc = kloop.body[0]
-    if not (isinstance(acc, Assign) and _is_ref(acc.lhs, out, i, j)):
-        return None
-    rhs = acc.rhs
-    if not (isinstance(rhs, BinOp) and rhs.op == "+" and _is_ref(rhs.left, out, i, j)):
-        return None
-    prod = rhs.right
-    if not (isinstance(prod, BinOp) and prod.op == "*"):
-        return None
-    if not (isinstance(prod.left, ArrayRef) and isinstance(prod.right, ArrayRef)):
-        return None
-    left, right = prod.left.name, prod.right.name
-    if left == out or right == out:
-        return None
-    if not (_is_ref(prod.left, left, i, k) and _is_ref(prod.right, right, k, j)):
-        return None
-    return MatmulPattern(n=n_param, out=out, left=left, right=right)
-
-
-# ---------------------------------------------------------------------------
-# Gauss elimination
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class GaussPattern:
     """A recognized §6 Gauss-elimination program."""
 
+    kind: ClassVar[str] = "gauss"
     m: str
     A: str
     L: str
@@ -323,117 +74,79 @@ class GaussPattern:
     X: str
 
 
+def _also(templates: dict[str, object], old: str, new: str, **roles: str) -> dict[str, object]:
+    """*templates* plus each listing respelled *old* -> *new*, where one
+    name then plays the given *roles* too."""
+    return templates | {
+        source.replace(old, new): replace(proto, **roles) for source, proto in templates.items()
+    }
+
+
+_JACOBI = IterativeSolvePattern("jacobi", "m", "maxiter", "A", "V", "B", "X", omega=None)
+_SOR = replace(_JACOBI, kind="sor", omega="omega")
+_SOR_UNDECLARED = SOR_SOURCE.replace("SCALAR omega\n", "")
+_M_SWEEPS = dict(old="DO k = 1, maxiter", new="DO k = 1, m", iterations="m")
+
+#: family -> {listing: the pattern that listing is}.  A pattern field
+#: holding one of the listing's names is a role; anything else (``kind``,
+#: an absent ``omega``) is a constant of the listing.
+TEMPLATES: dict[str, dict[str, object]] = {
+    "jacobi": _also({JACOBI_SOURCE: _JACOBI}, **_M_SWEEPS),
+    "sor": _also(
+        {
+            SOR_SOURCE: _SOR,
+            _SOR_UNDECLARED.replace("PARAM m, maxiter", "PARAM m, maxiter, omega"): _SOR,
+            _SOR_UNDECLARED.replace("omega * ", ""): replace(_SOR, omega=None),
+        },
+        **_M_SWEEPS,
+    ),
+    "matmul": _also(
+        {MATMUL_SOURCE: MatmulPattern(n="n", out="A", left="B", right="C")},
+        old="C(k, j)",
+        new="B(k, j)",
+        right="B",
+    ),
+    "gauss": {GAUSS_SOURCE: GaussPattern("m", "A", "L", "B", "V", "X")},
+}
+
+
+def body_of(program: Program) -> tuple:
+    """What recognition compares: *program*'s canonical body text and the
+    namer that spelled it, with no loop index shared between loops."""
+    return serialize_body(scope_loops(program))
+
+
+@lru_cache(maxsize=None)
+def _listing_body(source: str) -> tuple[str, dict[str, str]]:
+    text, namer = body_of(parse_program(source))
+    return text, namer.assigned
+
+
+def match_templates(templates: dict[str, object], body: tuple) -> object | None:
+    """The pattern of the first listing whose body equals *body* (a
+    :func:`body_of` result), spelled with the program's names."""
+    text, namer = body
+    for source, proto in templates.items():
+        listing_text, canon = _listing_body(source)
+        if text == listing_text:
+            spelled = {c: name for name, c in namer.assigned.items()}
+            return replace(
+                proto,
+                **{f: spelled[canon[v]] for f, v in vars(proto).items() if v in canon},
+            )
+    return None
+
+
+def match_iterative_solve(program: Program) -> IterativeSolvePattern | None:
+    """Recognize the §3 (Jacobi) or §5 (SOR) program shape."""
+    return match_templates(TEMPLATES["jacobi"] | TEMPLATES["sor"], body_of(program))
+
+
+def match_matmul(program: Program) -> MatmulPattern | None:
+    """Recognize ``DO i / DO j { A(i,j)=0; DO k { A += B(i,k)*C(k,j) } }``."""
+    return match_templates(TEMPLATES["matmul"], body_of(program))
+
+
 def match_gauss(program: Program) -> GaussPattern | None:
     """Recognize triangularization + backward triangular solve."""
-    loops = program.loops()
-    if len(loops) != 3:
-        return None
-    tri, vinit, back = loops
-    one = Affine.constant(1)
-
-    # --- triangularization --------------------------------------------------
-    m_param = _single_param(tri.ub)
-    if m_param is None or tri.lb != one or tri.step != 1 or len(tri.body) != 1:
-        return None
-    k = tri.var
-    m_aff = Affine.var(m_param)
-    iloop = _loop_over(tri.body[0], Affine.var(k) + 1, m_aff)
-    if iloop is None or len(iloop.body) != 3:
-        return None
-    i = iloop.var
-
-    # L(i,k) = A(i,k) / A(k,k)
-    s1 = iloop.body[0]
-    if not (isinstance(s1, Assign) and isinstance(s1.lhs, ArrayRef)):
-        return None
-    if not (isinstance(s1.rhs, BinOp) and s1.rhs.op == "/"):
-        return None
-    l_name = s1.lhs.name
-    if not _is_ref(s1.lhs, l_name, i, k):
-        return None
-    if not (isinstance(s1.rhs.left, ArrayRef) and isinstance(s1.rhs.right, ArrayRef)):
-        return None
-    a_name = s1.rhs.left.name
-    if not (_is_ref(s1.rhs.left, a_name, i, k) and _is_ref(s1.rhs.right, a_name, k, k)):
-        return None
-
-    # B(i) = B(i) - L(i,k) * B(k)
-    s2 = iloop.body[1]
-    if not (isinstance(s2, Assign) and isinstance(s2.lhs, ArrayRef)):
-        return None
-    b_name = _ref_1d(s2.lhs, i)
-    if b_name is None:
-        return None
-    r2 = s2.rhs
-    if not (
-        isinstance(r2, BinOp)
-        and r2.op == "-"
-        and _ref_1d(r2.left, i) == b_name
-        and isinstance(r2.right, BinOp)
-        and r2.right.op == "*"
-        and _is_ref(r2.right.left, l_name, i, k)
-        and _ref_1d(r2.right.right, k) == b_name
-    ):
-        return None
-
-    # DO j = k+1, m:  A(i,j) = A(i,j) - L(i,k) * A(k,j)
-    jloop = _loop_over(iloop.body[2], Affine.var(k) + 1, m_aff)
-    if jloop is None or len(jloop.body) != 1:
-        return None
-    j = jloop.var
-    s3 = jloop.body[0]
-    if not (
-        isinstance(s3, Assign)
-        and _is_ref(s3.lhs, a_name, i, j)
-        and isinstance(s3.rhs, BinOp)
-        and s3.rhs.op == "-"
-        and _is_ref(s3.rhs.left, a_name, i, j)
-        and isinstance(s3.rhs.right, BinOp)
-        and s3.rhs.right.op == "*"
-        and _is_ref(s3.rhs.right.left, l_name, i, k)
-        and _is_ref(s3.rhs.right.right, a_name, k, j)
-    ):
-        return None
-
-    # --- V initialization ----------------------------------------------------
-    if vinit.step != -1 or len(vinit.body) != 1:
-        return None
-    v_name = _is_zero_assign(vinit.body[0], vinit.var)
-    if v_name is None:
-        return None
-
-    # --- back substitution -----------------------------------------------------
-    if back.step != -1 or back.lb != m_aff or back.ub != one or len(back.body) != 2:
-        return None
-    jb = back.var
-    s4 = back.body[0]
-    if not (isinstance(s4, Assign) and isinstance(s4.lhs, ArrayRef)):
-        return None
-    x_name = _ref_1d(s4.lhs, jb)
-    r4 = s4.rhs
-    if not (
-        x_name is not None
-        and isinstance(r4, BinOp)
-        and r4.op == "/"
-        and isinstance(r4.left, BinOp)
-        and r4.left.op == "-"
-        and _ref_1d(r4.left.left, jb) == b_name
-        and _ref_1d(r4.left.right, jb) == v_name
-        and _is_ref(r4.right, a_name, jb, jb)
-    ):
-        return None
-    ib_loop = back.body[1]
-    if not (
-        isinstance(ib_loop, DoLoop)
-        and ib_loop.step == -1
-        and ib_loop.lb == Affine.var(jb) - 1
-        and ib_loop.ub == one
-        and len(ib_loop.body) == 1
-    ):
-        return None
-    ib = ib_loop.var
-    acc = _match_accumulate(ib_loop.body[0], ib, jb)
-    if not (acc and acc[0] == v_name and acc[1] == a_name and acc[2] == x_name):
-        return None
-
-    return GaussPattern(m=m_param, A=a_name, L=l_name, B=b_name, V=v_name, X=x_name)
+    return match_templates(TEMPLATES["gauss"], body_of(program))

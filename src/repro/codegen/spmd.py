@@ -1,17 +1,19 @@
 """SPMD program emission (paper Figs 6 and 8).
 
-:func:`generate_spmd` recognizes the input program, chooses a strategy and
-emits a runnable Python SPMD generator function:
+:func:`generate_spmd` recognizes the input program (the first row of
+:data:`repro.codegen.families.FAMILIES` that matches), chooses one of the
+row's strategies and emits a runnable Python SPMD generator function:
 
 * ``jacobi`` programs — block row distribution per the §4 DP result
   (Table 3 layout): local GEMV + update + allgather of X;
 * ``sor`` programs — the ring software pipeline of Fig 5/Fig 6, derived
   from the §5 analysis (column blocks per Table 4, V values circulating);
 * ``gauss`` programs — the cyclic-distribution pipeline of Fig 8,
-  justified by the §6 token analysis: the generator *checks* (via
-  :func:`repro.pipeline.mapping.choose_mapping`) that every communicated
-  token is local or neighbor-pipelinable before emitting Shift-based
-  code, and falls back to multicast code otherwise.
+  justified by the §6 token analysis: in a program equal to the §6
+  listing every communicated token is local or neighbor-pipelinable
+  (:func:`repro.pipeline.mapping.choose_mapping` of its first nest finds
+  0 broadcast tokens; ``tests/test_tokens_mapping.py`` pins that), so
+  Shift-based code is the default and multicast code is on request.
 
 The emitted source uses only the documented runtime surface
 (:mod:`repro.codegen.runtime_api`); :func:`load_generated` compiles it
@@ -23,18 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codegen.emitter import CodeWriter
-from repro.codegen.patterns import (
-    GaussPattern,
-    IterativeSolvePattern,
-    MatmulPattern,
-    match_gauss,
-    match_iterative_solve,
-    match_matmul,
-)
+from repro.codegen.patterns import GaussPattern, IterativeSolvePattern, MatmulPattern, body_of
 from repro.codegen.runtime_api import runtime_namespace
 from repro.errors import CodegenError
 from repro.lang.ast import Program
-from repro.pipeline.mapping import choose_mapping
 from repro.util.spans import spanned
 
 
@@ -48,71 +42,26 @@ class GeneratedProgram:
     pattern: object
 
     def env_keys(self) -> tuple[str, ...]:
-        if isinstance(self.pattern, IterativeSolvePattern):
-            keys = [self.pattern.A, self.pattern.B, "X0", "iterations"]
-            if self.pattern.omega:
-                keys.append(self.pattern.omega)
-            return tuple(keys)
-        if isinstance(self.pattern, GaussPattern):
-            return (self.pattern.A, self.pattern.B)
-        if isinstance(self.pattern, MatmulPattern):
-            return (self.pattern.left, self.pattern.right)
-        return ()
+        from repro.codegen.families import family_of
+
+        return family_of(self).env_keys(self.pattern)
 
 
 @spanned("codegen/emit")
 def generate_spmd(program: Program, strategy: str | None = None) -> GeneratedProgram:
     """Recognize *program* and emit SPMD source for it.
 
-    *strategy* optionally forces ``"data-parallel"``, ``"ring-pipeline"``
-    or ``"cyclic-pipeline"``; by default the pattern kind decides.
+    *strategy* optionally forces one of the recognized family's
+    admissible strategies (:data:`repro.codegen.families.FAMILIES`); by
+    default the family decides.
     """
-    it = match_iterative_solve(program)
-    if it is not None:
-        if strategy is None:
-            strategy = "data-parallel" if it.kind == "jacobi" else "ring-pipeline"
-        if strategy == "data-parallel":
-            return _emit_jacobi(it)
-        if strategy == "ring-pipeline":
-            return _emit_sor(it)
-        raise CodegenError(f"strategy {strategy!r} not applicable to {it.kind}")
-    mm = match_matmul(program)
-    if mm is not None:
-        if strategy not in (None, "cannon"):
-            raise CodegenError(f"strategy {strategy!r} not applicable to matmul")
-        return _emit_cannon(mm)
-    from repro.codegen.stencil import emit_stencil, match_stencil_sweep
+    from repro.codegen.families import FAMILIES  # its rows hold this module's emitters
 
-    stencil = match_stencil_sweep(program)
-    if stencil is not None:
-        if strategy == "stencil-overlap":
-            from repro.codegen.overlap import emit_stencil_overlap
-
-            return emit_stencil_overlap(stencil)
-        if strategy not in (None, "stencil"):
-            raise CodegenError(f"strategy {strategy!r} not applicable to stencil sweeps")
-        return emit_stencil(stencil)
-    from repro.codegen.stencil2d import emit_stencil_2d, match_stencil_2d
-
-    stencil2d = match_stencil_2d(program)
-    if stencil2d is not None:
-        if strategy not in (None, "stencil-2d"):
-            raise CodegenError(f"strategy {strategy!r} not applicable to 2-D stencils")
-        return emit_stencil_2d(stencil2d)
-    ga = match_gauss(program)
-    if ga is not None:
-        # Justify the pipeline with the §6 dependence analysis: every token
-        # of the triangularization nest must be local or one-step.
-        tri = program.loops()[0]
-        choice = choose_mapping(tri)
-        if strategy is None:
-            strategy = "cyclic-pipeline" if choice.broadcasts == 0 else "cyclic-multicast"
-        if strategy == "cyclic-pipeline" and choice.broadcasts > 0:
-            raise CodegenError(
-                "cyclic-pipeline requested but some tokens need multicast "
-                f"({choice.broadcasts} broadcast tokens)"
-            )
-        return _emit_gauss(ga, strategy)
+    body = body_of(program)
+    for family in FAMILIES.values():
+        pattern = family.match(program, body)
+        if pattern is not None:
+            return family.emit(pattern, strategy)
     raise CodegenError(
         f"program {program.name!r} does not match any generatable pattern"
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.codegen.emitter import CodeWriter
 from repro.codegen.spmd import GeneratedProgram
@@ -71,6 +72,7 @@ class Sweep:
 class StencilPattern:
     """A recognized (time-stepped) stencil program."""
 
+    kind: ClassVar[str] = "stencil"
     size_param: str
     time_param: str | None  # None: single application
     arrays: tuple[str, ...]
@@ -164,6 +166,43 @@ def _extract_sweep(loop: DoLoop, program: Program) -> Sweep | None:
     return Sweep(var=loop.var, lb=loop.lb, ub=loop.ub, stmts=tuple(stmts))
 
 
+def _time_stepped_sweeps(
+    program: Program, size_param: str, extract: Callable[[DoLoop, Program], object | None]
+) -> tuple[str | None, tuple] | None:
+    """``(time parameter, sweeps)`` of a stencil candidate, or ``None``.
+
+    A body that is one ``DO t = 1, T`` — ``T`` a bare name other than the
+    size parameter — around loops whose bounds ignore ``t`` is a time
+    loop and its body the sweep level; otherwise there is no time
+    parameter and the program body is.  Every statement at the sweep
+    level must be a loop that *extract* accepts, and every loop of the
+    program must step by 1: the lowerings run ``T`` time steps and
+    vectorize each sweep over a dense index range.
+    """
+    if any(isinstance(s, DoLoop) and s.step != 1 for s in program.walk()):
+        return None
+    time_param, body = None, program.body
+    if len(body) == 1 and isinstance(body[0], DoLoop):
+        outer = body[0]
+        ub = outer.ub
+        if (
+            outer.lb == Affine.constant(1)
+            and ub.const == 0
+            and list(ub.coeffs.values()) == [1]
+            and size_param not in ub.coeffs
+            and all(
+                isinstance(s, DoLoop)
+                and outer.var not in s.lb.variables() | s.ub.variables()
+                for s in outer.body
+            )
+        ):
+            (time_param,), body = ub.coeffs, outer.body
+    sweeps = tuple(extract(s, program) if isinstance(s, DoLoop) else None for s in body)
+    if not sweeps or None in sweeps:
+        return None
+    return time_param, sweeps
+
+
 def match_stencil_sweep(program: Program) -> StencilPattern | None:
     """Recognize a (time-stepped) sequence of parallel 1-D sweeps."""
     arrays = tuple(sorted(program.arrays))
@@ -183,44 +222,16 @@ def match_stencil_sweep(program: Program) -> StencilPattern | None:
     if size_param is None:
         return None
 
-    body = program.body
-    time_param: str | None = None
-    if len(body) == 1 and isinstance(body[0], DoLoop):
-        outer = body[0]
-        if all(isinstance(s, DoLoop) for s in outer.body):
-            inner_ok = all(
-                outer.var not in s.lb.variables() and outer.var not in s.ub.variables()
-                for s in outer.body
-                if isinstance(s, DoLoop)
-            )
-            ub = outer.ub
-            if (
-                inner_ok
-                and outer.lb == Affine.constant(1)
-                and len(ub.coeffs) == 1
-                and ub.const == 0
-            ):
-                (tp, coeff), = ub.coeffs.items()
-                if coeff == 1 and tp != size_param:
-                    time_param = tp
-                    body = list(outer.body)
-
-    sweeps: list[Sweep] = []
-    for stmt in body:
-        if not isinstance(stmt, DoLoop):
-            return None
-        sweep = _extract_sweep(stmt, program)
-        if sweep is None:
-            return None
-        sweeps.append(sweep)
-    if not sweeps:
+    found = _time_stepped_sweeps(program, size_param, _extract_sweep)
+    if found is None:
         return None
+    time_param, sweeps = found
     return StencilPattern(
         size_param=size_param,
         time_param=time_param,
         arrays=arrays,
         scalars=tuple(program.scalars),
-        sweeps=tuple(sweeps),
+        sweeps=sweeps,
     )
 
 

@@ -19,6 +19,7 @@ linear-array neighbors, then computes vectorized on the interior.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.codegen.emitter import CodeWriter
 from repro.codegen.spmd import GeneratedProgram
@@ -28,6 +29,7 @@ from repro.codegen.stencil import (
     _count_ops,
     _offset_of,
     _scan_rhs,
+    _time_stepped_sweeps,
 )
 from repro.dependence.analysis import find_dependences
 from repro.lang.affine import Affine
@@ -54,6 +56,7 @@ class Sweep2D:
 
 @dataclass(frozen=True)
 class Stencil2DPattern:
+    kind: ClassVar[str] = "stencil-2d"
     size_param: str
     time_param: str | None
     arrays: tuple[str, ...]
@@ -155,37 +158,15 @@ def match_stencil_2d(program: Program) -> Stencil2DPattern | None:
     if size_param is None:
         return None
 
-    body = program.body
-    time_param: str | None = None
-    if len(body) == 1 and isinstance(body[0], DoLoop):
-        outer = body[0]
-        ub = outer.ub
-        if (
-            outer.lb == Affine.constant(1)
-            and len(ub.coeffs) == 1
-            and ub.const == 0
-            and all(isinstance(s, DoLoop) for s in outer.body)
-        ):
-            (tp, coeff), = ub.coeffs.items()
-            if coeff == 1 and tp != size_param:
-                time_param = tp
-                body = list(outer.body)
-
-    sweeps: list[Sweep2D] = []
-    for stmt in body:
-        if not isinstance(stmt, DoLoop):
-            return None
-        sweep = _extract_sweep(stmt, program)
-        if sweep is None:
-            return None
-        sweeps.append(sweep)
-    if not sweeps:
+    found = _time_stepped_sweeps(program, size_param, _extract_sweep)
+    if found is None:
         return None
+    time_param, sweeps = found
     return Stencil2DPattern(
         size_param=size_param,
         time_param=time_param,
         arrays=arrays,
-        sweeps=tuple(sweeps),
+        sweeps=sweeps,
     )
 
 

@@ -17,16 +17,15 @@ is just ``(nprocs, env)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from numbers import Integral
 
+from repro.codegen.families import family_of
 from repro.codegen.spmd import GeneratedProgram, generate_spmd, load_generated
 from repro.errors import ReproError
 from repro.lang.ast import Program
 from repro.machine.engine import RunResult
 from repro.machine.model import MachineModel
 from repro.machine.threaded import BACKENDS
-from repro.machine.topology import Grid2D, Ring
 
 
 def _is_int(value) -> bool:
@@ -56,38 +55,13 @@ def check_env(env) -> dict[str, int]:
 def _default_inputs(gen: GeneratedProgram, env: dict[str, int], seed: int) -> dict:
     """Fabricate inputs matching the recognized pattern (SPD system for
     solvers, random operands for matmul)."""
-    import numpy as np
-
-    from repro.codegen.patterns import (
-        GaussPattern,
-        IterativeSolvePattern,
-        MatmulPattern,
-    )
-    from repro.kernels.linalg import make_spd_system
-
-    pat = gen.pattern
-    m = env.get("m", env.get("n", 16))
-    if isinstance(pat, IterativeSolvePattern):
-        A, b, _ = make_spd_system(m, seed=seed)
-        inputs = {
-            pat.A: A,
-            pat.B: b,
-            "X0": np.zeros(m),
-            "iterations": env.get(pat.iterations, env.get("maxiter", 10)),
-        }
-        if pat.omega:
-            inputs[pat.omega] = 1.1
-        return inputs
-    if isinstance(pat, GaussPattern):
-        A, b, _ = make_spd_system(m, seed=seed)
-        return {pat.A: A, pat.B: b}
-    if isinstance(pat, MatmulPattern):
-        rng = np.random.default_rng(seed)
-        return {pat.left: rng.random((m, m)), pat.right: rng.random((m, m))}
-    raise ReproError(
-        f"cannot build default inputs for strategy {gen.strategy!r}; "
-        f"pass inputs= explicitly"
-    )
+    fabricate = family_of(gen).inputs
+    if fabricate is None:
+        raise ReproError(
+            f"cannot build default inputs for strategy {gen.strategy!r}; "
+            f"pass inputs= explicitly"
+        )
+    return fabricate(gen.pattern, env.get("m", env.get("n", 16)), env, seed)
 
 
 @dataclass(frozen=True)
@@ -253,16 +227,7 @@ class Plan:
         fn = load_generated(self.generated)
         if inputs is None:
             inputs = _default_inputs(self.generated, env, seed)
-        if self.generated.strategy == "cannon":
-            q = isqrt(nprocs)
-            if q * q != nprocs:
-                raise ReproError(
-                    f"strategy 'cannon' runs on a square q x q grid: nprocs must be "
-                    f"a perfect square, got {nprocs}"
-                )
-            topology = Grid2D(q, q)
-        else:
-            topology = Ring(nprocs)
+        topology = family_of(self.generated).topology(nprocs)
         return BACKENDS[backend](topology, model, trace=trace).run(fn, args=(inputs,))
 
     # -- analysis --------------------------------------------------------

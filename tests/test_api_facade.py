@@ -96,6 +96,19 @@ class TestPublicBoundaryIsTyped:
             plan.run(8, {"n": 12})  # used to run on 9 ranks
         assert len(plan.run(9, {"n": 12}).values) == 9
 
+    def test_a_program_of_no_family_runs_on_a_ring_and_needs_its_inputs(self):
+        """A sparse or redistribution listing has no row in the family table."""
+        from repro.codegen.spmd import GeneratedProgram
+        from repro.errors import ReproError
+        from repro.service.plan import Plan
+
+        source = "def main(p, inputs):\n    return p.rank + inputs['base']\n    yield\n"
+        plan = Plan(jacobi_program(), GeneratedProgram(source, "main", "redistribution", pattern=()))
+        assert plan.generated.env_keys() == ()
+        with pytest.raises(ReproError, match="cannot build default inputs for strategy 'redistribution'"):
+            plan.run(3, {})
+        assert plan.run(3, {}, inputs={"base": 10}).values == [10, 11, 12]
+
     @pytest.mark.parametrize("nprocs", [2.5, "4", True, 0, -4])
     def test_run_refuses_a_non_integer_nprocs(self, nprocs):
         from repro.errors import ReproError

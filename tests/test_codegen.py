@@ -16,6 +16,7 @@ from repro.codegen import (
 from repro.errors import CodegenError
 from repro.kernels import gauss_seq, jacobi_seq, make_spd_system, sor_seq
 from repro.lang import gauss_program, jacobi_program, matmul_program, parse_program, sor_program
+from repro.lang.programs import GAUSS_SOURCE, JACOBI_SOURCE, MATMUL_SOURCE, SOR_SOURCE
 from repro.machine import MachineModel, Ring, run_spmd
 
 MODEL = MachineModel(tf=1, tc=10)
@@ -110,6 +111,135 @@ class TestRecognizers:
             "  END DO\nEND DO\nEND\n"
         )
         assert match_gauss(parse_program(text)) is None
+
+
+# Variants the hand-written recognizers accepted because none of them looked
+# at an inner loop's ``step`` (or the Gauss V-initialization's bounds): each
+# was compiled to the dense kernel of the listing it resembles.
+STRIDED = {
+    "jacobi": (JACOBI_SOURCE, "DO j = 1, m\n", "DO j = 1, m, 2\n"),
+    "sor": (SOR_SOURCE, "DO i = 1, m\n", "DO i = 1, m, 3\n"),
+    "matmul": (MATMUL_SOURCE, "DO k = 1, n\n", "DO k = 1, n, 2\n"),
+    "gauss": (GAUSS_SOURCE, "DO i = m, 1, -1\n  V(i)", "DO i = m, 2, -1\n  V(i)"),
+}
+
+
+class TestTemplateRecognizers:
+    """Recognition is equality with a paper listing, up to renaming and
+    commuted operands (ISSUE 24)."""
+
+    @pytest.mark.parametrize("family", sorted(STRIDED))
+    def test_strided_or_partial_variant_is_not_matched(self, family):
+        from repro.codegen import match_matmul
+
+        listing, old, new = STRIDED[family]
+        assert old in listing
+        program = parse_program(listing.replace(old, new, 1))
+        for match in (match_iterative_solve, match_matmul, match_gauss):
+            assert match(program) is None
+        with pytest.raises(CodegenError, match="does not match any generatable pattern"):
+            generate_spmd(program)
+
+    def test_damped_jacobi_is_not_plain_jacobi(self):
+        """Two separate loops with a relaxation factor: the Jacobi emitter
+        has no ``omega``, so this used to run undamped."""
+        text = JACOBI_SOURCE.replace("PARAM m, maxiter\n", "PARAM m, maxiter\nSCALAR w\n")
+        text = text.replace("(B(i) - V(i))", "w * (B(i) - V(i))")
+        assert match_iterative_solve(parse_program(text)) is None
+        with pytest.raises(CodegenError):
+            generate_spmd(parse_program(text))
+
+    def test_sor_with_param_omega_recognized(self):
+        text = SOR_SOURCE.replace("SCALAR omega\n", "").replace("PARAM m, maxiter", "PARAM m, maxiter, omega")
+        pat = match_iterative_solve(parse_program(text))
+        assert pat is not None and pat.kind == "sor" and pat.omega == "omega"
+        assert "omega = float(env['omega'])" in generate_spmd(parse_program(text)).source
+
+    def test_omega_less_sor_emits_unit_relaxation(self):
+        text = SOR_SOURCE.replace("SCALAR omega\n", "").replace("omega * ", "")
+        pat = match_iterative_solve(parse_program(text))
+        assert pat is not None and pat.kind == "sor" and pat.omega is None
+        gen = generate_spmd(parse_program(text))
+        assert gen.strategy == "ring-pipeline" and "omega = 1.0" in gen.source
+        assert "omega" not in gen.env_keys()
+
+    def test_commuted_accumulate_recognized_and_byte_identical(self):
+        commuted = JACOBI_SOURCE.replace("A(i, j) * X(j)", "X(j) * A(i, j)")
+        assert commuted != JACOBI_SOURCE
+        assert match_iterative_solve(parse_program(commuted)) == match_iterative_solve(
+            jacobi_program()
+        )
+        assert generate_spmd(parse_program(commuted)).source == generate_spmd(
+            jacobi_program()
+        ).source
+
+
+class TestIndexNamesAndSharedRoles:
+    """Which loops share an index name is spelling, not structure; a name
+    playing two roles is structure, and two such programs are listings."""
+
+    # every nest of the listing with index names of its own, and two
+    # sibling loops sharing a name the listing keeps apart
+    RESPELLED = {
+        "jacobi-second-loop": (JACOBI_SOURCE, "  DO i = 1, m\n    X(i) = X(i) + (B(i) - V(i)) / A(i, i)", "  DO l = 1, m\n    X(l) = X(l) + (B(l) - V(l)) / A(l, l)"),
+        "jacobi-all-apart": (JACOBI_SOURCE, "DO j = 1, m\n      V(i) = V(i) + A(i, j) * X(j)", "DO q = 1, m\n      V(i) = V(i) + A(i, q) * X(q)"),
+        "jacobi-inner-is-outer's-sibling": (JACOBI_SOURCE, "  DO i = 1, m\n    X(i) = X(i) + (B(i) - V(i)) / A(i, i)", "  DO j = 1, m\n    X(j) = X(j) + (B(j) - V(j)) / A(j, j)"),
+        "gauss-back-substitution": (GAUSS_SOURCE, "DO j = m, 1, -1\n  X(j) = (B(j) - V(j)) / A(j, j)\n  DO i = j - 1, 1, -1\n    V(i) = V(i) + A(i, j) * X(j)", "DO c = m, 1, -1\n  X(c) = (B(c) - V(c)) / A(c, c)\n  DO r = c - 1, 1, -1\n    V(r) = V(r) + A(r, c) * X(c)"),
+        "gauss-back-substitution-swapped": (GAUSS_SOURCE, "DO j = m, 1, -1\n  X(j) = (B(j) - V(j)) / A(j, j)\n  DO i = j - 1, 1, -1\n    V(i) = V(i) + A(i, j) * X(j)", "DO i = m, 1, -1\n  X(i) = (B(i) - V(i)) / A(i, i)\n  DO j = i - 1, 1, -1\n    V(j) = V(j) + A(j, i) * X(i)"),
+        "gauss-v-init": (GAUSS_SOURCE, "DO i = m, 1, -1\n  V(i) = 0.0", "DO k = m, 1, -1\n  V(k) = 0.0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RESPELLED))
+    def test_respelled_indices_emit_the_listing_s_source(self, case):
+        listing, old, new = self.RESPELLED[case]
+        assert old in listing
+        respelled = parse_program(listing.replace(old, new, 1))
+        assert generate_spmd(respelled).source == generate_spmd(parse_program(listing)).source
+
+    def test_shadowed_index_is_not_the_outer_one(self):
+        """``DO i`` inside ``DO i``: the accumulate reads the inner index
+        twice, which is not the listing's ``A(i, j) * X(j)``."""
+        text = JACOBI_SOURCE.replace(
+            "DO j = 1, m\n      V(i) = V(i) + A(i, j) * X(j)", "DO i = 1, m\n      V(i) = V(i) + A(i, i) * X(i)"
+        )
+        assert text != JACOBI_SOURCE
+        assert match_iterative_solve(parse_program(text)) is None
+
+    def test_index_named_like_a_parameter_keeps_both(self):
+        text = JACOBI_SOURCE.replace(
+            "  DO i = 1, m\n    X(i) = X(i) + (B(i) - V(i)) / A(i, i)",
+            "  DO maxiter = 1, m\n    X(maxiter) = X(maxiter) + (B(maxiter) - V(maxiter)) / A(maxiter, maxiter)",
+        )
+        assert text != JACOBI_SOURCE
+        assert match_iterative_solve(parse_program(text)) == match_iterative_solve(jacobi_program())
+
+    @pytest.mark.parametrize("listing", [JACOBI_SOURCE, SOR_SOURCE], ids=["jacobi", "sor"])
+    def test_m_sweeps_recognized_and_run(self, listing):
+        program = parse_program(listing.replace("DO k = 1, maxiter", "DO k = 1, m"))
+        pat = match_iterative_solve(program)
+        assert pat is not None and pat.iterations == pat.m == "m"
+        assert generate_spmd(program).source == generate_spmd(parse_program(listing)).source
+
+    def test_matmul_squares_one_operand(self):
+        from repro.codegen import match_matmul
+        from repro.machine import Grid2D
+
+        program = parse_program(MATMUL_SOURCE.replace("C(k, j)", "B(k, j)"))
+        pat = match_matmul(program)
+        assert pat is not None and (pat.out, pat.left, pat.right) == ("A", "B", "B")
+        B = np.random.default_rng(3).random((8, 8))
+        res = run_spmd(load_generated(generate_spmd(program)), Grid2D(2, 2), MODEL, args=({"B": B},))
+        np.testing.assert_allclose(res.value(0), B @ B, atol=1e-10)
+
+    def test_one_array_in_two_roles_the_emitters_keep_apart_is_refused(self):
+        """``B`` and ``X`` are separate inputs of the emitted solver; the
+        old matcher returned ``B == X`` and ran with an unrelated ``X0``."""
+        from repro.codegen import match_matmul
+
+        text = JACOBI_SOURCE.replace("(B(i) - V(i))", "(X(i) - V(i))")
+        assert match_iterative_solve(parse_program(text)) is None
+        accumulates_into_operand = MATMUL_SOURCE.replace("B(i, k)", "A(i, k)")
+        assert match_matmul(parse_program(accumulates_into_operand)) is None
 
 
 class TestGeneration:

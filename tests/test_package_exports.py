@@ -1,7 +1,8 @@
 """Source-sweep guards: dead package exports (ISSUE 9), kernel twins (ISSUE 14),
 the one FIFO pairing pass (ISSUE 15), the one Table 1 / rule table (ISSUE 18),
-the one machine core under two drivers (ISSUE 19) and the one run registry /
-mode table / emitter of the tools (ISSUE 23).
+the one machine core under two drivers (ISSUE 19), the one run registry /
+mode table / emitter of the tools (ISSUE 23) and the template recognizers /
+one family table of the code generator (ISSUE 24).
 
 The PR 7 shim check keeps removed names out; this is the dual — every
 *public* top-level class and function defined in a ``distribution`` or
@@ -387,3 +388,69 @@ def test_report_main_dispatches_through_the_mode_table():
         and n.attr not in ("out", "outdir")
         for n in ast.walk(main)
     )
+
+
+# -- listings are the recognizers, one family table (ISSUE 24) ----------------
+# codegen/patterns.py compares canonical bodies with the paper's listings; a
+# node class imported there is a hand-written structural check growing back.
+# What follows from a program's family is read off its codegen/families.py
+# row, never re-derived from the pattern's class.
+
+PATTERN_CLASSES = {"IterativeSolvePattern", "MatmulPattern", "GaussPattern"}
+
+
+def _imports(tree: ast.AST) -> dict[str, set[str]]:
+    """module -> names imported from it, anywhere in *tree* (lazy imports too)."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.setdefault(node.module or "", set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                found.setdefault(alias.name, set())
+    return found
+
+
+def test_patterns_module_sees_no_ir_node_but_program():
+    tree = ast.parse((SRC / "codegen" / "patterns.py").read_text())
+    imports = _imports(tree)
+    assert imports.get("repro.lang.ast") == {"Program"}
+    assert "repro.lang.affine" not in imports and "repro.lang" not in imports
+    assert "isinstance" not in {getattr(n, "id", None) for n in ast.walk(tree)}
+
+
+def test_no_dispatch_on_a_pattern_class_in_src():
+    sites = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", "") == "isinstance"
+        and PATTERN_CLASSES & {getattr(n, "id", getattr(n, "attr", "")) for n in ast.walk(node.args[1])}
+    ]
+    assert sites == []
+
+
+def test_codegen_imports_nothing_from_the_service():
+    importers = {
+        path.name: sorted(m for m in _imports(ast.parse(path.read_text())) if m.startswith("repro.service"))
+        for path in sorted((SRC / "codegen").glob("*.py"))
+    }
+    assert importers == {name: [] for name in importers}
+
+
+def test_every_listing_is_matched_by_its_own_family_row_only():
+    from repro.codegen.families import FAMILIES
+    from repro.codegen.patterns import body_of
+    from repro.lang import parse_program
+
+    listings = [(row.name, src, proto) for row in FAMILIES.values() for src, proto in row.templates.items()]
+    assert sorted({name for name, _, _ in listings}) == ["gauss", "jacobi", "matmul", "sor"]
+    # 1 jacobi + 3 sor, each also with ``m`` sweeps; matmul and ``B x B``; gauss
+    assert len(listings) == len({src for _, src, _ in listings}) == 11
+    for name, source, proto in listings:
+        program = parse_program(source)
+        body = body_of(program)
+        matched = {row.name: row.match(program, body) for row in FAMILIES.values()}
+        assert {k: v for k, v in matched.items() if v is not None} == {name: proto}
+        assert proto.kind == name

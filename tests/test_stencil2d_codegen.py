@@ -7,6 +7,7 @@ import pytest
 
 from repro.codegen import generate_spmd, load_generated
 from repro.codegen.stencil2d import match_stencil_2d
+from repro.errors import CodegenError
 from repro.lang import gauss_program, jacobi_program, matmul_program, parse_program
 from repro.machine import MachineModel, Ring, run_spmd
 
@@ -83,6 +84,16 @@ class TestRecognition:
             "DO i = 1, m\nDO j = i, m\nU(i, j) = W(i, j)\nEND DO\nEND DO\nEND\n"
         )
         assert match_stencil_2d(parse_program(src)) is None
+
+    @pytest.mark.parametrize("loop", ["DO i = 2, m - 1\n", "DO j = 2, m - 1\n", "DO t = 1, steps\n"])
+    def test_strided_loop_is_refused(self, loop):
+        """The lowering computes dense row and column ranges for ``steps``
+        time steps; a step other than 1 on any loop is another program."""
+        assert loop in HEAT2D
+        program = parse_program(HEAT2D.replace(loop, loop.replace("\n", ", 2\n"), 1))
+        assert match_stencil_2d(program) is None
+        with pytest.raises(CodegenError, match="does not match any generatable pattern"):
+            generate_spmd(program)
 
 
 class TestExecution:

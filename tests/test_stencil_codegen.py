@@ -7,6 +7,7 @@ import pytest
 
 from repro.codegen import generate_spmd, load_generated
 from repro.codegen.stencil import match_stencil_sweep
+from repro.errors import CodegenError
 from repro.lang import parse_program
 from repro.machine import MachineModel, Ring, run_spmd
 
@@ -78,6 +79,25 @@ class TestRecognition:
         )
         pat = match_stencil_sweep(parse_program(src))
         assert pat is not None and pat.time_param is None
+
+    def test_strided_sweep_is_refused_not_compiled_dense(self):
+        """``DO i = 2, m - 1, 2`` writes every other element (on ``m = 8``,
+        ``W = 0..7``: ``[0 -2 0 -2 0 -2 0 0]``); the lowering vectorizes a
+        dense range and wrote ``[0 -2 -2 -2 -2 -2 -2 0]``."""
+        program = parse_program(
+            "PROGRAM t\nPARAM m\nARRAY U(m), W(m)\n"
+            "DO i = 2, m - 1, 2\nU(i) = W(i - 1) - W(i + 1)\nEND DO\nEND\n"
+        )
+        assert match_stencil_sweep(program) is None
+        with pytest.raises(CodegenError, match="does not match any generatable pattern"):
+            generate_spmd(program)
+
+    def test_strided_time_loop_is_refused(self):
+        """``DO t = 1, steps, 2`` is half the steps; the lowering ran all of them."""
+        program = parse_program(HEAT.replace("DO t = 1, steps\n", "DO t = 1, steps, 2\n"))
+        assert match_stencil_sweep(program) is None
+        with pytest.raises(CodegenError, match="does not match any generatable pattern"):
+            generate_spmd(program)
 
 
 class TestExecution:
