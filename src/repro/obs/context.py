@@ -23,7 +23,6 @@ runs of the same driver mint the same ids (exports stay comparable).
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
@@ -95,17 +94,31 @@ def current_context() -> TraceContext | None:
     return _current.get()
 
 
-@contextmanager
-def tracing_context(ctx: TraceContext | None):
-    """Install *ctx* for the enclosed block (no-op when *ctx* is None)."""
-    if ctx is None:
-        yield None
-        return
-    token = _current.set(ctx)
-    try:
-        yield ctx
-    finally:
-        _current.reset(token)
+class tracing_context:
+    """Install *ctx* for the enclosed block (no-op when *ctx* is None).
+
+    A slotted class rather than a ``@contextmanager`` generator, like
+    :meth:`repro.machine.engine.Proc.scoped`: the compile service enters
+    one per request.  ``with`` yields *ctx*.
+    """
+
+    __slots__ = ("_ctx", "_token")
+
+    def __init__(self, ctx: TraceContext | None) -> None:
+        self._ctx = ctx
+        self._token = None
+
+    def __enter__(self) -> TraceContext | None:
+        ctx = self._ctx
+        if ctx is not None:
+            self._token = _current.set(ctx)
+        return ctx
+
+    def __exit__(self, *exc: object) -> None:
+        token = self._token
+        if token is not None:
+            self._token = None
+            _current.reset(token)
 
 
 def stamp_current(metrics) -> None:

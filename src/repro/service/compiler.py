@@ -19,7 +19,9 @@ ends: ``sha256(IR_SCHEMA, guest, text)`` → the form, an LRU bounded by
 ``cache_capacity`` and, when the cache has a disk tier, written through
 to it (:meth:`PlanCache.remember` / :meth:`PlanCache.recall` — the
 cache's own files, locks and quarantine), so the memo is as warm as the
-cache directory, not as the process.  A byte-identical resubmission
+cache directory, not as the process.  In memory each entry also keeps
+the plan and solve keys it served, so a repeated request hashes its
+text once and its canonical form not at all.  A byte-identical resubmission
 that is also a plan hit therefore never parses; if its plan was evicted
 it is lowered and compiled as any miss.  Alpha-twins and whitespace
 variants miss the memo, take the full path and still hit the plan
@@ -66,7 +68,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import (
     DeadlineExceededError,
@@ -89,6 +91,31 @@ logger = logging.getLogger("repro.service")
 #: Internal sentinel: the pool crashed out and the caller should run
 #: the task in-process (graceful degradation).
 _FALLBACK = object()
+
+#: ``service_stats`` key and :class:`CacheStats` field of each cache counter.
+_CACHE_STATS = tuple((f"cache_{f.name}", f.name) for f in fields(CacheStats))
+
+#: Digest pairs one memo entry remembers before it forgets them all.
+_DIGESTS_PER_FORM = 16
+
+
+class _Memo:
+    """One source-text memo entry: the form, and the digests served from it.
+
+    ``digests`` maps what a request's digests hash besides the form —
+    strategy, ``nprocs`` and its type (``True`` and ``1`` format apart),
+    execute, env items — to ``(machine, plan key, solve key)``.  An
+    answer counts only while its ``machine`` *is* the service's, so a
+    reassigned :attr:`CompileService.machine` re-derives the solve key.
+    The digests live as long as the entry; the disk tier stores the form
+    alone.
+    """
+
+    __slots__ = ("form", "digests")
+
+    def __init__(self, form: CanonicalForm) -> None:
+        self.form = form
+        self.digests: dict[tuple, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -120,6 +147,11 @@ class CompileRequest:
     @property
     def wants_solve(self) -> bool:
         return self.nprocs is not None and self.env is not None
+
+
+#: Every :class:`CompileRequest` field but ``source``, with its default —
+#: the keywords ``compile`` builds a request from.
+_REQUEST_DEFAULTS = {f.name: f.default for f in fields(CompileRequest) if f.name != "source"}
 
 
 @dataclass(frozen=True)
@@ -393,8 +425,8 @@ class CompileService:
         self._fallbacks = 0
         self._pending = 0
         #: source-text memo, memory tier: sha256(IR_SCHEMA, guest, text)
-        #: -> CanonicalForm (the disk tier is the cache's)
-        self._forms: OrderedDict[str, CanonicalForm] = OrderedDict()
+        #: -> the form and its digests (the disk tier is the cache's)
+        self._forms: OrderedDict[str, _Memo] = OrderedDict()
         self._frontend_skips = 0
         self._memo_disk_hits = 0
 
@@ -447,9 +479,11 @@ class CompileService:
                 return result["generated"]
         return compile_plan(program, strategy=strategy).generated
 
-    def _solve_plan(self, plan, req, env_stored, segment_memo, deadline_s):
+    def _solve_plan(self, plan, req, env_stored, machine, segment_memo, deadline_s):
         """Algorithm 1 on the pool tier (segment memos stay per-worker
-        there), in-process otherwise (or on fallback)."""
+        there), in-process otherwise (or on fallback) — on either, under
+        *machine*, the model the solve key was derived from (the pool's
+        workers were spawned with whatever model the service had then)."""
         pool = self._pool()
         if pool is not None:
             result = self._pool_call(
@@ -461,13 +495,14 @@ class CompileService:
                     "nprocs": req.nprocs,
                     "env": env_stored,
                     "execute": req.execute,
+                    "model": machine,
                 },
                 deadline_s,
             )
             if result is not _FALLBACK:
                 return result
         return plan.solve(
-            req.nprocs, env_stored, model=self.machine,
+            req.nprocs, env_stored, model=machine,
             execute=req.execute, segment_memo=segment_memo,
         )
 
@@ -501,34 +536,61 @@ class CompileService:
         h.update(req.source.encode())
         return h.hexdigest()
 
-    def _recall_form(self, text_key: str | None) -> CanonicalForm | None:
+    def _recall_form(self, text_key: str | None) -> _Memo | None:
         if text_key is None:
             return None
         with self._lock:
-            form = self._forms.get(text_key)
-            if form is not None:
+            memo = self._forms.get(text_key)
+            if memo is not None:
                 self._forms.move_to_end(text_key)
-                return form
+                return memo
             # Not in this process's memo: a previous one may have left
             # the form in the cache directory.
             form = self.cache.recall(text_key)
-            if form is not None:
-                self._memo_disk_hits += 1
-                self._keep_form(text_key, form)
-            return form
+            if form is None:
+                return None
+            self._memo_disk_hits += 1
+            return self._keep_form(text_key, form)
 
-    def _remember_form(self, text_key: str | None, form: CanonicalForm) -> None:
+    def _remember_form(self, text_key: str | None, form: CanonicalForm) -> _Memo | None:
         if text_key is None:
-            return
+            return None
         with self._lock:
-            self._keep_form(text_key, form)
+            memo = self._keep_form(text_key, form)
             self.cache.remember(text_key, form)
+            return memo
 
-    def _keep_form(self, text_key: str, form: CanonicalForm) -> None:
+    def _keep_form(self, text_key: str, form: CanonicalForm) -> _Memo:
         """Memory tier of the memo (caller holds the service lock)."""
-        self._forms[text_key] = form
+        memo = self._forms[text_key] = _Memo(form)
         while len(self._forms) > self.cache_capacity:
             self._forms.popitem(last=False)
+        return memo
+
+    @staticmethod
+    def _digests(
+        form: CanonicalForm, memo: _Memo | None, req: CompileRequest, machine: MachineModel
+    ) -> tuple[str, str | None]:
+        """``(plan key, solve key or None)`` of *req* over *form*,
+        remembered on *memo* — the request's memo entry, None when it
+        bypasses the memo (see :class:`_Memo`)."""
+        if memo is not None:
+            env = req.env
+            key = (req.strategy, req.nprocs, type(req.nprocs), req.execute,
+                   None if env is None else tuple(env.items()))
+            known = memo.digests.get(key)
+            if known is not None and known[0] is machine:
+                return known[1], known[2]
+        plan_key = form.program_digest(req.strategy)
+        solve_key = (
+            form.solve_digest(req.nprocs, req.env, machine, req.strategy, execute=req.execute)
+            if req.wants_solve else None
+        )
+        if memo is not None:
+            if len(memo.digests) >= _DIGESTS_PER_FORM:
+                memo.digests.clear()
+            memo.digests[key] = (machine, plan_key, solve_key)
+        return plan_key, solve_key
 
     @staticmethod
     def _front_end(req: CompileRequest) -> tuple[Program, CanonicalForm]:
@@ -557,8 +619,26 @@ class CompileService:
         deadline_s: float | None = None,
     ) -> CompileResult:
         """Serve one request (coalescing keyword args into one if
-        *source* is not already a :class:`CompileRequest`)."""
+        *source* is not already a :class:`CompileRequest`).
+
+        A :class:`CompileRequest` carries its own fields: passing one
+        together with a keyword that differs from its default is a
+        :class:`ReproError` naming each such keyword, never a silent drop.
+        """
         if isinstance(source, CompileRequest):
+            given = dict(
+                guest=guest, strategy=strategy, nprocs=nprocs, env=env,
+                execute=execute, label=label, deadline_s=deadline_s,
+            )
+            clashes = [
+                f"{name}={value!r}" for name, value in given.items()
+                if value != _REQUEST_DEFAULTS[name]
+            ]
+            if clashes:
+                raise ReproError(
+                    f"compile() got a CompileRequest and also {', '.join(clashes)}; "
+                    "set them on the request (dataclasses.replace) instead"
+                )
             req = source
         else:
             req = CompileRequest(
@@ -622,16 +702,19 @@ class CompileService:
         t0 = time.perf_counter()
         deadline_s = req.deadline_s if req.deadline_s is not None else self.deadline_s
         deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
+        machine = self.machine  # one model per request: the solve key's and the solve's
         with span("service/request"):
             program: Program | None = None
             text_key = self._text_key(req)
-            form = self._recall_form(text_key)
-            if form is None:
+            memo = self._recall_form(text_key)
+            if memo is None:
                 # A source that fails to lower raises here, before
                 # anything is remembered.
                 program, form = self._front_end(req)
-                self._remember_form(text_key, form)
-            plan_key = form.program_digest(req.strategy)
+                memo = self._remember_form(text_key, form)
+            else:
+                form = memo.form
+            plan_key, solve_key = self._digests(form, memo, req, machine)
 
             # Mint (or adopt the caller's) trace context keyed by the
             # request digest: everything below — cache traffic, pool
@@ -675,18 +758,13 @@ class CompileService:
                     cached = True
 
                 outcome: SolveOutcome | None = None
-                solve_key: str | None = None
                 solve_cached = False
-                if req.wants_solve:
-                    solve_key = form.solve_digest(
-                        req.nprocs, req.env, self.machine,
-                        req.strategy, execute=req.execute,
-                    )
+                if solve_key is not None:
                     hit = self._cache_lookup(cache, solve_key)
                     if hit is _MISS:
                         env_stored = {rename.get(k, k): v for k, v in req.env.items()}
                         outcome = self._solve_plan(
-                            plan, req, env_stored, segment_memo,
+                            plan, req, env_stored, machine, segment_memo,
                             self._remaining(deadline_at, req),
                         )
                         self._cache_put(cache, solve_key, outcome)
@@ -696,7 +774,7 @@ class CompileService:
 
         stats = cache.stats if cache is not None else None
         service_stats: dict = (
-            {f"cache_{k}": v for k, v in stats.as_dict().items() if k != "hit_rate"}
+            {key: getattr(stats, name) for key, name in _CACHE_STATS}
             if stats is not None
             else {}
         )

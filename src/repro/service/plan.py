@@ -30,20 +30,23 @@ from repro.machine.threaded import BACKENDS
 
 def _is_int(value) -> bool:
     """A real integer: ``int`` or an integral numpy scalar, never ``bool``."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    # a plain int (nearly every value) skips the ABC check
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
 def check_env(env) -> dict[str, int]:
     """*env* as plain ``int`` values — the one check at the public boundary.
 
-    Integral numpy scalars are coerced (``np.int64(8)`` and ``8`` must share a
-    ``solve_digest``); anything else, ``bool`` included, is a
-    :class:`ReproError` naming the key.
+    Keys are parameter names (``str``).  Integral numpy scalars are coerced
+    (``np.int64(8)`` and ``8`` must share a ``solve_digest``); anything
+    else, ``bool`` included, is a :class:`ReproError` naming the key.
     """
     if not isinstance(env, dict):
         raise ReproError(f"env must be a dict of integer parameters, got {env!r}")
     checked = {}
     for key, value in env.items():
+        if type(key) is not str:
+            raise ReproError(f"env keys must be parameter names (str), got {key!r}")
         if not _is_int(value):
             raise ReproError(
                 f"env[{key!r}] must be an integer, got {value!r} ({type(value).__name__})"

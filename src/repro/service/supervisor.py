@@ -70,7 +70,7 @@ def _run_task(task: dict, machine) -> object:
     """Execute one task dict; shared by the worker loop and fallback.
 
     Kinds: ``compile`` (program+strategy -> generated code), ``solve``
-    (Algorithm 1 under the supervisor's machine model), plus the
+    (Algorithm 1 under the task's ``model``, else the supervisor's), plus the
     diagnostic kinds ``ping``/``sleep``/``unpicklable`` used by health
     checks and the test suite.
     """
@@ -83,7 +83,8 @@ def _run_task(task: dict, machine) -> object:
     if kind == "solve":
         plan = Plan(program=task["program"], generated=task["generated"])
         return plan.solve(
-            task["nprocs"], task["env"], model=machine, execute=task["execute"],
+            task["nprocs"], task["env"], model=task.get("model", machine),
+            execute=task["execute"],
         )
     if kind == "ping":
         return "pong"

@@ -4,8 +4,9 @@ The simulator side of the repo measures *simulated* seconds; this module
 is the real-time twin for the compiler itself (ISSUE 5): alignment, the
 Algorithm 1 DP, redistribution planning and code generation are wrapped
 in :func:`span` context managers which are free when no recorder is
-installed (one context-variable read) and record nested wall-clock
-intervals when run under :func:`recording`.
+installed (one context-variable read, then one shared do-nothing
+object) and record nested wall-clock intervals when run under
+:func:`recording`.
 
 Usage::
 
@@ -150,15 +151,28 @@ def recording():
         _current.reset(token)
 
 
-@contextmanager
+class _NoSpan:
+    """What :func:`span` returns when nothing records: one shared object
+    whose two methods do nothing (no generator, no allocation)."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
+
+_NO_SPAN = _NoSpan()
+
+
 def span(name: str):
     """Record *name* if a recorder is installed; otherwise do nothing."""
     rec = _current.get()
     if rec is None:
-        yield
-        return
-    with rec.span(name):
-        yield
+        return _NO_SPAN
+    return rec.span(name)
 
 
 def instant(name: str) -> None:

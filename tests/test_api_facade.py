@@ -139,6 +139,36 @@ class TestPublicBoundaryIsTyped:
         with pytest.raises(ReproError, match="env must be a dict"):
             plan.solve(4, [("m", 8)])
 
+    def test_env_keys_must_be_parameter_names(self):
+        from repro.errors import ReproError
+
+        # 1 and True hash alike but format apart in a solve key
+        for key in (1, True, ("m",)):
+            with pytest.raises(ReproError, match=r"env keys must be parameter names \(str\)"):
+                api.CompileRequest(jacobi_program(), nprocs=4, env={"m": 8, key: 1})
+
+    def test_a_request_with_keywords_that_differ_from_their_defaults_is_refused(self):
+        from repro.errors import ReproError
+
+        session = api.Session()
+        req = api.CompileRequest(jacobi_program())
+        for compile_ in (session.compile, session.service.compile):
+            with pytest.raises(
+                ReproError,
+                match=r"got a CompileRequest and also nprocs=4, env=\{'m': 16, 'maxiter': 3\}, "
+                      r"execute=True; set them on the request",
+            ):
+                compile_(req, nprocs=4, env=ENV, execute=True)
+            with pytest.raises(ReproError, match=r"also strategy='ring-pipeline'; set"):
+                compile_(req, guest="dsl", strategy="ring-pipeline")
+            # keywords left at their defaults are no clash
+            served = compile_(req, guest="dsl", label=None, execute=False)
+            assert served.request is req and served.outcome is None
+        # the batch keeps its per-item semantics: a request is served as it
+        # is, a bare source takes the batch's keywords
+        as_is, built = session.compile_batch([req, jacobi_program()], nprocs=4, env=ENV)
+        assert as_is.outcome is None and built.outcome is not None
+
     def test_numpy_integers_share_the_plain_ints_cache_entry(self):
         session = api.Session()
         plain = session.compile(jacobi_program(), nprocs=4, env={"m": 8, "maxiter": 1})

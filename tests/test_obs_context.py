@@ -73,6 +73,75 @@ class TestTraceContext:
         assert "run_id" not in res.metrics.obs
 
 
+class TestFreeWhenNothingRecords:
+    """``span`` and ``tracing_context`` are slotted objects, not
+    ``@contextmanager`` generators: the compile service enters three of
+    them per request whether or not anything records."""
+
+    def test_neither_is_a_generator_context_manager(self):
+        import contextlib
+
+        for cm in (spans.span("x"), tracing_context(mint_context()), tracing_context(None)):
+            assert not isinstance(cm, contextlib._GeneratorContextManager)
+
+    def test_without_a_recorder_every_span_is_one_shared_no_op(self):
+        assert spans.current_recorder() is None
+        shared = spans.span("a")
+        assert spans.span("b") is shared
+        with shared as entered, shared:  # nests: it holds no state
+            assert entered is None
+            with spans.recording() as rec:
+                with spans.span("inner"):
+                    pass
+        assert [s.detail for s in rec.spans] == ["inner"]  # "a" recorded nowhere
+        with pytest.raises(KeyError):
+            with spans.span("c"):
+                raise KeyError("propagates")
+
+    def test_a_recorded_compile_records_the_same_spans(self):
+        from repro.lang.programs import JACOBI_SOURCE
+
+        svc = CompileService(machine=MODEL)
+        with spans.recording() as rec:
+            cold = svc.compile(JACOBI_SOURCE, nprocs=4, env=ENV)
+            warm = svc.compile(JACOBI_SOURCE, nprocs=4, env=ENV)
+        solve = [("alignment/segment", 2), ("alignment/cag", 3), ("alignment/solve", 3)]
+        assert [(r["name"], r["depth"]) for r in rec.as_dicts()] == [
+            ("service/request", 0), ("service/frontend", 1), ("service/lookup", 1),
+            ("codegen/emit", 1), ("service/lookup", 1), ("dp/tables", 1),
+            ("alignment/cag", 2), *solve * 3, ("dp/solve", 1),
+            ("service/request", 0), ("service/lookup", 1), ("service/lookup", 1),
+        ]
+        # the lookups run under the request's context, the request span outside it
+        runs = [(s.detail, s.run) for s in rec.spans if s.detail.startswith("service/")]
+        assert runs[-3:] == [
+            ("service/lookup", warm.trace_context.run_id),
+            ("service/lookup", warm.trace_context.run_id),
+            ("service/request", ""),
+        ]
+        assert ("service/lookup", cold.trace_context.run_id) in runs
+
+    def test_tracing_context_restores_the_outer_one_after_an_exception(self):
+        outer, inner = mint_context(), mint_context()
+        with tracing_context(outer):
+            with pytest.raises(KeyError):
+                with tracing_context(inner) as entered:
+                    assert entered is inner and current_context() is inner
+                    raise KeyError("propagates")
+            assert current_context() is outer
+        assert current_context() is None
+
+    def test_tracing_context_of_none_installs_nothing(self):
+        with tracing_context(None) as entered:
+            assert entered is None and current_context() is None
+        outer = mint_context()
+        with tracing_context(outer):
+            with tracing_context(None) as entered:
+                assert entered is None and current_context() is outer
+            assert current_context() is outer
+        assert current_context() is None
+
+
 class TestEngineStamping:
     def test_engine_stamps_metrics_obs(self):
         ctx = mint_context(request_digest="feedface")

@@ -16,9 +16,11 @@ import json
 import multiprocessing
 import pickle
 import re
+import sys
 import tempfile
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,7 @@ from repro.service import (
     CompileRequest,
     CompileService,
     canonicalize,
+    lower,
     program_digest,
     program_to_json,
     solve_digest,
@@ -758,6 +761,115 @@ class TestSourceTextMemo:
         assert res.service_stats["frontend_skips"] == (mode == "memory")
         assert not list(tmp_path.iterdir())
 
+    # -- digests remembered with the form ----------------------------------
+
+    @soundness
+    @given(data=st.data())
+    def test_served_keys_are_the_digests_a_fresh_form_derives(self, data):
+        # A random walk that changes one request input per step, so a
+        # remembered key missing that input would be served stale.
+        inputs = {
+            "text": range(len(JACOBI_TEXTS)),  # original, json-ir, alpha-twin
+            "strategy": [None, "data-parallel", "ring-pipeline"],
+            "nprocs": [2, 4, 8],
+            "m": [16, 32],
+            "reordered": [False, True],  # env keys
+            "numpy": [False, True],  # env values
+            "execute": [False, True],
+        }
+        now = {name: data.draw(st.sampled_from(values)) for name, values in inputs.items()}
+        svc = CompileService(machine=MODEL)
+        for _ in range(data.draw(st.integers(2, 6))):
+            text, guest, env = JACOBI_TEXTS[now["text"]]
+            plain = dict(zip(env, (now["m"], 1)))  # the text's own names for m, maxiter
+            items = list(plain.items())[::-1] if now["reordered"] else list(plain.items())
+            env = {key: np.int64(value) if now["numpy"] else value for key, value in items}
+            request = dict(guest=guest, strategy=now["strategy"], nprocs=now["nprocs"], execute=now["execute"])
+            res = svc.compile(text, env=env, **request)
+            fresh = canonicalize(lower(text, guest))
+            assert res.digest == fresh.program_digest(now["strategy"])
+            assert res.solve_key == fresh.solve_digest(
+                now["nprocs"], plain, MODEL, now["strategy"], execute=now["execute"]
+            )
+            again = svc.compile(text, env=env, **request)  # from the memo
+            assert again.service_stats["frontend_skips"] >= 1
+            assert (again.digest, again.solve_key) == (res.digest, res.solve_key)
+            assert again.cached and again.solve_cached
+            name = data.draw(st.sampled_from(sorted(inputs)))
+            now[name] = data.draw(st.sampled_from(inputs[name]))
+
+    def test_a_reassigned_machine_is_never_served_the_old_solve(self):
+        svc = CompileService(machine=MODEL)
+        cold = svc.compile(JACOBI_SOURCE, nprocs=NPROCS, env=ENV)
+        assert svc.compile(JACOBI_SOURCE, nprocs=NPROCS, env=ENV).solve_cached
+        fresh = canonicalize(parse_program(JACOBI_SOURCE))
+
+        def serve(machine):
+            svc.machine = machine
+            res = svc.compile(JACOBI_SOURCE, nprocs=NPROCS, env=ENV)
+            assert res.service_stats["frontend_skips"] >= 1  # the memo answered
+            assert res.digest == cold.digest and res.cached  # codegen ignores the machine
+            assert res.solve_key == fresh.solve_digest(NPROCS, ENV, machine)
+            solved = cold.plan.solve(NPROCS, ENV, model=machine)
+            assert (res.outcome.cost, res.outcome.result.segments) == (
+                solved.cost, solved.result.segments
+            )
+            return res
+
+        slower = serve(MachineModel(tf=1, tc=20))
+        assert slower.solve_key != cold.solve_key and not slower.solve_cached
+        # equal to MODEL (1 == 1.0) yet formatted apart in the key: a memo
+        # keyed by equality would serve the first machine's key here
+        floats = serve(MachineModel(tf=1.0, tc=10.0))
+        assert floats.solve_key not in (cold.solve_key, slower.solve_key)
+        assert not floats.solve_cached
+        back = serve(MachineModel(tf=1, tc=10))  # a new object equal to MODEL
+        assert back.solve_key == cold.solve_key and back.solve_cached
+
+    def test_remembered_digests_never_reach_the_disk(self, tmp_path):
+        svc = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
+        for nprocs in (2, 4):
+            svc.compile(JACOBI_SOURCE, nprocs=nprocs, env=ENV)
+        (memo,) = svc._forms.values()
+        assert len(memo.digests) == 2
+        (path,) = form_files(tmp_path)
+        fresh = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
+        assert fresh._recall_form(path.stem[len("form-"):]).digests == {}
+        # the file holds the form alone, as the front end derives it
+        assert svc.cache.recall(path.stem[len("form-"):]) == canonicalize(parse_program(JACOBI_SOURCE))
+
+    def test_a_memo_entry_bounds_its_digests(self):
+        from repro.service.compiler import _DIGESTS_PER_FORM
+
+        svc = CompileService(machine=MODEL)
+        for m in range(16, 16 + _DIGESTS_PER_FORM + 1):
+            res = svc.compile(JACOBI_SOURCE, nprocs=NPROCS, env={"m": m, "maxiter": 1})
+            assert res.solve_key == solve_digest(
+                parse_program(JACOBI_SOURCE), NPROCS, {"m": m, "maxiter": 1}, MODEL
+            )
+        (memo,) = svc._forms.values()
+        assert len(memo.digests) == 1  # full at the last request: forgotten, then one
+
+    def test_worker_threads_share_one_entry_soundly(self):
+        # more threads than cores, more envs than an entry keeps, a short
+        # switch interval: a torn or misfiled remembered key would show
+        from repro.service.compiler import _DIGESTS_PER_FORM
+
+        program = parse_program(JACOBI_SOURCE)
+        envs = [{"m": m, "maxiter": 1} for m in range(16, 16 + _DIGESTS_PER_FORM + 4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with CompileService(machine=MODEL) as svc:
+                svc.compile(JACOBI_SOURCE)
+                svc.start(workers=3)
+                jobs = [svc.submit(JACOBI_SOURCE, nprocs=NPROCS, env=env) for env in envs * 3]
+                served = [job.wait(timeout=120) for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+        for res, env in zip(served, envs * 3):
+            assert res.solve_key == solve_digest(program, NPROCS, env, MODEL)
+
     @soundness
     @given(subject=chains, rng=st.randoms(use_true_random=False))
     def test_a_form_read_back_is_the_form_the_front_end_derives(self, subject, rng):
@@ -776,7 +888,7 @@ class TestSourceTextMemo:
             writer._remember_form(writer._text_key(req), form)
 
             reader = CompileService(machine=MODEL, cache="disk", cache_dir=cache_dir)
-            recalled = reader._recall_form(reader._text_key(req))
+            recalled = reader._recall_form(reader._text_key(req)).form
             assert recalled is not form and recalled == form  # text and rename
             assert recalled.program_digest() == program_digest(program)
             # a mutation the compiler could act on is another text: it

@@ -156,6 +156,21 @@ class TestServicePool:
         got = serve_corpus(CompileService(machine=MODEL, cache=None, workers=2))
         assert outcome_bytes(ref) == outcome_bytes(got)
 
+    def test_pool_solves_under_a_reassigned_machine(self):
+        # workers keep the model they were spawned with; a solve must use
+        # the one its key names
+        program, env = CORPUS[0]
+        slower = MachineModel(tf=1, tc=40)
+        with CompileService(machine=MODEL, workers=1) as svc:
+            first = svc.compile(program, nprocs=4, env=env)
+            svc.machine = slower
+            moved = svc.compile(program, nprocs=4, env=env)
+        # codegen + solve, then the new solve alone: all on the pool
+        assert (moved.service_stats["pool_dispatched"], moved.service_stats["fallbacks"]) == (3, 0)
+        assert moved.solve_key != first.solve_key and not moved.solve_cached
+        local = first.plan.solve(4, env, model=slower)
+        assert moved.outcome.cost == local.cost != first.outcome.cost
+
     def test_crash_drill_bit_identical_with_visible_retries(self):
         """The ISSUE 8 acceptance drill: kill workers mid-run, results
         must not change and the faults must be visible in stats."""
