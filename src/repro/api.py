@@ -16,10 +16,10 @@ Two journeys cover most uses::
 
 * :func:`compile_program` — one program in (any guest surface), one
   :class:`Plan` out;
-* :class:`Session` — a veneer over
-  :class:`repro.service.CompileService`: the ``cache="off|memory|disk"``
+* :class:`Session` — :class:`repro.service.CompileService` under its
+  user-facing name (one class, two names): the ``cache="off|memory|disk"``
   knob, ``compile``/``compile_batch``, the ``submit``/``wait`` job
-  queue, and cache counters under :attr:`Session.stats`;
+  queue, and cache counters under ``Session.stats``;
 * :meth:`Plan.run` / :meth:`Plan.solve` / :meth:`Plan.explain` — the
   compiled-artifact surface (machine parameters keyword-only;
   ``solve`` returns :class:`SolveOutcome`, ``explain`` returns
@@ -50,7 +50,7 @@ from __future__ import annotations
 from repro.lang.ast import Program
 from repro.machine.engine import RunResult
 from repro.machine.model import MachineModel
-from repro.service.cache import CacheStats, PlanCache
+from repro.service.cache import CacheStats
 from repro.service.compiler import (
     CompileJob,
     CompileRequest,
@@ -104,133 +104,10 @@ def compile_program(
     return compile_plan(lower(source, guest), strategy=strategy)
 
 
-class Session:
-    """An explicit compile session: machine + cache + service.
-
-    Parameters (all keyword-only):
-
-    machine:
-        The :class:`MachineModel` whose ``tf``/``tc``/``alpha``
-        parameters are folded into every solve's cache key.
-    cache:
-        ``"off"``, ``"memory"`` (default), ``"disk"`` — or a
-        :class:`PlanCache` instance to share between sessions.
-    cache_capacity:
-        Memory-tier LRU bound.
-    cache_dir:
-        Directory for the disk tier (required for ``cache="disk"``).
-        It holds the plans and the source-text memo's canonical forms,
-        so a new session over a populated directory starts warm: a text
-        any earlier process compiled is answered without a front end.
-    workers:
-        ``> 0`` runs codegen and Algorithm 1 solves on a supervised
-        pool of that many subprocesses (crashes are detected, workers
-        respawned, requests retried; on pool exhaustion the session
-        degrades to in-process compilation).  ``0`` (default) keeps
-        everything in-process.
-    deadline_s:
-        Service-wide per-request deadline — straggling pool workers
-        are killed and :class:`repro.errors.DeadlineExceededError`
-        raised; overridable per request via ``deadline_s=`` on
-        :meth:`compile`'s request.
-    queue_limit:
-        Bound on queued-but-unserved :meth:`submit` jobs; excess
-        submissions shed load with
-        :class:`repro.errors.ServiceOverloadedError`.
-
-    A session is also a context manager; entering starts the job-queue
-    workers and exiting drains them (and stops the process pool).
-    See docs/API.md §"Operating the service".
-    """
-
-    def __init__(
-        self,
-        *,
-        machine: MachineModel | None = None,
-        cache: str | PlanCache | None = "memory",
-        cache_capacity: int = 256,
-        cache_dir=None,
-        workers: int = 0,
-        deadline_s: float | None = None,
-        queue_limit: int | None = None,
-    ) -> None:
-        self.service = CompileService(
-            machine=machine or MachineModel(),
-            cache=cache,
-            cache_capacity=cache_capacity,
-            cache_dir=cache_dir,
-            workers=workers,
-            deadline_s=deadline_s,
-            queue_limit=queue_limit,
-        )
-
-    @property
-    def machine(self) -> MachineModel:
-        return self.service.machine
-
-    @property
-    def cache(self) -> PlanCache | None:
-        return self.service.cache
-
-    @property
-    def stats(self) -> CacheStats:
-        """Cache hit/miss/eviction counters for this session."""
-        return self.service.stats
-
-    # -- compile surface -------------------------------------------------
-    def compile(
-        self,
-        source: object,
-        *,
-        guest: str = "dsl",
-        strategy: str | None = None,
-        nprocs: int | None = None,
-        env: dict[str, int] | None = None,
-        execute: bool = False,
-        label: str | None = None,
-        deadline_s: float | None = None,
-    ) -> CompileResult:
-        """Serve one :class:`CompileRequest` (or build one from the
-        keyword arguments) through the cache."""
-        return self.service.compile(
-            source, guest=guest, strategy=strategy, nprocs=nprocs,
-            env=env, execute=execute, label=label, deadline_s=deadline_s,
-        )
-
-    def compile_batch(
-        self,
-        sources,
-        *,
-        guest: str = "dsl",
-        strategy: str | None = None,
-        nprocs: int | None = None,
-        env: dict[str, int] | None = None,
-        execute: bool = False,
-    ) -> list[CompileResult]:
-        """Compile many programs, sharing alignment/DP sub-results
-        across programs whose segments coincide."""
-        return self.service.compile_batch(
-            sources, guest=guest, strategy=strategy, nprocs=nprocs,
-            env=env, execute=execute,
-        )
-
-    # -- job queue -------------------------------------------------------
-    def submit(self, source: object, **kwargs) -> CompileJob:
-        return self.service.submit(source, **kwargs)
-
-    def start(self, workers: int = 1) -> "Session":
-        self.service.start(workers)
-        return self
-
-    def close(self) -> None:
-        self.service.close()
-
-    def __enter__(self) -> "Session":
-        self.service.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.service.__exit__(*exc)
+#: The compile session — the service class itself, not a wrapper: the
+#: seven settings, ``compile`` / ``compile_batch`` / ``submit``, the job
+#: queue's ``start`` / ``close`` and the cache counters under ``stats``.
+Session = CompileService
 
 
 def compile_and_run(

@@ -131,11 +131,10 @@ class WorkerCrashedError(ServiceError):
     Carries the forensic tail the supervisor collected: the worker's
     spawn ``argv``, the content digest of the last in-flight request,
     the process exit status (negative = killed by that signal), and how
-    many attempts/respawns were burned before giving up.  With
-    ``degrade=True`` (the default) :class:`repro.service.CompileService`
-    catches this and falls back to in-process compilation — the error
-    only surfaces when degradation is disabled or the pool is driven
-    directly.
+    many attempts/respawns were burned before giving up.
+    :class:`repro.service.CompileService` catches this and falls back to
+    in-process compilation — the error only surfaces when the pool is
+    driven directly.
     """
 
     def __init__(

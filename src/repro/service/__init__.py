@@ -15,18 +15,20 @@ alpha/tf/tc, N, env)``.  This package makes that purity pay:
   ``python-ast`` guest, and tool-facing JSON documents are the
   ``json-ir`` guest; all three lower into the same :class:`Program` IR
   and therefore share cache entries;
-* :mod:`repro.service.compiler` — :class:`CompileService`: single
-  requests, ``compile_batch`` (alignment/DP sub-results shared across
-  programs hashing to common sub-keys) and a job-queue runner that
-  services requests from worker threads, each request wrapped in a
-  wall-clock span on the compiler Perfetto lane;
+* :mod:`repro.service.compiler` — :class:`CompileService` (also
+  :class:`repro.api.Session`): single requests, ``compile_batch``
+  (alignment/DP sub-results shared across programs hashing to common
+  sub-keys) and a job queue on a thread-pool executor, each request
+  wrapped in a wall-clock span on the compiler Perfetto lane;
 * :mod:`repro.service.supervisor` — :class:`WorkerSupervisor`, the
-  supervised subprocess pool behind ``workers > 0``: crash detection,
+  supervised subprocess pool behind ``workers``: crash detection,
   capped-backoff respawn, bounded retries, per-request deadlines, and
   deterministic chaos injection for the crash drills (see
-  docs/RESILIENCE.md).
+  docs/RESILIENCE.md).  Its knobs are its own parameters; a service
+  takes a built one as ``workers``.
 
-:mod:`repro.api` is a thin veneer over this package; see docs/API.md.
+:mod:`repro.api` re-exports this package's public classes under the
+user-facing names; see docs/API.md.
 """
 
 from __future__ import annotations

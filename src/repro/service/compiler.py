@@ -1,11 +1,11 @@
 """The compile service: requests in, content-addressed results out.
 
-:class:`CompileService` is the hub behind :class:`repro.api.Session`.
-A request names a source (in any registered guest surface), an optional
-forced strategy, and — when the caller wants Algorithm 1's answer — the
-machine context ``(nprocs, env)``.  The service lowers, canonicalizes,
-and serves from the :class:`~repro.service.cache.PlanCache` at two
-granularities:
+:class:`CompileService` is the compile hub; :class:`repro.api.Session`
+is the same class.  A request names a source (in any registered guest
+surface), an optional forced strategy, and — when the caller wants
+Algorithm 1's answer — the machine context ``(nprocs, env)``.  The
+service lowers, canonicalizes, and serves from the
+:class:`~repro.service.cache.PlanCache` at two granularities:
 
 * the **plan key** (canonical IR + strategy) addresses the codegen
   artifact — recognized pattern and emitted SPMD source;
@@ -40,19 +40,26 @@ every solve in the batch, sharing per-segment alignment/pricing entries
 across *different* programs whose segments coincide (see
 :func:`repro.dp.phases.build_phase_tables`).
 
-The job-queue runner (``submit``/``start``/``close``) services requests
-from worker threads; every request — queued or direct — is wrapped in a
-``service/request`` span on the compiler Perfetto lane, with
-``service/frontend`` (lower + canonicalize; absent when the memo served
-the form) and ``service/lookup`` (one per cache probe) inside it.
+``compile``, ``compile_batch`` and ``submit`` build their request one
+way (:func:`_request`): keyword options fill a bare source's request,
+and beside a :class:`CompileRequest` they must agree with it.
 
-With ``workers > 0`` the expensive phases (codegen, the Algorithm 1
+The job queue (``submit``/``start``/``close``) is a
+:class:`concurrent.futures.ThreadPoolExecutor`; each job runs in the
+context its ``submit`` saw.  Every request — queued or direct — is
+wrapped in a ``service/request`` span on the compiler Perfetto lane,
+with ``service/frontend`` (lower + canonicalize; absent when the memo
+served the form) and ``service/lookup`` (one per cache probe) inside it.
+
+With ``workers`` set the expensive phases (codegen, the Algorithm 1
 solve) additionally run on a **supervised process pool**
-(:class:`repro.service.supervisor.WorkerSupervisor`): a worker crash is
-detected, respawned with capped backoff and the request retried; when
-the pool exhausts its budget the service *degrades* to in-process
-compilation (logged and counted in ``service_stats["fallbacks"]``,
-never silently wrong).  ``queue_limit`` bounds the admission queue
+(:class:`repro.service.supervisor.WorkerSupervisor`, spawned from an
+``int`` or passed ready-built with its own retry, respawn, backoff and
+chaos knobs): a worker crash is detected, respawned with capped backoff
+and the request retried; when the pool exhausts its budget the service
+compiles in-process instead (logged and counted in
+``service_stats["fallbacks"]``, never silently wrong).  ``queue_limit``
+bounds the admission queue
 (:class:`~repro.errors.ServiceOverloadedError` sheds excess load) and
 ``deadline_s`` — per request or service-wide — cancels stragglers with
 :class:`~repro.errors.DeadlineExceededError` instead of orphaning them.
@@ -64,10 +71,10 @@ from __future__ import annotations
 import contextvars
 import hashlib
 import logging
-import queue
 import threading
 import time
 from collections import OrderedDict
+from concurrent import futures
 from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import (
@@ -83,6 +90,7 @@ from repro.service.cache import _MISS, CacheStats, PlanCache, make_cache
 from repro.service.guests import lower
 from repro.service.normalize import IR_SCHEMA, CanonicalForm, canonicalize
 from repro.service.plan import Plan, SolveOutcome, check_env, compile_plan
+from repro.service.supervisor import WorkerSupervisor
 from repro.util import spans
 from repro.util.spans import span
 
@@ -147,11 +155,6 @@ class CompileRequest:
     @property
     def wants_solve(self) -> bool:
         return self.nprocs is not None and self.env is not None
-
-
-#: Every :class:`CompileRequest` field but ``source``, with its default —
-#: the keywords ``compile`` builds a request from.
-_REQUEST_DEFAULTS = {f.name: f.default for f in fields(CompileRequest) if f.name != "source"}
 
 
 @dataclass(frozen=True)
@@ -302,128 +305,154 @@ class CompileResult:
 class CompileJob:
     """Handle for a queued request; ``wait()`` blocks for the result.
 
-    A job is *pending* until a worker claims it, then *running*, then
-    *done* (result or error).  A pending job can be :meth:`cancel`\\led
-    — workers skip cancelled jobs, so a timed-out ``wait`` leaves
-    nothing orphaned in the queue.
+    A thin handle over a :class:`concurrent.futures.Future`: *pending*
+    until an executor thread claims it, then running, then done (result
+    or error).  A pending job can be :meth:`cancel`\\led — it never runs
+    and its admission slot frees at once.  ``wait`` raises what the
+    request raised or a :class:`~repro.errors.ReproError`, never the
+    futures module's ``TimeoutError`` or ``CancelledError``.
     """
+
+    __slots__ = ("request", "_future")
 
     def __init__(self, request: CompileRequest) -> None:
         self.request = request
-        self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._state = "pending"
-        self._result: CompileResult | None = None
-        self._error: BaseException | None = None
-
-    def _claim(self) -> bool:
-        """Worker-side: move pending -> running; False if cancelled."""
-        with self._lock:
-            if self._state != "pending":
-                return False
-            self._state = "running"
-            return True
-
-    def _finish(self, result: CompileResult | None, error: BaseException | None) -> None:
-        with self._lock:
-            self._state = "done"
-        self._result = result
-        self._error = error
-        self._event.set()
+        self._future: futures.Future = futures.Future()
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._future.done()
 
     @property
     def cancelled(self) -> bool:
-        with self._lock:
-            return self._state == "cancelled"
+        return self._future.cancelled()
 
     def cancel(self) -> bool:
         """Cancel the job if no worker has claimed it yet.
 
         Returns True when the job was still pending (it will never run;
-        waiters get a :class:`DeadlineExceededError`).  A running or
-        finished job returns False — the thread tier cannot preempt.
+        waiters get a :class:`DeadlineExceededError`).  A running,
+        finished or already cancelled job returns False — the thread
+        tier cannot preempt.
         """
-        with self._lock:
-            if self._state != "pending":
-                return False
-            self._state = "cancelled"
-        self._error = DeadlineExceededError(
-            f"compile job {self.request.label or self.request.guest!r}",
-            self.request.deadline_s or 0.0,
-            "cancelled before a worker claimed it",
+        return not self._future.cancelled() and self._future.cancel()
+
+    def _deadline(self, seconds: float, detail: str) -> DeadlineExceededError:
+        return DeadlineExceededError(
+            f"compile job {self.request.label or self.request.guest!r}", seconds, detail
         )
-        self._event.set()
-        return True
 
     def wait(self, timeout: float | None = None) -> CompileResult:
         """Block for the result; on timeout the job is cancelled if
         still pending (cleanly — never orphaned in the queue)."""
-        if not self._event.wait(timeout):
-            cancelled = self.cancel()
+        try:
+            error = self._future.exception(timeout)
+        except futures.CancelledError:
+            raise self._deadline(
+                self.request.deadline_s or 0.0, "cancelled before a worker claimed it"
+            ) from None
+        except futures.TimeoutError:
             detail = (
                 "cancelled before a worker claimed it"
-                if cancelled
+                if self.cancel()
                 else "already running; its result will be discarded"
             )
-            raise DeadlineExceededError(
-                f"compile job {self.request.label or self.request.guest!r}",
-                timeout if timeout is not None else 0.0,
-                detail,
-            )
-        if self._error is not None:
-            raise self._error
-        assert self._result is not None
-        return self._result
+            raise self._deadline(timeout if timeout is not None else 0.0, detail) from None
+        if error is not None:
+            raise error
+        return self._future.result()
 
 
-@dataclass
+def _request(verb: str, source: object, options: dict) -> CompileRequest:
+    """The one way ``compile``, ``compile_batch`` and ``submit`` turn a
+    source and keyword *options* (any :class:`CompileRequest` field but
+    ``source``) into a request.
+
+    A :class:`CompileRequest` carries its own fields: an option that
+    differs from the request's is a :class:`ReproError` naming it, never
+    a silent drop or override; options equal to the request's pass.
+    """
+    if not isinstance(source, CompileRequest):
+        return CompileRequest(source=source, **options)
+    clashes = [
+        f"{name}={value!r}" for name, value in options.items()
+        if getattr(source, name, _MISS) != value
+    ]
+    if clashes:
+        raise ReproError(
+            f"{verb}() got a CompileRequest and also {', '.join(clashes)}; "
+            "set them on the request (dataclasses.replace) instead"
+        )
+    return source
+
+
+@dataclass(kw_only=True, eq=False)
 class CompileService:
-    """Cache-backed compiler hub (see module docstring).
+    """Cache-backed compiler hub (see module docstring); also exported
+    as :class:`repro.api.Session`.
 
-    *cache* is a mode string (``"off"``/``"memory"``/``"disk"``) or an
-    already-built :class:`PlanCache` to share between services.
+    Seven settings, all keyword-only:
 
-    *workers* > 0 adds the supervised process-pool tier (codegen and
-    solves run in subprocesses; crashes are retried and respawned);
-    *queue_limit* bounds the ``submit`` admission queue; *deadline_s*
-    is the service-wide per-request deadline (overridable per request);
-    *degrade* controls whether pool failure falls back to in-process
-    compilation (the default) or surfaces
-    :class:`~repro.errors.WorkerCrashedError`.  The ``worker_*`` knobs
-    and *chaos_kill_requests* pass through to
-    :class:`~repro.service.supervisor.WorkerSupervisor`.
+    machine:
+        The :class:`MachineModel` whose ``tf``/``tc``/``alpha`` are
+        folded into every solve key (``None``: ``MachineModel()``).
+    cache:
+        ``"off"``, ``"memory"`` (default), ``"disk"`` — or a
+        :class:`PlanCache` to share between services.
+    cache_capacity:
+        Memory-tier LRU bound (also bounds the source-text memo).
+    cache_dir:
+        Directory for the disk tier (required for ``cache="disk"``).
+        It holds the plans and the memo's canonical forms, so a new
+        service over a populated directory starts warm.
+    workers:
+        ``0`` (default) keeps everything in-process.  An ``int > 0``
+        lazily spawns a :class:`WorkerSupervisor` of that many
+        subprocesses for codegen and Algorithm 1 solves; a ready
+        :class:`WorkerSupervisor` is used as given — build one to set
+        ``retry_budget``, ``max_respawns``, ``backoff_s`` or
+        ``chaos_kill_requests``.  When the pool fails, the request is
+        compiled in-process and counted in ``fallbacks``.
+    deadline_s:
+        Service-wide per-request deadline (overridable per request):
+        straggling pool workers are killed and
+        :class:`~repro.errors.DeadlineExceededError` raised.
+    queue_limit:
+        Bound on submitted-but-unfinished :meth:`submit` jobs; excess
+        submissions shed load with
+        :class:`~repro.errors.ServiceOverloadedError`.
+
+    Construction starts nothing: the job queue's threads start with
+    :meth:`start` (or entering the service as a context manager), the
+    pool with the first request that needs it.  :meth:`close` (or
+    exiting) stops both.  See docs/API.md §"Operating the service".
     """
 
-    machine: MachineModel = field(default_factory=MachineModel)
+    machine: MachineModel | None = None
     cache: PlanCache | str | None = "memory"
     cache_capacity: int = 256
     cache_dir: object = None
-    workers: int = 0
-    queue_limit: int | None = None
+    workers: int | WorkerSupervisor = 0
     deadline_s: float | None = None
-    degrade: bool = True
-    worker_retry_budget: int = 2
-    worker_max_respawns: int = 3
-    worker_backoff_s: float = 0.05
-    chaos_kill_requests: tuple = ()
+    queue_limit: int | None = None
 
     def __post_init__(self) -> None:
+        if self.machine is None:
+            self.machine = MachineModel()
         if isinstance(self.cache, str):
             self.cache = make_cache(
                 self.cache, capacity=self.cache_capacity, disk_dir=self.cache_dir
             )
         self._lock = threading.Lock()
-        self._queue: queue.Queue = queue.Queue()
-        self._workers: list[threading.Thread] = []
-        self._closed = False
         self._pool_lock = threading.Lock()
-        self._supervisor = None
+        self._supervisor = self.workers if isinstance(self.workers, WorkerSupervisor) else None
         self._fallbacks = 0
-        self._pending = 0
+        #: the job queue: its executor (from :meth:`start`), the jobs
+        #: submitted before it, and (with ``queue_limit``) the admitted ones
+        self._executor: futures.ThreadPoolExecutor | None = None
+        self._backlog: list[tuple[contextvars.Context, CompileJob]] = []
+        self._admitted: list[CompileJob] = []
+        self._closed = False
         #: source-text memo, memory tier: sha256(IR_SCHEMA, guest, text)
         #: -> the form and its digests (the disk tier is the cache's)
         self._forms: OrderedDict[str, _Memo] = OrderedDict()
@@ -431,33 +460,22 @@ class CompileService:
         self._memo_disk_hits = 0
 
     # -- the process-pool tier -------------------------------------------
-    def _pool(self):
-        """The lazily-spawned :class:`WorkerSupervisor` (None when
+    def _pool(self) -> WorkerSupervisor | None:
+        """The supervisor — given, or spawned on first use (None when
         ``workers=0`` or the service is closed)."""
         if not self.workers or self._closed:
             return None
         with self._pool_lock:
             if self._supervisor is None:
-                from repro.service.supervisor import WorkerSupervisor
-
-                self._supervisor = WorkerSupervisor(
-                    self.workers,
-                    self.machine,
-                    retry_budget=self.worker_retry_budget,
-                    max_respawns=self.worker_max_respawns,
-                    backoff_s=self.worker_backoff_s,
-                    chaos_kill_requests=self.chaos_kill_requests,
-                )
+                self._supervisor = WorkerSupervisor(self.workers, self.machine)
             return self._supervisor
 
-    def _pool_call(self, pool, task: dict, deadline_s: float | None):
-        """One supervised dispatch; crashes degrade to :data:`_FALLBACK`
-        (unless ``degrade=False``), deadline misses always propagate."""
+    def _pool_call(self, pool: WorkerSupervisor, task: dict, deadline_s: float | None):
+        """One supervised dispatch; crashes fall back to :data:`_FALLBACK`,
+        deadline misses propagate."""
         try:
             return pool.call(task, deadline_s=deadline_s)
         except WorkerCrashedError as exc:
-            if not self.degrade:
-                raise
             with self._lock:
                 self._fallbacks += 1
             spans.instant("service/fallback")
@@ -599,79 +617,24 @@ class CompileService:
             return program, canonicalize(program)
 
     # -- the request path ------------------------------------------------
-    @staticmethod
-    def request(source: object, **kwargs) -> CompileRequest:
-        """Coerce *source* (or pass a :class:`CompileRequest` through)."""
-        if isinstance(source, CompileRequest):
-            return replace(source, **kwargs) if kwargs else source
-        return CompileRequest(source=source, **kwargs)
+    def compile(self, source: object, **options) -> CompileResult:
+        """Serve one request: *source* is a :class:`CompileRequest` or
+        anything its guest lowers, *options* the request's other fields
+        (``guest``, ``strategy``, ``nprocs``, ``env``, ``execute``,
+        ``label``, ``deadline_s``; see :func:`_request`)."""
+        return self._serve(_request("compile", source, options), self.cache, None)
 
-    def compile(
-        self,
-        source: object,
-        *,
-        guest: str = "dsl",
-        strategy: str | None = None,
-        nprocs: int | None = None,
-        env: dict[str, int] | None = None,
-        execute: bool = False,
-        label: str | None = None,
-        deadline_s: float | None = None,
-    ) -> CompileResult:
-        """Serve one request (coalescing keyword args into one if
-        *source* is not already a :class:`CompileRequest`).
-
-        A :class:`CompileRequest` carries its own fields: passing one
-        together with a keyword that differs from its default is a
-        :class:`ReproError` naming each such keyword, never a silent drop.
-        """
-        if isinstance(source, CompileRequest):
-            given = dict(
-                guest=guest, strategy=strategy, nprocs=nprocs, env=env,
-                execute=execute, label=label, deadline_s=deadline_s,
-            )
-            clashes = [
-                f"{name}={value!r}" for name, value in given.items()
-                if value != _REQUEST_DEFAULTS[name]
-            ]
-            if clashes:
-                raise ReproError(
-                    f"compile() got a CompileRequest and also {', '.join(clashes)}; "
-                    "set them on the request (dataclasses.replace) instead"
-                )
-            req = source
-        else:
-            req = CompileRequest(
-                source=source, guest=guest, strategy=strategy,
-                nprocs=nprocs, env=env, execute=execute, label=label,
-                deadline_s=deadline_s,
-            )
-        return self._serve(req, self.cache, None)
-
-    def compile_batch(
-        self,
-        sources,
-        *,
-        guest: str = "dsl",
-        strategy: str | None = None,
-        nprocs: int | None = None,
-        env: dict[str, int] | None = None,
-        execute: bool = False,
-    ) -> list[CompileResult]:
+    def compile_batch(self, sources, **options) -> list[CompileResult]:
         """Serve many requests, sharing sub-results across the batch.
 
+        Each item is built as :meth:`compile` builds one: a bare source
+        takes *options*, a :class:`CompileRequest` is served as it is.
         All solves share one segment memo (identical segments of
         *different* programs are aligned and priced once), and with
         ``cache="off"`` an ephemeral batch-local cache still coalesces
         duplicate programs within the batch.
         """
-        requests = [
-            s if isinstance(s, CompileRequest) else CompileRequest(
-                source=s, guest=guest, strategy=strategy,
-                nprocs=nprocs, env=env, execute=execute,
-            )
-            for s in sources
-        ]
+        requests = [_request("compile_batch", s, options) for s in sources]
         cache = self.cache
         if cache is None and len(requests) > 1:
             cache = PlanCache(capacity=max(len(requests) * 2, 8))
@@ -806,76 +769,76 @@ class CompileService:
         )
 
     # -- job queue -------------------------------------------------------
-    def submit(self, source: object, **kwargs) -> CompileJob:
-        """Enqueue a request for the worker pool; returns its handle.
+    def submit(self, source: object, **options) -> CompileJob:
+        """Queue a request (built as :meth:`compile` builds one); returns
+        its handle.
 
-        Call :meth:`start` (or enter the service as a context manager)
-        to spin up workers; jobs submitted earlier are picked up then.
+        The job runs on the executor :meth:`start` creates, in a copy of
+        the caller's context taken here (spans land on the caller's
+        recorder); jobs submitted before :meth:`start` wait for it.
         """
-        if self._closed:
-            raise ReproError("service is closed")
-        job = CompileJob(self.request(source, **kwargs))
+        job = CompileJob(_request("submit", source, options))
+        context = contextvars.copy_context()
         with self._lock:
-            if self.queue_limit is not None and self._pending >= self.queue_limit:
-                raise ServiceOverloadedError(self._pending, self.queue_limit)
-            self._pending += 1
-        self._queue.put(job)
+            if self._closed:
+                raise ReproError("service is closed")
+            if self.queue_limit is not None:
+                # a finished, failed or cancelled job holds no slot
+                self._admitted = [j for j in self._admitted if not j.done]
+                if len(self._admitted) >= self.queue_limit:
+                    raise ServiceOverloadedError(len(self._admitted), self.queue_limit)
+                self._admitted.append(job)
+            if self._executor is None:
+                self._backlog.append((context, job))
+            else:
+                self._executor.submit(context.run, self._run, job)
         return job
 
+    def _run(self, job: CompileJob) -> None:
+        if job._future.set_running_or_notify_cancel():  # False: cancelled while queued
+            try:
+                job._future.set_result(self._serve(job.request, self.cache, None))
+            except BaseException as exc:  # delivered via job.wait()
+                job._future.set_exception(exc)
+
     def start(self, workers: int = 1) -> "CompileService":
-        """Start *workers* daemon threads draining the job queue."""
+        """Start the job queue's executor with *workers* threads; it
+        takes every job submitted so far.  A service starts once."""
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
-        for n in range(workers):
-            # Give each worker a copy of the caller's context so spans
-            # recorded inside jobs land on the caller's recorder.
-            ctx = contextvars.copy_context()
-            thread = threading.Thread(
-                target=ctx.run,
-                args=(self._worker_loop,),
-                name=f"compile-service-{len(self._workers) + n}",
-                daemon=True,
-            )
-            thread.start()
-            self._workers.append(thread)
+        with self._lock:
+            if self._closed:
+                raise ReproError("service is closed")
+            if self._executor is not None:
+                raise ReproError("the job queue is already started")
+            self._executor = futures.ThreadPoolExecutor(workers, thread_name_prefix="compile-service")
+            for context, job in self._backlog:
+                self._executor.submit(context.run, self._run, job)
+            self._backlog.clear()
         return self
 
-    def _worker_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                self._queue.task_done()
-                return
-            try:
-                if not job._claim():  # cancelled while queued
-                    continue
-                try:
-                    job._finish(self._serve(job.request, self.cache, None), None)
-                except BaseException as exc:  # delivered via job.wait()
-                    job._finish(None, exc)
-            finally:
-                with self._lock:
-                    self._pending -= 1
-                self._queue.task_done()
-
     def close(self) -> None:
-        """Stop the workers (and the process pool) after the queue
-        drains (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._workers:
-            self._queue.put(None)
-        for thread in self._workers:
-            thread.join()
-        self._workers.clear()
+        """Drain the job queue, then stop its threads and the process
+        pool (idempotent).  Jobs no thread will claim — the queue never
+        started — fail with ``ReproError("service is closed")``."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            executor, backlog, self._backlog = self._executor, self._backlog, []
+        if executor is not None:
+            executor.shutdown()
+        closed = ReproError("service is closed")
+        for _, job in backlog:
+            if job._future.set_running_or_notify_cancel():
+                job._future.set_exception(closed)
         with self._pool_lock:
             supervisor, self._supervisor = self._supervisor, None
         if supervisor is not None:
             supervisor.close()
 
     def __enter__(self) -> "CompileService":
-        if not self._workers:
+        if self._executor is None:
             self.start()
         return self
 

@@ -1,7 +1,10 @@
 """Supervised worker processes for the compile service (ISSUE 8).
 
 :class:`WorkerSupervisor` is the process-pool execution tier behind
-:class:`repro.service.compiler.CompileService`: each worker is a
+:class:`repro.service.compiler.CompileService` — spawned by the service
+from ``workers=<int>`` with the defaults below, or built by the caller
+with its own knobs and passed as ``workers=`` (the tests and the X12
+bench do that for crash drills).  Each worker is a
 subprocess speaking a tiny pickled request/reply protocol over a pipe,
 and the supervisor watches it the way
 :func:`repro.machine.resilient.run_resilient` watches simulated ranks —

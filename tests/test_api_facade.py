@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 import warnings
@@ -83,6 +84,36 @@ class TestPlanRun:
         assert res.makespan > 0
 
 
+#: The three ways into the service, each reduced to the request it served.
+ENTRIES = {
+    "compile": lambda svc, source, **kw: svc.compile(source, **kw).request,
+    "submit": lambda svc, source, **kw: svc.submit(source, **kw).request,
+    "compile_batch": lambda svc, source, **kw: svc.compile_batch([source], **kw)[0].request,
+}
+
+
+class TestOneEntryContract:
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_every_entry_builds_its_request_one_way(self, entry):
+        from repro.errors import ReproError
+        from repro.service import CompileService
+
+        assert repro.Session is api.Session is CompileService
+        assert [f.name for f in dataclasses.fields(CompileService)] == [
+            "machine", "cache", "cache_capacity", "cache_dir", "workers", "deadline_s", "queue_limit",
+        ]
+        serve = ENTRIES[entry]
+        req = api.CompileRequest(jacobi_program(), nprocs=4, env=ENV)
+        with api.Session(machine=MODEL) as session:
+            with pytest.raises(ReproError, match=rf"{entry}\(\) got a CompileRequest and also nprocs=8; set"):
+                serve(session, req, nprocs=8)
+            with pytest.raises(ReproError, match=r"also strategy='cannon'; set"):
+                serve(session, req, env=ENV, strategy="cannon")
+            assert serve(session, req, nprocs=4, env=dict(ENV), guest="dsl") is req
+            built = serve(session, jacobi_program(), nprocs=4, env=ENV, label="built")
+            assert (built.nprocs, built.env, built.label) == (4, ENV, "built")
+
+
 class TestPublicBoundaryIsTyped:
     """A bad ``nprocs`` or ``env`` is a :class:`ReproError` where the
     facade first sees it — not a builtin error from inside the solve,
@@ -152,22 +183,23 @@ class TestPublicBoundaryIsTyped:
 
         session = api.Session()
         req = api.CompileRequest(jacobi_program())
-        for compile_ in (session.compile, session.service.compile):
-            with pytest.raises(
-                ReproError,
-                match=r"got a CompileRequest and also nprocs=4, env=\{'m': 16, 'maxiter': 3\}, "
-                      r"execute=True; set them on the request",
-            ):
-                compile_(req, nprocs=4, env=ENV, execute=True)
-            with pytest.raises(ReproError, match=r"also strategy='ring-pipeline'; set"):
-                compile_(req, guest="dsl", strategy="ring-pipeline")
-            # keywords left at their defaults are no clash
-            served = compile_(req, guest="dsl", label=None, execute=False)
-            assert served.request is req and served.outcome is None
+        with pytest.raises(
+            ReproError,
+            match=r"compile\(\) got a CompileRequest and also nprocs=4, env=\{'m': 16, 'maxiter': 3\}, "
+                  r"execute=True; set them on the request",
+        ):
+            session.compile(req, nprocs=4, env=ENV, execute=True)
+        with pytest.raises(ReproError, match=r"also strategy='ring-pipeline'; set"):
+            session.compile(req, guest="dsl", strategy="ring-pipeline")
+        # keywords equal to the request's fields are no clash
+        served = session.compile(req, guest="dsl", label=None, execute=False)
+        assert served.request is req and served.outcome is None
         # the batch keeps its per-item semantics: a request is served as it
         # is, a bare source takes the batch's keywords
-        as_is, built = session.compile_batch([req, jacobi_program()], nprocs=4, env=ENV)
-        assert as_is.outcome is None and built.outcome is not None
+        mine = api.CompileRequest(jacobi_program(), nprocs=4, env=ENV, label="mine")
+        as_is, built = session.compile_batch([mine, jacobi_program()], nprocs=4, env=ENV)
+        assert as_is.request is mine and built.request.label is None
+        assert as_is.outcome is not None and built.outcome is not None
 
     def test_numpy_integers_share_the_plain_ints_cache_entry(self):
         session = api.Session()

@@ -38,6 +38,7 @@ from repro.machine.model import MachineModel
 from repro.service import CompileRequest, CompileService, PlanCache
 from repro.service import cache as cache_mod
 from repro.util import spans
+from tests.test_service_normalize import answer
 
 MODEL = MachineModel(tf=1, tc=10)
 
@@ -342,9 +343,7 @@ class TestFormFiles:
         with spans.recording() as rec:
             res = svc.compile(text, nprocs=4, env=self.ENV)
         parsed = [s.detail for s in rec.spans].count("service/frontend")
-        answer = (res.digest, res.solve_key, res.rename, res.cached and res.solve_cached,
-                  pickle.dumps(res.plan.generated), pickle.dumps(res.outcome))
-        return res, parsed, answer
+        return res, parsed, (answer(res), res.cached and res.solve_cached)
 
     @pytest.mark.parametrize(
         "damage",

@@ -250,5 +250,5 @@ class TestJsonIrGuest:
         for _ in range(2):
             with pytest.raises(ParseError, match="not JSON"):
                 session.compile("program p\nend", guest="json-ir")
-        assert not session.service._forms
+        assert not session._forms
         assert session.stats.lookups == 0

@@ -860,9 +860,8 @@ class TestSourceTextMemo:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with CompileService(machine=MODEL) as svc:
+            with CompileService(machine=MODEL).start(workers=3) as svc:
                 svc.compile(JACOBI_SOURCE)
-                svc.start(workers=3)
                 jobs = [svc.submit(JACOBI_SOURCE, nprocs=NPROCS, env=env) for env in envs * 3]
                 served = [job.wait(timeout=120) for job in jobs]
         finally:

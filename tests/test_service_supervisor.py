@@ -10,13 +10,18 @@ The headline guarantees under test (ISSUE 8):
   ``service_stats`` and as instants on the compiler Perfetto lane;
 * a poison request exhausts the retry budget and surfaces a typed
   :class:`WorkerCrashedError` carrying forensics (argv, request digest,
-  exit status) when degradation is off — and falls back to in-process
-  compilation (counted) when it is on;
+  exit status) from the supervisor — and the service falls back to
+  in-process compilation (counted);
 * deadlines kill stragglers (worker killed *and* respawned, slot never
   orphaned) and ``CompileJob.wait(timeout)`` cancels a still-queued job
-  cleanly;
+  cleanly, freeing its admission slot at once;
 * the bounded admission queue sheds load with
-  :class:`ServiceOverloadedError`.
+  :class:`ServiceOverloadedError`;
+* ``close()`` resolves every job no thread claimed.
+
+The service takes the pool's knobs (retry budget, respawns, backoff,
+chaos kills) on a :class:`WorkerSupervisor` built here and passed as
+``workers``.
 """
 
 from __future__ import annotations
@@ -52,6 +57,15 @@ def serve_corpus(service):
     ]
     service.close()
     return out
+
+
+def poison_pool():
+    """One worker that dies on every dispatch, with nothing left to
+    retry or respawn: every pool call fails at once."""
+    return WorkerSupervisor(
+        1, MODEL, retry_budget=0, max_respawns=0, backoff_s=0.0,
+        chaos_kill_requests=range(1000),
+    )
 
 
 def outcome_bytes(results):
@@ -176,7 +190,8 @@ class TestServicePool:
         must not change and the faults must be visible in stats."""
         ref = serve_corpus(CompileService(machine=MODEL, cache=None))
         chaos = CompileService(
-            machine=MODEL, cache=None, workers=2, chaos_kill_requests=(0, 3),
+            machine=MODEL, cache=None,
+            workers=WorkerSupervisor(2, MODEL, chaos_kill_requests=(0, 3)),
         )
         got = [
             chaos.compile(program, nprocs=4, env=env)
@@ -192,11 +207,7 @@ class TestServicePool:
 
     def test_pool_exhaustion_degrades_to_in_process(self):
         ref = serve_corpus(CompileService(machine=MODEL, cache=None))
-        svc = CompileService(
-            machine=MODEL, cache=None, workers=1,
-            worker_retry_budget=0, worker_max_respawns=0,
-            worker_backoff_s=0.0, chaos_kill_requests=range(1000),
-        )
+        svc = CompileService(machine=MODEL, cache=None, workers=poison_pool())
         got = [
             svc.compile(program, nprocs=4, env=env)
             for program, env in CORPUS
@@ -206,19 +217,8 @@ class TestServicePool:
         assert outcome_bytes(ref) == outcome_bytes(got)
         assert stats["fallbacks"] >= 1  # degradation is counted, not silent
 
-    def test_degrade_off_surfaces_worker_crashed_error(self):
-        svc = CompileService(
-            machine=MODEL, cache=None, workers=1, degrade=False,
-            worker_retry_budget=0, worker_max_respawns=0,
-            worker_backoff_s=0.0, chaos_kill_requests=range(1000),
-        )
-        program, env = CORPUS[0]
-        with pytest.raises(WorkerCrashedError):
-            svc.compile(program, nprocs=4, env=env)
-        svc.close()
-
     def test_metrics_carry_pool_counters(self):
-        svc = CompileService(machine=MODEL, workers=1, chaos_kill_requests=(0,))
+        svc = CompileService(machine=MODEL, workers=WorkerSupervisor(1, MODEL, chaos_kill_requests=(0,)))
         program, env = CORPUS[0]
         res = svc.compile(program, nprocs=4, env={**env, "maxiter": 1})
         run = res.run()
@@ -251,14 +251,14 @@ class TestDeadlinesAndAdmission:
 
     def test_admission_queue_sheds_load(self):
         svc = CompileService(machine=MODEL, queue_limit=2)
-        svc.submit(CORPUS[0][0])
-        svc.submit(CORPUS[1][0])
+        queued = [svc.submit(CORPUS[0][0]), svc.submit(CORPUS[1][0])]
         with pytest.raises(ServiceOverloadedError) as info:
             svc.submit(CORPUS[2][0])
         assert info.value.depth == 2 and info.value.limit == 2
         # draining the queue re-opens admission
         svc.start(workers=2)
-        svc._queue.join()
+        for job in queued:
+            job.wait(timeout=60)
         job = svc.submit(CORPUS[2][0])
         assert job.wait(timeout=60) is not None
         svc.close()
@@ -276,3 +276,34 @@ class TestDeadlinesAndAdmission:
         )
         assert res.outcome is not None
         svc.close()
+
+    def test_a_cancelled_job_frees_its_slot_at_once(self):
+        svc = CompileService(machine=MODEL, queue_limit=1)
+        job = svc.submit(CORPUS[0][0])
+        with pytest.raises(DeadlineExceededError, match="before a worker claimed"):
+            job.wait(timeout=0.01)
+        again = svc.submit(CORPUS[0][0])  # the cancelled job held the only slot
+        assert again.cancel()
+        svc.submit(CORPUS[1][0])
+        svc.close()
+
+    def test_close_resolves_jobs_no_worker_claimed(self):
+        svc = CompileService(machine=MODEL)  # the queue never starts
+        jobs = [svc.submit(program) for program, _ in CORPUS]
+        assert jobs[0].cancel()
+        svc.close()
+        assert all(job.done for job in jobs)
+        with pytest.raises(DeadlineExceededError):
+            jobs[0].wait()
+        for job in jobs[1:]:
+            with pytest.raises(ReproError, match="service is closed"):
+                job.wait()  # no timeout: must return at once, not block
+            assert not job.cancelled
+
+    def test_close_drains_a_started_queue(self):
+        svc = CompileService(machine=MODEL).start(workers=1)
+        jobs = [svc.submit(program) for program, _ in CORPUS]
+        svc.close()
+        assert [job.wait().strategy for job in jobs] == [
+            "data-parallel", "ring-pipeline", "cannon",
+        ]
