@@ -10,7 +10,13 @@ from repro.costmodel.formulas import (
     sor_naive_time,
     sor_pipelined_time,
 )
-from repro.costmodel.loopcost import CostTerm, LoopCost, estimate_loop_cost
+from repro.costmodel.loopcost import (
+    CostTerm,
+    LoopCost,
+    LoopFacts,
+    estimate_loop_cost,
+    loop_facts,
+)
 from repro.costmodel.gridsearch import best_grid, grid_candidates
 from repro.costmodel.sparse import (
     amortization_ratio,
@@ -33,7 +39,9 @@ __all__ = [
     "gauss_pipelined_time",
     "CostTerm",
     "LoopCost",
+    "LoopFacts",
     "estimate_loop_cost",
+    "loop_facts",
     "best_grid",
     "grid_candidates",
     "amortization_ratio",

@@ -36,6 +36,14 @@ Loops carrying a sequential dependence (e.g. SOR's ``i`` loop) must be
 named in *sequential_vars*; their trip count multiplies the invocation
 count of reductions/realignments while dividing the per-invocation
 message size, reproducing §5's ``m x Reduction(1, N)``.
+
+Most of what the rules read depends on the statement alone: trip counts,
+flops, which subscripts use which loop variables, and whether two
+subscripts differ by a constant.  :func:`loop_facts` gathers that once
+per loop nest; :meth:`LoopFacts.price` reads only placements and grid
+extents, so Algorithm 1's sweep over (scheme, grid) pairs re-derives
+nothing (a communication pattern is a function of the distribution
+pair — Eijkhout, arXiv 1602.02409).
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from dataclasses import dataclass, field
 from repro.costmodel.primitives import CommCosts
 from repro.distribution.schemes import Scheme
 from repro.errors import CostModelError
+from repro.lang.affine import difference_is_constant
 from repro.lang.ast import ArrayRef, Assign, DoLoop, Stmt, array_refs, walk_exprs
 from repro.lang.ast import BinOp, Call, UnaryOp
 from repro.machine.model import MachineModel
@@ -95,26 +104,20 @@ def _count_flops(expr) -> int:
     return flops
 
 
-@dataclass(frozen=True)
-class _LoopInfo:
-    var: str
-    trips: float
-
-
-def _loop_chain_info(loops: tuple[DoLoop, ...], env: dict[str, int]) -> list[_LoopInfo]:
+def _loop_trips(loops: tuple[DoLoop, ...], env: dict[str, int]) -> dict[str, float]:
     """Average trip count per loop, binding outer vars to their midpoints."""
     bind = dict(env)
-    infos: list[_LoopInfo] = []
+    trips: dict[str, float] = {}
     for loop in loops:
         lo = loop.lb.evaluate(bind)
         hi = loop.ub.evaluate(bind)
         if loop.step > 0:
-            trips = max(0, (hi - lo) // loop.step + 1)
+            count = max(0, (hi - lo) // loop.step + 1)
         else:
-            trips = max(0, (lo - hi) // (-loop.step) + 1)
-        infos.append(_LoopInfo(loop.var, float(trips)))
+            count = max(0, (lo - hi) // (-loop.step) + 1)
+        trips[loop.var] = float(count)
         bind[loop.var] = (lo + hi) // 2  # midpoint for inner triangular bounds
-    return infos
+    return trips
 
 
 def _grid_extent(grid: tuple[int, int], g: int) -> int:
@@ -123,6 +126,242 @@ def _grid_extent(grid: tuple[int, int], g: int) -> int:
     if g == 2:
         return grid[1]
     raise CostModelError(f"grid dimension must be 1 or 2, got {g}")
+
+
+def _distinct_elements(ref: ArrayRef, trips: dict[str, float]) -> float:
+    """Distinct elements of *ref* touched over the nest (product of trips)."""
+    seen_vars: set[str] = set()
+    total = 1.0
+    for sub in ref.subscripts:
+        for var in sub.variables():
+            if var in trips and var not in seen_vars:
+                seen_vars.add(var)
+                total *= trips[var]
+    return total
+
+
+@dataclass(frozen=True)
+class _DimFacts:
+    """One dimension of an RHS reference, as the rules see it."""
+
+    sub_vars: frozenset[str]  # loop variables of its subscript
+    foreign: bool  # driven only by loop variables absent from the LHS
+    reduces: bool  # driven by some loop variable absent from the LHS
+    shifted: tuple[bool, ...]  # per LHS dim: subscripts differ by a nonzero constant
+
+
+@dataclass(frozen=True)
+class _RefFacts:
+    """One RHS array reference of a statement."""
+
+    name: str
+    same_array: bool  # reads the LHS array
+    is_lhs: bool  # reads exactly the LHS element
+    distinct: float
+    dims: tuple[_DimFacts, ...]
+
+
+@dataclass(frozen=True)
+class _StmtFacts:
+    """One array assignment: everything its price needs but placements and grid."""
+
+    line: int
+    lhs: str
+    lhs_dims: tuple[frozenset[str], ...]  # loop variables of each LHS subscript
+    refs: tuple[_RefFacts, ...]  # every RHS array reference, in order
+    flops: int
+    executions: float
+    accumulates: bool
+    lhs_distinct: float
+    seq_factor: float
+
+    def price(
+        self,
+        layout: dict[str, tuple[tuple[int | None, int], ...]],
+        grid: tuple[int, int],
+        model: MachineModel,
+        costs: CommCosts,
+        result: LoopCost,
+    ) -> None:
+        """Add this statement's terms to *result*, in the rules' order.
+
+        *layout* maps each placed array to ``(grid dim, extent)`` per
+        array dimension (extent 1 for an undistributed one).
+        """
+        lhs_layout = layout.get(self.lhs)
+        if lhs_layout is None:
+            return
+        refs = [ref for ref in self.refs if ref.name in layout]
+        line = self.line
+        seq_factor = self.seq_factor
+
+        # ---- computation -----------------------------------------------
+        # Owner computes: the work of a statement is split across the grid
+        # dimensions its LHS owners span.  An accumulation additionally
+        # splits across grid dimensions driven by its reduction variables
+        # (partial sums computed where the RHS data lives, then combined) —
+        # this is how the paper gets 2 m^2/(N1 N2) for Jacobi's line 5.
+        # The same pass records the LHS-distributed loop variables' grid
+        # dims and, for an accumulation, the reduction rule's grid dims.
+        split_dims: set[int] = set()
+        lhs_var_dims: dict[str, int] = {}
+        for (g, n), sub_vars in zip(lhs_layout, self.lhs_dims):
+            if n > 1 and sub_vars:
+                split_dims.add(g)
+                for var in sub_vars:
+                    lhs_var_dims[var] = g
+        lhs_procs = 1.0
+        for g in set(lhs_var_dims.values()):
+            lhs_procs *= grid[g - 1]
+        red_dims: set[int] = set()
+        if self.accumulates:
+            for ref in refs:
+                if ref.same_array:
+                    continue
+                for (g, n), dim in zip(layout[ref.name], ref.dims):
+                    if n > 1:
+                        if dim.foreign:
+                            split_dims.add(g)  # reduction variable dimension
+                        if dim.reduces:
+                            red_dims.add(g)
+        if self.flops:
+            split = 1.0
+            for g in split_dims:
+                split *= grid[g - 1]
+            comp = self.flops * self.executions / split * model.tf
+            result.add(
+                CostTerm(
+                    "comp",
+                    f"{self.flops} flops x {self.executions:g} iters / {split:g} procs",
+                    comp,
+                    line,
+                )
+            )
+
+        # ---- reduction rule --------------------------------------------
+        for g in red_dims:
+            n = grid[g - 1]
+            words = max(self.lhs_distinct / max(lhs_procs, 1.0) / seq_factor, 1.0)
+            cost = seq_factor * costs.reduction(words, n)
+            result.add(
+                CostTerm("comm", f"{seq_factor:g} x Reduction({words:g}, {n})", cost, line)
+            )
+
+        lhs_undistributed = not lhs_var_dims
+
+        # ---- per-RHS-reference rules -----------------------------------
+        for ref in refs:
+            if ref.is_lhs:
+                continue
+            distinct = ref.distinct
+            for (g, n_src), dim in zip(layout[ref.name], ref.dims):
+                if n_src <= 1:
+                    continue
+                sub_vars = dim.sub_vars
+
+                # Reduction variables are handled by the reduction rule
+                # above: the operand stays where it is and partial sums
+                # travel.  LHS work that is replicated (no distributed
+                # owner dimension) gathers the distributed operand first.
+                if lhs_undistributed and sub_vars and not (self.accumulates and dim.foreign):
+                    words = max(distinct / n_src / seq_factor, 1.0)
+                    cost = seq_factor * costs.many_to_many(words, n_src)
+                    result.add(
+                        CostTerm(
+                            "comm",
+                            f"{seq_factor:g} x ManyToManyMulticast({words:g}, {n_src})",
+                            cost,
+                            line,
+                        )
+                    )
+                    continue
+
+                # pinned-element multicast (naive Gauss broadcasts)
+                if any(gg == g and var not in sub_vars for var, gg in lhs_var_dims.items()):
+                    cost = distinct * costs.one_to_many(1, n_src)
+                    result.add(
+                        CostTerm(
+                            "comm",
+                            f"{distinct:g} x OneToManyMulticast(1, {n_src})",
+                            cost,
+                            line,
+                        )
+                    )
+                    continue
+
+                # alignment with an LHS dimension driven by the same variable
+                for var in sub_vars:
+                    g_lhs = lhs_var_dims.get(var)
+                    if g_lhs is None:
+                        continue  # reduction variable or LHS-undistributed: local
+                    if g_lhs == g:
+                        # same grid dimension: check subscript offset
+                        for (gl, _), shifted in zip(lhs_layout, dim.shifted):
+                            if gl == g and shifted:
+                                words = max(distinct / n_src / seq_factor, 1.0)
+                                cost = seq_factor * costs.shift(words)
+                                result.add(
+                                    CostTerm(
+                                        "comm", f"{seq_factor:g} x Shift({words:g})", cost, line
+                                    )
+                                )
+                    else:
+                        # realignment across grid dimensions
+                        n_dst = grid[g_lhs - 1]
+                        words = max(distinct / n_src / seq_factor, 1.0)
+                        if n_dst > 1:
+                            per = costs.one_to_many(words, n_dst)
+                            desc = (
+                                f"{seq_factor * n_src:g} x "
+                                f"OneToManyMulticast({words:g}, {n_dst})"
+                            )
+                        else:
+                            per = costs.transfer(words)
+                            desc = f"{seq_factor * n_src:g} x Transfer({words:g})"
+                        cost = seq_factor * n_src * per
+                        result.add(CostTerm("comm", desc, cost, line))
+
+
+@dataclass(frozen=True)
+class LoopFacts:
+    """What the estimator reads of a loop nest that no scheme or grid changes.
+
+    Built once per nest by :func:`loop_facts`; :meth:`price` then costs
+    the nest under any number of (scheme, grid) pairs.
+    """
+
+    stmts: tuple[_StmtFacts, ...]  # array assignments, in program order
+    arrays: frozenset[str]  # every array the assignments name
+
+    def price(self, scheme: Scheme, grid: tuple[int, int], model: MachineModel) -> LoopCost:
+        """The nest's cost under *scheme* on *grid* (arrays it omits are free)."""
+        arrays = self.arrays
+        layout = {
+            p.array: tuple((g, 1 if g is None else _grid_extent(grid, g)) for g in p.dim_map)
+            for p in scheme.placements
+            if p.array in arrays
+        }
+        costs = CommCosts(model)
+        result = LoopCost()
+        for stmt in self.stmts:
+            stmt.price(layout, grid, model, costs, result)
+        return result
+
+
+def loop_facts(
+    nest: DoLoop | list[Stmt],
+    env: dict[str, int],
+    sequential_vars: frozenset[str] | set[str] = frozenset(),
+) -> LoopFacts:
+    """Gather the scheme-independent facts of every assignment in *nest*."""
+    stmts = nest.body if isinstance(nest, DoLoop) else list(nest)
+    outer = (nest,) if isinstance(nest, DoLoop) else ()
+    facts: list[_StmtFacts] = []
+    _walk(stmts, outer, env, sequential_vars, facts)
+    arrays = frozenset(
+        name for stmt in facts for name in (stmt.lhs, *(ref.name for ref in stmt.refs))
+    )
+    return LoopFacts(tuple(facts), arrays)
 
 
 def estimate_loop_cost(
@@ -134,253 +373,76 @@ def estimate_loop_cost(
     sequential_vars: frozenset[str] | set[str] = frozenset(),
 ) -> LoopCost:
     """Estimate the cost of executing *nest* once under *scheme*."""
-    costs = CommCosts(model)
-    result = LoopCost()
-    stmts = nest.body if isinstance(nest, DoLoop) else list(nest)
-    outer = (nest,) if isinstance(nest, DoLoop) else ()
-    _walk(stmts, outer, scheme, grid, env, model, costs, sequential_vars, result)
-    return result
+    return loop_facts(nest, env, sequential_vars).price(scheme, grid, model)
 
 
 def _walk(
     stmts: list[Stmt],
     loops: tuple[DoLoop, ...],
-    scheme: Scheme,
-    grid: tuple[int, int],
     env: dict[str, int],
-    model: MachineModel,
-    costs: CommCosts,
     sequential_vars: frozenset[str] | set[str],
-    result: LoopCost,
+    facts: list[_StmtFacts],
 ) -> None:
     for stmt in stmts:
         if isinstance(stmt, DoLoop):
-            _walk(
-                stmt.body, loops + (stmt,), scheme, grid, env, model, costs,
-                sequential_vars, result,
-            )
+            _walk(stmt.body, loops + (stmt,), env, sequential_vars, facts)
         elif isinstance(stmt, Assign) and isinstance(stmt.lhs, ArrayRef):
-            _cost_assign(stmt, loops, scheme, grid, env, model, costs, sequential_vars, result)
+            facts.append(_stmt_facts(stmt, loops, env, sequential_vars))
 
 
-def _distinct_elements(ref: ArrayRef, infos: dict[str, float]) -> float:
-    """Distinct elements of *ref* touched over the nest (product of trips)."""
-    seen_vars: set[str] = set()
-    total = 1.0
-    for sub in ref.subscripts:
-        for var in sub.variables():
-            if var in infos and var not in seen_vars:
-                seen_vars.add(var)
-                total *= infos[var]
-    return total
-
-
-def _cost_assign(
+def _stmt_facts(
     stmt: Assign,
     loops: tuple[DoLoop, ...],
-    scheme: Scheme,
-    grid: tuple[int, int],
     env: dict[str, int],
-    model: MachineModel,
-    costs: CommCosts,
     sequential_vars: frozenset[str] | set[str],
-    result: LoopCost,
-) -> None:
+) -> _StmtFacts:
     lhs = stmt.lhs
-    assert isinstance(lhs, ArrayRef)
-    infos = {i.var: i.trips for i in _loop_chain_info(loops, env)}
-    loop_vars = set(infos)
+    trips = _loop_trips(loops, env)
+    loop_vars = set(trips)
     executions = 1.0
-    for trips in infos.values():
-        executions *= trips
-
-    known = set(scheme.arrays())
-    refs = [r for r in array_refs(stmt.rhs) if r.name in known]
-    if lhs.name not in known:
-        return
-    lhs_place = scheme.placement(lhs.name)
-
-    # ---- computation ---------------------------------------------------
-    # Owner computes: the work of a statement is split across the grid
-    # dimensions its LHS owners span.  An accumulation additionally splits
-    # across grid dimensions driven by its reduction variables (partial
-    # sums computed where the RHS data lives, then combined) — this is how
-    # the paper gets 2 m^2/(N1 N2) for Jacobi's line 5.
-    flops = _count_flops(stmt.rhs)
-    is_accum_stmt = any(
-        r.name == lhs.name and r.subscripts == lhs.subscripts for r in refs
-    )
-    lhs_sub_vars: set[str] = set()
-    for sub in lhs.subscripts:
-        lhs_sub_vars |= set(sub.variables()) & loop_vars
-    split_dims: set[int] = set()
-    for d, g in enumerate(lhs_place.dim_map):
-        if g is None or _grid_extent(grid, g) <= 1:
-            continue
-        if lhs.subscripts[d].variables() & loop_vars:
-            split_dims.add(g)
-    if is_accum_stmt:
-        for ref in refs:
-            if ref.name == lhs.name:
-                continue
-            place = scheme.placement(ref.name)
-            for d, g in enumerate(place.dim_map):
-                if g is None or _grid_extent(grid, g) <= 1:
-                    continue
-                sub_vars = ref.subscripts[d].variables() & loop_vars
-                if sub_vars and not (sub_vars & lhs_sub_vars):
-                    split_dims.add(g)  # reduction variable dimension
-    split = 1.0
-    for g in split_dims:
-        split *= _grid_extent(grid, g)
-    if flops:
-        comp = flops * executions / split * model.tf
-        result.add(
-            CostTerm(
-                "comp",
-                f"{flops} flops x {executions:g} iters / {split:g} procs",
-                comp,
-                stmt.line,
-            )
-        )
-
-    # ---- LHS-distributed loop variables and their grid dims -------------
-    lhs_var_dims: dict[str, int] = {}
-    for d, g in enumerate(lhs_place.dim_map):
-        if g is None or _grid_extent(grid, g) <= 1:
-            continue
-        for var in lhs.subscripts[d].variables():
-            if var in loop_vars:
-                lhs_var_dims[var] = g
-
+    for count in trips.values():
+        executions *= count
     seq_factor = 1.0
     for var in sequential_vars:
-        if var in infos:
-            seq_factor *= infos[var]
+        if var in trips:
+            seq_factor *= trips[var]
 
-    lhs_distinct = _distinct_elements(lhs, infos)
-    lhs_procs = 1.0
-    for g in {g for g in lhs_var_dims.values()}:
-        lhs_procs *= _grid_extent(grid, g)
-
-    # ---- reduction rule --------------------------------------------------
-    if is_accum_stmt:
-        red_dims: set[int] = set()
-        for ref in refs:
-            if ref.name == lhs.name:
-                continue
-            place = scheme.placement(ref.name)
-            for d, g in enumerate(place.dim_map):
-                if g is None or _grid_extent(grid, g) <= 1:
-                    continue
-                for var in ref.subscripts[d].variables():
-                    if var in loop_vars and var not in lhs_var_dims and not any(
-                        var in s.variables() for s in lhs.subscripts
-                    ):
-                        red_dims.add(g)
-        for g in red_dims:
-            n = _grid_extent(grid, g)
-            words = max(lhs_distinct / max(lhs_procs, 1.0) / seq_factor, 1.0)
-            cost = seq_factor * costs.reduction(words, n)
-            result.add(
-                CostTerm(
-                    "comm",
-                    f"{seq_factor:g} x Reduction({words:g}, {n})",
-                    cost,
-                    stmt.line,
-                )
-            )
-
-    lhs_undistributed = not lhs_var_dims
-
-    # ---- per-RHS-reference rules ------------------------------------------
-    for ref in refs:
-        if ref.name == lhs.name and ref.subscripts == lhs.subscripts:
-            continue
-        place = scheme.placement(ref.name)
-        for d, g in enumerate(place.dim_map):
-            if g is None:
-                continue
-            n_src = _grid_extent(grid, g)
-            if n_src <= 1:
-                continue
-            sub = ref.subscripts[d]
+    lhs_dims = tuple(sub.variables() & loop_vars for sub in lhs.subscripts)
+    lhs_sub_vars: set[str] = set().union(*lhs_dims)
+    refs = []
+    for ref in array_refs(stmt.rhs):
+        dims = []
+        for sub in ref.subscripts:
             sub_vars = sub.variables() & loop_vars
-
-            # Reduction variables are handled by the reduction rule above:
-            # the operand stays where it is and partial sums travel.
-            reduction_only = is_accum_stmt and sub_vars and not (sub_vars & lhs_sub_vars)
-
-            # LHS work is replicated (no distributed owner dimension): the
-            # distributed operand must be gathered everywhere first.
-            if lhs_undistributed and sub_vars and not reduction_only:
-                distinct = _distinct_elements(ref, infos)
-                words = max(distinct / n_src / seq_factor, 1.0)
-                cost = seq_factor * costs.many_to_many(words, n_src)
-                result.add(
-                    CostTerm(
-                        "comm",
-                        f"{seq_factor:g} x ManyToManyMulticast({words:g}, {n_src})",
-                        cost,
-                        stmt.line,
-                    )
+            dims.append(
+                _DimFacts(
+                    sub_vars=sub_vars,
+                    foreign=bool(sub_vars) and not (sub_vars & lhs_sub_vars),
+                    reduces=not sub_vars <= lhs_sub_vars,
+                    shifted=tuple(
+                        difference_is_constant(sub, lhs_sub) not in (None, 0)
+                        for lhs_sub in lhs.subscripts
+                    ),
                 )
-                continue
-
-            # pinned-element multicast (naive Gauss broadcasts)
-            lhs_spans_g = any(
-                gg == g and var not in sub_vars
-                for var, gg in lhs_var_dims.items()
             )
-            if lhs_spans_g:
-                distinct = _distinct_elements(ref, infos)
-                cost = distinct * costs.one_to_many(1, n_src)
-                result.add(
-                    CostTerm(
-                        "comm",
-                        f"{distinct:g} x OneToManyMulticast(1, {n_src})",
-                        cost,
-                        stmt.line,
-                    )
-                )
-                continue
-
-            # alignment with an LHS dimension driven by the same variable
-            for var in sub_vars:
-                g_lhs = lhs_var_dims.get(var)
-                if g_lhs is None:
-                    continue  # reduction variable or LHS-undistributed: local
-                if g_lhs == g:
-                    # same grid dimension: check subscript offset
-                    for dl, gl in enumerate(lhs_place.dim_map):
-                        if gl != g:
-                            continue
-                        diff = sub - lhs.subscripts[dl]
-                        if diff.is_constant and diff.const != 0:
-                            distinct = _distinct_elements(ref, infos)
-                            words = max(distinct / n_src / seq_factor, 1.0)
-                            cost = seq_factor * costs.shift(words)
-                            result.add(
-                                CostTerm(
-                                    "comm",
-                                    f"{seq_factor:g} x Shift({words:g})",
-                                    cost,
-                                    stmt.line,
-                                )
-                            )
-                else:
-                    # realignment across grid dimensions
-                    n_dst = _grid_extent(grid, g_lhs)
-                    distinct = _distinct_elements(ref, infos)
-                    words = max(distinct / n_src / seq_factor, 1.0)
-                    if n_dst > 1:
-                        per = costs.one_to_many(words, n_dst)
-                        desc = (
-                            f"{seq_factor * n_src:g} x "
-                            f"OneToManyMulticast({words:g}, {n_dst})"
-                        )
-                    else:
-                        per = costs.transfer(words)
-                        desc = f"{seq_factor * n_src:g} x Transfer({words:g})"
-                    cost = seq_factor * n_src * per
-                    result.add(CostTerm("comm", desc, cost, stmt.line))
+        same_array = ref.name == lhs.name
+        refs.append(
+            _RefFacts(
+                name=ref.name,
+                same_array=same_array,
+                is_lhs=same_array and ref.subscripts == lhs.subscripts,
+                distinct=_distinct_elements(ref, trips),
+                dims=tuple(dims),
+            )
+        )
+    return _StmtFacts(
+        line=stmt.line,
+        lhs=lhs.name,
+        lhs_dims=lhs_dims,
+        refs=tuple(refs),
+        flops=_count_flops(stmt.rhs),
+        executions=executions,
+        accumulates=any(ref.is_lhs for ref in refs),
+        lhs_distinct=_distinct_elements(lhs, trips),
+        seq_factor=seq_factor,
+    )

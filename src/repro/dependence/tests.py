@@ -30,8 +30,8 @@ def gcd_test(src: Affine, dst: Affine, shared: frozenset[str] | set[str] = froze
         else:
             coeffs.append(c)
     for var, c in dst.coeffs.items():
-        if var in shared:
-            continue
+        if var in shared and var in src.coeffs:
+            continue  # counted above, as a difference
         coeffs.append(-c)
     const = dst.const - src.const
     if not coeffs:
@@ -72,18 +72,31 @@ def affine_range(
     outer variables, which are eliminated later).  The result is a pair
     of affine forms over the remaining symbols (program parameters).
     """
-    lo = expr
-    hi = expr
+    lo, lo_const = dict(expr.coeffs), expr.const
+    hi, hi_const = dict(expr.coeffs), expr.const
     for var, low, high in ordered_bounds:
-        c_lo = lo.coeff(var)
+        c_lo = lo.pop(var, 0)
         if c_lo:
-            base = lo - Affine({var: c_lo})
-            lo = base + (low * c_lo if c_lo > 0 else high * c_lo)
-        c_hi = hi.coeff(var)
+            lo_const += _add_scaled(lo, low if c_lo > 0 else high, c_lo)
+        c_hi = hi.pop(var, 0)
         if c_hi:
-            base = hi - Affine({var: c_hi})
-            hi = base + (high * c_hi if c_hi > 0 else low * c_hi)
-    return lo, hi
+            hi_const += _add_scaled(hi, high if c_hi > 0 else low, c_hi)
+    return Affine._trusted(lo, lo_const), Affine._trusted(hi, hi_const)
+
+
+def _add_scaled(coeffs: dict[str, int], bound: Affine, factor: int) -> int:
+    """Add ``factor * bound``'s coefficients into *coeffs*; return its constant.
+
+    A coefficient that cancels is deleted and a new one appended, so the
+    dict keeps the order ``Affine`` arithmetic would give it.
+    """
+    for var, coeff in bound.coeffs.items():
+        total = coeffs.get(var, 0) + coeff * factor
+        if total:
+            coeffs[var] = total
+        else:
+            del coeffs[var]
+    return bound.const * factor
 
 
 def definitely_negative(expr: Affine) -> bool:

@@ -37,7 +37,7 @@ from repro.alignment.solver import (
     greedy_alignment,
 )
 from repro.costmodel.gridsearch import grid_candidates
-from repro.costmodel.loopcost import estimate_loop_cost
+from repro.costmodel.loopcost import loop_facts
 from repro.costmodel.primitives import CommCosts
 from repro.dependence.analysis import live_loop_carried_arrays
 from repro.distribution.redistribution import (
@@ -286,11 +286,13 @@ def _build_entries(
         model=model,
         outer=outer,
     )
-    # Per loop, once: its CAG part.  Per (loop, placements of the arrays
-    # it references, grid), once: its cost — a segment prices as a sum.
+    # Per loop, once: its CAG part and its pricing facts.  Per (loop,
+    # placements of the arrays it references, grid), once: its cost — a
+    # segment prices as a sum.
     with span("alignment/cag"):
         costs = CommCosts(model)
         parts = [cag_part(loop, program, env, costs, nprocs) for loop in loops]
+    facts = [loop_facts(loop, env) if isinstance(loop, DoLoop) else None for loop in loops]
     loop_costs: dict[tuple, dict[tuple[int, int], float]] = {}
     s = len(loops)
     for i in range(1, s + 1):
@@ -307,25 +309,23 @@ def _build_entries(
                 scheme, alignment, cag = _segment_scheme(parts[lo:hi], name=f"P[{i},{j}]")
             per_loop = [
                 (
-                    loops[idx],
+                    facts[idx],
                     loop_costs.setdefault(
                         (idx, *map(scheme.placement, parts[idx].arrays)), {}
                     ),
                 )
                 for idx in range(lo, hi)
-                if isinstance(loops[idx], DoLoop)
+                if facts[idx] is not None
             ]
             best_cost = float("inf")
             best_grid = (nprocs, 1)
             # One grid list per segment: entries own their grid tuple.
             for grid in grid_candidates(nprocs):
                 total = 0.0
-                for loop, by_grid in per_loop:
+                for nest_facts, by_grid in per_loop:
                     cost = by_grid.get(grid)
                     if cost is None:
-                        cost = by_grid[grid] = estimate_loop_cost(
-                            loop, scheme, grid, env, model
-                        ).total
+                        cost = by_grid[grid] = nest_facts.price(scheme, grid, model).total
                     total += cost
                 if total < best_cost:
                     best_cost = total

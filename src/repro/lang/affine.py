@@ -49,6 +49,19 @@ class Affine:
     def __reduce__(self):
         return (Affine, (dict(self.coeffs), self.const))
 
+    @classmethod
+    def _trusted(cls, coeffs: dict[str, int], const: int) -> "Affine":
+        """An instance from int parts the algebra itself produced.
+
+        Drops zero coefficients, keeping insertion order, exactly as
+        ``__init__`` would, but skips its type checks: so a result equals,
+        hashes and pickles like the validated form of the same parts.
+        """
+        new = object.__new__(cls)
+        _set_coeffs(new, {var: coeff for var, coeff in coeffs.items() if coeff})
+        _set_const(new, const)
+        return new
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def var(name: str) -> "Affine":
@@ -99,7 +112,7 @@ class Affine:
         coeffs = dict(self.coeffs)
         for var, coeff in other.coeffs.items():
             coeffs[var] = coeffs.get(var, 0) + sign * coeff
-        return Affine(coeffs, self.const + sign * other.const)
+        return Affine._trusted(coeffs, self.const + sign * other.const)
 
     def __add__(self, other: "Affine | int") -> "Affine":
         if isinstance(other, int):
@@ -123,7 +136,9 @@ class Affine:
     def __mul__(self, factor: int) -> "Affine":
         if not isinstance(factor, int):
             return NotImplemented
-        return Affine({v: c * factor for v, c in self.coeffs.items()}, self.const * factor)
+        return Affine._trusted(
+            {v: c * factor for v, c in self.coeffs.items()}, self.const * factor
+        )
 
     __rmul__ = __mul__
 
@@ -142,7 +157,8 @@ class Affine:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        # a constant form equals its int, so it must hash like it too
+        return hash(self._key()) if self.coeffs else hash(self.const)
 
     def __repr__(self) -> str:
         return f"Affine({self})"
@@ -170,6 +186,10 @@ class Affine:
                 sign = "+" if self.const > 0 else "-"
                 parts.append(f" {sign} {abs(self.const)}")
         return "".join(parts)
+
+
+_set_coeffs = Affine.coeffs.__set__
+_set_const = Affine.const.__set__
 
 
 def difference_is_constant(a: Affine, b: Affine) -> int | None:

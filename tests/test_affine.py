@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.dependence.tests import affine_range
 from repro.errors import AffineError
 from repro.lang.affine import Affine, difference_is_constant
 
@@ -145,6 +148,97 @@ class TestEquality:
         text = str(a)
         for var in a.variables():
             assert var in text
+
+
+class TestHashContract:
+    def test_constant_form_hashes_like_its_int(self):
+        assert hash(Affine.constant(3)) == hash(3)
+        assert {3: "x"}.get(Affine.constant(3)) == "x"
+        assert {Affine.constant(0), 0} == {0}
+
+    @given(small_affines(), st.integers(-100, 100))
+    def test_equal_means_equal_hash(self, a, c):
+        reordered = Affine(dict(reversed(a.coeffs.items())), a.const)
+        for x, y in ((a, reordered), (a - a + c, c), (Affine.constant(c), c)):
+            assert x == y and hash(x) == hash(y)
+
+
+# -- reference: the algebra as it was, every result through ``Affine(...)``
+def _validated_combine(a: Affine, b: Affine, sign: int) -> Affine:
+    coeffs = dict(a.coeffs)
+    for var, coeff in b.coeffs.items():
+        coeffs[var] = coeffs.get(var, 0) + sign * coeff
+    return Affine(coeffs, a.const + sign * b.const)
+
+
+def _validated_scale(a: Affine, factor: int) -> Affine:
+    return Affine({v: c * factor for v, c in a.coeffs.items()}, a.const * factor)
+
+
+def _validated_range(expr: Affine, bounds) -> tuple[Affine, Affine]:
+    lo = hi = expr
+    for var, low, high in bounds:
+        c_lo = lo.coeff(var)
+        if c_lo:
+            base = _validated_combine(lo, Affine({var: c_lo}), -1)
+            lo = _validated_combine(base, _validated_scale(low if c_lo > 0 else high, c_lo), +1)
+        c_hi = hi.coeff(var)
+        if c_hi:
+            base = _validated_combine(hi, Affine({var: c_hi}), -1)
+            hi = _validated_combine(base, _validated_scale(high if c_hi > 0 else low, c_hi), +1)
+    return lo, hi
+
+
+def assert_same_form(got: Affine, want: Affine) -> None:
+    """Equal as values *and* as representations: coefficient order, pickle bytes."""
+    assert type(got) is Affine
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert got.const == want.const
+    assert got == want and hash(got) == hash(want)
+    assert pickle.dumps(got, pickle.HIGHEST_PROTOCOL) == pickle.dumps(want, pickle.HIGHEST_PROTOCOL)
+
+
+def bound_lists():
+    return st.lists(st.tuples(st.sampled_from(VARS), small_affines(), small_affines()), max_size=4)
+
+
+class TestTrustedResults:
+    """Arithmetic builds results without re-validating them, and nothing shows."""
+
+    @given(small_affines(), small_affines())
+    def test_add_and_sub(self, a, b):
+        assert_same_form(a + b, _validated_combine(a, b, +1))
+        assert_same_form(a - b, _validated_combine(a, b, -1))
+
+    @given(small_affines(), st.integers(-3, 3))
+    def test_mul(self, a, factor):
+        assert_same_form(a * factor, _validated_scale(a, factor))
+        assert_same_form(-a, _validated_scale(a, -1))
+
+    @given(small_affines(), bound_lists())
+    def test_affine_range(self, expr, bounds):
+        for got, want in zip(affine_range(expr, bounds), _validated_range(expr, bounds)):
+            assert_same_form(got, want)
+
+    def test_cancelled_variable_moves_to_the_end(self):
+        # j cancels when i is eliminated, then comes back from k's bound:
+        # the order is the one step-by-step arithmetic gives
+        expr = Affine({"j": 1, "i": 1, "m": 1})
+        bounds = [
+            ("i", Affine({"j": -1}), Affine({"j": -1})),
+            ("k", Affine.constant(0), Affine.var("j")),
+        ]
+        _, hi = affine_range(expr + Affine.var("k"), bounds)
+        assert list(hi.coeffs) == ["m", "j"]
+        assert_same_form(hi, _validated_range(expr + Affine.var("k"), bounds)[1])
+
+    @given(small_affines())
+    def test_unpickling_still_validates(self, a):
+        assert_same_form(pickle.loads(pickle.dumps(a)), a)
+        rebuild, (coeffs, const) = a.__reduce__()
+        assert rebuild is Affine  # the validating constructor
+        with pytest.raises(AffineError):
+            rebuild({**coeffs, "i": 1.5}, const)
 
 
 class TestDifferenceIsConstant:

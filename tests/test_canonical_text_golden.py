@@ -28,11 +28,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_PATH = ROOT / "tests" / "goldens" / "canonical_text.json"
 
 
-def _sources() -> dict[str, str]:
+def perf_corpus():
+    """The wall-clock benchmark's ``perf/corpus.py``, loaded without ``perf/`` on the path."""
     spec = importlib.util.spec_from_file_location("_perf_corpus", ROOT / "perf" / "corpus.py")
     corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(corpus)
-    sources = {f"perf/{e.label}": e.source for e in corpus.build_corpus(0)}
+    return corpus
+
+
+def _sources() -> dict[str, str]:
+    sources = {f"perf/{e.label}": e.source for e in perf_corpus().build_corpus(0)}
     sources.update(
         {
             "lang/jacobi": JACOBI_SOURCE,

@@ -38,6 +38,29 @@ class TestGcdTest:
         b = Affine({"i": 1, "m": 1}, 0)
         assert gcd_test(a, b, shared={"m"})
 
+    def test_shared_symbol_on_one_side_only(self):
+        # 2i + 1 == 2j + m has a solution whenever m is odd
+        src, dst = Affine({"i": 2}, 1), Affine({"j": 2, "m": 1}, 0)
+        assert gcd_test(src, dst, shared={"m"})
+        assert gcd_test(dst, src, shared={"m"})
+
+    @settings(max_examples=60)
+    @given(
+        st.dictionaries(st.sampled_from(["i", "m"]), st.integers(-3, 3), max_size=2),
+        st.dictionaries(st.sampled_from(["j", "m"]), st.integers(-3, 3), max_size=2),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+    )
+    def test_never_rules_out_a_solution(self, src_coeffs, dst_coeffs, src_const, dst_const):
+        src, dst = Affine(src_coeffs, src_const), Affine(dst_coeffs, dst_const)
+        box = range(-6, 7)
+        solvable = any(
+            src.evaluate({"i": i, "m": m}) == dst.evaluate({"j": j, "m": m})
+            for i in box for j in box for m in box
+        )
+        for a, b in ((src, dst), (dst, src)):
+            assert gcd_test(a, b, shared={"m"}) or not solvable
+
     def test_constants(self):
         assert gcd_test(Affine.constant(3), Affine.constant(3))
         assert not gcd_test(Affine.constant(3), Affine.constant(4))

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.costmodel import estimate_loop_cost
+import repro.dp.phases as phases
+from repro.costmodel import estimate_loop_cost, grid_candidates
 from repro.distribution import ArrayPlacement, Scheme
+from repro.dp import build_phase_tables
 from repro.lang import jacobi_program, parse_program, sor_program
 from repro.machine.model import MachineModel
+from tests.test_canonical_text_golden import perf_corpus
+from tests.test_phase_tables_incremental import PROGRAMS as PAPER_PROGRAMS
 
 MODEL = MachineModel(tf=1, tc=10)
 M, N = 256, 16
@@ -153,3 +157,39 @@ class TestUnknownArraysIgnored:
         scheme = Scheme.of(ArrayPlacement("A", (1, 2)), ArrayPlacement("V", (1,)))
         cost = estimate_loop_cost(l1, scheme, (N, 1), ENV, MODEL)
         assert cost.comp > 0
+
+
+def _pricing_programs() -> dict[str, tuple[str, dict]]:
+    programs = {f"perf/{e.label}": (e.source, e.env) for e in perf_corpus().build_corpus(0)}
+    programs.update({f"tables/{label}": program for label, program in PAPER_PROGRAMS.items()})
+    return programs
+
+
+PRICING_PROGRAMS = _pricing_programs()
+
+
+class TestFactsOnce:
+    """The table builder gathers each loop's facts once and prices from them."""
+
+    @pytest.mark.parametrize("label", sorted(PRICING_PROGRAMS))
+    def test_builder_prices_equal_one_shot_estimates(self, label, monkeypatch):
+        built = []
+        real = phases.loop_facts
+
+        def recording(nest, env, *args):
+            facts = real(nest, env, *args)
+            built.append((nest, facts))
+            return facts
+
+        monkeypatch.setattr(phases, "loop_facts", recording)
+        source, env = PRICING_PROGRAMS[label]
+        nprocs = 16
+        tables = build_phase_tables(parse_program(source), nprocs, env, MODEL)
+        assert [nest for nest, _ in built] == tables.loops
+        for entry in tables.entries.values():
+            for grid in grid_candidates(nprocs):
+                for nest, facts in built:
+                    memoised = facts.price(entry.scheme, grid, MODEL)
+                    fresh = estimate_loop_cost(nest, entry.scheme, grid, env, MODEL)
+                    assert memoised.comp == fresh.comp and memoised.comm == fresh.comm
+                    assert memoised.terms == fresh.terms

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 import repro.dependence.analysis as dependence_analysis
 import repro.dp.phases as phases
 from repro.alignment import alignment_to_scheme, build_cag, exact_alignment, greedy_alignment
-from repro.costmodel import estimate_loop_cost, grid_candidates
+from repro.costmodel import LoopFacts, estimate_loop_cost, grid_candidates
 from repro.dp import algorithm1, brute_force_min_cost, build_phase_tables
 from repro.dp.phases import PhaseEntry, solve_program_distribution
 from repro.errors import AlignmentError
@@ -223,20 +223,23 @@ def counting(fn, calls: list):
 
 def test_s8_chain_computes_each_fact_once(monkeypatch):
     dependence_calls: list = []
+    fact_calls: list = []
     estimator_calls: list = []
     monkeypatch.setattr(
         dependence_analysis, "find_dependences",
         counting(dependence_analysis.find_dependences, dependence_calls),
     )
-    monkeypatch.setattr(
-        phases, "estimate_loop_cost", counting(phases.estimate_loop_cost, estimator_calls)
-    )
+    monkeypatch.setattr(phases, "loop_facts", counting(phases.loop_facts, fact_calls))
+    monkeypatch.setattr(LoopFacts, "price", counting(LoopFacts.price, estimator_calls))
     source, env = PROGRAMS["chain-s8"]
     tables, result = solve_program_distribution(parse_program(source), NPROCS, env, MODEL)
     tables.transition_plans(result)
 
     # the loop-carried term: one dependence analysis of the outer loop
     assert len(dependence_calls) == 1
+
+    # per loop: one gathering of its pricing facts
+    assert [args[0] for args in fact_calls] == tables.loops
 
     # per (loop, placements of the arrays it references, grid): one estimate
     s, grids = tables.s, grid_candidates(NPROCS)
