@@ -34,10 +34,11 @@ from repro.lang.ast import Program
 from repro.lang.canonical import scope_loops, serialize_body
 from repro.lang.parser import parse_program
 from repro.lang.programs import GAUSS_SOURCE, JACOBI_SOURCE, MATMUL_SOURCE, SOR_SOURCE
+from repro.util.lazy import Lazy
 
 
 @dataclass(frozen=True)
-class IterativeSolvePattern:
+class IterativeSolvePattern(Lazy):
     """A recognized Jacobi- or SOR-shaped program."""
 
     kind: str  # "jacobi" or "sor"
@@ -51,7 +52,7 @@ class IterativeSolvePattern:
 
 
 @dataclass(frozen=True)
-class MatmulPattern:
+class MatmulPattern(Lazy):
     """A recognized ``A = B x C`` triple loop."""
 
     kind: ClassVar[str] = "matmul"
@@ -62,7 +63,7 @@ class MatmulPattern:
 
 
 @dataclass(frozen=True)
-class GaussPattern:
+class GaussPattern(Lazy):
     """A recognized §6 Gauss-elimination program."""
 
     kind: ClassVar[str] = "gauss"

@@ -42,6 +42,7 @@ from repro.lang.ast import (
     ScalarRef,
     UnaryOp,
 )
+from repro.util.lazy import Lazy
 
 # ---------------------------------------------------------------------------
 # pattern
@@ -69,7 +70,7 @@ class Sweep:
 
 
 @dataclass(frozen=True)
-class StencilPattern:
+class StencilPattern(Lazy):
     """A recognized (time-stepped) stencil program."""
 
     kind: ClassVar[str] = "stencil"

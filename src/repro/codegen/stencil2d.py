@@ -34,6 +34,7 @@ from repro.codegen.stencil import (
 from repro.dependence.analysis import find_dependences
 from repro.lang.affine import Affine
 from repro.lang.ast import ArrayRef, Assign, DoLoop, Expr, Program
+from repro.util.lazy import Lazy
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class Sweep2D:
 
 
 @dataclass(frozen=True)
-class Stencil2DPattern:
+class Stencil2DPattern(Lazy):
     kind: ClassVar[str] = "stencil-2d"
     size_param: str
     time_param: str | None

@@ -50,6 +50,7 @@ from repro.dp.algorithm1 import DPResult, algorithm1
 from repro.errors import AlignmentError, CostModelError
 from repro.lang.ast import DoLoop, Program, Stmt
 from repro.machine.model import MachineModel
+from repro.util.lazy import Lazy
 from repro.util.spans import span
 
 
@@ -65,7 +66,7 @@ class PhaseEntry:
 
 
 @dataclass
-class PhaseTables:
+class PhaseTables(Lazy):
     """All Algorithm 1 inputs derived from a program."""
 
     program: Program
@@ -74,7 +75,7 @@ class PhaseTables:
     env: dict[str, int]
     model: MachineModel
     entries: dict[tuple[int, int], PhaseEntry] = field(default_factory=dict)
-    outer: DoLoop | None = None
+    outer: DoLoop | None = field(default_factory=lambda: None)
 
     @property
     def s(self) -> int:
@@ -129,7 +130,8 @@ class PhaseTables:
         """
         scheme_prev, _grid_prev = p_prev
         scheme_next, grid_next = p_next
-        shared = tuple(a for a in scheme_prev.arrays() if a in scheme_next.arrays())
+        next_arrays = scheme_next.arrays()
+        shared = tuple(a for a in scheme_prev.arrays() if a in next_arrays)
         return redistribution_cost(
             scheme_prev, scheme_next, self._sizes, grid_next, CommCosts(self.model),
             arrays=shared,
@@ -143,9 +145,10 @@ class PhaseTables:
         scheme_first, grid_first = p_first
         scheme_last, _ = p_last
         costs = CommCosts(self.model)
+        first_arrays, last_arrays = scheme_first.arrays(), scheme_last.arrays()
         plans: list[RedistPlan] = []
         for array in self._carried:
-            if array not in scheme_first.arrays() or array not in scheme_last.arrays():
+            if array not in first_arrays or array not in last_arrays:
                 continue
             src = scheme_last.placement(array)
             dst = scheme_first.placement(array)

@@ -21,6 +21,7 @@ from typing import Iterator, Union
 
 from repro.errors import AffineError
 from repro.lang.affine import Affine
+from repro.util.lazy import Lazy
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -178,7 +179,7 @@ class ArrayDecl:
 
 
 @dataclass
-class Program:
+class Program(Lazy):
     """A parsed DSL program.
 
     Attributes
@@ -209,7 +210,7 @@ class Program:
     scalars: tuple[str, ...]
     body: list[Stmt]
     directives: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    alignments: tuple[tuple[tuple[str, int], tuple[str, int]], ...] = ()
+    alignments: tuple[tuple[tuple[str, int], tuple[str, int]], ...] = field(default_factory=tuple)
 
     def array(self, name: str) -> ArrayDecl:
         try:

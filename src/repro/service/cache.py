@@ -14,11 +14,22 @@ decoding).  ``lookup`` decodes the head; the rest is decoded by the
 same ``Unpickler`` the first time the value asks for it.  A class opts
 in with a ``_cache_split()`` method returning ``(head, rest)`` and a
 ``_cache_join(head, rest)`` classmethod taking the head and a zero-arg
-callable that yields the rest;
-:class:`~repro.service.plan.SolveOutcome` is the one that does (head
-``(result, validation)``, rest the :class:`~repro.dp.phases.PhaseTables`
-— 98 % of a solve entry, which a served hit never reads).  Every other
-value is all head.  Isolation and bit-identity are unchanged: each
+callable that yields the rest.  The parts that wait for the rest are
+lazy instances (:mod:`repro.util.lazy`) made in ``_cache_join`` — never
+by the unpickler, whose memo would then hold objects pointing back at
+it, a reference cycle per hit.  Two values opt in, each deferring what a
+served hit does not read:
+
+* :class:`~repro.service.plan.PlanEntry` — head ``(source, entry,
+  strategy, type(pattern), rename)``, rest ``(program, pattern)``; it
+  is served as the plain dict ``{"program", "generated", "rename"}``
+  whose ``program`` and ``generated.pattern`` are lazy;
+* :class:`~repro.service.plan.SolveOutcome` — head ``(result,
+  validation)``, rest the :class:`~repro.dp.phases.PhaseTables` (98 %
+  of a solve entry), served as a lazy ``tables``.
+
+Every other value is all head, as is a dict-shaped plan entry written
+before plans deferred.  Isolation and bit-identity are unchanged: each
 ``get`` owns its decoder, and a looked-up value pickles to the bytes
 the cold value does, before and after the rest is touched.  The first
 touch from the *disk* tier decodes both sections before promotion, so a
@@ -77,7 +88,8 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ServiceError
+from repro.util.lazy import pending
 
 try:  # advisory locking is POSIX-only; the tier degrades to lockless
     import fcntl
@@ -178,15 +190,15 @@ def _encode(value: object) -> bytes:
         return buf.getvalue()
     head, rest = split()
     pickler.dump((type(value), head))
-    if isinstance(rest, _Rest):
+    source = pending(rest)
+    if isinstance(source, _Rest):
         # A looked-up value whose rest nobody has read.  If its head
         # still pickles to the bytes it was decoded from, the entry is
         # unchanged (and the rest's memo references still resolve):
         # hand the blob back without decoding anything.
-        blob = rest.blob
-        if blob is not None and buf.getvalue() == blob[: rest.head_end]:
+        blob = source.blob
+        if blob is not None and buf.getvalue() == blob[: source.head_end]:
             return blob
-        rest = rest()
     pickler.dump(rest)
     return buf.getvalue()
 
@@ -413,8 +425,16 @@ class PlanCache:
         return path is not None and path.exists()
 
     def put(self, key: str, value: object) -> None:
+        """Store *value* under *key*; a value that does not pickle is a
+        :class:`~repro.errors.ServiceError`, and is neither stored nor
+        counted."""
+        try:
+            blob = _encode(value)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise ServiceError(
+                f"cannot store {type(value).__name__} under cache key {key!r}: {exc}"
+            ) from exc
         self.stats.puts += 1
-        blob = _encode(value)
         if self._promote(key, blob):
             self._disk_write(key, blob)
 

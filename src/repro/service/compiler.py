@@ -89,7 +89,7 @@ from repro.obs.context import current_context, mint_context, tracing_context
 from repro.service.cache import _MISS, CacheStats, PlanCache, make_cache
 from repro.service.guests import lower
 from repro.service.normalize import IR_SCHEMA, CanonicalForm, canonicalize
-from repro.service.plan import Plan, SolveOutcome, check_env, compile_plan
+from repro.service.plan import Plan, PlanEntry, SolveOutcome, check_env, compile_plan
 from repro.service.supervisor import WorkerSupervisor
 from repro.util import spans
 from repro.util.spans import span
@@ -705,8 +705,7 @@ class CompileService:
                     rename = {name: name for name in form.rename}
                     self._cache_put(
                         cache, plan_key,
-                        {"program": program, "generated": plan.generated,
-                         "rename": dict(form.rename)},
+                        PlanEntry(program, plan.generated, dict(form.rename)),
                     )
                     cached = False
                 else:

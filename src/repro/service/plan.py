@@ -18,14 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 from repro.codegen.families import family_of
 from repro.codegen.spmd import GeneratedProgram, generate_spmd, load_generated
+from repro.dp.phases import PhaseTables, solve_program_distribution
 from repro.errors import ReproError
 from repro.lang.ast import Program
 from repro.machine.engine import RunResult
 from repro.machine.model import MachineModel
 from repro.machine.threaded import BACKENDS
+from repro.util.lazy import Lazy, lazy
 
 
 def _is_int(value) -> bool:
@@ -135,9 +138,10 @@ class SolveOutcome:
     A served cache hit reads ``result`` only, and ``tables`` is 98 % of
     the pickled outcome, so the plan cache stores the two apart
     (:mod:`repro.service.cache`, "Entry layout"): an outcome that came
-    out of the cache decodes its ``tables`` the first time they are
-    read.  Nothing else about it differs — it compares, unpacks and
-    pickles (byte for byte) like the outcome that went in.
+    out of the cache holds a lazy :class:`~repro.dp.phases.PhaseTables`
+    (:mod:`repro.util.lazy`) that decodes the first time it is read.
+    Nothing else about it differs — it compares, unpacks and pickles
+    (byte for byte) like the outcome that went in.
     """
 
     tables: object  # repro.dp.phases.PhaseTables
@@ -146,29 +150,12 @@ class SolveOutcome:
 
     # -- the plan cache's deferred section --------------------------------
     def _cache_split(self):
-        state = self.__dict__
-        return (state["result"], state["validation"]), state.get("tables", state.get("_rest"))
+        return (self.result, self.validation), self.tables
 
     @classmethod
     def _cache_join(cls, head, rest):
-        self = object.__new__(cls)
         result, validation = head
-        self.__dict__.update(result=result, validation=validation, _rest=rest)
-        return self
-
-    def __getattr__(self, name):
-        # Only reached when normal lookup fails, i.e. for the ``tables``
-        # of a cache hit that nobody has read yet.
-        state = self.__dict__
-        if name == "tables" and "_rest" in state:
-            tables = state["tables"] = state["_rest"]()
-            return tables
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __getstate__(self):
-        # Field order, whatever order __dict__ was filled in: the pickle
-        # is an exact golden (tests/goldens/solve_pickles.json).
-        return {"tables": self.tables, "result": self.result, "validation": self.validation}
+        return cls(tables=lazy(PhaseTables, rest), result=result, validation=validation)
 
     @property
     def cost(self) -> float:
@@ -183,6 +170,40 @@ class SolveOutcome:
         yield self.result
         if self.validation is not None:
             yield self.validation
+
+
+class PlanEntry(NamedTuple):
+    """A plan as the cache stores it; a hit is served as the plain dict
+    ``{"program", "generated", "rename"}``.
+
+    The head is what a served hit reads — the generated source, entry
+    and strategy, the pattern's class and the rename map — and the
+    deferred rest is ``(program, pattern)``: a hit's ``program`` and
+    ``generated.pattern`` are lazy instances (:mod:`repro.util.lazy`)
+    that decode the rest the first time either is read.
+    """
+
+    program: Program
+    generated: GeneratedProgram
+    rename: dict[str, str]
+
+    def _cache_split(self):
+        gen = self.generated
+        if not isinstance(gen.pattern, Lazy):
+            # Caught here, on the put, rather than as a hit that never fills.
+            raise TypeError(f"pattern class {type(gen.pattern).__name__} does not use the Lazy mixin")
+        head = (gen.source, gen.entry, gen.strategy, type(gen.pattern), self.rename)
+        return head, (self.program, gen.pattern)
+
+    @classmethod
+    def _cache_join(cls, head, rest):
+        source, entry, strategy, pattern_cls, rename = head
+        pattern = lazy(pattern_cls, lambda: rest()[1])
+        return {
+            "program": lazy(Program, lambda: rest()[0]),
+            "generated": GeneratedProgram(source, entry, strategy, pattern),
+            "rename": rename,
+        }
 
 
 @dataclass(frozen=True)
@@ -247,8 +268,6 @@ class Plan:
         """Run Algorithm 1 on the program; with ``execute=True`` also
         lower and run every chosen redistribution
         (:mod:`repro.dp.validate`) and fill ``validation``."""
-        from repro.dp.phases import solve_program_distribution
-
         out = solve_program_distribution(
             self.program, nprocs, check_env(env), model or MachineModel(),
             execute=execute, backends=backends, segment_memo=segment_memo,

@@ -38,6 +38,7 @@ from repro.machine.model import MachineModel
 from repro.service import CompileRequest, CompileService, PlanCache
 from repro.service import cache as cache_mod
 from repro.util import spans
+from repro.util.lazy import pending
 from tests.test_service_normalize import answer
 
 MODEL = MachineModel(tf=1, tc=10)
@@ -139,7 +140,7 @@ class TestCorruptEntries:
         lazy = cache_mod._decode(bad)
         assert lazy.cost == outcome.cost
         with pytest.raises(Exception):
-            lazy.tables
+            lazy.tables.entries
         # ... so the disk tier's first touch decodes both sections.
         cache = PlanCache(capacity=4, disk_dir=tmp_path)
         path = entry_path(cache, "key")
@@ -150,7 +151,7 @@ class TestCorruptEntries:
         # the intact entry is served, with its tables already decoded
         cache_mod._write_atomic(path, cache_mod._seal(blob))
         hit = cache.get("key")
-        assert vars(hit)["_rest"].blob is None  # nothing left to decode
+        assert pending(vars(hit)["tables"]).blob is None  # nothing left to decode
         assert hit.cost == outcome.cost
         assert hit.tables.entries.keys() == outcome.tables.entries.keys()
         assert cache.stats.disk_hits == 1

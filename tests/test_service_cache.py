@@ -10,22 +10,30 @@ The headline guarantees under test:
   composed rename map;
 * batch compiles share DP sub-results; the job queue delivers results
   (and exceptions) through CompileJob handles;
-* a cached solve outcome decodes its DP tables on first read and is
-  otherwise indistinguishable from the cold one (ISSUE 16).
+* a cached solve outcome decodes its DP tables, and a cached plan its
+  program and pattern, on first read and is otherwise indistinguishable
+  from the cold value.
 """
 
 from __future__ import annotations
 
+import copy
+import gc
 import hashlib
 import json
 import pickle
+import sys
+import threading
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 
 from repro.api import Session, SolveOutcome, compile_program
+from repro.codegen import generate_spmd
+from repro.codegen.families import FAMILIES
 from repro.dp.phases import solve_program_distribution
-from repro.errors import ReproError
+from repro.errors import ReproError, ServiceError
 from repro.lang import (
     gauss_program,
     jacobi_program,
@@ -35,12 +43,17 @@ from repro.lang import (
     sor_program,
 )
 from repro.machine.model import MachineModel
-from repro.service import CompileService, PlanCache, make_cache
+from repro.service import CompileService, PlanCache, canonicalize, make_cache
+from repro.service import cache as cache_mod
+from repro.service.plan import PlanEntry
 from repro.util import spans
+from repro.util.lazy import Lazy, lazy, pending
+from tests.test_canonical_text_golden import perf_corpus
 from tests.test_phase_tables_incremental import GOLDEN_PATH
 from tests.test_phase_tables_incremental import MODEL as GOLDEN_MODEL
 from tests.test_phase_tables_incremental import NPROCS as GOLDEN_NPROCS
 from tests.test_phase_tables_incremental import PROGRAMS as GOLDEN_PROGRAMS
+from tests.test_stencil2d_codegen import HEAT2D
 
 MODEL = MachineModel(tf=1, tc=10)
 ENV = {"m": 32, "maxiter": 2}
@@ -51,6 +64,9 @@ CORPUS = [
     (gauss_program, {"m": 24}),
     (matmul_program, {"n": 16}),
 ]
+
+#: Pickle looks a function up by its qualified name; this one has none.
+UNPICKLABLE = lambda: 0  # noqa: E731
 
 
 class TestPlanCache:
@@ -101,6 +117,18 @@ class TestPlanCache:
         cache.clear()
         assert len(cache) == 0 and cache.stats.lookups == 0
         assert cache.get("a") == "A"  # from disk
+
+    @pytest.mark.parametrize(
+        "value,kind,cause",
+        [(UNPICKLABLE, "function", pickle.PicklingError), (threading.Lock(), "lock", TypeError)],
+        ids=["lambda", "lock"],
+    )
+    def test_unpicklable_put_is_a_typed_error_and_not_counted(self, value, kind, cause):
+        cache = PlanCache()
+        with pytest.raises(ServiceError, match=f"{kind} under cache key 'k'") as info:
+            cache.put("k", value)
+        assert isinstance(info.value.__cause__, cause)
+        assert cache.stats.puts == 0 and len(cache) == 0
 
     def test_make_cache_modes(self, tmp_path):
         assert make_cache("off") is None
@@ -172,13 +200,45 @@ def golden_solve(label):
     return cold, pickle.dumps(cold, pickle.HIGHEST_PROTOCOL)
 
 
+def plan_sources() -> dict[str, str]:
+    """The paper's four listings, the 2-D heat stencil, and the perf
+    corpus (programs and alpha-twins) at seeds 0 and 23."""
+    texts = {maker.__name__: program_to_text(maker()) for maker, _ in CORPUS}
+    texts["heat2d"] = HEAT2D
+    for seed in (0, 23):
+        for e in perf_corpus().build_corpus(seed):
+            texts[f"seed{seed}/{e.label}"] = e.source
+            texts[f"seed{seed}/{e.label}/twin"] = e.twin
+    return texts
+
+
+PLAN_SOURCES = plan_sources()
+
+
+def stored_plan(text: str):
+    """``(the PlanEntry a cold compile of *text* stores, the bytes the
+    all-head layout served for it)``."""
+    program = parse_program(text)
+    entry = PlanEntry(program, generate_spmd(program), dict(canonicalize(program).rename))
+    plain = pickle.dumps(entry._asdict(), pickle.HIGHEST_PROTOCOL)
+    return entry, pickle.dumps(pickle.loads(plain), pickle.HIGHEST_PROTOCOL)
+
+
+def unfilled(plan: dict) -> bool:
+    return pending(plan["program"]) is not None and pending(plan["generated"].pattern) is not None
+
+
 def undecoded(outcome) -> bool:
-    return "tables" not in vars(outcome)
+    """*outcome*'s tables are still bytes: an unfilled lazy instance
+    whose deferred section nobody has decoded."""
+    rest = pending(vars(outcome)["tables"])
+    return rest is not None and rest.blob is not None
 
 
 class TestDeferredTables:
-    """A cached ``SolveOutcome`` keeps its ``tables`` as bytes until they
-    are read; every observable of it equals the cold outcome's."""
+    """A cached ``SolveOutcome`` keeps its ``tables``, and a cached plan
+    its ``program`` and ``pattern``, as bytes until they are read; every
+    observable of them equals the cold value's."""
 
     @pytest.mark.parametrize("label", sorted(GOLDEN_PROGRAMS))
     def test_hit_pickles_to_the_golden_bytes_before_and_after_touch(self, label):
@@ -240,6 +300,9 @@ class TestDeferredTables:
         assert warm.outcome.loop_carried == cold.outcome.loop_carried
         assert warm.outcome.result == cold.outcome.result
         assert undecoded(warm.outcome)
+        # nor its program or pattern: a hit reads the generated source only
+        assert warm.source == cold.source and warm.strategy == cold.strategy
+        assert unfilled({"program": warm.program, "generated": warm.generated})
 
     def test_unpacking_equality_and_explain_still_work(self):
         svc = CompileService(machine=MODEL)
@@ -289,6 +352,169 @@ class TestDeferredTables:
         served, hit = cached_comm_schedule(placement, cache)
         assert hit and built.content_equal(served)
         assert pickle.dumps(served) == pickle.dumps(built)
+
+
+    # -- the plan entry: program and pattern deferred ----------------------
+    @pytest.mark.parametrize("label", sorted(PLAN_SOURCES))
+    def test_served_plan_pickles_to_the_cold_bytes_before_and_after_touch(self, label):
+        entry, plain = stored_plan(PLAN_SOURCES[label])
+        cache = PlanCache()
+        cache.put("p", entry)
+        untouched, touched = cache.get("p"), cache.get("p")
+        assert unfilled(untouched) and unfilled(touched)
+        assert touched["program"].body == entry.program.body
+        assert touched["generated"].pattern == entry.generated.pattern
+        assert not unfilled(touched)
+        assert touched["program"] == entry.program
+        for hit in (untouched, touched):
+            assert pickle.dumps(hit, pickle.HIGHEST_PROTOCOL) == plain
+
+    def test_unfilled_instances_compare_hash_copy_and_pickle_like_filled_ones(self):
+        entry, _ = stored_plan(program_to_text(matmul_program()))
+        program, pattern = entry.program, entry.generated.pattern
+        cache = PlanCache()
+        cache.put("p", entry)
+        fresh = cache.get("p")
+        # the class answers for itself without a fill
+        assert type(fresh["generated"].pattern) is type(pattern)
+        assert fresh["generated"].pattern.kind == "matmul" and unfilled(fresh)
+        probes = [
+            lambda x: x,
+            hash,
+            repr,
+            copy.copy,
+            copy.deepcopy,
+            lambda x: pickle.loads(pickle.dumps(x)),
+        ]
+        for probe in probes:
+            assert probe(cache.get("p")["generated"].pattern) == probe(pattern)
+        for probe in probes[2:]:
+            assert probe(cache.get("p")["program"]) == probe(program)
+        assert cache.get("p")["program"] == program
+
+    def test_lazy_classes_give_no_field_a_class_level_default(self):
+        # A class attribute would answer an unfilled instance's read
+        # without filling it.
+        lazy_classes = {cls.__name__: cls for cls in Lazy.__subclasses__()}
+        assert {"Program", "PhaseTables", "IterativeSolvePattern", "MatmulPattern",
+                "GaussPattern", "StencilPattern", "Stencil2DPattern"} <= set(lazy_classes)
+        for cls in lazy_classes.values():
+            assert [f.name for f in fields(cls) if f.name in vars(cls)] == []
+
+    def test_every_generated_pattern_class_is_lazy(self):
+        # A plan entry defers its pattern, so each family's must fill.
+        kinds = set()
+        for text in PLAN_SOURCES.values():
+            pattern = generate_spmd(parse_program(text)).pattern
+            assert isinstance(pattern, Lazy), type(pattern).__name__
+            kinds.add(pattern.kind)
+        assert kinds == set(FAMILIES)
+
+    def test_a_pattern_without_the_mixin_is_refused_on_put(self):
+        @dataclass(frozen=True)
+        class Plain:
+            kind: str
+
+        with pytest.raises(TypeError, match="Plain does not use the Lazy mixin"):
+            lazy(Plain, lambda: Plain("x"))
+        entry, _ = stored_plan(program_to_text(jacobi_program()))
+        entry = entry._replace(generated=replace(entry.generated, pattern=Plain("x")))
+        cache = PlanCache()
+        with pytest.raises(ServiceError, match="PlanEntry under cache key 'p'") as info:
+            cache.put("p", entry)
+        assert isinstance(info.value.__cause__, TypeError)
+        assert cache.stats.puts == 0 and len(cache) == 0
+
+    def test_served_program_is_isolated_and_keeps_assignments(self):
+        entry, _ = stored_plan(program_to_text(jacobi_program()))
+        cache = PlanCache()
+        cache.put("p", entry)
+        cache.get("p")["program"].body.clear()
+        assert cache.get("p")["program"].body == entry.program.body
+        program = cache.get("p")["program"]
+        program.name = "renamed"  # assigned before any field was read
+        assert program.body == entry.program.body
+        assert program.arrays == entry.program.arrays
+        assert program.name == "renamed"
+
+    def test_threads_reading_unread_parts_all_get_them(self):
+        entry, _ = stored_plan(program_to_text(jacobi_program()))
+        cold, _ = golden_solve("jacobi")
+        cache = PlanCache()
+        cache.put("p", entry)
+        cache.put("s", cold)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for _ in range(20):
+                plan, outcome = cache.get("p"), cache.get("s")
+                readers = 4  # more threads than a 2-core runner has cores
+                barrier = threading.Barrier(readers, timeout=10)
+                seen, errors = [], []
+
+                def read():
+                    barrier.wait()
+                    try:
+                        seen.append((plan["program"].body, plan["generated"].pattern.A,
+                                     outcome.tables.entries))
+                    except Exception as exc:  # reported by the asserts below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=read) for _ in range(readers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == [] and len(seen) == readers
+                first = seen[0]
+                assert all(a is b for other in seen[1:] for a, b in zip(first, other))
+                body, array, entries = first
+                assert body == entry.program.body and array == entry.generated.pattern.A
+                assert entries.keys() == cold.tables.entries.keys()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_dropped_warm_hit_leaves_no_cyclic_garbage(self, tier, tmp_path):
+        text = program_to_text(sor_program())
+        env = {"m": 32, "maxiter": 2}
+        options = {"cache": "disk", "cache_dir": tmp_path} if tier == "disk" else {}
+        svc = CompileService(machine=MODEL, **options)
+        svc.compile(text, nprocs=4, env=env)
+        if tier == "disk":  # a fresh session's first touch reads the files
+            svc = CompileService(machine=MODEL, **options)
+        gc.collect()
+        gc.disable()
+        try:
+            for touch in (False, True):
+                hit = svc.compile(text, nprocs=4, env=env)
+                assert hit.cached and hit.solve_cached
+                if touch:
+                    hit.program.body, hit.generated.pattern.A, hit.outcome.tables.entries
+                del hit
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_all_head_plan_entry_on_disk_still_serves(self, tmp_path):
+        text = program_to_text(gauss_program())
+        env = {"m": 24}
+        cold = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path).compile(
+            text, nprocs=4, env=env
+        )
+        # Rewrite the plan file as the plain dict earlier releases stored.
+        served = PlanCache(disk_dir=tmp_path).get(cold.digest)
+        blob = cache_mod._encode(dict(served))
+        assert pickle.loads(blob[len(cache_mod._LAYOUT):])[0] is None  # all head
+        cache_mod._write_atomic(tmp_path / f"{cold.digest}.pkl", cache_mod._seal(blob))
+        warm = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path).compile(
+            text, nprocs=4, env=env
+        )
+        assert warm.cached and warm.service_stats["cache_disk_hits"] == 2
+        assert warm.service_stats["cache_corrupt"] == 0
+        assert warm.program == cold.program and warm.generated == cold.generated
+        assert warm.outcome.cost == cold.outcome.cost
 
 
 class TestAlphaTwinServing:
