@@ -28,19 +28,24 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.errors import CostModelError
+from repro.util.lazy import Lazy
 
 Scheme = Hashable  # opaque to the DP
 CostFn = Callable[[Any, Any], float]
 
 
 @dataclass(frozen=True)
-class DPResult:
+class DPResult(Lazy):
     """Outcome of Algorithm 1.
 
     ``segments`` is the chosen partition as (start, length) pairs,
     1-based, in execution order; ``schemes`` the corresponding ``P``
     entries; ``cost`` the minimum total including the loop-carried term
     (``loop_carried`` reported separately for Fig 3-style breakdowns).
+
+    ``schemes`` is derived — ``P`` read along ``segments`` — so a cached
+    result holds the other fields and rebuilds it from the tables on
+    first read (:class:`repro.service.plan.SolveOutcome`).
     """
 
     cost: float
@@ -52,7 +57,7 @@ class DPResult:
 
     def describe(self) -> str:
         parts = []
-        for (start, length), m, scheme in zip(self.segments, self.segment_costs, self.schemes):
+        for (start, length), m in zip(self.segments, self.segment_costs):
             rng = f"L{start}" if length == 1 else f"L{start}..L{start + length - 1}"
             parts.append(f"{rng}: M={m:g}")
         changes = " + ".join(f"{c:g}" for c in self.change_costs) or "0"

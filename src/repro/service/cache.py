@@ -24,9 +24,12 @@ served hit does not read:
   strategy, type(pattern), rename)``, rest ``(program, pattern)``; it
   is served as the plain dict ``{"program", "generated", "rename"}``
   whose ``program`` and ``generated.pattern`` are lazy;
-* :class:`~repro.service.plan.SolveOutcome` — head ``(result,
-  validation)``, rest the :class:`~repro.dp.phases.PhaseTables` (98 %
-  of a solve entry), served as a lazy ``tables``.
+* :class:`~repro.service.plan.SolveOutcome` — head ``((cost,
+  segments, segment_costs, change_costs, loop_carried), validation)``,
+  rest the :class:`~repro.dp.phases.PhaseTables` (98 % of a solve
+  entry), served as a lazy ``tables`` and a partly eager ``result``
+  whose ``schemes`` — derived data, ``tables.P`` along ``segments`` —
+  are rebuilt from them on first read.
 
 Every other value is all head, as is a dict-shaped plan entry written
 before plans deferred.  Isolation and bit-identity are unchanged: each
@@ -145,10 +148,12 @@ class CacheStats:
 
 
 #: Leading tag of every entry, naming the layout in the module
-#: docstring.  An entry without it (the pre-PR-16 bare pickle) is not
-#: decodable and quarantines like any other corrupt entry; the digests
-#: — and with them :data:`~repro.service.normalize.IR_SCHEMA` — stay put.
-_LAYOUT = b"repro-entry/2\n"
+#: docstring.  An entry under another tag (the bare pickle before tags,
+#: or ``repro-entry/2``, whose solve head held the whole ``result``) is
+#: not decodable and quarantines like any other corrupt entry; the
+#: digests — and with them :data:`~repro.service.normalize.IR_SCHEMA` —
+#: stay put.
+_LAYOUT = b"repro-entry/3\n"
 
 #: File-name prefix of a memo entry (:meth:`PlanCache.recall`): the
 #: compile service's persisted canonical forms are ``form-<key>.pkl``.

@@ -22,13 +22,14 @@ from typing import NamedTuple
 
 from repro.codegen.families import family_of
 from repro.codegen.spmd import GeneratedProgram, generate_spmd, load_generated
+from repro.dp.algorithm1 import DPResult
 from repro.dp.phases import PhaseTables, solve_program_distribution
 from repro.errors import ReproError
 from repro.lang.ast import Program
 from repro.machine.engine import RunResult
 from repro.machine.model import MachineModel
 from repro.machine.threaded import BACKENDS
-from repro.util.lazy import Lazy, lazy
+from repro.util.lazy import Lazy, lazy, pending
 
 
 def _is_int(value) -> bool:
@@ -68,6 +69,21 @@ def _default_inputs(gen: GeneratedProgram, env: dict[str, int], seed: int) -> di
             f"pass inputs= explicitly"
         )
     return fabricate(gen.pattern, env.get("m", env.get("n", 16)), env, seed)
+
+
+def _is_chain_of(result, tables) -> bool:
+    """Whether ``result.schemes`` holds, per segment, the very scheme and
+    grid objects of ``tables.entries`` — what a cache hit rebuilds, and
+    what makes it pickle to the cold bytes."""
+    if len(result.schemes) != len(result.segments):
+        return False
+    for seg, pair in zip(result.segments, result.schemes):
+        entry = tables.entries.get(seg)
+        if entry is None or not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        if pair[0] is not entry.scheme or pair[1] is not entry.grid:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -135,13 +151,19 @@ class SolveOutcome:
     Iterates like the legacy tuple — ``tables, result = plan.solve(...)``
     and the three-element ``execute=True`` unpacking both still work.
 
-    A served cache hit reads ``result`` only, and ``tables`` is 98 % of
-    the pickled outcome, so the plan cache stores the two apart
-    (:mod:`repro.service.cache`, "Entry layout"): an outcome that came
-    out of the cache holds a lazy :class:`~repro.dp.phases.PhaseTables`
-    (:mod:`repro.util.lazy`) that decodes the first time it is read.
-    Nothing else about it differs — it compares, unpacks and pickles
-    (byte for byte) like the outcome that went in.
+    A served cache hit reads ``result``'s scalars only, and ``tables``
+    is 98 % of the pickled outcome, so the plan cache stores the two
+    apart (:mod:`repro.service.cache`, "Entry layout").  The head is
+    ``result`` without its ``schemes``, which are derived: Algorithm 1's
+    chain is ``tables.P`` read along ``result.segments``.  An outcome
+    that came out of the cache holds a lazy
+    :class:`~repro.dp.phases.PhaseTables` and a partly eager
+    :class:`~repro.dp.algorithm1.DPResult` (:mod:`repro.util.lazy`)
+    whose ``schemes`` are rebuilt from those tables, decoding them, the
+    first time either is read.  Nothing else about it differs — it
+    compares, unpacks and pickles (byte for byte) like the outcome that
+    went in.  The put refuses an outcome whose ``schemes`` are not the
+    tables' own chain, object for object: a hit could not rebuild them.
     """
 
     tables: object  # repro.dp.phases.PhaseTables
@@ -150,12 +172,29 @@ class SolveOutcome:
 
     # -- the plan cache's deferred section --------------------------------
     def _cache_split(self):
-        return (self.result, self.validation), self.tables
+        result, tables = self.result, self.tables
+        # An unfilled result came out of the cache: its chain is the
+        # tables' by construction, and reading it would decode them.
+        if pending(result) is None and not _is_chain_of(result, tables):
+            raise TypeError("result.schemes is not the chain of the outcome's tables")
+        head = (result.cost, result.segments, result.segment_costs,
+                result.change_costs, result.loop_carried)
+        return (head, self.validation), tables
 
     @classmethod
     def _cache_join(cls, head, rest):
-        result, validation = head
-        return cls(tables=lazy(PhaseTables, rest), result=result, validation=validation)
+        (cost, segments, segment_costs, change_costs, loop_carried), validation = head
+        tables = lazy(PhaseTables, rest)
+
+        def chosen():
+            schemes = tuple(tables.P(i, j) for i, j in segments)
+            return DPResult(cost, segments, schemes, segment_costs, change_costs, loop_carried)
+
+        result = lazy(
+            DPResult, chosen, cost=cost, segments=segments, segment_costs=segment_costs,
+            change_costs=change_costs, loop_carried=loop_carried,
+        )
+        return cls(tables=tables, result=result, validation=validation)
 
     @property
     def cost(self) -> float:

@@ -1,15 +1,31 @@
 """Lazy instances: an object that fills its state on first use.
 
 :func:`lazy` builds an instance of a :class:`Lazy` class whose
-``__dict__`` holds only a *source*, a zero-argument callable returning
-an equal, fully built object of the same class.  The first read of a
-missing attribute, a ``__getstate__`` (so pickling and copying) or an
-attribute assignment copies that object's state in, with keys interned
-as the unpickler's ``BUILD`` interns them, so a filled instance pickles
-to the bytes its source does.  Until then an instance costs one small
-dict.  Class-level attributes (methods, ``ClassVar`` constants) answer
-without a fill, so a class that uses the mixin must not give an
-instance field a class-level default (use ``default_factory``).
+``__dict__`` holds a *source*, a zero-argument callable returning an
+equal, fully built object of the same class, and — for a *partly eager*
+instance — the fields given to :func:`lazy` as keywords, readable at
+once.  The first read of a missing attribute, a ``__getstate__`` (so
+pickling and copying) or an attribute assignment copies the source's
+state in, with keys interned as the unpickler's ``BUILD`` interns them,
+so a filled instance pickles to the bytes its source does.  Until then
+an instance costs one small dict.  Class-level attributes (methods,
+``ClassVar`` constants) answer without a fill, so a class that uses the
+mixin must not give an instance field a class-level default (use
+``default_factory``).
+
+Pickle writes the state dict in iteration order, so the fill has to
+leave the fields in the source's order:
+
+* a *fully lazy* instance's dict holds the source alone and is filled
+  in place.  It must stay the same dict object: a ``cached_property``
+  reads ``instance.__dict__`` before computing its value (which may
+  fill the instance) and stores the value into the dict it read;
+* a *partly eager* instance's dict already holds fields, not
+  necessarily in the source's order, so the fill swaps in one new dict
+  built in that order (the eager values kept).  A concurrent reader
+  sees either the old dict or the new one, each complete for the eager
+  fields.  A swapped dict would drop what a ``cached_property`` stores,
+  so a class with one must not be made partly eager.
 
 The plan cache (:mod:`repro.service.cache`) makes its deferred parts
 this way: DGL's ``CtxCachedObject`` idiom, heavy members built on first
@@ -28,14 +44,24 @@ _FILL = threading.Lock()
 
 
 def _fill(obj) -> None:
-    state = obj.__dict__
-    source = state.get(_SOURCE)
-    if source is not None:
-        filled = source().__dict__
-        with _FILL:
-            if _SOURCE in state:
-                state.update({sys.intern(key): value for key, value in filled.items()})
-                del state[_SOURCE]
+    source = obj.__dict__.get(_SOURCE)
+    if source is None:
+        return
+    filled = {sys.intern(key): value for key, value in source().__dict__.items()}
+    with _FILL:
+        # Re-read: another thread may have swapped a partly eager dict.
+        state = obj.__dict__
+        if _SOURCE not in state:
+            return
+        if len(state) == 1:
+            state.update(filled)
+            del state[_SOURCE]
+        else:
+            # Existing keys keep the source's order and take the
+            # instance's values; the source key lands last and goes.
+            filled.update(state)
+            del filled[_SOURCE]
+            object.__setattr__(obj, "__dict__", filled)
 
 
 class Lazy:
@@ -44,8 +70,8 @@ class Lazy:
     __slots__ = ()
 
     def __getattr__(self, name):
-        # Reached only when normal lookup fails: any field of an
-        # unfilled instance, or a name the class does not have.
+        # Reached only when normal lookup fails: a field an unfilled
+        # instance does not hold yet, or a name the class does not have.
         _fill(self)
         try:
             return self.__dict__[name]
@@ -65,16 +91,20 @@ class Lazy:
         object.__setattr__(self, name, value)
 
 
-def lazy(cls: type, source) -> object:
-    """An unfilled *cls* instance that fills itself from ``source()``.
+def lazy(cls: type, source, **eager) -> object:
+    """An unfilled *cls* instance that fills itself from ``source()``;
+    the *eager* fields are readable before the fill.
 
     *cls* must use the :class:`Lazy` mixin: any other class would give
-    an empty instance that never fills.
+    an instance that never fills.  Give *eager* fields only for a class
+    without a ``cached_property`` (see the module docstring).
     """
     if not issubclass(cls, Lazy):
         raise TypeError(f"{cls.__name__} does not use the Lazy mixin")
     obj = object.__new__(cls)
-    obj.__dict__[_SOURCE] = source
+    state = obj.__dict__
+    state.update(eager)
+    state[_SOURCE] = source
     return obj
 
 

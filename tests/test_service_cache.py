@@ -10,9 +10,9 @@ The headline guarantees under test:
   composed rename map;
 * batch compiles share DP sub-results; the job queue delivers results
   (and exceptions) through CompileJob handles;
-* a cached solve outcome decodes its DP tables, and a cached plan its
-  program and pattern, on first read and is otherwise indistinguishable
-  from the cold value.
+* a cached solve outcome decodes its DP tables (and rebuilds its chosen
+  schemes from them), and a cached plan its program and pattern, on
+  first read and is otherwise indistinguishable from the cold value.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import gc
 import hashlib
+import io
 import json
 import pickle
 import sys
@@ -215,6 +216,20 @@ def plan_sources() -> dict[str, str]:
 PLAN_SOURCES = plan_sources()
 
 
+def solve_sources() -> dict[str, tuple[str, dict]]:
+    """``(text, env)`` of the paper's four listings and of the perf
+    corpus (programs and alpha-twins) at seeds 0 and 23."""
+    texts = {maker.__name__: (program_to_text(maker()), env) for maker, env in CORPUS}
+    for seed in (0, 23):
+        for e in perf_corpus().build_corpus(seed):
+            texts[f"seed{seed}/{e.label}"] = (e.source, e.env)
+            texts[f"seed{seed}/{e.label}/twin"] = (e.twin, e.twin_env)
+    return texts
+
+
+SOLVE_SOURCES = solve_sources()
+
+
 def stored_plan(text: str):
     """``(the PlanEntry a cold compile of *text* stores, the bytes the
     all-head layout served for it)``."""
@@ -291,6 +306,75 @@ class TestDeferredTables:
         assert shares(cold)  # Algorithm 1 returns the tables' own schemes
         assert shares(hit) == shares(cold)
 
+    @pytest.mark.parametrize("label", sorted(SOLVE_SOURCES))
+    def test_rebuilt_chain_is_the_tables_own(self, label):
+        text, env = SOLVE_SOURCES[label]
+        svc = CompileService(machine=MODEL)
+        cold = svc.compile(text, nprocs=16, env=env).outcome
+        hit = svc.compile(text, nprocs=16, env=env).outcome
+        assert undecoded(hit) and pending(hit.result) is not None
+        schemes = hit.result.schemes
+        assert pending(hit.result) is None and not undecoded(hit)
+        assert len(schemes) == len(hit.result.segments)
+        for (scheme, grid), seg in zip(schemes, hit.result.segments):
+            assert scheme is hit.tables.entries[seg].scheme
+            assert grid is hit.tables.entries[seg].grid
+        assert schemes == cold.result.schemes
+        assert pickle.dumps(hit, pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+            cold, pickle.HIGHEST_PROTOCOL
+        )
+
+    def test_a_result_that_is_not_the_tables_chain_is_refused_on_put(self):
+        cold, _ = golden_solve("chain-s5")
+        copied = replace(cold.result, schemes=copy.deepcopy(cold.result.schemes))
+        assert copied == cold.result  # equal, but not the tables' own objects
+        shuffled = replace(cold.result, schemes=cold.result.schemes[::-1])
+        short = replace(cold.result, schemes=cold.result.schemes[:-1])
+        cache = PlanCache()
+        for result in (copied, shuffled, short):
+            with pytest.raises(ServiceError, match="SolveOutcome under cache key 's'") as info:
+                cache.put("s", SolveOutcome(tables=cold.tables, result=result))
+            assert isinstance(info.value.__cause__, TypeError)
+        assert cache.stats.puts == 0 and len(cache) == 0
+        cache.put("s", cold)
+        assert cache.stats.puts == 1
+
+    def test_previous_layout_solve_entry_quarantines_and_recompiles(self, tmp_path):
+        text = program_to_text(sor_program())
+        env = {"m": 32, "maxiter": 2}
+        cold = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path).compile(
+            text, nprocs=4, env=env
+        )
+        cold_bytes = pickle.dumps(cold.outcome, pickle.HIGHEST_PROTOCOL)
+        # What the previous layout wrote: the whole result in the head.
+        outcome = cold.outcome
+        buf = io.BytesIO()
+        buf.write(b"repro-entry/2\n")
+        pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dump((SolveOutcome, (outcome.result, outcome.validation)))
+        pickler.dump(outcome.tables)
+        with pytest.raises(pickle.UnpicklingError, match="layout tag"):
+            cache_mod._decode(buf.getvalue())
+        path = tmp_path / f"{cold.solve_key}.pkl"
+        cache_mod._write_atomic(path, cache_mod._seal(buf.getvalue()))
+        warm = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path).compile(
+            text, nprocs=4, env=env
+        )
+        assert warm.cached and not warm.solve_cached
+        stats = warm.service_stats
+        assert stats["cache_corrupt"] == 1 and stats["cache_misses"] == 1, stats
+        assert [q.name.split(".")[0] for q in (tmp_path / "quarantine").iterdir()] == [
+            cold.solve_key
+        ]
+        assert warm.source == cold.source
+        assert pickle.dumps(warm.outcome, pickle.HIGHEST_PROTOCOL) == cold_bytes
+        # the recompiled entry is in the current layout and serves
+        again = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path).compile(
+            text, nprocs=4, env=env
+        )
+        assert again.solve_cached and again.service_stats["cache_corrupt"] == 0
+        assert pickle.dumps(again.outcome, pickle.HIGHEST_PROTOCOL) == cold_bytes
+
     def test_result_is_served_without_decoding_tables(self):
         svc = CompileService(machine=MODEL)
         cold = svc.compile(jacobi_program(), nprocs=4, env=ENV)
@@ -298,11 +382,15 @@ class TestDeferredTables:
         assert warm.solve_cached
         assert warm.outcome.cost == cold.outcome.cost
         assert warm.outcome.loop_carried == cold.outcome.loop_carried
-        assert warm.outcome.result == cold.outcome.result
+        for name in ("segments", "segment_costs", "change_costs"):
+            assert getattr(warm.outcome.result, name) == getattr(cold.outcome.result, name)
+        assert warm.outcome.result.describe() == cold.outcome.result.describe()
         assert undecoded(warm.outcome)
         # nor its program or pattern: a hit reads the generated source only
         assert warm.source == cold.source and warm.strategy == cold.strategy
         assert unfilled({"program": warm.program, "generated": warm.generated})
+        # full equality reads the derived schemes, rebuilt from the tables
+        assert warm.outcome.result == cold.outcome.result
 
     def test_unpacking_equality_and_explain_still_work(self):
         svc = CompileService(machine=MODEL)
@@ -391,12 +479,24 @@ class TestDeferredTables:
         for probe in probes[2:]:
             assert probe(cache.get("p")["program"]) == probe(program)
         assert cache.get("p")["program"] == program
+        # a partly eager result, before and after its schemes are rebuilt
+        cold, _ = golden_solve("jacobi")
+        plain = pickle.dumps(pickle.loads(pickle.dumps(cold.result)))
+        cache.put("s", cold)
+        for filled in (False, True):
+            for probe in probes + [pickle.dumps]:
+                result = cache.get("s").result
+                if filled:
+                    result.schemes
+                assert (pending(result) is None) is filled
+                expected = plain if probe is pickle.dumps else probe(cold.result)
+                assert probe(result) == expected
 
     def test_lazy_classes_give_no_field_a_class_level_default(self):
         # A class attribute would answer an unfilled instance's read
         # without filling it.
         lazy_classes = {cls.__name__: cls for cls in Lazy.__subclasses__()}
-        assert {"Program", "PhaseTables", "IterativeSolvePattern", "MatmulPattern",
+        assert {"Program", "PhaseTables", "DPResult", "IterativeSolvePattern", "MatmulPattern",
                 "GaussPattern", "StencilPattern", "Stencil2DPattern"} <= set(lazy_classes)
         for cls in lazy_classes.values():
             assert [f.name for f in fields(cls) if f.name in vars(cls)] == []
@@ -456,7 +556,7 @@ class TestDeferredTables:
                     barrier.wait()
                     try:
                         seen.append((plan["program"].body, plan["generated"].pattern.A,
-                                     outcome.tables.entries))
+                                     outcome.result.schemes, outcome.tables.entries))
                     except Exception as exc:  # reported by the asserts below
                         errors.append(exc)
 
@@ -469,9 +569,14 @@ class TestDeferredTables:
                 assert errors == [] and len(seen) == readers
                 first = seen[0]
                 assert all(a is b for other in seen[1:] for a, b in zip(first, other))
-                body, array, entries = first
+                body, array, schemes, entries = first
                 assert body == entry.program.body and array == entry.generated.pattern.A
                 assert entries.keys() == cold.tables.entries.keys()
+                assert outcome.result.schemes is schemes and outcome.tables.entries is entries
+                assert all(
+                    scheme is entries[seg].scheme
+                    for (scheme, _grid), seg in zip(schemes, outcome.result.segments)
+                )
         finally:
             sys.setswitchinterval(interval)
 
@@ -491,7 +596,7 @@ class TestDeferredTables:
                 hit = svc.compile(text, nprocs=4, env=env)
                 assert hit.cached and hit.solve_cached
                 if touch:
-                    hit.program.body, hit.generated.pattern.A, hit.outcome.tables.entries
+                    hit.program.body, hit.generated.pattern.A, hit.outcome.result.schemes
                 del hit
                 assert gc.collect() == 0
         finally:
