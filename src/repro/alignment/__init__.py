@@ -9,21 +9,11 @@
   two dimensions of one array never share a subset.
 """
 
-from repro.alignment.graph import CAG, CagEdge, Node, build_cag
+from repro.alignment.graph import build_cag
 from repro.alignment.solver import (
-    Alignment,
     alignment_to_scheme,
     exact_alignment,
     greedy_alignment,
 )
 
-__all__ = [
-    "CAG",
-    "CagEdge",
-    "Node",
-    "build_cag",
-    "Alignment",
-    "exact_alignment",
-    "greedy_alignment",
-    "alignment_to_scheme",
-]
+__all__ = ["build_cag", "exact_alignment", "greedy_alignment", "alignment_to_scheme"]

@@ -9,30 +9,6 @@ dependence analyses, and emits a runnable Python SPMD program targeting
 the :mod:`repro.machine` runtime (:mod:`~repro.codegen.spmd`).
 """
 
-from repro.codegen.patterns import (
-    GaussPattern,
-    IterativeSolvePattern,
-    MatmulPattern,
-    match_gauss,
-    match_iterative_solve,
-    match_matmul,
-)
-from repro.codegen.redist import RedistMove, emit_redistribution_program
-from repro.codegen.sparse import SparsePattern, emit_sparse_spmv
-from repro.codegen.spmd import GeneratedProgram, generate_spmd, load_generated
+from repro.codegen.spmd import generate_spmd, load_generated
 
-__all__ = [
-    "IterativeSolvePattern",
-    "GaussPattern",
-    "MatmulPattern",
-    "match_iterative_solve",
-    "match_gauss",
-    "match_matmul",
-    "GeneratedProgram",
-    "generate_spmd",
-    "load_generated",
-    "RedistMove",
-    "emit_redistribution_program",
-    "SparsePattern",
-    "emit_sparse_spmv",
-]
+__all__ = ["generate_spmd", "load_generated"]

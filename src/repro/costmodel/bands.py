@@ -254,7 +254,3 @@ def get_band(name: str) -> SlackBand:
         raise CostModelError(
             f"unknown slack band {name!r}; registered: {', '.join(sorted(BANDS))}"
         ) from None
-
-
-def check_ratio(name: str, ratio: float) -> bool:
-    return get_band(name).check(ratio)

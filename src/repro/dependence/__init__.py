@@ -7,26 +7,4 @@ classic pairwise dependence information (:mod:`~repro.dependence.analysis`)
 and the underlying decision procedures (:mod:`~repro.dependence.tests`).
 """
 
-from repro.dependence.analysis import (
-    Dependence,
-    find_dependences,
-    live_loop_carried_arrays,
-    loop_carried_arrays,
-)
-from repro.dependence.tests import banerjee_bounds_test, gcd_test, siv_test
-from repro.dependence.tokens import TokenInfo, analyze_tokens, classify_token
-from repro.dependence.vectors import DistanceVector
-
-__all__ = [
-    "DistanceVector",
-    "gcd_test",
-    "siv_test",
-    "banerjee_bounds_test",
-    "Dependence",
-    "find_dependences",
-    "loop_carried_arrays",
-    "live_loop_carried_arrays",
-    "TokenInfo",
-    "analyze_tokens",
-    "classify_token",
-]
+__all__ = []

@@ -20,94 +20,21 @@
 """
 
 from repro.distribution.function import Dist1D, Kind
-from repro.distribution.function2d import (
-    Coupling,
-    Dist2D,
-    cannon_a_layout,
-    cannon_b_layout,
-)
-from repro.distribution.layout import (
-    block_summary,
-    layout_matrix,
-    ownership_table,
-    render_layout,
-)
-from repro.distribution.redistribution import (
-    RULES,
-    ChangeRule,
-    RedistPlan,
-    RedistTerm,
-    change_rule,
-    placement_change_plan,
-    placement_change_terms,
-    redistribution_cost,
-    replication_cost,
-)
-from repro.distribution.runtime import (
-    AllgatherOp,
-    BcastOp,
-    ExchangeOp,
-    GatherOp,
-    RedistLowering,
-    RegridOp,
-    ScatterOp,
-    TransferOp,
-    lower_placement_delta,
-    redistribute,
-)
-from repro.distribution.schemes import ArrayPlacement, Scheme, scheme_from_directives
-from repro.distribution.sections import (
-    assemble,
-    dim_distribution,
-    grid_coords,
-    grid_rank,
-    groups_along,
-    local_indices,
-    pack_section,
-    section_table,
-)
-from repro.distribution.sparse import SparsePlacement
+from repro.distribution.function2d import Coupling, Dist2D
+from repro.distribution.redistribution import placement_change_plan
+from repro.distribution.runtime import lower_placement_delta, redistribute
+from repro.distribution.schemes import ArrayPlacement, Scheme
+from repro.distribution.sections import pack_section
 
 __all__ = [
     "Dist1D",
     "Kind",
     "Dist2D",
     "Coupling",
-    "cannon_a_layout",
-    "cannon_b_layout",
-    "layout_matrix",
-    "render_layout",
-    "ownership_table",
-    "block_summary",
     "Scheme",
     "ArrayPlacement",
-    "SparsePlacement",
-    "scheme_from_directives",
-    "RedistPlan",
-    "RedistTerm",
-    "RULES",
-    "ChangeRule",
-    "change_rule",
     "placement_change_plan",
-    "placement_change_terms",
-    "redistribution_cost",
-    "replication_cost",
-    "RedistLowering",
     "lower_placement_delta",
     "redistribute",
-    "TransferOp",
-    "BcastOp",
-    "AllgatherOp",
-    "GatherOp",
-    "ScatterOp",
-    "RegridOp",
-    "ExchangeOp",
-    "assemble",
-    "local_indices",
     "pack_section",
-    "section_table",
-    "grid_coords",
-    "grid_rank",
-    "groups_along",
-    "dim_distribution",
 ]

@@ -42,14 +42,6 @@ def grid_coords(rank: int, grid: tuple[int, int]) -> tuple[int, int]:
     return divmod(rank, n2)
 
 
-def grid_rank(p1: int, p2: int, grid: tuple[int, int]) -> int:
-    """Inverse of :func:`grid_coords`."""
-    n1, n2 = grid
-    if not (0 <= p1 < n1 and 0 <= p2 < n2):
-        raise DistributionError(f"({p1}, {p2}) outside grid {n1}x{n2}")
-    return p1 * n2 + p2
-
-
 def groups_along(grid: tuple[int, int], g: int) -> list[tuple[int, ...]]:
     """All rank groups that vary only along grid dimension *g*, in order.
 

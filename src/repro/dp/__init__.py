@@ -1,25 +1,11 @@
 """Dynamic programming for data distribution (paper §4, Algorithm 1)."""
 
-from repro.dp.algorithm1 import DPResult, algorithm1, brute_force_min_cost
+from repro.dp.algorithm1 import algorithm1
 from repro.dp.phases import PhaseTables, build_phase_tables, solve_program_distribution
-from repro.dp.validate import (
-    ArrayCheck,
-    RedistValidation,
-    TransitionReport,
-    execute_plan,
-    validate_transitions,
-)
 
 __all__ = [
     "algorithm1",
-    "brute_force_min_cost",
-    "ArrayCheck",
-    "DPResult",
     "PhaseTables",
-    "RedistValidation",
-    "TransitionReport",
     "build_phase_tables",
-    "execute_plan",
     "solve_program_distribution",
-    "validate_transitions",
 ]

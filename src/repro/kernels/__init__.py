@@ -7,19 +7,8 @@ message costs.  Sequential references live in
 :mod:`repro.kernels.linalg`.
 """
 
-from repro.kernels.linalg import (
-    gauss_seq,
-    jacobi_seq,
-    make_spd_system,
-    matmul_seq,
-    sor_seq,
-)
-from repro.kernels.jacobi import (
-    jacobi_coldist,
-    jacobi_grid2d,
-    jacobi_rowdist,
-    jacobi_rowdist_adaptive,
-)
+from repro.kernels.linalg import gauss_seq, jacobi_seq, make_spd_system, sor_seq
+from repro.kernels.jacobi import jacobi_coldist, jacobi_grid2d, jacobi_rowdist
 from repro.kernels.overlap import (
     heat_stencil_blocking,
     heat_stencil_overlap,
@@ -28,28 +17,19 @@ from repro.kernels.overlap import (
     sor_pipelined_overlap,
 )
 from repro.kernels.sor import sor_naive, sor_pipelined
-from repro.kernels.gauss import gauss_broadcast, gauss_pipelined, gauss_pivoted
+from repro.kernels.gauss import gauss_broadcast, gauss_pipelined
 from repro.kernels.cannon import cannon_matmul
-from repro.kernels.cg import cg_parallel, cg_seq
-from repro.kernels.matmul3d import matmul_3d
-from repro.kernels.multiphase import (
-    multiphase_gemv,
-    multiphase_gemv_seq,
-    multiphase_sections,
-)
-from repro.kernels.redblack import redblack_sor, redblack_sor_seq
-from repro.kernels.resilient import resilient_cg, resilient_jacobi, resilient_sor
+from repro.kernels.multiphase import multiphase_gemv, multiphase_sections
+from repro.kernels.resilient import resilient_jacobi
 from repro.kernels.sparse_cg import sparse_cg_parallel, sparse_cg_seq
-from repro.kernels.spmv import spmv_parallel, spmv_seq
+from repro.kernels.spmv import spmv_parallel
 
 __all__ = [
     "jacobi_seq",
     "sor_seq",
     "gauss_seq",
-    "matmul_seq",
     "make_spd_system",
     "jacobi_rowdist",
-    "jacobi_rowdist_adaptive",
     "jacobi_coldist",
     "jacobi_grid2d",
     "sor_naive",
@@ -61,20 +41,10 @@ __all__ = [
     "jacobi_ring_overlap",
     "gauss_broadcast",
     "gauss_pipelined",
-    "gauss_pivoted",
     "cannon_matmul",
-    "matmul_3d",
-    "cg_seq",
-    "cg_parallel",
     "multiphase_gemv",
-    "multiphase_gemv_seq",
     "multiphase_sections",
-    "redblack_sor",
-    "redblack_sor_seq",
     "resilient_jacobi",
-    "resilient_sor",
-    "resilient_cg",
-    "spmv_seq",
     "spmv_parallel",
     "sparse_cg_seq",
     "sparse_cg_parallel",

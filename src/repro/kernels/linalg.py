@@ -88,11 +88,6 @@ def gauss_seq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def matmul_seq(B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The §2 three-nested-loop product ``A = B x C``."""
-    return np.asarray(B, dtype=np.float64) @ np.asarray(C, dtype=np.float64)
-
-
 def make_spd_system(
     m: int, seed: int = 0, dominance: float = 2.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from collections.abc import Generator
 import numpy as np
 
 from repro.errors import MachineError
-from repro.machine.collectives import allgather, allreduce
+from repro.machine.collectives import allgather
 from repro.machine.engine import Proc
 
 
@@ -113,11 +113,3 @@ def redblack_sor(
     full = np.zeros((mp2, mp2))
     full[1 : mp2 - 1, :] = np.vstack(blocks)
     return full
-
-
-def residual_norm(p: Proc, u_loc: np.ndarray, f_loc: np.ndarray) -> Generator:
-    """Allreduce helper: global residual 2-norm of local interior blocks."""
-    local = float(np.sum(u_loc * u_loc))
-    p.compute(2 * u_loc.size, label="norm")
-    total = yield from allreduce(p, local, tuple(range(p.nprocs)), tag=132)
-    return float(total) ** 0.5

@@ -1,18 +1,6 @@
 """Fortran-style Do-loop DSL: lexer, parser, IR and canned paper programs."""
 
-from repro.lang.affine import Affine
-from repro.lang.ast import (
-    ArrayDecl,
-    ArrayRef,
-    Assign,
-    BinOp,
-    DoLoop,
-    Num,
-    Program,
-    ScalarRef,
-    Stmt,
-    UnaryOp,
-)
+from repro.lang.ast import DoLoop
 from repro.lang.parser import parse_program
 from repro.lang.printer import program_to_text
 from repro.lang.programs import (
@@ -23,17 +11,7 @@ from repro.lang.programs import (
 )
 
 __all__ = [
-    "Affine",
-    "ArrayDecl",
-    "ArrayRef",
-    "Assign",
-    "BinOp",
     "DoLoop",
-    "Num",
-    "Program",
-    "ScalarRef",
-    "Stmt",
-    "UnaryOp",
     "parse_program",
     "program_to_text",
     "jacobi_program",

@@ -122,18 +122,6 @@ def _draw(e: TraceEvent, depth: int = 0) -> dict:
     }
 
 
-def chrome_trace_events(
-    trace: list[list[TraceEvent]], process_name: str = "spmd"
-) -> list[dict]:
-    """The ``traceEvents`` list for one trace: every lane, one emitter.
-
-    *trace* holds the simulated rank lanes by index; a lane of
-    wall-clock events (``SpanRecorder.spans``, recording order) may
-    follow them and lands on the compiler thread.
-    """
-    return _lane_events(trace, trace_index(trace).pairs, process_name)
-
-
 def _lane_events(trace, pairs, process_name: str) -> list[dict]:
     """Metadata, one drawn event per trace event, one arrow pair per
     ``(send, recv)`` in *pairs*."""

@@ -20,48 +20,27 @@ import from anywhere in the dependency graph.
 
 from importlib import import_module
 
-from repro.obs.context import (
-    TraceContext,
-    current_context,
-    mint_context,
-    stamp_current,
-    tracing_context,
-)
+from repro.obs.context import mint_context, tracing_context
 
 __all__ = [
-    "TraceContext",
     "mint_context",
-    "current_context",
     "tracing_context",
-    "stamp_current",
     "TraceStore",
     "attribute_waits",
-    "WaitAttributionReport",
     "load_imbalance",
-    "ImbalanceReport",
-    "critical_path_diff",
-    "PathDiff",
     "drift_terms",
     "explain_drift",
-    "DriftDiagnosis",
     "diff_runs",
-    "RunDiff",
 ]
 
 #: Lazily resolved exports: name -> defining submodule.
 _LAZY = {
     "TraceStore": "repro.obs.store",
     "attribute_waits": "repro.obs.diagnose",
-    "WaitAttributionReport": "repro.obs.diagnose",
     "load_imbalance": "repro.obs.diagnose",
-    "ImbalanceReport": "repro.obs.diagnose",
-    "critical_path_diff": "repro.obs.diagnose",
-    "PathDiff": "repro.obs.diagnose",
     "drift_terms": "repro.obs.diagnose",
     "explain_drift": "repro.obs.diagnose",
-    "DriftDiagnosis": "repro.obs.diagnose",
     "diff_runs": "repro.obs.diagnose",
-    "RunDiff": "repro.obs.diagnose",
 }
 
 

@@ -6,64 +6,4 @@ communication-schedule compiler (:mod:`repro.pipeline.inspector`,
 docs/SPARSE.md).
 """
 
-from repro.pipeline.inspector import (
-    CommSchedule,
-    RankSchedule,
-    build_comm_schedule,
-    cached_comm_schedule,
-    gather_ghosts,
-    inspector_exchange,
-    schedule_digest,
-    spmv_local,
-    stamp_sparse,
-)
-from repro.pipeline.mapping import MappingChoice, choose_mapping, mapping_table
-from repro.pipeline.overlap import (
-    HaloExchange,
-    OverlapSchedule,
-    SweepOverlap,
-    overlap_schedule,
-    overlap_table,
-)
-from repro.pipeline.sor_schedule import (
-    ScheduleCell,
-    render_schedule,
-    schedule_properties,
-    sor_schedule_from_trace,
-)
-from repro.pipeline.transform import (
-    CommDecision,
-    TokenCost,
-    pipeline_decisions,
-    pipeline_savings,
-    savings_table,
-)
-
-__all__ = [
-    "MappingChoice",
-    "choose_mapping",
-    "mapping_table",
-    "ScheduleCell",
-    "sor_schedule_from_trace",
-    "render_schedule",
-    "schedule_properties",
-    "CommDecision",
-    "TokenCost",
-    "pipeline_decisions",
-    "pipeline_savings",
-    "savings_table",
-    "HaloExchange",
-    "OverlapSchedule",
-    "SweepOverlap",
-    "overlap_schedule",
-    "overlap_table",
-    "RankSchedule",
-    "CommSchedule",
-    "build_comm_schedule",
-    "schedule_digest",
-    "cached_comm_schedule",
-    "inspector_exchange",
-    "gather_ghosts",
-    "spmv_local",
-    "stamp_sparse",
-]
+__all__ = []

@@ -33,48 +33,20 @@ user-facing names; see docs/API.md.
 
 from __future__ import annotations
 
-from repro.service.cache import CacheStats, PlanCache, make_cache
-from repro.service.compiler import (
-    CompileRequest,
-    CompileResult,
-    CompileService,
-)
+from repro.service.cache import PlanCache
+from repro.service.compiler import CompileService
 from repro.service.supervisor import WorkerSupervisor
-from repro.service.guests import (
-    available_guests,
-    get_guest,
-    loop_nest,
-    lower,
-    program_from_json,
-    program_to_json,
-    register_guest,
-)
-from repro.service.normalize import (
-    IR_SCHEMA,
-    CanonicalForm,
-    canonicalize,
-    program_digest,
-    solve_digest,
-)
+from repro.service.guests import lower, program_to_json, register_guest
+from repro.service.normalize import canonicalize, program_digest, solve_digest
 
 __all__ = [
-    "IR_SCHEMA",
-    "CanonicalForm",
     "canonicalize",
     "program_digest",
     "solve_digest",
-    "CacheStats",
     "PlanCache",
-    "make_cache",
-    "available_guests",
-    "get_guest",
     "register_guest",
-    "loop_nest",
     "lower",
-    "program_from_json",
     "program_to_json",
-    "CompileRequest",
-    "CompileResult",
     "CompileService",
     "WorkerSupervisor",
 ]

@@ -89,7 +89,7 @@ from repro.obs.context import current_context, mint_context, tracing_context
 from repro.service.cache import _MISS, CacheStats, PlanCache, make_cache
 from repro.service.guests import lower
 from repro.service.normalize import IR_SCHEMA, CanonicalForm, canonicalize
-from repro.service.plan import Plan, PlanEntry, SolveOutcome, check_env, compile_plan
+from repro.service.plan import Plan, PlanEntry, SolveOutcome, check_env, check_nprocs, compile_plan
 from repro.service.supervisor import WorkerSupervisor
 from repro.util import spans
 from repro.util.spans import span
@@ -111,10 +111,10 @@ class _Memo:
     """One source-text memo entry: the form, and the digests served from it.
 
     ``digests`` maps what a request's digests hash besides the form —
-    strategy, ``nprocs`` and its type (``True`` and ``1`` format apart),
-    execute, env items — to ``(machine, plan key, solve key)``.  An
-    answer counts only while its ``machine`` *is* the service's, so a
-    reassigned :attr:`CompileService.machine` re-derives the solve key.
+    strategy, ``nprocs``, execute, env items — to ``(machine, plan key,
+    solve key)``.  An answer counts only while its ``machine`` *is* the
+    service's, so a reassigned :attr:`CompileService.machine` re-derives
+    the solve key.
     The digests live as long as the entry; the disk tier stores the form
     alone.
     """
@@ -149,7 +149,10 @@ class CompileRequest:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.env is not None:  # typed, and plain ints before any digest
+        # typed, and plain ints before any digest
+        if self.nprocs is not None:
+            object.__setattr__(self, "nprocs", check_nprocs(self.nprocs))
+        if self.env is not None:
             object.__setattr__(self, "env", check_env(self.env))
 
     @property
@@ -594,8 +597,7 @@ class CompileService:
         bypasses the memo (see :class:`_Memo`)."""
         if memo is not None:
             env = req.env
-            key = (req.strategy, req.nprocs, type(req.nprocs), req.execute,
-                   None if env is None else tuple(env.items()))
+            key = (req.strategy, req.nprocs, req.execute, None if env is None else tuple(env.items()))
             known = memo.digests.get(key)
             if known is not None and known[0] is machine:
                 return known[1], known[2]

@@ -38,6 +38,15 @@ def _is_int(value) -> bool:
     return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
+def check_nprocs(nprocs) -> int:
+    """*nprocs* as a plain ``int`` >= 1, checked at the public boundary like
+    :func:`check_env`: integral numpy scalars are coerced, ``bool``, ``str``,
+    ``float`` and values below 1 are a :class:`ReproError`."""
+    if not _is_int(nprocs) or nprocs < 1:
+        raise ReproError(f"nprocs must be a positive integer, got {nprocs!r}")
+    return int(nprocs)
+
+
 def check_env(env) -> dict[str, int]:
     """*env* as plain ``int`` values — the one check at the public boundary.
 
@@ -283,8 +292,7 @@ class Plan:
             raise ReproError(
                 f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
             )
-        if not _is_int(nprocs) or nprocs < 1:
-            raise ReproError(f"nprocs must be a positive integer, got {nprocs!r}")
+        nprocs = check_nprocs(nprocs)
         env = check_env(env)
         model = model or MachineModel()
         fn = load_generated(self.generated)
@@ -308,7 +316,7 @@ class Plan:
         lower and run every chosen redistribution
         (:mod:`repro.dp.validate`) and fill ``validation``."""
         out = solve_program_distribution(
-            self.program, nprocs, check_env(env), model or MachineModel(),
+            self.program, check_nprocs(nprocs), check_env(env), model or MachineModel(),
             execute=execute, backends=backends, segment_memo=segment_memo,
         )
         if execute:
@@ -331,6 +339,8 @@ class Plan:
             entry=self.generated.entry,
             pattern=self.generated.pattern,
         )
+        if nprocs is not None:
+            nprocs = check_nprocs(nprocs)
         if nprocs is None or env is None:
             return Explanation(**base)
         outcome = self.solve(nprocs, env, model=model)

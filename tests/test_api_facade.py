@@ -144,12 +144,18 @@ class TestPublicBoundaryIsTyped:
     def test_run_refuses_a_non_integer_nprocs(self, nprocs):
         from repro.errors import ReproError
 
-        with pytest.raises(ReproError, match="nprocs must be a positive integer"):
-            api.compile_program(jacobi_program()).run(nprocs, ENV)
-        with pytest.raises(ReproError, match="nprocs must be a positive integer"):
-            api.compile_and_run(jacobi_program(), nprocs, ENV)
-        with pytest.raises(ReproError, match="nprocs must be a positive integer"):
-            api.Session().compile(jacobi_program()).run(nprocs, ENV)
+        plan = api.compile_program(jacobi_program())
+        for call in (
+            lambda: plan.run(nprocs, ENV),
+            lambda: plan.solve(nprocs, ENV),
+            lambda: plan.explain(nprocs, ENV),
+            lambda: api.compile_and_run(jacobi_program(), nprocs, ENV),
+            lambda: api.Session().compile(jacobi_program()).run(nprocs, ENV),
+            lambda: api.Session().compile(jacobi_program(), nprocs=nprocs, env=ENV),
+            lambda: api.CompileRequest(jacobi_program(), nprocs=nprocs, env=ENV),
+        ):
+            with pytest.raises(ReproError, match="nprocs must be a positive integer"):
+                call()
 
     @pytest.mark.parametrize("bad", ["8", 8.0, True, None], ids=repr)
     def test_env_values_must_be_integers_and_the_error_names_the_key(self, bad):
@@ -205,11 +211,11 @@ class TestPublicBoundaryIsTyped:
         session = api.Session()
         plain = session.compile(jacobi_program(), nprocs=4, env={"m": 8, "maxiter": 1})
         numpy = session.compile(
-            jacobi_program(), nprocs=4, env={"m": np.int64(8), "maxiter": np.int32(1)}
+            jacobi_program(), nprocs=np.int64(4), env={"m": np.int64(8), "maxiter": np.int32(1)}
         )
         assert numpy.solve_key == plain.solve_key and numpy.solve_cached
         assert numpy.request.env == {"m": 8, "maxiter": 1}
-        assert all(type(v) is int for v in numpy.request.env.values())
+        assert all(type(v) is int for v in (numpy.request.nprocs, *numpy.request.env.values()))
         assert numpy.run().makespan == plain.run().makespan
 
 

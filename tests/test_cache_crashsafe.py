@@ -35,8 +35,8 @@ from repro.api import compile_program
 from repro.lang import jacobi_program
 from repro.lang.programs import JACOBI_SOURCE, SOR_SOURCE
 from repro.machine.model import MachineModel
-from repro.service import CompileRequest, CompileService, PlanCache
-from repro.service import cache as cache_mod
+from repro.service.compiler import CompileRequest
+from repro.service import CompileService, PlanCache, cache as cache_mod
 from repro.util import spans
 from repro.util.lazy import pending
 from tests.test_service_normalize import answer

@@ -5,14 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codegen import (
+from repro.codegen.patterns import (
     GaussPattern,
     IterativeSolvePattern,
-    generate_spmd,
-    load_generated,
     match_gauss,
     match_iterative_solve,
 )
+from repro.codegen import generate_spmd, load_generated
 from repro.errors import CodegenError
 from repro.kernels import gauss_seq, jacobi_seq, make_spd_system, sor_seq
 from repro.lang import gauss_program, jacobi_program, matmul_program, parse_program, sor_program
@@ -61,14 +60,14 @@ class TestRecognizers:
         assert match_gauss(matmul_program()) is None
 
     def test_matmul_recognized(self):
-        from repro.codegen import match_matmul
+        from repro.codegen.patterns import match_matmul
 
         pat = match_matmul(matmul_program())
         assert pat is not None
         assert (pat.out, pat.left, pat.right, pat.n) == ("A", "B", "C", "n")
 
     def test_matmul_transposed_operand_rejected(self):
-        from repro.codegen import match_matmul
+        from repro.codegen.patterns import match_matmul
         from repro.lang import parse_program
 
         text = (
@@ -130,7 +129,7 @@ class TestTemplateRecognizers:
 
     @pytest.mark.parametrize("family", sorted(STRIDED))
     def test_strided_or_partial_variant_is_not_matched(self, family):
-        from repro.codegen import match_matmul
+        from repro.codegen.patterns import match_matmul
 
         listing, old, new = STRIDED[family]
         assert old in listing
@@ -221,7 +220,7 @@ class TestIndexNamesAndSharedRoles:
         assert generate_spmd(program).source == generate_spmd(parse_program(listing)).source
 
     def test_matmul_squares_one_operand(self):
-        from repro.codegen import match_matmul
+        from repro.codegen.patterns import match_matmul
         from repro.machine import Grid2D
 
         program = parse_program(MATMUL_SOURCE.replace("C(k, j)", "B(k, j)"))
@@ -234,7 +233,7 @@ class TestIndexNamesAndSharedRoles:
     def test_one_array_in_two_roles_the_emitters_keep_apart_is_refused(self):
         """``B`` and ``X`` are separate inputs of the emitted solver; the
         old matcher returned ``B == X`` and ran with an unrelated ``X0``."""
-        from repro.codegen import match_matmul
+        from repro.codegen.patterns import match_matmul
 
         text = JACOBI_SOURCE.replace("(B(i) - V(i))", "(X(i) - V(i))")
         assert match_iterative_solve(parse_program(text)) is None

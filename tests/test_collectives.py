@@ -13,22 +13,18 @@ from repro.errors import CommunicationError
 from repro.machine import (
     Hypercube,
     MachineModel,
-    PostedTransport,
-    ReliableTransport,
     Ring,
-    Transport,
     allgather,
     allreduce,
-    barrier,
     bcast,
-    gather,
     reduce,
     run_spmd,
-    run_spmd_threaded,
-    scatter,
     shift,
 )
-from repro.machine.collectives import affine_transform
+from repro.machine.nonblocking import PostedTransport
+from repro.machine.resilient import ReliableTransport
+from repro.machine.collectives import Transport, affine_transform, barrier, gather, scatter
+from repro.machine.threaded import run_spmd_threaded
 from repro.machine.faults import FaultPlan
 
 

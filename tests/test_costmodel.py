@@ -8,8 +8,6 @@ import pytest
 
 from repro.costmodel import (
     CommCosts,
-    best_grid,
-    gauss_broadcast_time,
     gauss_pipelined_time,
     grid_candidates,
     jacobi_dp_time,
@@ -17,6 +15,8 @@ from repro.costmodel import (
     sor_naive_time,
     sor_pipelined_time,
 )
+from repro.costmodel.gridsearch import best_grid
+from repro.costmodel.formulas import gauss_broadcast_time
 from repro.errors import CostModelError
 from repro.machine.model import MachineModel
 

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dependence import (
-    DistanceVector,
-    banerjee_bounds_test,
+from repro.dependence.vectors import DistanceVector
+from repro.dependence.tests import banerjee_bounds_test, gcd_test, siv_test
+from repro.dependence.analysis import (
     find_dependences,
-    gcd_test,
     live_loop_carried_arrays,
     loop_carried_arrays,
-    siv_test,
 )
 from repro.lang import gauss_program, jacobi_program, parse_program, sor_program
 from repro.lang.affine import Affine

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.costmodel import estimate_loop_cost
-from repro.distribution import Kind, scheme_from_directives
+from repro.distribution import Kind
+from repro.distribution.schemes import scheme_from_directives
 from repro.dp import solve_program_distribution
 from repro.errors import DistributionError, ParseError
 from repro.lang import parse_program, program_to_text

@@ -1,10 +1,10 @@
 """The hand-written tables restate nothing the rows do not say (ISSUE 18).
 
 Table 1 lives in ``repro.costmodel.primitives.TABLE1`` and the layout-change
-rules in ``repro.distribution.RULES``; the tables in the module docstrings
-and in ``docs/REDISTRIBUTION.md`` are prose copies for readers.  Each is
-checked line by line against the rows, so a row that changes (or a new
-one) fails here until the prose follows.
+rules in ``repro.distribution.redistribution.RULES``; the tables in the
+module docstrings and in ``docs/REDISTRIBUTION.md`` are prose copies for
+readers.  Each is checked line by line against the rows, so a row that
+changes (or a new one) fails here until the prose follows.
 
 The ``report`` CLI's tables (ISSUE 23) go one step further: the usage
 block of ``repro.tools.report``'s docstring and the mode / named-run
@@ -24,7 +24,8 @@ import pytest
 
 from repro.costmodel import primitives
 from repro.costmodel.primitives import TABLE1
-from repro.distribution import RULES, redistribution, runtime
+from repro.distribution.redistribution import RULES
+from repro.distribution import redistribution, runtime
 from repro.machine import Hypercube, MachineModel, collectives, run_spmd
 from repro.tools import report
 from repro.tools.runs import RUNS

@@ -7,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costmodel import jacobi_dp_time
-from repro.dp import (
-    algorithm1,
-    brute_force_min_cost,
-    build_phase_tables,
-    solve_program_distribution,
-)
+from repro.dp import algorithm1, build_phase_tables, solve_program_distribution
+from repro.dp.algorithm1 import brute_force_min_cost
 from repro.errors import CostModelError
 from repro.lang import jacobi_program, parse_program
 from repro.machine.model import MachineModel

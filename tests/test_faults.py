@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FaultError, RankCrashedError
-from repro.kernels import jacobi_rowdist, resilient_jacobi, resilient_sor
+from repro.kernels import jacobi_rowdist, resilient_jacobi
+from repro.kernels.resilient import resilient_sor
 from repro.machine import MachineModel, Ring, run_spmd
 from repro.machine.faults import CrashFault, FaultPlan, FaultState
 from repro.machine.threaded import run_spmd_threaded

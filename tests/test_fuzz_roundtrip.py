@@ -6,7 +6,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dependence import find_dependences
+from repro.dependence.analysis import find_dependences
 from repro.lang import parse_program, program_to_text
 from repro.lang.analysis import collect_ref_sites
 from repro.machine.model import MachineModel

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kernels import gauss_broadcast, gauss_pivoted, make_spd_system
+from repro.kernels import gauss_broadcast, make_spd_system
+from repro.kernels.gauss import gauss_pivoted
 from repro.machine import MachineModel, Ring, run_spmd
 
 MODEL = MachineModel(tf=1, tc=10)

@@ -41,31 +41,31 @@ import pytest
 
 from repro.codegen import generate_spmd
 from repro.distribution.sparse import SparsePlacement
+from repro.kernels.cg import cg_parallel
 from repro.kernels import (
-    cg_parallel,
     gauss_broadcast,
     gauss_pipelined,
-    gauss_pivoted,
     heat_stencil_blocking,
     heat_stencil_overlap,
     jacobi_ring_blocking,
     jacobi_ring_overlap,
     jacobi_rowdist,
-    jacobi_rowdist_adaptive,
     make_spd_system,
-    resilient_cg,
     resilient_jacobi,
-    resilient_sor,
     sor_pipelined,
     sor_pipelined_overlap,
     sparse_cg_parallel,
     spmv_parallel,
 )
+from repro.kernels.gauss import gauss_pivoted
+from repro.kernels.jacobi import jacobi_rowdist_adaptive
+from repro.kernels.resilient import resilient_cg, resilient_sor
 from repro.lang import parse_program
 from repro.machine import CheckpointStore, MachineModel, Ring, run_resilient, run_spmd
 from repro.machine.faults import FaultPlan
 from repro.machine.threaded import run_spmd_threaded
-from repro.obs import TraceContext, TraceStore, tracing_context
+from repro.obs.context import TraceContext
+from repro.obs import TraceStore, tracing_context
 from repro.pipeline.inspector import build_comm_schedule
 from repro.sparse.csr import random_spd_csr
 from tests.test_stencil2d_codegen import HEAT2D

@@ -5,18 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.costmodel.primitives import CommCosts
-from repro.distribution import (
-    ArrayPlacement,
-    Dist1D,
-    Dist2D,
-    Kind,
-    Scheme,
+from repro.distribution import ArrayPlacement, Dist1D, Dist2D, Kind, Scheme
+from repro.distribution.redistribution import (
+    placement_change_terms,
     redistribution_cost,
-    render_layout,
     replication_cost,
 )
-from repro.distribution.layout import block_summary, layout_matrix, ownership_table
-from repro.distribution.redistribution import placement_change_terms
+from repro.distribution.layout import block_summary, layout_matrix, ownership_table, render_layout
 from repro.errors import DistributionError
 from repro.machine.model import MachineModel
 

@@ -18,18 +18,10 @@ from repro.errors import (
     RankCrashedError,
     RetryExhaustedError,
 )
-from repro.machine import (
-    MachineModel,
-    NBComm,
-    ReliableTransport,
-    Ring,
-    run_spmd,
-    run_spmd_threaded,
-    waitall,
-    waitany,
-)
+from repro.machine import MachineModel, NBComm, Ring, run_spmd, waitall, waitany
+from repro.machine.resilient import ReliableTransport, RetryPolicy
+from repro.machine.threaded import run_spmd_threaded
 from repro.machine.faults import CrashFault, FaultPlan
-from repro.machine.resilient import RetryPolicy
 
 RUNNERS = [run_spmd, run_spmd_threaded]
 

@@ -17,13 +17,8 @@ import pytest
 from repro.lang import jacobi_program
 from repro.machine import MachineModel, Ring, chrome_trace_json, run_spmd
 from repro.machine.export import COMPILER_TID
-from repro.obs import (
-    TraceContext,
-    current_context,
-    mint_context,
-    stamp_current,
-    tracing_context,
-)
+from repro.obs.context import TraceContext, current_context, stamp_current
+from repro.obs import mint_context, tracing_context
 from repro.service import CompileService, WorkerSupervisor
 from repro.util import spans
 
@@ -151,7 +146,7 @@ class TestEngineStamping:
         assert res.metrics.obs["request_digest"] == "feedface"
 
     def test_threaded_twin_stamps_identically(self):
-        from repro.machine import run_spmd_threaded
+        from repro.machine.threaded import run_spmd_threaded
 
         ctx = mint_context()
         with tracing_context(ctx):

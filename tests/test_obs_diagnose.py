@@ -18,14 +18,14 @@ import pytest
 
 from repro.costmodel.bands import get_band
 from repro.errors import ReproError, TraceError
-from repro.machine import MachineModel, Ring, critical_path, match_messages, run_spmd
+from repro.machine import MachineModel, Ring, critical_path, run_spmd
+from repro.machine.export import match_messages
 from repro.machine.faults import FaultPlan
 from repro.machine.trace import TraceEvent, nesting_depths
+from repro.obs.context import TraceContext
 from repro.obs import (
-    TraceContext,
     TraceStore,
     attribute_waits,
-    critical_path_diff,
     diff_runs,
     drift_terms,
     explain_drift,
@@ -33,6 +33,7 @@ from repro.obs import (
     mint_context,
     tracing_context,
 )
+from repro.obs.diagnose import critical_path_diff
 from repro.tools.runs import RUNS
 
 @pytest.fixture(scope="module")
@@ -272,7 +273,7 @@ class TestMetricsRoundTrip:
         m = chaos_run.metrics
         ctx = mint_context(request_digest="abcdef012345")
         with tracing_context(ctx):
-            from repro.obs import stamp_current
+            from repro.obs.context import stamp_current
 
             stamp_current(m)
         m.service["cache_hits"] = 3

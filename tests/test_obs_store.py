@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from repro.errors import TraceError
 from repro.machine import MachineModel, Ring, run_spmd
 from repro.machine.trace import TraceEvent
-from repro.obs import TraceContext, TraceStore, tracing_context
+from repro.obs.context import TraceContext
+from repro.obs import TraceStore, tracing_context
 from repro.obs.store import SCHEMA, _scope_matches
 
 MODEL = MachineModel(tf=1, tc=10)

@@ -14,9 +14,9 @@ from repro.machine import (
     bcast,
     chrome_trace_json,
     critical_path,
-    match_messages,
     run_spmd,
 )
+from repro.machine.export import match_messages
 from repro.machine.threaded import run_spmd_threaded
 from repro.machine.trace import TraceEvent, gantt, wait_time
 

@@ -30,14 +30,10 @@ from repro.kernels import (
     sor_pipelined_overlap,
 )
 from repro.lang import parse_program
-from repro.machine import (
-    MachineModel,
-    PostedTransport,
-    Ring,
-    run_spmd,
-    run_spmd_threaded,
-)
-from repro.pipeline import overlap_schedule, overlap_table
+from repro.machine import MachineModel, Ring, run_spmd
+from repro.machine.nonblocking import PostedTransport
+from repro.machine.threaded import run_spmd_threaded
+from repro.pipeline.overlap import overlap_schedule, overlap_table
 
 N = 8
 

@@ -1,15 +1,15 @@
-"""Source-sweep guards: dead package exports (ISSUE 9), kernel twins (ISSUE 14),
-the one FIFO pairing pass (ISSUE 15), the one Table 1 / rule table (ISSUE 18),
-the one machine core under two drivers (ISSUE 19), the one run registry /
-mode table / emitter of the tools (ISSUE 23) and the template recognizers /
-one family table of the code generator (ISSUE 24).
+"""Source-sweep guards: no dead public names, no kernel twins, the one FIFO
+pairing pass, the one Table 1 / rule table, the one machine core under
+two drivers, the one run registry / mode table / emitter of the tools and
+the template recognizers / one family table of the code generator.
 
-The PR 7 shim check keeps removed names out; this is the dual — every
-*public* top-level class and function defined in a ``distribution`` or
-``pipeline`` module must be importable from the package root, and every
-``__all__`` entry must resolve.  A new module whose names are forgotten
-in ``__init__`` fails here by name.  The second half keeps the kernel
-and emitter copies ISSUE 14 removed from growing back.
+The shim check keeps removed names out; this is the dual.  Every public
+top-level class and function of a package's modules is reached from a
+root or used by a test (the map ``tests/reachability.py`` writes to
+docs/REACHABILITY.md), a package root re-exports only what a root or a
+``src`` module imports through it, and every ``__all__`` entry resolves.
+The second half keeps removed kernel and emitter copies from growing
+back.
 """
 
 from __future__ import annotations
@@ -20,27 +20,15 @@ import pathlib
 
 import pytest
 
+from tests.reachability import MAP, analyse, public, reexports, render
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Packages whose __all__ is swept against their modules' public names.
 SWEPT = ("distribution", "pipeline", "sparse", "kernels", "costmodel")
 
-
-def _public_defs(package: str) -> dict[str, list[str]]:
-    names: dict[str, list[str]] = {}
-    for path in sorted((SRC / package).glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text())
-        mod_names = [
-            node.name
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-        ]
-        if mod_names:
-            names[path.stem] = mod_names
-    return names
+#: Every package of ``src/repro``: the top level, then each sub-package.
+PACKAGES = ("repro", *sorted(p.name for p in SRC.iterdir() if (p / "__init__.py").exists()))
 
 
 @pytest.mark.parametrize("package", SWEPT)
@@ -52,20 +40,29 @@ def test_all_entries_resolve(package):
         )
 
 
-@pytest.mark.parametrize("package", ("distribution", "pipeline"))
+@pytest.mark.parametrize("package", PACKAGES)
 def test_no_dead_public_names(package):
-    pkg = importlib.import_module(f"repro.{package}")
-    exported = set(pkg.__all__)
-    missing = {
-        f"{module}.{name}"
-        for module, names in _public_defs(package).items()
-        for name in names
-        if name not in exported
-    }
-    assert not missing, (
-        f"public names in repro.{package} modules missing from __all__: "
-        f"{sorted(missing)}"
+    pkg = package if package == "repro" else f"repro.{package}"
+    graph, reached, by_test, _ = analyse()
+    tested = set().union(*by_test.values())
+    dead = [
+        f"{mod}.{name}"
+        for mod in graph.trees
+        if mod.rpartition(".")[0] == pkg and mod not in graph.packages
+        for name in public(graph, mod)
+        if (mod, name) not in reached and (mod, name) not in tested
+    ]
+    assert not dead, f"public names no root and no test reaches: {dead}"
+    bound, used = reexports(pkg)
+    assert not bound - used, (
+        f"{pkg} re-exports names nothing imports through it: {sorted(bound - used)}"
     )
+
+
+def test_reachability_map_is_current():
+    text, problems = render()
+    assert not problems, problems
+    assert MAP.read_text() == text, "run python -m tests.reachability --write"
 
 
 def test_sparse_facade_covers_subsystem():

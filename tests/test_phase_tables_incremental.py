@@ -35,8 +35,10 @@ from hypothesis import strategies as st
 import repro.dependence.analysis as dependence_analysis
 import repro.dp.phases as phases
 from repro.alignment import alignment_to_scheme, build_cag, exact_alignment, greedy_alignment
-from repro.costmodel import LoopFacts, estimate_loop_cost, grid_candidates
-from repro.dp import algorithm1, brute_force_min_cost, build_phase_tables
+from repro.costmodel.loopcost import LoopFacts
+from repro.costmodel import estimate_loop_cost, grid_candidates
+from repro.dp import algorithm1, build_phase_tables
+from repro.dp.algorithm1 import brute_force_min_cost
 from repro.dp.phases import PhaseEntry, solve_program_distribution
 from repro.errors import AlignmentError
 from repro.lang import parse_program

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dependence import find_dependences
+from repro.dependence.analysis import find_dependences
 from repro.dependence.tests import affine_range, definitely_negative, ranges_disjoint
 from repro.lang import parse_program
 from repro.lang.affine import Affine

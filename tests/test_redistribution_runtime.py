@@ -20,20 +20,18 @@ from hypothesis import strategies as st
 
 from repro.costmodel import CommCosts
 from repro.costmodel.bands import REDIST_WORDS
+from repro.distribution.redistribution import RULES, TERM_KINDS, change_rule
 from repro.distribution import (
-    RULES,
     ArrayPlacement,
     Kind,
-    assemble,
-    change_rule,
     lower_placement_delta,
     pack_section,
     placement_change_plan,
     redistribute,
-    section_table,
 )
-from repro.distribution.redistribution import TERM_KINDS
-from repro.dp import solve_program_distribution, validate_transitions
+from repro.distribution.sections import assemble, section_table
+from repro.dp import solve_program_distribution
+from repro.dp.validate import validate_transitions
 from repro.errors import DistributionError
 from repro.lang import jacobi_program
 from repro.machine import Grid2D, MachineModel, run_spmd
@@ -332,7 +330,8 @@ class TestMultiphaseKernel:
 
 class TestGeneratedRedistProgram:
     def test_emitted_source_round_trips(self):
-        from repro.codegen import RedistMove, emit_redistribution_program, load_generated
+        from repro.codegen.redist import RedistMove, emit_redistribution_program
+        from repro.codegen import load_generated
 
         mv = RedistMove("T", pl((1,)), pl((None,), rest="replicated"), (16,))
         gen = emit_redistribution_program([mv], (4, 1))
@@ -346,7 +345,7 @@ class TestGeneratedRedistProgram:
         assert res.metrics.scope_totals("redist:T").words == 4 * 3 * 4
 
     def test_duplicate_moves_rejected(self):
-        from repro.codegen import RedistMove, emit_redistribution_program
+        from repro.codegen.redist import RedistMove, emit_redistribution_program
         from repro.errors import CodegenError
 
         mv = RedistMove("T", pl((1,)), pl((None,)), (8,))

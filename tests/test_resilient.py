@@ -6,25 +6,18 @@ import numpy as np
 import pytest
 
 from repro.errors import FaultError, MachineError, RetryExhaustedError
-from repro.kernels import (
-    cg_parallel,
-    jacobi_rowdist,
-    make_spd_system,
-    resilient_cg,
-    resilient_jacobi,
-    resilient_sor,
-    sor_pipelined,
-)
+from repro.kernels.cg import cg_parallel
+from repro.kernels import jacobi_rowdist, make_spd_system, resilient_jacobi, sor_pipelined
+from repro.kernels.resilient import resilient_cg, resilient_sor
 from repro.machine import (
     CheckpointStore,
     MachineModel,
-    ReliableTransport,
-    RetryPolicy,
     Ring,
     chrome_trace_json,
     run_resilient,
     run_spmd,
 )
+from repro.machine.resilient import ReliableTransport, RetryPolicy
 from repro.machine.faults import FaultPlan
 from repro.machine.threaded import run_spmd_threaded
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.errors import CommunicationError
-from repro.machine import ACK_TAG_BASE, Ring, run_spmd
-from repro.machine.engine import TIMED_OUT
+from repro.machine.engine import ACK_TAG_BASE, TIMED_OUT
+from repro.machine import Ring, run_spmd
 from repro.machine.threaded import run_spmd_threaded
 
 RUNNERS = [

@@ -44,7 +44,8 @@ from repro.lang import (
     sor_program,
 )
 from repro.machine.model import MachineModel
-from repro.service import CompileService, PlanCache, canonicalize, make_cache
+from repro.service import CompileService, PlanCache, canonicalize
+from repro.service.cache import make_cache
 from repro.service import cache as cache_mod
 from repro.service.plan import PlanEntry
 from repro.util import spans

@@ -20,16 +20,8 @@ from repro.lang import (
     program_to_text,
     sor_program,
 )
-from repro.service import (
-    available_guests,
-    get_guest,
-    loop_nest,
-    lower,
-    program_digest,
-    program_from_json,
-    program_to_json,
-    register_guest,
-)
+from repro.service.guests import available_guests, get_guest, loop_nest, program_from_json
+from repro.service import lower, program_digest, program_to_json, register_guest
 
 CORPUS = [jacobi_program, sor_program, gauss_program, matmul_program]
 

@@ -37,8 +37,8 @@ from repro.lang import (
 from repro.lang.ast import ArrayDecl, Assign, BinOp, Call, DoLoop, UnaryOp
 from repro.lang.programs import GAUSS_SOURCE, JACOBI_SOURCE, MATMUL_SOURCE, SOR_SOURCE
 from repro.machine.model import MachineModel
+from repro.service.compiler import CompileRequest
 from repro.service import (
-    CompileRequest,
     CompileService,
     canonicalize,
     lower,

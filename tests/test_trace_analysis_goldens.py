@@ -41,7 +41,8 @@ from repro.lang.programs import (
     MATMUL_SOURCE,
     SOR_SOURCE,
 )
-from repro.machine import chrome_trace_json, critical_path, match_messages
+from repro.machine import chrome_trace_json, critical_path
+from repro.machine.export import match_messages
 from repro.obs import TraceStore, attribute_waits, load_imbalance
 from repro.tools import report
 

@@ -33,7 +33,8 @@ import pytest
 
 from repro.machine.export import COMPILER_TID, chrome_trace_json
 from repro.machine.trace import TraceEvent
-from repro.obs import TraceContext, TraceStore, tracing_context
+from repro.obs.context import TraceContext
+from repro.obs import TraceStore, tracing_context
 from repro.tools.report import TRACED, _chaos_jacobi
 
 GOLDENS = json.loads(

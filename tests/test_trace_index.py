@@ -21,15 +21,9 @@ from repro.dp import solve_program_distribution
 from repro.errors import TraceError
 from repro.kernels import make_spd_system, sor_pipelined
 from repro.lang import jacobi_program
-from repro.machine import (
-    Engine,
-    MachineModel,
-    Ring,
-    chrome_trace_json,
-    critical_path,
-    match_messages,
-    run_spmd,
-)
+from repro.machine.engine import Engine
+from repro.machine import MachineModel, Ring, chrome_trace_json, critical_path, run_spmd
+from repro.machine.export import match_messages
 from repro.machine.threaded import run_spmd_threaded
 from repro.machine.trace import (
     Trace,

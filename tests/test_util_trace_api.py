@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,14 @@ class TestTrace:
 class TestPublicApi:
     def test_version(self):
         assert repro.__version__
+
+    def test_version_is_declared_once(self):
+        """The package metadata reads ``repro.__version__``; no second copy."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+        meta = tomllib.loads(pyproject.read_text())
+        assert "version" not in meta["project"] and "version" in meta["project"]["dynamic"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "repro.__version__"}
 
     def test_all_importable(self):
         for name in repro.__all__:
