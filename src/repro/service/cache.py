@@ -34,10 +34,21 @@ served hit does not read:
 Every other value is all head, as is a dict-shaped plan entry written
 before plans deferred.  Isolation and bit-identity are unchanged: each
 ``get`` owns its decoder, and a looked-up value pickles to the bytes
-the cold value does, before and after the rest is touched.  The first
-touch from the *disk* tier decodes both sections before promotion, so a
-damaged or old-layout entry is caught at ``lookup``, never at attribute
-access.
+the cold value does, before and after the rest is touched.  A rest
+that does not decode raises :class:`~repro.errors.ServiceError` when it
+is read, on that read and every later one.
+
+**Who wrote a disk entry.**  Each disk entry ends, inside its checksum,
+in the *vouch* of the code that wrote it (:func:`_vouch`: a tag and a
+sha256 of ``sys.version`` and every ``.py`` file of the ``repro``
+package).  The first touch of an entry that carries *this* code's vouch
+decodes the head only, as a memory hit does: this code's own
+``_encode`` wrote it, so it decodes.  Every other entry — another code
+version's (a class moved without a layout-tag bump), one without a
+vouch (written before entries carried one, or sealed by hand) — decodes
+both sections before promotion, so a damaged, old-layout or
+other-classes entry is caught at ``lookup``, never at attribute access.
+The vouch is not a MAC: see :func:`_vouch` for the trust boundary.
 
 * **memory tier** — an ``OrderedDict`` LRU bounded by ``capacity``;
 * **disk tier** — one ``<digest>.pkl`` file per entry under
@@ -53,10 +64,12 @@ crashes mid-write (ISSUE 8):
 * **atomic writes** — every entry is written to a same-directory temp
   file, fsynced, then ``os.replace``d into place, so a crash mid-write
   can never leave a torn entry under the content address;
-* **checksum trailers** — each file ends in a 32-byte sha256 of the
-  entry, verified on every disk read; a mismatched, truncated,
-  unpicklable or old-layout (untagged) entry is **quarantined** (moved
-  to ``disk_dir/quarantine/``) and served as a miss, never as garbage;
+* **checksum trailers** — each file ends in a 32-byte sha256 of
+  everything before it (the entry and its vouch), verified on every disk
+  read; a mismatched or truncated entry, and one that the first touch
+  verifies and finds unpicklable or in an old layout (untagged), is
+  **quarantined** (moved to ``disk_dir/quarantine/``) and served as a
+  miss, never as garbage;
 * **advisory file locking** — disk reads take a shared ``flock`` and
   writes an exclusive one on ``disk_dir/.lock``, so any number of
   services and supervised worker processes share one cache directory
@@ -64,8 +77,8 @@ crashes mid-write (ISSUE 8):
   a disk hit into memory is not a write and takes no exclusive lock;
 * **graceful degradation** — after ``disk_fault_limit`` *consecutive*
   ``OSError`` faults the disk tier is disabled and the cache continues
-  memory-only (counted in ``CacheStats.disk_faults`` /
-  ``disk_disabled``, logged, never silently wrong).
+  memory-only (counted in ``CacheStats.disk_faults``, flagged by
+  ``PlanCache.disk_disabled``, logged, never silently wrong).
 
 Counters live in :class:`CacheStats` — the compile-side twin of the
 simulator's :class:`repro.machine.metrics.Metrics` registry — and are
@@ -79,12 +92,14 @@ them from disk.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import logging
 import os
 import pathlib
 import pickle
+import sys
 import tempfile
 import threading
 from collections import OrderedDict
@@ -160,12 +175,19 @@ _LAYOUT = b"repro-entry/3\n"
 _MEMO_PREFIX = "form-"
 
 
+#: Leading bytes of a vouch (:func:`_vouch`), which follows the blob
+#: inside a disk entry's checksummed content.
+_VOUCH_TAG = b"repro-vouch/1\n"
+_VOUCH = len(_VOUCH_TAG) + hashlib.sha256().digest_size
+
+
 class _Rest:
     """The deferred section of a two-part entry: decoded on first call,
     by the unpickler that decoded the head (its memo resolves what the
-    sections share)."""
+    sections share).  A section that does not decode raises
+    :class:`~repro.errors.ServiceError`, on that call and every later one."""
 
-    __slots__ = ("blob", "head_end", "_unpickler", "_value", "_lock")
+    __slots__ = ("blob", "head_end", "_unpickler", "_value", "_damage", "_lock")
 
     def __init__(self, blob: bytes, head_end: int, unpickler: pickle.Unpickler) -> None:
         #: The entry this section is the tail of; ``blob[:head_end]`` is
@@ -173,13 +195,24 @@ class _Rest:
         self.blob: bytes | None = blob
         self.head_end = head_end
         self._unpickler: pickle.Unpickler | None = unpickler
+        self._damage: Exception | None = None
         self._lock = threading.Lock()
 
     def __call__(self) -> object:
         with self._lock:
             if self._unpickler is not None:
-                self._value = self._unpickler.load()
-                self._unpickler = self.blob = None
+                try:
+                    self._value = self._unpickler.load()
+                except Exception as exc:
+                    # without its traceback, whose frame holds self
+                    self._damage = exc.with_traceback(None)
+                finally:
+                    self._unpickler = self.blob = None
+            if self._damage is not None:
+                raise ServiceError(
+                    f"the deferred section of a {_LAYOUT.decode().strip()} cache entry "
+                    f"is damaged: {self._damage}"
+                ) from self._damage
             return self._value
 
 
@@ -209,8 +242,10 @@ def _encode(value: object) -> bytes:
 
 
 def _decode(blob: bytes, *, eager: bool = False) -> object:
-    """The one deserialiser; *eager* also decodes a deferred rest now
-    (the disk tier's first touch, which must surface damage here)."""
+    """The one deserialiser; *eager* also decodes a deferred rest now.
+    The disk tier's first touch of an entry this code did not vouch for
+    (:func:`_vouched`) is eager, so its damage surfaces here; any other
+    decode leaves the rest to its first read."""
     if not blob.startswith(_LAYOUT):
         raise pickle.UnpicklingError("cache entry lacks the layout tag")
     buf = io.BytesIO(blob)
@@ -228,6 +263,56 @@ def _decode(blob: bytes, *, eager: bool = False) -> object:
 def _seal(blob: bytes) -> bytes:
     """Append the sha256 trailer the disk tier verifies on every read."""
     return blob + hashlib.sha256(blob).digest()
+
+
+def _source_digest(root: pathlib.Path) -> bytes | None:
+    """sha256 of ``sys.version`` and every ``*.py`` file under *root*,
+    in sorted relative-path order, each as its path and its bytes;
+    ``None`` when there is no such file or one cannot be read."""
+    try:
+        files = sorted((path.relative_to(root).as_posix(), path) for path in root.rglob("*.py"))
+        if not files:
+            return None
+        digest = hashlib.sha256(sys.version.encode())
+        for name, path in files:
+            data = path.read_bytes()
+            digest.update(b"%d:%s%d:" % (len(name), name.encode(), len(data)))
+            digest.update(data)
+        return digest.digest()
+    except (OSError, ValueError):
+        return None
+
+
+@functools.cache
+def _vouch() -> bytes:
+    """This code's signature on the disk entries it writes: the tag and
+    the :func:`_source_digest` of the ``repro`` package, computed once
+    per process, on first disk use; ``b""`` (no vouch) for a package
+    without ``.py`` source.
+
+    A version string would not do: it does not change between commits,
+    so an entry pickled before a class moved would still be trusted.
+    The vouch is not a MAC.  A hostile writer can forge it, as it can
+    already forge the checksum or store a pickle that runs code: the
+    cache directory is trusted like the code itself.  A rest sealed as
+    garbage behind this code's vouch is therefore served, and raises
+    :class:`~repro.errors.ServiceError` when it is first read.
+    """
+    digest = _source_digest(pathlib.Path(__file__).resolve().parents[1])
+    return b"" if digest is None else _VOUCH_TAG + digest
+
+
+def _vouched(content: bytes) -> tuple[bytes, bool]:
+    """Split an unsealed entry into its blob and whether this code
+    vouched for it.  Another code's vouch is stripped and answers
+    False, as does content without one (a raw :func:`_seal`, or a file
+    written before entries carried vouches)."""
+    own = _vouch()
+    if own and content.endswith(own):
+        return content[: -len(own)], True
+    if len(content) >= _VOUCH and content[-_VOUCH:].startswith(_VOUCH_TAG):
+        return content[:-_VOUCH], False
+    return content, False
 
 
 def _unseal(data: bytes) -> bytes | None:
@@ -344,7 +429,8 @@ class PlanCache:
         logger.warning("plan cache quarantined corrupt entry %s", path.name)
 
     def _disk_read(self, key: str) -> bytes | None:
-        """Checksum-verified read; corrupt entries quarantine as misses."""
+        """Checksum-verified read of an entry's content (blob and vouch);
+        corrupt entries quarantine as misses."""
         path = self._disk_path(key)
         if path is None:
             return None
@@ -370,14 +456,17 @@ class PlanCache:
 
     def _disk_load(self, key: str) -> tuple[object, bytes] | None:
         """The disk half of a probe, counting nothing but damage: read,
-        unseal, decode both sections.  An entry whose checksum holds but
-        whose payload predates the current layout (or was poisoned before
-        sealing) is quarantined like a corrupt one."""
-        blob = self._disk_read(key)
-        if blob is None:
+        unseal, decode.  An entry this code vouched for (:func:`_vouch`)
+        decodes its head only, as a memory hit does; any other entry
+        decodes both sections, and one whose checksum holds but whose
+        payload another code's classes or layout wrote (or that was
+        poisoned before sealing) is quarantined like a corrupt one."""
+        content = self._disk_read(key)
+        if content is None:
             return None
+        blob, own = _vouched(content)
         try:
-            return _decode(blob, eager=True), blob
+            return _decode(blob, eager=not own), blob
         except Exception:
             self._discard(key)
             return None
@@ -392,10 +481,11 @@ class PlanCache:
         path = self._disk_path(key)
         if path is None:
             return
+        vouch = _vouch()  # first disk use hashes the package: not under the lock
         try:
             with self._disk_lock(exclusive=True):
                 if not path.exists():
-                    _write_atomic(path, _seal(blob))
+                    _write_atomic(path, _seal(blob + vouch))
         except OSError as exc:
             self._disk_fault("write", exc)
             return

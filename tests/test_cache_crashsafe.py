@@ -8,7 +8,9 @@
   identically;
 * an entry whose *deferred* section is damaged, or that predates the
   tagged entry layout, is caught the same way at ``lookup`` — never
-  later, at attribute access (ISSUE 16);
+  later, at attribute access (ISSUE 16) — unless this very code wrote
+  it: such an entry carries this code's *vouch* and its first touch
+  decodes the head only, like a memory hit (the trust matrix below);
 * a disk *read* takes the shared lock only: promoting a hit into memory
   is not a write;
 * repeated disk ``OSError`` faults degrade the cache to memory-only
@@ -23,6 +25,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import pathlib
@@ -32,6 +35,7 @@ import shutil
 import pytest
 
 from repro.api import compile_program
+from repro.errors import ServiceError
 from repro.lang import jacobi_program
 from repro.lang.programs import JACOBI_SOURCE, SOR_SOURCE
 from repro.machine.model import MachineModel
@@ -46,6 +50,18 @@ MODEL = MachineModel(tf=1, tc=10)
 
 def entry_path(cache: PlanCache, key: str):
     return cache.disk_dir / f"{key}.pkl"
+
+
+def garbage_rest(blob: bytes) -> bytes:
+    return blob[:-64] + bytes(64)  # a solve entry's tables are its tail
+
+
+@pytest.fixture(scope="module")
+def outcome():
+    """A cold solve served through the service, so a hit of it pickles
+    to its bytes (a direct ``Plan.solve`` pickles a few bytes longer)."""
+    svc = CompileService(machine=MODEL)
+    return svc.compile(JACOBI_SOURCE, nprocs=4, env={"m": 32, "maxiter": 2}).outcome
 
 
 class TestAtomicWrites:
@@ -139,9 +155,10 @@ class TestCorruptEntries:
         # when the tables are read ...
         lazy = cache_mod._decode(bad)
         assert lazy.cost == outcome.cost
-        with pytest.raises(Exception):
+        with pytest.raises(ServiceError):
             lazy.tables.entries
-        # ... so the disk tier's first touch decodes both sections.
+        # ... so the first touch of an entry this code did not vouch for
+        # (here a raw seal) decodes both sections.
         cache = PlanCache(capacity=4, disk_dir=tmp_path)
         path = entry_path(cache, "key")
         cache_mod._write_atomic(path, cache_mod._seal(bad))
@@ -155,6 +172,14 @@ class TestCorruptEntries:
         assert hit.cost == outcome.cost
         assert hit.tables.entries.keys() == outcome.tables.entries.keys()
         assert cache.stats.disk_hits == 1
+
+    def test_a_damaged_rest_read_late_is_a_service_error_every_time(self, outcome):
+        hit = cache_mod._decode(garbage_rest(cache_mod._encode(outcome)))
+        for read in (lambda: hit.tables.entries, lambda: hit.result.schemes) * 2:
+            with pytest.raises(
+                ServiceError, match="deferred section of a repro-entry/3 cache entry is damaged"
+            ):
+                read()
 
     def test_old_layout_entry_is_quarantined_miss(self, tmp_path):
         # What PR 7..15 wrote: a bare pickle, no layout tag.
@@ -194,6 +219,115 @@ class TestCorruptEntries:
         assert list(cache.quarantine_dir.iterdir())
         cache.prune()
         assert not list(cache.quarantine_dir.iterdir())
+
+
+class TestVouch:
+    """Who wrote a disk entry decides what its first touch decodes.  An
+    entry ends in the vouch of the code that wrote it; this code's vouch
+    decodes the head only, any other entry is verified by a full decode."""
+
+    OTHER = cache_mod._VOUCH_TAG + hashlib.sha256(b"another code version").digest()
+    PACKAGE = pathlib.Path(cache_mod.__file__).resolve().parents[1]
+
+    @pytest.fixture
+    def fresh_vouch(self):
+        cache_mod._vouch.cache_clear()
+        yield
+        cache_mod._vouch.cache_clear()
+
+    @pytest.mark.parametrize("rest", ["intact", "garbage"])
+    @pytest.mark.parametrize("writer", ["this-code", "raw-seal", "other-code", "parent"])
+    def test_trust_matrix(self, tmp_path, monkeypatch, outcome, writer, rest):
+        blob = cache_mod._encode(outcome)
+        if rest == "garbage":
+            blob = garbage_rest(blob)
+        path = tmp_path / "key.pkl"
+        if writer == "raw-seal":
+            cache_mod._write_atomic(path, cache_mod._seal(blob))
+        else:
+            # put's own write, under the vouch of the code that writes
+            vouch = {
+                "this-code": cache_mod._vouch,
+                "other-code": lambda: self.OTHER,
+                "parent": lambda: b"",  # one trailer, nothing before it
+            }[writer]
+            monkeypatch.setattr(cache_mod, "_vouch", vouch)
+            PlanCache(capacity=4, disk_dir=tmp_path)._disk_write("key", blob)
+            monkeypatch.undo()
+        own = writer == "this-code"
+
+        reader = PlanCache(capacity=4, disk_dir=tmp_path)
+        hit = reader.get("key")
+        if rest == "intact":
+            assert (reader.stats.disk_hits, reader.stats.corrupt) == (1, 0)
+            assert (pending(vars(hit)["tables"]).blob is not None) == own
+            assert pickle.dumps(hit, pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+                outcome, pickle.HIGHEST_PROTOCOL
+            )
+        elif own:
+            # The documented boundary: this code's vouch is taken on trust,
+            # so damage sealed behind it surfaces at the first read.
+            assert (reader.stats.disk_hits, reader.stats.corrupt) == (1, 0)
+            assert hit.cost == outcome.cost
+            with pytest.raises(ServiceError, match="deferred section"):
+                hit.tables.entries
+        else:
+            assert hit is None
+            assert (reader.stats.corrupt, reader.stats.misses) == (1, 1)
+            assert not path.exists()
+
+    def test_an_entry_this_code_writes_ends_in_its_vouch(self, tmp_path):
+        PlanCache(capacity=4, disk_dir=tmp_path).put("key", {"value": 1})
+        data = (tmp_path / "key.pkl").read_bytes()
+        blob = cache_mod._encode({"value": 1})
+        assert data == cache_mod._seal(blob + cache_mod._vouch())
+        assert cache_mod._vouched(cache_mod._unseal(data)) == (blob, True)
+        assert cache_mod._vouched(blob + self.OTHER) == (blob, False)
+        assert cache_mod._vouched(blob) == (blob, False)
+
+    def test_the_vouch_is_computed_once_per_process(self, tmp_path, monkeypatch, fresh_vouch):
+        roots = []
+        real = cache_mod._source_digest
+        monkeypatch.setattr(cache_mod, "_source_digest", lambda root: roots.append(root) or real(root))
+        PlanCache(capacity=4, disk_dir=tmp_path).put("key", {"value": 1})
+        assert PlanCache(capacity=4, disk_dir=tmp_path).get("key") == {"value": 1}
+        assert cache_mod._vouch() == cache_mod._VOUCH_TAG + real(self.PACKAGE)
+        assert roots == [self.PACKAGE]
+
+    def test_one_byte_of_any_source_file_changes_the_vouch(self, tmp_path, monkeypatch):
+        copy = tmp_path / "repro"
+        shutil.copytree(self.PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        base = cache_mod._source_digest(copy)
+        assert base is not None and base == cache_mod._source_digest(self.PACKAGE)
+        sources = sorted(copy.rglob("*.py"))
+        seen = {base}
+        for path in sources:
+            data = path.read_bytes()
+            path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+            seen.add(cache_mod._source_digest(copy))
+            path.write_bytes(data)
+        assert len(seen) == 1 + len(sources)
+        # a moved module (to a name that keeps the sorted order of the bytes)
+        (copy / "service" / "cache.py").rename(copy / "service" / "cache_.py")
+        seen.add(cache_mod._source_digest(copy))
+        monkeypatch.setattr(cache_mod.sys, "version", "another interpreter")
+        seen.add(cache_mod._source_digest(self.PACKAGE))
+        assert len(seen) == 3 + len(sources)
+
+    def test_no_source_is_no_vouch_and_every_first_touch_verifies(
+        self, tmp_path, monkeypatch, fresh_vouch, outcome
+    ):
+        assert cache_mod._source_digest(tmp_path / "missing") is None
+        assert cache_mod._source_digest(tmp_path) is None  # no .py file
+        (tmp_path / "pkg" / "module.py").mkdir(parents=True)  # unreadable as a file
+        assert cache_mod._source_digest(tmp_path / "pkg") is None
+        monkeypatch.setattr(cache_mod, "_source_digest", lambda root: None)
+        assert cache_mod._vouch() == b""
+        disk = tmp_path / "cache"
+        PlanCache(capacity=4, disk_dir=disk).put("key", outcome)
+        assert (disk / "key.pkl").read_bytes() == cache_mod._seal(cache_mod._encode(outcome))
+        hit = PlanCache(capacity=4, disk_dir=disk).get("key")
+        assert pending(vars(hit)["tables"]).blob is None  # decoded at lookup
 
 
 class TestReadLocking:
