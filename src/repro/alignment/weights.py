@@ -24,10 +24,11 @@ This reproduces §5's ``e1 = m^2 * Transfer(1)`` (A against the LHS ``V``),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.costmodel.primitives import CommCosts
-from repro.lang.analysis import RefSite
+from repro.lang.analysis import RefSite, mean_trips
 from repro.lang.ast import Program
 
 
@@ -45,29 +46,6 @@ class WeightTerm:
         if self.primitive == "Transfer":
             return f"{self.count:g} x Transfer(1) (line {self.line})"
         return f"{self.count:g} x {self.primitive}(1, N) (line {self.line})"
-
-
-def _array_size(program: Program, name: str, env: dict[str, int]) -> int:
-    decl = program.arrays[name]
-    total = 1
-    for extent in decl.extents:
-        total *= extent.evaluate(env)
-    return total
-
-
-def _trip_counts(site: RefSite, env: dict[str, int]) -> dict[str, float]:
-    """Average trip count per enclosing loop var (midpoint-bound inner)."""
-    bind = dict(env)
-    trips: dict[str, float] = {}
-    for loop in site.loops:
-        lo = loop.lb.evaluate(bind)
-        hi = loop.ub.evaluate(bind)
-        if loop.step > 0:
-            trips[loop.var] = float(max(0, (hi - lo) // loop.step + 1))
-        else:
-            trips[loop.var] = float(max(0, (lo - hi) // (-loop.step) + 1))
-        bind[loop.var] = (lo + hi) // 2
-    return trips
 
 
 def _subscript_vars(site: RefSite) -> set[str]:
@@ -93,11 +71,11 @@ def edge_weight(
     elif site_b.is_write:
         mover, other = site_a, site_b
     else:
-        size_a = _array_size(program, site_a.array, env)
-        size_b = _array_size(program, site_b.array, env)
+        size_a = math.prod(program.arrays[site_a.array].shape(env))
+        size_b = math.prod(program.arrays[site_b.array].shape(env))
         mover, other = (site_a, site_b) if size_a <= size_b else (site_b, site_a)
 
-    trips = _trip_counts(mover, env)
+    trips = mean_trips(mover.loops, env)
     mover_vars = _subscript_vars(mover)
     distinct = 1.0
     for var in mover_vars:

@@ -54,6 +54,7 @@ from repro.costmodel.primitives import CommCosts
 from repro.distribution.schemes import Scheme
 from repro.errors import CostModelError
 from repro.lang.affine import difference_is_constant
+from repro.lang.analysis import mean_trips
 from repro.lang.ast import ArrayRef, Assign, DoLoop, Stmt, array_refs, walk_exprs
 from repro.lang.ast import BinOp, Call, UnaryOp
 from repro.machine.model import MachineModel
@@ -102,22 +103,6 @@ def _count_flops(expr) -> int:
         elif isinstance(node, UnaryOp) and node.op == "-":
             flops += 1
     return flops
-
-
-def _loop_trips(loops: tuple[DoLoop, ...], env: dict[str, int]) -> dict[str, float]:
-    """Average trip count per loop, binding outer vars to their midpoints."""
-    bind = dict(env)
-    trips: dict[str, float] = {}
-    for loop in loops:
-        lo = loop.lb.evaluate(bind)
-        hi = loop.ub.evaluate(bind)
-        if loop.step > 0:
-            count = max(0, (hi - lo) // loop.step + 1)
-        else:
-            count = max(0, (lo - hi) // (-loop.step) + 1)
-        trips[loop.var] = float(count)
-        bind[loop.var] = (lo + hi) // 2  # midpoint for inner triangular bounds
-    return trips
 
 
 def _grid_extent(grid: tuple[int, int], g: int) -> int:
@@ -397,7 +382,7 @@ def _stmt_facts(
     sequential_vars: frozenset[str] | set[str],
 ) -> _StmtFacts:
     lhs = stmt.lhs
-    trips = _loop_trips(loops, env)
+    trips = mean_trips(loops, env)
     loop_vars = set(trips)
     executions = 1.0
     for count in trips.values():

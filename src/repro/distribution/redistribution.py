@@ -375,7 +375,6 @@ def redistribution_cost(
     instead.  Pass an explicit *arrays* tuple to scope the comparison
     (the DP does this for the intersection of adjacent segments).
     """
-    total = 0.0
     terms: list[RedistTerm] = []
     if arrays is not None:
         names = arrays
@@ -394,9 +393,7 @@ def redistribution_cost(
             continue
         if name not in array_sizes:
             raise DistributionError(f"no size known for array {name!r}")
-        for term in placement_change_terms(sp, dp, array_sizes[name], grid, costs):
-            total += term.cost
-            terms.append(term)
+        terms.extend(placement_change_terms(sp, dp, array_sizes[name], grid, costs))
     return RedistPlan.of(src, dst, grid, terms)
 
 

@@ -26,6 +26,7 @@ OneToManyMulticast(m, N2) = m tc`` at grid ``(N, 1)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -48,10 +49,15 @@ from repro.distribution.redistribution import (
 from repro.distribution.schemes import ArrayPlacement, Scheme
 from repro.dp.algorithm1 import DPResult, algorithm1
 from repro.errors import AlignmentError, CostModelError
-from repro.lang.ast import DoLoop, Program, Stmt
+from repro.lang.ast import DoLoop, Program
 from repro.machine.model import MachineModel
 from repro.util.lazy import Lazy
 from repro.util.spans import span
+
+
+def segment_label(start: int, length: int) -> str:
+    """``L3`` for one loop, ``L1..L2`` for a segment of several."""
+    return f"L{start}" if length == 1 else f"L{start}..L{start + length - 1}"
 
 
 @dataclass(frozen=True)
@@ -103,13 +109,7 @@ class PhaseTables(Lazy):
 
     @cached_property
     def _sizes(self) -> dict[str, int]:
-        sizes = {}
-        for name, decl in self.program.arrays.items():
-            total = 1
-            for extent in decl.extents:
-                total *= extent.evaluate(self.env)
-            sizes[name] = total
-        return sizes
+        return {name: math.prod(decl.shape(self.env)) for name, decl in self.program.arrays.items()}
 
     @cached_property
     def _carried(self) -> list[str]:
@@ -169,15 +169,12 @@ class PhaseTables(Lazy):
         One plan per adjacent segment boundary, then one per loop-carried
         array at the iteration boundary (labels ``loop[X]``).
         """
-        def seg_label(start: int, length: int) -> str:
-            return f"L{start}" if length == 1 else f"L{start}..L{start + length - 1}"
-
         out: list[tuple[str, RedistPlan]] = []
         with span("redist/plan"):
             chain = result.schemes
             bounds = result.segments
             for k in range(len(chain) - 1):
-                label = f"{seg_label(*bounds[k])} -> {seg_label(*bounds[k + 1])}"
+                label = f"{segment_label(*bounds[k])} -> {segment_label(*bounds[k + 1])}"
                 out.append((label, self.change_plan(chain[k], chain[k + 1])))
             if chain:
                 for plan in self.loop_carried_plans(chain[0], chain[-1]):
@@ -212,64 +209,24 @@ def build_phase_tables(
     nprocs: int,
     env: dict[str, int],
     model: MachineModel,
-    outer: DoLoop | None = None,
-    loops: list[DoLoop] | None = None,
-    segment_memo: dict | None = None,
 ) -> PhaseTables:
     """Construct all (i, j) entries for Algorithm 1.
 
-    By default the loop sequence is the body of the program's first
-    top-level loop (the iterative ``k`` loop of Jacobi/SOR); pass *loops*
-    to override, and *outer* for the loop whose carried dependences price
-    the iteration boundary.
-
-    *segment_memo* is a caller-owned dict shared across programs of one
-    ``compile_batch``: (i, j) entries are reused between programs whose
-    segments print identically under the same ``(N, env, machine)``.
-    Keys embed array *names* (a :class:`Scheme` does too), so only
-    textually identical segments share — alpha-twins are handled one
-    level up by the whole-plan cache.
+    The loop sequence is the body of the program's only top-level loop
+    (the iterative ``k`` loop of Jacobi/SOR, whose carried dependences
+    price the iteration boundary), else the top-level loops themselves.
+    Every entry is built from this program's declarations: §3's edge
+    weights compare the arrays' declared sizes, so an entry is a function
+    of the whole program, not of its segment's text.
     """
-    if loops is None:
-        if outer is None:
-            top = program.loops()
-            if len(top) == 1:
-                outer = top[0]
-                loops = [s for s in outer.body if isinstance(s, DoLoop)]
-            else:
-                loops = top
-        else:
-            loops = [s for s in outer.body if isinstance(s, DoLoop)]
+    top = program.loops()
+    outer = top[0] if len(top) == 1 else None
+    loops = [s for s in outer.body if isinstance(s, DoLoop)] if outer is not None else top
     if not loops:
         raise CostModelError("no loops to distribute")
 
     with span("dp/tables"):
-        return _build_entries(
-            program, nprocs, env, model, outer, loops, segment_memo
-        )
-
-
-def _print_deep(stmt: Stmt) -> str:
-    # DoLoop.__str__ prints only the header; segment identity needs the
-    # whole subtree.
-    if isinstance(stmt, DoLoop):
-        body = "; ".join(_print_deep(s) for s in stmt.body)
-        return f"{stmt} [{body}]"
-    return str(stmt)
-
-
-def _segment_key(
-    stmts: list[Stmt],
-    nprocs: int,
-    env: dict[str, int],
-    model: MachineModel,
-) -> tuple:
-    return (
-        tuple(_print_deep(s) for s in stmts),
-        nprocs,
-        tuple(sorted(env.items())),
-        (model.tf, model.tc, model.alpha, model.hop_cost, model.overlap),
-    )
+        return _build_entries(program, nprocs, env, model, outer, loops)
 
 
 def _build_entries(
@@ -279,7 +236,6 @@ def _build_entries(
     model: MachineModel,
     outer: DoLoop | None,
     loops: list[DoLoop],
-    segment_memo: dict | None = None,
 ) -> PhaseTables:
     tables = PhaseTables(
         program=program,
@@ -295,19 +251,12 @@ def _build_entries(
     with span("alignment/cag"):
         costs = CommCosts(model)
         parts = [cag_part(loop, program, env, costs, nprocs) for loop in loops]
-    facts = [loop_facts(loop, env) if isinstance(loop, DoLoop) else None for loop in loops]
+    facts = [loop_facts(loop, env) for loop in loops]
     loop_costs: dict[tuple, dict[tuple[int, int], float]] = {}
     s = len(loops)
     for i in range(1, s + 1):
         for j in range(1, s - i + 2):
             lo, hi = i - 1, i - 1 + j
-            memo_key = None
-            if segment_memo is not None:
-                memo_key = _segment_key(loops[lo:hi], nprocs, env, model)
-                hit = segment_memo.get(memo_key)
-                if hit is not None:
-                    tables.entries[(i, j)] = hit
-                    continue
             with span("alignment/segment"):
                 scheme, alignment, cag = _segment_scheme(parts[lo:hi], name=f"P[{i},{j}]")
             per_loop = [
@@ -318,7 +267,6 @@ def _build_entries(
                     ),
                 )
                 for idx in range(lo, hi)
-                if facts[idx] is not None
             ]
             best_cost = float("inf")
             best_grid = (nprocs, 1)
@@ -333,16 +281,13 @@ def _build_entries(
                 if total < best_cost:
                     best_cost = total
                     best_grid = grid
-            entry = PhaseEntry(
+            tables.entries[(i, j)] = PhaseEntry(
                 scheme=scheme,
                 grid=best_grid,
                 cost=best_cost,
                 alignment=alignment,
                 cag=cag,
             )
-            tables.entries[(i, j)] = entry
-            if memo_key is not None:
-                segment_memo[memo_key] = entry
     return tables
 
 
@@ -353,7 +298,6 @@ def solve_program_distribution(
     model: MachineModel,
     execute: bool = False,
     backends: tuple[str, ...] = ("engine", "threaded"),
-    segment_memo: dict | None = None,
 ):
     """End-to-end §4 pipeline: tables + Algorithm 1 solution.
 
@@ -363,7 +307,7 @@ def solve_program_distribution(
     is returned, so Algorithm 1's analytic cost model is checked against
     measured message traffic, not just trusted.
     """
-    tables = build_phase_tables(program, nprocs, env, model, segment_memo=segment_memo)
+    tables = build_phase_tables(program, nprocs, env, model)
     result = tables.solve()
     if not execute:
         return tables, result

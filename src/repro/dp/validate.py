@@ -130,13 +130,6 @@ class RedistValidation:
         return "\n".join(lines)
 
 
-def _array_extents(tables: PhaseTables) -> dict[str, tuple[int, ...]]:
-    out = {}
-    for name, decl in tables.program.arrays.items():
-        out[name] = tuple(int(e.evaluate(tables.env)) for e in decl.extents)
-    return out
-
-
 def _plan_moves(
     plan: RedistPlan, extents: dict[str, tuple[int, ...]]
 ) -> list[RedistMove]:
@@ -236,7 +229,7 @@ def validate_transitions(
 ) -> RedistValidation:
     """Execute every transition of the DP's chosen chain (the ``execute=True``
     mode of :func:`repro.dp.phases.solve_program_distribution`)."""
-    extents = _array_extents(tables)
+    extents = {name: decl.shape(tables.env) for name, decl in tables.program.arrays.items()}
     reports = []
     for label, plan in tables.transition_plans(result):
         reports.append(

@@ -122,6 +122,20 @@ def scalars_used(stmts: list[Stmt] | Program) -> frozenset[str]:
     return frozenset(names)
 
 
+def mean_trips(loops: tuple[DoLoop, ...], env: dict[str, int]) -> dict[str, float]:
+    """Average trip count per loop of a nest, outermost first.
+
+    Each loop's bounds are evaluated with the loops outside it bound to
+    their midpoints, so a triangular inner loop counts its mean length.
+    """
+    bind = dict(env)
+    trips: dict[str, float] = {}
+    for loop in loops:
+        trips[loop.var] = float(loop.trip_count(bind))
+        bind[loop.var] = (loop.lb.evaluate(bind) + loop.ub.evaluate(bind)) // 2
+    return trips
+
+
 def iteration_count(loop: DoLoop, env: dict[str, int]) -> int:
     """Total number of innermost iterations executed by a loop nest.
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.costmodel.primitives import CommCosts
 from repro.dependence.tokens import TokenClass
+from repro.lang.analysis import mean_trips
 from repro.lang.ast import DoLoop
 from repro.machine.model import MachineModel
 from repro.pipeline.mapping import MappingChoice, choose_mapping
@@ -99,14 +100,9 @@ def pipeline_savings(
         token = row.token
         # Count of distinct token instances: product of trip counts of the
         # *bound* variables (those appearing in the subscripts).
-        bind = dict(env)
         uses = 1.0
-        for loop in token.site.loops:
-            lo = loop.lb.evaluate(bind)
-            hi = loop.ub.evaluate(bind)
-            trips = max(0, (abs(hi - lo) // abs(loop.step)) + 1)
-            bind[loop.var] = (lo + hi) // 2
-            if loop.var not in token.free_vars:
+        for var, trips in mean_trips(token.site.loops, env).items():
+            if var not in token.free_vars:
                 uses *= trips
         if decision.pattern == "none":
             naive, pipe = 0.0, 0.0

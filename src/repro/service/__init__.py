@@ -17,8 +17,7 @@ alpha/tf/tc, N, env)``.  This package makes that purity pay:
   and therefore share cache entries;
 * :mod:`repro.service.compiler` — :class:`CompileService` (also
   :class:`repro.api.Session`): single requests, ``compile_batch``
-  (alignment/DP sub-results shared across programs hashing to common
-  sub-keys) and a job queue on a thread-pool executor, each request
+  (one plan cache across the batch) and a job queue on a thread-pool executor, each request
   wrapped in a wall-clock span on the compiler Perfetto lane;
 * :mod:`repro.service.supervisor` — :class:`WorkerSupervisor`, the
   supervised subprocess pool behind ``workers``: crash detection,

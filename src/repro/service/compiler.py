@@ -35,10 +35,10 @@ artifact still speaks the first writer's names, so each hit carries a
 canonical rename maps); :class:`CompileResult` translates env and input
 keys through it transparently.
 
-``compile_batch`` additionally threads one ``segment_memo`` dict through
-every solve in the batch, sharing per-segment alignment/pricing entries
-across *different* programs whose segments coincide (see
-:func:`repro.dp.phases.build_phase_tables`).
+``compile_batch`` serves each item as :meth:`CompileService.compile`
+would and shares only the plan cache between them: Algorithm 1's tables
+are a function of the whole program (its declarations price §3's edges),
+so no part of them is shared between different programs.
 
 ``compile``, ``compile_batch`` and ``submit`` build their request one
 way (:func:`_request`): keyword options fill a bare source's request,
@@ -89,16 +89,12 @@ from repro.obs.context import current_context, mint_context, tracing_context
 from repro.service.cache import _MISS, CacheStats, PlanCache, make_cache
 from repro.service.guests import lower
 from repro.service.normalize import IR_SCHEMA, CanonicalForm, canonicalize
-from repro.service.plan import Plan, PlanEntry, SolveOutcome, check_env, check_nprocs, compile_plan
-from repro.service.supervisor import WorkerSupervisor
+from repro.service.plan import Explanation, Plan, PlanEntry, SolveOutcome, check_env, check_nprocs
+from repro.service.supervisor import WorkerSupervisor, _run_task
 from repro.util import spans
 from repro.util.spans import span
 
 logger = logging.getLogger("repro.service")
-
-#: Internal sentinel: the pool crashed out and the caller should run
-#: the task in-process (graceful degradation).
-_FALLBACK = object()
 
 #: ``service_stats`` key and :class:`CacheStats` field of each cache counter.
 _CACHE_STATS = tuple((f"cache_{f.name}", f.name) for f in fields(CacheStats))
@@ -169,6 +165,8 @@ class CompileResult:
     ``rename`` maps the requester's names onto them.  The delegating
     surface (:meth:`run`, :meth:`solve`, :meth:`explain`) translates env
     and input keys through ``rename``, so callers never see the twin.
+    :meth:`solve` and :meth:`explain` answer under ``machine``, the model
+    the service derived the solve key from, unless given another.
     """
 
     request: CompileRequest
@@ -179,6 +177,7 @@ class CompileResult:
     outcome: SolveOutcome | None = None
     solve_key: str | None = None
     solve_cached: bool = False
+    machine: MachineModel | None = None
     wall_seconds: float = 0.0
     #: Integer service counters snapshotted at serve time — cache
     #: counters (``cache_hits``, ``cache_misses``, ``cache_evictions``,
@@ -263,6 +262,17 @@ class CompileResult:
             )
         return result
 
+    def _holds(self, nprocs, env, model) -> bool:
+        """Whether the held outcome is Algorithm 1's answer under
+        ``(nprocs, env, model)`` (requester-side *env*; *model* None is
+        ``machine``)."""
+        return (
+            self.outcome is not None
+            and nprocs == self.request.nprocs
+            and env == self.request.env
+            and (model is None or model == self.machine)
+        )
+
     def solve(
         self,
         nprocs: int | None = None,
@@ -272,22 +282,17 @@ class CompileResult:
         execute: bool = False,
         backends: tuple[str, ...] = ("engine", "threaded"),
     ) -> SolveOutcome:
-        """Algorithm 1's answer; returns the request-time outcome when
-        the arguments match what the service already solved."""
+        """Algorithm 1's answer under *model* (default: ``machine``);
+        returns the request-time outcome when the arguments match what
+        the service already solved."""
         nprocs = self.request.nprocs if nprocs is None else nprocs
         env = self.request.env if env is None else env
         if nprocs is None or env is None:
             raise ReproError("solve() needs nprocs and env (none on the request)")
-        if (
-            self.outcome is not None
-            and model is None
-            and nprocs == self.request.nprocs
-            and env == self.request.env
-            and execute == self.request.execute
-        ):
+        if self._holds(nprocs, env, model) and execute == self.request.execute:
             return self.outcome
         return self.plan.solve(
-            nprocs, self.translate(env), model=model,
+            nprocs, self.translate(env), model=model or self.machine,
             execute=execute, backends=backends,
         )
 
@@ -297,12 +302,16 @@ class CompileResult:
         env: dict[str, int] | None = None,
         *,
         model: MachineModel | None = None,
-    ):
+    ) -> Explanation:
+        """Render what :meth:`solve` answers — the held outcome, whatever
+        the request's ``execute``, when the arguments match the request."""
         nprocs = self.request.nprocs if nprocs is None else nprocs
         env = self.request.env if env is None else env
-        return self.plan.explain(
-            nprocs, self.translate(env) if env is not None else None, model=model
-        )
+        if nprocs is None or env is None:
+            return self.plan.explain(nprocs)
+        execute = self.request.execute and self._holds(nprocs, env, model)
+        outcome = self.solve(nprocs, env, model=model, execute=execute)
+        return Explanation.of(self.plan, outcome, check_nprocs(nprocs), self.translate(env))
 
 
 class CompileJob:
@@ -473,59 +482,22 @@ class CompileService:
                 self._supervisor = WorkerSupervisor(self.workers, self.machine)
             return self._supervisor
 
-    def _pool_call(self, pool: WorkerSupervisor, task: dict, deadline_s: float | None):
-        """One supervised dispatch; crashes fall back to :data:`_FALLBACK`,
-        deadline misses propagate."""
-        try:
-            return pool.call(task, deadline_s=deadline_s)
-        except WorkerCrashedError as exc:
-            with self._lock:
-                self._fallbacks += 1
-            spans.instant("service/fallback")
-            logger.warning(
-                "process pool unavailable (%s); compiling in-process", exc
-            )
-            return _FALLBACK
-
-    def _compile_generated(self, program, strategy, deadline_s):
-        """Codegen on the pool tier, in-process otherwise (or on fallback)."""
+    def _call(self, task: dict, deadline_s: float | None):
+        """Run one codegen or solve *task* under its ``model``: on the pool
+        tier when there is one, else — or when the pool crashes out
+        (counted in ``fallbacks``) — in-process through the same
+        :func:`~repro.service.supervisor._run_task`.  Deadline misses
+        propagate."""
         pool = self._pool()
         if pool is not None:
-            result = self._pool_call(
-                pool,
-                {"kind": "compile", "program": program, "strategy": strategy},
-                deadline_s,
-            )
-            if result is not _FALLBACK:
-                return result["generated"]
-        return compile_plan(program, strategy=strategy).generated
-
-    def _solve_plan(self, plan, req, env_stored, machine, segment_memo, deadline_s):
-        """Algorithm 1 on the pool tier (segment memos stay per-worker
-        there), in-process otherwise (or on fallback) — on either, under
-        *machine*, the model the solve key was derived from (the pool's
-        workers were spawned with whatever model the service had then)."""
-        pool = self._pool()
-        if pool is not None:
-            result = self._pool_call(
-                pool,
-                {
-                    "kind": "solve",
-                    "program": plan.program,
-                    "generated": plan.generated,
-                    "nprocs": req.nprocs,
-                    "env": env_stored,
-                    "execute": req.execute,
-                    "model": machine,
-                },
-                deadline_s,
-            )
-            if result is not _FALLBACK:
-                return result
-        return plan.solve(
-            req.nprocs, env_stored, model=machine,
-            execute=req.execute, segment_memo=segment_memo,
-        )
+            try:
+                return pool.call(task, deadline_s=deadline_s)
+            except WorkerCrashedError as exc:
+                with self._lock:
+                    self._fallbacks += 1
+                spans.instant("service/fallback")
+                logger.warning("process pool unavailable (%s); compiling in-process", exc)
+        return _run_task(task, task["model"])
 
     # -- cache plumbing --------------------------------------------------
     @property
@@ -624,25 +596,23 @@ class CompileService:
         anything its guest lowers, *options* the request's other fields
         (``guest``, ``strategy``, ``nprocs``, ``env``, ``execute``,
         ``label``, ``deadline_s``; see :func:`_request`)."""
-        return self._serve(_request("compile", source, options), self.cache, None)
+        return self._serve(_request("compile", source, options), self.cache)
 
     def compile_batch(self, sources, **options) -> list[CompileResult]:
-        """Serve many requests, sharing sub-results across the batch.
+        """Serve many requests, sharing the plan cache across the batch.
 
-        Each item is built as :meth:`compile` builds one: a bare source
-        takes *options*, a :class:`CompileRequest` is served as it is.
-        All solves share one segment memo (identical segments of
-        *different* programs are aligned and priced once), and with
-        ``cache="off"`` an ephemeral batch-local cache still coalesces
-        duplicate programs within the batch.
+        Each item is built and served as :meth:`compile` builds and serves
+        one: a bare source takes *options*, a :class:`CompileRequest` is
+        served as it is.  With ``cache="off"`` an ephemeral batch-local
+        cache still coalesces duplicate programs (and their alpha-twins)
+        within the batch.
         """
         requests = [_request("compile_batch", s, options) for s in sources]
         cache = self.cache
         if cache is None and len(requests) > 1:
             cache = PlanCache(capacity=max(len(requests) * 2, 8))
-        segment_memo: dict = {}
         with span("service/batch"):
-            return [self._serve(req, cache, segment_memo) for req in requests]
+            return [self._serve(req, cache) for req in requests]
 
     def _remaining(self, deadline_at: float | None, req: CompileRequest) -> float | None:
         """Seconds left on the request's deadline (None = unbounded);
@@ -658,12 +628,7 @@ class CompileService:
             )
         return left
 
-    def _serve(
-        self,
-        req: CompileRequest,
-        cache: PlanCache | None,
-        segment_memo: dict | None,
-    ) -> CompileResult:
+    def _serve(self, req: CompileRequest, cache: PlanCache | None) -> CompileResult:
         t0 = time.perf_counter()
         deadline_s = req.deadline_s if req.deadline_s is not None else self.deadline_s
         deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
@@ -700,9 +665,11 @@ class CompileService:
                         # compiled and stored shares its strings with
                         # this parse, not with a remembered one.
                         program, form = self._front_end(req)
-                    generated = self._compile_generated(
-                        program, req.strategy, self._remaining(deadline_at, req)
-                    )
+                    generated = self._call(
+                        {"kind": "compile", "program": program, "strategy": req.strategy,
+                         "model": machine},
+                        self._remaining(deadline_at, req),
+                    )["generated"]
                     plan = Plan(program=program, generated=generated)
                     rename = {name: name for name in form.rename}
                     self._cache_put(
@@ -726,9 +693,16 @@ class CompileService:
                 if solve_key is not None:
                     hit = self._cache_lookup(cache, solve_key)
                     if hit is _MISS:
-                        env_stored = {rename.get(k, k): v for k, v in req.env.items()}
-                        outcome = self._solve_plan(
-                            plan, req, env_stored, machine, segment_memo,
+                        outcome = self._call(
+                            {
+                                "kind": "solve",
+                                "program": plan.program,
+                                "generated": plan.generated,
+                                "nprocs": req.nprocs,
+                                "env": {rename.get(k, k): v for k, v in req.env.items()},
+                                "execute": req.execute,
+                                "model": machine,
+                            },
                             self._remaining(deadline_at, req),
                         )
                         self._cache_put(cache, solve_key, outcome)
@@ -764,6 +738,7 @@ class CompileService:
             outcome=outcome,
             solve_key=solve_key,
             solve_cached=solve_cached,
+            machine=machine,
             wall_seconds=time.perf_counter() - t0,
             service_stats=service_stats,
             trace_context=ctx,
@@ -798,7 +773,7 @@ class CompileService:
     def _run(self, job: CompileJob) -> None:
         if job._future.set_running_or_notify_cancel():  # False: cancelled while queued
             try:
-                job._future.set_result(self._serve(job.request, self.cache, None))
+                job._future.set_result(self._serve(job.request, self.cache))
             except BaseException as exc:  # delivered via job.wait()
                 job._future.set_exception(exc)
 

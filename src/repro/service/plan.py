@@ -23,7 +23,7 @@ from typing import NamedTuple
 from repro.codegen.families import family_of
 from repro.codegen.spmd import GeneratedProgram, generate_spmd, load_generated
 from repro.dp.algorithm1 import DPResult
-from repro.dp.phases import PhaseTables, solve_program_distribution
+from repro.dp.phases import PhaseTables, segment_label, solve_program_distribution
 from repro.errors import ReproError
 from repro.lang.ast import Program
 from repro.machine.engine import RunResult
@@ -151,6 +151,31 @@ class Explanation:
 
     def __contains__(self, item: str) -> bool:
         return item in str(self)
+
+    @classmethod
+    def of(cls, plan: "Plan", outcome: "SolveOutcome | None" = None,
+           nprocs: int | None = None, env: dict | None = None) -> "Explanation":
+        """Render *plan* and, when given, Algorithm 1's *outcome* for it
+        under ``(nprocs, env)`` — the one place an explanation is built."""
+        base = dict(strategy=plan.strategy, entry=plan.generated.entry, pattern=plan.generated.pattern)
+        if outcome is None:
+            return cls(**base)
+        result = outcome.result
+        segments = tuple(
+            SegmentChoice(
+                label=segment_label(start, length), start=start, length=length,
+                grid=grid, description=scheme.describe(),
+            )
+            for (start, length), (scheme, grid) in zip(result.segments, result.schemes)
+        )
+        transitions = tuple(
+            TransitionCost(label=label, total=change.total, analytic_words=change.analytic_words)
+            for label, change in outcome.tables.transition_plans(result)
+        )
+        return cls(
+            **base, nprocs=nprocs, env=dict(env), total_cost=result.cost,
+            loop_carried=result.loop_carried, segments=segments, transitions=transitions,
+        )
 
 
 @dataclass(frozen=True)
@@ -310,14 +335,13 @@ class Plan:
         model: MachineModel | None = None,
         execute: bool = False,
         backends: tuple[str, ...] = ("engine", "threaded"),
-        segment_memo: dict | None = None,
     ) -> SolveOutcome:
         """Run Algorithm 1 on the program; with ``execute=True`` also
         lower and run every chosen redistribution
         (:mod:`repro.dp.validate`) and fill ``validation``."""
         out = solve_program_distribution(
             self.program, check_nprocs(nprocs), check_env(env), model or MachineModel(),
-            execute=execute, backends=backends, segment_memo=segment_memo,
+            execute=execute, backends=backends,
         )
         if execute:
             tables, result, validation = out
@@ -333,42 +357,12 @@ class Plan:
         model: MachineModel | None = None,
     ) -> Explanation:
         """What the compiler decided, and — with *nprocs*/*env* — what
-        Algorithm 1 chooses for it."""
-        base = dict(
-            strategy=self.strategy,
-            entry=self.generated.entry,
-            pattern=self.generated.pattern,
-        )
+        Algorithm 1 chooses for it: solve, then render."""
         if nprocs is not None:
             nprocs = check_nprocs(nprocs)
         if nprocs is None or env is None:
-            return Explanation(**base)
-        outcome = self.solve(nprocs, env, model=model)
-        tables, result = outcome.tables, outcome.result
-        segments = []
-        for (start, length), (scheme, grid) in zip(result.segments, result.schemes):
-            label = f"L{start}" if length == 1 else f"L{start}..L{start + length - 1}"
-            segments.append(
-                SegmentChoice(
-                    label=label, start=start, length=length,
-                    grid=grid, description=scheme.describe(),
-                )
-            )
-        transitions = [
-            TransitionCost(
-                label=label, total=plan.total, analytic_words=plan.analytic_words
-            )
-            for label, plan in tables.transition_plans(result)
-        ]
-        return Explanation(
-            **base,
-            nprocs=nprocs,
-            env=dict(env),
-            total_cost=result.cost,
-            loop_carried=result.loop_carried,
-            segments=tuple(segments),
-            transitions=tuple(transitions),
-        )
+            return Explanation.of(self)
+        return Explanation.of(self, self.solve(nprocs, env, model=model), nprocs, env)
 
 
 def compile_plan(program: Program, strategy: str | None = None) -> Plan:

@@ -70,7 +70,8 @@ def _task_digest(blob: bytes) -> str:
 
 
 def _run_task(task: dict, machine) -> object:
-    """Execute one task dict; shared by the worker loop and fallback.
+    """Execute one task dict; shared by the worker loop and the service's
+    in-process tier (no pool, or the pool crashed out).
 
     Kinds: ``compile`` (program+strategy -> generated code), ``solve``
     (Algorithm 1 under the task's ``model``, else the supervisor's), plus the

@@ -8,8 +8,10 @@ The headline guarantees under test:
   back;
 * alpha-twins share entries, with env/input keys translated through the
   composed rename map;
-* batch compiles share DP sub-results; the job queue delivers results
-  (and exceptions) through CompileJob handles;
+* a batch serves each program what a solo compile serves, sharing the
+  plan cache only; the job queue delivers results (and exceptions)
+  through CompileJob handles;
+* a served result solves and explains under the service's machine;
 * a cached solve outcome decodes its DP tables (and rebuilds its chosen
   schemes from them), and a cached plan its program and pattern, on
   first read and is otherwise indistinguishable from the cold value.
@@ -43,6 +45,7 @@ from repro.lang import (
     program_to_text,
     sor_program,
 )
+from repro.lang.programs import JACOBI_SOURCE
 from repro.machine.model import MachineModel
 from repro.service import CompileService, PlanCache, canonicalize
 from repro.service.cache import make_cache
@@ -667,6 +670,37 @@ END
         assert all(k == v for k, v in res.rename.items())
 
 
+class TestServedResultMachine:
+    """A served result answers under the machine its solve key hashed."""
+
+    MACHINE = MachineModel(tf=1, tc=2, alpha=5)
+    ENV = {"m": 32, "maxiter": 1}
+
+    @pytest.mark.parametrize("execute", [False, True])
+    def test_warm_explain_renders_the_held_outcome(self, execute):
+        svc = CompileService(machine=self.MACHINE)
+        cold = svc.compile(JACOBI_SOURCE, nprocs=4, env=self.ENV, execute=execute)
+        warm = svc.compile(JACOBI_SOURCE, nprocs=4, env=self.ENV, execute=execute)
+        assert warm.solve_cached and warm.machine is svc.machine
+        with spans.recording() as rec:
+            explanation = warm.explain()
+        assert explanation.total_cost == warm.outcome.cost == cold.outcome.cost
+        assert not [s for s in rec.spans if s.detail in ("dp/tables", "dp/solve")]
+        assert str(explanation) == str(cold.explain())
+
+    def test_solve_and_explain_elsewhere_match_the_service(self):
+        svc = CompileService(machine=self.MACHINE)
+        res = svc.compile(JACOBI_SOURCE, nprocs=4, env=self.ENV)
+        there = svc.compile(JACOBI_SOURCE, nprocs=8, env=self.ENV).outcome
+        assert res.solve(nprocs=8).cost == there.cost
+        assert res.explain(nprocs=8).total_cost == there.cost
+        # an explicit model still wins over the service's
+        default = svc.compile(JACOBI_SOURCE, nprocs=8, env=self.ENV).plan.solve(
+            8, self.ENV, model=MachineModel()
+        )
+        assert res.solve(nprocs=8, model=MachineModel()).cost == default.cost
+
+
 class TestBatchAndQueue:
     def test_batch_shares_segments_and_coalesces_twins(self):
         svc = CompileService(machine=MODEL, cache="off")
@@ -678,15 +712,29 @@ class TestBatchAndQueue:
         assert out[1].outcome.cost == out[0].outcome.cost
 
     def test_batch_results_match_individual_compiles(self):
-        batch_svc = CompileService(machine=MODEL)
-        solo_svc = CompileService(machine=MODEL, cache="off")
-        batch = batch_svc.compile_batch(
-            [m() for m, _ in CORPUS[:2]], nprocs=4, env=ENV
-        )
-        for res, (maker, _) in zip(batch, CORPUS[:2]):
-            solo = solo_svc.compile(maker(), nprocs=4, env=ENV)
-            assert res.outcome.cost == solo.outcome.cost
-            assert res.source == solo.source
+        # The second batch's programs share every loop and differ in one
+        # declaration: §3's edge weights compare declared sizes, so X(n)
+        # makes A, not X, the cheaper array to move, and no table entry
+        # may pass from one program to the other.
+        wide = JACOBI_SOURCE.replace("PARAM m, maxiter", "PARAM m, n, maxiter")
+        batches = [
+            ([m() for m, _ in CORPUS[:2]], ENV),
+            ([wide, wide.replace("X(m)\n", "X(n)\n")], {"m": 64, "n": 10000, "maxiter": 1}),
+        ]
+        for sources, env in batches:
+            batch_svc = CompileService(machine=MODEL)
+            solo_svc = CompileService(machine=MODEL, cache="off")
+            batch = batch_svc.compile_batch(sources, nprocs=4, env=env)
+            for res, source in zip(batch, sources):
+                solo = solo_svc.compile(source, nprocs=4, env=env)
+                assert res.outcome.cost == solo.outcome.cost
+                assert res.source == solo.source
+                tables = pickle.dumps(solo.outcome.tables, pickle.HIGHEST_PROTOCOL)
+                assert pickle.dumps(res.outcome.tables, pickle.HIGHEST_PROTOCOL) == tables
+                # ... and the batch's cache serves the solo answer later
+                later = batch_svc.compile(source, nprocs=4, env=env)
+                assert later.solve_cached and later.outcome.cost == solo.outcome.cost
+                assert pickle.dumps(later.outcome.tables, pickle.HIGHEST_PROTOCOL) == tables
 
     def test_job_queue_roundtrip(self):
         with CompileService(machine=MODEL) as svc:
