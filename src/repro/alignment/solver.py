@@ -111,6 +111,49 @@ def _merge_groups(
     return groups
 
 
+class _BranchAndBound:
+    """Depth-first search over grid dimensions for the groups in order,
+    pruned by the best cut so far: the first optimum in DFS order wins a
+    tie.  (A class, not a self-recursive closure: a closure that calls
+    itself is a reference cycle that outlives every call.)"""
+
+    def __init__(
+        self, group_ids: list[int], arrays: dict[int, list[str]],
+        adj: dict[int, dict[int, float]], q: int,
+    ) -> None:
+        self.group_ids, self.arrays, self.adj, self.q = group_ids, arrays, adj, q
+        self.best_cut = float("inf")
+        self.best_assign: dict[int, int] | None = None
+        self.assign: dict[int, int] = {}
+        self.used: dict[tuple[str, int], int] = {}
+
+    def recurse(self, idx: int, cut: float) -> None:
+        if cut >= self.best_cut:
+            return
+        assign, used = self.assign, self.used
+        if idx == len(self.group_ids):
+            self.best_cut = cut
+            self.best_assign = dict(assign)
+            return
+        group = self.group_ids[idx]
+        arrays = self.arrays[group]
+        for dim in range(1, 2 if idx == 0 else self.q + 1):
+            if any(used.get((arr, dim), 0) for arr in arrays):
+                continue
+            extra = 0.0
+            for other, w in self.adj[group].items():
+                od = assign.get(other)
+                if od is not None and od != dim:
+                    extra += w
+            assign[group] = dim
+            for arr in arrays:
+                used[(arr, dim)] = used.get((arr, dim), 0) + 1
+            self.recurse(idx + 1, cut + extra)
+            for arr in arrays:
+                used[(arr, dim)] -= 1
+            del assign[group]
+
+
 @spanned("alignment/solve")
 def exact_alignment(
     cag: CAG,
@@ -140,41 +183,9 @@ def exact_alignment(
         adj[gu][gv] = adj[gu].get(gv, 0.0) + e.weight
         adj[gv][gu] = adj[gv].get(gu, 0.0) + e.weight
 
-    best_cut = float("inf")
-    best_assign: dict[int, int] | None = None
-    assign: dict[int, int] = {}
-    used: dict[tuple[str, int], int] = {}
-
-    def arrays_of(g: int) -> list[str]:
-        return [n[0] for n in members[g]]
-
-    def recurse(idx: int, cut: float) -> None:
-        nonlocal best_cut, best_assign
-        if cut >= best_cut:
-            return
-        if idx == len(group_ids):
-            best_cut = cut
-            best_assign = dict(assign)
-            return
-        group = group_ids[idx]
-        dims = range(1, 2 if idx == 0 else q + 1)
-        for dim in dims:
-            if any(used.get((arr, dim), 0) for arr in arrays_of(group)):
-                continue
-            extra = 0.0
-            for other, w in adj[group].items():
-                od = assign.get(other)
-                if od is not None and od != dim:
-                    extra += w
-            assign[group] = dim
-            for arr in arrays_of(group):
-                used[(arr, dim)] = used.get((arr, dim), 0) + 1
-            recurse(idx + 1, cut + extra)
-            for arr in arrays_of(group):
-                used[(arr, dim)] -= 1
-            del assign[group]
-
-    recurse(0, 0.0)
+    search = _BranchAndBound(group_ids, {g: [n[0] for n in members[g]] for g in group_ids}, adj, q)
+    search.recurse(0, 0.0)
+    best_cut, best_assign = search.best_cut, search.best_assign
     if best_assign is None:
         raise AlignmentError(
             f"no feasible {q}-way alignment (an array has more than {q} dimensions,"

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from repro.costmodel.primitives import CommCosts
-from repro.lang.analysis import RefSite, mean_trips
+from repro.lang.analysis import RefSite, mean_trips, nest_runs
 from repro.lang.ast import Program
 
 
@@ -80,6 +80,8 @@ def edge_weight(
     distinct = 1.0
     for var in mover_vars:
         distinct *= trips.get(var, 1.0)
+    if not nest_runs(mover.loops, env):
+        distinct = 0.0  # the statement never runs: nothing is read, nothing moves
 
     other_vars = _subscript_vars(other)
     spans = bool(other_vars - mover_vars)

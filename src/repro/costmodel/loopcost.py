@@ -54,7 +54,7 @@ from repro.costmodel.primitives import CommCosts
 from repro.distribution.schemes import Scheme
 from repro.errors import CostModelError
 from repro.lang.affine import difference_is_constant
-from repro.lang.analysis import mean_trips
+from repro.lang.analysis import mean_trips, nest_runs
 from repro.lang.ast import ArrayRef, Assign, DoLoop, Stmt, array_refs, walk_exprs
 from repro.lang.ast import BinOp, Call, UnaryOp
 from repro.machine.model import MachineModel
@@ -156,6 +156,7 @@ class _StmtFacts:
     refs: tuple[_RefFacts, ...]  # every RHS array reference, in order
     flops: int
     executions: float
+    runs: bool  # some instance executes (``executions`` is a mean: it may read 0)
     accumulates: bool
     lhs_distinct: float
     seq_factor: float
@@ -261,13 +262,15 @@ class _StmtFacts:
                     )
                     continue
 
-                # pinned-element multicast (naive Gauss broadcasts)
+                # pinned-element multicast (naive Gauss broadcasts), of
+                # elements a statement instance reads: none when none runs
                 if any(gg == g and var not in sub_vars for var, gg in lhs_var_dims.items()):
-                    cost = distinct * costs.one_to_many(1, n_src)
+                    sent = distinct if self.runs else 0.0
+                    cost = sent * costs.one_to_many(1, n_src)
                     result.add(
                         CostTerm(
                             "comm",
-                            f"{distinct:g} x OneToManyMulticast(1, {n_src})",
+                            f"{sent:g} x OneToManyMulticast(1, {n_src})",
                             cost,
                             line,
                         )
@@ -427,6 +430,7 @@ def _stmt_facts(
         refs=tuple(refs),
         flops=_count_flops(stmt.rhs),
         executions=executions,
+        runs=nest_runs(loops, env),
         accumulates=any(ref.is_lhs for ref in refs),
         lhs_distinct=_distinct_elements(lhs, trips),
         seq_factor=seq_factor,

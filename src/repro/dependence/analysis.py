@@ -53,17 +53,14 @@ def _common_loops(a: RefSite, b: RefSite) -> list[DoLoop]:
     return common
 
 
-def _site_order(stmts: list[Stmt]) -> dict[int, int]:
-    """Map id(stmt) -> program order index (pre-order)."""
-    order: dict[int, int] = {}
-
-    def visit(body: list[Stmt]) -> None:
-        for stmt in body:
-            order[id(stmt)] = len(order)
-            if isinstance(stmt, DoLoop):
-                visit(stmt.body)
-
-    visit(stmts)
+def _site_order(stmts: list[Stmt], order: dict[int, int] | None = None) -> dict[int, int]:
+    """Map id(stmt) -> program order index (pre-order), into *order*."""
+    if order is None:
+        order = {}
+    for stmt in stmts:
+        order[id(stmt)] = len(order)
+        if isinstance(stmt, DoLoop):
+            _site_order(stmt.body, order)
     return order
 
 

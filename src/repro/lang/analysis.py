@@ -136,6 +136,27 @@ def mean_trips(loops: tuple[DoLoop, ...], env: dict[str, int]) -> dict[str, floa
     return trips
 
 
+def nest_runs(loops: tuple[DoLoop, ...], env: dict[str, int]) -> bool:
+    """Whether the body of a loop nest (outermost first) runs at least once.
+
+    Exact, unlike reading a 0 off :func:`mean_trips`: a triangular inner
+    loop can be empty at its outer loop's midpoint and still run at
+    another outer index.  The walk stops at the first instance.
+    """
+    bind = dict(env)
+    pending = [iter(loops[0].iter_values(bind))] if loops else []
+    while pending:
+        value = next(pending[-1], None)
+        if value is None:
+            pending.pop()
+            continue
+        bind[loops[len(pending) - 1].var] = value
+        if len(pending) == len(loops):
+            return True
+        pending.append(iter(loops[len(pending)].iter_values(bind)))
+    return not loops
+
+
 def iteration_count(loop: DoLoop, env: dict[str, int]) -> int:
     """Total number of innermost iterations executed by a loop nest.
 

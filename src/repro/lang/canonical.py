@@ -190,21 +190,22 @@ def scope_loops(program: Program) -> Program:
     """*program* with every ``DO`` index spelled uniquely (``#0``, ``#1``,
     … in pre-order; a name is bound inside its loop's body only), so the
     text no longer says which loops reuse an index name."""
-    fresh = count()
+    return replace(program, body=_scoped(program.body, {}, count()))
 
-    def visit(node, names: dict[str, str]):
-        if isinstance(node, Affine):
-            return Affine({names.get(v, v): c for v, c in node.coeffs.items()}, node.const)
-        if isinstance(node, ScalarRef):
-            return ScalarRef(names.get(node.name, node.name))
-        if isinstance(node, DoLoop):
-            inner = names | {node.var: f"#{next(fresh)}"}
-            lb, ub = visit(node.lb, names), visit(node.ub, names)
-            return replace(node, var=inner[node.var], lb=lb, ub=ub, body=visit(node.body, inner))
-        if isinstance(node, (list, tuple)):
-            return type(node)(visit(n, names) for n in node)
-        if is_dataclass(node):
-            return type(node)(*(visit(getattr(node, f.name), names) for f in fields(node)))
-        return node
 
-    return replace(program, body=visit(program.body, {}))
+def _scoped(node, names: dict[str, str], fresh):
+    """*node* under :func:`scope_loops`: *names* maps the indices bound
+    here to their unique spellings, *fresh* numbers the next loop."""
+    if isinstance(node, Affine):
+        return Affine({names.get(v, v): c for v, c in node.coeffs.items()}, node.const)
+    if isinstance(node, ScalarRef):
+        return ScalarRef(names.get(node.name, node.name))
+    if isinstance(node, DoLoop):
+        inner = names | {node.var: f"#{next(fresh)}"}
+        lb, ub = _scoped(node.lb, names, fresh), _scoped(node.ub, names, fresh)
+        return replace(node, var=inner[node.var], lb=lb, ub=ub, body=_scoped(node.body, inner, fresh))
+    if isinstance(node, (list, tuple)):
+        return type(node)(_scoped(n, names, fresh) for n in node)
+    if is_dataclass(node):
+        return type(node)(*(_scoped(getattr(node, f.name), names, fresh) for f in fields(node)))
+    return node

@@ -731,7 +731,7 @@ class Engine:
     ) -> None:
         self.topology = topology
         self.model = model or MachineModel()
-        self.procs = [Proc(self, r) for r in range(topology.size)]
+        self.procs: list[Proc] = []
         self._tracing = trace
         self.fault_plan = faults
         # Route lengths belong to the topology, not to a run.  (Threads
@@ -745,11 +745,12 @@ class Engine:
         Clocks, message counters, queues and trace lanes used to leak
         across repeated ``run()`` calls on the same engine; new lists are
         bound (not cleared) so results returned from earlier runs stay
-        valid.
+        valid.  The processors are new too: each points back at the
+        engine, so a run releases them when it ends (see :meth:`run`), and
+        the next one builds its own.
         """
-        for proc in self.procs:
-            proc.clock = 0.0
-            proc.scope = ""
+        if not self.procs:
+            self.procs = [Proc(self, r) for r in range(self.topology.size)]
         self._queues: dict[Channel, deque[_Message]] = {}
         self._waiting: dict[Channel, int] = {}  # channel -> parked rank
         self._parked_on: dict[int, Channel] = {}  # rank in a blocking receive
@@ -1029,67 +1030,76 @@ class Engine:
         kwargs: dict | None = None,
         per_rank_args: list[tuple] | None = None,
     ) -> RunResult:
-        """Run one instance of *program* per rank to completion."""
+        """Run one instance of *program* per rank to completion.
+
+        Returned or raised, the run releases its processors: each points
+        back at the engine, so the whole per-rank state (processors, lanes,
+        metrics, recent-event rings) would otherwise be a reference cycle
+        that only a full collection frees.  The next run builds new ones.
+        """
         self._reset_run_state()
-        kwargs = kwargs or {}
-        gens: list[Generator | None] = []
-        values: list[Any] = [None] * len(self.procs)
-        for proc in self.procs:
-            rank_args = per_rank_args[proc.rank] if per_rank_args is not None else args
-            result = program(proc, *rank_args, **kwargs)
-            if not isinstance(result, Generator):
-                # Pure-compute programs may be plain functions.
-                values[proc.rank] = result
-                gens.append(None)
-            else:
-                gens.append(result)
+        try:
+            kwargs = kwargs or {}
+            gens: list[Generator | None] = []
+            values: list[Any] = [None] * len(self.procs)
+            for proc in self.procs:
+                rank_args = per_rank_args[proc.rank] if per_rank_args is not None else args
+                result = program(proc, *rank_args, **kwargs)
+                if not isinstance(result, Generator):
+                    # Pure-compute programs may be plain functions.
+                    values[proc.rank] = result
+                    gens.append(None)
+                else:
+                    gens.append(result)
 
-        calendar = self._calendar
-        ready = calendar.ready
-        live = 0
-        for rank, gen in enumerate(gens):
-            if gen is not None:
-                ready.append(rank)
-                live += 1
+            calendar = self._calendar
+            ready = calendar.ready
+            live = 0
+            for rank, gen in enumerate(gens):
+                if gen is not None:
+                    ready.append(rank)
+                    live += 1
 
-        queues = self._queues
-        waiting = self._waiting
-        parked_on = self._parked_on
-        timed, heap = calendar.timed, calendar._heap
-        while live:
-            if not ready:
-                if not self._stall_step():
-                    raise self._deadlock()
-                continue
-            rank = ready.popleft()
-            try:
-                channel, deadline = next(gens[rank])
-            except StopIteration as stop:
-                values[rank] = stop.value
-                gens[rank] = None
-                live -= 1
-                continue
-            if type(channel[0]) is tuple:
-                # A waitany park (:mod:`repro.machine.nonblocking`) lists
-                # several channels: wake on a message on *any* of them.
-                raced = not self._park_nb(rank, channel)
-            else:
-                raced = queues.get(channel)
-                if not raced:
-                    if channel in waiting:
-                        raise CommunicationError(
-                            f"two processors waiting on the same channel {channel}"
-                        )
-                    waiting[channel] = rank
-                    parked_on[rank] = channel
-            if raced:
-                # Message raced in while the generator was yielding: retry.
-                ready.append(rank)
-            elif deadline is not None:
-                timed[rank] = deadline  # calendar.push_timeout, inlined
-                heappush(heap, (deadline, rank))
+            queues = self._queues
+            waiting = self._waiting
+            parked_on = self._parked_on
+            timed, heap = calendar.timed, calendar._heap
+            while live:
+                if not ready:
+                    if not self._stall_step():
+                        raise self._deadlock()
+                    continue
+                rank = ready.popleft()
+                try:
+                    channel, deadline = next(gens[rank])
+                except StopIteration as stop:
+                    values[rank] = stop.value
+                    gens[rank] = None
+                    live -= 1
+                    continue
+                if type(channel[0]) is tuple:
+                    # A waitany park (:mod:`repro.machine.nonblocking`) lists
+                    # several channels: wake on a message on *any* of them.
+                    raced = not self._park_nb(rank, channel)
+                else:
+                    raced = queues.get(channel)
+                    if not raced:
+                        if channel in waiting:
+                            raise CommunicationError(
+                                f"two processors waiting on the same channel {channel}"
+                            )
+                        waiting[channel] = rank
+                        parked_on[rank] = channel
+                if raced:
+                    # Message raced in while the generator was yielding: retry.
+                    ready.append(rank)
+                elif deadline is not None:
+                    timed[rank] = deadline  # calendar.push_timeout, inlined
+                    heappush(heap, (deadline, rank))
 
-        return self._result(values)
+            return self._result(values)
+        finally:
+            self.procs = []
 
 
 def run_spmd(

@@ -96,79 +96,85 @@ class ThreadedEngine(Engine):
         per_rank_args: list[tuple] | None = None,
     ) -> RunResult:
         self._reset_run_state()
-        kwargs = kwargs or {}
-        procs = self.procs
-        values: list[Any] = [None] * len(procs)
-        errors: list[BaseException | None] = [None] * len(procs)
-        cv = self._cv
-        ready = self._calendar.ready  # ranks woken but not yet resumed
-        live = len(procs)
-        deadlock: DeadlockError | None = None
+        try:
+            kwargs = kwargs or {}
+            procs = self.procs
+            values: list[Any] = [None] * len(procs)
+            errors: list[BaseException | None] = [None] * len(procs)
+            cv = self._cv
+            ready = self._calendar.ready  # ranks woken but not yet resumed
+            live = len(procs)
+            deadlock: DeadlockError | None = None
 
-        def sleep_until_ready(rank: int) -> bool:
-            """Park is registered, lock held: False once deadlocked."""
-            nonlocal deadlock
-            while rank not in ready:
-                if deadlock is not None:
-                    return False
-                if len(self._parked_on) + len(self._nb_channels) == live:
-                    # Global stall, the same step as ``Engine.run``'s.
-                    if not self._stall_step():
-                        deadlock = self._deadlock()
-                    cv.notify_all()
-                else:
-                    # A wait timeout alone means nothing — another
-                    # thread may simply be computing; re-check.
-                    cv.wait(timeout=self._deadlock_timeout)
-            ready.remove(rank)
-            return True
+            def sleep_until_ready(rank: int) -> bool:
+                """Park is registered, lock held: False once deadlocked."""
+                nonlocal deadlock
+                while rank not in ready:
+                    if deadlock is not None:
+                        return False
+                    if len(self._parked_on) + len(self._nb_channels) == live:
+                        # Global stall, the same step as ``Engine.run``'s.
+                        if not self._stall_step():
+                            deadlock = self._deadlock()
+                        cv.notify_all()
+                    else:
+                        # A wait timeout alone means nothing — another
+                        # thread may simply be computing; re-check.
+                        cv.wait(timeout=self._deadlock_timeout)
+                ready.remove(rank)
+                return True
 
-        def worker(proc: Proc) -> None:
-            nonlocal live
-            rank = proc.rank
-            try:
-                rank_args = per_rank_args[rank] if per_rank_args is not None else args
-                result = program(proc, *rank_args, **kwargs)
-                if not isinstance(result, Generator):
-                    values[rank] = result
-                    return
-                while True:
-                    try:
-                        channel, deadline = next(result)
-                    except StopIteration as stop:
-                        values[rank] = stop.value
+            def worker(proc: Proc) -> None:
+                nonlocal live
+                rank = proc.rank
+                try:
+                    rank_args = per_rank_args[rank] if per_rank_args is not None else args
+                    result = program(proc, *rank_args, **kwargs)
+                    if not isinstance(result, Generator):
+                        values[rank] = result
                         return
+                    while True:
+                        try:
+                            channel, deadline = next(result)
+                        except StopIteration as stop:
+                            values[rank] = stop.value
+                            return
+                        with cv:
+                            # A message that raced the park: retry the receive.
+                            if self._park(rank, channel, deadline):
+                                if not sleep_until_ready(rank):
+                                    return
+                except BaseException as exc:  # noqa: BLE001 - reported to caller
+                    errors[rank] = exc
+                finally:
                     with cv:
-                        # A message that raced the park: retry the receive.
-                        if self._park(rank, channel, deadline):
-                            if not sleep_until_ready(rank):
-                                return
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                errors[rank] = exc
-            finally:
-                with cv:
-                    live -= 1
-                    cv.notify_all()
+                        live -= 1
+                        cv.notify_all()
 
-        threads = [
-            threading.Thread(target=worker, args=(proc,), name=f"spmd-{proc.rank}")
-            for proc in procs
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+            threads = [
+                threading.Thread(target=worker, args=(proc,), name=f"spmd-{proc.rank}")
+                for proc in procs
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
 
-        # Error priority: an injected crash is the root cause (consequent
-        # deadlocks in peers are collateral), then any other program
-        # error, then deadlock.
-        failed = [e for e in errors if e is not None]
-        if failed:
-            crashes = [e for e in failed if isinstance(e, RankCrashedError)]
-            raise (crashes or failed)[0]
-        if deadlock is not None:
-            raise deadlock
-        return self._result(values)
+            # Error priority: an injected crash is the root cause (consequent
+            # deadlocks in peers are collateral), then any other program
+            # error, then deadlock.
+            failed = [e for e in errors if e is not None]
+            if failed:
+                crashes = [e for e in failed if isinstance(e, RankCrashedError)]
+                raise (crashes or failed)[0]
+            if deadlock is not None:
+                raise deadlock
+            return self._result(values)
+        finally:
+            # As in ``Engine.run``: each processor points back here.  So does,
+            # through its traceback's frames, each error this run holds.
+            self.procs = []
+            errors = failed = crashes = deadlock = None  # noqa: F841
 
 
 #: The execution backends by name: one machine core, two drivers.  Every

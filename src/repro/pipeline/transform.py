@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.costmodel.primitives import CommCosts
 from repro.dependence.tokens import TokenClass
-from repro.lang.analysis import mean_trips
+from repro.lang.analysis import mean_trips, nest_runs
 from repro.lang.ast import DoLoop
 from repro.machine.model import MachineModel
 from repro.pipeline.mapping import MappingChoice, choose_mapping
@@ -104,6 +104,8 @@ def pipeline_savings(
         for var, trips in mean_trips(token.site.loops, env).items():
             if var not in token.free_vars:
                 uses *= trips
+        if not nest_runs(token.site.loops, env):
+            uses = 0.0  # the reading statement never runs
         if decision.pattern == "none":
             naive, pipe = 0.0, 0.0
         elif decision.pattern == "shift":

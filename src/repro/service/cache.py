@@ -2,19 +2,21 @@
 
 :class:`PlanCache` maps a digest (:mod:`repro.service.normalize`) to a
 pickled compile artifact.  Values are stored *as pickle bytes* in both
-tiers — every ``get`` deserializes a fresh object, so cached plans are
+tiers — every ``get`` serves a fresh object, so cached plans are
 bit-identical to (and isolated from) what was ``put``, and the warm
-path decodes only what its caller reads.
+path decodes only what its caller reads, once per entry where it can
+(see "Shared heads").
 
 **Entry layout.**  An entry is the :data:`_LAYOUT` tag, then an *eager
 head*, then — for values that opt in — a *deferred rest*, both written
 by one ``pickle.Pickler`` (two ``dump()`` calls share one memo, so an
 object referenced from both sections is one object again after
-decoding).  ``lookup`` decodes the head; the rest is decoded by the
-same ``Unpickler`` the first time the value asks for it.  A class opts
-in with a ``_cache_split()`` method returning ``(head, rest)`` and a
+decoding).  ``lookup`` decodes the head; the rest is decoded, after a
+head, the first time the value asks for it.  A class opts in with a
+``_cache_split()`` method returning ``(head, rest)``, a
 ``_cache_join(head, rest)`` classmethod taking the head and a zero-arg
-callable that yields the rest.  The parts that wait for the rest are
+callable that yields the rest, and a ``_cache_shares(head)`` predicate
+(see "Shared heads").  The parts that wait for the rest are
 lazy instances (:mod:`repro.util.lazy`) made in ``_cache_join`` — never
 by the unpickler, whose memo would then hold objects pointing back at
 it, a reference cycle per hit.  Two values opt in, each deferring what a
@@ -32,11 +34,36 @@ served hit does not read:
   are rebuilt from them on first read.
 
 Every other value is all head, as is a dict-shaped plan entry written
-before plans deferred.  Isolation and bit-identity are unchanged: each
-``get`` owns its decoder, and a looked-up value pickles to the bytes
-the cold value does, before and after the rest is touched.  A rest
-that does not decode raises :class:`~repro.errors.ServiceError` when it
-is read, on that read and every later one.
+before plans deferred.  A looked-up value pickles to the bytes the cold
+value does, before and after the rest is touched.  A rest that does not
+decode raises :class:`~repro.errors.ServiceError` when it is read, on
+that read and every later one.
+
+**Shared heads.**  A memory entry (:class:`_Entry`) is the bytes plus,
+after its first hit, the decoded head, so it is evicted, spilled and
+promoted with them; a disk first touch seeds the promoted entry with the
+head it decoded.  Every later hit calls ``_cache_join`` on that head and
+constructs no ``Unpickler``.  What is shared must be immutable to the
+leaves, and ``_cache_shares(head)`` — asked once per entry — says
+whether it is:
+
+* a plan head is strings and a class, and the one mutable part,
+  ``rename``, is served as a per-hit copy: shared;
+* a solve head is numbers in tuples: shared — unless it holds an
+  ``execute=True`` validation (its reports hold dicts), which decodes
+  per hit, its rest read on by the same unpickler;
+* an all-head value decodes per hit.
+
+A rest's memo references point into its head, so the entry also keeps
+the memo of the unpickler that decoded the shared head, and a shared-head
+hit's rest is decoded by an unpickler that starts from it (:class:`_Rest`):
+the references resolve to the shared head's own objects.  A plan's rest
+refers back to the array-name strings of ``rename`` and to the pattern's
+module and class; a solve's refers back to nothing.  Both are immutable,
+so the served program speaks the very strings its per-hit ``rename``
+copy does, and the served value pickles as one decode of the entry does.
+A class whose rest referred back to a mutable part of its head could not
+share it.
 
 **Who wrote a disk entry.**  Each disk entry ends, inside its checksum,
 in the *vouch* of the code that wrote it (:func:`_vouch`: a tag and a
@@ -50,7 +77,8 @@ both sections before promotion, so a damaged, old-layout or
 other-classes entry is caught at ``lookup``, never at attribute access.
 The vouch is not a MAC: see :func:`_vouch` for the trust boundary.
 
-* **memory tier** — an ``OrderedDict`` LRU bounded by ``capacity``;
+* **memory tier** — an ``OrderedDict`` LRU of :class:`_Entry` (bytes
+  and shared head) bounded by ``capacity``;
 * **disk tier** — one ``<digest>.pkl`` file per entry under
   ``disk_dir`` (enabled by passing a directory); memory evictions spill
   to disk, disk hits are promoted back into memory.  Beside them the
@@ -181,33 +209,61 @@ _VOUCH_TAG = b"repro-vouch/1\n"
 _VOUCH = len(_VOUCH_TAG) + hashlib.sha256().digest_size
 
 
+#: An :class:`_Entry`'s ``head`` once a hit found that the head cannot
+#: be shared: every hit decodes the entry.
+_PER_HIT = object()
+
+
 class _Rest:
-    """The deferred section of a two-part entry: decoded on first call,
-    by the unpickler that decoded the head (its memo resolves what the
-    sections share).  A section that does not decode raises
-    :class:`~repro.errors.ServiceError`, on that call and every later one."""
+    """The deferred section of a two-part entry, decoded on first call.
 
-    __slots__ = ("blob", "head_end", "_unpickler", "_value", "_damage", "_lock")
+    The rest refers into its head's pickle memo, so it is read after a
+    head by one unpickler.  Given the *unpickler* that decoded the served
+    head (a head decoded per hit), that unpickler reads on.  Without one
+    (a shared head), a fresh unpickler starts at the rest holding *memo*,
+    the memo of the unpickler that decoded the shared head: the rest's
+    references resolve to the shared head's own objects.  A section that
+    does not decode raises :class:`~repro.errors.ServiceError`, on that
+    call and every later one."""
 
-    def __init__(self, blob: bytes, head_end: int, unpickler: pickle.Unpickler) -> None:
+    __slots__ = ("blob", "head_end", "_unpickler", "_memo", "_value", "_damage", "_lock")
+
+    def __init__(
+        self, blob: bytes, head_end: int,
+        unpickler: pickle.Unpickler | None = None, memo: object = None,
+    ) -> None:
         #: The entry this section is the tail of; ``blob[:head_end]`` is
         #: tag + head.  Both are dropped once the rest is decoded.
         self.blob: bytes | None = blob
         self.head_end = head_end
-        self._unpickler: pickle.Unpickler | None = unpickler
+        self._unpickler = unpickler
+        self._memo = memo
         self._damage: Exception | None = None
         self._lock = threading.Lock()
 
     def __call__(self) -> object:
         with self._lock:
-            if self._unpickler is not None:
+            if self.blob is not None:
                 try:
-                    self._value = self._unpickler.load()
+                    unpickler = self._unpickler
+                    if unpickler is None:
+                        # The memo's entries are numbered in order, and the
+                        # rest numbers its own after the head's.  Assigning
+                        # ``memo`` copies the entries but (CPython 3.11) not
+                        # their count, so a prefix first memoizes as many
+                        # placeholders as the head has entries.
+                        count = len(self._memo.copy())
+                        unpickler = pickle.Unpickler(
+                            io.BytesIO(b"N\x940" * count + b"N." + self.blob[self.head_end:])
+                        )
+                        unpickler.load()
+                        unpickler.memo = self._memo
+                    self._value = unpickler.load()
                 except Exception as exc:
                     # without its traceback, whose frame holds self
                     self._damage = exc.with_traceback(None)
                 finally:
-                    self._unpickler = self.blob = None
+                    self._unpickler = self._memo = self.blob = None
             if self._damage is not None:
                 raise ServiceError(
                     f"the deferred section of a {_LAYOUT.decode().strip()} cache entry "
@@ -241,23 +297,62 @@ def _encode(value: object) -> bytes:
     return buf.getvalue()
 
 
-def _decode(blob: bytes, *, eager: bool = False) -> object:
-    """The one deserialiser; *eager* also decodes a deferred rest now.
-    The disk tier's first touch of an entry this code did not vouch for
-    (:func:`_vouched`) is eager, so its damage surfaces here; any other
-    decode leaves the rest to its first read."""
+def _unpickler(blob: bytes) -> tuple[pickle.Unpickler, io.BytesIO]:
+    """An unpickler positioned at the head of *blob*, and its buffer."""
     if not blob.startswith(_LAYOUT):
         raise pickle.UnpicklingError("cache entry lacks the layout tag")
     buf = io.BytesIO(blob)
     buf.seek(len(_LAYOUT))
-    unpickler = pickle.Unpickler(buf)
+    return pickle.Unpickler(buf), buf
+
+
+def _decode(blob: bytes, *, eager: bool = False) -> tuple[object, object]:
+    """The one deserialiser: the value, and the ``head`` of the
+    :class:`_Entry` that holds *blob* (checked here, once).  *eager*
+    also decodes a deferred rest now: the disk tier's first touch of an
+    entry this code did not vouch for (:func:`_vouched`) is eager, so its
+    damage surfaces here; any other decode leaves the rest to its first
+    read."""
+    unpickler, buf = _unpickler(blob)
     cls, head = unpickler.load()
     if cls is None:
-        return head
-    rest = _Rest(blob, buf.tell(), unpickler)
+        return head, _PER_HIT
+    head_end = buf.tell()
+    if cls._cache_shares(head):
+        memo = unpickler.memo  # every later rest's references into the head
+        shared = (cls, head, head_end, memo)
+        rest = _Rest(blob, head_end, memo=memo)
+    else:
+        shared = _PER_HIT
+        rest = _Rest(blob, head_end, unpickler)
     if eager:
         rest()
-    return cls._cache_join(head, rest)
+    return cls._cache_join(head, rest), shared
+
+
+class _Entry:
+    """A memory-tier entry: its bytes, and the head its hits share.
+
+    ``head`` is ``None`` until a hit decodes the entry, then ``(cls,
+    head, head_end, memo)`` when ``cls._cache_shares(head)``, else
+    :data:`_PER_HIT` (all-head values too).  It is evicted, spilled and
+    promoted with the bytes, never kept beside them."""
+
+    __slots__ = ("blob", "head")
+
+    def __init__(self, blob: bytes, head: object = None) -> None:
+        self.blob = blob
+        self.head = head
+
+    def serve(self) -> object:
+        """A hit's value: joined from the shared head, constructing no
+        unpickler, when there is one; decoded otherwise."""
+        shared = self.head
+        if shared is None or shared is _PER_HIT:
+            value, self.head = _decode(self.blob)
+            return value
+        cls, head, head_end, memo = shared
+        return cls._cache_join(head, _Rest(self.blob, head_end, memo=memo))
 
 
 def _seal(blob: bytes) -> bytes:
@@ -360,7 +455,7 @@ class PlanCache:
         if self.disk_dir is not None:
             self.disk_dir = pathlib.Path(self.disk_dir)
             self.disk_dir.mkdir(parents=True, exist_ok=True)
-        self._mem: OrderedDict[str, bytes] = OrderedDict()
+        self._mem: OrderedDict[str, _Entry] = OrderedDict()
         self._disk_disabled = False
         self._consecutive_faults = 0
 
@@ -454,22 +549,24 @@ class PlanCache:
             return None
         return blob
 
-    def _disk_load(self, key: str) -> tuple[object, bytes] | None:
+    def _disk_load(self, key: str) -> tuple[object, _Entry] | None:
         """The disk half of a probe, counting nothing but damage: read,
-        unseal, decode.  An entry this code vouched for (:func:`_vouch`)
-        decodes its head only, as a memory hit does; any other entry
-        decodes both sections, and one whose checksum holds but whose
-        payload another code's classes or layout wrote (or that was
-        poisoned before sealing) is quarantined like a corrupt one."""
+        unseal, decode; the value and the memory entry it seeds with its
+        head.  An entry this code vouched for (:func:`_vouch`) decodes its
+        head only, as a memory hit does; any other entry decodes both
+        sections, and one whose checksum holds but whose payload another
+        code's classes or layout wrote (or that was poisoned before
+        sealing) is quarantined like a corrupt one."""
         content = self._disk_read(key)
         if content is None:
             return None
         blob, own = _vouched(content)
         try:
-            return _decode(blob, eager=not own), blob
+            value, head = _decode(blob, eager=not own)
         except Exception:
             self._discard(key)
             return None
+        return value, _Entry(blob, head)
 
     def _discard(self, key: str) -> None:
         path = self._disk_path(key)
@@ -494,15 +591,15 @@ class PlanCache:
     # -- tiers ----------------------------------------------------------
     def lookup(self, key: str) -> object:
         """The raw two-tier probe; returns the module-level miss sentinel."""
-        blob = self._mem.get(key)
-        if blob is not None:
+        entry = self._mem.get(key)
+        if entry is not None:
             self._mem.move_to_end(key)
             self.stats.hits += 1
-            return _decode(blob)
+            return entry.serve()
         loaded = self._disk_load(key)
         if loaded is not None:
-            value, blob = loaded
-            self._promote(key, blob)
+            value, entry = loaded
+            self._promote(key, entry)
             self.stats.hits += 1
             self.stats.disk_hits += 1
             return value
@@ -530,24 +627,24 @@ class PlanCache:
                 f"cannot store {type(value).__name__} under cache key {key!r}: {exc}"
             ) from exc
         self.stats.puts += 1
-        if self._promote(key, blob):
+        if self._promote(key, _Entry(blob)):
             self._disk_write(key, blob)
 
-    def _promote(self, key: str, blob: bytes) -> bool:
-        """Make *key* the most recent memory entry, spilling what that
-        evicts to disk; True when the key is new to the memory tier.
-        Writes nothing for *key* itself — a disk hit promoted through
-        here was just read from the file a write would target."""
+    def _promote(self, key: str, entry: _Entry) -> bool:
+        """Make *entry* the most recent memory entry under *key*, spilling
+        what that evicts to disk; True when the key is new to the memory
+        tier.  Writes nothing for *key* itself — a disk hit promoted
+        through here was just read from the file a write would target."""
         mem = self._mem
         if key in mem:
             mem.move_to_end(key)
-            mem[key] = blob
+            mem[key] = entry
             return False
-        mem[key] = blob
+        mem[key] = entry
         while len(mem) > self.capacity:
-            old_key, old_blob = mem.popitem(last=False)
+            old_key, old = mem.popitem(last=False)
             self.stats.evictions += 1
-            self._disk_write(old_key, old_blob)
+            self._disk_write(old_key, old.blob)
         return True
 
     # -- memo entries ---------------------------------------------------

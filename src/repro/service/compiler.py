@@ -15,13 +15,13 @@ service lowers, canonicalizes, and serves from the
 Both keys are functions of the program's
 :class:`~repro.service.normalize.CanonicalForm` alone, and for ``str``
 sources the service keeps a **source-text memo** in front of the front
-ends: ``sha256(IR_SCHEMA, guest, text)`` → the form, an LRU bounded by
-``cache_capacity`` and, when the cache has a disk tier, written through
-to it (:meth:`PlanCache.remember` / :meth:`PlanCache.recall` — the
-cache's own files, locks and quarantine), so the memo is as warm as the
-cache directory, not as the process.  In memory each entry also keeps
-the plan and solve keys it served, so a repeated request hashes its
-text once and its canonical form not at all.  A byte-identical resubmission
+ends: ``(guest, text)`` → the form, an LRU bounded by ``cache_capacity``
+and, when the cache has a disk tier, written through to it under
+``sha256(IR_SCHEMA, guest, text)`` (:meth:`PlanCache.remember` /
+:meth:`PlanCache.recall` — the cache's own files, locks and quarantine),
+so the memo is as warm as the cache directory, not as the process.  In
+memory each entry also keeps the plan and solve keys it served, so a
+repeated request hashes neither its text nor its canonical form.  A byte-identical resubmission
 that is also a plan hit therefore never parses; if its plan was evicted
 it is lowered and compiled as any miss.  Alpha-twins and whitespace
 variants miss the memo, take the full path and still hit the plan
@@ -465,9 +465,10 @@ class CompileService:
         self._backlog: list[tuple[contextvars.Context, CompileJob]] = []
         self._admitted: list[CompileJob] = []
         self._closed = False
-        #: source-text memo, memory tier: sha256(IR_SCHEMA, guest, text)
-        #: -> the form and its digests (the disk tier is the cache's)
-        self._forms: OrderedDict[str, _Memo] = OrderedDict()
+        #: source-text memo, memory tier: (guest, text) -> the form and
+        #: its digests (the disk tier, keyed by :meth:`_text_key`, is the
+        #: cache's)
+        self._forms: OrderedDict[tuple[str, str], _Memo] = OrderedDict()
         self._frontend_skips = 0
         self._memo_disk_hits = 0
 
@@ -519,9 +520,10 @@ class CompileService:
 
     # -- the source-text memo --------------------------------------------
     def _text_key(self, req: CompileRequest) -> str | None:
-        """The memo key of *req*, or None when it bypasses the memo
-        (non-``str`` source, or ``cache="off"``: a service told to keep
-        nothing keeps no forms either)."""
+        """The disk key of *req*'s memo entry, or None when it bypasses
+        the memo (non-``str`` source, or ``cache="off"``: a service told
+        to keep nothing keeps no forms either).  Computed only on a
+        memory miss: the memory tier is keyed by ``(guest, text)``."""
         if self.cache is None or not isinstance(req.source, str):
             return None
         h = hashlib.sha256(IR_SCHEMA.encode())
@@ -529,33 +531,36 @@ class CompileService:
         h.update(req.source.encode())
         return h.hexdigest()
 
-    def _recall_form(self, text_key: str | None) -> _Memo | None:
-        if text_key is None:
+    def _recall_form(self, req: CompileRequest) -> _Memo | None:
+        """*req*'s memo entry, or None: a miss, or a request that bypasses
+        the memo (see :meth:`_text_key`)."""
+        if self.cache is None or not isinstance(req.source, str):
             return None
         with self._lock:
-            memo = self._forms.get(text_key)
+            memo = self._forms.get((req.guest, req.source))
             if memo is not None:
-                self._forms.move_to_end(text_key)
+                self._forms.move_to_end((req.guest, req.source))
                 return memo
             # Not in this process's memo: a previous one may have left
             # the form in the cache directory.
-            form = self.cache.recall(text_key)
+            form = self.cache.recall(self._text_key(req))
             if form is None:
                 return None
             self._memo_disk_hits += 1
-            return self._keep_form(text_key, form)
+            return self._keep_form(req, form)
 
-    def _remember_form(self, text_key: str | None, form: CanonicalForm) -> _Memo | None:
+    def _remember_form(self, req: CompileRequest, form: CanonicalForm) -> _Memo | None:
+        text_key = self._text_key(req)
         if text_key is None:
             return None
         with self._lock:
-            memo = self._keep_form(text_key, form)
+            memo = self._keep_form(req, form)
             self.cache.remember(text_key, form)
             return memo
 
-    def _keep_form(self, text_key: str, form: CanonicalForm) -> _Memo:
+    def _keep_form(self, req: CompileRequest, form: CanonicalForm) -> _Memo:
         """Memory tier of the memo (caller holds the service lock)."""
-        memo = self._forms[text_key] = _Memo(form)
+        memo = self._forms[req.guest, req.source] = _Memo(form)
         while len(self._forms) > self.cache_capacity:
             self._forms.popitem(last=False)
         return memo
@@ -635,13 +640,12 @@ class CompileService:
         machine = self.machine  # one model per request: the solve key's and the solve's
         with span("service/request"):
             program: Program | None = None
-            text_key = self._text_key(req)
-            memo = self._recall_form(text_key)
+            memo = self._recall_form(req)
             if memo is None:
                 # A source that fails to lower raises here, before
                 # anything is remembered.
                 program, form = self._front_end(req)
-                memo = self._remember_form(text_key, form)
+                memo = self._remember_form(req, form)
             else:
                 form = memo.form
             plan_key, solve_key = self._digests(form, memo, req, machine)

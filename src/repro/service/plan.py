@@ -215,6 +215,11 @@ class SolveOutcome:
                 result.change_costs, result.loop_carried)
         return (head, self.validation), tables
 
+    @staticmethod
+    def _cache_shares(head) -> bool:
+        # The scalars are numbers in tuples; a validation holds dicts.
+        return head[1] is None
+
     @classmethod
     def _cache_join(cls, head, rest):
         (cost, segments, segment_costs, change_costs, loop_carried), validation = head
@@ -253,7 +258,9 @@ class PlanEntry(NamedTuple):
     and strategy, the pattern's class and the rename map — and the
     deferred rest is ``(program, pattern)``: a hit's ``program`` and
     ``generated.pattern`` are lazy instances (:mod:`repro.util.lazy`)
-    that decode the rest the first time either is read.
+    that decode the rest the first time either is read.  Hits share one
+    decoded head (:mod:`repro.service.cache`, "Shared heads"), each with
+    its own copy of ``rename``.
     """
 
     program: Program
@@ -268,6 +275,11 @@ class PlanEntry(NamedTuple):
         head = (gen.source, gen.entry, gen.strategy, type(gen.pattern), self.rename)
         return head, (self.program, gen.pattern)
 
+    @staticmethod
+    def _cache_shares(head) -> bool:
+        # Strings and a class, and a rename map that each hit copies.
+        return True
+
     @classmethod
     def _cache_join(cls, head, rest):
         source, entry, strategy, pattern_cls, rename = head
@@ -275,7 +287,7 @@ class PlanEntry(NamedTuple):
         return {
             "program": lazy(Program, lambda: rest()[0]),
             "generated": GeneratedProgram(source, entry, strategy, pattern),
-            "rename": rename,
+            "rename": dict(rename),  # the one mutable part of a shared head
         }
 
 

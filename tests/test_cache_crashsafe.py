@@ -153,7 +153,7 @@ class TestCorruptEntries:
         bad = blob[:-64] + bytes(64)  # the tables are the tail of the entry
         # Decoded lazily, as a memory hit is, the damage would only show
         # when the tables are read ...
-        lazy = cache_mod._decode(bad)
+        lazy = cache_mod._decode(bad)[0]
         assert lazy.cost == outcome.cost
         with pytest.raises(ServiceError):
             lazy.tables.entries
@@ -174,7 +174,7 @@ class TestCorruptEntries:
         assert cache.stats.disk_hits == 1
 
     def test_a_damaged_rest_read_late_is_a_service_error_every_time(self, outcome):
-        hit = cache_mod._decode(garbage_rest(cache_mod._encode(outcome)))
+        hit = cache_mod._decode(garbage_rest(cache_mod._encode(outcome)))[0]
         for read in (lambda: hit.tables.entries, lambda: hit.result.schemes) * 2:
             with pytest.raises(
                 ServiceError, match="deferred section of a repro-entry/3 cache entry is damaged"
@@ -487,7 +487,7 @@ class TestFormFiles:
             lambda data, other, plan: data[:40] + bytes([data[40] ^ 0xFF]) + data[41:],
             lambda data, other, plan: cache_mod._seal(b"not a pickle"),
             lambda data, other, plan: cache_mod._seal(
-                pickle.dumps(cache_mod._decode(data[: -cache_mod._TRAILER]))
+                pickle.dumps(cache_mod._decode(data[: -cache_mod._TRAILER])[0])
             ),
             lambda data, other, plan: other,
             lambda data, other, plan: plan,

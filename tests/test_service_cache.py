@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import pickle
+import pickletools
 import sys
 import threading
 from dataclasses import dataclass, fields, replace
@@ -358,7 +359,7 @@ class TestDeferredTables:
         pickler.dump((SolveOutcome, (outcome.result, outcome.validation)))
         pickler.dump(outcome.tables)
         with pytest.raises(pickle.UnpicklingError, match="layout tag"):
-            cache_mod._decode(buf.getvalue())
+            cache_mod._decode(buf.getvalue())[0]
         path = tmp_path / f"{cold.solve_key}.pkl"
         cache_mod._write_atomic(path, cache_mod._seal(buf.getvalue()))
         warm = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path).compile(
@@ -418,7 +419,7 @@ class TestDeferredTables:
         hit = cache.get("s")
         cache.put("again", hit)
         assert undecoded(hit)
-        assert cache._mem["again"] is cache._mem["s"]
+        assert cache._mem["again"].blob is cache._mem["s"].blob
         assert pickle.dumps(cache.get("again")) == pickle.dumps(cache.get("s"))
 
     def test_reput_after_changing_the_head_stores_the_change(self):
@@ -542,7 +543,7 @@ class TestDeferredTables:
         assert program.name == "renamed"
 
     def test_threads_reading_unread_parts_all_get_them(self):
-        entry, _ = stored_plan(program_to_text(jacobi_program()))
+        entry, plain = stored_plan(program_to_text(jacobi_program()))
         cold, _ = golden_solve("jacobi")
         cache = PlanCache()
         cache.put("p", entry)
@@ -553,8 +554,9 @@ class TestDeferredTables:
             for _ in range(20):
                 plan, outcome = cache.get("p"), cache.get("s")
                 readers = 4  # more threads than a 2-core runner has cores
-                barrier = threading.Barrier(readers, timeout=10)
                 seen, errors = [], []
+
+                renames = []
 
                 def read():
                     barrier.wait()
@@ -564,7 +566,14 @@ class TestDeferredTables:
                     except Exception as exc:  # reported by the asserts below
                         errors.append(exc)
 
+                def read_rename():
+                    barrier.wait()
+                    for _ in range(50):  # while the other threads fill
+                        renames.append(dict(plan["rename"]))
+
                 threads = [threading.Thread(target=read) for _ in range(readers)]
+                threads += [threading.Thread(target=read_rename) for _ in range(2)]
+                barrier = threading.Barrier(len(threads), timeout=10)
                 for t in threads:
                     t.start()
                 for t in threads:
@@ -577,6 +586,10 @@ class TestDeferredTables:
                 assert body == entry.program.body and array == entry.generated.pattern.A
                 assert entries.keys() == cold.tables.entries.keys()
                 assert outcome.result.schemes is schemes and outcome.tables.entries is entries
+                # every hit after the first shares its head: a fill leaves
+                # its rename as served, the strings the program speaks
+                assert renames == [entry.rename] * 100 and plan["rename"] == entry.rename
+                assert pickle.dumps(plan, pickle.HIGHEST_PROTOCOL) == plain
                 assert all(
                     scheme is entries[seg].scheme
                     for (scheme, _grid), seg in zip(schemes, outcome.result.segments)
@@ -624,6 +637,143 @@ class TestDeferredTables:
         assert warm.service_stats["cache_corrupt"] == 0
         assert warm.program == cold.program and warm.generated == cold.generated
         assert warm.outcome.cost == cold.outcome.cost
+
+
+class TestSharedHeads:
+    """A memory entry keeps its decoded head beside its bytes: the first
+    hit decodes it, every later hit is joined from it with no unpickler,
+    and what the hits share is immutable to the leaves."""
+
+    @staticmethod
+    def warm_requests(seed: int = 0) -> list[tuple[str, str, dict]]:
+        """``compile-warm``'s requests: each corpus program as DSL text,
+        as a json-ir document and as its alpha-twin."""
+        from repro.service import program_to_json
+
+        requests = []
+        for e in perf_corpus().build_corpus(seed):
+            doc = json.dumps(program_to_json(parse_program(e.source)))
+            requests += [(e.source, "dsl", e.env), (doc, "json-ir", e.env), (e.twin, "dsl", e.twin_env)]
+        return requests
+
+    @staticmethod
+    def counting_unpicklers(monkeypatch) -> list[int]:
+        built = [0]
+
+        class Counting(pickle.Unpickler):
+            def __init__(self, *args, **kwargs):
+                built[0] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "Unpickler", Counting)
+        return built
+
+    def test_a_memory_hit_decodes_its_head_once(self, monkeypatch):
+        requests = self.warm_requests()
+        svc = CompileService(machine=MODEL)
+        for source, _guest, env in requests[::3]:
+            svc.compile(source, nprocs=16, env=env)
+        built = self.counting_unpicklers(monkeypatch)
+        per_request = []
+        for _ in range(3):  # three passes: each entry's hits 1..9
+            for source, guest, env in requests:
+                before = built[0]
+                res = svc.compile(source, guest=guest, nprocs=16, env=env)
+                assert res.cached and res.solve_cached
+                per_request.append(built[0] - before)
+        # the first hit of each plan and solve entry decodes, no other
+        assert per_request[: len(requests)][::3] == [2] * (len(requests) // 3)
+        assert sum(per_request) == 2 * len(requests) // 3
+        # and a hit's rest, read, is decoded by an unpickler of its own
+        before = built[0]
+        source, guest, env = requests[0]
+        res = svc.compile(source, guest=guest, nprocs=16, env=env)
+        res.program.body, res.outcome.tables.entries
+        assert built[0] - before == 2
+
+    @staticmethod
+    def frozen(value) -> bool:
+        """Whether *value* is immutable to the leaves."""
+        if isinstance(value, tuple):
+            return all(TestSharedHeads.frozen(v) for v in value)
+        return value is None or isinstance(value, (str, int, float, type))
+
+    def test_shared_heads_are_immutable_to_the_leaves(self):
+        svc = CompileService(machine=MODEL)
+        for source, guest, env in self.warm_requests()[::3] * 2:
+            svc.compile(source, guest=guest, nprocs=16, env=env)
+        shared = [entry.head for entry in svc.cache._mem.values()]
+        assert len(shared) == 24 and all(type(head) is tuple for head in shared)
+        for (cls, head, end, memo), entry in zip(shared, svc.cache._mem.values()):
+            if cls is PlanEntry:
+                head, rename = head[:4], head[4]  # served as a per-hit copy
+                assert all(type(k) is str and type(v) is str for k, v in rename.items())
+            assert self.frozen(head), cls
+            # a rest's references into the head, which its hits share, are
+            # strings and classes
+            memo = memo.copy()
+            back = {
+                arg for op, arg, _pos in pickletools.genops(io.BytesIO(entry.blob[end:]))
+                if op.name.endswith("GET") and arg in memo
+            }
+            assert all(self.frozen(memo[index]) for index in back), cls
+
+    def test_mutating_a_served_value_leaves_the_next_hit_alone(self):
+        svc = CompileService(machine=MODEL)
+        text = program_to_text(jacobi_program())
+        cold = svc.compile(text, nprocs=4, env=ENV, execute=True)
+        plan_bytes = pickle.dumps(svc.cache.get(cold.digest), pickle.HIGHEST_PROTOCOL)
+        for touch in (False, True):
+            hit = svc.cache.get(cold.digest)
+            if touch:
+                hit["program"].body
+            hit["rename"].clear()
+            hit["rename"]["A"] = "B"
+            hit["program"].body.clear()
+            hit["program"].name = "edited"
+            served = svc.cache.get(cold.digest)
+            assert served["rename"] == dict(canonicalize(jacobi_program()).rename)
+            assert served["program"] == cold.program
+            assert pickle.dumps(served, pickle.HIGHEST_PROTOCOL) == plan_bytes
+        # an execute=True outcome holds dicts: its head decodes per hit
+        warm = svc.compile(text, nprocs=4, env=ENV, execute=True)
+        assert warm.solve_cached and svc.cache._mem[cold.solve_key].head is cache_mod._PER_HIT
+        report = warm.outcome.validation.transitions[0]
+        report.makespan.clear()
+        again = svc.compile(text, nprocs=4, env=ENV, execute=True).outcome.validation
+        assert again == cold.outcome.validation and again.transitions[0].makespan
+
+    def test_an_evicted_entry_drops_its_head_with_its_bytes(self, tmp_path):
+        entry, _ = stored_plan(program_to_text(sor_program()))
+        cache = PlanCache(capacity=1, disk_dir=tmp_path)
+        cache.put("a", entry)
+        cache.get("a")
+        shared = cache._mem["a"].head
+        assert shared[0] is PlanEntry
+        held = sys.getrefcount(shared)
+        cache.put("b", entry)  # evicts "a" to disk
+        assert list(cache._mem) == ["b"] and cache.stats.evictions == 1
+        assert sys.getrefcount(shared) == held - 1  # only this frame holds it now
+        cache.get("a")  # promoted back: the disk read seeds a head of its own
+        assert cache._mem["a"].head[1] is not shared[1]
+        assert cache._mem["a"].head[1] == shared[1]
+
+    def test_a_disk_first_touch_seeds_the_head(self, tmp_path, monkeypatch):
+        text = program_to_text(gauss_program())
+        env = {"m": 24}
+        cold = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path).compile(
+            text, nprocs=4, env=env
+        )
+        svc = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
+        first = svc.compile(text, nprocs=4, env=env)
+        assert first.service_stats["cache_disk_hits"] == 2
+        for key in (cold.digest, cold.solve_key):
+            assert type(svc.cache._mem[key].head) is tuple
+        built = self.counting_unpicklers(monkeypatch)
+        again = svc.compile(text, nprocs=4, env=env)
+        assert built[0] == 0 and again.cached and again.solve_cached
+        assert pickle.dumps(again.outcome) == pickle.dumps(cold.outcome)
+        assert pickle.dumps(again.plan.program) == pickle.dumps(cold.plan.program)
 
 
 class TestAlphaTwinServing:

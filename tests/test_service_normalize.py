@@ -833,8 +833,10 @@ class TestSourceTextMemo:
         (memo,) = svc._forms.values()
         assert len(memo.digests) == 2
         (path,) = form_files(tmp_path)
+        req = CompileRequest(source=JACOBI_SOURCE)
+        assert path.stem == "form-" + svc._text_key(req)
         fresh = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
-        assert fresh._recall_form(path.stem[len("form-"):]).digests == {}
+        assert fresh._recall_form(req).digests == {}
         # the file holds the form alone, as the front end derives it
         assert svc.cache.recall(path.stem[len("form-"):]) == canonicalize(parse_program(JACOBI_SOURCE))
 
@@ -884,15 +886,15 @@ class TestSourceTextMemo:
             writer = CompileService(machine=MODEL, cache="disk", cache_dir=cache_dir)
             req = CompileRequest(source=source)
             _, form = writer._front_end(req)
-            writer._remember_form(writer._text_key(req), form)
+            writer._remember_form(req, form)
 
             reader = CompileService(machine=MODEL, cache="disk", cache_dir=cache_dir)
-            recalled = reader._recall_form(reader._text_key(req)).form
+            recalled = reader._recall_form(req).form
             assert recalled is not form and recalled == form  # text and rename
             assert recalled.program_digest() == program_digest(program)
             # a mutation the compiler could act on is another text: it
             # recalls nothing, and what its own front end derives differs
             mutated = CompileRequest(source=mutant)
-            assert reader._recall_form(reader._text_key(mutated)) is None
+            assert reader._recall_form(mutated) is None
             assert reader._front_end(mutated)[1] != form
             assert reader.stats.lookups == 0 == reader.stats.puts
