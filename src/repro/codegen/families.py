@@ -34,8 +34,7 @@ from repro.codegen.spmd import (
     _emit_jacobi,
     _emit_sor,
 )
-from repro.codegen.stencil import emit_stencil, match_stencil_sweep
-from repro.codegen.stencil2d import emit_stencil_2d, match_stencil_2d
+from repro.codegen.stencil import emit_stencil, match_stencil
 from repro.errors import CodegenError, ReproError
 from repro.kernels.linalg import make_spd_system
 from repro.lang.ast import Program
@@ -140,9 +139,9 @@ _ROWS = (
     Family(
         "stencil",
         {"stencil": emit_stencil, "stencil-overlap": emit_stencil_overlap},
-        recognise=match_stencil_sweep,
+        recognise=partial(match_stencil, rank=1),
     ),
-    Family("stencil-2d", {"stencil-2d": emit_stencil_2d}, recognise=match_stencil_2d),
+    Family("stencil-2d", {"stencil-2d": emit_stencil}, recognise=partial(match_stencil, rank=2)),
 )
 
 #: ``pattern.kind`` -> row, in recognition order.

@@ -44,10 +44,7 @@ def emit_stencil_overlap(
 
     def overlapped_sweep(w: CodeWriter, si: int, sweep: Sweep) -> None:
         ov = sched.sweeps[si]
-        w.line(
-            f"# sweep {si + 1}: DO {sweep.var} = {sweep.lb}, {sweep.ub}"
-            f"  [{' -> '.join(ov.phases)}]"
-        )
+        w.line(f"# sweep {si + 1}: {sweep.loops()}  [{' -> '.join(ov.phases)}]")
         halos = [
             (
                 f"req_{ex.direction[0]}_{ex.array}",
@@ -64,9 +61,9 @@ def emit_stencil_overlap(
                 # Phase 2: post the matching halo sends.
                 for _req, name, _src, dest, tag, out, _into in halos:
                     w.line(f"comm.isend({dest}, pads['{name}']{out}, tag={tag})")
-        _emit_bounds(w, sweep, pattern)
+        guard = _emit_bounds(w, sweep)
         if not halos:
-            with w.block("if s1 > s0:"):
+            with w.block(f"if {guard}:"):
                 _emit_stmts(w, sweep, pattern, "s0", "s1", "sweep")
             return
         # Phase 3: interior — stencil windows stay inside the pad.

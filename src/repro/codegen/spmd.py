@@ -68,11 +68,17 @@ def generate_spmd(program: Program, strategy: str | None = None) -> GeneratedPro
 
 
 def load_generated(gen: GeneratedProgram):
-    """Compile generated source; returns the SPMD entry callable."""
+    """Compile generated source; returns the SPMD entry callable.
+
+    The entry leaves the namespace it was defined in: it keeps that
+    namespace as its globals, and the namespace no longer holds it, so
+    reference counting frees both.  (Every emitter defines the entry
+    function alone, and no entry calls itself.)
+    """
     namespace = runtime_namespace()
     code = compile(gen.source, f"<generated:{gen.entry}>", "exec")
     exec(code, namespace)
-    return namespace[gen.entry]
+    return namespace.pop(gen.entry)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,32 @@
-"""Generic lowering of 1-D data-parallel (stencil) sweeps.
+"""Generic lowering of data-parallel (stencil) sweeps over 1-D and 2-D arrays.
 
 The paper's opening classification (§1): "if dependent data only
 influence neighboring data, an efficient component-alignment algorithm
 can be used to partition and distribute data arrays" — i.e. block
 distribution plus neighbor Shift communication.  This module implements
-that compilation path *generically*, not via a canned template:
+that compilation path *generically*, not via a canned template, under
+one recognition rule for arrays of any rank r (:func:`match_stencil`):
 
-* :func:`match_stencil_sweep` recognizes an (optionally time-stepped)
-  sequence of 1-D parallel loops whose statements assign ``A(i)`` from
-  references ``B(i + c)`` with constant offsets, verifying with the
-  dependence analyzer that no loop carries a dependence at its own level
-  (each sweep is truly parallel);
-* :func:`emit_stencil` generates an SPMD program: block distribution of
-  every array, per-sweep halo exchange sized by the maximal negative and
-  positive offsets of each referenced array (one Shift per direction),
-  then vectorized local computation compiled from the expression trees.
+* every array is r-dimensional and every extent is the size parameter
+  ``m`` itself;
+* the body is a sequence of perfect r-deep loop nests, optionally inside
+  one time loop ``DO t = 1, T``; every loop steps by 1, and every bound
+  of a nest is ``c`` or ``m + c`` (so an inner bound ignores the outer
+  loop variables);
+* every statement writes its own element (owner computes),
+  ``A(i, j) = f(B(i + ci, j + cj), ..., scalars)``: each subscript is
+  its dimension's loop variable plus a constant;
+* every reference stays inside ``1 .. m`` over the nest's bounds;
+* the dependence analyzer finds no dependence carried by any loop of a
+  nest (each sweep is truly parallel).
+
+:func:`emit_stencil` generates an SPMD program from one listing frame:
+block distribution of the first dimension (row blocks of a 2-D array,
+whose pads hold whole rows, so column offsets stay local — the §3
+alignment default), per-sweep halo exchange sized by the maximal
+negative and positive first-dimension offsets of each referenced array
+(one Shift per direction), then vectorized local computation compiled
+from the expression trees.
 
 The generated program is checked element-for-element against a direct
 sequential interpretation of the source.
@@ -51,29 +63,58 @@ from repro.util.lazy import Lazy
 
 @dataclass(frozen=True)
 class SweepStmt:
-    """One recognized statement ``lhs(i + c0) = f(refs(i + c), scalars)``."""
+    """One recognized statement ``lhs(i) = f(refs(i + c), scalars)``."""
 
     lhs_array: str
     lhs_offset: int
     rhs: Expr
-    offsets: tuple[tuple[str, int], ...]  # (array, offset) pairs read
+    offsets: tuple[tuple[str, int], ...]  # (array, offset per dimension) read
 
 
 @dataclass(frozen=True)
 class Sweep:
-    """One parallel loop over ``var = lb .. ub`` (bounds affine in m)."""
+    """One parallel sweep: the loop ``var = lb .. ub`` (bounds ``c`` or
+    ``m + c``) around its statements."""
 
     var: str
     lb: Affine
     ub: Affine
     stmts: tuple[SweepStmt, ...]
 
+    def loops(self) -> str:
+        """The sweep's loop headers, as the listing's comment prints them."""
+        return f"DO {self.var} = {self.lb}, {self.ub}"
+
+
+@dataclass(frozen=True)
+class Sweep2D(Sweep):
+    """A perfect double loop: rows ``var = lb .. ub`` (distributed) around
+    columns ``jvar = j_lb .. j_ub`` (local)."""
+
+    jvar: str
+    j_lb: Affine
+    j_ub: Affine
+
+    def loops(self) -> str:
+        return f"{super().loops()} / DO {self.jvar} = {self.j_lb}, {self.j_ub}"
+
 
 @dataclass(frozen=True)
 class StencilPattern(Lazy):
-    """A recognized (time-stepped) stencil program."""
+    """A recognized (time-stepped) stencil program over 1-D arrays."""
 
     kind: ClassVar[str] = "stencil"
+    rank: ClassVar[int] = 1
+    #: How the listing frame spells this rank: the ring neighbours a
+    #: block's halos arrive from (before, after), the first halo tag, the
+    #: index suffix that takes whole pad rows, what a sent block is, how
+    #: gathered blocks rejoin, and the lowering's name in its assertion.
+    neighbours: ClassVar[tuple[str, str]] = ("left", "right")
+    halo_tag: ClassVar[int] = 90
+    rows: ClassVar[str] = ""
+    send: ClassVar[str] = ""
+    rejoin: ClassVar[str] = "np.concatenate([np.atleast_1d(b) for b in blocks])"
+    label: ClassVar[str] = "stencil lowering"
     size_param: str
     time_param: str | None  # None: single application
     arrays: tuple[str, ...]
@@ -82,22 +123,36 @@ class StencilPattern(Lazy):
 
     @property
     def halo(self) -> dict[str, tuple[int, int]]:
-        """Per-array (left, right) halo width over all sweeps."""
+        """Per-array halo width (before, after) along the distributed
+        first dimension, over all sweeps."""
         halo: dict[str, tuple[int, int]] = {name: (0, 0) for name in self.arrays}
         for sweep in self.sweeps:
             for stmt in sweep.stmts:
-                for name, off in stmt.offsets:
+                for ref in stmt.offsets:
+                    name, off = ref[0], ref[1]
                     left, right = halo[name]
                     halo[name] = (max(left, -off), max(right, off))
         return halo
 
 
+@dataclass(frozen=True)
+class Stencil2DPattern(StencilPattern):
+    """A recognized stencil program over 2-D arrays, lowered to row blocks
+    on a linear processor array: only halo *rows* travel."""
+
+    kind = "stencil-2d"
+    rank = 2
+    neighbours = ("up", "down")
+    halo_tag = 70
+    rows = ", :"
+    send = ".copy()"
+    rejoin = "np.vstack(blocks)"
+    label = "2-D stencil lowering"
+
+
 def _offset_of(sub: Affine, var: str) -> int | None:
     """The c of ``var + c``; None if the subscript has any other shape."""
-    if sub.coeff(var) != 1:
-        return None
-    rest = sub - Affine.var(var)
-    return rest.const if rest.is_constant else None
+    return sub.const if sub.coeffs == {var: 1} else None
 
 
 def _scan_rhs(
@@ -123,62 +178,84 @@ def _scan_rhs(
     return False
 
 
-def _extract_stmt(stmt: Assign, var: str, program: Program) -> SweepStmt | None:
+def _extract_stmt(stmt: Assign, nest_vars: tuple[str, ...], program: Program) -> SweepStmt | None:
+    """*stmt* as a sweep statement: it writes ``A(nest_vars)`` from
+    references ``B(nest_vars + c)``, numbers and declared scalars."""
+    rank = len(nest_vars)
+
+    def offsets_of(ref: ArrayRef) -> tuple[int | None, ...]:
+        if len(ref.subscripts) != rank:
+            return (None,)
+        return tuple(map(_offset_of, ref.subscripts, nest_vars))
+
     lhs = stmt.lhs
-    if not isinstance(lhs, ArrayRef) or lhs.rank != 1:
+    # Owner computes: iteration (i, j) must write its own element A(i, j).
+    if not isinstance(lhs, ArrayRef) or offsets_of(lhs) != (0,) * rank:
         return None
-    lhs_off = _offset_of(lhs.subscripts[0], var)
-    if lhs_off != 0:
-        # Owner computes: iteration i must write its own element A(i).
-        return None
-    offsets: list[tuple[str, int]] = []
+    offsets: list[tuple] = []
 
     def on_ref(ref: ArrayRef) -> bool:
-        off = _offset_of(ref.subscripts[0], var) if ref.rank == 1 else None
-        if off is not None:
-            offsets.append((ref.name, off))
-        return off is not None
+        offs = offsets_of(ref)
+        if None in offs:
+            return False
+        offsets.append((ref.name, *offs))
+        return True
 
     if not _scan_rhs(stmt.rhs, program, on_ref):
         return None
-    return SweepStmt(
-        lhs_array=lhs.name,
-        lhs_offset=lhs_off,
-        rhs=stmt.rhs,
-        offsets=tuple(offsets),
-    )
+    return SweepStmt(lhs_array=lhs.name, lhs_offset=0, rhs=stmt.rhs, offsets=tuple(offsets))
 
 
-def _extract_sweep(loop: DoLoop, program: Program) -> Sweep | None:
+def _extract_sweep(loop: DoLoop, program: Program, size_param: str, rank: int) -> Sweep | None:
+    """*loop* as a sweep: a perfect *rank*-deep nest of sweep statements
+    whose references stay inside ``1 .. m`` and which no loop of the nest
+    carries a dependence through."""
+    nest = [loop]
+    while len(nest) < rank:
+        body = nest[-1].body
+        if len(body) != 1 or not isinstance(body[0], DoLoop):
+            return None
+        nest.append(body[0])
+    nest_vars = tuple([level.var for level in nest])
     stmts: list[SweepStmt] = []
-    for stmt in loop.body:
+    for stmt in nest[-1].body:
         if not isinstance(stmt, Assign):
             return None
-        extracted = _extract_stmt(stmt, loop.var, program)
+        extracted = _extract_stmt(stmt, nest_vars, program)
         if extracted is None:
             return None
         stmts.append(extracted)
     if not stmts:
         return None
-    # Parallelism check: no dependence carried by this loop itself.
-    for dep in find_dependences([loop]):
-        if dep.carried_level() == 0:
+    # In range: over bounds c0 .. m + c1, an offset d reads c0 + d .. m + c1 + d.
+    for dim, level in enumerate(nest, start=1):
+        if not level.lb.is_constant or level.ub.coeffs != {size_param: 1}:
             return None
-    return Sweep(var=loop.var, lb=loop.lb, ub=loop.ub, stmts=tuple(stmts))
+        reach = [0] + [offs[dim] for st in stmts for offs in st.offsets]
+        if level.lb.const + min(reach) < 1 or level.ub.const + max(reach) > 0:
+            return None
+    # Parallelism check: no dependence carried by any loop of the nest.
+    for dep in find_dependences([loop]):
+        if dep.carried_level() is not None:
+            return None
+    if rank == 1:
+        return Sweep(var=loop.var, lb=loop.lb, ub=loop.ub, stmts=tuple(stmts))
+    inner = nest[1]
+    return Sweep2D(loop.var, loop.lb, loop.ub, tuple(stmts), inner.var, inner.lb, inner.ub)
 
 
 def _time_stepped_sweeps(
-    program: Program, size_param: str, extract: Callable[[DoLoop, Program], object | None]
-) -> tuple[str | None, tuple] | None:
+    program: Program, size_param: str, rank: int
+) -> tuple[str | None, tuple[Sweep, ...]] | None:
     """``(time parameter, sweeps)`` of a stencil candidate, or ``None``.
 
     A body that is one ``DO t = 1, T`` — ``T`` a bare name other than the
     size parameter — around loops whose bounds ignore ``t`` is a time
     loop and its body the sweep level; otherwise there is no time
     parameter and the program body is.  Every statement at the sweep
-    level must be a loop that *extract* accepts, and every loop of the
-    program must step by 1: the lowerings run ``T`` time steps and
-    vectorize each sweep over a dense index range.
+    level must be a loop nest :func:`_extract_sweep` accepts, and every
+    loop of the program must step by 1: the lowering runs ``T`` time
+    steps and vectorizes each sweep over a dense index range.
     """
     if any(isinstance(s, DoLoop) and s.step != 1 for s in program.walk()):
         return None
@@ -198,39 +275,36 @@ def _time_stepped_sweeps(
             )
         ):
             (time_param,), body = ub.coeffs, outer.body
-    sweeps = tuple(extract(s, program) if isinstance(s, DoLoop) else None for s in body)
+    sweeps = tuple(
+        _extract_sweep(s, program, size_param, rank) if isinstance(s, DoLoop) else None
+        for s in body
+    )
     if not sweeps or None in sweeps:
         return None
     return time_param, sweeps
 
 
-def match_stencil_sweep(program: Program) -> StencilPattern | None:
-    """Recognize a (time-stepped) sequence of parallel 1-D sweeps."""
-    arrays = tuple(sorted(program.arrays))
-    if any(program.arrays[a].rank != 1 for a in arrays):
+def match_stencil(program: Program, rank: int) -> StencilPattern | None:
+    """Recognize a (time-stepped) sequence of parallel sweeps over
+    *rank*-dimensional arrays (1 or 2) under the module's one rule."""
+    decls = list(program.arrays.values())
+    if not decls:
         return None
-    if len(program.params) < 1:
+    size = decls[0].extents[0].coeffs
+    if list(size.values()) != [1] or any(
+        len(d.extents) != rank or any(ext.const or ext.coeffs != size for ext in d.extents)
+        for d in decls
+    ):
         return None
-    size_param = None
-    for name, decl in program.arrays.items():
-        ext = decl.extents[0]
-        if len(ext.coeffs) == 1 and ext.const == 0:
-            (var, coeff), = ext.coeffs.items()
-            if coeff == 1:
-                size_param = size_param or var
-                if var != size_param:
-                    return None
-    if size_param is None:
-        return None
-
-    found = _time_stepped_sweeps(program, size_param, _extract_sweep)
+    (size_param,) = size
+    found = _time_stepped_sweeps(program, size_param, rank)
     if found is None:
         return None
     time_param, sweeps = found
-    return StencilPattern(
+    return (StencilPattern, Stencil2DPattern)[rank - 1](
         size_param=size_param,
         time_param=time_param,
-        arrays=arrays,
+        arrays=tuple(sorted(program.arrays)),
         scalars=tuple(program.scalars),
         sweeps=sweeps,
     )
@@ -241,28 +315,25 @@ def match_stencil_sweep(program: Program) -> StencilPattern | None:
 # ---------------------------------------------------------------------------
 
 
-def _compile_expr(
-    expr: Expr,
-    var: str,
-    pattern: StencilPattern,
-    lo_name: str = "s0",
-    hi_name: str = "s1",
-) -> str:
+def _compile_expr(expr: Expr, sweep: Sweep, pattern: StencilPattern, lo: str, hi: str) -> str:
     """Compile an expression to a NumPy slice expression over local pads.
 
-    Array ``W`` is held as ``W_pad`` with left halo ``HL[W]``; global
-    element ``i + c`` of the block maps to ``W_pad[HL + c : HL + c + cnt]``.
-    ``lo_name``/``hi_name`` are the emitted slice-bound variables (the
-    overlap emitter compiles each statement twice, over interior and
-    boundary subranges).
+    Array ``W`` is held as ``W_pad`` with leading halo ``HL[W]``; global
+    row ``i + c`` of the block maps to ``W_pad[HL + c + lo : HL + c + hi]``
+    (and a 2-D sweep's column ``j + cj`` to ``j0 + cj : j1 + cj``).
+    ``lo``/``hi`` are the emitted slice-bound variables (the overlap
+    emitter compiles each statement twice, over interior and boundary
+    subranges).
     """
-    halo = pattern.halo
+    halo, two = pattern.halo, isinstance(sweep, Sweep2D)
 
     def ref(e: ArrayRef) -> str:
-        off = _offset_of(e.subscripts[0], var)
-        assert off is not None
-        lo = halo[e.name][0] + off
-        return f"pads['{e.name}'][{lo} + {lo_name} : {lo} + {hi_name}]"
+        row = halo[e.name][0] + _offset_of(e.subscripts[0], sweep.var)
+        window = f"{row} + {lo} : {row} + {hi}"
+        if two:
+            col = _offset_of(e.subscripts[1], sweep.jvar)
+            window += f", j0 + {col} : j1 + {col}"
+        return f"pads['{e.name}'][{window}]"
 
     return _compile_tree(expr, ref)
 
@@ -293,14 +364,19 @@ def _compile_tree(expr: Expr, ref: Callable[[ArrayRef], str]) -> str:
 def _halo_side(pattern: StencilPattern, name: str, direction: str, si: int) -> tuple:
     """``(source, dest, tag, send slice, recv slice)`` of one halo side in sweep *si*.
 
-    The ``"left"`` halo of *name* arrives from the left neighbor (so the
-    block's rightmost elements go right); ``"right"`` mirrors it.  The
-    slices index ``pads[name]``.
+    The halo before the block (*direction* ``"left"``, or ``"up"`` for
+    rows) arrives from that neighbor, so the block's last elements go
+    the other way; the halo after it mirrors that.  The slices index
+    ``pads[name]``.
     """
+    before, after = pattern.neighbours
     hl, hr = pattern.halo[name]
-    if direction == "left":
-        return "left", "right", 90 + si, f"[cnt:{hl} + cnt]", f"[:{hl}]"
-    return "right", "left", 190 + si, f"[{hl}:{hl} + {hr}]", f"[{hl} + cnt:]"
+    rows, send = pattern.rows, pattern.send
+    if direction == before:
+        tag = pattern.halo_tag + si
+        return before, after, tag, f"[cnt:{hl} + cnt{rows}]{send}", f"[:{hl}{rows}]"
+    tag = pattern.halo_tag + 100 + si
+    return after, before, tag, f"[{hl}:{hl} + {hr}{rows}]{send}", f"[{hl} + cnt:{rows}]"
 
 
 def _emit_stmts(
@@ -311,29 +387,38 @@ def _emit_stmts(
     hi: str,
     label: str,
 ) -> None:
-    """The sweep's statements, vectorized over local elements ``[lo, hi)``."""
+    """The sweep's statements, vectorized over local rows ``[lo, hi)``
+    (and a 2-D sweep's columns ``[j0, j1)``)."""
+    two = isinstance(sweep, Sweep2D)
+    cols, area = (", j0:j1", " * (j1 - j0)") if two else ("", "")
     for st in sweep.stmts:
-        expr = _compile_expr(st.rhs, sweep.var, pattern, lo_name=lo, hi_name=hi)
+        expr = _compile_expr(st.rhs, sweep, pattern, lo, hi)
         flops = _count_ops(st.rhs)
-        hl = pattern.halo[st.lhs_array][0]
-        off = st.lhs_offset
-        w.line(
-            f"pads['{st.lhs_array}'][{hl} + {off} + {lo} : {hl} + {off} + {hi}] = {expr}"
-        )
+        row = pattern.halo[st.lhs_array][0]
+        if not two:  # a 1-D listing spells out the (zero) write offset
+            row = f"{row} + {st.lhs_offset}"
+        w.line(f"pads['{st.lhs_array}'][{row} + {lo} : {row} + {hi}{cols}] = {expr}")
         if flops:
-            w.line(f"p.compute({flops} * ({hi} - {lo}), label='{label}')")
+            w.line(f"p.compute({flops} * ({hi} - {lo}){area}, label='{label}')")
 
 
-def _emit_bounds(w: CodeWriter, sweep: Sweep, pattern: StencilPattern) -> None:
-    """Iteration subrange ``[s0, s1)`` owned by this block, respecting bounds."""
-    lb_expr = _affine_to_py(sweep.lb, pattern.size_param)
-    ub_expr = _affine_to_py(sweep.ub, pattern.size_param)
+def _emit_bounds(w: CodeWriter, sweep: Sweep) -> str:
+    """Row subrange ``[s0, s1)`` owned by this block, respecting bounds,
+    and a 2-D sweep's columns ``[j0, j1)``; returns the test that the
+    range is not empty."""
     w.lines(
-        f"g_lo = max({lb_expr}, lo + 1)",
-        f"g_hi = min({ub_expr}, hi)",
+        f"g_lo = max({_affine_to_py(sweep.lb)}, lo + 1)",
+        f"g_hi = min({_affine_to_py(sweep.ub)}, hi)",
         "s0 = g_lo - 1 - lo",
         "s1 = g_hi - lo",
     )
+    if not isinstance(sweep, Sweep2D):
+        return "s1 > s0"
+    w.lines(
+        f"j0 = {_affine_to_py(sweep.j_lb)} - 1",
+        f"j1 = {_affine_to_py(sweep.j_ub)}",
+    )
+    return "s1 > s0 and j1 > j0"
 
 
 def _emit_sweep_program(
@@ -343,33 +428,37 @@ def _emit_sweep_program(
     emit_sweep: Callable[[CodeWriter, int, Sweep], None],
     setup: tuple[str, ...] = (),
 ) -> GeneratedProgram:
-    """The frame every 1-D stencil listing shares.
+    """The frame every stencil listing shares.
 
     Prologue (block bounds, ring neighbors, *setup* lines, padded local
-    arrays), the time loop calling ``emit_sweep(w, index, sweep)`` — the
-    caller's per-sweep communication shape — and the allgather epilogue.
+    arrays — a 2-D pad holds whole rows), the time loop calling
+    ``emit_sweep(w, index, sweep)`` — the caller's per-sweep
+    communication shape — and the allgather epilogue.
     """
+    before, after = pattern.neighbours
+    rows = pattern.rows
     w = CodeWriter()
     w.lines(*header)
     with w.block("def spmd_main(p, env):"):
         w.lines(
             f"m = int(env['{pattern.size_param}'])",
             "n = p.nprocs",
-            "assert m % n == 0, 'stencil lowering needs N | m'",
+            f"assert m % n == 0, '{pattern.label} needs N | m'",
             "cnt = m // n",
             "lo = p.rank * cnt",
             "hi = lo + cnt",
-            "left = (p.rank - 1) % n",
-            "right = (p.rank + 1) % n",
+            f"{before} = (p.rank - 1) % n",
+            f"{after} = (p.rank + 1) % n",
             *setup,
             "pads = {}",
         )
         for name in pattern.arrays:
             hl, hr = pattern.halo[name]
+            shape = f"cnt + {hl} + {hr}"
             w.lines(
                 f"_g = np.asarray(env['{name}'], dtype=np.float64)",
-                f"pads['{name}'] = np.zeros(cnt + {hl} + {hr})",
-                f"pads['{name}'][{hl}:{hl} + cnt] = _g[lo:hi]",
+                f"pads['{name}'] = np.zeros({f'({shape}, m)' if rows else shape})",
+                f"pads['{name}'][{hl}:{hl} + cnt{rows}] = _g[lo:hi{rows}]",
             )
         steps = f"int(env['{pattern.time_param}'])" if pattern.time_param else "1"
         w.line(f"steps = {steps}")
@@ -378,10 +467,10 @@ def _emit_sweep_program(
                 emit_sweep(w, si, sweep)
         w.line("out = {}")
         for name in pattern.arrays:
-            hl, _hr = pattern.halo[name]
+            hl = pattern.halo[name][0]
             w.lines(
-                f"blocks = yield from allgather(p, pads['{name}'][{hl}:{hl} + cnt], tuple(range(n)))",
-                f"out['{name}'] = np.concatenate([np.atleast_1d(b) for b in blocks])",
+                f"blocks = yield from allgather(p, pads['{name}'][{hl}:{hl} + cnt{rows}]{pattern.send}, tuple(range(n)))",
+                f"out['{name}'] = {pattern.rejoin}",
             )
         w.line("return out")
     return GeneratedProgram(
@@ -390,15 +479,15 @@ def _emit_sweep_program(
 
 
 def emit_stencil(pattern: StencilPattern) -> GeneratedProgram:
-    """Emit the SPMD stencil program for a recognized pattern."""
+    """Emit the SPMD stencil program for a recognized pattern of either rank."""
 
     def blocking_sweep(w: CodeWriter, si: int, sweep: Sweep) -> None:
-        w.line(f"# sweep {si + 1}: DO {sweep.var} = {sweep.lb}, {sweep.ub}")
+        w.line(f"# sweep {si + 1}: {sweep.loops()}")
         # Halo exchange (Shift) for the arrays this sweep reads.
         # Boundary wrap values are never consumed: the sweep bounds
         # keep edge iterations away from non-existent neighbors.
-        for name in sorted({name for st in sweep.stmts for name, _ in st.offsets}):
-            for direction, width in zip(("left", "right"), pattern.halo[name]):
+        for name in sorted({ref[0] for st in sweep.stmts for ref in st.offsets}):
+            for direction, width in zip(pattern.neighbours, pattern.halo[name]):
                 if width:
                     src, dest, tag, out, into = _halo_side(pattern, name, direction, si)
                     with w.block("if n > 1:"):
@@ -406,16 +495,22 @@ def emit_stencil(pattern: StencilPattern) -> GeneratedProgram:
                             f"p.send({dest}, pads['{name}']{out}, tag={tag})",
                             f"pads['{name}']{into} = yield from p.recv({src}, tag={tag})",
                         )
-        _emit_bounds(w, sweep, pattern)
-        with w.block("if s1 > s0:"):
+        with w.block(f"if {_emit_bounds(w, sweep)}:"):
             _emit_stmts(w, sweep, pattern, "s0", "s1", "sweep")
 
-    header = (
-        "# generated: block-distributed stencil sweeps with neighbor halo",
-        "# exchange (paper S1: 'dependent data only influence neighboring",
-        "# data' -> component alignment + Shift communication).",
-    )
-    return _emit_sweep_program(pattern, header, "stencil", blocking_sweep)
+    if pattern.rank == 2:
+        header = (
+            "# generated: row-block 2-D stencil sweeps; halo *rows* exchanged",
+            "# with linear-array neighbors (column offsets are local because",
+            "# rows are stored whole — the S3 alignment default).",
+        )
+    else:
+        header = (
+            "# generated: block-distributed stencil sweeps with neighbor halo",
+            "# exchange (paper S1: 'dependent data only influence neighboring",
+            "# data' -> component alignment + Shift communication).",
+        )
+    return _emit_sweep_program(pattern, header, pattern.kind, blocking_sweep)
 
 
 def _count_ops(expr: Expr) -> int:
@@ -427,10 +522,6 @@ def _count_ops(expr: Expr) -> int:
     return 0
 
 
-def _affine_to_py(aff: Affine, size_param: str) -> str:
-    parts = [str(aff.const)]
-    for var, coeff in sorted(aff.coeffs.items()):
-        if var != size_param:
-            raise CodegenError(f"stencil bounds may only use {size_param!r}, got {var!r}")
-        parts.append(f"{coeff} * m")
-    return " + ".join(parts)
+def _affine_to_py(aff: Affine) -> str:
+    """A recognized bound (``c`` or ``c + m``) as emitted Python."""
+    return " + ".join([str(aff.const)] + [f"{coeff} * m" for coeff in aff.coeffs.values()])

@@ -185,6 +185,17 @@ def algorithm1(
     )
 
 
+def _compositions(total: int) -> list[list[int]]:
+    """Every ordered way to write *total* as a sum of positive parts."""
+    if total == 0:
+        return [[]]
+    out = []
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            out.append([first] + rest)
+    return out
+
+
 def brute_force_min_cost(
     s: int,
     M: Callable[[int, int], float],
@@ -196,17 +207,7 @@ def brute_force_min_cost(
     if s < 1:
         raise CostModelError(f"need at least one loop, got {s}")
     best = (float("inf"), ())
-
-    def compositions(total: int) -> list[list[int]]:
-        if total == 0:
-            return [[]]
-        out = []
-        for first in range(1, total + 1):
-            for rest in compositions(total - first):
-                out.append([first] + rest)
-        return out
-
-    for lengths in compositions(s):
+    for lengths in _compositions(s):
         segments: list[tuple[int, int]] = []
         start = 1
         for length in lengths:

@@ -18,6 +18,7 @@ from repro.lang.ast import (
     ScalarRef,
     Stmt,
     array_refs,
+    walk_exprs,
 )
 
 
@@ -103,23 +104,21 @@ def scalars_used(stmts: list[Stmt] | Program) -> frozenset[str]:
     """
     if isinstance(stmts, Program):
         stmts = stmts.body
-    names: set[str] = set()
+    return frozenset(_scalar_names(stmts, set()))
 
-    def visit_stmts(body: list[Stmt]) -> None:
-        from repro.lang.ast import walk_exprs
 
-        for stmt in body:
-            if isinstance(stmt, DoLoop):
-                visit_stmts(stmt.body)
-            else:
-                for node in walk_exprs(stmt.rhs):
-                    if isinstance(node, ScalarRef):
-                        names.add(node.name)
-                if isinstance(stmt.lhs, ScalarRef):
-                    names.add(stmt.lhs.name)
-
-    visit_stmts(stmts)
-    return frozenset(names)
+def _scalar_names(body: list[Stmt], names: set[str]) -> set[str]:
+    """*names* plus the scalar references of *body*."""
+    for stmt in body:
+        if isinstance(stmt, DoLoop):
+            _scalar_names(stmt.body, names)
+        else:
+            for node in walk_exprs(stmt.rhs):
+                if isinstance(node, ScalarRef):
+                    names.add(node.name)
+            if isinstance(stmt.lhs, ScalarRef):
+                names.add(stmt.lhs.name)
+    return names
 
 
 def mean_trips(loops: tuple[DoLoop, ...], env: dict[str, int]) -> dict[str, float]:
@@ -164,22 +163,18 @@ def iteration_count(loop: DoLoop, env: dict[str, int]) -> int:
     enumeration; the paper's programs are small enough for this to be exact
     rather than symbolic.
     """
+    return _count_iterations([loop], env)
 
-    def count(stmts: list[Stmt], bind: dict[str, int]) -> int:
-        total = 0
-        for stmt in stmts:
-            if isinstance(stmt, Assign):
-                total += 1
-            else:
-                for value in stmt.iter_values(bind):
-                    inner = dict(bind)
-                    inner[stmt.var] = value
-                    total += count(stmt.body, inner)
-        return total
 
+def _count_iterations(stmts: list[Stmt], bind: dict[str, int]) -> int:
+    """Assignments *stmts* execute under the loop indices bound in *bind*."""
     total = 0
-    for value in loop.iter_values(env):
-        bind = dict(env)
-        bind[loop.var] = value
-        total += count(loop.body, bind)
+    for stmt in stmts:
+        if isinstance(stmt, Assign):
+            total += 1
+        else:
+            for value in stmt.iter_values(bind):
+                inner = dict(bind)
+                inner[stmt.var] = value
+                total += _count_iterations(stmt.body, inner)
     return total

@@ -153,26 +153,23 @@ def distribute(loop: DoLoop) -> list[DoLoop]:
 
 def specialize(loop: DoLoop, env: dict[str, int]) -> DoLoop:
     """Substitute parameter values into all bounds of a loop nest."""
-
-    def subst(aff: Affine) -> Affine:
-        return aff.substitute({k: v for k, v in env.items()})
-
-    def visit(stmt: Stmt) -> Stmt:
-        if isinstance(stmt, DoLoop):
-            return DoLoop(
-                var=stmt.var,
-                lb=subst(stmt.lb),
-                ub=subst(stmt.ub),
-                step=stmt.step,
-                body=[visit(s) for s in stmt.body],
-                line=stmt.line,
-            )
-        assert isinstance(stmt, Assign)
-        return _clone(stmt)
-
-    result = visit(loop)
+    result = _specialized(loop, env)
     assert isinstance(result, DoLoop)
     return result
+
+
+def _specialized(stmt: Stmt, env: dict[str, int]) -> Stmt:
+    if isinstance(stmt, DoLoop):
+        return DoLoop(
+            var=stmt.var,
+            lb=stmt.lb.substitute(env),
+            ub=stmt.ub.substitute(env),
+            step=stmt.step,
+            body=[_specialized(s, env) for s in stmt.body],
+            line=stmt.line,
+        )
+    assert isinstance(stmt, Assign)
+    return _clone(stmt)
 
 
 def strip_mine(loop: DoLoop, block: int, strip_var: str | None = None) -> DoLoop:

@@ -101,24 +101,24 @@ def choose_mapping(
     dominant = max(owner_counts, key=lambda v: (owner_counts[v], v))
     broadcasts = sum(1 for r in rows if r.pattern == "broadcast")
     pipelines = sum(1 for r in rows if r.pattern == "pipeline")
-    nest_vars: list[str] = []
-
-    def visit(loop: DoLoop) -> None:
-        if loop.var not in nest_vars:
-            nest_vars.append(loop.var)
-        for stmt in loop.body:
-            if isinstance(stmt, DoLoop):
-                visit(stmt)
-
-    visit(nest)
     return MappingChoice(
         var=dominant,
-        nest_vars=tuple(nest_vars),
+        nest_vars=tuple(_nest_vars(nest, [])),
         rows=tuple(rows),
         broadcasts=broadcasts,
         pipelines=pipelines,
         unaligned_writes=unaligned,
     )
+
+
+def _nest_vars(loop: DoLoop, found: list[str]) -> list[str]:
+    """*found* extended by the loop indices of *loop*'s nest, each once, in pre-order."""
+    if loop.var not in found:
+        found.append(loop.var)
+    for stmt in loop.body:
+        if isinstance(stmt, DoLoop):
+            _nest_vars(stmt, found)
+    return found
 
 
 def mapping_table(choices: list[MappingChoice], nprocs_symbol: str = "N") -> str:

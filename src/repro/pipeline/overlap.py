@@ -27,7 +27,7 @@ rewritten SPMD listing, and doubles as the analytic cost model behind
 Safety: the rewrite is sound only when no statement reads, at a nonzero
 offset, an array written earlier in the same sweep (the interior pass of
 the reader would see stale boundary elements of the writer).  The
-dependence filter in :func:`repro.codegen.stencil.match_stencil_sweep`
+dependence filter in :func:`repro.codegen.stencil.match_stencil`
 already rejects such sweeps (any cross-statement nonzero-offset read of
 an in-sweep-written array is a loop-carried dependence), but the pass
 re-checks and raises :class:`repro.errors.CodegenError` defensively.

@@ -81,7 +81,7 @@ import numpy as np
 
 from repro.alignment import build_cag, exact_alignment
 from repro.codegen import generate_spmd
-from repro.codegen.stencil import match_stencil_sweep
+from repro.codegen.stencil import match_stencil
 from repro.costmodel import jacobi_dp_time, jacobi_section3_time
 from repro.costmodel.bands import OVERLAP_MAKESPAN, REDIST_WORDS, get_band
 from repro.distribution import Dist1D, Dist2D
@@ -577,7 +577,7 @@ def overlap_report(out: Emitter) -> int:
     print()
     print(ro.metrics.overlap_table())
     # The scheduling pass's view of the same rewrite (generated-code side).
-    sched = overlap_schedule(match_stencil_sweep(parse_program(_HEAT_SOURCE)))
+    sched = overlap_schedule(match_stencil(parse_program(_HEAT_SOURCE), 1))
     print()
     print("overlap pass on the generated heat stencil "
           f"(per-sweep, cnt={heat.m // n}):")

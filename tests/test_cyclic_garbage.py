@@ -1,12 +1,14 @@
 """Runs and cold compiles free what they built by reference counting.
 
 Reference cycles outlive their last use until a full collection finds
-them, and a full collection walks every live object.  Two sources made
+them, and a full collection walks every live object.  Three sources made
 one per operation: every engine run (``Engine.procs`` and each
 ``Proc._engine`` point at each other, so a run's whole per-rank state
-waited for the collector) and three compile helpers that recursed
-through a closure calling itself (a function and its own cell).  Under
-``gc.DEBUG_SAVEALL`` a collection keeps what it found in ``gc.garbage``.
+waited for the collector), every loaded generated program (its entry
+function and the namespace it was defined in) and compile helpers that
+recursed through a closure calling itself (a function and its own
+cell).  Under ``gc.DEBUG_SAVEALL`` a collection keeps what it found in
+``gc.garbage``.
 """
 
 from __future__ import annotations
@@ -17,10 +19,15 @@ from contextlib import contextmanager
 import pytest
 
 from repro.api import Session
+from repro.codegen.runtime_api import RUNTIME_NAMESPACE
+from repro.dp.algorithm1 import brute_force_min_cost
 from repro.lang import gauss_program, jacobi_program, matmul_program, program_to_text, sor_program
+from repro.lang.analysis import iteration_count, scalars_used
+from repro.lang.transforms import specialize
 from repro.machine import MachineModel, Ring, allreduce, run_spmd
 from repro.errors import DeadlockError
 from repro.machine.threaded import BACKENDS, run_spmd_threaded
+from repro.pipeline.mapping import choose_mapping
 from repro.service.plan import compile_plan
 
 MODEL = MachineModel(tf=1, tc=10)
@@ -31,6 +38,18 @@ CLOSURES = {
     "exact_alignment.<locals>.arrays_of",
     "_site_order.<locals>.visit",
     "scope_loops.<locals>.visit",
+    "choose_mapping.<locals>.visit",
+    "specialize.<locals>.visit",
+    "scalars_used.<locals>.visit_stmts",
+    "iteration_count.<locals>.count",
+    "brute_force_min_cost.<locals>.compositions",
+}
+
+PAPER_RUNS = {
+    "jacobi": (jacobi_program, {"m": 16, "maxiter": 2}),
+    "sor": (sor_program, {"m": 16, "maxiter": 2}),
+    "gauss": (gauss_program, {"m": 16}),
+    "matmul": (matmul_program, {"n": 8}),
 }
 
 
@@ -53,6 +72,19 @@ def summed(p, value):
 
 def kinds(garbage) -> set[str]:
     return {type(obj).__name__ for obj in garbage}
+
+
+def closures(garbage) -> set[str]:
+    return {getattr(obj, "__qualname__", None) for obj in garbage if callable(obj)} & CLOSURES
+
+
+def generated(garbage) -> list:
+    """Generated entry functions, and the namespaces they were defined in."""
+    return [
+        obj for obj in garbage
+        if getattr(getattr(obj, "__code__", None), "co_filename", "").startswith("<generated:")
+        or (isinstance(obj, dict) and RUNTIME_NAMESPACE.keys() <= obj.keys())
+    ]
 
 
 @pytest.mark.parametrize("runner", [run_spmd, run_spmd_threaded], ids=["engine", "threaded"])
@@ -106,5 +138,29 @@ def test_cold_compiles_leave_no_recursive_closure_behind():
         for program, env in zip(programs, envs):
             assert session.compile(program_to_text(program), nprocs=4, env=env).outcome.cost > 0
         gc.collect()
-        qualnames = {getattr(obj, "__qualname__", None) for obj in garbage if callable(obj)}
-        assert not qualnames & CLOSURES
+        assert not closures(garbage)
+
+
+def test_the_other_recursive_helpers_leave_no_closure_behind():
+    gauss = gauss_program()
+    with saved_garbage() as garbage:
+        assert choose_mapping(gauss.loops()[0]).var == "i"
+        assert specialize(gauss.loops()[0], {"m": 4}).ub.const == 4
+        assert "omega" in scalars_used(sor_program())
+        assert iteration_count(matmul_program().loops()[0], {"n": 2}) == 2 * 2 * (1 + 2)
+        cost, segments = brute_force_min_cost(
+            3, lambda i, j: j, lambda i, j: (i, j), lambda a, b: 1.0, lambda a, b: 0.0
+        )
+        assert (cost, segments) == (3.0, ((1, 3),))
+        gc.collect()
+        assert not closures(garbage)
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_RUNS))
+def test_a_plan_run_leaves_no_generated_program_behind(name):
+    program, env = PAPER_RUNS[name]
+    plan = compile_plan(program())
+    with saved_garbage() as garbage:
+        assert plan.run(4, env, model=MODEL).values[0] is not None
+        gc.collect()
+        assert generated(garbage) == []

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codegen import generate_spmd, load_generated
-from repro.codegen.stencil import SweepStmt, Sweep, match_stencil_sweep
+from repro.codegen.stencil import SweepStmt, Sweep, match_stencil
 from repro.errors import CodegenError
 from repro.kernels import (
     heat_stencil_blocking,
@@ -186,7 +186,7 @@ class TestBackendParity:
 
 class TestOverlapPass:
     def test_schedule_structure_for_heat(self):
-        pattern = match_stencil_sweep(parse_program(HEAT))
+        pattern = match_stencil(parse_program(HEAT), 1)
         sched = overlap_schedule(pattern)
         assert len(sched.sweeps) == 2
         first, second = sched.sweeps
@@ -201,7 +201,7 @@ class TestOverlapPass:
         assert second.exchanges == () and second.phases == ("compute",)
 
     def test_analytic_model_predicts_hiding(self):
-        pattern = match_stencil_sweep(parse_program(HEAT))
+        pattern = match_stencil(parse_program(HEAT), 1)
         sched = overlap_schedule(pattern)
         model = MachineModel(tf=1, tc=10, alpha=100.0)
         assert sched.speedup(model, cnt=32) > 1.0
@@ -211,7 +211,7 @@ class TestOverlapPass:
     def test_unsound_sweep_rejected(self):
         # W is written by stmt 1, then read at a nonzero offset by stmt 2
         # in the same sweep: the interior pass would see stale boundary
-        # elements of W.  (match_stencil_sweep never produces this shape;
+        # elements of W.  (match_stencil never produces this shape;
         # the pass re-checks defensively.)
         sweep = Sweep(
             var="i", lb=None, ub=None,

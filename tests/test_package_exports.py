@@ -127,7 +127,11 @@ def test_ring_and_sor_overlap_entry_points_are_thin():
 
 
 @pytest.mark.parametrize(
-    "helper", ("_offset_of", "_count_ops", "_affine_to_py", "_scan_rhs", "_compile_tree")
+    "helper",
+    (
+        "_offset_of", "_count_ops", "_affine_to_py", "_scan_rhs", "_compile_tree",
+        "_extract_sweep", "_extract_stmt", "_time_stepped_sweeps",
+    ),
 )
 def test_stencil_helper_is_defined_once(helper):
     homes = [

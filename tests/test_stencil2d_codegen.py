@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.codegen import generate_spmd, load_generated
-from repro.codegen.stencil2d import match_stencil_2d
+from repro.codegen.stencil import match_stencil
 from repro.errors import CodegenError
 from repro.lang import gauss_program, jacobi_program, matmul_program, parse_program
 from repro.machine import MachineModel, Ring, run_spmd
@@ -50,40 +50,48 @@ def heat2d_reference(u0: np.ndarray, alpha: float, steps: int) -> np.ndarray:
     return u
 
 
+def column_overhang(pattern, name: str) -> tuple[int, int]:
+    """(left, right) columns the sweeps read of *name* beyond the written
+    element; rows are stored whole, so no column travels."""
+    cols = [cj for sweep in pattern.sweeps for st in sweep.stmts
+            for array, _ci, cj in st.offsets if array == name]
+    return max([0, *(-c for c in cols)]), max([0, *cols])
+
+
 class TestRecognition:
     def test_heat2d_recognized(self):
-        pat = match_stencil_2d(parse_program(HEAT2D))
+        pat = match_stencil(parse_program(HEAT2D), 2)
         assert pat is not None
         assert pat.time_param == "steps"
-        assert pat.row_halo["Uold"] == (1, 1)
-        assert pat.col_halo["Uold"] == (1, 1)
-        assert pat.row_halo["Unew"] == (0, 0)
+        assert pat.halo["Uold"] == (1, 1)
+        assert column_overhang(pat, "Uold") == (1, 1)
+        assert pat.halo["Unew"] == (0, 0)
 
     def test_paper_programs_not_swallowed(self):
-        assert match_stencil_2d(jacobi_program()) is None
-        assert match_stencil_2d(gauss_program()) is None
-        assert match_stencil_2d(matmul_program()) is None
+        assert match_stencil(jacobi_program(), 2) is None
+        assert match_stencil(gauss_program(), 2) is None
+        assert match_stencil(matmul_program(), 2) is None
 
     def test_row_dependent_sweep_rejected(self):
         src = (
             "PROGRAM t\nPARAM m\nARRAY U(m, m)\n"
             "DO i = 2, m\nDO j = 1, m\nU(i, j) = U(i - 1, j)\nEND DO\nEND DO\nEND\n"
         )
-        assert match_stencil_2d(parse_program(src)) is None
+        assert match_stencil(parse_program(src), 2) is None
 
     def test_transpose_rejected(self):
         src = (
             "PROGRAM t\nPARAM m\nARRAY U(m, m), W(m, m)\n"
             "DO i = 1, m\nDO j = 1, m\nU(i, j) = W(j, i)\nEND DO\nEND DO\nEND\n"
         )
-        assert match_stencil_2d(parse_program(src)) is None
+        assert match_stencil(parse_program(src), 2) is None
 
     def test_triangular_inner_bounds_rejected(self):
         src = (
             "PROGRAM t\nPARAM m\nARRAY U(m, m), W(m, m)\n"
             "DO i = 1, m\nDO j = i, m\nU(i, j) = W(i, j)\nEND DO\nEND DO\nEND\n"
         )
-        assert match_stencil_2d(parse_program(src)) is None
+        assert match_stencil(parse_program(src), 2) is None
 
     @pytest.mark.parametrize("loop", ["DO i = 2, m - 1\n", "DO j = 2, m - 1\n", "DO t = 1, steps\n"])
     def test_strided_loop_is_refused(self, loop):
@@ -91,7 +99,19 @@ class TestRecognition:
         time steps; a step other than 1 on any loop is another program."""
         assert loop in HEAT2D
         program = parse_program(HEAT2D.replace(loop, loop.replace("\n", ", 2\n"), 1))
-        assert match_stencil_2d(program) is None
+        assert match_stencil(program, 2) is None
+        with pytest.raises(CodegenError, match="does not match any generatable pattern"):
+            generate_spmd(program)
+
+
+    def test_read_past_the_rows_is_refused(self):
+        """``U(m, j) = W(m + 1, j)`` reads past ``W``; the lowering read row
+        1, wrapped round the ring."""
+        program = parse_program(
+            "PROGRAM t\nPARAM m\nARRAY U(m, m), W(m, m)\n"
+            "DO i = 1, m\nDO j = 1, m\nU(i, j) = W(i + 1, j)\nEND DO\nEND DO\nEND\n"
+        )
+        assert match_stencil(program, 2) is None
         with pytest.raises(CodegenError, match="does not match any generatable pattern"):
             generate_spmd(program)
 
@@ -138,9 +158,9 @@ class TestExecution:
             "U(i, j) = W(i - 2, j + 3)\nEND DO\nEND DO\nEND\n"
         )
         program = parse_program(src)
-        pat = match_stencil_2d(program)
-        assert pat.row_halo["W"] == (2, 0)
-        assert pat.col_halo["W"] == (0, 3)
+        pat = match_stencil(program, 2)
+        assert pat.halo["W"] == (2, 0)
+        assert column_overhang(pat, "W") == (0, 3)
         fn = load_generated(generate_spmd(program))
         m = 12
         w0 = np.random.default_rng(1).random((m, m))

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codegen import generate_spmd, load_generated
-from repro.codegen.stencil import match_stencil_sweep
+from repro.codegen.stencil import match_stencil
 from repro.errors import CodegenError
 from repro.lang import parse_program
 from repro.machine import MachineModel, Ring, run_spmd
@@ -44,7 +48,7 @@ def heat_reference(u0: np.ndarray, alpha: float, steps: int) -> np.ndarray:
 
 class TestRecognition:
     def test_heat_recognized(self):
-        pat = match_stencil_sweep(parse_program(HEAT))
+        pat = match_stencil(parse_program(HEAT), 1)
         assert pat is not None
         assert pat.time_param == "steps" and pat.size_param == "m"
         assert pat.halo["Uold"] == (1, 1)
@@ -56,28 +60,28 @@ class TestRecognition:
             "PROGRAM gs\nPARAM m\nARRAY U(m)\n"
             "DO i = 2, m\nU(i) = U(i - 1)\nEND DO\nEND\n"
         )
-        assert match_stencil_sweep(parse_program(src)) is None
+        assert match_stencil(parse_program(src), 1) is None
 
     def test_off_owner_write_rejected(self):
         src = (
             "PROGRAM t\nPARAM m\nARRAY U(m), W(m)\n"
             "DO i = 1, m - 1\nU(i + 1) = W(i)\nEND DO\nEND\n"
         )
-        assert match_stencil_sweep(parse_program(src)) is None
+        assert match_stencil(parse_program(src), 1) is None
 
     def test_2d_arrays_rejected(self):
         src = (
             "PROGRAM t\nPARAM m\nARRAY A(m, m)\n"
             "DO i = 1, m\nA(i, 1) = 0.0\nEND DO\nEND\n"
         )
-        assert match_stencil_sweep(parse_program(src)) is None
+        assert match_stencil(parse_program(src), 1) is None
 
     def test_single_application_without_time_loop(self):
         src = (
             "PROGRAM t\nPARAM m\nARRAY U(m), W(m)\n"
             "DO i = 2, m - 1\nU(i) = W(i - 1) + W(i + 1)\nEND DO\nEND\n"
         )
-        pat = match_stencil_sweep(parse_program(src))
+        pat = match_stencil(parse_program(src), 1)
         assert pat is not None and pat.time_param is None
 
     def test_strided_sweep_is_refused_not_compiled_dense(self):
@@ -88,14 +92,38 @@ class TestRecognition:
             "PROGRAM t\nPARAM m\nARRAY U(m), W(m)\n"
             "DO i = 2, m - 1, 2\nU(i) = W(i - 1) - W(i + 1)\nEND DO\nEND\n"
         )
-        assert match_stencil_sweep(program) is None
+        assert match_stencil(program, 1) is None
         with pytest.raises(CodegenError, match="does not match any generatable pattern"):
             generate_spmd(program)
 
     def test_strided_time_loop_is_refused(self):
         """``DO t = 1, steps, 2`` is half the steps; the lowering ran all of them."""
         program = parse_program(HEAT.replace("DO t = 1, steps\n", "DO t = 1, steps, 2\n"))
-        assert match_stencil_sweep(program) is None
+        assert match_stencil(program, 1) is None
+        with pytest.raises(CodegenError, match="does not match any generatable pattern"):
+            generate_spmd(program)
+
+
+    def test_extent_other_than_the_size_parameter_is_refused(self):
+        """``W(m + 2)`` is not cut into the blocks of ``U(m)``: on ``m = 8``,
+        ``Ring(4)`` the lowering ran ``U(i) = W(i + 2)`` as
+        ``[3 4 5 6 7 8 1 2]`` where the source computes ``[3 ... 10]``."""
+        program = parse_program(
+            "PROGRAM t\nPARAM m\nARRAY U(m), W(m + 2)\n"
+            "DO i = 1, m\nU(i) = W(i + 2)\nEND DO\nEND\n"
+        )
+        assert match_stencil(program, 1) is None
+        with pytest.raises(CodegenError, match="does not match any generatable pattern"):
+            generate_spmd(program)
+
+    def test_read_past_the_array_is_refused(self):
+        """``U(m) = W(m + 1)`` reads past ``W``; the lowering read ``W(1)``,
+        wrapped round the ring."""
+        program = parse_program(
+            "PROGRAM t\nPARAM m\nARRAY U(m), W(m)\n"
+            "DO i = 1, m\nU(i) = W(i + 1)\nEND DO\nEND\n"
+        )
+        assert match_stencil(program, 1) is None
         with pytest.raises(CodegenError, match="does not match any generatable pattern"):
             generate_spmd(program)
 
@@ -146,7 +174,7 @@ class TestExecution:
             "END DO\nEND\n"
         )
         program = parse_program(src)
-        pat = match_stencil_sweep(program)
+        pat = match_stencil(program, 1)
         assert pat.halo["W"] == (2, 2)
         fn = load_generated(generate_spmd(program))
         m = 24
@@ -179,3 +207,99 @@ class TestExecution:
         from repro.machine.trace import busy_time
 
         assert all(busy_time(lane) > 0 for lane in res.trace)
+
+
+ARRAYS = ("U", "V", "W")
+
+
+def _subscripts(offsets) -> str:
+    return ", ".join(f"{var} + {c}" if c else var for var, c in zip("ij", offsets))
+
+
+@st.composite
+def stencil_programs(draw):
+    """``(rank, time loop?, sweeps)``: every sweep is ``(bounds, stmts)``, a
+    statement ``(lhs, [(array, offsets)], ops, scaled)``.  A sweep reads
+    what it writes at the written element only (anything else carries a
+    dependence), and its bounds keep every reference inside ``1 .. m``."""
+    rank = draw(st.sampled_from((1, 2)))
+    arrays = ARRAYS[: draw(st.integers(2, 3))]
+    sweeps = []
+    for _ in range(draw(st.integers(1, 3))):
+        written = draw(st.lists(st.sampled_from(arrays), min_size=1, max_size=2))
+        stmts = []
+        for lhs in written:
+            refs = []
+            for name in draw(st.lists(st.sampled_from(arrays), min_size=1, max_size=3)):
+                offsets = (0,) * rank if name in written else tuple(
+                    draw(st.integers(-2, 2)) for _ in range(rank)
+                )
+                refs.append((name, offsets))
+            ops = [draw(st.sampled_from("+-*")) for _ in refs[1:]]
+            stmts.append((lhs, refs, ops, draw(st.booleans())))
+        bounds = []
+        for dim in range(rank):
+            reach = [0, *(offs[dim] for _, refs, _, _ in stmts for _, offs in refs)]
+            bounds.append((1 - min(reach) + draw(st.integers(0, 1)),
+                           max(reach) + draw(st.integers(0, 1))))
+        sweeps.append((bounds, stmts))
+    return rank, draw(st.booleans()), sweeps
+
+
+def stencil_source(rank: int, timed: bool, sweeps) -> str:
+    extents = ", ".join(["m"] * rank)
+    lines = ["PROGRAM r", "PARAM m, steps" if timed else "PARAM m", "SCALAR alpha",
+             "ARRAY " + ", ".join(f"{a}({extents})" for a in ARRAYS)]
+    if timed:
+        lines.append("DO t = 1, steps")
+    for bounds, stmts in sweeps:
+        for var, (lo, hi) in zip("ij", bounds):
+            lines.append(f"DO {var} = {lo}, m - {hi}" if hi else f"DO {var} = {lo}, m")
+        for lhs, refs, ops, scaled in stmts:
+            rhs = f"{refs[0][0]}({_subscripts(refs[0][1])})"
+            for op, (name, offsets) in zip(ops, refs[1:]):
+                rhs = f"({rhs} {op} {name}({_subscripts(offsets)}))"
+            lines.append(f"{lhs}({_subscripts((0,) * rank)}) = {'alpha * ' if scaled else ''}{rhs}")
+        lines += ["END DO"] * rank
+    if timed:
+        lines.append("END DO")
+    return "\n".join([*lines, "END", ""])
+
+
+def loop_reference(rank, steps, sweeps, alpha, arrays):
+    """The source run element by element, in its own loop order."""
+    arrays = {name: value.copy() for name, value in arrays.items()}
+    m = len(arrays["U"])
+    for _ in range(steps):
+        for bounds, stmts in sweeps:
+            ranges = [range(lo - 1, m - hi) for lo, hi in bounds]
+            for point in itertools.product(*ranges):
+                for lhs, refs, ops, scaled in stmts:
+                    read = [arrays[name][tuple(p + c for p, c in zip(point, offs))]
+                            for name, offs in refs]
+                    value = read[0]
+                    for op, operand in zip(ops, read[1:]):
+                        value = {"+": value + operand, "-": value - operand,
+                                 "*": value * operand}[op]
+                    arrays[lhs][point] = alpha * value if scaled else value
+    return arrays
+
+
+class TestRandomSweeps:
+    @given(stencil_programs(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_generated_program_equals_the_loops(self, drawn, nprocs, steps, seed):
+        """Any in-range stencil program of rank 1 or 2 compiles, and its
+        SPMD program on ``Ring(1..4)`` computes what its loops compute."""
+        rank, timed, sweeps = drawn
+        gen = generate_spmd(parse_program(stencil_source(rank, timed, sweeps)))
+        assert gen.strategy == ("stencil", "stencil-2d")[rank - 1]
+        m, alpha = 12, 0.5
+        rng = np.random.default_rng(seed)
+        arrays = {name: rng.random((m,) * rank) for name in ARRAYS}
+        env = {"m": m, "alpha": alpha, **arrays, **({"steps": steps} if timed else {})}
+        res = run_spmd(load_generated(gen), Ring(nprocs), MODEL, args=(env,))
+        expected = loop_reference(rank, steps if timed else 1, sweeps, alpha, arrays)
+        # Same operations in the same order per element: equal, not close.
+        for name in ARRAYS:
+            np.testing.assert_array_equal(res.value(nprocs - 1)[name], expected[name])
