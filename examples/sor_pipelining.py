@@ -15,7 +15,9 @@ import numpy as np
 from repro import MachineModel, Ring
 from repro.machine import run_spmd
 from repro.costmodel import sor_naive_time, sor_pipelined_time
-from repro.kernels import make_spd_system, sor_naive, sor_pipelined, sor_seq
+from repro.kernels import make_spd_system, sor_naive, sor_pipelined
+from repro.lang import sor_program
+from repro.lang.interp import interpret
 from repro.machine.trace import gantt
 from repro.pipeline.sor_schedule import render_schedule, sor_schedule_from_trace
 from repro.util.tables import Table
@@ -46,7 +48,7 @@ def speedup_sweep() -> None:
     for m, n in [(32, 4), (64, 8), (128, 16)]:
         A, b, _ = make_spd_system(m, seed=m)
         x0 = np.zeros(m)
-        ref = sor_seq(A, b, x0, 1.0, iters)
+        ref = interpret(sor_program(), {"m": m, "maxiter": iters}, {"A": A, "B": b}, {"omega": 1.0})["X"]
         args = (A, b, x0, 1.0, iters)
         r_naive = run_spmd(sor_naive, Ring(n), model, args=args)
         r_pipe = run_spmd(sor_pipelined, Ring(n), model, args=args)

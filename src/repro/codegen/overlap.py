@@ -42,14 +42,14 @@ def emit_stencil_overlap(
     """
     sched = schedule if schedule is not None else overlap_schedule(pattern)
 
-    def overlapped_sweep(w: CodeWriter, si: int, sweep: Sweep) -> None:
+    def overlapped_sweep(w: CodeWriter, si: int, sweep: Sweep, halo: dict) -> None:
         ov = sched.sweeps[si]
         w.line(f"# sweep {si + 1}: {sweep.loops()}  [{' -> '.join(ov.phases)}]")
         halos = [
             (
                 f"req_{ex.direction[0]}_{ex.array}",
                 ex.array,
-                *_halo_side(pattern, ex.array, ex.direction, si),
+                *_halo_side(pattern, halo, ex.array, ex.direction, si),
             )
             for ex in ov.exchanges
         ]
@@ -64,7 +64,7 @@ def emit_stencil_overlap(
         guard = _emit_bounds(w, sweep)
         if not halos:
             with w.block(f"if {guard}:"):
-                _emit_stmts(w, sweep, pattern, "s0", "s1", "sweep")
+                _emit_stmts(w, sweep, halo, "s0", "s1", "sweep")
             return
         # Phase 3: interior — stencil windows stay inside the pad.
         w.lines(
@@ -72,7 +72,7 @@ def emit_stencil_overlap(
             f"i1 = max(min(s1, cnt - {ov.margin_right}), i0)",
         )
         with w.block("if i1 > i0:"):
-            _emit_stmts(w, sweep, pattern, "i0", "i1", "interior")
+            _emit_stmts(w, sweep, halo, "i0", "i1", "interior")
         # Phase 4: wait for the halos the boundary strips need.
         with w.block("if n > 1:"):
             for req, name, _src, _dest, _tag, _out, into in halos:
@@ -80,7 +80,7 @@ def emit_stencil_overlap(
         # Phase 5: boundary strips (the deferred block edges).
         with w.block("for b0, b1 in ((s0, i0), (i1, s1)):"):
             with w.block("if b1 > b0:"):
-                _emit_stmts(w, sweep, pattern, "b0", "b1", "boundary")
+                _emit_stmts(w, sweep, halo, "b0", "b1", "boundary")
 
     header = (
         "# generated: block-distributed stencil sweeps with halo transfers",

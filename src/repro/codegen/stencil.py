@@ -315,17 +315,17 @@ def match_stencil(program: Program, rank: int) -> StencilPattern | None:
 # ---------------------------------------------------------------------------
 
 
-def _compile_expr(expr: Expr, sweep: Sweep, pattern: StencilPattern, lo: str, hi: str) -> str:
+def _compile_expr(expr: Expr, sweep: Sweep, halo: dict, lo: str, hi: str) -> str:
     """Compile an expression to a NumPy slice expression over local pads.
 
-    Array ``W`` is held as ``W_pad`` with leading halo ``HL[W]``; global
+    Array ``W`` is held as ``W_pad`` with leading halo ``HL = halo[W][0]``; global
     row ``i + c`` of the block maps to ``W_pad[HL + c + lo : HL + c + hi]``
     (and a 2-D sweep's column ``j + cj`` to ``j0 + cj : j1 + cj``).
     ``lo``/``hi`` are the emitted slice-bound variables (the overlap
     emitter compiles each statement twice, over interior and boundary
     subranges).
     """
-    halo, two = pattern.halo, isinstance(sweep, Sweep2D)
+    two = isinstance(sweep, Sweep2D)
 
     def ref(e: ArrayRef) -> str:
         row = halo[e.name][0] + _offset_of(e.subscripts[0], sweep.var)
@@ -361,7 +361,7 @@ def _compile_tree(expr: Expr, ref: Callable[[ArrayRef], str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _halo_side(pattern: StencilPattern, name: str, direction: str, si: int) -> tuple:
+def _halo_side(pattern: StencilPattern, halo: dict, name: str, direction: str, si: int) -> tuple:
     """``(source, dest, tag, send slice, recv slice)`` of one halo side in sweep *si*.
 
     The halo before the block (*direction* ``"left"``, or ``"up"`` for
@@ -370,7 +370,7 @@ def _halo_side(pattern: StencilPattern, name: str, direction: str, si: int) -> t
     ``pads[name]``.
     """
     before, after = pattern.neighbours
-    hl, hr = pattern.halo[name]
+    hl, hr = halo[name]
     rows, send = pattern.rows, pattern.send
     if direction == before:
         tag = pattern.halo_tag + si
@@ -382,7 +382,7 @@ def _halo_side(pattern: StencilPattern, name: str, direction: str, si: int) -> t
 def _emit_stmts(
     w: CodeWriter,
     sweep: Sweep,
-    pattern: StencilPattern,
+    halo: dict,
     lo: str,
     hi: str,
     label: str,
@@ -392,9 +392,9 @@ def _emit_stmts(
     two = isinstance(sweep, Sweep2D)
     cols, area = (", j0:j1", " * (j1 - j0)") if two else ("", "")
     for st in sweep.stmts:
-        expr = _compile_expr(st.rhs, sweep, pattern, lo, hi)
+        expr = _compile_expr(st.rhs, sweep, halo, lo, hi)
         flops = _count_ops(st.rhs)
-        row = pattern.halo[st.lhs_array][0]
+        row = halo[st.lhs_array][0]
         if not two:  # a 1-D listing spells out the (zero) write offset
             row = f"{row} + {st.lhs_offset}"
         w.line(f"pads['{st.lhs_array}'][{row} + {lo} : {row} + {hi}{cols}] = {expr}")
@@ -425,16 +425,18 @@ def _emit_sweep_program(
     pattern: StencilPattern,
     header: tuple[str, ...],
     strategy: str,
-    emit_sweep: Callable[[CodeWriter, int, Sweep], None],
+    emit_sweep: Callable[[CodeWriter, int, Sweep, dict], None],
     setup: tuple[str, ...] = (),
 ) -> GeneratedProgram:
     """The frame every stencil listing shares.
 
     Prologue (block bounds, ring neighbors, *setup* lines, padded local
     arrays — a 2-D pad holds whole rows), the time loop calling
-    ``emit_sweep(w, index, sweep)`` — the caller's per-sweep
-    communication shape — and the allgather epilogue.
+    ``emit_sweep(w, index, sweep, halo)`` — the caller's per-sweep
+    communication shape — and the allgather epilogue.  The pattern's
+    halo widths are computed once, here, and handed down.
     """
+    halo = pattern.halo
     before, after = pattern.neighbours
     rows = pattern.rows
     w = CodeWriter()
@@ -453,7 +455,7 @@ def _emit_sweep_program(
             "pads = {}",
         )
         for name in pattern.arrays:
-            hl, hr = pattern.halo[name]
+            hl, hr = halo[name]
             shape = f"cnt + {hl} + {hr}"
             w.lines(
                 f"_g = np.asarray(env['{name}'], dtype=np.float64)",
@@ -464,10 +466,10 @@ def _emit_sweep_program(
         w.line(f"steps = {steps}")
         with w.block("for _step in range(steps):"):
             for si, sweep in enumerate(pattern.sweeps):
-                emit_sweep(w, si, sweep)
+                emit_sweep(w, si, sweep, halo)
         w.line("out = {}")
         for name in pattern.arrays:
-            hl = pattern.halo[name][0]
+            hl = halo[name][0]
             w.lines(
                 f"blocks = yield from allgather(p, pads['{name}'][{hl}:{hl} + cnt{rows}]{pattern.send}, tuple(range(n)))",
                 f"out['{name}'] = {pattern.rejoin}",
@@ -481,22 +483,22 @@ def _emit_sweep_program(
 def emit_stencil(pattern: StencilPattern) -> GeneratedProgram:
     """Emit the SPMD stencil program for a recognized pattern of either rank."""
 
-    def blocking_sweep(w: CodeWriter, si: int, sweep: Sweep) -> None:
+    def blocking_sweep(w: CodeWriter, si: int, sweep: Sweep, halo: dict) -> None:
         w.line(f"# sweep {si + 1}: {sweep.loops()}")
         # Halo exchange (Shift) for the arrays this sweep reads.
         # Boundary wrap values are never consumed: the sweep bounds
         # keep edge iterations away from non-existent neighbors.
         for name in sorted({ref[0] for st in sweep.stmts for ref in st.offsets}):
-            for direction, width in zip(pattern.neighbours, pattern.halo[name]):
+            for direction, width in zip(pattern.neighbours, halo[name]):
                 if width:
-                    src, dest, tag, out, into = _halo_side(pattern, name, direction, si)
+                    src, dest, tag, out, into = _halo_side(pattern, halo, name, direction, si)
                     with w.block("if n > 1:"):
                         w.lines(
                             f"p.send({dest}, pads['{name}']{out}, tag={tag})",
                             f"pads['{name}']{into} = yield from p.recv({src}, tag={tag})",
                         )
         with w.block(f"if {_emit_bounds(w, sweep)}:"):
-            _emit_stmts(w, sweep, pattern, "s0", "s1", "sweep")
+            _emit_stmts(w, sweep, halo, "s0", "s1", "sweep")
 
     if pattern.rank == 2:
         header = (

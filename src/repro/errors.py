@@ -39,6 +39,12 @@ class AffineError(LanguageError):
     """Raised when an expression is required to be affine but is not."""
 
 
+class EvaluationError(LanguageError):
+    """Raised when :func:`repro.lang.interp.interpret` cannot run a program:
+    a subscript outside its extent, a zero divisor, an input of the wrong
+    shape or a name without a value."""
+
+
 class MachineError(ReproError):
     """Base class for errors in the machine simulator."""
 

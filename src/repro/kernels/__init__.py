@@ -3,11 +3,11 @@
 Each parallel kernel is an SPMD generator function for
 :func:`repro.machine.run_spmd`; numerics are computed with NumPy on local
 blocks while simulated time is accounted through ``p.compute`` and the
-message costs.  Sequential references live in
-:mod:`repro.kernels.linalg`.
+message costs.  The sequential reference is the paper's listing itself,
+run by :func:`repro.lang.interp.interpret`.
 """
 
-from repro.kernels.linalg import gauss_seq, jacobi_seq, make_spd_system, sor_seq
+from repro.kernels.linalg import make_spd_system
 from repro.kernels.jacobi import jacobi_coldist, jacobi_grid2d, jacobi_rowdist
 from repro.kernels.overlap import (
     heat_stencil_blocking,
@@ -25,9 +25,6 @@ from repro.kernels.sparse_cg import sparse_cg_parallel, sparse_cg_seq
 from repro.kernels.spmv import spmv_parallel
 
 __all__ = [
-    "jacobi_seq",
-    "sor_seq",
-    "gauss_seq",
     "make_spd_system",
     "jacobi_rowdist",
     "jacobi_coldist",

@@ -16,8 +16,8 @@ blocks badly imbalanced.
   the ring, X values leftward, and processors overlap their update work
   with the propagation — software pipelining.
 
-Both kernels return the solution vector on every rank and agree with
-:func:`repro.kernels.linalg.gauss_seq` to roundoff.
+Both kernels return the solution vector on every rank and agree to
+roundoff with the §6 listing run by :func:`repro.lang.interp.interpret`.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ accumulator is transient.
   timing makes the Gauss-Seidel update order exact, and the per-iteration
   time drops to ``<= (m + N)(2 (m/N) tf + 2 tc)``.
 
-Numerically both equal :func:`repro.kernels.linalg.sor_seq` to roundoff.
+Numerically both equal the §5 listing, run by
+:func:`repro.lang.interp.interpret`, to roundoff.
 """
 
 from __future__ import annotations

@@ -70,14 +70,15 @@ def check_env(env) -> dict[str, int]:
 
 def _default_inputs(gen: GeneratedProgram, env: dict[str, int], seed: int) -> dict:
     """Fabricate inputs matching the recognized pattern (SPD system for
-    solvers, random operands for matmul)."""
+    solvers, random operands for matmul) at the size *env* gives the
+    pattern's arrays."""
     fabricate = family_of(gen).inputs
     if fabricate is None:
         raise ReproError(
             f"cannot build default inputs for strategy {gen.strategy!r}; "
             f"pass inputs= explicitly"
         )
-    return fabricate(gen.pattern, env.get("m", env.get("n", 16)), env, seed)
+    return fabricate(gen.pattern, env, seed)
 
 
 def _is_chain_of(result, tables) -> bool:
@@ -323,7 +324,10 @@ class Plan:
 
         *backend* selects the deterministic event-driven ``"engine"`` or
         the real-thread ``"threaded"`` runtime; both produce the same
-        values and traffic.
+        values and traffic.  Before any rank runs, the inputs and *nprocs*
+        are checked against what the family's emitted program needs in
+        order to be right (:attr:`repro.codegen.families.Family.needs`):
+        an unmet need is a :class:`~repro.errors.CodegenError`.
         """
         if backend not in BACKENDS:
             raise ReproError(
@@ -335,8 +339,9 @@ class Plan:
         fn = load_generated(self.generated)
         if inputs is None:
             inputs = _default_inputs(self.generated, env, seed)
-        topology = family_of(self.generated).topology(nprocs)
-        return BACKENDS[backend](topology, model, trace=trace).run(fn, args=(inputs,))
+        family = family_of(self.generated)
+        family.check(self.generated, inputs, nprocs)
+        return BACKENDS[backend](family.topology(nprocs), model, trace=trace).run(fn, args=(inputs,))
 
     # -- analysis --------------------------------------------------------
     def solve(

@@ -8,10 +8,11 @@ import pytest
 from repro.codegen import generate_spmd
 from repro.codegen.fortran_listing import fortran_listing
 from repro.errors import CodegenError
-from repro.kernels import jacobi_seq, make_spd_system
 from repro.kernels.jacobi import jacobi_rowdist_adaptive
 from repro.lang import gauss_program, jacobi_program, matmul_program, sor_program
+from repro.lang.programs import JACOBI_SOURCE
 from repro.machine import MachineModel, Ring, run_spmd
+from tests.test_source_lattice import solution
 
 MODEL = MachineModel(tf=1, tc=10)
 
@@ -49,7 +50,7 @@ class TestAdaptiveJacobi:
             jacobi_rowdist_adaptive, Ring(4), MODEL, args=(A, b, np.zeros(32), 0.0, 9)
         )
         x, _ = res.value(0)
-        np.testing.assert_allclose(x, jacobi_seq(A, b, np.zeros(32), 9), atol=1e-12)
+        np.testing.assert_allclose(x, solution(JACOBI_SOURCE, A, b, 9), atol=1e-12)
 
     def test_tight_tolerance_stops_early_vs_loose(self, medium_system):
         A, b, _ = medium_system

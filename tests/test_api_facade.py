@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import subprocess
 import sys
 import warnings
@@ -59,6 +60,22 @@ class TestPlanRun:
         # All ranks agree on the solved vector.
         for rank in range(1, 4):
             assert np.allclose(np.asarray(res.values[rank]), x)
+
+    def test_inputs_are_fabricated_at_the_declared_size(self):
+        """The size and sweep count are the pattern's own parameters under
+        env: a Jacobi over ``sz`` and a matmul over ``q`` ran 16-row systems
+        whatever env said, and a missing sweep count ran 10 sweeps."""
+        from repro.errors import ReproError
+        from repro.lang.programs import JACOBI_SOURCE, MATMUL_SOURCE
+
+        plan = api.compile_program(re.sub(r"\bm\b", "sz", JACOBI_SOURCE))
+        assert len(plan.run(4, {"sz": 12, "maxiter": 2}, model=MODEL).value(0)) == 12
+        with pytest.raises(ReproError, match="no value for 'sz'"):
+            plan.run(4, {"m": 12, "maxiter": 2})
+        with pytest.raises(ReproError, match="no value for 'maxiter'"):  # was 10 sweeps
+            plan.run(4, {"sz": 12})
+        matmul = api.compile_program(re.sub(r"\bn\b", "q", MATMUL_SOURCE))
+        assert matmul.run(4, {"q": 6}, model=MODEL).value(0).shape == (6, 6)
 
     def test_engine_and_threaded_backends_agree(self):
         plan = api.compile_program(jacobi_program())

@@ -5,18 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codegen.patterns import (
-    GaussPattern,
-    IterativeSolvePattern,
-    match_gauss,
-    match_iterative_solve,
-)
+from repro.codegen.patterns import match_gauss, match_iterative_solve
 from repro.codegen import generate_spmd, load_generated
 from repro.errors import CodegenError
-from repro.kernels import gauss_seq, jacobi_seq, make_spd_system, sor_seq
+from repro.kernels import make_spd_system
+from repro.lang.interp import interpret
 from repro.lang import gauss_program, jacobi_program, matmul_program, parse_program, sor_program
 from repro.lang.programs import GAUSS_SOURCE, JACOBI_SOURCE, MATMUL_SOURCE, SOR_SOURCE
 from repro.machine import MachineModel, Ring, run_spmd
+from tests.test_source_lattice import check_cell
 
 MODEL = MachineModel(tf=1, tc=10)
 
@@ -292,6 +289,13 @@ class TestGeneration:
         gen = generate_spmd(jacobi_program())
         assert "env['A']" in gen.source and "env['B']" in gen.source
 
+    @pytest.mark.parametrize("program, strategy", [(jacobi_program, "ring-pipeline"), (sor_program, "data-parallel")])
+    def test_strategy_that_changes_the_meaning_is_refused(self, program, strategy):
+        """Jacobi under the ring pipeline ran Gauss-Seidel, and SOR under
+        data-parallel blocks ran Jacobi without reading omega."""
+        with pytest.raises(CodegenError, match=f"strategy '{strategy}' not applicable"):
+            generate_spmd(program(), strategy=strategy)
+
     def test_env_keys(self):
         gen = generate_spmd(sor_program())
         assert set(gen.env_keys()) == {"A", "B", "X0", "iterations", "omega"}
@@ -301,31 +305,16 @@ class TestGeneration:
 
 class TestGeneratedExecution:
     @pytest.mark.parametrize("nprocs", [1, 2, 4])
-    def test_jacobi_runs_and_matches(self, medium_system, nprocs):
-        A, b, _ = medium_system
-        fn = load_generated(generate_spmd(jacobi_program()))
-        env = {"A": A, "B": b, "X0": np.zeros(32), "iterations": 12}
-        res = run_spmd(fn, Ring(nprocs), MODEL, args=(env,))
-        np.testing.assert_allclose(
-            res.value(0), jacobi_seq(A, b, np.zeros(32), 12), atol=1e-12
-        )
+    def test_jacobi_runs_and_matches(self, nprocs):
+        check_cell("jacobi", "data-parallel", 32, nprocs)
 
     @pytest.mark.parametrize("nprocs", [1, 2, 4, 8])
-    def test_sor_runs_and_matches(self, medium_system, nprocs):
-        A, b, _ = medium_system
-        fn = load_generated(generate_spmd(sor_program()))
-        env = {"A": A, "B": b, "X0": np.zeros(32), "iterations": 6, "omega": 1.15}
-        res = run_spmd(fn, Ring(nprocs), MODEL, args=(env,))
-        np.testing.assert_allclose(
-            res.value(0), sor_seq(A, b, np.zeros(32), 1.15, 6), atol=1e-12
-        )
+    def test_sor_runs_and_matches(self, nprocs):
+        check_cell("sor", "ring-pipeline", 32, nprocs)
 
     @pytest.mark.parametrize("strategy", ["cyclic-pipeline", "cyclic-multicast"])
-    def test_gauss_runs_and_matches(self, medium_system, strategy):
-        A, b, _ = medium_system
-        fn = load_generated(generate_spmd(gauss_program(), strategy=strategy))
-        res = run_spmd(fn, Ring(4), MODEL, args=({"A": A, "B": b},))
-        np.testing.assert_allclose(res.value(0), gauss_seq(A, b), atol=1e-9)
+    def test_gauss_runs_and_matches(self, strategy):
+        check_cell("gauss", strategy, 32, 4)
 
     def test_generated_matches_handwritten_timing(self, medium_system):
         """Generated and hand-written kernels produce identical simulated
@@ -356,6 +345,5 @@ class TestGeneratedExecution:
         A, b, _ = make_spd_system(16, seed=3)
         env = {"Mat": A, "Rhs": b, "X0": np.zeros(16), "iterations": 10}
         res = run_spmd(fn, Ring(4), MODEL, args=(env,))
-        np.testing.assert_allclose(
-            res.value(0), jacobi_seq(A, b, np.zeros(16), 10), atol=1e-12
-        )
+        expected = interpret(parse_program(text), {"size": 16, "steps": 10}, {"Mat": A, "Rhs": b})["Sol"]
+        np.testing.assert_allclose(res.value(0), expected, atol=1e-12)

@@ -7,54 +7,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MachineError
+from repro.errors import EvaluationError, MachineError
 from repro.kernels import (
     cannon_matmul,
     gauss_broadcast,
     gauss_pipelined,
-    gauss_seq,
     jacobi_coldist,
     jacobi_grid2d,
     jacobi_rowdist,
-    jacobi_seq,
     make_spd_system,
     sor_naive,
     sor_pipelined,
-    sor_seq,
 )
 from repro.kernels.cannon import assemble_blocks
+from repro.lang.interp import interpret
+from repro.lang.parser import parse_program
+from repro.lang.programs import GAUSS_SOURCE, JACOBI_SOURCE, SOR_SOURCE
 from repro.machine import Grid2D, MachineModel, Ring, run_spmd
+from tests.test_source_lattice import solution
 
 MODEL = MachineModel(tf=1, tc=10)
 
 
 class TestSequentialReferences:
+    """The paper's listings, run by the interpreter, are the references."""
+
     def test_jacobi_converges(self, medium_system):
         A, b, x_true = medium_system
-        x = jacobi_seq(A, b, np.zeros(32), 60)
-        np.testing.assert_allclose(x, x_true, atol=1e-8)
+        np.testing.assert_allclose(solution(JACOBI_SOURCE, A, b, 60), x_true, atol=1e-8)
 
     def test_sor_converges_faster_than_jacobi(self, medium_system):
         """The paper motivates SOR as converging faster than Jacobi."""
         A, b, x_true = medium_system
-        iters = 12
-        ej = np.linalg.norm(jacobi_seq(A, b, np.zeros(32), iters) - x_true)
-        es = np.linalg.norm(sor_seq(A, b, np.zeros(32), 1.0, iters) - x_true)
+        ej = np.linalg.norm(solution(JACOBI_SOURCE, A, b, 12) - x_true)
+        es = np.linalg.norm(solution(SOR_SOURCE, A, b, 12, omega=1.0) - x_true)
         assert es < ej
 
     def test_gauss_solves(self, medium_system):
         A, b, _ = medium_system
-        np.testing.assert_allclose(gauss_seq(A, b), np.linalg.solve(A, b), atol=1e-8)
+        np.testing.assert_allclose(solution(GAUSS_SOURCE, A, b), np.linalg.solve(A, b), atol=1e-8)
 
     def test_gauss_zero_pivot_rejected(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(Exception):
-            gauss_seq(A, np.ones(2))
+        with pytest.raises(EvaluationError, match=r"A\(k, k\)\) divides by zero"):
+            solution(GAUSS_SOURCE, A, np.ones(2))
 
     def test_jacobi_zero_diag_rejected(self):
         A = np.array([[0.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(Exception):
-            jacobi_seq(A, np.ones(2), np.zeros(2), 1)
+        with pytest.raises(EvaluationError, match=r"A\(i, i\)\) divides by zero"):
+            solution(JACOBI_SOURCE, A, np.ones(2), 1)
+
+    def test_out_of_range_subscript_rejected(self):
+        """NumPy would read ``W(0)`` as the last element; the source has no such element."""
+        program = parse_program("PROGRAM t\nPARAM m\nARRAY U(m), W(m)\nDO i = 1, m\nU(i) = W(i - 1)\nEND DO\nEND\n")
+        with pytest.raises(EvaluationError, match=r"W\(i - 1\) is element \(0,\), outside W\(4,\)"):
+            interpret(program, {"m": 4}, {"W": np.arange(4.0)})
+
+    def test_zero_divisor_rejected(self):
+        program = parse_program("PROGRAM t\nPARAM m\nSCALAR s\nARRAY U(m)\nDO i = 1, m\nU(i) = mod(i, s)\nEND DO\nEND\n")
+        np.testing.assert_array_equal(interpret(program, {"m": 3}, {}, {"s": 2})["U"], [1, 0, 1])
+        with pytest.raises(EvaluationError, match="divides by zero"):
+            interpret(program, {"m": 3}, {}, {"s": 0})
 
     def test_make_spd_system_consistent(self):
         A, b, x = make_spd_system(10, seed=5)
@@ -72,7 +85,7 @@ class TestJacobiKernels:
     @pytest.mark.parametrize("nprocs", [1, 2, 4, 8])
     def test_rowdist_matches_seq(self, medium_system, nprocs):
         A, b, _ = medium_system
-        ref = jacobi_seq(A, b, np.zeros(32), self.ITERS)
+        ref = solution(JACOBI_SOURCE, A, b, self.ITERS)
         res = run_spmd(jacobi_rowdist, Ring(nprocs), MODEL, args=(A, b, np.zeros(32), self.ITERS))
         for rank in range(nprocs):
             np.testing.assert_allclose(res.value(rank), ref, atol=1e-12)
@@ -80,14 +93,14 @@ class TestJacobiKernels:
     @pytest.mark.parametrize("nprocs", [1, 2, 4, 8])
     def test_coldist_matches_seq(self, medium_system, nprocs):
         A, b, _ = medium_system
-        ref = jacobi_seq(A, b, np.zeros(32), self.ITERS)
+        ref = solution(JACOBI_SOURCE, A, b, self.ITERS)
         res = run_spmd(jacobi_coldist, Ring(nprocs), MODEL, args=(A, b, np.zeros(32), self.ITERS))
         np.testing.assert_allclose(res.value(0), ref, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 2), (1, 4)])
     def test_grid2d_matches_seq(self, medium_system, shape):
         A, b, _ = medium_system
-        ref = jacobi_seq(A, b, np.zeros(32), self.ITERS)
+        ref = solution(JACOBI_SOURCE, A, b, self.ITERS)
         res = run_spmd(
             jacobi_grid2d,
             Grid2D(*shape),
@@ -129,7 +142,7 @@ class TestSorKernels:
     @pytest.mark.parametrize("omega", [1.0, 1.2])
     def test_naive_matches_seq(self, medium_system, nprocs, omega):
         A, b, _ = medium_system
-        ref = sor_seq(A, b, np.zeros(32), omega, self.ITERS)
+        ref = solution(SOR_SOURCE, A, b, self.ITERS, omega)
         res = run_spmd(sor_naive, Ring(nprocs), MODEL, args=(A, b, np.zeros(32), omega, self.ITERS))
         np.testing.assert_allclose(res.value(0), ref, atol=1e-12)
 
@@ -137,7 +150,7 @@ class TestSorKernels:
     @pytest.mark.parametrize("omega", [1.0, 1.2])
     def test_pipelined_matches_seq(self, medium_system, nprocs, omega):
         A, b, _ = medium_system
-        ref = sor_seq(A, b, np.zeros(32), omega, self.ITERS)
+        ref = solution(SOR_SOURCE, A, b, self.ITERS, omega)
         res = run_spmd(
             sor_pipelined, Ring(nprocs), MODEL, args=(A, b, np.zeros(32), omega, self.ITERS)
         )
@@ -173,7 +186,7 @@ class TestSorKernels:
     def test_pipelined_equals_seq_random_systems(self, seed):
         """Property: pipeline reordering never changes the numerics."""
         A, b, _ = make_spd_system(16, seed=seed)
-        ref = sor_seq(A, b, np.zeros(16), 1.1, 4)
+        ref = solution(SOR_SOURCE, A, b, 4, 1.1)
         res = run_spmd(sor_pipelined, Ring(4), MODEL, args=(A, b, np.zeros(16), 1.1, 4))
         np.testing.assert_allclose(res.value(0), ref, atol=1e-12)
 
@@ -182,7 +195,7 @@ class TestGaussKernels:
     @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 8])
     def test_broadcast_matches_seq(self, medium_system, nprocs):
         A, b, _ = medium_system
-        ref = gauss_seq(A, b)
+        ref = solution(GAUSS_SOURCE, A, b)
         res = run_spmd(gauss_broadcast, Ring(nprocs), MODEL, args=(A, b))
         for rank in range(nprocs):
             np.testing.assert_allclose(res.value(rank), ref, atol=1e-9)
@@ -190,7 +203,7 @@ class TestGaussKernels:
     @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 8])
     def test_pipelined_matches_seq(self, medium_system, nprocs):
         A, b, _ = medium_system
-        ref = gauss_seq(A, b)
+        ref = solution(GAUSS_SOURCE, A, b)
         res = run_spmd(gauss_pipelined, Ring(nprocs), MODEL, args=(A, b))
         for rank in range(nprocs):
             np.testing.assert_allclose(res.value(rank), ref, atol=1e-9)

@@ -770,7 +770,7 @@ class TestSourceTextMemo:
         # remembered key missing that input would be served stale.
         inputs = {
             "text": range(len(JACOBI_TEXTS)),  # original, json-ir, alpha-twin
-            "strategy": [None, "data-parallel", "ring-pipeline"],
+            "strategy": [None, "data-parallel"],  # the strategies Jacobi admits
             "nprocs": [2, 4, 8],
             "m": [16, 32],
             "reordered": [False, True],  # env keys

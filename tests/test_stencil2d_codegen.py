@@ -9,7 +9,9 @@ from repro.codegen import generate_spmd, load_generated
 from repro.codegen.stencil import match_stencil
 from repro.errors import CodegenError
 from repro.lang import gauss_program, jacobi_program, matmul_program, parse_program
+from repro.lang.interp import interpret
 from repro.machine import MachineModel, Ring, run_spmd
+from tests.test_source_lattice import ANISOTROPIC, check_cell
 
 MODEL = MachineModel(tf=1, tc=10)
 
@@ -32,22 +34,6 @@ DO t = 1, steps
 END DO
 END
 """
-
-
-def heat2d_reference(u0: np.ndarray, alpha: float, steps: int) -> np.ndarray:
-    u = u0.copy()
-    m = u.shape[0]
-    for _ in range(steps):
-        new = u.copy()
-        new[1 : m - 1, 1 : m - 1] = u[1 : m - 1, 1 : m - 1] + alpha * (
-            u[: m - 2, 1 : m - 1]
-            + u[2:, 1 : m - 1]
-            + u[1 : m - 1, : m - 2]
-            + u[1 : m - 1, 2:]
-            - 4 * u[1 : m - 1, 1 : m - 1]
-        )
-        u = new
-    return u
 
 
 def column_overhang(pattern, name: str) -> tuple[int, int]:
@@ -119,18 +105,7 @@ class TestRecognition:
 class TestExecution:
     @pytest.mark.parametrize("nprocs", [1, 2, 4, 8])
     def test_heat2d_matches_reference(self, nprocs):
-        m, steps, alpha = 16, 8, 0.1
-        rng = np.random.default_rng(7)
-        u0 = rng.random((m, m))
-        gen = generate_spmd(parse_program(HEAT2D))
-        assert gen.strategy == "stencil-2d"
-        fn = load_generated(gen)
-        env = {"m": m, "steps": steps, "alpha": alpha,
-               "Unew": np.zeros((m, m)), "Uold": u0.copy()}
-        res = run_spmd(fn, Ring(nprocs), MODEL, args=(env,))
-        expected = heat2d_reference(u0, alpha, steps)
-        for rank in range(nprocs):
-            np.testing.assert_allclose(res.value(rank)["Uold"], expected, atol=1e-12)
+        check_cell("stencil-2d", "stencil-2d", 16, nprocs, HEAT2D)
 
     def test_halo_rows_only(self):
         """Each exchanged message is a full halo *row* (m words), and only
@@ -152,12 +127,7 @@ class TestExecution:
 
     def test_anisotropic_offsets(self):
         """Row halo 2 upward only; columns reach 3 to the right."""
-        src = (
-            "PROGRAM a\nPARAM m\nARRAY U(m, m), W(m, m)\n"
-            "DO i = 3, m\nDO j = 1, m - 3\n"
-            "U(i, j) = W(i - 2, j + 3)\nEND DO\nEND DO\nEND\n"
-        )
-        program = parse_program(src)
+        program = parse_program(ANISOTROPIC)
         pat = match_stencil(program, 2)
         assert pat.halo["W"] == (2, 0)
         assert column_overhang(pat, "W") == (0, 3)
@@ -166,6 +136,4 @@ class TestExecution:
         w0 = np.random.default_rng(1).random((m, m))
         env = {"m": m, "U": np.zeros((m, m)), "W": w0}
         res = run_spmd(fn, Ring(4), MODEL, args=(env,))
-        expected = np.zeros((m, m))
-        expected[2:m, 0 : m - 3] = w0[0 : m - 2, 3:m]
-        np.testing.assert_allclose(res.value(0)["U"], expected, atol=1e-12)
+        np.testing.assert_array_equal(res.value(0)["U"], interpret(program, {"m": m}, {"W": w0})["U"])

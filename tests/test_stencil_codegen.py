@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,10 @@ from repro.codegen import generate_spmd, load_generated
 from repro.codegen.stencil import match_stencil
 from repro.errors import CodegenError
 from repro.lang import parse_program
+from repro.lang.interp import interpret
 from repro.machine import MachineModel, Ring, run_spmd
+from repro.service.plan import Plan
+from tests.test_source_lattice import WIDE, check_cell
 
 MODEL = MachineModel(tf=1, tc=10)
 
@@ -32,18 +33,6 @@ DO t = 1, steps
 END DO
 END
 """
-
-
-def heat_reference(u0: np.ndarray, alpha: float, steps: int) -> np.ndarray:
-    u = u0.copy()
-    m = len(u)
-    for _ in range(steps):
-        new = u.copy()
-        new[1 : m - 1] = u[1 : m - 1] + alpha * (
-            u[: m - 2] - 2 * u[1 : m - 1] + u[2:]
-        )
-        u = new
-    return u
 
 
 class TestRecognition:
@@ -131,20 +120,7 @@ class TestRecognition:
 class TestExecution:
     @pytest.mark.parametrize("nprocs", [1, 2, 4, 8])
     def test_heat_matches_reference(self, nprocs):
-        m, steps, alpha = 32, 25, 0.25
-        u0 = np.zeros(m)
-        u0[m // 2] = 1.0
-        gen = generate_spmd(parse_program(HEAT))
-        assert gen.strategy == "stencil"
-        fn = load_generated(gen)
-        env = {
-            "m": m, "steps": steps, "alpha": alpha,
-            "Unew": np.zeros(m), "Uold": u0,
-        }
-        res = run_spmd(fn, Ring(nprocs), MODEL, args=(env,))
-        expected = heat_reference(u0, alpha, steps)
-        for rank in range(nprocs):
-            np.testing.assert_allclose(res.value(rank)["Uold"], expected, atol=1e-12)
+        check_cell("stencil", "stencil", 32, nprocs, HEAT)
 
     def test_halo_messages_scale_with_steps(self):
         gen = generate_spmd(parse_program(HEAT))
@@ -165,15 +141,7 @@ class TestExecution:
 
     def test_wider_stencil(self):
         """A radius-2 stencil exchanges two-element halos."""
-        src = (
-            "PROGRAM w\nPARAM m, steps\nARRAY U(m), W(m)\n"
-            "DO t = 1, steps\n"
-            "  DO i = 3, m - 2\n"
-            "    U(i) = W(i - 2) + W(i + 2)\n  END DO\n"
-            "  DO i = 3, m - 2\n    W(i) = U(i)\n  END DO\n"
-            "END DO\nEND\n"
-        )
-        program = parse_program(src)
+        program = parse_program(WIDE)
         pat = match_stencil(program, 1)
         assert pat.halo["W"] == (2, 2)
         fn = load_generated(generate_spmd(program))
@@ -181,21 +149,36 @@ class TestExecution:
         w0 = np.arange(m, dtype=float)
         env = {"m": m, "steps": 3, "U": np.zeros(m), "W": w0.copy()}
         res = run_spmd(fn, Ring(4), MODEL, args=(env,))
-        # Sequential reference.
-        w = w0.copy()
-        u = np.zeros(m)
-        for _ in range(3):
-            u[2 : m - 2] = w[: m - 4] + w[4:]
-            w[2 : m - 2] = u[2 : m - 2]
-        np.testing.assert_allclose(res.value(0)["W"], w, atol=1e-12)
+        expected = interpret(program, {"m": m, "steps": 3}, {"W": w0})
+        np.testing.assert_array_equal(res.value(0)["W"], expected["W"])
 
     def test_divisibility_assert(self):
-        gen = generate_spmd(parse_program(HEAT))
-        fn = load_generated(gen)
+        """``Plan.run`` checks the listing's ``assert m % n == 0`` before any
+        rank runs, and raises a typed error instead."""
+        program = parse_program(HEAT)
         env = {"m": 30, "steps": 1, "alpha": 0.1,
                "Unew": np.zeros(30), "Uold": np.zeros(30)}
-        with pytest.raises(AssertionError):
-            run_spmd(fn, Ring(4), MODEL, args=(env,))
+        with pytest.raises(CodegenError, match=r"'stencil' is right only when N \| m, got m = 30, N = 4"):
+            Plan(program, generate_spmd(program)).run(4, {}, inputs=env, model=MODEL)
+
+    @pytest.mark.parametrize("strategy", ["stencil", "stencil-overlap"])
+    def test_halo_wider_than_block_is_refused(self, strategy):
+        """``U(i) = W(i - 2) + W(i + 2)`` at m = 8: a block of one element
+        cannot hold a halo of two, and the listing, which asserts only
+        N | m, returned zeros on ``Ring(8)``."""
+        program = parse_program(
+            "PROGRAM w\nPARAM m\nARRAY U(m), W(m)\n"
+            "DO i = 3, m - 2\nU(i) = W(i - 2) + W(i + 2)\nEND DO\nEND\n"
+        )
+        plan = Plan(program, generate_spmd(program, strategy))
+        w0 = np.arange(8.0)
+        inputs = {"m": 8, "U": np.zeros(8), "W": w0}
+        with pytest.raises(CodegenError, match="halo 2 > m / N = 8 / 8"):
+            plan.run(8, {}, inputs=inputs, model=MODEL)
+        expected = interpret(program, {"m": 8}, {"W": w0})
+        for nprocs in (1, 2, 4):
+            res = plan.run(nprocs, {}, inputs=inputs, model=MODEL)
+            np.testing.assert_array_equal(res.value(0)["U"], expected["U"])
 
     def test_flops_accounted(self):
         gen = generate_spmd(parse_program(HEAT))
@@ -266,40 +249,30 @@ def stencil_source(rank: int, timed: bool, sweeps) -> str:
     return "\n".join([*lines, "END", ""])
 
 
-def loop_reference(rank, steps, sweeps, alpha, arrays):
-    """The source run element by element, in its own loop order."""
-    arrays = {name: value.copy() for name, value in arrays.items()}
-    m = len(arrays["U"])
-    for _ in range(steps):
-        for bounds, stmts in sweeps:
-            ranges = [range(lo - 1, m - hi) for lo, hi in bounds]
-            for point in itertools.product(*ranges):
-                for lhs, refs, ops, scaled in stmts:
-                    read = [arrays[name][tuple(p + c for p, c in zip(point, offs))]
-                            for name, offs in refs]
-                    value = read[0]
-                    for op, operand in zip(ops, read[1:]):
-                        value = {"+": value + operand, "-": value - operand,
-                                 "*": value * operand}[op]
-                    arrays[lhs][point] = alpha * value if scaled else value
-    return arrays
-
-
 class TestRandomSweeps:
-    @given(stencil_programs(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16))
+    @given(stencil_programs(), st.sampled_from((6, 8, 12)), st.integers(1, 8), st.integers(1, 3),
+           st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
-    def test_generated_program_equals_the_loops(self, drawn, nprocs, steps, seed):
-        """Any in-range stencil program of rank 1 or 2 compiles, and its
-        SPMD program on ``Ring(1..4)`` computes what its loops compute."""
+    def test_generated_program_equals_the_loops(self, drawn, m, nprocs, steps, seed):
+        """Any in-range stencil program of rank 1 or 2 compiles.  On
+        ``Ring(1..8)`` its SPMD program computes what the interpreter
+        computes from its source, or, exactly where N does not divide m or
+        a halo is wider than a block, ``Plan.run`` refuses it."""
         rank, timed, sweeps = drawn
-        gen = generate_spmd(parse_program(stencil_source(rank, timed, sweeps)))
+        program = parse_program(stencil_source(rank, timed, sweeps))
+        gen = generate_spmd(program)
         assert gen.strategy == ("stencil", "stencil-2d")[rank - 1]
-        m, alpha = 12, 0.5
         rng = np.random.default_rng(seed)
         arrays = {name: rng.random((m,) * rank) for name in ARRAYS}
-        env = {"m": m, "alpha": alpha, **arrays, **({"steps": steps} if timed else {})}
-        res = run_spmd(load_generated(gen), Ring(nprocs), MODEL, args=(env,))
-        expected = loop_reference(rank, steps if timed else 1, sweeps, alpha, arrays)
+        env = {"m": m, **({"steps": steps} if timed else {})}
+        run = Plan(program, gen).run
+        halo = max(width for pair in gen.pattern.halo.values() for width in pair)
+        if m % nprocs or (nprocs > 1 and halo > m // nprocs):
+            with pytest.raises(CodegenError, match="is right only when"):
+                run(nprocs, env, inputs={**env, "alpha": 0.5, **arrays}, model=MODEL)
+            return
+        res = run(nprocs, env, inputs={**env, "alpha": 0.5, **arrays}, model=MODEL)
+        expected = interpret(program, env, arrays, {"alpha": 0.5})
         # Same operations in the same order per element: equal, not close.
         for name in ARRAYS:
             np.testing.assert_array_equal(res.value(nprocs - 1)[name], expected[name])
