@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.costmodel.primitives import CommCosts
 from repro.lang.affine import difference_is_constant
 from repro.lang.analysis import RefSite, collect_ref_sites
-from repro.lang.ast import ArrayRef, Program, Stmt
+from repro.lang.ast import Program, Stmt
 from repro.machine.model import MachineModel
 from repro.alignment.weights import WeightTerm, edge_weight
 from repro.util.spans import spanned

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import DistributionError
-from repro.distribution.function import Dist1D, Kind
+from repro.distribution.function import Dist1D
 
 
 class Coupling(enum.Enum):

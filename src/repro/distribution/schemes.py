@@ -15,7 +15,7 @@ shape and problem size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import DistributionError
 from repro.distribution.function import Dist1D, Kind

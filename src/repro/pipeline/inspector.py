@@ -34,7 +34,7 @@ band).
 from __future__ import annotations
 
 from collections.abc import Generator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

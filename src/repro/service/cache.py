@@ -98,11 +98,17 @@ crashes mid-write (ISSUE 8):
   verifies and finds unpicklable or in an old layout (untagged), is
   **quarantined** (moved to ``disk_dir/quarantine/``) and served as a
   miss, never as garbage;
-* **advisory file locking** — disk reads take a shared ``flock`` and
-  writes an exclusive one on ``disk_dir/.lock``, so any number of
-  services and supervised worker processes share one cache directory
-  without corruption (no-op where ``fcntl`` is unavailable); promoting
-  a disk hit into memory is not a write and takes no exclusive lock;
+* **lock-free reads, locked writes** — a write's write-once check and
+  atomic replace, and ``prune``, hold an exclusive ``flock`` on
+  ``disk_dir/.lock`` (no-op where ``fcntl`` is unavailable), so any
+  number of services and supervised worker processes share one cache
+  directory without corruption.  A read is one ``open`` and one
+  ``read`` and takes no lock: a visible file is always whole (atomic
+  replace) and never rewritten (write-once), its checksum is verified
+  anyway, and a file that quarantine or ``prune`` removes under a
+  reader is either still read whole through the open handle or a
+  ``FileNotFoundError`` — a miss.  Promoting a disk hit into memory is
+  not a write;
 * **graceful degradation** — after ``disk_fault_limit`` *consecutive*
   ``OSError`` faults the disk tier is disabled and the cache continues
   memory-only (counted in ``CacheStats.disk_faults``, flagged by
@@ -420,10 +426,12 @@ def _unseal(data: bytes) -> bytes | None:
     return blob
 
 
-def _write_atomic(path: pathlib.Path, data: bytes) -> None:
+def _write_atomic(path: str | os.PathLike, data: bytes) -> None:
     """Same-directory temp file + fsync + ``os.replace``: readers see
     either the old entry or the complete new one, never a torn write."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}.", suffix=".tmp")
+    directory, name = os.path.split(path)
+    stem = os.path.splitext(name)[0]
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{stem}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -452,9 +460,13 @@ class PlanCache:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ReproError(f"cache capacity must be >= 1, got {self.capacity}")
+        #: ``disk_dir`` as a string ending in a separator: every entry's
+        #: path is this plus ``<key>.pkl``, joined without ``pathlib``.
+        self._disk_root: str | None = None
         if self.disk_dir is not None:
             self.disk_dir = pathlib.Path(self.disk_dir)
             self.disk_dir.mkdir(parents=True, exist_ok=True)
+            self._disk_root = os.path.join(self.disk_dir, "")
         self._mem: OrderedDict[str, _Entry] = OrderedDict()
         self._disk_disabled = False
         self._consecutive_faults = 0
@@ -471,24 +483,25 @@ class PlanCache:
             return None
         return self.disk_dir / "quarantine"
 
-    def _disk_path(self, key: str) -> pathlib.Path | None:
-        if self.disk_dir is None or self._disk_disabled:
+    def _disk_path(self, key: str) -> str | None:
+        if self._disk_root is None or self._disk_disabled:
             return None
-        return self.disk_dir / f"{key}.pkl"
+        return f"{self._disk_root}{key}.pkl"
 
     @contextmanager
-    def _disk_lock(self, exclusive: bool):
-        """Advisory flock on ``disk_dir/.lock`` (no-op without fcntl)."""
-        if fcntl is None or self.disk_dir is None:
+    def _disk_lock(self):
+        """Exclusive advisory flock on ``disk_dir/.lock`` (no-op without
+        fcntl), held by writers and ``prune``; readers take none."""
+        if fcntl is None or self._disk_root is None:
             yield
             return
         try:
-            handle = open(self.disk_dir / ".lock", "a+b")
+            handle = open(f"{self._disk_root}.lock", "a+b")
         except OSError:
             yield  # the op itself will hit (and count) the fault
             return
         try:
-            fcntl.flock(handle, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+            fcntl.flock(handle, fcntl.LOCK_EX)
             yield
         finally:
             try:
@@ -509,19 +522,20 @@ class PlanCache:
         else:
             logger.warning("plan cache disk %s fault: %s", what, exc)
 
-    def _quarantine(self, path: pathlib.Path) -> None:
+    def _quarantine(self, path: str) -> None:
         """Move a corrupt entry aside so it is never served (or re-read)."""
         self.stats.corrupt += 1
         qdir = self.quarantine_dir
+        name = os.path.basename(path)
         try:
             qdir.mkdir(exist_ok=True)
-            os.replace(path, qdir / f"{path.name}.{os.getpid()}")
+            os.replace(path, qdir / f"{name}.{os.getpid()}")
         except OSError:
             # Another process quarantined it first (or the dir is gone);
             # either way the entry is no longer addressable — that is all
             # quarantine has to guarantee.
             pass
-        logger.warning("plan cache quarantined corrupt entry %s", path.name)
+        logger.warning("plan cache quarantined corrupt entry %s", name)
 
     def _disk_read(self, key: str) -> bytes | None:
         """Checksum-verified read of an entry's content (blob and vouch);
@@ -530,15 +544,13 @@ class PlanCache:
         if path is None:
             return None
         try:
-            with self._disk_lock(exclusive=False):
-                # One open, no exists() probe first: quarantine renames
-                # outside the lock, so an entry may vanish under a reader
-                # — that is a miss, not a fault of the tier.
-                try:
-                    with open(path, "rb") as handle:
-                        data = handle.read()
-                except FileNotFoundError:
-                    return None
+            # One open, no lock and no exists() probe first: quarantine
+            # and prune may remove an entry under a reader — that is a
+            # miss, not a fault of the tier.
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return None
         except OSError as exc:
             self._disk_fault("read", exc)
             return None
@@ -580,8 +592,8 @@ class PlanCache:
             return
         vouch = _vouch()  # first disk use hashes the package: not under the lock
         try:
-            with self._disk_lock(exclusive=True):
-                if not path.exists():
+            with self._disk_lock():
+                if not os.path.exists(path):
                     _write_atomic(path, _seal(blob + vouch))
         except OSError as exc:
             self._disk_fault("write", exc)
@@ -614,7 +626,7 @@ class PlanCache:
         if key in self._mem:
             return True
         path = self._disk_path(key)
-        return path is not None and path.exists()
+        return path is not None and os.path.exists(path)
 
     def put(self, key: str, value: object) -> None:
         """Store *value* under *key*; a value that does not pickle is a
@@ -695,7 +707,7 @@ class PlanCache:
             return 0
         removed = 0
         try:
-            with self._disk_lock(exclusive=True):
+            with self._disk_lock():
                 for path in self.disk_dir.glob("*.pkl"):
                     path.unlink(missing_ok=True)
                     removed += 1

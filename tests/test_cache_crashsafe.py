@@ -11,13 +11,16 @@
   later, at attribute access (ISSUE 16) — unless this very code wrote
   it: such an entry carries this code's *vouch* and its first touch
   decodes the head only, like a memory hit (the trust matrix below);
-* a disk *read* takes the shared lock only: promoting a hit into memory
-  is not a write;
+* a disk *read* is one ``open`` and one ``read`` and takes no lock:
+  writers publish whole files by atomic replace and never rewrite one,
+  every read verifies the checksum, and a file removed under a reader
+  is a miss; writes and ``prune`` hold the exclusive lock, and promoting
+  a hit into memory is not a write;
 * repeated disk ``OSError`` faults degrade the cache to memory-only
   (``disk_disabled``) instead of failing requests;
 * N processes hammering one cache directory with mixed
-  put/lookup/prune traffic never observe a torn value (the
-  multiprocessing stress drill);
+  put/lookup/prune traffic, and a reader beside them that never writes,
+  never observe a torn value (the multiprocessing stress drill);
 * the compile service's persisted canonical forms (``form-<key>.pkl``,
   ISSUE 20) are entries of this tier like any other: every guarantee
   above holds for them, and damage costs a re-parse, never an answer.
@@ -331,40 +334,52 @@ class TestVouch:
 
 
 class TestReadLocking:
+    """A disk hit is one ``open`` and no ``flock``; writes still hold the
+    exclusive lock."""
+
     @pytest.fixture
-    def flocks(self, monkeypatch):
-        """Every ``flock`` operation the cache module issues."""
+    def calls(self, monkeypatch):
+        """Every ``flock`` operation the cache module issues, and the path
+        of every file it opens."""
         if cache_mod.fcntl is None:
             pytest.skip("no fcntl on this platform")
-        ops = []
-        real = cache_mod.fcntl.flock
+        flocks, opened = [], []
+        real_flock = cache_mod.fcntl.flock
 
-        def counting(handle, op):
-            ops.append(op)
-            return real(handle, op)
+        def counting_flock(handle, op):
+            flocks.append(op)
+            return real_flock(handle, op)
 
-        monkeypatch.setattr(cache_mod.fcntl, "flock", counting)
-        return ops
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return open(file, *args, **kwargs)
 
-    def test_a_pass_of_disk_hits_takes_no_exclusive_lock(self, tmp_path, flocks):
+        monkeypatch.setattr(cache_mod.fcntl, "flock", counting_flock)
+        monkeypatch.setattr(cache_mod, "open", counting_open, raising=False)
+        return flocks, opened
+
+    def test_a_pass_of_disk_hits_takes_no_exclusive_lock(self, tmp_path, calls):
+        flocks, opened = calls
         keys = [f"k{n}" for n in range(6)]
         writer = PlanCache(capacity=8, disk_dir=tmp_path)
         for key in keys:
             writer.put(key, {"value": key})
-        assert flocks.count(cache_mod.fcntl.LOCK_EX) == len(keys)
+        # each write-once insert holds the exclusive lock
+        assert flocks == [cache_mod.fcntl.LOCK_EX, cache_mod.fcntl.LOCK_UN] * len(keys)
 
-        del flocks[:]
+        del flocks[:], opened[:]
         reader = PlanCache(capacity=8, disk_dir=tmp_path)
         assert [reader.get(key) for key in keys] == [{"value": key} for key in keys]
         assert reader.stats.disk_hits == len(keys) and len(reader) == len(keys)
-        assert flocks.count(cache_mod.fcntl.LOCK_EX) == 0
-        assert flocks.count(cache_mod.fcntl.LOCK_SH) == len(keys)
-        # promoted: the second pass is memory hits and touches no lock
-        del flocks[:]
+        assert flocks == []
+        assert opened == [os.fspath(entry_path(reader, key)) for key in keys]
+        # promoted: the second pass is memory hits and touches no file
         assert all(reader.get(key) is not None for key in keys)
         assert reader.stats.disk_hits == len(keys) and flocks == []
+        assert len(opened) == len(keys)
 
-    def test_a_warm_service_pass_takes_no_exclusive_lock(self, tmp_path, flocks):
+    def test_a_warm_service_pass_takes_no_exclusive_lock(self, tmp_path, calls):
+        flocks, opened = calls
         env = {"m": 32, "maxiter": 2}
         texts = [JACOBI_SOURCE, SOR_SOURCE]
         writer = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
@@ -373,13 +388,16 @@ class TestReadLocking:
         # per text: its form, its plan, its solve
         assert flocks.count(cache_mod.fcntl.LOCK_EX) == 3 * len(texts)
 
-        del flocks[:]
+        del flocks[:], opened[:]
         reader = CompileService(machine=MODEL, cache="disk", cache_dir=tmp_path)
         for text in texts:
             res = reader.compile(text, nprocs=4, env=env)
         assert res.service_stats["memo_disk_hits"] == len(texts)
-        assert flocks.count(cache_mod.fcntl.LOCK_EX) == 0
-        assert flocks.count(cache_mod.fcntl.LOCK_SH) == 3 * len(texts)
+        assert reader.stats.disk_hits == 2 * len(texts)
+        assert flocks == []
+        entries = {os.fspath(path) for path in tmp_path.glob("*.pkl")}
+        assert len(entries) == 3 * len(texts)
+        assert sorted(opened) == sorted(entries)
 
     def test_an_entry_quarantined_under_a_reader_is_a_miss_not_a_fault(
         self, tmp_path, monkeypatch
@@ -389,23 +407,12 @@ class TestReadLocking:
         racer = PlanCache(capacity=4, disk_dir=tmp_path)  # another process
         path = entry_path(reader, "key")
 
-        # quarantine takes no lock, so it can land between any two steps
-        # of a read: after an exists() probe, or just before the open
-        def lose_the_race(found):
-            if found:
-                racer._quarantine(path)
-            return found
-
-        real_exists, real_open = pathlib.Path.exists, open
-        monkeypatch.setattr(
-            pathlib.Path, "exists",
-            lambda self: lose_the_race(real_exists(self)) if self == path else real_exists(self),
-        )
-
+        # quarantine takes no lock, and neither does a read: it can land
+        # just before the open
         def racing_open(file, *args, **kwargs):
-            if file == path:
-                lose_the_race(real_exists(path))
-            return real_open(file, *args, **kwargs)
+            if os.fspath(file) == os.fspath(path):
+                racer._quarantine(path)
+            return open(file, *args, **kwargs)
 
         monkeypatch.setattr(cache_mod, "open", racing_open, raising=False)
         assert reader.get("key") is None
@@ -527,7 +534,7 @@ class TestFormFiles:
             pass
 
         def crash_on_forms(path, data):
-            if path.name.startswith(cache_mod._MEMO_PREFIX):
+            if os.path.basename(path).startswith(cache_mod._MEMO_PREFIX):
                 raise Crash
             real(path, data)
 
@@ -615,25 +622,65 @@ def _hammer(disk_dir, proc: int, rounds: int, failures):
         failures.put(f"proc {proc}: {exc!r}")
 
 
+def _read_only(disk_dir, done, failures, hits):
+    """A reader that never writes: drop the memory tier, read every key
+    from disk, until the writers are done.  Reads take no lock, so this
+    is what they race against: a put, a spill, a prune, a quarantine."""
+    total = 0
+    try:
+        cache = PlanCache(capacity=8, disk_dir=disk_dir)
+        while True:
+            last = done.is_set()
+            cache.clear()
+            for n in range(8):
+                key = f"key{n}"
+                value = cache.get(key)
+                if value is not None and value != {"owner": key}:
+                    failures.put(f"reader: torn read {key} -> {value!r}")
+                    return
+            stats = cache.stats
+            if stats.disk_faults or stats.corrupt:
+                failures.put(f"reader: {stats.disk_faults} faults, {stats.corrupt} corrupt")
+                return
+            total += stats.disk_hits
+            if last:
+                return
+    except BaseException as exc:  # pragma: no cover - failure path
+        failures.put(f"reader: {exc!r}")
+    finally:
+        hits.put(total)
+
+
 class TestMultiprocessSharing:
     def test_n_processes_share_one_cache_dir(self, tmp_path):
         """The ISSUE 8 stress drill: concurrent services on one disk
-        cache never see torn or cross-keyed values."""
+        cache never see torn or cross-keyed values — nor does a reader
+        that takes no lock while they put and prune."""
         ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"
         )
-        failures = ctx.Queue()
+        failures, hits, done = ctx.Queue(), ctx.Queue(), ctx.Event()
+        seed = PlanCache(capacity=8, disk_dir=tmp_path)
+        for n in range(8):
+            seed.put(f"key{n}", {"owner": f"key{n}"})
+        reader = ctx.Process(target=_read_only, args=(tmp_path, done, failures, hits), daemon=True)
         procs = [
             ctx.Process(target=_hammer, args=(tmp_path, p, 50, failures))
             for p in range(4)
         ]
+        reader.start()
         for p in procs:
             p.start()
         for p in procs:
             p.join(timeout=60)
             assert p.exitcode == 0
+        done.set()
+        total = hits.get(timeout=60)  # drained before the join
+        reader.join(timeout=60)
+        assert reader.exitcode == 0
         assert failures.empty(), failures.get()
+        assert total > 0  # the reader did read entries from disk
         # whatever survived the prunes must still unseal cleanly
         survivor = PlanCache(capacity=4, disk_dir=tmp_path)
         for path in tmp_path.glob("*.pkl"):

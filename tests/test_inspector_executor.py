@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.distribution.sparse import SparsePlacement
 from repro.errors import DistributionError
-from repro.kernels.sparse_cg import sparse_cg_parallel, sparse_cg_seq
+from repro.kernels.sparse_cg import sparse_cg_parallel
 from repro.kernels.spmv import spmv_parallel
 from repro.machine import MachineModel, Ring, run_spmd
 from repro.machine.threaded import run_spmd_threaded

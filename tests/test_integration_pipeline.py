@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.dp import build_phase_tables, solve_program_distribution
-from repro.errors import ReproError
 from repro.lang import gauss_program, jacobi_program, matmul_program, sor_program
 from repro.machine import MachineModel, Ring, run_spmd
 

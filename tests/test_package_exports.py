@@ -332,6 +332,60 @@ def test_disk_tier_primitives_are_called_from_the_cache_module_only():
     assert callers == {"service/cache.py"}
 
 
+# -- no import nothing reads ---------------------------------------------------
+# CI's lint step (ruff, F401) restated as a tier-1 test, so a run without
+# ruff catches it too: an imported name its module never reads (nor lists in
+# ``__all__``) is a dependency nothing has.
+
+LINTED = ("src", "tests", "benchmarks")
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, name)`` of every name an import in *tree* binds and nothing reads."""
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if "__all__" in {getattr(target, "id", None) for target in targets}:
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    root = SRC.parent.parent
+    unused = {
+        f"{path.relative_to(root)}:{line}": name
+        for top in LINTED
+        for path in sorted((root / top).rglob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text()))
+    }
+    assert unused == {}
+
+
+def test_the_unused_import_sweep_reads_what_a_module_reads():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, json as j\n"
+        "from a import b, c as d, e, f\n"
+        "__all__ = ['e']\n"
+        "def g(x: b) -> None:\n"
+        "    os.path.join(x)\n"
+        "    f = 1\n"
+    )
+    assert _unused_imports(tree) == [(2, "j"), (3, "d"), (3, "f")]
+
+
 # -- one run registry, one mode table, one emitter (ISSUE 23) -----------------
 # Under tools/ a file is written by report.write_artifact and nowhere else,
 # and a reference run's inputs and fault plan are built in tools/runs.py and

@@ -20,7 +20,6 @@ from repro.lang.analysis import (
     loop_depth,
     scalars_used,
 )
-from repro.lang.ast import DoLoop
 
 ALL_PROGRAMS = [jacobi_program, sor_program, gauss_program, matmul_program]
 

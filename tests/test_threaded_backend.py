@@ -10,7 +10,6 @@ from repro.kernels import (
     cannon_matmul,
     gauss_pipelined,
     jacobi_rowdist,
-    make_spd_system,
     sor_pipelined,
 )
 from repro.kernels.cannon import assemble_blocks

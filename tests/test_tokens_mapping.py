@@ -129,8 +129,6 @@ class TestChooseMapping:
 
     def test_no_loops_raises(self):
         p = parse_program("PROGRAM t\nPARAM m\nARRAY V(m)\nV(1) = 0.0\nEND\n")
-        from repro.lang.ast import DoLoop
-
         with pytest.raises((DependenceError, IndexError, AttributeError)):
             choose_mapping(p.body[0])  # type: ignore[arg-type]
 

@@ -9,7 +9,7 @@ import pytest
 
 import repro
 import repro.api
-from repro.machine import MachineModel, Ring, run_spmd
+from repro.machine import MachineModel
 from repro.machine.trace import TraceEvent, busy_time, comm_time, gantt, trace_table
 from repro.util.fmt import eng, fixed, ratio
 from repro.util.tables import Table, render_grid
