@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.costmodel import CommCosts
 from repro.distribution import (
     ArrayPlacement,
     Kind,
@@ -54,7 +53,7 @@ def sweep():
             total = extent
             data = np.arange(1, total + 1, dtype=np.float64)
             lowering = lower_placement_delta(src, dst, (extent,), grid)
-            plan = placement_change_plan(src, dst, total, grid, CommCosts(MODEL))
+            plan = placement_change_plan(src, dst, total, grid)
 
             def prog(p, _s=src, _d=dst, _e=(extent,), _g=grid):
                 local = pack_section(data, _s, _e, _g, p.rank)
@@ -113,7 +112,7 @@ def test_x8_jacobi_chain_validates(emit, record):
     tables, result, validation = solve_program_distribution(
         jacobi_program(), 16, {"m": 256, "maxiter": 1}, MODEL, execute=True
     )
-    emit("x8_jacobi_chain", validation.describe())
+    emit("x8_jacobi_chain", validation.describe(MODEL))
     assert validation.ok
     loop = next(t for t in validation.transitions if t.label == "loop[X]")
     record(

@@ -72,7 +72,6 @@ from repro.machine import (
 )
 from repro.distribution import Dist1D, Dist2D, Kind, Scheme
 from repro.alignment import build_cag, exact_alignment, greedy_alignment
-from repro.costmodel import CommCosts
 from repro.dp import algorithm1
 from repro.codegen import load_generated
 from repro.api import (
@@ -106,7 +105,6 @@ __all__ = [
     "build_cag",
     "exact_alignment",
     "greedy_alignment",
-    "CommCosts",
     "algorithm1",
     "load_generated",
     "Plan",

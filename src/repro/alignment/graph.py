@@ -2,8 +2,9 @@
 
 Nodes are array *dimensions* ``(array, dim)``; an edge joins two
 dimensions whose subscripts (within one statement) differ by a constant —
-the paper's affinity relation.  Edge weights accumulate the priced
-occurrences over all statements (see :mod:`repro.alignment.weights`).
+the paper's affinity relation.  Edge weights accumulate the counted
+occurrences over all statements (see :mod:`repro.alignment.weights`),
+priced by the machine when the graph is merged.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.costmodel.primitives import CommCosts
 from repro.lang.affine import difference_is_constant
 from repro.lang.analysis import RefSite, collect_ref_sites
 from repro.lang.ast import Program, Stmt
 from repro.machine.model import MachineModel
-from repro.alignment.weights import WeightTerm, edge_weight
+from repro.alignment.weights import WeightCounts, WeightTerm, edge_weight
 from repro.util.spans import spanned
 from repro.util.tables import Table
 
@@ -93,12 +93,10 @@ class CagPart:
 
     arrays: dict[str, int]  # referenced array -> rank, first-reference order
     written: frozenset[str]
-    terms: list[tuple[tuple[Node, Node], WeightTerm]]  # program order
+    terms: list[tuple[tuple[Node, Node], WeightCounts]]  # program order
 
 
-def cag_part(
-    stmt: Stmt, program: Program, env: dict[str, int], costs: CommCosts, nprocs: int
-) -> CagPart:
+def cag_part(stmt: Stmt, program: Program, env: dict[str, int], nprocs: int) -> CagPart:
     """Everything :func:`merge_cag` needs to know about *stmt*."""
     sites = collect_ref_sites([stmt])
     arrays: dict[str, int] = {}
@@ -107,7 +105,7 @@ def cag_part(
         arrays.setdefault(site.array, site.ref.rank)
         by_stmt.setdefault(id(site.stmt), []).append(site)
 
-    terms: list[tuple[tuple[Node, Node], WeightTerm]] = []
+    terms: list[tuple[tuple[Node, Node], WeightCounts]] = []
     for raw_sites in by_stmt.values():
         # Deduplicate textually identical references within one statement
         # (the accumulation pattern ``V(i) = V(i) + ...``), preferring the
@@ -126,13 +124,14 @@ def cag_part(
                     u: Node = (sa.array, da)
                     v: Node = (sb.array, db)
                     key = (u, v) if u <= v else (v, u)
-                    terms.append((key, edge_weight(sa, sb, program, env, costs, nprocs)))
+                    terms.append((key, edge_weight(sa, sb, program, env, nprocs)))
     written = frozenset(site.array for site in sites if site.is_write)
     return CagPart(arrays, written, terms)
 
 
-def merge_cag(parts: Iterable[CagPart]) -> CAG:
-    """The CAG of consecutive statements, from their parts in order.
+def merge_cag(parts: Iterable[CagPart], model: MachineModel) -> CAG:
+    """The CAG of consecutive statements, from their parts in order, each
+    weight priced by *model*.
 
     Every merged graph owns fresh node tuples, edge keys and terms: a
     part feeds many segments' graphs, those are pickled into the plan
@@ -147,16 +146,15 @@ def merge_cag(parts: Iterable[CagPart]) -> CAG:
             if array not in arrays:
                 arrays[array] = rank
                 nodes.extend((array, d) for d in range(1, rank + 1))
-        for key, term in part.terms:
+        for key, (count, primitive, nprocs, messages, words, line) in part.terms:
             edge = edges.get(key)
             if edge is None:
                 (ua, ud), (va, vd) = key
                 edge = CagEdge(u=(ua, ud), v=(va, vd))
                 edges[(edge.u, edge.v)] = edge
-            edge.terms.append(
-                WeightTerm(term.count, term.primitive, term.nprocs, term.cost, term.line)
-            )
-            edge.weight += term.cost
+            cost = model.seconds(0, messages, words)
+            edge.terms.append(WeightTerm(count, primitive, nprocs, cost, line))
+            edge.weight += cost
     return CAG(nodes=nodes, edges=edges, arrays=arrays)
 
 
@@ -175,6 +173,5 @@ def build_cag(
     paper prices weights before the grid shape is known, assuming equal
     extents per §2.2).
     """
-    costs = CommCosts(model)
     stmts = fragment.body if isinstance(fragment, Program) else fragment
-    return merge_cag(cag_part(stmt, program, env, costs, nprocs) for stmt in stmts)
+    return merge_cag((cag_part(stmt, program, env, nprocs) for stmt in stmts), model)

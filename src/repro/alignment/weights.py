@@ -20,6 +20,9 @@ This reproduces §5's ``e1 = m^2 * Transfer(1)`` (A against the LHS ``V``),
 ``e2 = m * OneToManyMulticast(1, N)`` (X against A's second dimension) and
 ``e3 = e4 = m * Transfer(1)`` (B, V against X), and Fig 2's ordering
 ``c1 > c4``.
+
+A weight is counted here and priced where the alignment solver compares
+it (:func:`repro.alignment.graph.merge_cag`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.costmodel.primitives import CommCosts
+from repro.costmodel.primitives import ONE_TO_MANY, TRANSFER
 from repro.lang.analysis import RefSite, mean_trips, nest_runs
 from repro.lang.ast import Program
 
@@ -43,9 +46,14 @@ class WeightTerm:
     line: int
 
     def describe(self) -> str:
-        if self.primitive == "Transfer":
+        if self.primitive == TRANSFER.name:
             return f"{self.count:g} x Transfer(1) (line {self.line})"
         return f"{self.count:g} x {self.primitive}(1, N) (line {self.line})"
+
+
+#: A :class:`WeightTerm` with its counts in place of its cost:
+#: ``(count, primitive, nprocs, messages, words, line)``.
+WeightCounts = tuple[float, str, int, float, float, int]
 
 
 def _subscript_vars(site: RefSite) -> set[str]:
@@ -61,10 +69,9 @@ def edge_weight(
     site_b: RefSite,
     program: Program,
     env: dict[str, int],
-    costs: CommCosts,
     nprocs: int,
-) -> WeightTerm:
-    """Price the affinity between two reference sites of one statement."""
+) -> WeightCounts:
+    """Count the affinity between two reference sites of one statement."""
     # Decide which array moves if the two dimensions are misaligned.
     if site_a.is_write:
         mover, other = site_b, site_a
@@ -85,16 +92,5 @@ def edge_weight(
 
     other_vars = _subscript_vars(other)
     spans = bool(other_vars - mover_vars)
-    if spans and nprocs > 1:
-        per = costs.one_to_many(1, nprocs)
-        primitive = "OneToManyMulticast"
-    else:
-        per = costs.transfer(1)
-        primitive = "Transfer"
-    return WeightTerm(
-        count=distinct,
-        primitive=primitive,
-        nprocs=nprocs,
-        cost=distinct * per,
-        line=site_a.line,
-    )
+    primitive = ONE_TO_MANY if spans and nprocs > 1 else TRANSFER
+    return (distinct, primitive.name, nprocs, *primitive.counts(1, nprocs, distinct), site_a.line)

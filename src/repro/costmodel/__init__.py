@@ -1,6 +1,5 @@
 """Analytic cost model: Table 1 primitives, loop-nest costs, grid search."""
 
-from repro.costmodel.primitives import CommCosts
 from repro.costmodel.formulas import (
     gauss_pipelined_time,
     jacobi_dp_time,
@@ -13,7 +12,6 @@ from repro.costmodel.gridsearch import grid_candidates
 from repro.costmodel.sparse import sparse_gather_words
 
 __all__ = [
-    "CommCosts",
     "jacobi_section3_time",
     "jacobi_dp_time",
     "sor_naive_time",

@@ -48,7 +48,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.costmodel.primitives import CommCosts
+from repro.costmodel.primitives import (
+    MANY_TO_MANY,
+    ONE_TO_MANY,
+    REDUCTION,
+    SHIFT,
+    TRANSFER,
+)
 from repro.errors import CostModelError
 from repro.machine.model import MachineModel
 
@@ -80,19 +86,18 @@ def _check(m: int, *procs: int) -> None:
 def jacobi_section3_time(m: int, n1: int, n2: int, model: MachineModel) -> TimeBreakdown:
     """Per-iteration time of Jacobi under §3's global alignment on (N1, N2)."""
     _check(m, n1, n2)
-    c = CommCosts(model)
     comp = (2.0 * m * m / (n1 * n2) + 3.0 * m / n2) * model.tf
     terms = [f"comp: (2m^2/{n1 * n2} + 3m/{n2}) tf"]
-    comm = c.reduction(m / n1, n2)
+    comm = REDUCTION.cost(model, m / n1, n2)
     terms.append(f"Reduction({m}/{n1}, {n2})")
     if n2 == 1:
         if n1 > 1:
-            comm += n1 * c.transfer(m / n1)
+            comm += n1 * TRANSFER.cost(model, m / n1)
             terms.append(f"{n1} x Transfer({m}/{n1})")
     else:
-        comm += n1 * c.one_to_many(m / n1, n2)
+        comm += n1 * ONE_TO_MANY.cost(model, m / n1, n2)
         terms.append(f"{n1} x OneToManyMulticast({m}/{n1}, {n2})")
-    comm += c.one_to_many(m, n1)
+    comm += ONE_TO_MANY.cost(model, m, n1)
     terms.append(f"OneToManyMulticast({m}, {n1}) [loop-carried X]")
     return TimeBreakdown(comp, comm, tuple(terms))
 
@@ -103,9 +108,8 @@ def jacobi_dp_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
     ``(2 m^2/N + 3 m/N) tf + m tc`` — the paper's headline improvement.
     """
     _check(m, n)
-    c = CommCosts(model)
     comp = (2.0 * m * m / n + 3.0 * m / n) * model.tf
-    comm = c.many_to_many(m / n, n) + c.one_to_many(m, 1)
+    comm = MANY_TO_MANY.cost(model, m / n, n) + ONE_TO_MANY.cost(model, m, 1)
     return TimeBreakdown(
         comp,
         comm,
@@ -119,9 +123,8 @@ def jacobi_dp_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
 def sor_naive_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
     """Per-iteration time of the naive SOR schedule (§5, grid (1, N))."""
     _check(m, n)
-    c = CommCosts(model)
     comp = (2.0 * m * m / n + 4.0 * m) * model.tf
-    comm = m * (c.reduction(1, n) + c.transfer(1))
+    comm = m * (REDUCTION.cost(model, 1, n) + TRANSFER.cost(model, 1))
     return TimeBreakdown(
         comp,
         comm,
@@ -137,7 +140,7 @@ def sor_pipelined_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
     _check(m, n)
     steps = m + n
     comp = steps * (2.0 * m / n) * model.tf
-    comm = steps * 2.0 * (model.alpha + model.tc)
+    comm = model.seconds(0, *TRANSFER.counts(1, 2, 2.0 * steps))
     return TimeBreakdown(
         comp,
         comm,
@@ -160,10 +163,9 @@ def _gauss_comp(m: int, n: int, model: MachineModel) -> float:
 def gauss_broadcast_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
     """Naive Gauss elimination: multicast pivot data at every step (§6)."""
     _check(m, n)
-    c = CommCosts(model)
     comp = _gauss_comp(m, n, model)
-    comm = sum(c.one_to_many(m - k + 2, n) for k in range(1, m + 1))  # pivot row + B(k)
-    comm += m * c.one_to_many(1, n)  # X(j) broadcasts in back substitution
+    comm = sum(ONE_TO_MANY.cost(model, m - k + 2, n) for k in range(1, m + 1))  # pivot row + B(k)
+    comm += m * ONE_TO_MANY.cost(model, 1, n)  # X(j) broadcasts in back substitution
     return TimeBreakdown(
         comp,
         comm,
@@ -182,11 +184,10 @@ def gauss_pipelined_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
     O(N) pipeline-fill delay per wavefront.
     """
     _check(m, n)
-    c = CommCosts(model)
     comp = _gauss_comp(m, n, model)
-    comm = sum(2 * c.shift(m - k + 2) for k in range(1, m + 1))
-    comm += m * 2 * c.shift(1)
-    comm += n * c.shift(2)  # pipeline fill/drain
+    comm = sum(2 * SHIFT.cost(model, m - k + 2) for k in range(1, m + 1))
+    comm += m * 2 * SHIFT.cost(model, 1)
+    comm += n * SHIFT.cost(model, 2)  # pipeline fill/drain
     return TimeBreakdown(
         comp,
         comm,

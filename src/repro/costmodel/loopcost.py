@@ -2,9 +2,10 @@
 
 This is the compiler-side oracle feeding component-alignment edge weights
 (§3) and the dynamic-programming tables ``M_{i,j}`` (§4).  Given a loop
-nest, a :class:`~repro.distribution.schemes.Scheme`, a grid shape and the
-machine model, it predicts computation and communication time using the
-owner-computes rule and the Table 1 primitives.
+nest, a :class:`~repro.distribution.schemes.Scheme` and a grid shape, it
+counts computation and communication using the owner-computes rule and the
+Table 1 primitives; a machine model prices the counts
+(:meth:`LoopCost.of`).
 
 Rules (derived from the paper's worked examples; see DESIGN.md):
 
@@ -43,14 +44,20 @@ subscripts differ by a constant.  :func:`loop_facts` gathers that once
 per loop nest; :meth:`LoopFacts.price` reads only placements and grid
 extents, so Algorithm 1's sweep over (scheme, grid) pairs re-derives
 nothing (a communication pattern is a function of the distribution
-pair — Eijkhout, arXiv 1602.02409).
+pair, priced apart from the machine — Eijkhout, arXiv 1602.02409).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.costmodel.primitives import CommCosts
+from repro.costmodel.primitives import (
+    MANY_TO_MANY,
+    ONE_TO_MANY,
+    REDUCTION,
+    SHIFT,
+    TRANSFER,
+)
 from repro.distribution.schemes import Scheme
 from repro.errors import CostModelError
 from repro.lang.affine import difference_is_constant
@@ -74,6 +81,11 @@ class CostTerm:
         return f"{self.description}{loc} = {self.cost:g}"
 
 
+#: One counted contribution, before a machine prices it:
+#: ``(kind, description, flops, messages, words, line)``.
+CountTerm = tuple[str, str, float, float, float, int]
+
+
 @dataclass
 class LoopCost:
     """Estimated cost of one loop nest under one scheme."""
@@ -81,6 +93,14 @@ class LoopCost:
     comp: float = 0.0
     comm: float = 0.0
     terms: list[CostTerm] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, counts: list[CountTerm], model: MachineModel) -> "LoopCost":
+        """*counts* (what :meth:`LoopFacts.price` returns) priced by *model*."""
+        result = cls()
+        for kind, description, flops, messages, words, line in counts:
+            result.add(CostTerm(kind, description, model.seconds(flops, messages, words), line))
+        return result
 
     @property
     def total(self) -> float:
@@ -165,11 +185,9 @@ class _StmtFacts:
         self,
         layout: dict[str, tuple[tuple[int | None, int], ...]],
         grid: tuple[int, int],
-        model: MachineModel,
-        costs: CommCosts,
-        result: LoopCost,
+        terms: list[CountTerm],
     ) -> None:
-        """Add this statement's terms to *result*, in the rules' order.
+        """Append this statement's count terms to *terms*, in the rules' order.
 
         *layout* maps each placed array to ``(grid dim, extent)`` per
         array dimension (extent 1 for an undistributed one).
@@ -214,24 +232,20 @@ class _StmtFacts:
             split = 1.0
             for g in split_dims:
                 split *= grid[g - 1]
-            comp = self.flops * self.executions / split * model.tf
-            result.add(
-                CostTerm(
-                    "comp",
-                    f"{self.flops} flops x {self.executions:g} iters / {split:g} procs",
-                    comp,
-                    line,
-                )
-            )
+            terms.append((
+                "comp",
+                f"{self.flops} flops x {self.executions:g} iters / {split:g} procs",
+                self.flops * self.executions / split, 0, 0, line,
+            ))
 
         # ---- reduction rule --------------------------------------------
         for g in red_dims:
             n = grid[g - 1]
             words = max(self.lhs_distinct / max(lhs_procs, 1.0) / seq_factor, 1.0)
-            cost = seq_factor * costs.reduction(words, n)
-            result.add(
-                CostTerm("comm", f"{seq_factor:g} x Reduction({words:g}, {n})", cost, line)
-            )
+            terms.append((
+                "comm", f"{seq_factor:g} x Reduction({words:g}, {n})",
+                0, *REDUCTION.counts(words, n, seq_factor), line,
+            ))
 
         lhs_undistributed = not lhs_var_dims
 
@@ -251,30 +265,20 @@ class _StmtFacts:
                 # owner dimension) gathers the distributed operand first.
                 if lhs_undistributed and sub_vars and not (self.accumulates and dim.foreign):
                     words = max(distinct / n_src / seq_factor, 1.0)
-                    cost = seq_factor * costs.many_to_many(words, n_src)
-                    result.add(
-                        CostTerm(
-                            "comm",
-                            f"{seq_factor:g} x ManyToManyMulticast({words:g}, {n_src})",
-                            cost,
-                            line,
-                        )
-                    )
+                    terms.append((
+                        "comm", f"{seq_factor:g} x ManyToManyMulticast({words:g}, {n_src})",
+                        0, *MANY_TO_MANY.counts(words, n_src, seq_factor), line,
+                    ))
                     continue
 
                 # pinned-element multicast (naive Gauss broadcasts), of
                 # elements a statement instance reads: none when none runs
                 if any(gg == g and var not in sub_vars for var, gg in lhs_var_dims.items()):
                     sent = distinct if self.runs else 0.0
-                    cost = sent * costs.one_to_many(1, n_src)
-                    result.add(
-                        CostTerm(
-                            "comm",
-                            f"{sent:g} x OneToManyMulticast(1, {n_src})",
-                            cost,
-                            line,
-                        )
-                    )
+                    terms.append((
+                        "comm", f"{sent:g} x OneToManyMulticast(1, {n_src})",
+                        0, *ONE_TO_MANY.counts(1, n_src, sent), line,
+                    ))
                     continue
 
                 # alignment with an LHS dimension driven by the same variable
@@ -287,27 +291,22 @@ class _StmtFacts:
                         for (gl, _), shifted in zip(lhs_layout, dim.shifted):
                             if gl == g and shifted:
                                 words = max(distinct / n_src / seq_factor, 1.0)
-                                cost = seq_factor * costs.shift(words)
-                                result.add(
-                                    CostTerm(
-                                        "comm", f"{seq_factor:g} x Shift({words:g})", cost, line
-                                    )
-                                )
+                                terms.append((
+                                    "comm", f"{seq_factor:g} x Shift({words:g})",
+                                    0, *SHIFT.counts(words, 2, seq_factor), line,
+                                ))
                     else:
                         # realignment across grid dimensions
                         n_dst = grid[g_lhs - 1]
                         words = max(distinct / n_src / seq_factor, 1.0)
+                        times = seq_factor * n_src
                         if n_dst > 1:
-                            per = costs.one_to_many(words, n_dst)
-                            desc = (
-                                f"{seq_factor * n_src:g} x "
-                                f"OneToManyMulticast({words:g}, {n_dst})"
-                            )
+                            desc = f"{times:g} x OneToManyMulticast({words:g}, {n_dst})"
+                            counts = ONE_TO_MANY.counts(words, n_dst, times)
                         else:
-                            per = costs.transfer(words)
-                            desc = f"{seq_factor * n_src:g} x Transfer({words:g})"
-                        cost = seq_factor * n_src * per
-                        result.add(CostTerm("comm", desc, cost, line))
+                            desc = f"{times:g} x Transfer({words:g})"
+                            counts = TRANSFER.counts(words, 2, times)
+                        terms.append(("comm", desc, 0, *counts, line))
 
 
 @dataclass(frozen=True)
@@ -321,19 +320,19 @@ class LoopFacts:
     stmts: tuple[_StmtFacts, ...]  # array assignments, in program order
     arrays: frozenset[str]  # every array the assignments name
 
-    def price(self, scheme: Scheme, grid: tuple[int, int], model: MachineModel) -> LoopCost:
-        """The nest's cost under *scheme* on *grid* (arrays it omits are free)."""
+    def price(self, scheme: Scheme, grid: tuple[int, int]) -> list[CountTerm]:
+        """The nest's count terms under *scheme* on *grid* (arrays it omits
+        are free), in the order :meth:`LoopCost.of` sums them."""
         arrays = self.arrays
         layout = {
             p.array: tuple((g, 1 if g is None else _grid_extent(grid, g)) for g in p.dim_map)
             for p in scheme.placements
             if p.array in arrays
         }
-        costs = CommCosts(model)
-        result = LoopCost()
+        terms: list[CountTerm] = []
         for stmt in self.stmts:
-            stmt.price(layout, grid, model, costs, result)
-        return result
+            stmt.price(layout, grid, terms)
+        return terms
 
 
 def loop_facts(
@@ -361,7 +360,7 @@ def estimate_loop_cost(
     sequential_vars: frozenset[str] | set[str] = frozenset(),
 ) -> LoopCost:
     """Estimate the cost of executing *nest* once under *scheme*."""
-    return loop_facts(nest, env, sequential_vars).price(scheme, grid, model)
+    return LoopCost.of(loop_facts(nest, env, sequential_vars).price(scheme, grid), model)
 
 
 def _walk(

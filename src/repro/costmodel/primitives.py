@@ -15,14 +15,16 @@
 
 ``m`` is the message size in words, ``P = num(seq)`` the number of
 processors the collective spans.  We realize the O(.) shapes with unit
-constants and the machine's per-word time ``tc`` (plus the optional
-per-message ``alpha``), which is exactly how the paper evaluates Table 2
-and §4-§6: a primitive costs ``rounds(P)`` messages of ``m`` words.
+constants, which is exactly how the paper evaluates Table 2 and §4-§6: a
+primitive is ``rounds(P)`` messages of ``m`` words (:meth:`Primitive.counts`),
+and only :meth:`~repro.machine.model.MachineModel.seconds` turns counts
+into time (``messages * alpha + words * tc``).
 
 Each row of :data:`TABLE1` is the one definition of its primitive: the
-:class:`CommCosts` methods, the volume of a redistribution term, the
-``kind`` of a runtime op, the Table 1 benchmark and the documentation
-tables all read it (``tests/test_doc_tables.py`` checks the tables).
+loop-cost rules, the CAG edge weights and the layout-change rules count
+with it, and the volume of a redistribution term, the ``kind`` of a
+runtime op, the Table 1 benchmark and the documentation tables read it
+(``tests/test_doc_tables.py`` checks the tables).
 """
 
 from __future__ import annotations
@@ -60,10 +62,16 @@ class Primitive:
     volume: Callable[[float, int], float]  # words on the wire, all members
     collective: str  # the repro.machine.collectives function that runs it
 
+    def counts(self, m: float, nprocs: int = 2, times: float = 1) -> tuple[float, float]:
+        """``(messages, words)`` on the critical path of *times* invocations
+        with *m*-word messages (the point-to-point rows take one round
+        whatever *nprocs*)."""
+        messages = times * self.rounds(nprocs)
+        return messages, messages * m
+
     def cost(self, model: MachineModel, m: float, nprocs: int = 2) -> float:
-        """Analytic time of one invocation with *m*-word messages (the
-        point-to-point rows take one round whatever *nprocs*)."""
-        return self.rounds(nprocs) * (model.alpha + m * model.tc)
+        """Analytic time of one invocation: its counts, priced by *model*."""
+        return model.seconds(0, *self.counts(m, nprocs))
 
 
 TRANSFER = Primitive("Transfer", "O(m)", _once, lambda m, n: m, "Proc.send")
@@ -89,41 +97,3 @@ TABLE1 = (
 )
 PRIMITIVES = {row.name: row for row in TABLE1}
 
-
-@dataclass(frozen=True)
-class CommCosts:
-    """Analytic primitive costs for a given :class:`MachineModel`."""
-
-    model: MachineModel
-
-    def transfer(self, m: float) -> float:
-        """Transfer(m): one message of m words to another processor."""
-        return TRANSFER.cost(self.model, m)
-
-    def shift(self, m: float) -> float:
-        """Shift(m): circular shift among neighbors — one message each."""
-        return SHIFT.cost(self.model, m)
-
-    def one_to_many(self, m: float, nprocs: int) -> float:
-        """OneToManyMulticast(m, seq): binomial broadcast."""
-        return ONE_TO_MANY.cost(self.model, m, nprocs)
-
-    def reduction(self, m: float, nprocs: int) -> float:
-        """Reduction(m, seq): binomial combine (comm cost only)."""
-        return REDUCTION.cost(self.model, m, nprocs)
-
-    def affine_transform(self, m: float, nprocs: int) -> float:
-        """AffineTransform(m, seq): permutation routing, log-round cost."""
-        return AFFINE_TRANSFORM.cost(self.model, m, nprocs)
-
-    def scatter(self, m: float, nprocs: int) -> float:
-        """Scatter(m, seq): root sends a distinct m-word message to each."""
-        return SCATTER.cost(self.model, m, nprocs)
-
-    def gather(self, m: float, nprocs: int) -> float:
-        """Gather(m, seq): root receives an m-word message from each."""
-        return GATHER.cost(self.model, m, nprocs)
-
-    def many_to_many(self, m: float, nprocs: int) -> float:
-        """ManyToManyMulticast(m, seq): ring allgather, P-1 steps."""
-        return MANY_TO_MANY.cost(self.model, m, nprocs)

@@ -53,10 +53,9 @@ def spmv_sweep_time(
         len(idx) for _, idx in busiest.send_to
     )
     messages = len(busiest.recv_from) + len(busiest.send_to)
-    comm = messages * model.alpha + 2 * words * model.tc
     return TimeBreakdown(
         comp=2 * busiest_comp * model.tf,
-        comm=comm,
+        comm=model.seconds(0, messages, 2 * words),
         terms=(
             f"2*{busiest_comp} tf",
             f"{messages} alpha + 2*{words} tc (busiest rank halo)",

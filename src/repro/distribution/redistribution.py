@@ -68,43 +68,53 @@ different primitive than they price; their lowerings are flagged
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 from repro.costmodel import primitives as table1
-from repro.costmodel.primitives import CommCosts, Primitive
+from repro.costmodel.primitives import Primitive
 from repro.distribution.schemes import ArrayPlacement, Scheme
 from repro.errors import DistributionError
+from repro.machine.model import MachineModel
 
 
 @dataclass(frozen=True)
 class RedistTerm:
-    """One primitive invocation in a redistribution plan.
+    """One primitive invocation in a redistribution plan: ``serial`` times
+    ``primitive(words, nprocs)``.
 
-    ``cost`` is the term's total contribution to the analytic *time* (it
-    already includes any serialization multiplier, e.g. the ``Ng x
-    OneToManyMulticast`` remap rule).  ``count`` is the number of
-    *parallel* instances the term stands for — parallel instances do not
-    add time, but they do add traffic, so :attr:`volume` scales with it.
+    ``serial`` is how many times the invocation's time is taken (e.g. the
+    ``Ng x OneToManyMulticast`` remap rule); :attr:`counts` is what that
+    puts on the critical path.  ``count`` is the number of *parallel*
+    instances the term stands for — parallel instances do not add time,
+    but they do add traffic, so :attr:`volume` scales with it.
     """
 
     array: str
     primitive: str
     words: float
     nprocs: int
-    cost: float
+    serial: int
     count: int = 1
+
+    @property
+    def counts(self) -> tuple[float, float]:
+        """``(messages, words)`` on the critical path (Table 1's row)."""
+        return table1.PRIMITIVES[self.primitive].counts(self.words, self.nprocs, self.serial)
 
     @property
     def volume(self) -> float:
         """Analytic words put on the wire by this term (all instances)."""
         return self.count * table1.PRIMITIVES[self.primitive].volume(self.words, self.nprocs)
 
-    def describe(self) -> str:
+    def seconds(self, model: MachineModel) -> float:
+        return model.seconds(0, *self.counts)
+
+    def describe(self, model: MachineModel) -> str:
         head = f"{self.primitive}({self.words:g}, {self.nprocs})"
         if self.count != 1:
             head = f"{self.count} x {head}"
-        return f"{head} on {self.array} = {self.cost:g}"
+        return f"{head} on {self.array} = {self.seconds(model):g}"
 
 
 @dataclass(frozen=True)
@@ -115,37 +125,24 @@ class RedistPlan:
     dst: Scheme | ArrayPlacement
     grid: tuple[int, int]
     terms: tuple[RedistTerm, ...] = ()
-    total: float = field(default=0.0)
-
-    @classmethod
-    def of(
-        cls,
-        src: Scheme | ArrayPlacement,
-        dst: Scheme | ArrayPlacement,
-        grid: tuple[int, int],
-        terms: list[RedistTerm] | tuple[RedistTerm, ...],
-    ) -> "RedistPlan":
-        return cls(src, dst, tuple(grid), tuple(terms), sum(t.cost for t in terms))
 
     @property
     def analytic_words(self) -> float:
         """Total words the analytic model says this plan moves."""
         return sum(t.volume for t in self.terms)
 
-    def arrays(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for t in self.terms:
-            seen.setdefault(t.array)
-        return tuple(seen)
+    def seconds(self, model: MachineModel) -> float:
+        """The plan's analytic time: its terms priced by *model*, summed."""
+        return sum(t.seconds(model) for t in self.terms)
 
-    def describe(self) -> str:
+    def describe(self, model: MachineModel) -> str:
         lines = [f"redistribution on grid {self.grid[0]}x{self.grid[1]}:"]
         if not self.terms:
             lines.append("  (free: no data movement)")
         for t in self.terms:
-            lines.append(f"  {t.describe()}")
+            lines.append(f"  {t.describe(model)}")
         lines.append(
-            f"  total = {self.total:g}, analytic words = {self.analytic_words:g}"
+            f"  total = {self.seconds(model):g}, analytic words = {self.analytic_words:g}"
         )
         return "\n".join(lines)
 
@@ -283,14 +280,13 @@ def _charge(
     scale: tuple[int, int, int, int, int],
     array: str,
     D: float,
-    costs: CommCosts,
     terms: list[RedistTerm],
 ) -> None:
     """Append *rule*'s price column, scaled for one dimension, to *terms*."""
     for primitive, split, over, serial, count in rule.price:
-        words, n = D / scale[split], scale[over]
-        cost = scale[serial] * primitive.cost(costs.model, words, n)
-        terms.append(RedistTerm(array, primitive.name, words, n, cost, scale[count]))
+        terms.append(RedistTerm(
+            array, primitive.name, D / scale[split], scale[over], scale[serial], scale[count]
+        ))
 
 
 def placement_change_terms(
@@ -298,7 +294,6 @@ def placement_change_terms(
     dst: ArrayPlacement,
     total_elements: int,
     grid: tuple[int, int],
-    costs: CommCosts,
 ) -> list[RedistTerm]:
     """Redistribution terms for one array moving from *src* to *dst*."""
     if src.array != dst.array:
@@ -327,7 +322,7 @@ def placement_change_terms(
             gs, gd = src.dim_map[d], dst.dim_map[d]
             ns = _n_of(grid, gs) if gs else 1
             nd = _n_of(grid, gd) if gd else 1
-            _charge(rule, (1, ns, nd, ns - 1, ncopies), src.array, D, costs, terms)
+            _charge(rule, (1, ns, nd, ns - 1, ncopies), src.array, D, terms)
 
     if src.rest == "fixed" and dst.rest == "replicated":
         dst_used = dst.grid_dims()
@@ -342,7 +337,7 @@ def placement_change_terms(
             if n > 1:
                 # One multicast per existing copy, all in parallel.
                 count = prod(_n_of(grid, gg) for gg in spread)
-                _charge(REPLICATE, (1, holders, n, 0, count), src.array, D, costs, terms)
+                _charge(REPLICATE, (1, holders, n, 0, count), src.array, D, terms)
             spread.add(g)
     return terms
 
@@ -352,11 +347,10 @@ def placement_change_plan(
     dst: ArrayPlacement,
     total_elements: int,
     grid: tuple[int, int],
-    costs: CommCosts,
 ) -> RedistPlan:
     """:func:`placement_change_terms` wrapped in a :class:`RedistPlan`."""
-    terms = placement_change_terms(src, dst, total_elements, grid, costs)
-    return RedistPlan.of(src, dst, grid, terms)
+    terms = placement_change_terms(src, dst, total_elements, grid)
+    return RedistPlan(src, dst, tuple(grid), tuple(terms))
 
 
 def redistribution_cost(
@@ -364,10 +358,9 @@ def redistribution_cost(
     dst: Scheme,
     array_sizes: dict[str, int],
     grid: tuple[int, int],
-    costs: CommCosts,
     arrays: tuple[str, ...] | None = None,
 ) -> RedistPlan:
-    """The plan (total cost + terms) of changing layouts from *src* to *dst*.
+    """The plan (the terms to price) of changing layouts from *src* to *dst*.
 
     When *arrays* is None every array of *src* must also appear in *dst*
     — an array that silently vanishes from the destination scheme would
@@ -393,15 +386,14 @@ def redistribution_cost(
             continue
         if name not in array_sizes:
             raise DistributionError(f"no size known for array {name!r}")
-        terms.extend(placement_change_terms(sp, dp, array_sizes[name], grid, costs))
-    return RedistPlan.of(src, dst, grid, terms)
+        terms.extend(placement_change_terms(sp, dp, array_sizes[name], grid))
+    return RedistPlan(src, dst, tuple(grid), tuple(terms))
 
 
 def replication_cost(
     placement: ArrayPlacement,
     total_elements: int,
     grid: tuple[int, int],
-    costs: CommCosts,
 ) -> RedistPlan:
     """Plan for making an array fully replicated from *placement*.
 
@@ -415,4 +407,4 @@ def replication_cost(
         kinds=placement.kinds,
         rest="replicated",
     )
-    return placement_change_plan(placement, dst, total_elements, grid, costs)
+    return placement_change_plan(placement, dst, total_elements, grid)

@@ -398,17 +398,6 @@ class RedistLowering:
     def kinds(self) -> frozenset[str]:
         return frozenset(op.kind for op in self.ops)
 
-    def describe(self) -> str:
-        n1, n2 = self.grid
-        head = (
-            f"{self.src.array}: {len(self.ops)} op(s) on grid {n1}x{n2}"
-            f" ({'literal' if self.exact else 'not literal'})"
-        )
-        lines = [head]
-        for op in self.ops:
-            lines.append(f"  {op.kind}: ranks {sorted(op.ranks())}")
-        return "\n".join(lines)
-
 
 class _Coverage:
     """Plan-time replay of ops over per-rank boolean element masks."""

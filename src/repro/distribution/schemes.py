@@ -125,22 +125,25 @@ class Scheme:
             raise DistributionError(
                 f"{array}: placement rank {p.rank} but extents {extents}"
             )
-        n_of = {1: grid[0], 2: grid[1]}
-
-        def dist_for(dim: int) -> Dist1D:
-            g = p.dim_map[dim]
-            if g is None:
-                return Dist1D.replicated(extents[dim])
-            n = n_of[g]
-            if p.kinds[dim] is Kind.CYCLIC:
-                return Dist1D.cyclic_dist(extents[dim], n, grid_dim=g)
-            return Dist1D.block_dist(extents[dim], n, grid_dim=g)
-
+        dists = [dim_distribution(p, d, extent, grid) for d, extent in enumerate(extents)]
         if p.rank == 1:
-            return dist_for(0)
+            return dists[0]
         if p.rank == 2:
-            return Dist2D(rows=dist_for(0), cols=dist_for(1), coupling=Coupling.INDEPENDENT)
+            return Dist2D(rows=dists[0], cols=dists[1], coupling=Coupling.INDEPENDENT)
         raise DistributionError(f"{array}: only rank 1 and 2 arrays supported")
+
+
+def dim_distribution(
+    placement: ArrayPlacement, d: int, extent: int, grid: tuple[int, int]
+) -> Dist1D:
+    """The concrete 1-D distribution of array dimension *d* (paper §2.1)."""
+    g = placement.dim_map[d]
+    if g is None:
+        return Dist1D.replicated(extent)
+    n = grid[g - 1]
+    if placement.kinds[d] is Kind.CYCLIC:
+        return Dist1D.cyclic_dist(extent, n, grid_dim=g)
+    return Dist1D.block_dist(extent, n, grid_dim=g)
 
 
 def scheme_from_directives(program, name: str = "directives") -> Scheme:

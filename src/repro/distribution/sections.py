@@ -7,8 +7,9 @@ there.  This module derives it from the paper's distribution functions:
 
 * an array dimension mapped to grid dimension ``g`` constrains the rank's
   coordinate along ``g`` to the :class:`~repro.distribution.function.Dist1D`
-  owner of the subscript (block or cyclic, exactly as
-  :meth:`~repro.distribution.schemes.Scheme.materialize` would build it);
+  owner of the subscript (block or cyclic:
+  :func:`~repro.distribution.schemes.dim_distribution`, the rule
+  :meth:`~repro.distribution.schemes.Scheme.materialize` builds with);
 * an *unmapped* array dimension is never split — every holder stores the
   full extent along it;
 * a grid dimension used by no array dimension is governed by ``rest``:
@@ -28,8 +29,7 @@ from math import prod
 
 import numpy as np
 
-from repro.distribution.function import Dist1D, Kind
-from repro.distribution.schemes import ArrayPlacement
+from repro.distribution.schemes import ArrayPlacement, dim_distribution
 from repro.errors import DistributionError
 from repro.machine.topology import Grid2D
 
@@ -55,19 +55,6 @@ def groups_along(grid: tuple[int, int], g: int) -> list[tuple[int, ...]]:
     if g == 1:
         return [topology.col_ranks(p2) for p2 in range(topology.n2)]
     return [topology.row_ranks(p1) for p1 in range(topology.n1)]
-
-
-def dim_distribution(
-    placement: ArrayPlacement, d: int, extent: int, grid: tuple[int, int]
-) -> Dist1D:
-    """The concrete 1-D distribution of array dimension *d* (paper §2.1)."""
-    g = placement.dim_map[d]
-    if g is None:
-        return Dist1D.replicated(extent)
-    n = grid[g - 1]
-    if placement.kinds[d] is Kind.CYCLIC:
-        return Dist1D.cyclic_dist(extent, n, grid_dim=g)
-    return Dist1D.block_dist(extent, n, grid_dim=g)
 
 
 def _owner_vectors(

@@ -38,8 +38,7 @@ from repro.alignment.solver import (
     greedy_alignment,
 )
 from repro.costmodel.gridsearch import grid_candidates
-from repro.costmodel.loopcost import loop_facts
-from repro.costmodel.primitives import CommCosts
+from repro.costmodel.loopcost import LoopCost, loop_facts
 from repro.dependence.analysis import live_loop_carried_arrays
 from repro.distribution.redistribution import (
     RedistPlan,
@@ -133,18 +132,16 @@ class PhaseTables(Lazy):
         next_arrays = scheme_next.arrays()
         shared = tuple(a for a in scheme_prev.arrays() if a in next_arrays)
         return redistribution_cost(
-            scheme_prev, scheme_next, self._sizes, grid_next, CommCosts(self.model),
-            arrays=shared,
+            scheme_prev, scheme_next, self._sizes, grid_next, arrays=shared
         )
 
     def change_cost(self, p_prev, p_next) -> float:
-        return self.change_plan(p_prev, p_next).total
+        return self.change_plan(p_prev, p_next).seconds(self.model)
 
     def loop_carried_plans(self, p_first, p_last) -> list[RedistPlan]:
         """Per-array plans for the iteration boundary of the outer loop."""
         scheme_first, grid_first = p_first
         scheme_last, _ = p_last
-        costs = CommCosts(self.model)
         first_arrays, last_arrays = scheme_first.arrays(), scheme_last.arrays()
         plans: list[RedistPlan] = []
         for array in self._carried:
@@ -155,13 +152,11 @@ class PhaseTables(Lazy):
             dst = ArrayPlacement(
                 array=dst.array, dim_map=dst.dim_map, kinds=dst.kinds, rest="replicated"
             )
-            plans.append(
-                placement_change_plan(src, dst, self._sizes[array], grid_first, costs)
-            )
+            plans.append(placement_change_plan(src, dst, self._sizes[array], grid_first))
         return plans
 
     def loop_carried_cost(self, p_first, p_last) -> float:
-        return sum(p.total for p in self.loop_carried_plans(p_first, p_last))
+        return sum(p.seconds(self.model) for p in self.loop_carried_plans(p_first, p_last))
 
     def transition_plans(self, result: DPResult) -> list[tuple[str, RedistPlan]]:
         """Every redistribution along the DP's chosen chain, labeled.
@@ -189,10 +184,10 @@ class PhaseTables(Lazy):
 
 
 def _segment_scheme(
-    parts: list[CagPart], name: str
+    parts: list[CagPart], model: MachineModel, name: str
 ) -> tuple[Scheme, Alignment, CAG]:
     with span("alignment/cag"):
-        cag = merge_cag(parts)
+        cag = merge_cag(parts, model)
     try:
         alignment = exact_alignment(cag, q=2)
     except AlignmentError:
@@ -246,11 +241,10 @@ def _build_entries(
         outer=outer,
     )
     # Per loop, once: its CAG part and its pricing facts.  Per (loop,
-    # placements of the arrays it references, grid), once: its cost — a
-    # segment prices as a sum.
+    # placements of the arrays it references, grid), once: its counts,
+    # priced by the machine — a segment prices as a sum.
     with span("alignment/cag"):
-        costs = CommCosts(model)
-        parts = [cag_part(loop, program, env, costs, nprocs) for loop in loops]
+        parts = [cag_part(loop, program, env, nprocs) for loop in loops]
     facts = [loop_facts(loop, env) for loop in loops]
     loop_costs: dict[tuple, dict[tuple[int, int], float]] = {}
     s = len(loops)
@@ -258,7 +252,7 @@ def _build_entries(
         for j in range(1, s - i + 2):
             lo, hi = i - 1, i - 1 + j
             with span("alignment/segment"):
-                scheme, alignment, cag = _segment_scheme(parts[lo:hi], name=f"P[{i},{j}]")
+                scheme, alignment, cag = _segment_scheme(parts[lo:hi], model, f"P[{i},{j}]")
             per_loop = [
                 (
                     facts[idx],
@@ -276,7 +270,8 @@ def _build_entries(
                 for nest_facts, by_grid in per_loop:
                     cost = by_grid.get(grid)
                     if cost is None:
-                        cost = by_grid[grid] = nest_facts.price(scheme, grid, model).total
+                        counts = nest_facts.price(scheme, grid)
+                        cost = by_grid[grid] = LoopCost.of(counts, model).total
                     total += cost
                 if total < best_cost:
                     best_cost = total

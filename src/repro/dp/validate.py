@@ -39,6 +39,7 @@ from repro.distribution.sections import pack_section
 from repro.dp.algorithm1 import DPResult
 from repro.dp.phases import PhaseTables
 from repro.errors import DistributionError
+from repro.machine.model import MachineModel
 from repro.machine.threaded import BACKENDS
 from repro.machine.topology import Grid2D
 
@@ -111,7 +112,8 @@ class RedistValidation:
     def ok(self) -> bool:
         return all(t.ok(self.lower, self.upper) for t in self.transitions)
 
-    def describe(self) -> str:
+    def describe(self, model: MachineModel) -> str:
+        """The transitions, each term priced by *model*."""
         lines = []
         for t in self.transitions:
             state = "ok" if t.ok(self.lower, self.upper) else "FAIL"
@@ -126,7 +128,7 @@ class RedistValidation:
             if not t.plan.terms:
                 lines.append("  (free: no data movement)")
             for term in t.plan.terms:
-                lines.append(f"  {term.describe()}")
+                lines.append(f"  {term.describe(model)}")
         return "\n".join(lines)
 
 

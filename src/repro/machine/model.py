@@ -93,6 +93,11 @@ class MachineModel:
         """
         return self.alpha + words * self.tc + max(hops - 1, 0) * self.hop_cost
 
+    def seconds(self, flops: float, messages: float, words: float) -> float:
+        """The analytic time of a count vector, ``flops tf + messages alpha
+        + words tc``: the one place the cost model meets the machine."""
+        return flops * self.tf + messages * self.alpha + words * self.tc
+
     def flops(self, count: float) -> float:
         """Time for *count* floating-point operations."""
         return count * self.tf

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.costmodel.primitives import CommCosts
+from repro.costmodel.primitives import ONE_TO_MANY, SHIFT
 from repro.dependence.tokens import TokenClass
 from repro.lang.analysis import mean_trips, nest_runs
 from repro.lang.ast import DoLoop
@@ -91,7 +91,6 @@ def pipeline_savings(
     endpoint transfers the owner-to-next-owner chain pays (``2 tc`` per
     word, §5's accounting).  Returns (rows, naive_total, pipelined_total).
     """
-    costs = CommCosts(model)
     choice, decisions = pipeline_decisions(nest)
     rows: list[TokenCost] = []
     naive_total = 0.0
@@ -108,12 +107,11 @@ def pipeline_savings(
             uses = 0.0  # the reading statement never runs
         if decision.pattern == "none":
             naive, pipe = 0.0, 0.0
-        elif decision.pattern == "shift":
-            naive = uses * costs.one_to_many(1, nprocs)
-            pipe = uses * 2 * costs.shift(1)
         else:
-            naive = uses * costs.one_to_many(1, nprocs)
+            naive = model.seconds(0, *ONE_TO_MANY.counts(1, nprocs, uses))
             pipe = naive
+            if decision.pattern == "shift":
+                pipe = model.seconds(0, *SHIFT.counts(1, 2, uses * 2))
         naive_total += naive
         pipe_total += pipe
         rows.append(

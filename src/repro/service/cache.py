@@ -198,11 +198,12 @@ class CacheStats:
 
 #: Leading tag of every entry, naming the layout in the module
 #: docstring.  An entry under another tag (the bare pickle before tags,
-#: or ``repro-entry/2``, whose solve head held the whole ``result``) is
-#: not decodable and quarantines like any other corrupt entry; the
-#: digests — and with them :data:`~repro.service.normalize.IR_SCHEMA` —
-#: stay put.
-_LAYOUT = b"repro-entry/3\n"
+#: ``repro-entry/2``, whose solve head held the whole ``result``, or
+#: ``repro-entry/3``, whose redistribution terms held seconds where a
+#: ``RedistTerm`` now holds counts) is not decodable and quarantines like
+#: any other corrupt entry; the digests — and with them
+#: :data:`~repro.service.normalize.IR_SCHEMA` — stay put.
+_LAYOUT = b"repro-entry/4\n"
 
 #: File-name prefix of a memo entry (:meth:`PlanCache.recall`): the
 #: compile service's persisted canonical forms are ``form-<key>.pkl``.

@@ -169,9 +169,13 @@ class Explanation:
             )
             for (start, length), (scheme, grid) in zip(result.segments, result.schemes)
         )
+        tables = outcome.tables
         transitions = tuple(
-            TransitionCost(label=label, total=change.total, analytic_words=change.analytic_words)
-            for label, change in outcome.tables.transition_plans(result)
+            TransitionCost(
+                label=label, total=change.seconds(tables.model),
+                analytic_words=change.analytic_words,
+            )
+            for label, change in tables.transition_plans(result)
         )
         return cls(
             **base, nprocs=nprocs, env=dict(env), total_cost=result.cost,

@@ -410,7 +410,7 @@ def redist_report(out: Emitter) -> int:
         rows,
     )
     print()
-    print(validation.describe())
+    print(validation.describe(MODEL))
     out.write("redist_calibration.json", {
         "program": "jacobi",
         "m": m,

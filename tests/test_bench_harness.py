@@ -29,7 +29,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel import CommCosts, jacobi_dp_time
+from repro.costmodel import jacobi_dp_time
 from repro.costmodel.bands import BANDS, get_band
 from repro.distribution import (
     ArrayPlacement,
@@ -493,7 +493,7 @@ class TestModelDriftProperties:
         grid, extent, src, dst = case
         lowering = lower_placement_delta(src, dst, (extent,), grid)
         assume(lowering.exact)
-        plan = placement_change_plan(src, dst, extent, grid, CommCosts(MODEL))
+        plan = placement_change_plan(src, dst, extent, grid)
         assume(plan.analytic_words > 0)
         data = np.arange(1, extent + 1, dtype=np.float64)
 

@@ -180,7 +180,7 @@ class TestCorruptEntries:
         hit = cache_mod._decode(garbage_rest(cache_mod._encode(outcome)))[0]
         for read in (lambda: hit.tables.entries, lambda: hit.result.schemes) * 2:
             with pytest.raises(
-                ServiceError, match="deferred section of a repro-entry/3 cache entry is damaged"
+                ServiceError, match="deferred section of a repro-entry/4 cache entry is damaged"
             ):
                 read()
 

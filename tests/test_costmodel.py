@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.costmodel import (
-    CommCosts,
     gauss_pipelined_time,
     grid_candidates,
     jacobi_dp_time,
@@ -17,58 +16,80 @@ from repro.costmodel import (
 )
 from repro.costmodel.gridsearch import best_grid
 from repro.costmodel.formulas import gauss_broadcast_time
+from repro.costmodel.primitives import (
+    AFFINE_TRANSFORM,
+    GATHER,
+    MANY_TO_MANY,
+    ONE_TO_MANY,
+    REDUCTION,
+    SCATTER,
+    SHIFT,
+    TRANSFER,
+)
 from repro.errors import CostModelError
 from repro.machine.model import MachineModel
 
+MODEL = MachineModel(tf=1, tc=10)
 
-@pytest.fixture
-def costs():
-    return CommCosts(MachineModel(tf=1, tc=10))
+
+def cost(row, m, nprocs=2, model=MODEL):
+    """One invocation of a Table 1 row, priced by *model*."""
+    return row.cost(model, m, nprocs)
 
 
 class TestPrimitives:
-    def test_transfer_linear_in_m(self, costs):
-        assert costs.transfer(64) == 2 * costs.transfer(32)
+    def test_transfer_linear_in_m(self):
+        assert cost(TRANSFER, 64) == 2 * cost(TRANSFER, 32)
 
-    def test_shift_equals_transfer(self, costs):
-        assert costs.shift(7) == costs.transfer(7)
+    def test_shift_equals_transfer(self):
+        assert cost(SHIFT, 7) == cost(TRANSFER, 7)
 
-    def test_one_to_many_log(self, costs):
-        assert costs.one_to_many(8, 16) == 8 * 10 * 4
+    def test_one_to_many_log(self):
+        assert cost(ONE_TO_MANY, 8, 16) == 8 * 10 * 4
 
-    def test_reduction_log(self, costs):
-        assert costs.reduction(8, 16) == costs.one_to_many(8, 16)
+    def test_reduction_log(self):
+        assert cost(REDUCTION, 8, 16) == cost(ONE_TO_MANY, 8, 16)
 
-    def test_affine_transform_log(self, costs):
-        assert costs.affine_transform(8, 16) == costs.one_to_many(8, 16)
+    def test_affine_transform_log(self):
+        assert cost(AFFINE_TRANSFORM, 8, 16) == cost(ONE_TO_MANY, 8, 16)
 
-    def test_scatter_linear_in_p(self, costs):
-        assert costs.scatter(8, 5) == 4 * 8 * 10
+    def test_scatter_linear_in_p(self):
+        assert cost(SCATTER, 8, 5) == 4 * 8 * 10
 
-    def test_gather_equals_scatter(self, costs):
-        assert costs.gather(8, 5) == costs.scatter(8, 5)
+    def test_gather_equals_scatter(self):
+        assert cost(GATHER, 8, 5) == cost(SCATTER, 8, 5)
 
-    def test_many_to_many_linear(self, costs):
-        assert costs.many_to_many(8, 5) == 4 * 8 * 10
+    def test_many_to_many_linear(self):
+        assert cost(MANY_TO_MANY, 8, 5) == 4 * 8 * 10
 
-    def test_single_processor_free(self, costs):
-        for fn in (costs.one_to_many, costs.reduction, costs.scatter, costs.gather, costs.many_to_many):
-            assert fn(100, 1) == 0
+    def test_single_processor_free(self):
+        for row in (ONE_TO_MANY, REDUCTION, SCATTER, GATHER, MANY_TO_MANY):
+            assert cost(row, 100, 1) == 0
 
     def test_alpha_included(self):
-        c = CommCosts(MachineModel(tf=1, tc=1, alpha=100))
-        assert c.transfer(1) == 101
-        assert c.scatter(1, 3) == 2 * 101
+        model = MachineModel(tf=1, tc=1, alpha=100)
+        assert cost(TRANSFER, 1, model=model) == 101
+        assert cost(SCATTER, 1, 3, model=model) == 2 * 101
 
-    def test_invalid_nprocs(self, costs):
+    def test_invalid_nprocs(self):
         with pytest.raises(CostModelError):
-            costs.one_to_many(1, 0)
+            cost(ONE_TO_MANY, 1, 0)
 
-    def test_table1_ordering(self, costs):
+    def test_table1_ordering(self):
         """Log collectives cheaper than linear ones for big P, same m."""
         m, P = 32, 64
-        assert costs.one_to_many(m, P) < costs.many_to_many(m, P)
-        assert costs.reduction(m, P) < costs.gather(m, P)
+        assert cost(ONE_TO_MANY, m, P) < cost(MANY_TO_MANY, m, P)
+        assert cost(REDUCTION, m, P) < cost(GATHER, m, P)
+
+    def test_a_row_counts_rounds_of_m_words(self):
+        assert ONE_TO_MANY.counts(8, 16) == (4, 32)
+        assert SCATTER.counts(8, 5, times=3) == (12, 96)
+        assert TRANSFER.counts(8, 1000) == (1, 8)
+
+    def test_a_model_prices_a_count_vector(self):
+        model = MachineModel(tf=2, tc=3, alpha=5)
+        assert model.seconds(7, 11, 13) == 7 * 2 + 11 * 5 + 13 * 3
+        assert cost(ONE_TO_MANY, 6, 8, model=model) == model.seconds(0, 3, 18)
 
 
 class TestMachineModelValidation:

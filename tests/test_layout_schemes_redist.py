@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.costmodel.primitives import CommCosts
 from repro.distribution import ArrayPlacement, Dist1D, Dist2D, Kind, Scheme
 from repro.distribution.redistribution import (
     placement_change_terms,
@@ -14,6 +13,8 @@ from repro.distribution.redistribution import (
 from repro.distribution.layout import block_summary, layout_matrix, ownership_table, render_layout
 from repro.errors import DistributionError
 from repro.machine.model import MachineModel
+
+MODEL = MachineModel(tf=1, tc=10)
 
 
 class TestLayoutRendering:
@@ -131,172 +132,168 @@ class TestSchemes:
 
 
 class TestRedistribution:
-    @pytest.fixture
-    def costs(self):
-        return CommCosts(MachineModel(tf=1, tc=10))
-
-    def test_identical_placements_free(self, costs):
+    def test_identical_placements_free(self):
         s = Scheme.of(ArrayPlacement("X", (1,)))
-        plan = redistribution_cost(s, s, {"X": 256}, (4, 1), costs)
-        assert plan.total == 0 and plan.terms == ()
+        plan = redistribution_cost(s, s, {"X": 256}, (4, 1))
+        assert plan.seconds(MODEL) == 0 and plan.terms == ()
 
-    def test_paper_ctime1_is_zero(self, costs):
+    def test_paper_ctime1_is_zero(self):
         """§4: changing X from grid dim 2 to dim 1 at grid (N, 1) is free
         because nothing was actually split along dim 2."""
         src = Scheme.of(ArrayPlacement("X", (2,)))
         dst = Scheme.of(ArrayPlacement("X", (1,)))
-        assert redistribution_cost(src, dst, {"X": 256}, (16, 1), costs).total == 0
+        assert redistribution_cost(src, dst, {"X": 256}, (16, 1)).seconds(MODEL) == 0
 
-    def test_paper_ctime2_loop_carried(self, costs):
+    def test_paper_ctime2_loop_carried(self):
         """§4: X written block-wise on dim 1 then needed replicated:
         ManyToManyMulticast(m/N, N) + OneToManyMulticast(m, N2)."""
         m, n = 256, 16
         src = ArrayPlacement("X", (1,))
         dst = ArrayPlacement("X", (2,), rest="replicated")
-        terms = placement_change_terms(src, dst, m, (n, 1), costs)
-        total = sum(t.cost for t in terms)
+        terms = placement_change_terms(src, dst, m, (n, 1))
+        total = sum(t.seconds(MODEL) for t in terms)
         # ManyToMany(m/N, N) = (N-1) * m/N * tc; OneToMany over N2=1 = 0.
         assert total == (n - 1) * (m / n) * 10
 
-    def test_cross_dim_fixed_rest_aligned(self, costs):
+    def test_cross_dim_fixed_rest_aligned(self):
         """dim 1 -> dim 2 with equal extents, same kind, fixed rest: a pure
         rank relabeling — section k moves from coordinate k of dim 1 to
         coordinate k of dim 2 as N-1 parallel pairwise Transfers."""
         src = ArrayPlacement("V", (1,))
         dst = ArrayPlacement("V", (2,))
-        terms = placement_change_terms(src, dst, 64, (4, 4), costs)
+        terms = placement_change_terms(src, dst, 64, (4, 4))
         assert [t.primitive for t in terms] == ["Transfer"]
-        assert terms[0].cost == (64 / 4) * 10  # one transfer time: parallel pairs
+        assert terms[0].seconds(MODEL) == (64 / 4) * 10  # one transfer time: parallel pairs
         assert terms[0].count == 3  # section 0 is already in place
         assert terms[0].volume == 3 * (64 / 4)
 
-    def test_cross_dim_fixed_rest_unequal_extents(self, costs):
+    def test_cross_dim_fixed_rest_unequal_extents(self):
         """dim 1 -> dim 2 with different extents cannot be relabeled:
         N1 x OneToMany(D/N1, N2)."""
         src = ArrayPlacement("V", (1,))
         dst = ArrayPlacement("V", (2,))
-        terms = placement_change_terms(src, dst, 64, (4, 8), costs)
-        total = sum(t.cost for t in terms)
+        terms = placement_change_terms(src, dst, 64, (4, 8))
+        total = sum(t.seconds(MODEL) for t in terms)
         assert [t.primitive for t in terms] == ["OneToManyMulticast"]
         assert total == 4 * (64 / 4) * 3 * 10  # 4 x OneToMany(16, 8): log2(8)=3
 
-    def test_cross_dim_kind_change_not_aligned(self, costs):
+    def test_cross_dim_kind_change_not_aligned(self):
         """dim 1 -> dim 2 that also flips block->cyclic is a multicast."""
         src = ArrayPlacement("V", (1,))
         dst = ArrayPlacement("V", (2,), kinds=(Kind.CYCLIC,))
-        terms = placement_change_terms(src, dst, 64, (4, 4), costs)
+        terms = placement_change_terms(src, dst, 64, (4, 4))
         assert [t.primitive for t in terms] == ["OneToManyMulticast"]
         assert terms[0].count == 4
 
-    def test_kind_change_affine_transform(self, costs):
+    def test_kind_change_affine_transform(self):
         src = ArrayPlacement("X", (1,), kinds=(Kind.BLOCK,))
         dst = ArrayPlacement("X", (1,), kinds=(Kind.CYCLIC,))
-        terms = placement_change_terms(src, dst, 64, (4, 1), costs)
+        terms = placement_change_terms(src, dst, 64, (4, 1))
         assert len(terms) == 1 and terms[0].primitive == "AffineTransform"
 
-    def test_departition_to_pinned_home_is_gather(self, costs):
+    def test_departition_to_pinned_home_is_gather(self):
         """Collapsing a split while the destination pins its copy (rest
         fixed) funnels everything to coordinate 0: a Gather, at the same
         (N-1) m tc cost the many-to-many rule would charge."""
         src = ArrayPlacement("X", (1,))
         dst = ArrayPlacement("X", (None,))
-        terms = placement_change_terms(src, dst, 64, (4, 1), costs)
+        terms = placement_change_terms(src, dst, 64, (4, 1))
         assert [t.primitive for t in terms] == ["Gather"]
-        assert terms[0].cost == 3 * (64 / 4) * 10
+        assert terms[0].seconds(MODEL) == 3 * (64 / 4) * 10
 
-    def test_departition_to_replicated_dim(self, costs):
+    def test_departition_to_replicated_dim(self):
         src = ArrayPlacement("X", (1,))
         dst = ArrayPlacement("X", (None,), rest="replicated")
-        terms = placement_change_terms(src, dst, 64, (4, 1), costs)
+        terms = placement_change_terms(src, dst, 64, (4, 1))
         assert terms[0].primitive == "ManyToManyMulticast"
 
-    def test_split_from_pinned_home_is_scatter(self, costs):
+    def test_split_from_pinned_home_is_scatter(self):
         """Splitting along a dimension the source pinned (rest fixed) must
         deal the data out from coordinate 0: a Scatter."""
         src = ArrayPlacement("X", (None,))
         dst = ArrayPlacement("X", (1,))
-        terms = placement_change_terms(src, dst, 64, (4, 4), costs)
+        terms = placement_change_terms(src, dst, 64, (4, 4))
         assert [t.primitive for t in terms] == ["Scatter"]
-        assert terms[0].cost == 3 * (64 / 4) * 10
+        assert terms[0].seconds(MODEL) == 3 * (64 / 4) * 10
 
-    def test_split_from_replicated_is_free(self, costs):
+    def test_split_from_replicated_is_free(self):
         src = ArrayPlacement("X", (None,), rest="replicated")
         dst = ArrayPlacement("X", (1,))
-        assert placement_change_terms(src, dst, 64, (4, 4), costs) == []
+        assert placement_change_terms(src, dst, 64, (4, 4)) == []
 
-    def test_replication_cost_of_partitioned(self, costs):
-        plan = replication_cost(ArrayPlacement("X", (1,)), 64, (4, 4), costs)
+    def test_replication_cost_of_partitioned(self):
+        plan = replication_cost(ArrayPlacement("X", (1,)), 64, (4, 4))
         prims = {t.primitive for t in plan.terms}
         assert "ManyToManyMulticast" in prims
-        assert plan.total > 0
+        assert plan.seconds(MODEL) > 0
 
-    def test_rank_mismatch_rejected(self, costs):
+    def test_rank_mismatch_rejected(self):
         with pytest.raises(DistributionError):
             placement_change_terms(
-                ArrayPlacement("X", (1,)), ArrayPlacement("X", (1, 2)), 8, (2, 2), costs
+                ArrayPlacement("X", (1,)), ArrayPlacement("X", (1, 2)), 8, (2, 2)
             )
 
-    def test_array_mismatch_rejected(self, costs):
+    def test_array_mismatch_rejected(self):
         with pytest.raises(DistributionError):
             placement_change_terms(
-                ArrayPlacement("X", (1,)), ArrayPlacement("Y", (1,)), 8, (2, 2), costs
+                ArrayPlacement("X", (1,)), ArrayPlacement("Y", (1,)), 8, (2, 2)
             )
 
-    def test_missing_size(self, costs):
+    def test_missing_size(self):
         src = Scheme.of(ArrayPlacement("X", (1,)))
         dst = Scheme.of(ArrayPlacement("X", (2,)))
         with pytest.raises(DistributionError):
-            redistribution_cost(src, dst, {}, (4, 4), costs)
+            redistribution_cost(src, dst, {}, (4, 4))
 
-    def test_missing_size_with_explicit_arrays(self, costs):
+    def test_missing_size_with_explicit_arrays(self):
         src = Scheme.of(ArrayPlacement("X", (1,)))
         dst = Scheme.of(ArrayPlacement("X", (2,)))
         with pytest.raises(DistributionError, match="no size known"):
-            redistribution_cost(src, dst, {}, (4, 4), costs, arrays=("X",))
+            redistribution_cost(src, dst, {}, (4, 4), arrays=("X",))
 
-    def test_extent_one_grid_dim_costs_nothing(self, costs):
+    def test_extent_one_grid_dim_costs_nothing(self):
         """Splitting along a grid dimension of extent 1 never moved data,
         so leaving it (even into replication) must produce no terms."""
         src = ArrayPlacement("X", (2,))
         dst = ArrayPlacement("X", (1,), rest="replicated")
-        terms = placement_change_terms(src, dst, 64, (4, 1), costs)
+        terms = placement_change_terms(src, dst, 64, (4, 1))
         assert terms == []
 
-    def test_extent_one_both_ways_is_free(self, costs):
+    def test_extent_one_both_ways_is_free(self):
         src = Scheme.of(ArrayPlacement("X", (2,)))
         dst = Scheme.of(ArrayPlacement("X", (2,), kinds=(Kind.CYCLIC,)))
-        plan = redistribution_cost(src, dst, {"X": 64}, (4, 1), costs)
-        assert plan.total == 0 and plan.terms == ()
+        plan = redistribution_cost(src, dst, {"X": 64}, (4, 1))
+        assert plan.seconds(MODEL) == 0 and plan.terms == ()
 
-    def test_src_only_array_rejected(self, costs):
+    def test_src_only_array_rejected(self):
         """An array that vanishes from the destination scheme must not
         silently make the move look free."""
         src = Scheme.of(ArrayPlacement("X", (1,)), ArrayPlacement("Y", (1,)))
         dst = Scheme.of(ArrayPlacement("X", (2,)))
         with pytest.raises(DistributionError, match="appear in the source scheme"):
-            redistribution_cost(src, dst, {"X": 64, "Y": 64}, (4, 4), costs)
+            redistribution_cost(src, dst, {"X": 64, "Y": 64}, (4, 4))
 
-    def test_src_only_array_allowed_with_explicit_scope(self, costs):
+    def test_src_only_array_allowed_with_explicit_scope(self):
         src = Scheme.of(ArrayPlacement("X", (1,)), ArrayPlacement("Y", (1,)))
         dst = Scheme.of(ArrayPlacement("X", (2,)))
-        plan = redistribution_cost(src, dst, {"X": 64}, (4, 4), costs, arrays=("X",))
-        assert plan.total > 0
+        plan = redistribution_cost(src, dst, {"X": 64}, (4, 4), arrays=("X",))
+        assert plan.seconds(MODEL) > 0
         assert all(t.array == "X" for t in plan.terms)
 
-    def test_redist_plan_totals_its_terms(self, costs):
+    def test_redist_plan_totals_its_terms(self):
         src = Scheme.of(ArrayPlacement("X", (1,)))
         dst = Scheme.of(ArrayPlacement("X", (2,), rest="replicated"))
-        plan = redistribution_cost(src, dst, {"X": 256}, (16, 1), costs)
-        assert plan.terms and plan.total == sum(t.cost for t in plan.terms)
+        plan = redistribution_cost(src, dst, {"X": 256}, (16, 1))
+        assert plan.terms and plan.seconds(MODEL) == sum(t.seconds(MODEL) for t in plan.terms)
         assert plan.grid == (16, 1)
         assert plan.analytic_words == sum(t.volume for t in plan.terms)
-        assert "total" in plan.describe()
+        assert "total" in plan.describe(MODEL)
 
-    def test_unchanged_array_skipped_before_size_lookup(self, costs):
+    def test_unchanged_array_skipped_before_size_lookup(self):
         """An array whose placement is identical in both schemes is
         skipped entirely — its size need not even be known."""
         src = Scheme.of(ArrayPlacement("X", (1,)), ArrayPlacement("Y", (1,)))
         dst = Scheme.of(ArrayPlacement("X", (1,)), ArrayPlacement("Y", (2,)))
-        plan = redistribution_cost(src, dst, {"Y": 64}, (4, 4), costs)
-        assert plan.total > 0
+        plan = redistribution_cost(src, dst, {"Y": 64}, (4, 4))
+        assert plan.seconds(MODEL) > 0
         assert all(t.array == "Y" for t in plan.terms)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 import repro.dp.phases as phases
+from repro.alignment.graph import cag_part, merge_cag
 from repro.costmodel import estimate_loop_cost, grid_candidates
+from repro.costmodel.loopcost import LoopCost, loop_facts
 from repro.distribution import ArrayPlacement, Scheme
 from repro.dp import build_phase_tables
 from repro.lang import jacobi_program, parse_program, sor_program
@@ -189,7 +191,60 @@ class TestFactsOnce:
         for entry in tables.entries.values():
             for grid in grid_candidates(nprocs):
                 for nest, facts in built:
-                    memoised = facts.price(entry.scheme, grid, MODEL)
+                    memoised = LoopCost.of(facts.price(entry.scheme, grid), MODEL)
                     fresh = estimate_loop_cost(nest, entry.scheme, grid, env, MODEL)
                     assert memoised.comp == fresh.comp and memoised.comm == fresh.comm
                     assert memoised.terms == fresh.terms
+
+
+#: Two machines whose CAG weights are proportional (every weight counts
+#: one-word messages), so both solves align every segment alike.
+TWO_MODELS = (MachineModel(tf=1, tc=10), MachineModel(tf=0.5, tc=3, alpha=40))
+
+
+class TestCountsOnce:
+    """Counts depend on the program and the layouts, never on the machine:
+    counted once, a program's CAG weights, loops and redistributions take
+    seconds under any model, bit for bit what a full pass under it gives."""
+
+    @pytest.mark.parametrize("label", sorted(PAPER_PROGRAMS))
+    def test_counts_priced_under_two_models_equal_full_passes(self, label):
+        source, env = PAPER_PROGRAMS[label]
+        program = parse_program(source)
+        nprocs = 16
+        grids = grid_candidates(nprocs)
+        first = build_phase_tables(program, nprocs, env, TWO_MODELS[0])
+        parts = [cag_part(loop, program, env, nprocs) for loop in first.loops]
+        facts = [loop_facts(loop, env) for loop in first.loops]
+        counts = {
+            (key, idx, grid): facts[idx].price(entry.scheme, grid)
+            for key, entry in first.entries.items()
+            for idx in range(key[0] - 1, sum(key) - 1)
+            for grid in grids
+        }
+        pairs = [
+            ((a.scheme, a.grid), (b.scheme, b.grid))
+            for a in first.entries.values() for b in first.entries.values()
+        ]
+        plans = [(first.change_plan(*pair), first.loop_carried_plans(*pair)) for pair in pairs]
+
+        for model in TWO_MODELS:
+            full = build_phase_tables(program, nprocs, env, model)
+            for key, entry in full.entries.items():
+                assert entry.scheme == first.entries[key].scheme, key
+                assert merge_cag(parts[key[0] - 1 : sum(key) - 1], model) == entry.cag, key
+                totals = {
+                    grid: sum(
+                        LoopCost.of(counts[key, idx, grid], model).total
+                        for idx in range(key[0] - 1, sum(key) - 1)
+                    )
+                    for grid in grids
+                }
+                best = min(grids, key=lambda grid: totals[grid])
+                assert (best, totals[best]) == (entry.grid, entry.cost), key
+                for idx in range(key[0] - 1, sum(key) - 1):
+                    one_shot = estimate_loop_cost(full.loops[idx], entry.scheme, entry.grid, env, model)
+                    assert LoopCost.of(counts[key, idx, entry.grid], model) == one_shot
+            for pair, (change, carried) in zip(pairs, plans):
+                assert change.seconds(model) == full.change_cost(*pair)
+                assert sum(plan.seconds(model) for plan in carried) == full.loop_carried_cost(*pair)

@@ -140,6 +140,31 @@ class TestRequests:
         res = both(prog, 3)
         assert res.value(0) == ((1, "early"), (0, "late"))
 
+    def test_waitany_ranks_an_inbox_part_by_its_bundle_arrival(self):
+        """A bundle part left in the inbox by ``wait`` is a candidate too:
+        it beats a later wire message at a smaller index."""
+
+        def prog(p):
+            if p.rank == 0:  # two one-word sends, shipped as one bundle
+                comm = NBComm(p, aggregate_words=4)
+                yield from waitall([comm.isend(1, float(i), words=1, tag=3) for i in (1, 2)])
+                return None
+            if p.rank == 2:  # late sender
+                p.compute(500)
+                p.send(1, "late", words=1, tag=5)
+                p.send(1, "ready", words=1, tag=9)
+                return None
+            comm = NBComm(p)
+            reqs = [comm.irecv(2, tag=5), comm.irecv(0, tag=3), comm.irecv(0, tag=3)]
+            yield from reqs[1].wait()  # unbundles: the second part waits in the inbox
+            yield from p.recv(2, tag=9)  # the late message is on the wire by now
+            first = yield from waitany(reqs)
+            second = yield from waitany(reqs)
+            return (reqs[1].value, first, second)
+
+        res = both(prog, 3)
+        assert res.value(1) == (1.0, (2, 2.0), (0, "late"))
+
     def test_waitany_all_done_raises(self):
         def prog(p):
             comm = NBComm(p)

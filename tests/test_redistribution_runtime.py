@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel import CommCosts
 from repro.costmodel.bands import REDIST_WORDS
 from repro.distribution.redistribution import RULES, TERM_KINDS, change_rule
 from repro.distribution import (
@@ -72,7 +71,7 @@ def measured_words(res):
 
 
 def analytic_words(src, dst, extents, grid):
-    plan = placement_change_plan(src, dst, prod(extents), grid, CommCosts(MODEL))
+    plan = placement_change_plan(src, dst, prod(extents), grid)
     return plan.analytic_words
 
 
@@ -146,9 +145,7 @@ class TestEveryTermKindExecutes:
     def test_plan_kind_matches_lowering(self):
         """The analytic term kinds appear among the lowered op kinds."""
         for kind, (src, dst, extents, grid, _op) in self.CASES.items():
-            plan = placement_change_plan(
-                src, dst, prod(extents), grid, CommCosts(MODEL)
-            )
+            plan = placement_change_plan(src, dst, prod(extents), grid)
             assert kind in {t.primitive for t in plan.terms}, kind
             lowering = lower_placement_delta(src, dst, extents, grid)
             assert kind in lowering.kinds, kind
@@ -206,7 +203,7 @@ def move_case(draw):
 def check_move(src, dst, extents, grid):
     """Run one move: exact destination sections always; a lowering flagged
     ``exact`` runs only primitives its plan names and lands in the band."""
-    plan = placement_change_plan(src, dst, prod(extents), grid, CommCosts(MODEL))
+    plan = placement_change_plan(src, dst, prod(extents), grid)
     planned = {t.primitive for t in plan.terms}
     assert planned <= set(TERM_KINDS)
     lowering = lower_placement_delta(src, dst, extents, grid)
@@ -301,7 +298,7 @@ class TestDpExecuteMode:
         )
         validation = validate_transitions(tables, result, backends=("engine",))
         assert validation.ok
-        assert "loop[X]" in validation.describe()
+        assert "loop[X]" in validation.describe(MODEL)
 
 
 class TestMultiphaseKernel:

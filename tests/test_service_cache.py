@@ -344,6 +344,19 @@ class TestDeferredTables:
         cache.put("s", cold)
         assert cache.stats.puts == 1
 
+    def test_an_entry_whose_terms_held_seconds_is_not_decoded(self):
+        """``repro-entry/3`` pickled ``RedistTerm.cost`` (seconds) where a
+        term now counts (``serial``): served, its validation could not be
+        described, so the tag rejects it (and the disk tier quarantines it)."""
+        text = program_to_text(sor_program())
+        outcome = CompileService(machine=MODEL).compile(
+            text, nprocs=4, env={"m": 32, "maxiter": 2}, execute=True
+        ).outcome
+        blob = cache_mod._encode(outcome)
+        assert outcome.validation.describe(MODEL) and blob.startswith(b"repro-entry/4\n")
+        with pytest.raises(pickle.UnpicklingError, match="layout tag"):
+            cache_mod._decode(b"repro-entry/3\n" + blob[len(b"repro-entry/4\n"):])
+
     def test_previous_layout_solve_entry_quarantines_and_recompiles(self, tmp_path):
         text = program_to_text(sor_program())
         env = {"m": 32, "maxiter": 2}

@@ -20,8 +20,8 @@ from __future__ import annotations
 import pytest
 
 from repro.alignment.graph import cag_part
-from repro.costmodel.loopcost import loop_facts
-from repro.costmodel.primitives import CommCosts
+from repro.costmodel.loopcost import LoopCost, loop_facts
+from repro.costmodel.primitives import ONE_TO_MANY
 from repro.dp import build_phase_tables
 from repro.lang import gauss_program
 from repro.lang.analysis import mean_trips, nest_runs
@@ -35,14 +35,14 @@ MODEL = MachineModel()
 
 
 def cag_weight(program, index, env):
-    part = cag_part(program.loops()[index], program, env, CommCosts(MODEL), NPROCS)
-    return [term.cost for _, term in part.terms]
+    part = cag_part(program.loops()[index], program, env, NPROCS)
+    return [MODEL.seconds(0, messages, words) for _, (*_, messages, words, _) in part.terms]
 
 
 def loop_facts_price(program, index, env):
     entry = build_phase_tables(program, NPROCS, env, MODEL).entry(index + 1, 1)
-    cost = loop_facts(program.loops()[index], env).price(entry.scheme, entry.grid, MODEL)
-    return [term.cost for term in cost.terms]
+    counts = loop_facts(program.loops()[index], env).price(entry.scheme, entry.grid)
+    return [term.cost for term in LoopCost.of(counts, MODEL).terms]
 
 
 def naive_pipeline(program, index, env):
@@ -86,4 +86,4 @@ def test_a_nest_empty_at_its_mean_still_broadcasts_what_it_reads(estimator, cost
     assert mean_trips((nest, inner), BACK_ENV) == {"j": 2.0, "i": 0.0}
     assert nest_runs((nest, inner), BACK_ENV)
     assert estimator(program, 2, BACK_ENV) == costs
-    assert costs[-1] == 2 * CommCosts(MODEL).one_to_many(1, NPROCS)
+    assert costs[-1] == 2 * ONE_TO_MANY.cost(MODEL, 1, NPROCS)
