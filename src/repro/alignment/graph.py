@@ -129,33 +129,71 @@ def cag_part(stmt: Stmt, program: Program, env: dict[str, int], nprocs: int) -> 
     return CagPart(arrays, written, terms)
 
 
-def merge_cag(parts: Iterable[CagPart], model: MachineModel) -> CAG:
-    """The CAG of consecutive statements, from their parts in order, each
-    weight priced by *model*.
+#: A :class:`WeightTerm`'s fields, its counts priced:
+#: ``(count, primitive, nprocs, cost, line)``.
+PricedTerm = tuple[float, str, int, float, int]
 
-    Every merged graph owns fresh node tuples, edge keys and terms: a
-    part feeds many segments' graphs, those are pickled into the plan
-    cache, and pickle writes a shared object once — sharing would change
-    the cached bytes (DESIGN.md, "computed once").
+
+def priced_terms(
+    part: CagPart, model: MachineModel
+) -> list[tuple[tuple[Node, Node], PricedTerm]]:
+    """*part*'s ``(edge key, counts)`` list with each count priced by *model*."""
+    return [
+        (key, (count, primitive, nprocs, model.seconds(0, messages, words), line))
+        for key, (count, primitive, nprocs, messages, words, line) in part.terms
+    ]
+
+
+class CagMerge:
+    """The CAG of consecutive statements, grown one statement's part at a
+    time: the graph of ``L_i .. L_{j+1}`` is the graph of ``L_i .. L_j``
+    and one more part, in the same array, node, edge and term order.
+
+    :meth:`graph` returns a graph that owns fresh node tuples, edge keys
+    and terms: a part feeds many segments' graphs, those are pickled into
+    the plan cache, and pickle writes a shared object once — sharing
+    would change the cached bytes (DESIGN.md, "computed once").  What is
+    kept across calls are the first reference's ``str`` objects, as a
+    one-shot build keeps them.
     """
-    nodes: list[Node] = []
-    arrays: dict[str, int] = {}
-    edges: dict[tuple[Node, Node], CagEdge] = {}
-    for part in parts:
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, int] = {}
+        self.edges: dict[tuple[Node, Node], list[PricedTerm]] = {}
+
+    def add(self, part: CagPart, terms: list[tuple[tuple[Node, Node], PricedTerm]]) -> None:
+        """Append *part*, whose terms :func:`priced_terms` priced."""
+        arrays, edges = self.arrays, self.edges
         for array, rank in part.arrays.items():
             if array not in arrays:
                 arrays[array] = rank
-                nodes.extend((array, d) for d in range(1, rank + 1))
-        for key, (count, primitive, nprocs, messages, words, line) in part.terms:
-            edge = edges.get(key)
-            if edge is None:
-                (ua, ud), (va, vd) = key
-                edge = CagEdge(u=(ua, ud), v=(va, vd))
-                edges[(edge.u, edge.v)] = edge
-            cost = model.seconds(0, messages, words)
-            edge.terms.append(WeightTerm(count, primitive, nprocs, cost, line))
-            edge.weight += cost
-    return CAG(nodes=nodes, edges=edges, arrays=arrays)
+        for key, fields in terms:
+            edge_terms = edges.get(key)
+            if edge_terms is None:
+                edges[key] = [fields]
+            else:
+                edge_terms.append(fields)
+
+    def graph(self) -> CAG:
+        """The graph of the parts added so far, in objects of its own."""
+        nodes = [(array, d) for array, rank in self.arrays.items() for d in range(1, rank + 1)]
+        edges: dict[tuple[Node, Node], CagEdge] = {}
+        for ((ua, ud), (va, vd)), fields in self.edges.items():
+            weight = 0.0
+            for term in fields:
+                weight += term[3]
+            edge = CagEdge((ua, ud), (va, vd), weight, [WeightTerm(*term) for term in fields])
+            edges[(edge.u, edge.v)] = edge
+        return CAG(nodes=nodes, edges=edges, arrays=dict(self.arrays))
+
+
+def merge_cag(parts: Iterable[CagPart], model: MachineModel) -> CAG:
+    """The CAG of consecutive statements, from their parts in order, each
+    weight priced by *model*."""
+    merged = CagMerge()
+    for part in parts:
+        merged.add(part, priced_terms(part, model))
+    return merged.graph()
 
 
 @spanned("alignment/cag")

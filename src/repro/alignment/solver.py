@@ -16,6 +16,7 @@ Both return an :class:`Alignment` mapping each node to a grid dimension.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.alignment.graph import CAG, Node
@@ -62,9 +63,9 @@ def _cut_weight(cag: CAG, assign: dict[Node, int]) -> float:
     return total
 
 
-def _validate(cag: CAG, assign: dict[Node, int]) -> None:
+def _validate(assign: Iterable[tuple[Node, int]]) -> None:
     seen: dict[tuple[str, int], Node] = {}
-    for (array, dim), g in assign.items():
+    for (array, dim), g in assign:
         key = (array, g)
         if key in seen:
             raise AlignmentError(
@@ -115,43 +116,56 @@ class _BranchAndBound:
     """Depth-first search over grid dimensions for the groups in order,
     pruned by the best cut so far: the first optimum in DFS order wins a
     tie.  (A class, not a self-recursive closure: a closure that calls
-    itself is a reference cycle that outlives every call.)"""
+    itself is a reference cycle that outlives every call.)
+
+    Groups are assigned in index order, so at depth ``idx`` exactly the
+    groups before ``idx`` hold a dimension: ``earlier[idx]`` maps each of
+    them to its edge weight to group ``idx``, in the order the cut adds
+    them.
+    """
 
     def __init__(
-        self, group_ids: list[int], arrays: dict[int, list[str]],
-        adj: dict[int, dict[int, float]], q: int,
+        self, arrays: list[list[str]], earlier: list[dict[int, float]], q: int,
     ) -> None:
-        self.group_ids, self.arrays, self.adj, self.q = group_ids, arrays, adj, q
+        self.arrays, self.earlier, self.q = arrays, earlier, q
         self.best_cut = float("inf")
-        self.best_assign: dict[int, int] | None = None
-        self.assign: dict[int, int] = {}
-        self.used: dict[tuple[str, int], int] = {}
+        self.best_assign: list[int] | None = None
+        self.assign: list[int] = [0] * len(arrays)
+        #: arrays holding each grid dimension (index 0 unused)
+        self.used: list[set[str]] = [set() for _ in range(q + 1)]
+
+    def solve(self) -> None:
+        if self.assign:
+            self.recurse(0, 0.0)
+        else:
+            self.best_cut, self.best_assign = 0.0, []
 
     def recurse(self, idx: int, cut: float) -> None:
-        if cut >= self.best_cut:
-            return
-        assign, used = self.assign, self.used
-        if idx == len(self.group_ids):
-            self.best_cut = cut
-            self.best_assign = dict(assign)
-            return
-        group = self.group_ids[idx]
-        arrays = self.arrays[group]
+        """Try each dimension for group *idx*; a branch whose cut reaches
+        the best so far is not entered."""
+        assign = self.assign
+        arrays = self.arrays[idx]
+        earlier = self.earlier[idx]
+        last = idx + 1 == len(assign)
         for dim in range(1, 2 if idx == 0 else self.q + 1):
-            if any(used.get((arr, dim), 0) for arr in arrays):
+            used = self.used[dim]
+            if not used.isdisjoint(arrays):
                 continue
             extra = 0.0
-            for other, w in self.adj[group].items():
-                od = assign.get(other)
-                if od is not None and od != dim:
+            for other, w in earlier.items():
+                if assign[other] != dim:
                     extra += w
-            assign[group] = dim
-            for arr in arrays:
-                used[(arr, dim)] = used.get((arr, dim), 0) + 1
-            self.recurse(idx + 1, cut + extra)
-            for arr in arrays:
-                used[(arr, dim)] -= 1
-            del assign[group]
+            branch = cut + extra
+            if branch >= self.best_cut:
+                continue
+            assign[idx] = dim
+            if last:
+                self.best_cut = branch
+                self.best_assign = list(assign)
+                continue
+            used.update(arrays)
+            self.recurse(idx + 1, branch)
+            used.difference_update(arrays)
 
 
 @spanned("alignment/solve")
@@ -164,40 +178,46 @@ def exact_alignment(
 
     *must_align* pairs (e.g. from HPF-style ``ALIGN`` directives) are
     pre-merged: both nodes of each pair always land in the same subset.
+    Without them every node is its own group, numbered in sorted order.
     """
     nodes = sorted(cag.nodes)
     if len(nodes) > 24:
         raise AlignmentError(
             f"exact solver limited to 24 nodes, got {len(nodes)}; use greedy_alignment"
         )
-    groups = _merge_groups(cag, must_align)
-    group_ids = sorted(set(groups.values()))
-    members: dict[int, list[Node]] = {g: [] for g in group_ids}
-    for n, g in groups.items():
-        members[g].append(n)
-    adj: dict[int, dict[int, float]] = {g: {} for g in group_ids}
+    arrays: list[list[str]]
+    if must_align:
+        groups = _merge_groups(cag, must_align)
+        arrays = [[] for _ in range(max(groups.values(), default=-1) + 1)]
+        for n, g in groups.items():
+            arrays[g].append(n[0])
+    else:
+        groups = {n: g for g, n in enumerate(dict.fromkeys(nodes))}
+        arrays = [[n[0]] for n in groups]
+    # earlier[g]: edge weight to each group before g, summed per group,
+    # in the order the edges first join them
+    earlier: list[dict[int, float]] = [{} for _ in arrays]
     for e in cag.edges.values():
         gu, gv = groups[e.u], groups[e.v]
         if gu == gv:
             continue  # co-aligned by constraint: this edge is never cut
-        adj[gu][gv] = adj[gu].get(gv, 0.0) + e.weight
-        adj[gv][gu] = adj[gv].get(gu, 0.0) + e.weight
+        if gu > gv:
+            gu, gv = gv, gu
+        row = earlier[gv]
+        row[gu] = row.get(gu, 0.0) + e.weight
 
-    search = _BranchAndBound(group_ids, {g: [n[0] for n in members[g]] for g in group_ids}, adj, q)
-    search.recurse(0, 0.0)
+    search = _BranchAndBound(arrays, earlier, q)
+    search.solve()
     best_cut, best_assign = search.best_cut, search.best_assign
     if best_assign is None:
         raise AlignmentError(
             f"no feasible {q}-way alignment (an array has more than {q} dimensions,"
             " or ALIGN constraints conflict)"
         )
-    node_assign = {n: best_assign[groups[n]] for n in nodes}
-    _validate(cag, node_assign)
-    return Alignment(
-        assignment=tuple(sorted(node_assign.items())),
-        cut_weight=best_cut,
-        method="exact",
-    )
+    # groups is keyed by the sorted nodes
+    assignment = tuple((n, best_assign[g]) for n, g in groups.items())
+    _validate(assignment)
+    return Alignment(assignment=assignment, cut_weight=best_cut, method="exact")
 
 
 @spanned("alignment/solve")
@@ -275,7 +295,7 @@ def greedy_alignment(
             raise AlignmentError(
                 f"greedy alignment needs more than q={q} grid dimensions"
             )
-    _validate(cag, assign)
+    _validate(assign.items())
     return Alignment(
         assignment=tuple(sorted(assign.items())),
         cut_weight=_cut_weight(cag, assign),
@@ -298,16 +318,19 @@ def alignment_to_scheme(
     by every processor row, like ``X`` in Jacobi's L1).
     """
     kinds = kinds or {}
+    dims = dict(alignment.assignment)
     placements = []
     for array, rank in sorted(cag.arrays.items()):
-        dim_map = tuple(alignment.dim_of((array, d)) for d in range(1, rank + 1))
-        kind = kinds.get(array, Kind.BLOCK)
+        try:
+            dim_map = tuple([dims[(array, d)] for d in range(1, rank + 1)])
+        except KeyError as missing:
+            raise AlignmentError(f"node {missing.args[0]} not in alignment") from None
         placements.append(
             ArrayPlacement(
                 array=array,
                 dim_map=dim_map,
-                kinds=tuple(kind for _ in range(rank)),
+                kinds=(kinds.get(array, Kind.BLOCK),) * rank,
                 rest="replicated" if array in replicated_reads else "fixed",
             )
         )
-    return Scheme.of(*placements, name=name)
+    return Scheme(tuple(placements), name=name)  # in array order already

@@ -142,6 +142,51 @@ def _may_alias(a: RefSite, b: RefSite) -> bool:
     return True
 
 
+def _pair_dependences(a: RefSite, b: RefSite, order: dict[int, int]) -> list[Dependence]:
+    """The may-dependences between sites *a* and *b* of one array, *a*
+    first in site order and at least one of them a write."""
+    first, second = a, b
+    if order[id(b.stmt)] < order[id(a.stmt)]:
+        first, second = b, a
+    elif a.stmt is b.stmt and a.is_write and not b.is_write:
+        # Within one statement instance the RHS read executes
+        # before the LHS write.
+        first, second = b, a
+    if not _may_alias(first, second):
+        return []
+    common = _common_loops(first, second)
+    entries = tuple(_distance_entry(second, first, loop) for loop in common)
+    dvec = DistanceVector(entries)
+    if not dvec.is_lexicographically_positive():
+        # The real dependence is the mirrored pair with the
+        # negated distance (which is lexicographically positive).
+        first, second = second, first
+        entries = tuple(
+            (-e if isinstance(e, int) else e) for e in entries
+        )
+        dvec = DistanceVector(entries)
+    if dvec.is_zero and first.stmt is second.stmt:
+        # Same statement instance, zero distance: the pair is the
+        # accumulation pattern; it only matters when a loop can
+        # carry it, which the nonzero/unknown entries would show.
+        return []
+    if first.is_write and second.is_write:
+        kind = "output"
+    elif first.is_write:
+        kind = "flow"
+    else:
+        kind = "anti"
+    deps = [Dependence(first.array, first, second, kind, dvec)]
+    # An unknown distance is a may-dependence in *both* directions:
+    # e.g. X read in L1 and written in L2 is an anti dep within one
+    # sweep and a flow dep into the next sweep (the paper's
+    # loop-carried dependence of X).
+    if "*" in dvec.entries and first.is_write != second.is_write:
+        mirror_kind = "anti" if kind == "flow" else "flow"
+        deps.append(Dependence(first.array, second, first, mirror_kind, dvec))
+    return deps
+
+
 def find_dependences(stmts: list[Stmt] | Program) -> list[Dependence]:
     """All may-dependences among array references in *stmts*.
 
@@ -156,52 +201,12 @@ def find_dependences(stmts: list[Stmt] | Program) -> list[Dependence]:
     order = _site_order(stmts)
     deps: list[Dependence] = []
     for ai, a in enumerate(sites):
-        for b in sites[ai:]:
+        for b in sites[ai + 1 :]:
             if a.ref.name != b.ref.name:
                 continue
             if not (a.is_write or b.is_write):
                 continue
-            if a is b:
-                continue
-            first, second = a, b
-            if order[id(b.stmt)] < order[id(a.stmt)]:
-                first, second = b, a
-            elif a.stmt is b.stmt and a.is_write and not b.is_write:
-                # Within one statement instance the RHS read executes
-                # before the LHS write.
-                first, second = b, a
-            if not _may_alias(first, second):
-                continue
-            common = _common_loops(first, second)
-            entries = tuple(_distance_entry(second, first, loop) for loop in common)
-            dvec = DistanceVector(entries)
-            if not dvec.is_lexicographically_positive():
-                # The real dependence is the mirrored pair with the
-                # negated distance (which is lexicographically positive).
-                first, second = second, first
-                entries = tuple(
-                    (-e if isinstance(e, int) else e) for e in entries
-                )
-                dvec = DistanceVector(entries)
-            if dvec.is_zero and first.stmt is second.stmt:
-                # Same statement instance, zero distance: the pair is the
-                # accumulation pattern; it only matters when a loop can
-                # carry it, which the nonzero/unknown entries would show.
-                continue
-            if first.is_write and second.is_write:
-                kind = "output"
-            elif first.is_write:
-                kind = "flow"
-            else:
-                kind = "anti"
-            deps.append(Dependence(first.array, first, second, kind, dvec))
-            # An unknown distance is a may-dependence in *both* directions:
-            # e.g. X read in L1 and written in L2 is an anti dep within one
-            # sweep and a flow dep into the next sweep (the paper's
-            # loop-carried dependence of X).
-            if "*" in dvec.entries and first.is_write != second.is_write:
-                mirror_kind = "anti" if kind == "flow" else "flow"
-                deps.append(Dependence(first.array, second, first, mirror_kind, dvec))
+            deps.extend(_pair_dependences(a, b, order))
     return deps
 
 
@@ -223,20 +228,19 @@ def live_loop_carried_arrays(loop: DoLoop) -> frozenset[str]:
     before any cross-iteration read, so it carries no communication.  This
     matches the paper, which charges the §4 loop-carried cost for ``X``
     only, not ``V``.
+
+    Only the pairs that can decide the answer are analysed: a flow
+    dependence joins a write and a read, so write–write pairs are
+    skipped, as are killed arrays and an array's remaining pairs once
+    one of them carries a level-0 flow dependence.
     """
-    carried = loop_carried_arrays(loop)
-    if not carried:
-        return carried
-    sites = collect_ref_sites(loop.body)
+    sites = collect_ref_sites([loop])
     first_site: dict[str, RefSite] = {}
     for site in sites:
         if site.array not in first_site:
             first_site[site.array] = site
-    live: set[str] = set()
-    for array in carried:
-        site = first_site.get(array)
-        if site is None:
-            continue
+    candidates = set()
+    for array, site in first_site.items():
         if site.is_write:
             lhs = site.stmt.lhs
             rhs_repeats = any(
@@ -245,7 +249,22 @@ def live_loop_carried_arrays(loop: DoLoop) -> frozenset[str]:
             )
             if not rhs_repeats:
                 continue  # killed before any read: not live across iterations
-        live.add(array)
+        candidates.add(array)
+    order = _site_order([loop])
+    live: set[str] = set()
+    for ai, a in enumerate(sites):
+        array = a.array
+        if array not in candidates or array in live:
+            continue
+        for b in sites[ai + 1 :]:
+            if b.ref.name != array or b.is_write == a.is_write:
+                continue
+            if any(
+                dep.kind == "flow" and dep.carried_level() == 0
+                for dep in _pair_dependences(a, b, order)
+            ):
+                live.add(array)
+                break
     return frozenset(live)
 
 

@@ -94,30 +94,19 @@ def algorithm1(
         raise CostModelError(f"need at least one loop, got {s}")
 
     Key = tuple[int, int]
-    m_cache: dict[Key, float] = {}
-    p_cache: dict[Key, Any] = {}
-
-    def get_m(i: int, j: int) -> float:
-        key = (i, j)
-        if key not in m_cache:
-            m_cache[key] = float(M(i, j))
-        return m_cache[key]
-
-    def get_p(i: int, j: int) -> Any:
-        key = (i, j)
-        if key not in p_cache:
-            p_cache[key] = P(i, j)
-        return p_cache[key]
-
+    # M and P read once per segment, in the tables' (i, j) order.
+    keys = [(i, j) for i in range(1, s + 1) for j in range(1, s - i + 2)]
+    m = {key: float(M(*key)) for key in keys}
+    p = {key: P(*key) for key in keys}
     # cost(P, P') is a function of the two segments alone, not of the first
     # segment the chain started with: price each adjacent pair once.
-    c_cache: dict[tuple[Key, Key], float] = {}
-
-    def get_c(prev: Key, nxt: Key) -> float:
-        pair = (prev, nxt)
-        if pair not in c_cache:
-            c_cache[pair] = change_cost(get_p(*prev), get_p(*nxt))
-        return c_cache[pair]
+    # c[(i, j)][k - 1] = cost(P[i-k][k], P[i][j]); every pair is some
+    # chain's step.
+    c = {
+        (i, j): [change_cost(p[(i - k, k)], p[(i, j)]) for k in range(1, i)]
+        for (i, j) in keys
+        if i > 1
+    }
 
     # T[first][(i, j)] = best cost of computing L1..L_{i+j-1} starting with
     # segment `first` and ending with segment (i, j).
@@ -125,23 +114,27 @@ def algorithm1(
     parent: dict[Key, dict[Key, Key | None]] = {}
     for j0 in range(1, s + 1):
         first = (1, j0)
-        T[first] = {first: get_m(1, j0)}
-        parent[first] = {first: None}
+        t_first = T[first] = {first: m[first]}
+        p_first = parent[first] = {first: None}
         for i in range(j0 + 1, s + 1):
             for j in range(1, s - i + 2):
+                seg = (i, j)
+                m_seg = m[seg]
+                costs = c[seg]
                 best = float("inf")
                 best_prev: Key | None = None
                 for k in range(1, i):
                     prev = (i - k, k)
-                    if prev not in T[first]:
+                    t_prev = t_first.get(prev)
+                    if t_prev is None:
                         continue
-                    cand = T[first][prev] + get_m(i, j) + get_c(prev, (i, j))
+                    cand = t_prev + m_seg + costs[k - 1]
                     if cand < best:
                         best = cand
                         best_prev = prev
                 if best_prev is not None:
-                    T[first][(i, j)] = best
-                    parent[first][(i, j)] = best_prev
+                    t_first[seg] = best
+                    p_first[seg] = best_prev
 
     best_total = float("inf")
     best_first: Key | None = None
@@ -153,7 +146,7 @@ def algorithm1(
             final = (s - k + 1, k)
             if final not in T[first]:
                 continue
-            lc = float(loop_carried_cost(get_p(*first), get_p(*final)))
+            lc = float(loop_carried_cost(p[first], p[final]))
             total = T[first][final] + lc
             if total < best_total:
                 best_total = total
@@ -170,11 +163,10 @@ def algorithm1(
         cursor = parent[best_first][cursor]
     chain.reverse()
 
-    segment_costs = tuple(get_m(i, j) for (i, j) in chain)
-    schemes = tuple(get_p(i, j) for (i, j) in chain)
-    change_costs = tuple(
-        get_c(chain[idx], chain[idx + 1]) for idx in range(len(chain) - 1)
-    )
+    segment_costs = tuple(m[key] for key in chain)
+    schemes = tuple(p[key] for key in chain)
+    # the step prev -> (i, j) has k = prev's length
+    change_costs = tuple(c[nxt][prev[1] - 1] for prev, nxt in zip(chain, chain[1:]))
     return DPResult(
         cost=best_total,
         segments=tuple(chain),

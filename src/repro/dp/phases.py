@@ -10,7 +10,8 @@ For every segment ``L_i .. L_{i+j-1}`` of the loop sequence:
    with the rule-based loop-cost estimator, keeping the best.
 
 Each step is assembled from facts computed once at the granularity they
-vary at — per loop, per (loop, placements, grid), per outer loop — see
+vary at — per loop, per (loop, dimension maps, grid), per outer loop, per
+array move — and a segment's graph grows from its prefix's; see
 DESIGN.md §3.1, which also says why none of those memos may be pickled.
 
 ``M[i][j]`` is that best cost, ``P[i][j]`` the (scheme, grid) pair.  The
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-from repro.alignment.graph import CAG, CagPart, cag_part, merge_cag
+from repro.alignment.graph import CAG, CagMerge, cag_part, priced_terms
 from repro.alignment.solver import (
     Alignment,
     alignment_to_scheme,
@@ -43,11 +44,12 @@ from repro.dependence.analysis import live_loop_carried_arrays
 from repro.distribution.redistribution import (
     RedistPlan,
     placement_change_plan,
+    placement_change_terms,
     redistribution_cost,
 )
 from repro.distribution.schemes import ArrayPlacement, Scheme
 from repro.dp.algorithm1 import DPResult, algorithm1
-from repro.errors import AlignmentError, CostModelError
+from repro.errors import AlignmentError, CostModelError, DistributionError
 from repro.lang.ast import DoLoop, Program
 from repro.machine.model import MachineModel
 from repro.util.lazy import Lazy
@@ -116,6 +118,24 @@ class PhaseTables(Lazy):
             return []
         return sorted(live_loop_carried_arrays(self.outer))
 
+    @cached_property
+    def _moves(self) -> dict[tuple, tuple[float, ...]]:
+        """``(src, dst, grid)`` → the seconds of each term of one array's
+        move: the cost oracles price each distinct move once."""
+        return {}
+
+    def _move_seconds(
+        self, src: ArrayPlacement, dst: ArrayPlacement, grid: tuple[int, int]
+    ) -> tuple[float, ...]:
+        key = (src, dst, grid)
+        seconds = self._moves.get(key)
+        if seconds is None:
+            if src.array not in self._sizes:
+                raise DistributionError(f"no size known for array {src.array!r}")
+            terms = placement_change_terms(src, dst, self._sizes[src.array], grid)
+            seconds = self._moves[key] = tuple(t.seconds(self.model) for t in terms)
+        return seconds
+
     def array_sizes(self) -> dict[str, int]:
         return dict(self._sizes)
 
@@ -136,27 +156,46 @@ class PhaseTables(Lazy):
         )
 
     def change_cost(self, p_prev, p_next) -> float:
-        return self.change_plan(p_prev, p_next).seconds(self.model)
+        """``change_plan(p_prev, p_next).seconds(model)``: the priced moves'
+        seconds summed in the plan's term order."""
+        scheme_prev, _grid_prev = p_prev
+        scheme_next, grid_next = p_next
+        dst_of = {p.array: p for p in scheme_next.placements}
+        seconds: list[float] = []
+        for src in scheme_prev.placements:
+            dst = dst_of.get(src.array)
+            if dst is not None and src != dst:
+                seconds.extend(self._move_seconds(src, dst, grid_next))
+        return sum(seconds)
 
-    def loop_carried_plans(self, p_first, p_last) -> list[RedistPlan]:
-        """Per-array plans for the iteration boundary of the outer loop."""
+    def _carried_moves(self, p_first, p_last):
+        """``(src, dst, grid)`` of each live loop-carried array: from the
+        last scheme to the first, replicated along unused grid dimensions."""
         scheme_first, grid_first = p_first
         scheme_last, _ = p_last
-        first_arrays, last_arrays = scheme_first.arrays(), scheme_last.arrays()
-        plans: list[RedistPlan] = []
+        firsts = {p.array: p for p in scheme_first.placements}
+        lasts = {p.array: p for p in scheme_last.placements}
         for array in self._carried:
-            if array not in first_arrays or array not in last_arrays:
+            src, dst = lasts.get(array), firsts.get(array)
+            if src is None or dst is None:
                 continue
-            src = scheme_last.placement(array)
-            dst = scheme_first.placement(array)
             dst = ArrayPlacement(
                 array=dst.array, dim_map=dst.dim_map, kinds=dst.kinds, rest="replicated"
             )
-            plans.append(placement_change_plan(src, dst, self._sizes[array], grid_first))
-        return plans
+            yield src, dst, grid_first
+
+    def loop_carried_plans(self, p_first, p_last) -> list[RedistPlan]:
+        """Per-array plans for the iteration boundary of the outer loop."""
+        return [
+            placement_change_plan(src, dst, self._sizes[src.array], grid)
+            for src, dst, grid in self._carried_moves(p_first, p_last)
+        ]
 
     def loop_carried_cost(self, p_first, p_last) -> float:
-        return sum(p.seconds(self.model) for p in self.loop_carried_plans(p_first, p_last))
+        """The seconds of :meth:`loop_carried_plans`, summed plan by plan."""
+        return sum(
+            sum(self._move_seconds(*move)) for move in self._carried_moves(p_first, p_last)
+        )
 
     def transition_plans(self, result: DPResult) -> list[tuple[str, RedistPlan]]:
         """Every redistribution along the DP's chosen chain, labeled.
@@ -184,15 +223,14 @@ class PhaseTables(Lazy):
 
 
 def _segment_scheme(
-    parts: list[CagPart], model: MachineModel, name: str
+    merged: CagMerge, written: frozenset[str], name: str
 ) -> tuple[Scheme, Alignment, CAG]:
     with span("alignment/cag"):
-        cag = merge_cag(parts, model)
+        cag = merged.graph()
     try:
         alignment = exact_alignment(cag, q=2)
     except AlignmentError:
         alignment = greedy_alignment(cag, q=2)
-    written = frozenset().union(*(part.written for part in parts))
     scheme = alignment_to_scheme(
         alignment, cag, replicated_reads=frozenset(cag.arrays) - written, name=name
     )
@@ -240,24 +278,33 @@ def _build_entries(
         model=model,
         outer=outer,
     )
-    # Per loop, once: its CAG part and its pricing facts.  Per (loop,
-    # placements of the arrays it references, grid), once: its counts,
-    # priced by the machine — a segment prices as a sum.
+    # Per loop, once: its CAG part, its weights priced, and its pricing
+    # facts.  A segment's graph is its prefix's graph and one more part.
+    # Per (loop, grid dimensions of the arrays it references, grid),
+    # once: its counts, priced by the machine — a segment prices as a sum.
     with span("alignment/cag"):
         parts = [cag_part(loop, program, env, nprocs) for loop in loops]
+        terms = [priced_terms(part, model) for part in parts]
     facts = [loop_facts(loop, env) for loop in loops]
     loop_costs: dict[tuple, dict[tuple[int, int], float]] = {}
     s = len(loops)
     for i in range(1, s + 1):
+        lo = i - 1
+        merged = CagMerge()
+        written: frozenset[str] = frozenset()
         for j in range(1, s - i + 2):
-            lo, hi = i - 1, i - 1 + j
+            hi = lo + j
             with span("alignment/segment"):
-                scheme, alignment, cag = _segment_scheme(parts[lo:hi], model, f"P[{i},{j}]")
+                merged.add(parts[hi - 1], terms[hi - 1])
+                written |= parts[hi - 1].written
+                scheme, alignment, cag = _segment_scheme(merged, written, f"P[{i},{j}]")
+            # A loop's counts read only where its arrays' dimensions go.
+            dim_maps = {p.array: p.dim_map for p in scheme.placements}
             per_loop = [
                 (
                     facts[idx],
                     loop_costs.setdefault(
-                        (idx, *map(scheme.placement, parts[idx].arrays)), {}
+                        (idx, *[dim_maps[a] for a in parts[idx].arrays]), {}
                     ),
                 )
                 for idx in range(lo, hi)

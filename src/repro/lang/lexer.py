@@ -11,7 +11,7 @@ Syntax is a structured Fortran dialect:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from repro.errors import LexError
 
@@ -23,14 +23,22 @@ KEYWORDS = frozenset(
 )
 
 _SINGLE = frozenset("+-*/(),=")
+_BLANKS = re.compile(r"[ \t\r]+")
+#: the rest of a name: ``\w`` is ``str.isalnum()`` or ``_``
+_WORD = re.compile(r"\w+")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # NAME, NUMBER, KEYWORD, NEWLINE, EOF, or a literal char
-    text: str
-    line: int
-    column: int
+    """One token.  A slotted class with a plain ``__init__``: the lexer
+    builds one per token and the parser reads every field of each."""
+
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        self.kind = kind  # NAME, NUMBER, KEYWORD, NEWLINE, EOF, or a literal char
+        self.text = text
+        self.line = line
+        self.column = column
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
@@ -57,8 +65,9 @@ def tokenize(source: str) -> list[Token]:
             col = 1
             continue
         if ch in " \t\r":
-            i += 1
-            col += 1
+            end = _BLANKS.match(source, i).end()
+            col += end - i
+            i = end
             continue
         if ch == "!":
             while i < n and source[i] != "\n":
@@ -100,9 +109,8 @@ def tokenize(source: str) -> list[Token]:
         if ch.isalpha() or ch == "_":
             start = i
             start_col = col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-                col += 1
+            i = _WORD.match(source, i).end()
+            col += i - start
             text = source[start:i]
             upper = text.upper()
             if upper in KEYWORDS:

@@ -143,6 +143,50 @@ class TestExactAlignment:
         assert "grid dim 1" in text and "grid dim 2" in text
 
 
+def brute_force_alignment(cag: CAG, q: int) -> tuple[tuple, float]:
+    """The first minimum-cut feasible assignment of the sorted nodes in
+    lexicographic order of their grid dimensions, the first node on
+    dimension 1 — the optimum a depth-first search in that order finds."""
+    import itertools
+
+    nodes = sorted(cag.nodes)
+    best, best_cut = None, float("inf")
+    for dims in itertools.product(range(1, q + 1), repeat=len(nodes) - 1):
+        assign = dict(zip(nodes, (1, *dims)))
+        if len({(a, assign[(a, d)]) for a, d in nodes}) < len(nodes):
+            continue  # two dimensions of one array share a grid dimension
+        cut = sum(e.weight for e in cag.edges.values() if assign[e.u] != assign[e.v])
+        if cut < best_cut:
+            best, best_cut = tuple(assign.items()), cut
+    return best, best_cut
+
+
+class TestExactIsTheFirstOptimum:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3]))
+    def test_exact_equals_brute_force_on_random_graphs(self, seed, q):
+        """Integer weights add exactly, so the search's order of sums
+        cannot matter; ties go to the first assignment in DFS order."""
+        import random
+
+        rnd = random.Random(seed)
+        arrays = {f"ar{i}": rnd.choice([1, 1, 2]) for i in range(rnd.randint(1, 5))}
+        nodes = [(a, d) for a, r in arrays.items() for d in range(1, r + 1)]
+        rnd.shuffle(nodes)
+        edges = {}
+        for _ in range(rnd.randint(0, 8)):
+            u, v = rnd.sample(nodes, 2) if len(nodes) > 1 else (nodes[0],) * 2
+            if u[0] == v[0]:
+                continue
+            key = (u, v) if u <= v else (v, u)
+            e = edges.setdefault(key, CagEdge(u=key[0], v=key[1]))
+            e.weight += rnd.randint(1, 3)
+        cag = CAG(nodes=nodes, edges=edges, arrays=arrays)
+        assignment, cut = brute_force_alignment(cag, q)
+        exact = exact_alignment(cag, q=q)
+        assert (exact.assignment, exact.cut_weight) == (assignment, cut)
+
+
 class TestGreedyAlignment:
     def test_matches_exact_on_paper_programs(self):
         for maker in (jacobi_program, sor_program):

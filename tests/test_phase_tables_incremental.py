@@ -27,22 +27,28 @@ import hashlib
 import json
 import pathlib
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.alignment.graph as graph
 import repro.dependence.analysis as dependence_analysis
+import repro.distribution.redistribution as redistribution
 import repro.dp.phases as phases
 from repro.alignment import alignment_to_scheme, build_cag, exact_alignment, greedy_alignment
+from repro.alignment.solver import Alignment
 from repro.costmodel.loopcost import LoopFacts
 from repro.costmodel import estimate_loop_cost, grid_candidates
 from repro.dp import algorithm1, build_phase_tables
+from repro.dependence.analysis import live_loop_carried_arrays
 from repro.dp.algorithm1 import brute_force_min_cost
 from repro.dp.phases import PhaseEntry, solve_program_distribution
 from repro.errors import AlignmentError
 from repro.lang import parse_program
 from repro.lang.analysis import collect_ref_sites
+from repro.lang.ast import DoLoop, array_refs
 from repro.lang.programs import GAUSS_SOURCE, JACOBI_SOURCE, MATMUL_SOURCE, SOR_SOURCE
 from repro.machine.model import MachineModel
 from repro.service.plan import SolveOutcome
@@ -184,12 +190,22 @@ def test_random_chains_equal_the_reference(loops, nprocs):
 # ---------------------------------------------------------------------------
 
 
+#: programs whose golden also covers an ``execute=True`` solve, whose
+#: outcome pickles the validation's plans, terms and reports too
+EXECUTED = ("jacobi",)
+
+
 def solve_pickle_facts() -> dict[str, dict]:
     facts = {}
-    for label, (source, env) in PROGRAMS.items():
-        tables, result = solve_program_distribution(parse_program(source), NPROCS, env, MODEL)
-        data = pickle.dumps(SolveOutcome(tables=tables, result=result), pickle.HIGHEST_PROTOCOL)
-        facts[label] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    runs = [(label, False) for label in PROGRAMS] + [(label, True) for label in EXECUTED]
+    for label, execute in runs:
+        source, env = PROGRAMS[label]
+        solved = solve_program_distribution(
+            parse_program(source), NPROCS, env, MODEL, execute=execute
+        )
+        data = pickle.dumps(SolveOutcome(*solved), pickle.HIGHEST_PROTOCOL)
+        key = f"{label}-execute" if execute else label
+        facts[key] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
     return facts
 
 
@@ -224,24 +240,68 @@ def counting(fn, calls: list):
 
 
 def test_s8_chain_computes_each_fact_once(monkeypatch):
-    dependence_calls: list = []
+    pair_calls: list = []
     fact_calls: list = []
     estimator_calls: list = []
+    move_calls: list = []
+    weight_calls: list = []
+    dim_of_calls: list = []
     monkeypatch.setattr(
         dependence_analysis, "find_dependences",
-        counting(dependence_analysis.find_dependences, dependence_calls),
+        counting(dependence_analysis.find_dependences, pair_calls),
+    )
+    monkeypatch.setattr(
+        dependence_analysis, "_pair_dependences",
+        counting(dependence_analysis._pair_dependences, pair_calls),
     )
     monkeypatch.setattr(phases, "loop_facts", counting(phases.loop_facts, fact_calls))
     monkeypatch.setattr(LoopFacts, "price", counting(LoopFacts.price, estimator_calls))
+    # wherever a layout change is priced from
+    for module in (phases, redistribution):
+        if hasattr(module, "placement_change_terms"):
+            monkeypatch.setattr(
+                module, "placement_change_terms",
+                counting(redistribution.placement_change_terms, move_calls),
+            )
+    seconds = MachineModel.seconds
+
+    def counted_seconds(self, *args):
+        if sys._getframe(1).f_code.co_filename == graph.__file__:
+            weight_calls.append(args)
+        return seconds(self, *args)
+
+    monkeypatch.setattr(MachineModel, "seconds", counted_seconds)
+    monkeypatch.setattr(Alignment, "dim_of", counting(Alignment.dim_of, dim_of_calls))
     source, env = PROGRAMS["chain-s8"]
     tables, result = solve_program_distribution(parse_program(source), NPROCS, env, MODEL)
+    priced_moves = list(move_calls)
     tables.transition_plans(result)
 
-    # the loop-carried term: one dependence analysis of the outer loop
-    assert len(dependence_calls) == 1
+    # the loop-carried term: no full pairwise analysis of the outer loop,
+    # only pairs of a write and a read of one array
+    assert pair_calls and all(len(args) == 3 for args in pair_calls)
+    for a, b, _order in pair_calls:
+        assert a.array == b.array and a.is_write != b.is_write
+    sites = collect_ref_sites([tables.outer])
+    full = sum(
+        a.array == b.array and (a.is_write or b.is_write)
+        for idx, a in enumerate(sites) for b in sites[idx + 1 :]
+    )
+    assert len(pair_calls) < full
 
     # per loop: one gathering of its pricing facts
     assert [args[0] for args in fact_calls] == tables.loops
+
+    # per loop part: each CAG term priced once, not once per segment
+    parts = [graph.cag_part(loop, tables.program, env, NPROCS) for loop in tables.loops]
+    assert len(weight_calls) == sum(len(part.terms) for part in parts)
+
+    # a scheme's dimension map is read from the assignment once
+    assert dim_of_calls == []
+
+    # per distinct (src placement, dst placement, size, grid): one pricing
+    assert priced_moves
+    assert len(priced_moves) == len(set(priced_moves))
 
     # per (loop, placements of the arrays it references, grid): one estimate
     s, grids = tables.s, grid_candidates(NPROCS)
@@ -256,6 +316,55 @@ def test_s8_chain_computes_each_fact_once(monkeypatch):
     assert len(restrictions) <= 3 * s  # not one per segment containing the loop
     segment_loops = s * (s + 1) * (s + 2) // 6
     assert len(estimator_calls) * 4 < segment_loops * len(grids)  # what it used to cost
+
+
+def reference_live_carried(loop) -> frozenset[str]:
+    """Loop-carried arrays from the full pairwise analysis
+    (``loop_carried_arrays``: every level-0 flow dependence
+    ``find_dependences`` reports), killed ones dropped."""
+    carried = dependence_analysis.loop_carried_arrays(loop)
+    first = {}
+    for site in collect_ref_sites([loop]):
+        first.setdefault(site.array, site)
+    live = set()
+    for array in carried:
+        site = first[array]
+        accumulates = any(
+            ref.name == array and ref.subscripts == site.ref.subscripts
+            for ref in array_refs(site.stmt.rhs)
+        )
+        if not site.is_write or accumulates:
+            live.add(array)
+    return frozenset(live)
+
+
+def every_loop(stmts):
+    for stmt in stmts:
+        if isinstance(stmt, DoLoop):
+            yield stmt
+            yield from every_loop(stmt.body)
+
+
+@pytest.mark.parametrize("label", sorted(PROGRAMS))
+def test_live_carried_arrays_equal_the_full_analysis(label):
+    program = parse_program(PROGRAMS[label][0])
+    loops = list(every_loop(program.body))
+    assert loops
+    for loop in loops:
+        assert live_loop_carried_arrays(loop) == reference_live_carried(loop)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    loops=st.lists(
+        st.tuples(st.sampled_from(SUBSCRIPTS), st.booleans(), st.booleans()),
+        min_size=1, max_size=8,
+    ),
+)
+def test_live_carried_arrays_of_random_chains_equal_the_full_analysis(loops):
+    program = parse_program(chain_source(loops))
+    for loop in every_loop(program.body):
+        assert live_loop_carried_arrays(loop) == reference_live_carried(loop)
 
 
 def test_algorithm1_prices_each_pair_once():
