@@ -66,10 +66,10 @@ def speedup_sweep() -> None:
             ]
         )
     print(table.render())
+    times = {"naive": sor_naive_time(128, 16, model), "pipelined": sor_pipelined_time(128, 16, model)}
     print(
         "\nanalytic (m=128, N=16):",
-        f"naive {sor_naive_time(128, 16, model)} |",
-        f"pipelined {sor_pipelined_time(128, 16, model)}",
+        " | ".join(f"{k} comp={t.comp:g} comm={t.comm:g} total={t.total:g}" for k, t in times.items()),
     )
 
 

@@ -75,28 +75,30 @@ def _validate(assign: Iterable[tuple[Node, int]]) -> None:
         seen[key] = (array, dim)
 
 
+def _find(parent: dict[Node, Node], n: Node) -> Node:
+    """Union-find root of *n*, halving the path on the way."""
+    while parent[n] != n:
+        parent[n] = parent[parent[n]]
+        n = parent[n]
+    return n
+
+
 def _merge_groups(
     cag: CAG, must_align: tuple[tuple[Node, Node], ...]
 ) -> dict[Node, int]:
     """Union-find pre-merge of must-co-align nodes; returns node -> group."""
     parent: dict[Node, Node] = {n: n for n in cag.nodes}
 
-    def find(n: Node) -> Node:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
     for u, v in must_align:
         if u not in parent or v not in parent:
             raise AlignmentError(f"ALIGN constraint references unknown node {u} or {v}")
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[rv] = ru
     groups: dict[Node, int] = {}
     roots: dict[Node, int] = {}
     for n in sorted(cag.nodes):
-        r = find(n)
+        r = _find(parent, n)
         if r not in roots:
             roots[r] = len(roots)
         groups[n] = roots[r]
@@ -236,18 +238,12 @@ def greedy_alignment(
     """
     parent: dict[Node, Node] = {n: n for n in cag.nodes}
 
-    def find(n: Node) -> Node:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
     members: dict[Node, set[Node]] = {n: {n} for n in cag.nodes}
 
     for u, v in must_align:
         if u not in parent or v not in parent:
             raise AlignmentError(f"ALIGN constraint references unknown node {u} or {v}")
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             continue
         merged_arrays = [a for (a, _) in members[ru]] + [a for (a, _) in members[rv]]
@@ -258,11 +254,8 @@ def greedy_alignment(
         parent[rv] = ru
         members[ru] |= members.pop(rv)
 
-    def arrays_of(root: Node) -> set[str]:
-        return {a for (a, _) in members[root]}
-
     for edge in cag.edge_list():
-        ru, rv = find(edge.u), find(edge.v)
+        ru, rv = _find(parent, edge.u), _find(parent, edge.v)
         if ru == rv:
             continue
         if {a for (a, _) in members[ru]} & {a for (a, _) in members[rv]}:
@@ -270,7 +263,7 @@ def greedy_alignment(
         parent[rv] = ru
         members[ru] |= members.pop(rv)
 
-    clusters = [members[r] for r in members if find(r) == r]
+    clusters = [members[r] for r in members if _find(parent, r) == r]
     # Weight of a cluster: total weight of internal edges (bigger first).
     def cluster_weight(cluster: set[Node]) -> float:
         return sum(

@@ -1,7 +1,8 @@
 """Closed-form execution times from the paper.
 
-Each function returns a :class:`TimeBreakdown` with separate computation
-and communication components, so benchmarks can print Table 2-style rows.
+Each function returns a :class:`~repro.costmodel.primitives.TimeBreakdown`
+with separate computation and communication components, so benchmarks can
+print Table 2-style rows.
 
 Derivations (using the Table 1 primitive costs and writing ``log`` for
 ``ceil(log2)``):
@@ -46,33 +47,16 @@ Derivations (using the Table 1 primitive costs and writing ``log`` for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.costmodel.primitives import (
     MANY_TO_MANY,
     ONE_TO_MANY,
     REDUCTION,
     SHIFT,
     TRANSFER,
+    TimeBreakdown,
 )
 from repro.errors import CostModelError
 from repro.machine.model import MachineModel
-
-
-@dataclass(frozen=True)
-class TimeBreakdown:
-    """Computation/communication split of a predicted execution time."""
-
-    comp: float
-    comm: float
-    terms: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def total(self) -> float:
-        return self.comp + self.comm
-
-    def __str__(self) -> str:
-        return f"comp={self.comp:g} comm={self.comm:g} total={self.total:g}"
 
 
 def _check(m: int, *procs: int) -> None:
@@ -87,19 +71,14 @@ def jacobi_section3_time(m: int, n1: int, n2: int, model: MachineModel) -> TimeB
     """Per-iteration time of Jacobi under §3's global alignment on (N1, N2)."""
     _check(m, n1, n2)
     comp = (2.0 * m * m / (n1 * n2) + 3.0 * m / n2) * model.tf
-    terms = [f"comp: (2m^2/{n1 * n2} + 3m/{n2}) tf"]
     comm = REDUCTION.cost(model, m / n1, n2)
-    terms.append(f"Reduction({m}/{n1}, {n2})")
     if n2 == 1:
         if n1 > 1:
             comm += n1 * TRANSFER.cost(model, m / n1)
-            terms.append(f"{n1} x Transfer({m}/{n1})")
     else:
         comm += n1 * ONE_TO_MANY.cost(model, m / n1, n2)
-        terms.append(f"{n1} x OneToManyMulticast({m}/{n1}, {n2})")
-    comm += ONE_TO_MANY.cost(model, m, n1)
-    terms.append(f"OneToManyMulticast({m}, {n1}) [loop-carried X]")
-    return TimeBreakdown(comp, comm, tuple(terms))
+    comm += ONE_TO_MANY.cost(model, m, n1)  # loop-carried X
+    return TimeBreakdown(comp, comm)
 
 
 def jacobi_dp_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
@@ -110,14 +89,7 @@ def jacobi_dp_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
     _check(m, n)
     comp = (2.0 * m * m / n + 3.0 * m / n) * model.tf
     comm = MANY_TO_MANY.cost(model, m / n, n) + ONE_TO_MANY.cost(model, m, 1)
-    return TimeBreakdown(
-        comp,
-        comm,
-        (
-            f"comp: (2m^2/{n} + 3m/{n}) tf",
-            f"ManyToManyMulticast({m}/{n}, {n}) [loop-carried X]",
-        ),
-    )
+    return TimeBreakdown(comp, comm)
 
 
 def sor_naive_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
@@ -125,14 +97,7 @@ def sor_naive_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
     _check(m, n)
     comp = (2.0 * m * m / n + 4.0 * m) * model.tf
     comm = m * (REDUCTION.cost(model, 1, n) + TRANSFER.cost(model, 1))
-    return TimeBreakdown(
-        comp,
-        comm,
-        (
-            f"comp: (2m^2/{n} + 4m) tf",
-            f"{m} x (Reduction(1, {n}) + Transfer(1))",
-        ),
-    )
+    return TimeBreakdown(comp, comm)
 
 
 def sor_pipelined_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
@@ -141,11 +106,7 @@ def sor_pipelined_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
     steps = m + n
     comp = steps * (2.0 * m / n) * model.tf
     comm = model.seconds(0, *TRANSFER.counts(1, 2, 2.0 * steps))
-    return TimeBreakdown(
-        comp,
-        comm,
-        (f"(m + N) = {steps} steps x (2 (m/N) tf + 2 tc)",),
-    )
+    return TimeBreakdown(comp, comm)
 
 
 def _gauss_comp(m: int, n: int, model: MachineModel) -> float:
@@ -166,14 +127,7 @@ def gauss_broadcast_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
     comp = _gauss_comp(m, n, model)
     comm = sum(ONE_TO_MANY.cost(model, m - k + 2, n) for k in range(1, m + 1))  # pivot row + B(k)
     comm += m * ONE_TO_MANY.cost(model, 1, n)  # X(j) broadcasts in back substitution
-    return TimeBreakdown(
-        comp,
-        comm,
-        (
-            "sum_k OneToManyMulticast(m-k+2, N) [pivot row + B]",
-            f"{m} x OneToManyMulticast(1, {n}) [X in back subst]",
-        ),
-    )
+    return TimeBreakdown(comp, comm)
 
 
 def gauss_pipelined_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
@@ -188,13 +142,5 @@ def gauss_pipelined_time(m: int, n: int, model: MachineModel) -> TimeBreakdown:
     comm = sum(2 * SHIFT.cost(model, m - k + 2) for k in range(1, m + 1))
     comm += m * 2 * SHIFT.cost(model, 1)
     comm += n * SHIFT.cost(model, 2)  # pipeline fill/drain
-    return TimeBreakdown(
-        comp,
-        comm,
-        (
-            "sum_k 2 x Shift(m-k+2) [pivot row + B forwarded]",
-            f"{m} x 2 x Shift(1) [X in back subst]",
-            f"{n} x Shift(2) [pipeline fill]",
-        ),
-    )
+    return TimeBreakdown(comp, comm)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.costmodel.formulas import TimeBreakdown
 from repro.errors import CostModelError
 
 
@@ -27,22 +26,21 @@ def grid_candidates(nprocs: int) -> list[tuple[int, int]]:
 
 def best_grid(
     nprocs: int,
-    time_fn: Callable[[int, int], TimeBreakdown | float],
+    time_fn: Callable[[int, int], float],
 ) -> tuple[tuple[int, int], float, list[tuple[tuple[int, int], float]]]:
     """Minimize ``time_fn(N1, N2)`` over factorizations of *nprocs*.
 
     Returns ``(best_shape, best_time, all_evaluations)``; ties break toward
-    larger ``N1`` (the paper's preferred row-major orientation).
+    larger ``N1`` (the paper's preferred row-major orientation), and when
+    no candidate is finite the first one, ``(nprocs, 1)``, stands at ``inf``.
     """
+    candidates = grid_candidates(nprocs)
     evaluations: list[tuple[tuple[int, int], float]] = []
-    best_shape: tuple[int, int] | None = None
-    best_time = float("inf")
-    for shape in grid_candidates(nprocs):
-        value = time_fn(*shape)
-        total = value.total if isinstance(value, TimeBreakdown) else float(value)
+    best_shape, best_time = candidates[0], float("inf")
+    for shape in candidates:
+        total = time_fn(*shape)
         evaluations.append((shape, total))
         if total < best_time:
             best_time = total
             best_shape = shape
-    assert best_shape is not None
     return best_shape, best_time, evaluations

@@ -5,7 +5,7 @@ This is the compiler-side oracle feeding component-alignment edge weights
 nest, a :class:`~repro.distribution.schemes.Scheme` and a grid shape, it
 counts computation and communication using the owner-computes rule and the
 Table 1 primitives; a machine model prices the counts
-(:meth:`LoopCost.of`).
+(:func:`loop_time`).
 
 Rules (derived from the paper's worked examples; see DESIGN.md):
 
@@ -49,7 +49,7 @@ pair, priced apart from the machine — Eijkhout, arXiv 1602.02409).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.costmodel.primitives import (
     MANY_TO_MANY,
@@ -57,6 +57,8 @@ from repro.costmodel.primitives import (
     REDUCTION,
     SHIFT,
     TRANSFER,
+    Primitive,
+    TimeBreakdown,
 )
 from repro.distribution.schemes import Scheme
 from repro.errors import CostModelError
@@ -67,51 +69,28 @@ from repro.lang.ast import BinOp, Call, UnaryOp
 from repro.machine.model import MachineModel
 
 
-@dataclass(frozen=True)
-class CostTerm:
-    """One cost contribution, printable in the paper's notation."""
-
-    kind: str  # "comp" or "comm"
-    description: str
-    cost: float
-    line: int = -1
-
-    def __str__(self) -> str:
-        loc = f" (line {self.line})" if self.line >= 0 else ""
-        return f"{self.description}{loc} = {self.cost:g}"
-
-
 #: One counted contribution, before a machine prices it:
-#: ``(kind, description, flops, messages, words, line)``.
-CountTerm = tuple[str, str, float, float, float, int]
+#: ``(rule, flops, messages, words, line)``, where *rule* is ``"comp"`` or
+#: the name of the Table 1 row it charges.
+CountTerm = tuple[str, float, float, float, int]
 
 
-@dataclass
-class LoopCost:
-    """Estimated cost of one loop nest under one scheme."""
-
-    comp: float = 0.0
-    comm: float = 0.0
-    terms: list[CostTerm] = field(default_factory=list)
-
-    @classmethod
-    def of(cls, counts: list[CountTerm], model: MachineModel) -> "LoopCost":
-        """*counts* (what :meth:`LoopFacts.price` returns) priced by *model*."""
-        result = cls()
-        for kind, description, flops, messages, words, line in counts:
-            result.add(CostTerm(kind, description, model.seconds(flops, messages, words), line))
-        return result
-
-    @property
-    def total(self) -> float:
-        return self.comp + self.comm
-
-    def add(self, term: CostTerm) -> None:
-        self.terms.append(term)
-        if term.kind == "comp":
-            self.comp += term.cost
+def loop_time(counts: list[CountTerm], model: MachineModel) -> TimeBreakdown:
+    """*counts* (what :meth:`LoopFacts.price` returns) priced by *model*: the
+    comp and the comm terms summed apart, in term order."""
+    comp = comm = 0.0
+    for rule, flops, messages, words, _line in counts:
+        seconds = model.seconds(flops, messages, words)
+        if rule == "comp":
+            comp += seconds
         else:
-            self.comm += term.cost
+            comm += seconds
+    return TimeBreakdown(comp, comm)
+
+
+def _charge(primitive: Primitive, m: float, nprocs: int, times: float, line: int) -> CountTerm:
+    """*times* invocations of a Table 1 row with *m*-word messages."""
+    return (primitive.name, 0, *primitive.counts(m, nprocs, times), line)
 
 
 def _count_flops(expr) -> int:
@@ -232,20 +211,13 @@ class _StmtFacts:
             split = 1.0
             for g in split_dims:
                 split *= grid[g - 1]
-            terms.append((
-                "comp",
-                f"{self.flops} flops x {self.executions:g} iters / {split:g} procs",
-                self.flops * self.executions / split, 0, 0, line,
-            ))
+            terms.append(("comp", self.flops * self.executions / split, 0, 0, line))
 
         # ---- reduction rule --------------------------------------------
         for g in red_dims:
             n = grid[g - 1]
             words = max(self.lhs_distinct / max(lhs_procs, 1.0) / seq_factor, 1.0)
-            terms.append((
-                "comm", f"{seq_factor:g} x Reduction({words:g}, {n})",
-                0, *REDUCTION.counts(words, n, seq_factor), line,
-            ))
+            terms.append(_charge(REDUCTION, words, n, seq_factor, line))
 
         lhs_undistributed = not lhs_var_dims
 
@@ -265,20 +237,14 @@ class _StmtFacts:
                 # owner dimension) gathers the distributed operand first.
                 if lhs_undistributed and sub_vars and not (self.accumulates and dim.foreign):
                     words = max(distinct / n_src / seq_factor, 1.0)
-                    terms.append((
-                        "comm", f"{seq_factor:g} x ManyToManyMulticast({words:g}, {n_src})",
-                        0, *MANY_TO_MANY.counts(words, n_src, seq_factor), line,
-                    ))
+                    terms.append(_charge(MANY_TO_MANY, words, n_src, seq_factor, line))
                     continue
 
                 # pinned-element multicast (naive Gauss broadcasts), of
                 # elements a statement instance reads: none when none runs
                 if any(gg == g and var not in sub_vars for var, gg in lhs_var_dims.items()):
                     sent = distinct if self.runs else 0.0
-                    terms.append((
-                        "comm", f"{sent:g} x OneToManyMulticast(1, {n_src})",
-                        0, *ONE_TO_MANY.counts(1, n_src, sent), line,
-                    ))
+                    terms.append(_charge(ONE_TO_MANY, 1, n_src, sent, line))
                     continue
 
                 # alignment with an LHS dimension driven by the same variable
@@ -291,22 +257,14 @@ class _StmtFacts:
                         for (gl, _), shifted in zip(lhs_layout, dim.shifted):
                             if gl == g and shifted:
                                 words = max(distinct / n_src / seq_factor, 1.0)
-                                terms.append((
-                                    "comm", f"{seq_factor:g} x Shift({words:g})",
-                                    0, *SHIFT.counts(words, 2, seq_factor), line,
-                                ))
+                                terms.append(_charge(SHIFT, words, 2, seq_factor, line))
                     else:
-                        # realignment across grid dimensions
+                        # realignment across grid dimensions (a Transfer's
+                        # one round ignores the processor count)
                         n_dst = grid[g_lhs - 1]
                         words = max(distinct / n_src / seq_factor, 1.0)
-                        times = seq_factor * n_src
-                        if n_dst > 1:
-                            desc = f"{times:g} x OneToManyMulticast({words:g}, {n_dst})"
-                            counts = ONE_TO_MANY.counts(words, n_dst, times)
-                        else:
-                            desc = f"{times:g} x Transfer({words:g})"
-                            counts = TRANSFER.counts(words, 2, times)
-                        terms.append(("comm", desc, 0, *counts, line))
+                        primitive = ONE_TO_MANY if n_dst > 1 else TRANSFER
+                        terms.append(_charge(primitive, words, n_dst, seq_factor * n_src, line))
 
 
 @dataclass(frozen=True)
@@ -322,7 +280,7 @@ class LoopFacts:
 
     def price(self, scheme: Scheme, grid: tuple[int, int]) -> list[CountTerm]:
         """The nest's count terms under *scheme* on *grid* (arrays it omits
-        are free), in the order :meth:`LoopCost.of` sums them."""
+        are free), in the order :func:`loop_time` sums them."""
         arrays = self.arrays
         layout = {
             p.array: tuple((g, 1 if g is None else _grid_extent(grid, g)) for g in p.dim_map)
@@ -358,9 +316,9 @@ def estimate_loop_cost(
     env: dict[str, int],
     model: MachineModel,
     sequential_vars: frozenset[str] | set[str] = frozenset(),
-) -> LoopCost:
+) -> TimeBreakdown:
     """Estimate the cost of executing *nest* once under *scheme*."""
-    return LoopCost.of(loop_facts(nest, env, sequential_vars).price(scheme, grid), model)
+    return loop_time(loop_facts(nest, env, sequential_vars).price(scheme, grid), model)
 
 
 def _walk(

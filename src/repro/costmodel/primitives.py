@@ -25,6 +25,9 @@ loop-cost rules, the CAG edge weights and the layout-change rules count
 with it, and the volume of a redistribution term, the ``kind`` of a
 runtime op, the Table 1 benchmark and the documentation tables read it
 (``tests/test_doc_tables.py`` checks the tables).
+
+A priced time is a :class:`TimeBreakdown`: its computation and
+communication seconds, apart.
 """
 
 from __future__ import annotations
@@ -50,6 +53,18 @@ def _log2_ceil(n: int) -> int:
 
 def _to_each_other(n: int) -> int:
     return max(0, n - 1)
+
+
+@dataclass(frozen=True)
+class TimeBreakdown:
+    """Computation/communication split of a predicted execution time."""
+
+    comp: float
+    comm: float
+
+    @property
+    def total(self) -> float:
+        return self.comp + self.comm
 
 
 @dataclass(frozen=True)

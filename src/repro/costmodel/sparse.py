@@ -12,7 +12,7 @@ band's job is to detect them drifting apart (docs/SPARSE.md).
 
 from __future__ import annotations
 
-from repro.costmodel.formulas import TimeBreakdown
+from repro.costmodel.primitives import TimeBreakdown
 from repro.errors import CostModelError
 from repro.machine.model import MachineModel
 from repro.pipeline.inspector import CommSchedule
@@ -56,10 +56,6 @@ def spmv_sweep_time(
     return TimeBreakdown(
         comp=2 * busiest_comp * model.tf,
         comm=model.seconds(0, messages, 2 * words),
-        terms=(
-            f"2*{busiest_comp} tf",
-            f"{messages} alpha + 2*{words} tc (busiest rank halo)",
-        ),
     )
 
 

@@ -7,7 +7,8 @@ For every segment ``L_i .. L_{i+j-1}`` of the loop sequence:
    along their unused grid dimensions (so e.g. ``X`` is readable anywhere
    during Jacobi's L1);
 3. price the segment under every candidate grid shape ``N1 x N2 = N``
-   with the rule-based loop-cost estimator, keeping the best.
+   with the rule-based loop-cost estimator, keeping the best
+   (:func:`~repro.costmodel.gridsearch.best_grid`).
 
 Each step is assembled from facts computed once at the granularity they
 vary at — per loop, per (loop, dimension maps, grid), per outer loop, per
@@ -38,8 +39,8 @@ from repro.alignment.solver import (
     exact_alignment,
     greedy_alignment,
 )
-from repro.costmodel.gridsearch import grid_candidates
-from repro.costmodel.loopcost import LoopCost, loop_facts
+from repro.costmodel.gridsearch import best_grid
+from repro.costmodel.loopcost import loop_facts, loop_time
 from repro.dependence.analysis import live_loop_carried_arrays
 from repro.distribution.redistribution import (
     RedistPlan,
@@ -309,26 +310,22 @@ def _build_entries(
                 )
                 for idx in range(lo, hi)
             ]
-            best_cost = float("inf")
-            best_grid = (nprocs, 1)
-            # One grid list per segment: entries own their grid tuple.
-            for grid in grid_candidates(nprocs):
+
+            def segment_time(n1: int, n2: int) -> float:
+                grid = (n1, n2)
                 total = 0.0
                 for nest_facts, by_grid in per_loop:
                     cost = by_grid.get(grid)
                     if cost is None:
                         counts = nest_facts.price(scheme, grid)
-                        cost = by_grid[grid] = LoopCost.of(counts, model).total
+                        cost = by_grid[grid] = loop_time(counts, model).total
                     total += cost
-                if total < best_cost:
-                    best_cost = total
-                    best_grid = grid
+                return total
+
+            # One grid list per search: entries own their grid tuple.
+            grid, cost, _ = best_grid(nprocs, segment_time)
             tables.entries[(i, j)] = PhaseEntry(
-                scheme=scheme,
-                grid=best_grid,
-                cost=best_cost,
-                alignment=alignment,
-                cag=cag,
+                scheme=scheme, grid=grid, cost=cost, alignment=alignment, cag=cag
             )
     return tables
 

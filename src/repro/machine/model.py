@@ -21,6 +21,7 @@ communication (§5's closing remark): send/receive *occupancy* drops to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import CostModelError
@@ -43,8 +44,8 @@ class MachineModel:
     def __post_init__(self) -> None:
         for field_name in ("tf", "tc", "alpha", "hop_cost"):
             value = getattr(self, field_name)
-            if value < 0:
-                raise CostModelError(f"{field_name} must be nonnegative, got {value}")
+            if not 0 <= value < math.inf:  # NaN fails both comparisons
+                raise CostModelError(f"{field_name} must be finite and nonnegative, got {value}")
 
     # -- endpoint occupancy -------------------------------------------
     def send_occupancy(self, words: int) -> float:

@@ -63,6 +63,12 @@ logger = logging.getLogger("repro.service")
 #: while waiting for a reply with no (or a distant) deadline.
 _POLL_S = 0.05
 
+#: Longest respawn backoff (seconds), however often a slot crashed.
+_BACKOFF_CAP_S = 1.0
+
+#: ``fork`` where available (cheap respawns), else ``spawn``.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
 
 def _task_digest(blob: bytes) -> str:
     """Content digest of one pickled task (the forensic request id)."""
@@ -271,12 +277,9 @@ class WorkerSupervisor:
     max_respawns:
         Respawns per worker *slot* before the slot is abandoned; when
         every slot is gone the pool is ``broken`` and all calls raise.
-    backoff_s / backoff_cap_s:
+    backoff_s:
         Capped exponential respawn backoff (slot respawn count *k*
-        sleeps ``min(backoff_s * 2**(k-1), backoff_cap_s)``).
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (cheap respawns), else ``spawn``.
+        sleeps ``min(backoff_s * 2**(k-1), 1.0)``).
     chaos_kill_requests:
         Dispatch sequence numbers whose worker SIGKILLs itself
         mid-request (deterministic crash injection for tests/CI).
@@ -290,22 +293,16 @@ class WorkerSupervisor:
         retry_budget: int = 2,
         max_respawns: int = 3,
         backoff_s: float = 0.05,
-        backoff_cap_s: float = 1.0,
-        start_method: str | None = None,
         chaos_kill_requests=(),
     ) -> None:
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         self._machine_blob = pickle.dumps(machine, protocol=pickle.HIGHEST_PROTOCOL)
         self.workers = workers
         self.retry_budget = retry_budget
         self.max_respawns = max_respawns
         self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
         self.chaos_kill_requests = set(chaos_kill_requests)
         self._lock = threading.Lock()
         self._idle: queue.Queue[_Worker] = queue.Queue()
@@ -375,7 +372,7 @@ class WorkerSupervisor:
                 return
             self._respawns[slot] = count
             self.counters["respawns"] += 1
-        delay = min(self.backoff_s * (2.0 ** (count - 1)), self.backoff_cap_s)
+        delay = min(self.backoff_s * (2.0 ** (count - 1)), _BACKOFF_CAP_S)
         if delay > 0:
             time.sleep(delay)
         spans.instant(f"service/worker-respawn#{slot}")

@@ -101,6 +101,25 @@ class TestMachineModelValidation:
         with pytest.raises(CostModelError):
             MachineModel(tc=-0.1)
 
+    @pytest.mark.parametrize("field", ["tf", "tc", "alpha", "hop_cost"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(CostModelError, match=field):
+            MachineModel(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_machine_stops_before_a_session_is_built(self, value):
+        """The user path that reached a bare ``AssertionError`` in Algorithm 1
+        now stops at ``MachineModel`` construction, before ``Session`` or
+        ``compile`` runs, with the typed error."""
+        from repro.api import Session
+        from repro.lang.programs import JACOBI_SOURCE
+
+        with pytest.raises(CostModelError):
+            Session(machine=MachineModel(tf=value)).compile(
+                JACOBI_SOURCE, nprocs=16, env={"m": 64, "maxiter": 1}
+            )
+
     def test_flops_words(self):
         m = MachineModel(tf=2, tc=3, alpha=1)
         assert m.flops(10) == 20
@@ -234,10 +253,10 @@ class TestGridSearch:
         model = MachineModel(tf=1, tc=10)
 
         def time_fn(n1, n2):
-            return jacobi_section3_time(256, n1, n2, model)
+            return jacobi_section3_time(256, n1, n2, model).total
 
         shape, best, evals = best_grid(16, time_fn)
-        canonical = min(time_fn(*s).total for s in [(1, 16), (16, 1), (4, 4)])
+        canonical = min(time_fn(*s) for s in [(1, 16), (16, 1), (4, 4)])
         assert best <= canonical
         assert len(evals) == len(grid_candidates(16))
 
@@ -254,3 +273,9 @@ class TestGridSearch:
     def test_best_grid_accepts_floats(self):
         shape, value, _ = best_grid(4, lambda a, b: a + 2 * b)
         assert shape == (4, 1) and value == 6
+
+    def test_best_grid_nothing_finite_keeps_the_first_candidate(self):
+        """As Algorithm 1's table builder always did: ``(N, 1)`` at ``inf``."""
+        shape, value, evals = best_grid(12, lambda a, b: math.inf)
+        assert (shape, value) == ((12, 1), math.inf)
+        assert [s for s, _ in evals] == grid_candidates(12)

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import repro.dp.phases as phases
 from repro.alignment.graph import cag_part, merge_cag
 from repro.costmodel import estimate_loop_cost, grid_candidates
-from repro.costmodel.loopcost import LoopCost, loop_facts
+from repro.costmodel.loopcost import loop_facts, loop_time
+from repro.costmodel.primitives import ONE_TO_MANY, PRIMITIVES, REDUCTION, SHIFT
 from repro.distribution import ArrayPlacement, Scheme
 from repro.dp import build_phase_tables
 from repro.lang import jacobi_program, parse_program, sor_program
 from repro.machine.model import MachineModel
 from tests.test_canonical_text_golden import perf_corpus
 from tests.test_phase_tables_incremental import PROGRAMS as PAPER_PROGRAMS
+from tests.test_phase_tables_incremental import SUBSCRIPTS, chain_source
 
 MODEL = MachineModel(tf=1, tc=10)
 M, N = 256, 16
@@ -101,13 +105,11 @@ class TestSequentialVars:
             ArrayPlacement("B", (2,)),
             ArrayPlacement("X", (2,), rest="replicated"),
         )
-        cost = estimate_loop_cost(
-            outer.body[0], scheme, (1, N), ENV, MODEL, sequential_vars={"i"}
-        )
-        red_terms = [t for t in cost.terms if "Reduction" in t.description]
+        counts = loop_facts(outer.body[0], ENV, {"i"}).price(scheme, (1, N))
+        red_terms = [t for t in counts if t[0] == REDUCTION.name]
         assert red_terms
         # m x Reduction(1, N) = m * log N * tc
-        assert sum(t.cost for t in red_terms) == M * 4 * 10
+        assert sum(MODEL.seconds(*t[1:4]) for t in red_terms) == M * 4 * 10
 
 
 class TestStencilShift:
@@ -117,8 +119,8 @@ class TestStencilShift:
             "DO i = 2, m\nU(i) = W(i - 1)\nEND DO\nEND\n"
         )
         scheme = Scheme.of(ArrayPlacement("U", (1,)), ArrayPlacement("W", (1,)))
-        cost = estimate_loop_cost(p.loops()[0], scheme, (4, 1), {"m": 64}, MODEL)
-        shift_terms = [t for t in cost.terms if "Shift" in t.description]
+        counts = loop_facts(p.loops()[0], {"m": 64}).price(scheme, (4, 1))
+        shift_terms = [t for t in counts if t[0] == SHIFT.name]
         assert len(shift_terms) == 1
 
     def test_zero_offset_free(self):
@@ -144,11 +146,11 @@ class TestPinnedMulticast:
             ArrayPlacement("B", (1,)),
             ArrayPlacement("L", (1, 2)),
         )
-        cost = estimate_loop_cost(p.loops()[0], scheme, (8, 1), {"m": 64}, MODEL)
-        mc = [t for t in cost.terms if "OneToManyMulticast" in t.description]
+        counts = loop_facts(p.loops()[0], {"m": 64}).price(scheme, (8, 1))
+        mc = [t for t in counts if t[0] == ONE_TO_MANY.name]
         assert mc
         # 64 distinct B(k) tokens, each multicast over 8 procs (log = 3).
-        assert sum(t.cost for t in mc) == 64 * 3 * 10
+        assert sum(MODEL.seconds(*t[1:4]) for t in mc) == 64 * 3 * 10
 
 
 class TestUnknownArraysIgnored:
@@ -191,10 +193,41 @@ class TestFactsOnce:
         for entry in tables.entries.values():
             for grid in grid_candidates(nprocs):
                 for nest, facts in built:
-                    memoised = LoopCost.of(facts.price(entry.scheme, grid), MODEL)
+                    counts = facts.price(entry.scheme, grid)
+                    memoised = loop_time(counts, MODEL)
                     fresh = estimate_loop_cost(nest, entry.scheme, grid, env, MODEL)
                     assert memoised.comp == fresh.comp and memoised.comm == fresh.comm
-                    assert memoised.terms == fresh.terms
+                    assert counts == loop_facts(nest, env).price(entry.scheme, grid)
+
+
+def _seeded_chain(seed: int, s: int = 6) -> str:
+    rng = random.Random(seed)
+    return chain_source(
+        [(rng.choice(SUBSCRIPTS), rng.random() < 0.5, rng.random() < 0.5) for _ in range(s)]
+    )
+
+
+RULE_PROGRAMS = {**PAPER_PROGRAMS, "chain-seed-0": (_seeded_chain(0), {"m": 64, "t": 1})}
+
+
+class TestCountTermRules:
+    """A count term names what it charged: ``"comp"`` or a Table 1 row."""
+
+    @pytest.mark.parametrize("label", sorted(RULE_PROGRAMS))
+    def test_every_term_names_comp_or_a_table1_row(self, label):
+        source, env = RULE_PROGRAMS[label]
+        nprocs = 16
+        tables = build_phase_tables(parse_program(source), nprocs, env, MODEL)
+        facts = [loop_facts(loop, env) for loop in tables.loops]
+        seen = set()
+        for entry in tables.entries.values():
+            for grid in grid_candidates(nprocs):
+                for nest_facts in facts:
+                    for term in nest_facts.price(entry.scheme, grid):
+                        assert len(term) == 5, term
+                        assert term[0] == "comp" or term[0] in PRIMITIVES, term
+                        seen.add(term[0])
+        assert "comp" in seen
 
 
 #: Two machines whose CAG weights are proportional (every weight counts
@@ -235,7 +268,7 @@ class TestCountsOnce:
                 assert merge_cag(parts[key[0] - 1 : sum(key) - 1], model) == entry.cag, key
                 totals = {
                     grid: sum(
-                        LoopCost.of(counts[key, idx, grid], model).total
+                        loop_time(counts[key, idx, grid], model).total
                         for idx in range(key[0] - 1, sum(key) - 1)
                     )
                     for grid in grids
@@ -244,7 +277,7 @@ class TestCountsOnce:
                 assert (best, totals[best]) == (entry.grid, entry.cost), key
                 for idx in range(key[0] - 1, sum(key) - 1):
                     one_shot = estimate_loop_cost(full.loops[idx], entry.scheme, entry.grid, env, model)
-                    assert LoopCost.of(counts[key, idx, entry.grid], model) == one_shot
+                    assert loop_time(counts[key, idx, entry.grid], model) == one_shot
             for pair, (change, carried) in zip(pairs, plans):
                 assert change.seconds(model) == full.change_cost(*pair)
                 assert sum(plan.seconds(model) for plan in carried) == full.loop_carried_cost(*pair)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.alignment.graph import cag_part
-from repro.costmodel.loopcost import LoopCost, loop_facts
+from repro.costmodel.loopcost import loop_facts
 from repro.costmodel.primitives import ONE_TO_MANY
 from repro.dp import build_phase_tables
 from repro.lang import gauss_program
@@ -42,7 +42,7 @@ def cag_weight(program, index, env):
 def loop_facts_price(program, index, env):
     entry = build_phase_tables(program, NPROCS, env, MODEL).entry(index + 1, 1)
     counts = loop_facts(program.loops()[index], env).price(entry.scheme, entry.grid)
-    return [term.cost for term in LoopCost.of(counts, MODEL).terms]
+    return [MODEL.seconds(*term[1:4]) for term in counts]
 
 
 def naive_pipeline(program, index, env):
