@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any
 
 from repro.errors import CostModelError
 from repro.util.lazy import Lazy
 
-Scheme = Hashable  # opaque to the DP
 CostFn = Callable[[Any, Any], float]
 
 

@@ -3,9 +3,11 @@
 The DP picks its scheme sequence by summing *analytic* redistribution
 costs; this module closes the loop (ISSUE 2): every transition of the
 chosen chain is lowered to a generated SPMD program
-(:mod:`repro.codegen.redist`), executed on the simulator — on both the
-deterministic :class:`~repro.machine.engine.Engine` and the
-:class:`~repro.machine.threaded.ThreadedEngine` — and checked two ways:
+(:mod:`repro.codegen.redist`), executed on the simulator — by default
+on both backends of :data:`~repro.machine.threaded.BACKENDS`, which
+differ only in how a program error surfaces, so on a passing chain the
+second run repeats the first (``backends=("engine",)`` runs it once) —
+and checked two ways:
 
 * **element-level correctness** — after the run, every rank holds exactly
   the destination placement's local section of every moved array;

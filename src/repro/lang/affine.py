@@ -12,11 +12,8 @@ coefficients.  Instances are immutable and hashable.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Union
 
 from repro.errors import AffineError
-
-Number = Union[int, float]
 
 
 class Affine:

@@ -501,9 +501,8 @@ class Proc:
         """Route one message copy through the fault plan, then commit it.
 
         Runs entirely on the sending rank (synchronously inside ``send``),
-        so the per-channel attempt counters and dedup state the engine
-        keeps are confined to one thread per channel — no locks needed
-        beyond the engine's own delivery lock in the threaded backend.
+        so each channel's attempt counter and dedup state are advanced in
+        that rank's program order alone.
         """
         engine = self._engine
         faults = engine.faults
@@ -574,7 +573,7 @@ class Proc:
         raises :class:`repro.errors.RetryExhaustedError`, the crash
         symptom the resilient supervisor restarts on.  (The check uses
         the *plan*, not the fired state, so it is independent of how far
-        the doomed rank's thread has actually progressed.)
+        the doomed rank has actually run.)
         """
         model = self._engine.model
         faults = self._engine.faults
@@ -715,12 +714,8 @@ class Proc:
 class Engine:
     """The machine core — processor state, the message store and the park /
     wake / stall rules — plus the deterministic event-calendar driver
-    (:meth:`run`).  :class:`repro.machine.threaded.ThreadedEngine` drives
-    the same core with one OS thread per rank."""
-
-    #: Whether the run's metrics registry locks its shared histograms:
-    #: the one thing the two drivers construct differently.
-    _threadsafe = False
+    (:meth:`run`), which raises the first program error in ready order.
+    :class:`repro.machine.threaded.ThreadedEngine` drains errors instead."""
 
     def __init__(
         self,
@@ -734,8 +729,7 @@ class Engine:
         self.procs: list[Proc] = []
         self._tracing = trace
         self.fault_plan = faults
-        # Route lengths belong to the topology, not to a run.  (Threads
-        # read it unlocked: a racing double-compute stores the same value.)
+        # Route lengths belong to the topology, not to a run.
         self._hops: dict[tuple[int, int], int] = {}
         self._reset_run_state()
 
@@ -760,15 +754,14 @@ class Engine:
         self.message_count = 0
         self.message_words = 0
         self.trace = Trace([TraceLane() for _ in self.procs])
-        self.metrics = Metrics(self.topology.size, threadsafe=self._threadsafe)
+        self.metrics = Metrics(self.topology.size)
         self._observe = self.metrics.observe  # what record() calls
         self.faults = (
             FaultState(self.fault_plan) if self.fault_plan is not None else None
         )
         self._timeout_fired = [False] * len(self.procs)  # rank -> expired at a stall
         # Attempt counters and reliable-dedup state are keyed by channel;
-        # each channel has exactly one sending rank, so under the threaded
-        # driver each key is only ever touched by that rank's thread.
+        # each channel has exactly one sending rank.
         self._send_attempts: dict[Channel, int] = {}
         self._reliable_last: dict[Channel, int] = {}
         self._recent = [deque(maxlen=RECENT_EVENTS) for _ in self.procs]
@@ -891,8 +884,7 @@ class Engine:
         detail: str = "",
         scope: str = "",
     ) -> None:
-        """Account one event (unlocked under the threaded driver: each
-        rank's thread appends only to its own lanes)."""
+        """Account one event on *rank*'s metrics, recent ring and lane."""
         self._observe(rank, kind, start, end, peer, words, tag, scope, detail)
         self._recent[rank].append((kind, start, end, peer, tag, detail))
         if self._tracing:

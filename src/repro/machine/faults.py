@@ -26,7 +26,7 @@ Every per-message decision is drawn from a private RNG seeded by
 ``(plan.seed, source, dest, tag, attempt)`` — *not* from shared RNG
 state — so the fate of a message is independent of scheduling order.
 Consequently a seeded, crash-free plan yields bit-identical numeric
-results on both the deterministic and the threaded backend, and
+results on both backends, under any order of ready ranks, and
 identical results to the fault-free run (faults move clocks, never
 payloads; see ``docs/RESILIENCE.md``).
 """
@@ -152,9 +152,9 @@ class FaultState:
 
     Owns the fired-crash bookkeeping (a crash fires once) and derives
     message fates.  Message-fate queries are pure functions of
-    ``(seed, source, dest, tag, attempt)`` so they are thread-safe and
-    scheduling-independent; crash state is only touched by the owning
-    rank's thread.
+    ``(seed, source, dest, tag, attempt)`` so they are
+    scheduling-independent; a rank's crash state is only advanced by
+    that rank.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -187,8 +187,7 @@ class FaultState:
 
         Used by the nonblocking layer to fail a request against a dead
         peer with the crash as context instead of letting it wedge into a
-        deadlock (list reads are GIL-atomic, so this is safe from any
-        thread of the threaded backend).
+        deadlock.
         """
         for crash in self._fired:
             if crash.rank == rank:
@@ -199,8 +198,8 @@ class FaultState:
         """The plan's crash that has killed *rank* by simulated *time*.
 
         Unlike :meth:`fired_crash` this is a pure function of the plan —
-        it does not depend on whether the doomed rank's thread has
-        actually reached its crash point yet — so scheduling-sensitive
+        it does not depend on whether the doomed rank has actually
+        reached its crash point yet — so scheduling-sensitive
         decisions (e.g. whether a message gets hardware-acked) stay
         deterministic across backends.
         """

@@ -21,7 +21,6 @@ time attributable to that key.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
@@ -118,13 +117,11 @@ def _counter_table(title: str, key_header: str, counters: dict) -> str:
 class Metrics:
     """Registry of counters for one engine run.
 
-    Per-rank fields are only ever touched by the owning rank (thread), so
-    they need no synchronization; the shared histograms take a lock when
-    ``threadsafe`` is set (used by the threaded backend).
+    Per-rank fields accumulate in that rank's program order; the shared
+    histograms accumulate in the order the engine runs events.
     """
 
     nprocs: int
-    threadsafe: bool = False
     ranks: list[RankMetrics] = field(init=False)
     by_kind: dict[str, GroupStats] = field(init=False, default_factory=dict)
     by_tag: dict[int, GroupStats] = field(init=False, default_factory=dict)
@@ -163,9 +160,6 @@ class Metrics:
 
     def __post_init__(self) -> None:
         self.ranks = [RankMetrics(r) for r in range(self.nprocs)]
-        # None instead of a nullcontext: entering a context manager per
-        # observed event is measurable on the calendar engine's hot path.
-        self._lock = threading.Lock() if self.threadsafe else None
 
     # -- population (called by Engine.record) ---------------------------
     def observe(
@@ -181,78 +175,68 @@ class Metrics:
         detail: str = "",
     ) -> None:
         duration = end - start
-        # One pass, one body: the threaded backend holds the lock across
-        # it (per-rank fields are thread-confined and would not need it).
-        # The float sums accumulate in the same order as always (rank
-        # field, by_kind, by_tag, by_collective), so serialized metrics
-        # stay bit-identical; only a send carries messages and words
-        # into the histograms, every other kind would add zeros.
-        lock = self._lock
-        if lock is not None:
-            lock.acquire()
-        try:
-            sent = comm = False
-            if kind == "send" or kind == "isend":
-                r = self.ranks[rank]
-                r.comm_seconds += duration
-                r.messages_sent += 1
-                r.words_sent += words
-                sent = comm = True
-            elif kind == "recv":
-                r = self.ranks[rank]
-                r.comm_seconds += duration
-                r.messages_received += 1
-                r.words_received += words
-                comm = True
-            elif kind == "wait":
-                self.ranks[rank].wait_seconds += duration
-            elif kind == "compute":
-                self.ranks[rank].compute_seconds += duration
-            elif kind == "delay":
-                self.ranks[rank].delay_seconds += duration
-            elif kind == "fault":
-                key = detail or "fault"
-                self.faults[key] = self.faults.get(key, 0) + 1
-                scope = ""  # fault markers count by kind only
-            group = self.by_kind
-            stats = group.get(kind)
+        # One pass, one body.  The float sums accumulate in a fixed order
+        # (rank field, by_kind, by_tag, by_collective), which serialized
+        # metrics pin; only a send carries messages and words into the
+        # histograms, every other kind would add zeros.
+        sent = comm = False
+        if kind == "send" or kind == "isend":
+            r = self.ranks[rank]
+            r.comm_seconds += duration
+            r.messages_sent += 1
+            r.words_sent += words
+            sent = comm = True
+        elif kind == "recv":
+            r = self.ranks[rank]
+            r.comm_seconds += duration
+            r.messages_received += 1
+            r.words_received += words
+            comm = True
+        elif kind == "wait":
+            self.ranks[rank].wait_seconds += duration
+        elif kind == "compute":
+            self.ranks[rank].compute_seconds += duration
+        elif kind == "delay":
+            self.ranks[rank].delay_seconds += duration
+        elif kind == "fault":
+            key = detail or "fault"
+            self.faults[key] = self.faults.get(key, 0) + 1
+            scope = ""  # fault markers count by kind only
+        group = self.by_kind
+        stats = group.get(kind)
+        if stats is None:
+            stats = group[kind] = GroupStats()
+        stats.events += 1
+        stats.seconds += duration
+        if sent:
+            stats.messages += 1
+            stats.words += words
+        if comm:
+            group = self.by_tag
+            stats = group.get(tag)
             if stats is None:
-                stats = group[kind] = GroupStats()
+                stats = group[tag] = GroupStats()
             stats.events += 1
             stats.seconds += duration
             if sent:
                 stats.messages += 1
                 stats.words += words
-            if comm:
-                group = self.by_tag
-                stats = group.get(tag)
-                if stats is None:
-                    stats = group[tag] = GroupStats()
-                stats.events += 1
-                stats.seconds += duration
-                if sent:
-                    stats.messages += 1
-                    stats.words += words
-            if scope:
-                group = self.by_collective
-                stats = group.get(scope)
-                if stats is None:
-                    stats = group[scope] = GroupStats()
-                stats.events += 1
-                stats.seconds += duration
-                if sent:
-                    stats.messages += 1
-                    stats.words += words
-        finally:
-            if lock is not None:
-                lock.release()
+        if scope:
+            group = self.by_collective
+            stats = group.get(scope)
+            if stats is None:
+                stats = group[scope] = GroupStats()
+            stats.events += 1
+            stats.seconds += duration
+            if sent:
+                stats.messages += 1
+                stats.words += words
 
     def observe_overlap(self, rank: int, inflight: float, hidden: float) -> None:
         """Fold one completed nonblocking receive into the overlap stats.
 
         Called by :class:`repro.machine.nonblocking.RecvRequest` at
-        completion time; per-rank fields are thread-confined, so no lock
-        is needed even on the threaded backend.
+        completion time.
         """
         r = self.ranks[rank]
         r.inflight_seconds += inflight
@@ -404,7 +388,7 @@ class Metrics:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict, threadsafe: bool = False) -> "Metrics":
+    def from_dict(cls, data: dict) -> "Metrics":
         """Rebuild a registry from an :meth:`as_dict` snapshot.
 
         The inverse is exact: ``Metrics.from_dict(m.as_dict()).as_dict()
@@ -415,7 +399,7 @@ class Metrics:
         def stats(group: dict) -> dict:
             return {k: _set_fields(GroupStats(), v) for k, v in group.items()}
 
-        m = cls(nprocs=int(data["nprocs"]), threadsafe=threadsafe)
+        m = cls(nprocs=int(data["nprocs"]))
         for entry in data.get("ranks", []):
             _set_fields(m.ranks[int(entry["rank"])], entry)
         m.by_kind = stats(data.get("by_kind", {}))

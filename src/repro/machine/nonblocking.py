@@ -49,13 +49,13 @@ Crashed peers
 A request against a rank killed by an injected
 :class:`~repro.machine.faults.CrashFault` fails with
 :class:`repro.errors.PeerCrashedError` carrying the crash as context —
-on both backends — instead of hanging until the deadlock watchdog.
+on both backends — instead of stalling the machine into a deadlock.
 
 Determinism
 -----------
 Everything here preserves the engine's contract: completion order and
 timestamps are pure functions of the program and the fault plan, never
-of scheduler interleaving, so event and threaded backends agree on
+of the order in which ready ranks run, so both backends agree on
 makespans and produce bit-identical numerics.
 """
 
@@ -453,11 +453,11 @@ def waitany(requests: list[Request]) -> Generator[Any, None, tuple[int, Any]]:
     yet sent cannot be candidates — the simulator has no global clock to
     rank them against — so when no candidate exists the caller parks on
     every pending channel and the rule re-applies at the next delivery.
-    On the threaded backend, which messages are already delivered when a
-    non-parked ``waitany`` inspects its channels can depend on real
-    scheduling; programs that need strict cross-backend determinism
-    should synchronize so candidates are in flight before calling (or
-    use :func:`waitall`).
+    Which messages are already delivered when a non-parked ``waitany``
+    inspects its channels depends on the order in which ready ranks run;
+    programs whose results must not depend on that order should
+    synchronize so candidates are in flight before calling (or use
+    :func:`waitall`).
     """
     if not requests:
         raise CommunicationError("waitany() requires at least one request")

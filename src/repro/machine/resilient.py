@@ -38,7 +38,6 @@ see ``docs/RESILIENCE.md``.
 from __future__ import annotations
 
 import copy
-import threading
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import Any
@@ -61,7 +60,7 @@ from repro.machine.engine import (
 )
 from repro.machine.faults import CrashFault, FaultPlan
 from repro.machine.model import MachineModel
-from repro.machine.threaded import BACKENDS, ThreadedEngine
+from repro.machine.threaded import BACKENDS
 from repro.machine.topology import Topology
 
 
@@ -107,7 +106,7 @@ class ReliableTransport(Transport):
 
     One instance may be shared by every rank of a run: sequence counters
     are keyed by ``(sender, dest, tag)``, and each key is only ever
-    touched by the owning sender's thread.  Receives are inherited
+    advanced by the owning sender.  Receives are inherited
     unchanged — all reliability machinery (dedup, ack synthesis) lives
     on the send path and in the engine's deliver layer.
     """
@@ -272,18 +271,16 @@ class CheckpointStore:
         self.nprocs = nprocs
         self.keep = keep
         self._states: list[dict[int, Any]] = [{} for _ in range(nprocs)]
-        self._lock = threading.Lock()
         self.saves = 0
         self.restores = 0
 
     def save(self, rank: int, step: int, state: Any) -> None:
         """Checkpoint *state* for *rank* at iteration *step*."""
-        with self._lock:
-            saved = self._states[rank]
-            saved[step] = copy.deepcopy(state)
-            while len(saved) > self.keep:
-                del saved[min(saved)]
-            self.saves += 1
+        saved = self._states[rank]
+        saved[step] = copy.deepcopy(state)
+        while len(saved) > self.keep:
+            del saved[min(saved)]
+        self.saves += 1
 
     def latest_common_step(self) -> int | None:
         """Newest step every rank has saved, or ``None`` before the first.
@@ -291,26 +288,23 @@ class CheckpointStore:
         ``min`` over ranks of each rank's newest saved step: the unique
         consistent restore point (see class docstring).
         """
-        with self._lock:
-            if any(not saved for saved in self._states):
-                return None
-            return min(max(saved) for saved in self._states)
+        if any(not saved for saved in self._states):
+            return None
+        return min(max(saved) for saved in self._states)
 
     def load(self, rank: int, step: int) -> Any:
         """Fetch *rank*'s state at *step* (deep copy)."""
-        with self._lock:
-            saved = self._states[rank]
-            if step not in saved:
-                raise FaultError(
-                    f"P{rank} has no checkpoint for step {step} "
-                    f"(retained: {sorted(saved)})"
-                )
-            self.restores += 1
-            return copy.deepcopy(saved[step])
+        saved = self._states[rank]
+        if step not in saved:
+            raise FaultError(
+                f"P{rank} has no checkpoint for step {step} "
+                f"(retained: {sorted(saved)})"
+            )
+        self.restores += 1
+        return copy.deepcopy(saved[step])
 
     def clear(self) -> None:
-        with self._lock:
-            self._states = [{} for _ in range(self.nprocs)]
+        self._states = [{} for _ in range(self.nprocs)]
 
 
 #: The checkpoint policy an iterative kernel body takes: ``(restore,
@@ -377,7 +371,6 @@ def run_resilient(
     backend: str = "engine",
     trace: bool = False,
     max_restarts: int = 4,
-    deadlock_timeout: float = 5.0,
 ) -> ResilientResult:
     """Run *program* under *plan*, restarting across injected crashes.
 
@@ -396,19 +389,13 @@ def run_resilient(
     engine_cls = BACKENDS.get(backend)
     if engine_cls is None:
         raise FaultError(f"unknown backend {backend!r}: use one of {sorted(BACKENDS)}")
-    # Only the threaded driver has a watchdog interval to pass on.
-    options = (
-        {"deadlock_timeout": deadlock_timeout} if engine_cls is ThreadedEngine else {}
-    )
     current = plan if plan is not None else FaultPlan()
     restarts = 0
     fired_total: list[CrashFault] = []
     carried_faults: dict[str, int] = {}
 
     while True:
-        engine = engine_cls(
-            topology, model=model, trace=trace, faults=current, **options
-        )
+        engine = engine_cls(topology, model=model, trace=trace, faults=current)
         try:
             result = engine.run(
                 program, args=args, kwargs=kwargs, per_rank_args=per_rank_args

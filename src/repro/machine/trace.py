@@ -8,19 +8,16 @@ from typing import Any, NamedTuple
 
 from repro.errors import TraceError
 
-#: Event kinds in glyph-priority order (highest first): when two events
-#: share a gantt cell, the earlier kind in this tuple wins.  ``fault``
-#: events are zero-duration markers emitted by the fault-injection layer
-#: (drops, delays, retries, crashes — see :mod:`repro.machine.faults`).
-KINDS = ("fault", "compute", "delay", "send", "isend", "recv", "irecv", "wait")
-
 
 class TraceEvent(NamedTuple):
     """One timed event on one lane — the repo's only event record.
 
     ``lane`` is ``"rank"`` for simulated events: ``rank`` is the
     processor, ``start``/``end`` are simulated times and ``kind`` is one
-    of :data:`KINDS`.  For communication events, ``peer`` is the other
+    of ``compute``, ``delay``, ``send``, ``isend``, ``recv``, ``irecv``,
+    ``wait`` or ``fault`` (a zero-duration marker of the fault-injection
+    layer: drops, delays, retries, crashes — see
+    :mod:`repro.machine.faults`).  For communication events, ``peer`` is the other
     endpoint and ``words`` the message size.  A blocking receive
     produces up to two events: a ``wait`` covering the idle interval
     from the moment the processor blocked to the moment the message

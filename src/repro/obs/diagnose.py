@@ -496,9 +496,6 @@ def critical_path_diff(
 
 # -- cost-model term decomposition and drift root-causing ----------------
 
-#: The decomposition's term names, in reporting order.
-TERMS = ("compute", "alpha", "transfer", "wait")
-
 
 def drift_terms(metrics, model) -> dict[str, float]:
     """Split a run's rank-seconds into the cost model's terms.

@@ -56,9 +56,9 @@ from repro.kernels import (
     sor_pipelined,
     spmv_parallel,
 )
-from repro.machine import TIMED_OUT, Grid2D, MachineModel, Ring, run_spmd
+from repro.machine import BACKENDS, TIMED_OUT, Grid2D, MachineModel, Ring
+from repro.machine.engine import Engine
 from repro.machine.faults import FaultPlan
-from repro.machine.threaded import run_spmd_threaded
 from repro.sparse.csr import random_spd_csr
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "goldens" / "engine_parity.json"
@@ -69,9 +69,9 @@ MODEL = MachineModel(tf=1.0, tc=10.0)
 #: stay in memory, large enough that every rank owns a real block.
 M = 256
 
-#: The threaded backend runs one OS thread per rank; N=256 is its hard
-#: cap and slow to schedule, so the threaded half of the suite runs at
-#: N=64 only (the engine half covers both sizes).
+#: The ``threaded`` rows were recorded when that backend ran one OS
+#: thread per rank, capped at 256, so they stop at N=64; the engine rows
+#: cover both sizes (and the shuffled engines replay them at both).
 THREADED_NS = (64,)
 ENGINE_NS = (64, 256)
 
@@ -189,16 +189,22 @@ def _case(name: str, n: int) -> tuple:
     return kernel, args, topo_of(n), {"model": MODEL}
 
 
-def run_case(name: str, backend: str, n: int, trace: bool = True) -> dict:
+def run_case(
+    name: str, backend: str, n: int, trace: bool = True,
+    engine_cls: type[Engine] | None = None,
+) -> dict:
     """One golden entry: makespan (exact repr), event count, digests.
 
-    ``metrics_digest`` is event-engine only: the threaded backend folds
-    the shared histograms in thread order.  An untraced run returns the
-    trace-free fields alone.
+    ``metrics_digest`` is event-engine only: it was recorded when the
+    threaded backend folded the shared histograms in thread order.  An
+    untraced run returns the trace-free fields alone.  *engine_cls*
+    replaces the backend's engine (a shuffled engine replaying a row).
     """
     kernel, args, topology, kwargs = _case(name, n)
-    runner = run_spmd if backend == "engine" else run_spmd_threaded
-    res = runner(kernel, topology, args=args, trace=trace, **kwargs)
+    kwargs = dict(kwargs)
+    run_kwargs = kwargs.pop("kwargs", None)
+    engine = (engine_cls or BACKENDS[backend])(topology, trace=trace, **kwargs)
+    res = engine.run(kernel, args=args, kwargs=run_kwargs)
     out = {
         "makespan": repr(res.makespan),
         "finish_times_digest": hashlib.sha256(

@@ -15,11 +15,9 @@ RUNNERS = [
 ]
 
 
-def _deadlock_report(runner, prog, n, **kwargs):
-    if runner is run_spmd:  # the generator engine needs no watchdog timeout
-        kwargs.pop("deadlock_timeout", None)
+def _deadlock_report(runner, prog, n):
     with pytest.raises(DeadlockError) as err:
-        runner(prog, Ring(n), **kwargs)
+        runner(prog, Ring(n))
     return err.value.report
 
 
@@ -39,7 +37,7 @@ def one_sided(p):
 class TestReportContents:
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_cycle_names_every_rank_and_channel(self, runner):
-        report = _deadlock_report(runner, ring_wait, 4, deadlock_timeout=0.2)
+        report = _deadlock_report(runner, ring_wait, 4)
         assert report is not None
         assert report.blocked_ranks() == (0, 1, 2, 3)
         assert report.wait_for() == {0: 3, 1: 0, 2: 1, 3: 2}
@@ -50,7 +48,7 @@ class TestReportContents:
 
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_describe_renders_ranks_channels_and_cycle(self, runner):
-        report = _deadlock_report(runner, ring_wait, 3, deadlock_timeout=0.2)
+        report = _deadlock_report(runner, ring_wait, 3)
         text = report.describe()
         assert "3/3 ranks blocked" in text
         for rank in range(3):
@@ -60,7 +58,7 @@ class TestReportContents:
 
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_acyclic_starvation_reported_without_cycle(self, runner):
-        report = _deadlock_report(runner, one_sided, 2, deadlock_timeout=0.2)
+        report = _deadlock_report(runner, one_sided, 2)
         assert report.blocked_ranks() == (1,)
         assert report.cycles() == []
         assert "wait-for graph is acyclic" in report.describe()
@@ -73,8 +71,7 @@ class TestReportContents:
                 p.send(1, 1.0, tag=6)
             yield from p.recv((p.rank - 1) % 2, tag=7)  # wrong tag: stuck
 
-        report = _deadlock_report(runner, busy_then_stuck, 2,
-                                  deadlock_timeout=0.2)
+        report = _deadlock_report(runner, busy_then_stuck, 2)
         text = report.describe()
         assert "compute" in text  # the warmup shows up in recent events
         recents = {b.rank: b.recent for b in report.blocked}
@@ -83,7 +80,7 @@ class TestReportContents:
 
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_as_dict_round_trip(self, runner):
-        report = _deadlock_report(runner, ring_wait, 3, deadlock_timeout=0.2)
+        report = _deadlock_report(runner, ring_wait, 3)
         payload = report.as_dict()
         assert payload["nprocs"] == 3
         assert len(payload["blocked"]) == 3
@@ -102,9 +99,8 @@ class TestReportContents:
             ]
             yield from comm.waitany(requests)
 
-        kwargs = {} if runner is run_spmd else {"deadlock_timeout": 0.2}
         with pytest.raises(DeadlockError) as err:
-            runner(waitany_ring, Ring(3), **kwargs)
+            runner(waitany_ring, Ring(3))
         assert err.value.blocked == {
             0: "recv(source=1, tag=1) | recv(source=2, tag=2)",
             1: "recv(source=0, tag=0) | recv(source=2, tag=2)",
@@ -142,8 +138,7 @@ class TestBuildReport:
 
 class TestManyRankStress:
     def test_32_rank_threaded_ring_deadlock(self):
-        report = _deadlock_report(run_spmd_threaded, ring_wait, 32,
-                                  deadlock_timeout=0.1)
+        report = _deadlock_report(run_spmd_threaded, ring_wait, 32)
         assert report is not None
         assert report.blocked_ranks() == tuple(range(32))
         cycle = report.cycles()
@@ -153,7 +148,6 @@ class TestManyRankStress:
             assert f"P{rank} " in text or f"P{rank}  " in text
 
     def test_32_rank_engine_matches_threaded(self):
-        threaded = _deadlock_report(run_spmd_threaded, ring_wait, 32,
-                                    deadlock_timeout=0.1)
+        threaded = _deadlock_report(run_spmd_threaded, ring_wait, 32)
         engine = _deadlock_report(run_spmd, ring_wait, 32)
         assert engine.as_dict() == threaded.as_dict()

@@ -1,30 +1,32 @@
-"""The driver contract: what both drivers of the machine core must do.
+"""The order contract: what every order of ready ranks must do.
 
-``Engine.run`` (event calendar) and ``ThreadedEngine.run`` (one thread per
-rank) step generators over the *same* message store, park registrations,
-deadline calendar and stall rules (docs/ENGINE.md, "One core, two
-drivers").  Every case here runs on both and pins a rule of the shared
-core by its observable outcome, so a driver that re-implements one of
-them differently fails by name rather than by a golden digest.
+The machine core (``Engine``) runs ready ranks in FIFO order; the
+``threaded`` backend is the same core plus error draining; the shuffled
+engines of :mod:`tests.shuffled_order` pop ready ranks in seeded-random
+order (docs/ENGINE.md).  Every case here runs on
+all of them and pins a rule of the core by its observable outcome, so a
+rule that secretly depends on the ready order fails by name and seed
+rather than by a golden digest.
 """
 
 from __future__ import annotations
-
-import sys
 
 import pytest
 
 from repro.errors import DeadlockError, PeerCrashedError, RankCrashedError
 from repro.machine import BACKENDS, MachineModel, NBComm, Ring, allreduce
-from repro.machine.engine import TIMED_OUT
+from repro.machine.engine import TIMED_OUT, Engine
 from repro.machine.faults import CrashFault, FaultPlan
+from tests.shuffled_order import SEEDS, shuffled
 
 MODEL = MachineModel(tf=1.0, tc=1.0)
 
+ENGINES = {**BACKENDS, **{f"shuffled-{seed}": shuffled(seed) for seed in SEEDS}}
 
-@pytest.fixture(params=sorted(BACKENDS))
+
+@pytest.fixture(params=list(ENGINES))
 def driver(request):
-    return BACKENDS[request.param]
+    return ENGINES[request.param]
 
 
 def test_mixed_timed_receives_expire_in_deadline_then_rank_order(driver):
@@ -201,17 +203,36 @@ def test_program_error_outranks_the_deadlocks_it_causes(driver):
         driver(Ring(3), MODEL).run(prog)
 
 
-def test_injected_crash_outranks_program_errors_and_deadlocks(driver):
-    def prog(p):
-        if p.rank == 0:
-            p.compute(100)  # crosses the crash time
-        if p.rank == 1:
-            raise ValueError("collateral")
-        yield from p.recv(0, tag=2)
+def crash_beside_an_error(p):
+    """Rank 0 crashes, rank 1 fails, rank 2 deadlocks on rank 0."""
+    if p.rank == 0:
+        p.compute(100)  # crosses the crash time
+    if p.rank == 1:
+        raise ValueError("collateral")
+    yield from p.recv(0, tag=2)
 
-    plan = FaultPlan(crashes=(CrashFault(0, at_time=50.0),))
+
+CRASH_AT_50 = FaultPlan(crashes=(CrashFault(0, at_time=50.0),))
+
+
+def test_injected_crash_outranks_program_errors_and_deadlocks(driver):
     with pytest.raises(RankCrashedError):
-        driver(Ring(3), MODEL, faults=plan).run(prog)
+        driver(Ring(3), MODEL, faults=CRASH_AT_50).run(crash_beside_an_error)
+
+
+def test_the_engines_first_error_depends_on_the_ready_order():
+    """Why the ``threaded`` backend drains: the event engine raises the
+    first error in ready order, so under shuffled orders the same program
+    surfaces the crash under some seeds and the collateral error under
+    others.  Draining (every case above) makes the answer order-free."""
+    raised = set()
+    for seed in range(8):
+        with pytest.raises((RankCrashedError, ValueError)) as err:
+            shuffled(seed, Engine)(Ring(3), MODEL, faults=CRASH_AT_50).run(
+                crash_beside_an_error
+            )
+        raised.add(type(err.value))
+    assert raised == {RankCrashedError, ValueError}
 
 
 def test_true_deadlock_is_one_error_naming_every_parked_rank(driver):
@@ -229,9 +250,9 @@ def test_true_deadlock_is_one_error_naming_every_parked_rank(driver):
 
 
 def test_oversubscribed_threads_keep_the_cores_counters_exact():
-    """More threads than cores, switching every few bytecodes: a store
-    operation that escaped the driver's lock would lose a message or a
-    histogram update, and the snapshot would differ from the event run."""
+    """48 ranks under several ready orders: a store operation or a
+    histogram update that depended on the order would lose a message or
+    move a float sum, and the snapshot would differ from the FIFO run."""
 
     def prog(p):
         total = 0.0
@@ -239,14 +260,33 @@ def test_oversubscribed_threads_keep_the_cores_counters_exact():
             total = yield from allreduce(p, total + p.rank, tuple(range(p.nprocs)))
         return total
 
-    reference = BACKENDS["engine"](Ring(48), MODEL).run(prog)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        res = BACKENDS["threaded"](Ring(48), MODEL).run(prog)
-    finally:
-        sys.setswitchinterval(interval)
-    assert res.values == reference.values
-    assert res.finish_times == reference.finish_times
-    assert res.message_count == reference.message_count
-    assert res.metrics.as_dict() == reference.metrics.as_dict()
+    reference = Engine(Ring(48), MODEL).run(prog)
+    for seed in SEEDS:
+        res = shuffled(seed)(Ring(48), MODEL).run(prog)
+        assert res.values == reference.values, seed
+        assert res.finish_times == reference.finish_times, seed
+        assert res.message_count == reference.message_count, seed
+        assert res.metrics.as_dict() == reference.metrics.as_dict(), seed
+
+
+def test_a_planted_order_dependence_is_caught_by_every_seed():
+    """The oracle's own check: ranks that share a Python list and append
+    to it after a receive return values that depend on the ready order.
+    Every shuffle seed must tell them from the FIFO run."""
+
+    def planted(p, arrivals):
+        if p.rank == 0:
+            for dest in range(1, p.nprocs):
+                p.send(dest, dest, words=1)
+            return 0
+        yield from p.recv(0)
+        arrivals.append(p.rank)
+        return len(arrivals)
+
+    def values(engine_cls):
+        return engine_cls(Ring(16), MODEL).run(planted, args=([],)).values
+
+    fifo = values(Engine)
+    assert fifo == list(range(16))
+    for seed in SEEDS:
+        assert values(shuffled(seed)) != fifo, seed

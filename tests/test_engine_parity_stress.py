@@ -13,6 +13,9 @@ run, a posted-transport run, a timeout storm (the timed receive: deadline
 heap and stall step, threaded too) and the sparse executor's ghost gather
 (the posted receive) — also pin ``Metrics.as_dict()`` by digest: a float sum accumulated in another order fails here even when
 every timestamp is right, and the untraced run must fold the same sums.
+The order contract is checked here too: every engine row, N=256
+included, is replayed under seeded shuffles of the ready order
+(``tests/shuffled_order.py``) and must come out byte-identical.
 See ``tests/parity_goldens.py`` for the capture procedure and
 ``docs/ENGINE.md`` for the contract.
 """
@@ -31,6 +34,7 @@ from tests.parity_goldens import (
     golden_keys,
     run_case,
 )
+from tests.shuffled_order import SEEDS, shuffled
 
 with GOLDEN_PATH.open() as fh:
     GOLDENS = json.load(fh)
@@ -68,3 +72,15 @@ def test_untraced_run_folds_the_same_metrics(name):
     got = run_case(name, "engine", n, trace=False)
     want = GOLDENS[f"{name}-N{n}-engine"]
     assert got == {field: want[field] for field in got}
+
+
+ENGINE_ROWS = [(name, n) for name, backend, n in golden_keys() if backend == "engine"]
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+@pytest.mark.parametrize("name,n", ENGINE_ROWS, ids=[f"{name}-N{n}" for name, n in ENGINE_ROWS])
+def test_shuffled_ready_order_reproduces_the_engine_row(name, n, seed):
+    """Makespan, events, finish-time, trace and metrics digests, words:
+    the FIFO run's whole row, from a run that popped ready ranks at random."""
+    got = run_case(name, "engine", n, engine_cls=shuffled(seed))
+    assert got == GOLDENS[f"{name}-N{n}-engine"]

@@ -1,6 +1,6 @@
 """Source-sweep guards: no dead public names, no kernel twins, the one FIFO
-pairing pass, the one Table 1 / rule table, the one machine core under
-two drivers, the one run registry / mode table / emitter of the tools and
+pairing pass, the one Table 1 / rule table, the one machine core, the
+one run registry / mode table / emitter of the tools and
 the template recognizers / one family table of the code generator.
 
 The shim check keeps removed names out; this is the dual.  Every public
@@ -239,12 +239,13 @@ def test_runtime_does_not_classify_placement_changes():
     ]
 
 
-# -- one machine core, two drivers (ISSUE 19) ---------------------------------
+# -- one machine core ---------------------------------------------------------
 # The message store, the park / wake / stall rules and the per-run state
-# are written once, in machine/engine.py; machine/threaded.py is a lock
-# and a worker loop around them.  A second ``def`` of any of these names,
-# a queue access or a ``min()`` over deadlines in the threaded driver is
-# the lock-based mirror growing back.
+# are written once, in machine/engine.py; machine/threaded.py is the error
+# draining rule around ``Engine.run``.  A second ``def`` of any of these
+# names, a queue access or a ``min()`` over deadlines in the threaded
+# backend, or a thread anywhere in the machine, is the lock-based mirror
+# growing back.
 
 CORE_RULES = (
     "_stall_step", "_wake_crashed_nb", "_deadlock", "_unpark",
@@ -272,15 +273,19 @@ def _machine_names(filename: str = "*.py") -> set[str]:
 
 
 def test_threaded_driver_locks_at_most_three_core_rules():
-    """A timed resume asks one question (``try_pop_by``) under one lock
-    acquisition; a fourth locked row is the two-question protocol back."""
+    """The threaded backend wraps no core rule, and no machine module
+    imports ``threading``: a run starts no thread and takes no lock."""
     tree = ast.parse((SRC / "machine" / "threaded.py").read_text())
-    locked = [
-        node.args[0].attr for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_locked"
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not (defined | _machine_names("threaded.py")) & set(CORE_RULES)
+    importers = [
+        path.name
+        for path in sorted((SRC / "machine").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(a.name == "threading" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "threading")
     ]
-    assert sorted(locked) == ["peek_available", "try_pop", "try_pop_by"]
-    assert set(locked) <= set(CORE_RULES)
+    assert importers == []
 
 
 def test_posted_path_validates_endpoints_through_the_procs_cache():

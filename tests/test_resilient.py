@@ -169,7 +169,7 @@ class TestRunResilient:
         res = run_resilient(
             resilient_jacobi, Ring(4), MODEL, args=args,
             kwargs={"checkpoints": store, "interval": 2},
-            plan=plan, backend=backend, deadlock_timeout=0.2,
+            plan=plan, backend=backend,
         )
         np.testing.assert_array_equal(res.value(0), ref)
         assert res.restarts == 1
