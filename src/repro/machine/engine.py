@@ -17,10 +17,15 @@ Clock semantics (see :mod:`repro.machine.model`):
 
 Because sends never block and receives name their source, the simulated
 timestamps and all numeric results are independent of the engine's
-scheduling order — the simulation is deterministic.  Fault injection
-(:mod:`repro.machine.faults`) preserves this: message fates are pure
-functions of ``(seed, channel, attempt)``, so a seeded crash-free plan
-moves clocks but never payloads.
+scheduling order — the simulation is deterministic.
+
+This module is the reliable machine of the paper (§2.2): no method of
+:class:`Proc` reads a fault plan.  ``Engine(…, faults=plan)`` builds
+:class:`repro.machine.faults.FaultProc` processors instead, which add
+slowdown, crashes and message fates around the core's steps; the one
+thing a sequenced send (``seq=``) gets from the core is the NIC's
+per-channel dedup and ack, which reliable runs need with or without a
+plan.
 
 The scheduler is an indexed event calendar (:class:`EventCalendar`): a
 FIFO of ready ranks and a heap of timed-receive deadlines (ordered by
@@ -40,9 +45,9 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Generator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -50,15 +55,16 @@ from repro.errors import (
     CommunicationError,
     DeadlockError,
     MachineError,
-    RankCrashedError,
 )
-from repro.machine.faults import FaultPlan, FaultState
 from repro.machine.forensics import RECENT_EVENTS, build_report
 from repro.machine.metrics import Metrics
 from repro.machine.model import MachineModel
 from repro.machine.topology import Topology
 from repro.machine.trace import Trace, TraceLane
 from repro.obs.context import stamp_current
+
+if TYPE_CHECKING:
+    from repro.machine.faults import FaultPlan
 
 Channel = tuple[int, int, int]  # (source, dest, tag)
 
@@ -291,6 +297,11 @@ class Proc:
 
     def __init__(self, engine: "Engine", rank: int) -> None:
         self._engine = engine
+        # The occupancy model and the delivery route, bound once: the
+        # fault layer gives a slowed rank its own model and routes every
+        # copy through its fates (:class:`repro.machine.faults.FaultProc`).
+        self._model = engine.model
+        self._deliver = engine.deliver
         self.rank = rank
         self.clock = 0.0
         self.scope = ""  # active collective label stack (see scoped())
@@ -323,31 +334,13 @@ class Proc:
         """
         return _Scope(self, label)
 
-    # -- fault hooks ------------------------------------------------------
-    def _scaled(self, seconds: float) -> float:
-        """Apply this rank's injected slowdown factor to a local duration."""
-        faults = self._engine.faults
-        return seconds if faults is None else seconds * faults.slowdown(self.rank)
-
-    def _maybe_crash(self) -> None:
-        """Fire a pending injected crash once the local clock reaches it."""
-        faults = self._engine.faults
-        if faults is None:
-            return
-        crash = faults.crash_due(self.rank, self.clock)
-        if crash is not None:
-            self._engine.record(
-                self.rank, "fault", self.clock, self.clock, detail="crash",
-                scope=self.scope,
-            )
-            raise RankCrashedError(crash.rank, crash.at_time)
-
     def mark(self, detail: str, peer: int | None = None, tag: int = 0) -> None:
         """Record a zero-duration resilience marker (``fault`` event).
 
-        Used by the reliable-transfer and checkpoint layers to surface
-        ``retry`` / ``checkpoint`` / ``restore`` events into
-        :attr:`Metrics.faults` and the Chrome-trace export.
+        Used by the NIC's acks, the fault layer and the reliable-transfer
+        and checkpoint layers to surface ``ack`` / ``drop`` / ``retry`` /
+        ``checkpoint`` / ``restore`` events into :attr:`Metrics.faults`
+        and the Chrome-trace export.
         """
         self._engine.record(
             self.rank, "fault", self.clock, self.clock, peer=peer, tag=tag,
@@ -361,16 +354,10 @@ class Proc:
             raise MachineError(f"negative flops: {flops}")
         engine = self._engine
         start = self.clock
-        seconds = flops * engine.model.tf
-        faults = engine.faults
-        if faults is not None:
-            seconds *= faults.slowdown(self.rank)
-        self.clock = start + seconds
+        self.clock = start + flops * engine.model.tf
         engine.record(
             self.rank, "compute", start, self.clock, None, 0, 0, label, self.scope
         )
-        if faults is not None:
-            self._maybe_crash()
 
     def delay(self, seconds: float, label: str = "") -> None:
         """Advance the local clock by raw simulated seconds."""
@@ -378,15 +365,10 @@ class Proc:
             raise MachineError(f"negative delay: {seconds}")
         engine = self._engine
         start = self.clock
-        faults = engine.faults
-        if faults is not None:
-            seconds = seconds * faults.slowdown(self.rank)
         self.clock = start + seconds
         engine.record(
             self.rank, "delay", start, self.clock, None, 0, 0, label, self.scope
         )
-        if faults is not None:
-            self._maybe_crash()
 
     # -- point-to-point ---------------------------------------------------
     def _endpoint(self, peer: int, tag: int, sending: bool) -> None:
@@ -460,8 +442,7 @@ class Proc:
         nwords = _payload_words(data) if words is None else int(words)
         if nwords < 0:
             raise CommunicationError(f"negative message size {nwords}")
-        model = engine.model
-        faults = engine.faults
+        model = self._model
         start = self.clock
         hops_cache = engine._hops
         key = (self.rank, dest)
@@ -469,126 +450,58 @@ class Proc:
         if hops is None:
             hops = hops_cache[key] = engine.topology.hops(self.rank, dest)
         if posted:
-            occupancy = model.post_occupancy(nwords)
-            if faults is not None:
-                occupancy *= faults.slowdown(self.rank)
-            self.clock = start + occupancy
+            self.clock = start + model.post_occupancy(nwords)
             available = self.clock + model.posted_wire_latency(nwords, hops)
             kind = "isend"
         else:
-            occupancy = model.send_occupancy(nwords)
-            if faults is not None:
-                occupancy *= faults.slowdown(self.rank)
-            self.clock = start + occupancy
+            self.clock = start + model.send_occupancy(nwords)
             available = self.clock + model.wire_latency(nwords, hops)
             kind = "send"
         msg = _Message(
             _payload_copy(data), nwords, available, start, self.rank, dest, tag, seq
         )
-        # Record the send before dispatching: dispatch may append
-        # zero-duration fault markers at the send's end time, and lanes
-        # must stay time-ordered for the critical-path walker.
+        # Record the send before delivering: acks and fault markers are
+        # zero-duration events at the send's end time, and lanes must stay
+        # time-ordered for the critical-path walker.
         engine.record(
             self.rank, kind, start, self.clock, dest, nwords, tag, "", self.scope
         )
-        if faults is None and seq is None:
-            engine.deliver(msg)  # fast path: nothing to inject or ack
+        if seq is None:
+            self._deliver(msg)
         else:
-            self._dispatch(msg)
-            self._maybe_crash()
-
-    def _dispatch(self, msg: _Message) -> None:
-        """Route one message copy through the fault plan, then commit it.
-
-        Runs entirely on the sending rank (synchronously inside ``send``),
-        so each channel's attempt counter and dedup state are advanced in
-        that rank's program order alone.
-        """
-        engine = self._engine
-        faults = engine.faults
-        if faults is None:
             self._commit(msg)
-            return
-        channel: Channel = (msg.source, msg.dest, msg.tag)
-        attempt = engine.next_attempt(channel)
-        fate = faults.fate(
-            msg.source, msg.dest, msg.tag, attempt,
-            reliable=msg.seq is not None, is_ack=msg.system,
-        )
-        prefix = "ack-" if msg.system else ""
-        if fate.drop:
-            engine.record(
-                self.rank, "fault", self.clock, self.clock, peer=msg.dest,
-                tag=msg.tag, detail=f"{prefix}drop", scope=self.scope,
-            )
-            return
-        if fate.delay > 0.0:
-            msg.available += fate.delay
-            engine.record(
-                self.rank, "fault", self.clock, self.clock, peer=msg.dest,
-                tag=msg.tag, detail=f"{prefix}delay", scope=self.scope,
-            )
-        self._commit(msg)
-        if fate.duplicate:
-            engine.record(
-                self.rank, "fault", self.clock, self.clock, peer=msg.dest,
-                tag=msg.tag, detail="duplicate", scope=self.scope,
-            )
-            self._commit(replace(msg, data=_payload_copy(msg.data)))
 
     def _commit(self, msg: _Message) -> None:
-        """Deliver one surviving copy, with receiver-side dedup and acks.
+        """Deliver one copy of a sequenced message, with receiver-side
+        dedup and the ack.
 
-        Reliable data messages (``seq`` set, not system) are deduplicated
-        per channel; a suppressed duplicate is still re-acked, otherwise a
-        sender whose ack was dropped would retry forever.
+        Copies are deduplicated per channel; a suppressed duplicate is
+        still re-acked, otherwise a sender whose ack was lost would retry
+        forever.  Runs on the sending rank (synchronously inside
+        ``send``), so each channel's dedup state advances in that rank's
+        program order alone.
         """
         engine = self._engine
-        if msg.seq is None or msg.system:
-            engine.deliver(msg)
-            return
         channel: Channel = (msg.source, msg.dest, msg.tag)
-        last = engine._reliable_last.get(channel, -1)
-        if msg.seq <= last:
-            engine.record(
-                self.rank, "fault", self.clock, self.clock, peer=msg.dest,
-                tag=msg.tag, detail="dup-suppressed", scope=self.scope,
-            )
+        if msg.seq <= engine._reliable_last.get(channel, -1):
+            self.mark("dup-suppressed", msg.dest, msg.tag)
         else:
             engine._reliable_last[channel] = msg.seq
             engine.deliver(msg)
         self._ack(msg)
 
     def _ack(self, data_msg: _Message) -> None:
-        """Synthesize the hardware-level ack for a reliable data message.
+        """Synthesize the hardware-level ack for a sequenced data message.
 
         The ack is a *system* message: it models the NIC acknowledging
         receipt, costs no occupancy on either rank, is excluded from the
         program's message counters, and becomes available one word-time
-        after the data did.  Acks themselves pass through the fault plan
-        (droppable, delayable) but are never duplicated or deduplicated.
-
-        A machine that the fault plan has killed by the time the data
-        lands does not ack: the sender's retries go unanswered and it
-        raises :class:`repro.errors.RetryExhaustedError`, the crash
-        symptom the resilient supervisor restarts on.  (The check uses
-        the *plan*, not the fired state, so it is independent of how far
-        the doomed rank has actually run.)
+        after the data did.  It is never duplicated or deduplicated.
         """
-        model = self._engine.model
-        faults = self._engine.faults
-        if faults is not None and faults.crashed_by(
-            data_msg.dest, data_msg.available
-        ) is not None:
-            self._engine.record(
-                self.rank, "fault", self.clock, self.clock, peer=data_msg.dest,
-                tag=data_msg.tag, detail="ack-dead", scope=self.scope,
-            )
-            return
         ack = _Message(
             data=data_msg.seq,
             words=1,
-            available=data_msg.available + model.words(1),
+            available=data_msg.available + self._engine.model.words(1),
             sent_at=data_msg.available,
             source=data_msg.dest,
             dest=data_msg.source,
@@ -596,11 +509,8 @@ class Proc:
             seq=data_msg.seq,
             system=True,
         )
-        self._engine.record(
-            self.rank, "fault", self.clock, self.clock, peer=data_msg.dest,
-            tag=data_msg.tag, detail="ack", scope=self.scope,
-        )
-        self._dispatch(ack)
+        self.mark("ack", data_msg.dest, data_msg.tag)
+        self._deliver(ack)
 
     def _recv_impl(
         self, source: int, tag: int, deadline: float | None
@@ -632,8 +542,6 @@ class Proc:
                     self.rank, "fault", self.clock, self.clock, source, 0, tag,
                     "timeout", self.scope,
                 )
-                if engine.faults is not None:
-                    self._maybe_crash()
                 return TIMED_OUT
         arrival = msg.available
         if arrival > block_start:
@@ -643,17 +551,11 @@ class Proc:
             )
         else:
             arrival = block_start
-        occupancy = engine.model.recv_occupancy(msg.words)
-        faults = engine.faults
-        if faults is not None:
-            occupancy *= faults.slowdown(self.rank)
-        self.clock = arrival + occupancy
+        self.clock = arrival + self._model.recv_occupancy(msg.words)
         engine.record(
             self.rank, "recv", arrival, self.clock, source, msg.words, tag,
             "", self.scope,
         )
-        if faults is not None:
-            self._maybe_crash()
         return msg.data
 
     def recv(self, source: int, tag: int = 0) -> Generator[Any, None, Any]:
@@ -741,10 +643,20 @@ class Engine:
         bound (not cleared) so results returned from earlier runs stay
         valid.  The processors are new too: each points back at the
         engine, so a run releases them when it ends (see :meth:`run`), and
-        the next one builds its own.
+        the next one builds its own.  A fault plan makes them
+        :class:`~repro.machine.faults.FaultProc` processors over a fresh
+        :class:`~repro.machine.faults.FaultState` (``faults``, ``None`` on
+        the reliable machine).
         """
+        proc_cls: type[Proc] = Proc
+        self.faults = None
+        if self.fault_plan is not None:
+            from repro.machine.faults import FaultProc, FaultState
+
+            proc_cls = FaultProc
+            self.faults = FaultState(self.fault_plan)
         if not self.procs:
-            self.procs = [Proc(self, r) for r in range(self.topology.size)]
+            self.procs = [proc_cls(self, r) for r in range(self.topology.size)]
         self._queues: dict[Channel, deque[_Message]] = {}
         self._waiting: dict[Channel, int] = {}  # channel -> parked rank
         self._parked_on: dict[int, Channel] = {}  # rank in a blocking receive
@@ -756,13 +668,9 @@ class Engine:
         self.trace = Trace([TraceLane() for _ in self.procs])
         self.metrics = Metrics(self.topology.size)
         self._observe = self.metrics.observe  # what record() calls
-        self.faults = (
-            FaultState(self.fault_plan) if self.fault_plan is not None else None
-        )
         self._timeout_fired = [False] * len(self.procs)  # rank -> expired at a stall
-        # Attempt counters and reliable-dedup state are keyed by channel;
-        # each channel has exactly one sending rank.
-        self._send_attempts: dict[Channel, int] = {}
+        # Sequenced-dedup state is keyed by channel; each channel has
+        # exactly one sending rank.
         self._reliable_last: dict[Channel, int] = {}
         self._recent = [deque(maxlen=RECENT_EVENTS) for _ in self.procs]
 
@@ -864,13 +772,6 @@ class Engine:
         """True when the FIFO head exists and is available by *now*."""
         avail = self.peek_available(channel)
         return avail is not None and avail <= now
-
-    # -- fault bookkeeping ----------------------------------------------
-    def next_attempt(self, channel: Channel) -> int:
-        """Per-channel attempt counter feeding the fault plan's RNG."""
-        attempt = self._send_attempts.get(channel, 0)
-        self._send_attempts[channel] = attempt + 1
-        return attempt
 
     def record(
         self,
@@ -1114,8 +1015,8 @@ def run_spmd(
         Optional per-rank positional arguments (e.g. scattered input
         blocks); overrides *args* when given.
     faults:
-        Optional :class:`repro.machine.faults.FaultPlan` injected at the
-        send/deliver layer (see ``docs/RESILIENCE.md``).
+        Optional :class:`repro.machine.faults.FaultPlan`, injected by the
+        fault layer's processors (see ``docs/RESILIENCE.md``).
     """
     engine = Engine(topology, model=model, trace=trace, faults=faults)
     return engine.run(program, args=args, kwargs=kwargs, per_rank_args=per_rank_args)

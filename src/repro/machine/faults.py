@@ -11,14 +11,16 @@ machine misbehaves:
   ``include_plain=True`` to chaos-test plain programs into a forensic
   deadlock on purpose;
 * **rank slowdown** — a per-rank factor ``>= 1`` that stretches every
-  local duration (compute, send/recv occupancy), perturbing the
-  effective ``tf``/``tc`` of that processor;
+  local duration (compute, delay, send/recv/post occupancy) of that
+  processor; wire latency belongs to the NIC and is never stretched;
 * **crashes** — ``CrashFault(rank, at_time)`` kills the rank the first
   time its local clock reaches ``at_time``
   (:class:`repro.errors.RankCrashedError`).
 
-Both engine backends consume the same plan at the ``send``/``deliver``
-layer of :class:`repro.machine.engine.Proc`, so no program code changes.
+The engine core (:class:`repro.machine.engine.Proc`) knows none of this.
+``Engine(…, faults=plan)`` builds :class:`FaultProc` processors instead,
+whose every step is the core's step, then the fault; both backends run
+them, so no program code changes.
 
 Determinism contract
 --------------------
@@ -34,10 +36,13 @@ payloads; see ``docs/RESILIENCE.md``).
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Generator, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any
 
-from repro.errors import FaultError
+from repro.errors import FaultError, MachineError, RankCrashedError
+from repro.machine.engine import Channel, Engine, Proc, _Message, _payload_copy
+from repro.machine.model import MachineModel
 
 
 @dataclass(frozen=True)
@@ -133,14 +138,10 @@ class FaultPlan:
 
     # -- derivation ------------------------------------------------------
     def with_crash(self, rank: int, at_time: float) -> "FaultPlan":
-        from dataclasses import replace
-
         return replace(self, crashes=self.crashes + (CrashFault(rank, at_time),))
 
     def without_crash(self, rank: int, at_time: float) -> "FaultPlan":
         """The same plan minus one crash — used across restarts."""
-        from dataclasses import replace
-
         kept = tuple(
             c for c in self.crashes if not (c.rank == rank and c.at_time == at_time)
         )
@@ -150,11 +151,11 @@ class FaultPlan:
 class FaultState:
     """Per-run instantiation of a :class:`FaultPlan`.
 
-    Owns the fired-crash bookkeeping (a crash fires once) and derives
-    message fates.  Message-fate queries are pure functions of
-    ``(seed, source, dest, tag, attempt)`` so they are
-    scheduling-independent; a rank's crash state is only advanced by
-    that rank.
+    Owns the fired-crash bookkeeping (a crash fires once), the
+    per-channel attempt counters and derives message fates.  Message-fate
+    queries are pure functions of ``(seed, source, dest, tag, attempt)``
+    so they are scheduling-independent; a rank's crash state and its
+    channels' attempt counters are only advanced by that rank.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -168,6 +169,7 @@ class FaultState:
         self._pending = pending
         self._initial = dict(pending)
         self._fired: list[CrashFault] = []
+        self._send_attempts: dict[Channel, int] = {}
 
     # -- crashes ---------------------------------------------------------
     def crash_due(self, rank: int, clock: float) -> CrashFault | None:
@@ -208,11 +210,13 @@ class FaultState:
             return crash
         return None
 
-    # -- slowdown --------------------------------------------------------
-    def slowdown(self, rank: int) -> float:
-        return self.plan.slowdown_factor(rank)
-
     # -- message fates ---------------------------------------------------
+    def next_attempt(self, channel: Channel) -> int:
+        """Per-channel attempt counter feeding the fault plan's RNG."""
+        attempt = self._send_attempts.get(channel, 0)
+        self._send_attempts[channel] = attempt + 1
+        return attempt
+
     def fate(
         self,
         source: int,
@@ -235,3 +239,133 @@ class FaultState:
         duplicable = (reliable and not is_ack) or (plan.include_plain and not is_ack)
         duplicate = duplicable and r_dup < plan.duplicate_prob
         return MessageFate(delay=delay, drop=drop, duplicate=duplicate)
+
+
+@dataclass(frozen=True)
+class _Slowed(MachineModel):
+    """A slowed rank's machine: each endpoint occupancy is the machine's
+    own, times *factor*.  Wire latency belongs to the NIC: not slowed."""
+
+    factor: float = 1.0
+
+    def send_occupancy(self, words: int) -> float:
+        return super().send_occupancy(words) * self.factor
+
+    def recv_occupancy(self, words: int) -> float:
+        return super().recv_occupancy(words) * self.factor
+
+    def post_occupancy(self, words: int) -> float:
+        return super().post_occupancy(words) * self.factor
+
+
+class FaultProc(Proc):
+    """A processor of the machine a :class:`FaultPlan` describes.
+
+    Every step is the core's, then the fault: ``compute`` and ``delay``
+    stretch the duration the machine computes by the rank's slowdown
+    factor, the occupancies come from a :class:`_Slowed` model, each
+    message copy passes through :meth:`_fates`, a dead receiver sends no
+    ack, and every step ends by firing a crash that is due.
+    """
+
+    def __init__(self, engine: Engine, rank: int) -> None:
+        super().__init__(engine, rank)
+        # The fated route is this class's _deliver method, not the bare
+        # wire the core binds per instance (a bound method of self stored
+        # on self would make every processor a reference cycle).
+        del self._deliver
+        self._factor = factor = engine.fault_plan.slowdown_factor(rank)
+        if factor != 1.0:
+            self._model = _Slowed(**vars(engine.model), factor=factor)
+
+    def _maybe_crash(self) -> None:
+        """Fire a pending injected crash once the local clock reaches it."""
+        crash = self._engine.faults.crash_due(self.rank, self.clock)
+        if crash is not None:
+            self.mark("crash")
+            raise RankCrashedError(crash.rank, crash.at_time)
+
+    # -- local work -------------------------------------------------------
+    def compute(self, flops: float, label: str = "") -> None:
+        if flops < 0:
+            raise MachineError(f"negative flops: {flops}")
+        self._stretch("compute", flops * self._engine.model.tf, label)
+
+    def delay(self, seconds: float, label: str = "") -> None:
+        if seconds < 0:
+            raise MachineError(f"negative delay: {seconds}")
+        self._stretch("delay", seconds, label)
+
+    def _stretch(self, kind: str, seconds: float, label: str) -> None:
+        start = self.clock
+        self.clock = start + seconds * self._factor
+        self._engine.record(
+            self.rank, kind, start, self.clock, None, 0, 0, label, self.scope
+        )
+        self._maybe_crash()
+
+    # -- point-to-point ---------------------------------------------------
+    def send(
+        self,
+        dest: int,
+        data: Any,
+        words: int | None = None,
+        tag: int = 0,
+        *,
+        seq: int | None = None,
+        posted: bool = False,
+    ) -> None:
+        super().send(dest, data, words, tag, seq=seq, posted=posted)
+        self._maybe_crash()
+
+    def _recv_impl(
+        self, source: int, tag: int, deadline: float | None
+    ) -> Generator[Any, None, Any]:
+        data = yield from super()._recv_impl(source, tag, deadline)
+        self._maybe_crash()
+        return data
+
+    def _fates(self, msg: _Message) -> Generator[_Message, None, None]:
+        """The copies of *msg* the plan lets through, each fate marked as
+        it is decided: none (dropped), one (maybe delayed), or that one
+        and then a duplicate.  Runs on the sending rank, inside ``send``,
+        so each channel's attempts are counted in its sender's order."""
+        faults = self._engine.faults
+        channel: Channel = (msg.source, msg.dest, msg.tag)
+        fate = faults.fate(
+            msg.source, msg.dest, msg.tag, faults.next_attempt(channel),
+            reliable=msg.seq is not None, is_ack=msg.system,
+        )
+        prefix = "ack-" if msg.system else ""
+        if fate.drop:
+            self.mark(f"{prefix}drop", msg.dest, msg.tag)
+            return
+        if fate.delay > 0.0:
+            msg.available += fate.delay
+            self.mark(f"{prefix}delay", msg.dest, msg.tag)
+        yield msg
+        if fate.duplicate:
+            self.mark("duplicate", msg.dest, msg.tag)
+            yield replace(msg, data=_payload_copy(msg.data))
+
+    def _deliver(self, msg: _Message) -> None:
+        deliver = self._engine.deliver
+        for copy in self._fates(msg):
+            deliver(copy)
+
+    def _commit(self, msg: _Message) -> None:
+        for copy in self._fates(msg):
+            super()._commit(copy)
+
+    def _ack(self, data_msg: _Message) -> None:
+        """The core's ack, unless the plan has killed the receiver by the
+        time the data lands: then the sender's retries go unanswered and
+        it raises :class:`repro.errors.RetryExhaustedError`, the crash
+        symptom the resilient supervisor restarts on.  (The check reads
+        the *plan*, not the fired state, so it does not depend on how far
+        the doomed rank has actually run.)"""
+        faults = self._engine.faults
+        if faults.crashed_by(data_msg.dest, data_msg.available) is not None:
+            self.mark("ack-dead", data_msg.dest, data_msg.tag)
+            return
+        super()._ack(data_msg)

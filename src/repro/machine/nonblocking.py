@@ -41,8 +41,9 @@ local inbox (FIFO order is preserved — the inbox is always drained
 before the wire queue).  With nothing buffered — the default, and every
 kernel in the repo — none of this is on the message's path: an empty
 outbox is not flushed, an empty inbox not searched, endpoints are
-validated once per ``(peer, tag)`` (:meth:`Proc._endpoint`) and the
-crash / slowdown hooks are skipped without a fault plan.
+validated once per ``(peer, tag)`` (:meth:`Proc._endpoint`), the drain
+is priced by the rank's own occupancy model (a slowed rank's under a
+fault plan) and the crash hook is skipped without a fault plan.
 
 Crashed peers
 -------------
@@ -180,8 +181,7 @@ class RecvRequest(Request):
             )
         p.clock = arrival
         if drain:
-            occupancy = engine.model.post_occupancy(words)
-            p.clock += occupancy if faults is None else p._scaled(occupancy)
+            p.clock += p._model.post_occupancy(words)
         engine.record(
             p.rank, "recv", arrival, p.clock, self.source, words,
             self.tag, "nb", p.scope,

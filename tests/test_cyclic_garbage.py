@@ -8,7 +8,9 @@ waited for the collector), every loaded generated program (its entry
 function and the namespace it was defined in) and compile helpers that
 recursed through a closure calling itself (a function and its own
 cell).  Under ``gc.DEBUG_SAVEALL`` a collection keeps what it found in
-``gc.garbage``.
+``gc.garbage``.  Processors and engines are matched by class, so a
+subclass (the fault layer's ``FaultProc``, the ``threaded`` backend's
+engine) cannot escape the check.
 """
 
 from __future__ import annotations
@@ -16,16 +18,21 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.api import Session
 from repro.codegen.runtime_api import RUNTIME_NAMESPACE
 from repro.dp.algorithm1 import brute_force_min_cost
+from repro.kernels import make_spd_system, resilient_jacobi
 from repro.lang import gauss_program, jacobi_program, matmul_program, program_to_text, sor_program
 from repro.lang.analysis import iteration_count, scalars_used
 from repro.lang.transforms import specialize
-from repro.machine import MachineModel, Ring, allreduce, run_spmd
+from repro.machine import CheckpointStore, MachineModel, Ring, allreduce, run_resilient, run_spmd
 from repro.errors import DeadlockError
+from repro.machine.engine import Engine, Proc
+from repro.machine.faults import FaultPlan
+from repro.machine.resilient import ReliableTransport
 from repro.machine.threaded import BACKENDS, run_spmd_threaded
 from repro.pipeline.mapping import choose_mapping
 from repro.service.plan import compile_plan
@@ -70,8 +77,25 @@ def summed(p, value):
     return total
 
 
-def kinds(garbage) -> set[str]:
-    return {type(obj).__name__ for obj in garbage}
+#: A seeded plan that injects every message fate and a slowdown.
+CHAOS = FaultPlan(
+    seed=7, delay_prob=0.3, delay_max=20.0, drop_prob=0.2, duplicate_prob=0.2,
+    slowdown=((1, 1.5),),
+)
+
+
+def machine_parts(garbage) -> list:
+    """Processors and engines, subclasses included."""
+    return [obj for obj in garbage if isinstance(obj, (Proc, Engine))]
+
+
+def reliable_ring(p, value):
+    """One sequenced transfer around the ring, then a plain allreduce."""
+    tx = ReliableTransport()
+    n = p.nprocs
+    yield from tx.send(p, (p.rank + 1) % n, value, tag=2)
+    got = yield from tx.recv(p, (p.rank - 1) % n, tag=2)
+    return (yield from allreduce(p, got, tuple(range(n))))
 
 
 def closures(garbage) -> set[str]:
@@ -93,7 +117,7 @@ def test_a_run_leaves_no_processor_or_engine_behind(runner):
         res = runner(summed, Ring(8), MODEL, args=(1.0,), trace=True)
         assert res.values == [8.0] * 8
         gc.collect()
-        assert not kinds(garbage) & {"Proc", "Engine", "ThreadedEngine"}
+        assert machine_parts(garbage) == []
 
 
 @pytest.mark.parametrize("backend", ["engine", "threaded"])
@@ -103,7 +127,7 @@ def test_plan_run_leaves_no_processor_or_engine_behind(backend):
         res = plan.run(4, {"m": 16, "maxiter": 2}, model=MODEL, backend=backend)
         assert res.values[0] is not None
         gc.collect()
-        assert not kinds(garbage) & {"Proc", "Engine", "ThreadedEngine"}
+        assert machine_parts(garbage) == []
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -115,7 +139,7 @@ def test_an_engine_the_caller_keeps_runs_again_and_frees_each_run(backend):
         assert first.values == second.values == [8.0] * 4
         assert first.makespan == second.makespan
         gc.collect()
-        assert "Proc" not in kinds(garbage)
+        assert machine_parts(garbage) == []
 
 
 def test_a_failed_run_leaves_no_processor_behind():
@@ -127,7 +151,34 @@ def test_a_failed_run_leaves_no_processor_behind():
             with pytest.raises(DeadlockError):
                 engine_cls(Ring(4)).run(stuck)
         gc.collect()
-        assert not kinds(garbage) & {"Proc", "Engine", "ThreadedEngine"}
+        assert machine_parts(garbage) == []
+
+
+@pytest.mark.parametrize("runner", [run_spmd, run_spmd_threaded], ids=["engine", "threaded"])
+def test_a_faulted_run_leaves_no_processor_or_engine_behind(runner):
+    with saved_garbage() as garbage:
+        res = runner(reliable_ring, Ring(8), MODEL, args=(1.0,), trace=True, faults=CHAOS)
+        assert res.values == [8.0] * 8
+        assert {"drop", "delay", "duplicate"} <= res.metrics.faults.keys()
+        gc.collect()
+        assert machine_parts(garbage) == []
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_a_crash_and_restart_leave_no_processor_or_engine_behind(backend):
+    A, b, _ = make_spd_system(16, seed=4)
+    args = (A, b, np.zeros(16), 6)
+    base = run_spmd(resilient_jacobi, Ring(4), MODEL, args=args)
+    plan = FaultPlan(seed=2).with_crash(1, at_time=base.makespan * 0.6)
+    with saved_garbage() as garbage:
+        res = run_resilient(
+            resilient_jacobi, Ring(4), MODEL, args=args,
+            kwargs={"checkpoints": CheckpointStore(4), "interval": 2},
+            plan=plan, backend=backend,
+        )
+        assert res.restarts == 1
+        gc.collect()
+        assert machine_parts(garbage) == []
 
 
 def test_cold_compiles_leave_no_recursive_closure_behind():

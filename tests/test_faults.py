@@ -119,6 +119,70 @@ class TestClockOnlyPerturbations:
         assert delayed.metrics.faults.get("delay", 0) > 0
 
 
+def _slowed_probe(p, flops, seconds, words):
+    """Rank 0 (the slowed one) computes, delays, sends plain to P2 and
+    posted to P3, then drains a plain message from P4 and a posted one
+    from P5.  The other ranks start idle, so each receive begins at the
+    message's availability."""
+    from repro.machine import NBComm
+
+    if p.rank == 0:
+        p.compute(flops)
+        p.delay(seconds)
+        p.send(2, None, words=words, tag=1)
+        p.send(3, None, words=words, tag=1, posted=True)
+        yield from p.recv(4, tag=1)
+        yield from NBComm(p).irecv(5, tag=1).wait()
+    elif p.rank in (2, 3):
+        yield from p.recv(0, tag=1)
+    elif p.rank in (4, 5):
+        p.send(0, None, words=words, tag=1, posted=p.rank == 5)
+
+
+def _slowed_machines(count: int = 120):
+    rng = np.random.default_rng(52)
+    for _ in range(count):
+        model = MachineModel(
+            tf=float(rng.uniform(0.01, 3.0)),
+            tc=float(rng.uniform(0.01, 30.0)),
+            alpha=float(rng.choice([0.0, rng.uniform(0.0, 50.0)])),
+            hop_cost=float(rng.choice([0.0, rng.uniform(0.0, 5.0)])),
+            overlap=bool(rng.random() < 0.5),
+        )
+        factor = float(rng.uniform(1.0, 4.0))
+        args = (float(rng.uniform(1.0, 1000.0)), float(rng.uniform(0.0, 100.0)),
+                int(rng.integers(0, 64)))
+        yield model, factor, args
+
+
+class TestSlowdownFloatOrder:
+    """A slowed rank's durations are the machine's own, times the factor.
+
+    Bit for bit: ``(flops tf) s``, ``seconds s`` and ``occupancy(w) s``,
+    while the wire latency is the NIC's and never slowed.  Folding the
+    factor into ``tf`` / ``tc`` / ``alpha`` rounds differently and slows
+    the wire under ``overlap=True`` and for posted sends."""
+
+    @pytest.mark.parametrize("runner", [run_spmd, run_spmd_threaded])
+    def test_clocks_are_the_machines_durations_times_the_factor(self, runner):
+        topology = Ring(8)
+        for model, s, (flops, seconds, w) in _slowed_machines():
+            res = runner(_slowed_probe, topology, model, args=(flops, seconds, w),
+                         trace=True, faults=FaultPlan(slowdown={0: s}))
+            lane = [e for e in res.trace[0] if e.kind not in ("wait", "irecv")]
+            compute, delay, send, isend, recv, drain = lane
+            assert compute.end == compute.start + (flops * model.tf) * s
+            assert delay.end == delay.start + seconds * s
+            assert send.end == send.start + model.send_occupancy(w) * s
+            assert isend.end == isend.start + model.post_occupancy(w) * s
+            assert recv.end == recv.start + model.recv_occupancy(w) * s
+            assert drain.end == drain.start + model.post_occupancy(w) * s
+            arrivals = {r: e.start for r in (2, 3) for e in res.trace[r] if e.kind == "recv"}
+            assert arrivals[2] == send.end + model.wire_latency(w, topology.hops(0, 2))
+            assert arrivals[3] == isend.end + model.posted_wire_latency(
+                w, topology.hops(0, 3))
+
+
 class TestCrash:
     @pytest.mark.parametrize("runner", [run_spmd, run_spmd_threaded])
     def test_crash_surfaces_with_rank_and_time(self, runner):

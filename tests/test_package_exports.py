@@ -260,7 +260,45 @@ def test_machine_core_rules_are_defined_once():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef) and node.name in homes:
                 homes[node.name].append(path.name)
-    assert homes == {name: ["engine.py"] for name in CORE_RULES}
+    # The fault plan's per-channel attempt counter belongs to its state.
+    expected = {name: ["engine.py"] for name in CORE_RULES} | {"next_attempt": ["faults.py"]}
+    assert homes == expected
+
+
+#: What the fault layer (``machine/faults.py``) reads and does; the
+#: reliable core's processor names none of it.
+FAULT_NAMES = {
+    "faults", "fault_plan", "slowdown", "slowdown_factor",
+    "crash_due", "crashed_by", "fate", "_maybe_crash",
+}
+
+
+def test_the_core_processor_knows_no_faults():
+    """Every fault branch lives in ``FaultProc``: no method of ``Proc``
+    names the fault plan or its queries, and importing engine.py imports
+    no fault module (faults.py builds on ``Proc``)."""
+    tree = ast.parse((SRC / "machine" / "engine.py").read_text())
+    (proc,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Proc"]
+    named = {
+        f"{fn.name}: {getattr(node, 'attr', getattr(node, 'id', None))}"
+        for fn in proc.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if getattr(node, "attr", getattr(node, "id", None)) in FAULT_NAMES
+    }
+    assert named == set()
+    imported_on_load: set[str] = set()
+    for top in tree.body:
+        deferred = isinstance(top, (ast.FunctionDef, ast.ClassDef)) or (
+            isinstance(top, ast.If) and getattr(top.test, "id", "") == "TYPE_CHECKING"
+        )
+        for node in [] if deferred else ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                imported_on_load.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported_on_load.update(alias.name for alias in node.names)
+    assert "repro.machine.forensics" in imported_on_load  # the walk sees imports
+    assert "repro.machine.faults" not in imported_on_load
 
 
 def _machine_names(filename: str = "*.py") -> set[str]:
