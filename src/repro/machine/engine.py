@@ -297,11 +297,9 @@ class Proc:
 
     def __init__(self, engine: "Engine", rank: int) -> None:
         self._engine = engine
-        # The occupancy model and the delivery route, bound once: the
-        # fault layer gives a slowed rank its own model and routes every
-        # copy through its fates (:class:`repro.machine.faults.FaultProc`).
+        # The occupancy model, bound once: the fault layer gives a slowed
+        # rank its own (:class:`repro.machine.faults.FaultProc`).
         self._model = engine.model
-        self._deliver = engine.deliver
         self.rank = rank
         self.clock = 0.0
         self.scope = ""  # active collective label stack (see scoped())
@@ -467,7 +465,7 @@ class Proc:
             self.rank, kind, start, self.clock, dest, nwords, tag, "", self.scope
         )
         if seq is None:
-            self._deliver(msg)
+            self._deliver(engine, msg)
         else:
             self._commit(msg)
 
@@ -510,7 +508,7 @@ class Proc:
             system=True,
         )
         self.mark("ack", data_msg.dest, data_msg.tag)
-        self._deliver(ack)
+        self._deliver(self._engine, ack)
 
     def _recv_impl(
         self, source: int, tag: int, deadline: float | None
@@ -665,7 +663,12 @@ class Engine:
         self._calendar = EventCalendar()
         self.message_count = 0
         self.message_words = 0
-        self.trace = Trace([TraceLane() for _ in self.procs])
+        # Lanes exist only in a traced run; record() appends each row
+        # straight onto its lane's row list.
+        self.trace: Trace | None = None
+        if self._tracing:
+            self.trace = Trace([TraceLane() for _ in self.procs])
+            self._lane_appends = [lane.append_raw for lane in self.trace]
         self.metrics = Metrics(self.topology.size)
         self._observe = self.metrics.observe  # what record() calls
         self._timeout_fired = [False] * len(self.procs)  # rank -> expired at a stall
@@ -789,7 +792,7 @@ class Engine:
         self._observe(rank, kind, start, end, peer, words, tag, scope, detail)
         self._recent[rank].append((kind, start, end, peer, tag, detail))
         if self._tracing:
-            self.trace[rank].append_raw(
+            self._lane_appends[rank](
                 (rank, kind, start, end, peer, words, tag, detail, scope)
             )
 
@@ -803,9 +806,8 @@ class Engine:
         carrying it.
         """
         stamp_current(self.metrics)
-        trace = None
-        if self._tracing:
-            trace = self.trace
+        trace = self.trace
+        if trace is not None:
             run = self.metrics.obs.get("run_id", "")
             for lane in trace:
                 lane.run = run
@@ -993,6 +995,13 @@ class Engine:
             return self._result(values)
         finally:
             self.procs = []
+
+
+# A processor's delivery route is looked up on its class, so no
+# processor holds a bound method of the engine: the core's is the bare
+# wire, ``route(engine, msg)``; ``FaultProc._deliver`` routes each copy
+# through its fates.
+Proc._deliver = staticmethod(Engine.deliver)
 
 
 def run_spmd(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from itertools import chain
 from operator import attrgetter
 
 from repro.machine.trace import TraceEvent, nesting_depths, trace_index
@@ -48,13 +49,9 @@ SPARSE_TID = 3000
 
 #: Event kinds drawn on the request lane instead of the rank's main lane.
 _REQUEST_KINDS = frozenset(("isend", "irecv"))
-_KIND = attrgetter("kind")
 
-
-def _tid(e: TraceEvent) -> int:
-    if e.lane != "rank":
-        return COMPILER_TID
-    return REQUEST_TID_BASE + e.rank if e.kind in _REQUEST_KINDS else e.rank
+#: Sort key of the ``compile->run`` arrow's target: the earliest event.
+_START_RANK = attrgetter("start", "rank")
 
 
 def match_messages(
@@ -79,80 +76,105 @@ def match_messages(
     return list(trace_index(trace).pairs)
 
 
-def _draw(e: TraceEvent, depth: int = 0) -> dict:
-    """One trace event as a Chrome ``X`` event, or ``i`` for a marker."""
-    kind = e.kind
-    start = e.start
-    if e.lane == "rank":
-        scope = e.scope
-        peer = e.peer
-        if peer is None:
-            args: dict = {"kind": kind}
-        else:
-            args = {"kind": kind, "peer": peer, "words": e.words, "tag": e.tag}
-        if scope:
-            args["scope"] = scope
-        # Zero-duration markers (drops, retries, crashes, irecv posts)
-        # render as thread-scoped instant events — visible ticks on the
-        # rank's lane (or request lane) in Perfetto.
-        instant = kind == "fault" or kind == "irecv"
-        if instant:
-            cat = "request" if kind == "irecv" else "fault"
-            args["detail"] = e.detail
-        else:
-            cat = scope or kind
-    else:
-        # Wall-clock markers (worker crashes, respawns, fallback to
-        # in-process compilation — see repro.service.supervisor) mirror
-        # the simulator's "fault" instants on the rank lanes.
-        instant = kind == "instant"
-        cat = "service-fault" if instant else "compile"
-        args = {"clock": e.clock}
-        if not instant:
-            args["depth"] = depth
-    tid = _tid(e)
-    if instant:
-        return {
-            "name": e.label(), "cat": cat, "ph": "i", "s": "t",
-            "ts": start * TIME_SCALE, "pid": 0, "tid": tid, "args": args,
-        }
-    return {
-        "name": e.label(), "cat": cat, "ph": "X", "ts": start * TIME_SCALE,
-        "dur": (e.end - start) * TIME_SCALE, "pid": 0, "tid": tid, "args": args,
-    }
-
-
 def _lane_events(trace, pairs, process_name: str) -> list[dict]:
     """Metadata, one drawn event per trace event, one arrow pair per
-    ``(send, recv)`` in *pairs*."""
+    ``(send, recv)`` in *pairs*.
+
+    Each lane is drawn in one loop over its events: a rank event becomes
+    a Chrome ``X`` event, or an ``i`` instant for a marker, on the
+    rank's thread or — ``isend`` / ``irecv`` — its request thread, which
+    the same loop notes for the lane's metadata; a wall-clock lane
+    (the compiler's) nests its spans by time containment.  Names are
+    :meth:`TraceEvent.label`, asked once per distinct ``(kind, peer,
+    words, detail)`` of the export.
+    """
+    scale = TIME_SCALE
     events: list[dict] = [
         {"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
          "args": {"name": process_name}},
     ]
     drawn: list[dict] = []
+    draw = drawn.append
+    labels: dict[tuple, str] = {}
     for index, lane in enumerate(trace):
         if lane and lane[0].lane != "rank":
-            threads = [(COMPILER_TID, lane[0].lane)]
-            drawn.extend(map(_draw, lane, nesting_depths(lane)))
-        else:
-            threads = [(index, f"P{index}")]
-            if not _REQUEST_KINDS.isdisjoint(map(_KIND, lane)):
-                threads.append((REQUEST_TID_BASE + index, f"P{index} requests"))
-            drawn.extend(map(_draw, lane))
-        events.extend(
-            {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
-             "args": {"name": name}}
-            for tid, name in threads
+            for e, depth in zip(lane, nesting_depths(lane)):
+                # Wall-clock markers (worker crashes, respawns, fallback
+                # to in-process compilation — see repro.service.supervisor)
+                # mirror the simulator's "fault" instants on the rank lanes.
+                if e.kind == "instant":
+                    draw({
+                        "name": e.label(), "cat": "service-fault", "ph": "i", "s": "t",
+                        "ts": e.start * scale, "pid": 0, "tid": COMPILER_TID,
+                        "args": {"clock": e.clock},
+                    })
+                else:
+                    draw({
+                        "name": e.label(), "cat": "compile", "ph": "X",
+                        "ts": e.start * scale, "dur": (e.end - e.start) * scale,
+                        "pid": 0, "tid": COMPILER_TID,
+                        "args": {"clock": e.clock, "depth": depth},
+                    })
+            events.append(
+                {"name": "thread_name", "ph": "M", "pid": 0, "tid": COMPILER_TID,
+                 "args": {"name": lane[0].lane}}
+            )
+            continue
+        requests = False
+        for e in lane:
+            rank, kind, start, end, peer, words, tag, detail, scope, _, _ = e
+            name = labels.get(key := (kind, peer, words, detail))
+            if name is None:
+                name = labels[key] = e.label()
+            if peer is None:
+                args: dict = {"kind": kind}
+            else:
+                args = {"kind": kind, "peer": peer, "words": words, "tag": tag}
+            if scope:
+                args["scope"] = scope
+            if kind == "fault" or kind == "irecv":
+                # Zero-duration markers (drops, retries, crashes, irecv
+                # posts) render as thread-scoped instant events — visible
+                # ticks on the rank's lane (or request lane) in Perfetto.
+                args["detail"] = detail
+                if kind == "fault":
+                    cat, tid = "fault", rank
+                else:
+                    cat, tid, requests = "request", REQUEST_TID_BASE + rank, True
+                draw({
+                    "name": name, "cat": cat, "ph": "i", "s": "t",
+                    "ts": start * scale, "pid": 0, "tid": tid, "args": args,
+                })
+                continue
+            if kind == "isend":
+                tid, requests = REQUEST_TID_BASE + rank, True
+            else:
+                tid = rank
+            draw({
+                "name": name, "cat": scope or kind, "ph": "X", "ts": start * scale,
+                "dur": (end - start) * scale, "pid": 0, "tid": tid, "args": args,
+            })
+        events.append(
+            {"name": "thread_name", "ph": "M", "pid": 0, "tid": index,
+             "args": {"name": f"P{index}"}}
         )
-    events.extend(drawn)
+        if requests:
+            events.append(
+                {"name": "thread_name", "ph": "M", "pid": 0,
+                 "tid": REQUEST_TID_BASE + index, "args": {"name": f"P{index} requests"}}
+            )
+    events += drawn
+    append = events.append
     for flow_id, (snd, rcv) in enumerate(pairs):
-        events.append(
+        rank = snd.rank
+        append(
             {"name": "msg", "cat": "msg", "pid": 0, "id": flow_id, "ph": "s",
-             "ts": snd.end * TIME_SCALE, "tid": _tid(snd)}
+             "ts": snd.end * scale,
+             "tid": REQUEST_TID_BASE + rank if snd.kind == "isend" else rank}
         )
-        events.append(
+        append(
             {"name": "msg", "cat": "msg", "pid": 0, "id": flow_id, "ph": "f",
-             "bp": "e", "ts": rcv.start * TIME_SCALE, "tid": rcv.rank}
+             "bp": "e", "ts": rcv.start * scale, "tid": rcv.rank}
         )
     return events
 
@@ -256,11 +278,12 @@ def chrome_trace_json(
     if sparse:
         events.extend(sparse_lane_events(sparse))
     if context is not None and spans:
-        first = min(
-            (e for lane in trace for e in lane),
-            key=lambda e: (e.start, e.rank),
-            default=None,
-        )
+        first = min(chain.from_iterable(trace), key=_START_RANK, default=None)
+        at, tid = 0.0, 0
+        if first is not None:
+            at, tid = first.start, first.rank
+            if first.kind in _REQUEST_KINDS:
+                tid += REQUEST_TID_BASE
         common = {
             "name": "compile->run",
             "cat": "obs",
@@ -273,8 +296,7 @@ def chrome_trace_json(
         )
         events.append(
             {**common, "ph": "f", "bp": "e",
-             "ts": (first.start if first else 0.0) * TIME_SCALE,
-             "tid": _tid(first) if first else 0}
+             "ts": at * TIME_SCALE, "tid": tid}
         )
     doc = {
         "traceEvents": events,

@@ -270,10 +270,6 @@ class FaultProc(Proc):
 
     def __init__(self, engine: Engine, rank: int) -> None:
         super().__init__(engine, rank)
-        # The fated route is this class's _deliver method, not the bare
-        # wire the core binds per instance (a bound method of self stored
-        # on self would make every processor a reference cycle).
-        del self._deliver
         self._factor = factor = engine.fault_plan.slowdown_factor(rank)
         if factor != 1.0:
             self._model = _Slowed(**vars(engine.model), factor=factor)
@@ -348,8 +344,8 @@ class FaultProc(Proc):
             self.mark("duplicate", msg.dest, msg.tag)
             yield replace(msg, data=_payload_copy(msg.data))
 
-    def _deliver(self, msg: _Message) -> None:
-        deliver = self._engine.deliver
+    def _deliver(self, engine: Engine, msg: _Message) -> None:
+        deliver = engine.deliver
         for copy in self._fates(msg):
             deliver(copy)
 

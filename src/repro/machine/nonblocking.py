@@ -329,7 +329,8 @@ class NBComm:
         on the same channel so FIFO order holds.
         """
         p = self.proc
-        p._endpoint(dest, tag, True)
+        if (dest, tag) not in p._ok_send:
+            p._endpoint(dest, tag, True)
         nwords = _payload_words(data) if words is None else int(words)
         if nwords < 0:
             raise CommunicationError(f"negative message size {nwords}")
@@ -379,7 +380,8 @@ class NBComm:
     def irecv(self, source: int, tag: int = 0) -> RecvRequest:
         """Post a receive; returns a :class:`RecvRequest` (no time cost)."""
         p = self.proc
-        p._endpoint(source, tag, False)
+        if (source, tag) not in p._ok_recv:
+            p._endpoint(source, tag, False)
         req = RecvRequest(self, source, tag)
         p._engine.record(
             p.rank, "irecv", p.clock, p.clock, source, 0, tag, "", p.scope,

@@ -36,10 +36,11 @@ class TraceEvent(NamedTuple):
     The record is a named tuple — immutable, hashable, compared by
     value — because a traced run builds tens of thousands of them:
     :class:`TraceLane` makes one from the row the engine appended
-    (``TraceEvent._make``, a quarter of a microsecond) where a frozen
+    (``tuple.__new__``, a fraction of a microsecond) where a frozen
     dataclass ``__init__`` paid one ``object.__setattr__`` per field.
-    Read it through the field names; that it also unpacks and indexes
-    like a tuple is not part of the contract.
+    Read it through the field names.  The Chrome exporter alone unpacks
+    it by position, on its per-event path, so the field order is pinned
+    (``tests/test_export_oracle.py``).
     """
 
     rank: int
@@ -110,7 +111,9 @@ class TraceLane:
     The engine's hot path appends raw tuples (the first nine
     ``TraceEvent`` fields, in field order) — a tuple append instead of a
     record allocation per recorded event, which is what makes tracing
-    affordable at N=1024+.  Consumers see a normal read-only sequence of
+    affordable at N=1024+.  ``append_raw`` is the row list's own bound
+    ``append``, so a recorded row costs no Python frame (the engine binds
+    it once per run).  Consumers see a normal read-only sequence of
     ``TraceEvent`` objects: events are built on first access — the row
     plus ``("rank", run)``, the lane's ``run`` id being set by the engine
     when the run finishes — and cached, so repeated iteration returns
@@ -119,23 +122,23 @@ class TraceLane:
     time order (see :class:`TraceIndex`).
     """
 
-    __slots__ = ("_raw", "_cache", "run")
+    __slots__ = ("_raw", "_cache", "run", "append_raw")
 
     def __init__(self) -> None:
         self._raw: list[tuple] = []
         self._cache: list[TraceEvent] = []
         self.run = ""
-
-    def append_raw(self, row: tuple) -> None:
-        """Record one event as its leading-fields tuple (hot path)."""
-        self._raw.append(row)
+        #: Record one event as its leading-fields tuple (hot path).
+        self.append_raw = self._raw.append
 
     def _materialize(self) -> list[TraceEvent]:
         raw = self._raw
         if raw:
-            make = TraceEvent._make
+            # ``TraceEvent._make`` without its Python frame and length
+            # check: every row holds the nine leading fields.
+            new = tuple.__new__
             tail = ("rank", self.run)
-            built = [make(row + tail) for row in raw]
+            built = [new(TraceEvent, row + tail) for row in raw]
             self._cache.extend(built)
             # The event holds everything its row did: the rows go, so a
             # lane never keeps two copies of what it recorded.

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from repro.costmodel.bands import SlackBand, get_band
 from repro.errors import TraceError
 from repro.machine.critpath import critical_path
-from repro.machine.trace import Trace, trace_index
+from repro.machine.trace import Trace, TraceEvent, trace_index
 from repro.util.tables import Table
 
 _EPS = 1e-9
@@ -238,20 +238,19 @@ def _classify_wait(w, nxt, lanes, ends, channel_faults, consumed, crash_at):
     channel = (w.peer, w.rank, w.tag)
     faults = channel_faults.get(channel, ())
     start = consumed.get(channel, 0)
-    hit: dict[str, int] = {}
+    hit: dict[str, TraceEvent] = {}
     idx = start
     for idx in range(start, len(faults)):
         f = faults[idx]
         if f.start > w.end + _EPS:
             idx -= 1
             break
-        hit.setdefault(f.detail, 0)
-        hit[f.detail] += 1
+        hit.setdefault(f.detail, f)
     if hit:
         consumed[channel] = idx + 1
         for detail in _DATA_FAULTS:
             if detail in hit:
-                return f"fault:{detail}", culprit
+                return hit[detail].label(), culprit  # "fault:<detail>"
     # 4. The sender itself: what was it doing while we idled?  Its lane
     #    is in time order, so the events overlapping the idle interval
     #    are one run of it, from the first that ends after the wait began

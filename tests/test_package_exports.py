@@ -167,6 +167,53 @@ def test_match_messages_only_reads_the_index():
     assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(fn))
 
 
+# -- one event label ----------------------------------------------------------
+# An event's display name is spelled in ``TraceEvent.label`` alone: the
+# Chrome exporter, the step table and the wait attribution's fault causes
+# ask it, so a second spelling (a per-kind string forked into a faster
+# drawing loop, say) cannot drift from the first.
+
+LABEL_SPELLINGS = ("send->", "recv<-", "isend->", "irecv<-", "wait<-", "fault:")
+
+
+def _label_spellers(tree: ast.AST, where: str) -> set[str]:
+    """Functions of *tree* holding a string literal (or f-string part) that
+    begins with a label spelling; a literal outside any function counts
+    as ``<module>``."""
+    skip = _docstrings(tree)
+    found: set[str] = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if owner == "<module>" else f"{owner}.{child.name}"
+                visit(child, inner)
+                continue
+            if (
+                isinstance(child, ast.Constant)
+                and isinstance(child.value, str)
+                and id(child) not in skip
+                and child.value.startswith(LABEL_SPELLINGS)
+            ):
+                found.add(f"{where}:{owner}")
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_event_labels_are_spelled_in_one_function():
+    spellers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        spellers |= _label_spellers(ast.parse(path.read_text()), str(path.relative_to(SRC)))
+    assert spellers == {"machine/trace.py:TraceEvent.label"}
+
+
+def test_the_label_sweep_sees_f_string_parts():
+    tree = ast.parse('def f(e):\n    return f"wait<-{e.peer}"\n\nX = "fault:" + "x"\n')
+    assert _label_spellers(tree, "m.py") == {"m.py:f", "m.py:<module>"}
+
+
 # -- one Table 1, one rule table (ISSUE 18) -----------------------------------
 # A primitive's name is written once, in its costmodel/primitives.py row;
 # everything that keys, tags or compares by it reads the row.  (Formula
